@@ -225,8 +225,8 @@ func BenchmarkSTGABatch50(b *testing.B) {
 // GA, at the small and large batch sizes the paper's workloads produce.
 // The GA's rng draw sequence is pinned by the determinism suite (about
 // one Bool per gene per individual per generation), which bounds how
-// far this end-to-end number can drop; BenchmarkFitnessPath in
-// internal/stga isolates the fitness path itself.
+// far this end-to-end number can drop; the FitnessPath/full-decode
+// cases of internal/benchkit isolate the fitness path itself.
 func BenchmarkSTGASchedule(b *testing.B) {
 	for _, n := range []int{50, 200} {
 		b.Run(fmt.Sprintf("batch=%d", n), func(b *testing.B) {

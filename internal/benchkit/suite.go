@@ -170,11 +170,11 @@ func greedyCaseOn(gen func() ([]*grid.Job, []*grid.Site), mk func(grid.Policy) s
 }
 
 // stgaScaleCase benchmarks one STGA Schedule call on the m-site
-// scale-axis platform under the given draw contract, with Delta left
-// on auto. A fresh scheduler per iteration keeps the history table
-// empty and the per-op work independent of b.N: a shared scheduler's
-// table grows with every call, which would make the measured time
-// depend on how long the harness happened to run the case.
+// scale-axis platform under the given draw contract. A fresh scheduler
+// per iteration keeps the history table empty and the per-op work
+// independent of b.N: a shared scheduler's table grows with every call,
+// which would make the measured time depend on how long the harness
+// happened to run the case.
 func stgaScaleCase(n, m int, v rng.Version) func(b *testing.B) {
 	return func(b *testing.B) {
 		jobs, sites := scaleBatch(n, m)
@@ -190,10 +190,9 @@ func stgaScaleCase(n, m int, v rng.Version) func(b *testing.B) {
 
 // fitnessPathCase builds the steady-state fitness-path benchmark: a
 // converged population receiving Table 1 mutation traffic, evaluated
-// every generation (the access pattern inside ga.Run). delta toggles
-// incremental evaluation against the full decode; both arms replay the
-// identical edit script.
-func fitnessPathCase(n, m, pop int, delta bool) func(b *testing.B) {
+// every generation with the full decode (the access pattern inside
+// ga.Run).
+func fitnessPathCase(n, m, pop int) func(b *testing.B) {
 	return func(b *testing.B) {
 		r := rng.New(7)
 		base := make([]float64, m)
@@ -205,7 +204,6 @@ func fitnessPathCase(n, m, pop int, delta bool) func(b *testing.B) {
 			etc[i] = r.Float64() * 1e3 * float64(1+r.Intn(1000))
 		}
 		full := stga.MakespanFitness(m, base, etc, 0)
-		inc := stga.NewDeltaEvaluator(base, etc, n, m)
 		const gens = 16
 		type edit struct{ idx, gene, val int }
 		script := make([][]edit, gens)
@@ -224,33 +222,17 @@ func fitnessPathCase(n, m, pop int, delta bool) func(b *testing.B) {
 			incumbent[i] = r.Intn(m)
 		}
 		chroms := make([]ga.Chromosome, pop)
-		states := make([]ga.IncState, pop)
 		for i := range chroms {
 			chroms[i] = incumbent.Clone()
-			if delta {
-				states[i] = inc.NewState()
-				inc.Reset(states[i], chroms[i])
-			}
 		}
 		sink := 0.0
 		b.ResetTimer()
 		for it := 0; it < b.N; it++ {
 			for _, e := range script[it%gens] {
-				if old := chroms[e.idx][e.gene]; old != e.val {
-					if delta {
-						inc.Update(states[e.idx], e.gene, old, e.val)
-					}
-					chroms[e.idx][e.gene] = e.val
-				}
+				chroms[e.idx][e.gene] = e.val
 			}
-			if delta {
-				for i := range chroms {
-					sink += inc.Value(states[i], chroms[i])
-				}
-			} else {
-				for i := range chroms {
-					sink += full(chroms[i])
-				}
+			for i := range chroms {
+				sink += full(chroms[i])
 			}
 		}
 		_ = sink
@@ -335,10 +317,8 @@ func Suite() []Case {
 				}
 			}
 		}},
-		{Name: "FitnessPath/full-decode/batch=50", Smoke: true, F: fitnessPathCase(50, 20, 200, false)},
-		{Name: "FitnessPath/delta/batch=50", Smoke: true, F: fitnessPathCase(50, 20, 200, true)},
-		{Name: "FitnessPath/full-decode/batch=200", Smoke: false, F: fitnessPathCase(200, 20, 200, false)},
-		{Name: "FitnessPath/delta/batch=200", Smoke: false, F: fitnessPathCase(200, 20, 200, true)},
+		{Name: "FitnessPath/full-decode/batch=50", Smoke: true, F: fitnessPathCase(50, 20, 200)},
+		{Name: "FitnessPath/full-decode/batch=200", Smoke: false, F: fitnessPathCase(200, 20, 200)},
 		{Name: "OnlineEngine/jobs=1000", Smoke: true, F: func(b *testing.B) {
 			jobs, sites := benchBatch(1000)
 			for i := range jobs {

@@ -6,71 +6,9 @@ import (
 	"trustgrid/internal/rng"
 )
 
-// onesInc is a minimal Incremental for onesProblem: the state is the
-// count of non-zero genes, maintained under edits. Integer counts make
-// bit-identity with the full decode trivial, which is the point — these
-// tests exercise the GA's draw plumbing, not float reconciliation.
-type onesInc struct{}
-
-type onesIncState struct{ nonzero int }
-
-func (onesInc) NewState() IncState { return &onesIncState{} }
-
-func (onesInc) Reset(s IncState, c Chromosome) {
-	st := s.(*onesIncState)
-	st.nonzero = 0
-	for _, g := range c {
-		if g != 0 {
-			st.nonzero++
-		}
-	}
-}
-
-func (onesInc) Copy(dst, src IncState) {
-	*dst.(*onesIncState) = *src.(*onesIncState)
-}
-
-func (onesInc) Update(s IncState, gene, oldVal, newVal int) {
-	st := s.(*onesIncState)
-	if oldVal != 0 {
-		st.nonzero--
-	}
-	if newVal != 0 {
-		st.nonzero++
-	}
-}
-
-func (onesInc) SwapRange(sa, sb IncState, a, b Chromosome, lo, hi int) {
-	da, db := sa.(*onesIncState), sb.(*onesIncState)
-	for i := lo; i < hi; i++ {
-		// a and b hold the post-swap values: a[i] arrived from b, b[i]
-		// from a.
-		if a[i] != 0 {
-			da.nonzero++
-		}
-		if b[i] != 0 {
-			da.nonzero--
-		}
-		if b[i] != 0 {
-			db.nonzero++
-		}
-		if a[i] != 0 {
-			db.nonzero--
-		}
-	}
-}
-
-func (onesInc) Value(s IncState, c Chromosome) float64 {
-	return float64(s.(*onesIncState).nonzero)
-}
-
-func runOnes(t *testing.T, cfg Config, seed uint64, incremental bool) Result {
+func runOnes(t *testing.T, cfg Config, seed uint64) Result {
 	t.Helper()
 	p := onesProblem(37, 5)
-	if incremental {
-		p.Incremental = onesInc{}
-		cfg.VerifyIncremental = true
-	}
 	// A deliberately bad seed (all genes non-zero): the run has real
 	// optimization to do, so trajectories discriminate draw sequences.
 	bad := make(Chromosome, 37)
@@ -108,11 +46,11 @@ func sameResult(a, b Result) bool {
 func TestRNGVersionV1IsDefault(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Generations = 30
-	base := runOnes(t, cfg, 99, false)
+	base := runOnes(t, cfg, 99)
 	for _, v := range []rng.Version{rng.V1, rng.Version(1)} {
 		c := cfg
 		c.RNG = v
-		if got := runOnes(t, c, 99, false); !sameResult(base, got) {
+		if got := runOnes(t, c, 99); !sameResult(base, got) {
 			t.Fatalf("RNG=%d diverged from the default path", int(v))
 		}
 	}
@@ -126,34 +64,15 @@ func TestRNGVersionV2Deterministic(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Generations = 30
 	cfg.RNG = rng.V2
-	a := runOnes(t, cfg, 7, false)
-	b := runOnes(t, cfg, 7, false)
+	a := runOnes(t, cfg, 7)
+	b := runOnes(t, cfg, 7)
 	if !sameResult(a, b) {
 		t.Fatal("v2 run is not deterministic under a fixed seed")
 	}
 	v1cfg := cfg
 	v1cfg.RNG = rng.V1
-	if sameResult(a, runOnes(t, v1cfg, 7, false)) {
+	if sameResult(a, runOnes(t, v1cfg, 7)) {
 		t.Fatal("v2 produced the v1 sequence; the lanes are not engaged")
-	}
-}
-
-// TestRNGVersionV2IncrementalMatchesFull pins the two v2 mutation
-// kernels (mutateMasked / mutateMaskedInc) to each other: evaluation
-// consumes no draws, so the incremental and full-decode paths must
-// evolve identically. VerifyIncremental additionally cross-checks every
-// delta value against the full decode inside the run.
-func TestRNGVersionV2IncrementalMatchesFull(t *testing.T) {
-	for _, ver := range []rng.Version{rng.V1, rng.V2} {
-		cfg := DefaultConfig()
-		cfg.Generations = 40
-		cfg.MutationProb = 0.05 // enough hits to exercise the masked scan
-		cfg.RNG = ver
-		full := runOnes(t, cfg, 1234, false)
-		inc := runOnes(t, cfg, 1234, true)
-		if !sameResult(full, inc) {
-			t.Fatalf("%v: incremental evolution diverged from full decode", ver)
-		}
 	}
 }
 

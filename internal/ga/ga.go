@@ -48,17 +48,7 @@ type Config struct {
 	// cannot know whether the closure carries scratch state. Selection,
 	// crossover and mutation always consume the single master rng.Stream,
 	// so every worker count produces bit-identical evolution.
-	//
-	// A Problem with an Incremental evaluator bypasses the pool
-	// entirely: delta evaluation is cheaper than fanning full decodes
-	// out, and its values are bit-identical by contract, so Workers has
-	// no effect on such problems.
 	Workers int
-	// VerifyIncremental cross-checks every incremental fitness value
-	// against the full decode (Problem.Fitness/NewFitness) and panics on
-	// the first divergence. Debug/test only: it re-adds the full decode
-	// cost the incremental path exists to avoid.
-	VerifyIncremental bool
 	// RNG selects the draw-sequence contract. rng.V1 (the zero value)
 	// is the original serial sequence — one stream threaded through
 	// init, selection, crossover and mutation in loop order — and is
@@ -113,13 +103,6 @@ type Problem struct {
 	// function — workers differ only in which population slice they
 	// score. When NewFitness is set, Fitness may be nil.
 	NewFitness func() Fitness
-	// Incremental, when non-nil, switches evaluation to the delta path:
-	// per-individual decode states maintained through selection,
-	// crossover and mutation, with Value() exactly equal to the full
-	// decode (see incremental.go). Takes precedence over the worker
-	// pool. When set, Fitness/NewFitness are only needed for
-	// Config.VerifyIncremental.
-	Incremental Incremental
 }
 
 // Validate checks the problem definition.
@@ -135,7 +118,7 @@ func (p *Problem) Validate() error {
 			return fmt.Errorf("ga: gene %d has empty allowed set", i)
 		}
 	}
-	if p.Fitness == nil && p.NewFitness == nil && p.Incremental == nil {
+	if p.Fitness == nil && p.NewFitness == nil {
 		return fmt.Errorf("ga: nil fitness function")
 	}
 	return nil
@@ -231,51 +214,25 @@ func Run(p *Problem, cfg Config, seeds []Chromosome, r *rng.Stream) (Result, err
 		pop = append(pop, p.RandomChromosome(rInit))
 	}
 
-	// Delta evaluation when the problem provides it; otherwise the
-	// (possibly pooled) full-decode evaluator.
-	var ir *incRun
-	var eval *evaluator
-	if p.Incremental != nil {
-		ir = newIncRun(p, cfg, cfg.PopulationSize)
-		for i, c := range pop {
-			ir.inc.Reset(ir.states[i], c)
-		}
-	} else {
-		eval = newEvaluator(p, cfg)
-		defer eval.close()
-	}
+	eval := newEvaluator(p, cfg)
+	defer eval.close()
 	fit := make([]float64, len(pop))
-	// Fitness carry-forward (full-decode path): selection copies each
-	// pick's known score into fitNext alongside the chromosome, and only
-	// individuals crossover or mutation actually changed are marked
-	// dirty and re-decoded. Scores are pure functions of the chromosome,
-	// so carried values are bit-identical to a re-evaluation; no rng
-	// draw depends on any of this. The incremental path has its own
-	// cached-span equivalent inside the delta states.
-	var fitNext []float64
-	var dirty []bool
-	if ir == nil {
-		fitNext = make([]float64, len(pop))
-		dirty = make([]bool, len(pop))
-	}
-	evaluate := func() {
-		if ir != nil {
-			ir.evaluate(pop, fit)
-		} else {
-			eval.evaluate(pop, fit, dirty)
-		}
-	}
+	// Fitness carry-forward: selection copies each pick's known score
+	// into fitNext alongside the chromosome, and only individuals
+	// crossover or mutation actually changed are marked dirty and
+	// re-decoded. Scores are pure functions of the chromosome, so carried
+	// values are bit-identical to a re-evaluation; no rng draw depends on
+	// any of this.
+	fitNext := make([]float64, len(pop))
+	dirty := make([]bool, len(pop))
 
 	for i := range dirty {
 		dirty[i] = true
 	}
-	evaluate()
+	eval.evaluate(pop, fit, dirty)
 	bestIdx := argMin(fit)
 	best := pop[bestIdx].Clone()
 	bestFit := fit[bestIdx]
-	if ir != nil {
-		ir.inc.Copy(ir.bestState, ir.states[bestIdx])
-	}
 	trajectory := make([]float64, 0, cfg.Generations+1)
 	trajectory = append(trajectory, bestFit)
 
@@ -318,20 +275,12 @@ func Run(p *Problem, cfg Config, seeds []Chromosome, r *rng.Stream) (Result, err
 		}
 		for i, src := range picks {
 			copy(next[i], pop[src])
-			if ir != nil {
-				ir.inc.Copy(ir.nextStates[i], ir.states[src])
-			} else {
-				fitNext[i] = fit[src] // the pick's score is already known
-			}
+			fitNext[i] = fit[src] // the pick's score is already known
 		}
 		pop, next = next, pop
-		if ir != nil {
-			ir.states, ir.nextStates = ir.nextStates, ir.states
-		} else {
-			fit, fitNext = fitNext, fit
-			for i := range dirty {
-				dirty[i] = false
-			}
+		fit, fitNext = fitNext, fit
+		for i := range dirty {
+			dirty[i] = false
 		}
 
 		// Crossover in adjacent pairs (the selection output is already a
@@ -339,21 +288,16 @@ func Run(p *Problem, cfg Config, seeds []Chromosome, r *rng.Stream) (Result, err
 		for i := 0; i+1 < len(pop); i += 2 {
 			if crossDraw.Hit(rCross) {
 				a, b := pop[i], pop[i+1]
-				var sa, sb IncState
-				var inc Incremental
-				if ir != nil {
-					sa, sb, inc = ir.states[i], ir.states[i+1], ir.inc
-				}
 				var changed bool
 				switch cfg.Crossover {
 				case TwoPointCrossover:
-					changed = crossoverTwoPoint(a, b, sa, sb, inc, rCross)
+					changed = crossoverTwoPoint(a, b, rCross)
 				case UniformCrossover:
-					changed = crossoverUniform(a, b, sa, sb, inc, rCross)
+					changed = crossoverUniform(a, b, rCross)
 				default:
-					changed = crossover(a, b, sa, sb, inc, rCross)
+					changed = crossover(a, b, rCross)
 				}
-				if changed && dirty != nil {
+				if changed {
 					dirty[i], dirty[i+1] = true, true
 				}
 			}
@@ -365,47 +309,30 @@ func Run(p *Problem, cfg Config, seeds []Chromosome, r *rng.Stream) (Result, err
 		// per gene from the serial stream; V2 fills the generation's hit
 		// mask in one batched pass and word-scans it, so the common case
 		// (no hit in 64 genes) costs one load.
-		switch {
-		case d != nil:
+		if d != nil {
 			d.MutBit.FillBernoulli(mutMask, len(pop)*p.Length, mutDraw)
-			if ir != nil {
-				for i := range pop {
-					mutateMaskedInc(pop[i], p, mutMask, i*p.Length, ir.states[i], ir.inc, rMutVal)
-				}
-			} else {
-				for i := range pop {
-					if mutateMasked(pop[i], p, mutMask, i*p.Length, rMutVal) {
-						dirty[i] = true
-					}
-				}
-			}
-		case ir != nil:
 			for i := range pop {
-				mutateInc(pop[i], p, mutDraw, ir.states[i], ir.inc, r)
+				if mutateMasked(pop[i], p, mutMask, i*p.Length, rMutVal) {
+					dirty[i] = true
+				}
 			}
-		default:
+		} else {
 			for i := range pop {
 				if mutate(pop[i], p, mutDraw, r) {
 					dirty[i] = true
 				}
 			}
 		}
-		evaluate()
+		eval.evaluate(pop, fit, dirty)
 		genBest := argMin(fit)
 		if fit[genBest] < bestFit {
 			copy(best, pop[genBest])
 			bestFit = fit[genBest]
-			if ir != nil {
-				ir.inc.Copy(ir.bestState, ir.states[genBest])
-			}
 		} else if cfg.Elitism {
 			// Re-insert the incumbent over the worst individual.
 			worst := argMax(fit)
 			copy(pop[worst], best)
 			fit[worst] = bestFit
-			if ir != nil {
-				ir.inc.Copy(ir.states[worst], ir.bestState)
-			}
 		}
 		trajectory = append(trajectory, bestFit)
 	}
@@ -505,12 +432,9 @@ func selectRoulette(fit []float64, picks []int, weights, cum []float64, r *rng.S
 
 // crossover performs single-point crossover in place: both tails beyond a
 // random cut point are swapped. Genes stay legal because each position's
-// allowed set is position-specific and both parents are legal. When inc
-// is non-nil, the exchanged range is reported wholesale through
-// SwapRange — cheaper than per-gene updates because the incremental
-// state can reconcile whole bitset words. Returns whether any gene
-// actually changed.
-func crossover(a, b Chromosome, sa, sb IncState, inc Incremental, r *rng.Stream) bool {
+// allowed set is position-specific and both parents are legal. Returns
+// whether any gene actually changed.
+func crossover(a, b Chromosome, r *rng.Stream) bool {
 	if len(a) < 2 {
 		return false
 	}
@@ -544,9 +468,6 @@ func crossover(a, b Chromosome, sa, sb IncState, inc Incremental, r *rng.Stream)
 	for p := i; p < len(a); p++ {
 		a[p], b[p] = b[p], a[p]
 	}
-	if inc != nil {
-		inc.SwapRange(sa, sb, a, b, cut, len(a))
-	}
 	return true
 }
 
@@ -559,24 +480,6 @@ func mutate(c Chromosome, p *Problem, prob rng.Bernoulli, r *rng.Stream) bool {
 		if prob.Hit(r) {
 			a := p.Allowed[i]
 			if v := a[r.Intn(len(a))]; v != c[i] {
-				c[i] = v
-				changed = true
-			}
-		}
-	}
-	return changed
-}
-
-// mutateInc is mutate with incremental-state maintenance: identical rng
-// draws, with each effective gene change reported through Update.
-func mutateInc(c Chromosome, p *Problem, prob rng.Bernoulli, s IncState, inc Incremental, r *rng.Stream) bool {
-	changed := false
-	for i := range c {
-		if prob.Hit(r) {
-			a := p.Allowed[i]
-			v := a[r.Intn(len(a))]
-			if v != c[i] {
-				inc.Update(s, i, c[i], v)
 				c[i] = v
 				changed = true
 			}
@@ -606,34 +509,6 @@ func mutateMasked(c Chromosome, p *Problem, bitvec []uint64, off int, r *rng.Str
 		}
 		a := p.Allowed[i]
 		if v := a[r.Intn(len(a))]; v != c[i] {
-			c[i] = v
-			changed = true
-		}
-		i++
-	}
-	return changed
-}
-
-// mutateMaskedInc is mutateMasked with incremental-state maintenance:
-// identical draws, effective changes reported through Update.
-func mutateMaskedInc(c Chromosome, p *Problem, bitvec []uint64, off int, s IncState, inc Incremental, r *rng.Stream) bool {
-	n := len(c)
-	changed := false
-	for i := 0; i < n; {
-		pos := off + i
-		w := bitvec[pos>>6] >> uint(pos&63)
-		if w == 0 {
-			i += 64 - pos&63
-			continue
-		}
-		i += bits.TrailingZeros64(w)
-		if i >= n {
-			break
-		}
-		a := p.Allowed[i]
-		v := a[r.Intn(len(a))]
-		if v != c[i] {
-			inc.Update(s, i, c[i], v)
 			c[i] = v
 			changed = true
 		}

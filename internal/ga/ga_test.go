@@ -213,7 +213,7 @@ func TestCrossoverPreservesLengthAndGenes(t *testing.T) {
 	r := rng.New(7)
 	a := Chromosome{1, 2, 3, 4, 5}
 	b := Chromosome{6, 7, 8, 9, 10}
-	crossover(a, b, nil, nil, nil, r)
+	crossover(a, b, r)
 	if len(a) != 5 || len(b) != 5 {
 		t.Fatal("crossover changed length")
 	}
@@ -230,7 +230,7 @@ func TestCrossoverPreservesLengthAndGenes(t *testing.T) {
 func TestCrossoverLengthOneNoop(t *testing.T) {
 	r := rng.New(8)
 	a, b := Chromosome{1}, Chromosome{2}
-	crossover(a, b, nil, nil, nil, r)
+	crossover(a, b, r)
 	if a[0] != 1 || b[0] != 2 {
 		t.Fatal("length-1 crossover must be a no-op")
 	}

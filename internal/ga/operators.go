@@ -113,11 +113,10 @@ func selectRank(fit []float64, picks []int, order []int, weights []float64, r *r
 	}
 }
 
-// crossoverTwoPoint swaps the segment between two random cuts in place,
-// reporting the exchanged range to the incremental states when inc is
-// non-nil. Returns whether any gene actually changed (fitness
-// carry-forward skips re-evaluating untouched individuals).
-func crossoverTwoPoint(a, b Chromosome, sa, sb IncState, inc Incremental, r *rng.Stream) bool {
+// crossoverTwoPoint swaps the segment between two random cuts in place.
+// Returns whether any gene actually changed (fitness carry-forward
+// skips re-evaluating untouched individuals).
+func crossoverTwoPoint(a, b Chromosome, r *rng.Stream) bool {
 	if len(a) < 2 {
 		return false
 	}
@@ -133,27 +132,16 @@ func crossoverTwoPoint(a, b Chromosome, sa, sb IncState, inc Incremental, r *rng
 			differed = true
 		}
 	}
-	if differed && inc != nil {
-		inc.SwapRange(sa, sb, a, b, i, k)
-	}
 	return differed
 }
 
-// crossoverUniform swaps each gene with probability ½ in place,
-// reporting effective gene changes to the incremental states when inc
-// is non-nil. The coin is flipped for every gene (including equal
-// ones), exactly as before. Returns whether any gene actually changed.
-func crossoverUniform(a, b Chromosome, sa, sb IncState, inc Incremental, r *rng.Stream) bool {
+// crossoverUniform swaps each gene with probability ½ in place. The
+// coin is flipped for every gene (including equal ones). Returns
+// whether any gene actually changed.
+func crossoverUniform(a, b Chromosome, r *rng.Stream) bool {
 	differed := false
 	for i := range a {
-		if r.Bool(0.5) {
-			if a[i] == b[i] {
-				continue
-			}
-			if inc != nil {
-				inc.Update(sa, i, a[i], b[i])
-				inc.Update(sb, i, b[i], a[i])
-			}
+		if r.Bool(0.5) && a[i] != b[i] {
 			a[i], b[i] = b[i], a[i]
 			differed = true
 		}

@@ -87,7 +87,7 @@ func TestTwoPointCrossoverPreservesMultiset(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		a := Chromosome{1, 2, 3, 4, 5, 6}
 		b := Chromosome{7, 8, 9, 10, 11, 12}
-		crossoverTwoPoint(a, b, nil, nil, nil, r)
+		crossoverTwoPoint(a, b, r)
 		sum := 0
 		for i := range a {
 			sum += a[i] + b[i]
@@ -114,7 +114,7 @@ func TestUniformCrossoverColumns(t *testing.T) {
 		a[i] = 0
 		b[i] = 1
 	}
-	crossoverUniform(a, b, nil, nil, nil, r)
+	crossoverUniform(a, b, r)
 	swapped := 0
 	for i := range a {
 		if a[i] == 1 {

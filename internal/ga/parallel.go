@@ -34,9 +34,9 @@ func (c Config) effectiveWorkers() int {
 type evalTask struct {
 	pop   []Chromosome
 	fit   []float64
-	dirty []bool // nil: score everything
-	lo    int    // first index of the slice within the population
-	hi    int    // one past the last index
+	dirty []bool
+	lo    int // first index of the slice within the population
+	hi    int // one past the last index
 }
 
 // evaluator scores populations, serially or on a worker pool. It is
@@ -62,7 +62,7 @@ func newEvaluator(p *Problem, cfg Config) *evaluator {
 			go func() {
 				for t := range e.tasks {
 					for i := t.lo; i < t.hi; i++ {
-						if t.dirty == nil || t.dirty[i] {
+						if t.dirty[i] {
 							t.fit[i] = f(t.pop[i])
 						}
 					}
@@ -79,8 +79,8 @@ func newEvaluator(p *Problem, cfg Config) *evaluator {
 	return &evaluator{fit: f}
 }
 
-// evaluate fills fit[i] with the score of pop[i]. When dirty is
-// non-nil, indices marked clean keep their existing fit value: fitness
+// evaluate fills fit[i] with the score of pop[i] where dirty[i] is set.
+// Indices marked clean keep their existing fit value: fitness
 // is a pure function of the chromosome, so an individual the operators
 // did not touch still has the score selection carried over for it
 // (fitness carry-forward — as the population converges, crossover
@@ -89,7 +89,7 @@ func newEvaluator(p *Problem, cfg Config) *evaluator {
 func (e *evaluator) evaluate(pop []Chromosome, fit []float64, dirty []bool) {
 	if e.tasks == nil {
 		for i, c := range pop {
-			if dirty == nil || dirty[i] {
+			if dirty[i] {
 				fit[i] = e.fit(c)
 			}
 		}

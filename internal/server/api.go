@@ -292,19 +292,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tenantID s
 	}
 	// IDs are claimed only now, atomically for the whole request, after
 	// every other reason to reject has been ruled out.
-	ids, err := s.claimIDs(req.Jobs)
+	ids, err := s.claimIDs(req.Jobs, tenantID)
 	if err != nil {
 		s.tenants.release(tenantID, len(jobs))
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.idMu.Lock()
 	for i, j := range jobs {
 		j.ID = ids[i]
-		s.owners[j.ID] = tenantID
-	}
-	s.idMu.Unlock()
-	for _, j := range jobs {
 		// Pending entries exist before injection so a placement racing
 		// this handler (live mode) always finds its submission — the
 		// latency sample and the quota release both depend on it.

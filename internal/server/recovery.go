@@ -182,6 +182,7 @@ func (s *Server) resumeAdmission() {
 		s.lat.submitted(j.ID, j.Tenant, now)
 	}
 	s.tenants.setQueued(queued)
+	s.loggedID = s.nextID.Load() // no handler has run yet: every claim is a logged one
 }
 
 // recoverSingle rebuilds an unsharded daemon from the flat log: the
@@ -638,7 +639,7 @@ func (s *Server) writeSnapshot() error {
 		Manual:        s.cfg.Manual,
 		RNGVersion:    s.cfg.Setup.RNGVersion,
 		Tenants:       s.tenants.snapshot(),
-		NextID:        s.nextID.Load(),
+		NextID:        s.loggedID,
 		Counters: counterSnapshot{
 			Submitted:   s.submitted.Load(),
 			Arrived:     s.arrived.Load(),
@@ -660,16 +661,22 @@ func (s *Server) writeSnapshot() error {
 		snap.NextG = s.nextG
 	}
 	snap.EventBase, snap.Events = s.log.snapshotState()
+	// The registry as the log implies it: IDs claimed by a handler whose
+	// arrival record is not appended yet are left out (see Server.pending).
 	s.idMu.Lock()
 	if s.usedIDs != nil {
 		snap.UsedIDs = make([]int, 0, len(s.usedIDs))
 		for id := range s.usedIDs {
-			snap.UsedIDs = append(snap.UsedIDs, id)
+			if _, claimed := s.pending[id]; !claimed {
+				snap.UsedIDs = append(snap.UsedIDs, id)
+			}
 		}
 	}
-	if len(s.owners) > 0 {
-		snap.Owners = make(map[string][]int)
-		for id, tenant := range s.owners {
+	for id, tenant := range s.owners {
+		if _, claimed := s.pending[id]; !claimed {
+			if snap.Owners == nil {
+				snap.Owners = make(map[string][]int)
+			}
 			snap.Owners[tenant] = append(snap.Owners[tenant], id)
 		}
 	}
@@ -761,6 +768,13 @@ func (s *Server) walArrival(j *grid.Job, at float64) error {
 		s.nextG++
 	}
 	s.recsSinceSnap++
+	// Logged: the claim on this ID now belongs to the snapshotted registry.
+	s.idMu.Lock()
+	delete(s.pending, j.ID)
+	s.idMu.Unlock()
+	if int64(j.ID) > s.loggedID {
+		s.loggedID = int64(j.ID)
+	}
 	return nil
 }
 

@@ -224,6 +224,16 @@ type Server struct {
 	// snapshots and rebuilt from WAL arrivals, like usedIDs it grows with
 	// the accepted-job count (a retention window is future work).
 	owners map[int]string
+	// pending holds the IDs a handler has claimed whose arrival record is
+	// not in the WAL yet (nil without WALDir). Claims happen on handler
+	// goroutines, possibly while the loop writes a snapshot for an earlier
+	// command, so writeSnapshot leaves pending IDs out: a snapshot at WAL
+	// position p holds exactly the registry records <= p imply (DESIGN.md
+	// §10.2). Guarded by idMu; walArrival retires an ID once logged.
+	pending map[int]struct{}
+	// loggedID is the largest logged job ID: nextID as snapshots see it.
+	// Loop goroutine only.
+	loggedID int64
 
 	submitted   atomic.Int64 // accepted by the HTTP layer
 	arrived     atomic.Int64 // ingested by the engine
@@ -278,6 +288,9 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Manual {
 		s.usedIDs = make(map[int]struct{})
+	}
+	if cfg.WALDir != "" {
+		s.pending = make(map[int]struct{})
 	}
 	// Pre-registered tenants seed both the registry and the engines'
 	// fair-share weight vector (the default tenant is implicit). One
@@ -441,23 +454,24 @@ func (s *Server) stoppedErr() error {
 // does not leave a zombie process serving 503s.
 func (s *Server) Done() <-chan struct{} { return s.loopDone }
 
-// claimIDs allocates IDs for one whole submission, atomically: either
-// every spec gets its ID or none is burned. Live mode always
-// server-assigns; manual mode honors explicit IDs but rejects
-// duplicates — against earlier requests AND within this one — before
-// recording anything, so a rejected request leaves no claimed IDs
-// behind (a replayed trace must round-trip even after a failed retry).
-// Auto-assigned IDs stay clear of explicit ones.
-func (s *Server) claimIDs(specs []JobSpec) ([]int, error) {
+// claimIDs allocates IDs for one whole submission and records tenant as
+// their owner, atomically: either every spec gets its ID or none is
+// burned. Live mode always server-assigns; manual mode honors explicit
+// IDs but rejects duplicates — against earlier requests AND within this
+// one — before recording anything, so a rejected request leaves no
+// claimed IDs behind (a replayed trace must round-trip even after a
+// failed retry). Auto-assigned IDs stay clear of explicit ones.
+func (s *Server) claimIDs(specs []JobSpec, tenant string) ([]int, error) {
 	ids := make([]int, len(specs))
+	s.idMu.Lock()
+	defer s.idMu.Unlock()
 	if !s.cfg.Manual {
 		for i := range specs {
 			ids[i] = int(s.nextID.Add(1))
 		}
+		s.recordClaim(ids, tenant)
 		return ids, nil
 	}
-	s.idMu.Lock()
-	defer s.idMu.Unlock()
 	inReq := make(map[int]int, len(specs)) // id -> spec index, for dup reporting
 	for i, spec := range specs {
 		if spec.ID == nil {
@@ -497,7 +511,20 @@ func (s *Server) claimIDs(specs []JobSpec) ([]int, error) {
 			}
 		}
 	}
+	s.recordClaim(ids, tenant)
 	return ids, nil
+}
+
+// recordClaim registers freshly claimed IDs under their owner; in
+// durable mode each stays a pending reservation until walArrival logs
+// the job (see Server.pending). Caller holds idMu.
+func (s *Server) recordClaim(ids []int, tenant string) {
+	for _, id := range ids {
+		s.owners[id] = tenant
+		if s.pending != nil {
+			s.pending[id] = struct{}{}
+		}
+	}
 }
 
 func (s *Server) stopped() bool {

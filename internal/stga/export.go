@@ -2,14 +2,6 @@ package stga
 
 import "trustgrid/internal/ga"
 
-// NewDeltaEvaluator exposes the incremental (delta) makespan fitness
-// for the benchmark harness (internal/benchkit) and tooling. base is
-// max(now, ready) per site; etc is the n×m job-major execution-time
-// matrix. See delta.go for the exactness contract.
-func NewDeltaEvaluator(base, etc []float64, n, m int) ga.Incremental {
-	return newMakespanInc(base, etc, n, m)
-}
-
 // MakespanFitness exposes the full-decode makespan fitness for the
 // benchmark harness and tooling; the zero loadWeight form is the
 // paper's fitness and the GA's default evaluation path.

@@ -66,61 +66,6 @@ type Config struct {
 	// the paper wins; the ablations show the load term only helps when
 	// the policy is fully Risky on wide-speed-spread platforms.
 	LoadWeight float64
-	// Delta selects the GA evaluation strategy: the incremental (delta)
-	// fitness (delta.go) maintains per-site load aggregates through
-	// selection, crossover and mutation instead of running a full decode
-	// per evaluation. Results are bit-identical either way (test-gated,
-	// and checkable at runtime via GA.VerifyIncremental); only the cost
-	// profile differs, which is why an automatic default is safe. The
-	// delta path requires LoadWeight == 0 and is ignored otherwise.
-	Delta DeltaMode
-}
-
-// DeltaMode picks between the full-decode and incremental GA
-// evaluators. The zero value is DeltaAuto.
-type DeltaMode int
-
-const (
-	// DeltaAuto (the default) chooses per batch from the measured
-	// crossover policy in deltaWins — currently the full decode at every
-	// benchmarked scale; see deltaWins for the numbers and the reason.
-	DeltaAuto DeltaMode = iota
-	// DeltaOn forces the incremental evaluator (benchmarks, tests, and
-	// workloads whose operators touch few genes).
-	DeltaOn
-	// DeltaOff forces the full decode.
-	DeltaOff
-)
-
-// deltaWins is the DeltaAuto policy: should the incremental evaluator
-// run for a batch of n jobs over m sites? Set from end-to-end
-// measurement, not theory, and the honest answer today is no at every
-// scale: with the fused running-max decode the full evaluation is
-// O(n) per individual with one cache-hot scratch buffer, while the
-// delta path pays per-individual state Copy traffic (loads[m] +
-// dirty-set words) on every selection pick and the default 0.8
-// crossover probability dirties most sites for 80% of pairs. Measured
-// STGA Schedule (batch 200, this container): m=64 27 vs 42 ms, m=256
-// 54 vs 76 ms, m=1024 124 vs 152 ms — full vs delta, before the decode
-// fusion widened the gap further. The hook stays so the policy can
-// flip from measurement if the operator mix changes (e.g. tiny
-// mutation-only generations, where delta's 8.7x microbenchmark win —
-// see delta_bench_test.go — would dominate).
-func deltaWins(m, n int) bool {
-	_, _ = m, n
-	return false
-}
-
-// enabled resolves the mode for a batch of n jobs over m sites.
-func (d DeltaMode) enabled(m, n int) bool {
-	switch d {
-	case DeltaOn:
-		return true
-	case DeltaOff:
-		return false
-	default:
-		return deltaWins(m, n)
-	}
 }
 
 // DefaultConfig returns the Table 1 configuration.
@@ -201,7 +146,7 @@ func batchInputs(batch []*grid.Job, st *sched.State) (ready, etc, sd []float64) 
 }
 
 // fitnessBase returns max(Now, Ready) per site — the availability
-// offsets both the full-decode and the delta fitness add loads to.
+// offsets the fitness decode adds loads to.
 func fitnessBase(st *sched.State) []float64 {
 	base := make([]float64, len(st.Ready))
 	for i, r := range st.Ready {
@@ -234,10 +179,10 @@ func fitnessBase(st *sched.State) []float64 {
 // 8 KB is ~60 ns); an epoch-stamp variant that avoids it was measured
 // 2-3x slower at m ∈ {256, 1024} because its per-gene first-touch
 // branch is data-dependent and mispredicts constantly. The l > 0 guard
-// preserves the scan version's (and the delta evaluator's) semantics
-// for the zero-ETC edge: a site whose assigned jobs all have zero ETC
-// contributes no candidate, and partial sums of an eventually-positive
-// site are dominated by that site's own final value.
+// preserves the scan version's semantics for the zero-ETC edge: a site
+// whose assigned jobs all have zero ETC contributes no candidate, and
+// partial sums of an eventually-positive site are dominated by that
+// site's own final value.
 func makespanFitness(nSites int, base, etc []float64, loadWeight float64) ga.Fitness {
 	loads := make([]float64, nSites) // scratch, reused across calls
 	if loadWeight == 0 {
@@ -404,10 +349,7 @@ func (s *Scheduler) Schedule(batch []*grid.Job, st *sched.State) []sched.Assignm
 	}
 	// The fitness closure keeps a per-instance scratch buffer, so the
 	// parallel evaluator gets a factory producing one instance per
-	// worker; the bare Fitness covers the serial path. Config.Delta
-	// resolves whether the incremental evaluator runs, which is
-	// bit-identical by construction (the full decode stays available as
-	// the VerifyIncremental cross-check).
+	// worker; the bare Fitness covers the serial path.
 	base := fitnessBase(st)
 	nSites := len(st.Sites)
 	problem := &ga.Problem{
@@ -417,9 +359,6 @@ func (s *Scheduler) Schedule(batch []*grid.Job, st *sched.State) []sched.Assignm
 		NewFitness: func() ga.Fitness {
 			return makespanFitness(nSites, base, fitEtc, s.cfg.LoadWeight)
 		},
-	}
-	if s.cfg.Delta.enabled(nSites, len(batch)) && s.cfg.LoadWeight == 0 {
-		problem.Incremental = newMakespanInc(base, fitEtc, len(batch), nSites)
 	}
 	res, err := ga.Run(problem, s.cfg.GA, seeds, runRand)
 	if err != nil {
