@@ -130,6 +130,51 @@ func TestMaxDeficitInvertsFailProb(t *testing.T) {
 	}
 }
 
+// TestDeficitBandAgreesWithAdmits is DeficitBand's contract: outside the
+// band the compare alone gives Admits' answer. Thresholds run to both
+// ends of (0, 1), where the cut's slope in f vanishes or blows up and
+// the edges clamp, λ over ten orders of magnitude, and every level is
+// probed at the cut, at both edges and a few ulps either side of each.
+func TestDeficitBandAgreesWithAdmits(t *testing.T) {
+	for _, p := range []Policy{SecurePolicy(), RiskyPolicy(), FRiskyPolicy(0), FRiskyPolicy(1),
+		FRiskyPolicy(-0.5), FRiskyPolicy(math.NaN()), {Mode: FRisky, F: 0.5}, {Mode: FRisky, F: 0.5, Model: SecurityModel{Lambda: math.NaN()}}} {
+		if _, _, ok := p.DeficitBand(); ok {
+			t.Fatalf("%+v: every probe must go through Admits", p)
+		}
+	}
+	r := rng.New(41)
+	fs := []float64{1e-300, 1e-12, 1e-9, 2e-9, 1e-3, 0.1, 0.5, 0.9, 1 - 1e-3, 1 - 2e-9, 1 - 1e-9, 1 - 1e-12, math.Nextafter(1, 0)}
+	for _, lambda := range []float64{1e-5, 0.5, DefaultLambda, 40, 1e5} {
+		for _, f := range fs {
+			p := Policy{Mode: FRisky, F: f, Model: SecurityModel{Lambda: lambda}}
+			lo, hi, ok := p.DeficitBand()
+			if !ok || !(0 <= lo && lo <= hi) {
+				t.Fatalf("λ=%v f=%v: band [%v, %v] ok=%v", lambda, f, lo, hi, ok)
+			}
+			for trial := 0; trial < 200; trial++ {
+				site := &Site{SecurityLevel: r.Float64()}
+				targets := []float64{p.Model.MaxDeficit(f), lo, hi, r.Float64() * 2 * p.Model.MaxDeficit(f), -r.Float64()}
+				for _, target := range targets {
+					if math.IsInf(target, 0) {
+						continue
+					}
+					for _, n := range []int64{0, 1, -1, 2, -2, 1024, -1024} {
+						sd := site.SecurityLevel + target
+						if sd > 0 {
+							sd = math.Float64frombits(uint64(int64(math.Float64bits(sd)) + n))
+						}
+						j := &Job{SecurityDemand: sd}
+						d, got := sd-site.SecurityLevel, p.Admits(j, site)
+						if (d <= lo && !got) || (d >= hi && got) {
+							t.Fatalf("λ=%v f=%v: deficit %v outside [%v, %v] but Admits = %v", lambda, f, d, lo, hi, got)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestPolicyAdmits(t *testing.T) {
 	unsafe := &Site{ID: 0, Speed: 1, Nodes: 1, SecurityLevel: 0.5}
 	nearSafe := &Site{ID: 1, Speed: 1, Nodes: 1, SecurityLevel: 0.75}

@@ -118,6 +118,31 @@ func (p Policy) Admits(j *Job, s *Site) bool {
 	}
 }
 
+// admitGuard is the half-width, in failure probability, of the band
+// around F inside which DeficitBand leaves the verdict to Admits.
+// FailProb's computed value is within ~5e-16 of the true 1−exp(−λd)
+// (one rounding each for the product, exp and the subtraction, all on
+// values in [0, 1]), so 1e-9 is seven orders of magnitude of slack and
+// still narrower than any spacing of real SD/SL values around the cut.
+const admitGuard = 1e-9
+
+// DeficitBand returns the deficits d = SD − SL between which a
+// non-MustBeSafe job's admission needs the exact Admits: d <= lo is
+// admitted and d >= hi refused without evaluating the failure law, and
+// the answer is Admits' own, bit for bit. The edges are the analytic
+// cut MaxDeficit taken at F ∓ admitGuard, so the guard is measured in
+// the probability FailProb compares (a band relative to the cut itself
+// would shrink below FailProb's rounding error as F nears 0 or 1); they
+// clamp to 0 and +Inf there. ok is false when every probe must go
+// through Admits: modes other than f-risky (already one compare), F
+// outside (0, 1) or NaN, and a failure law without a positive λ.
+func (p Policy) DeficitBand() (lo, hi float64, ok bool) {
+	if p.Mode != FRisky || !(p.F > 0 && p.F < 1) || !(p.Model.Lambda > 0) {
+		return 0, 0, false
+	}
+	return p.Model.MaxDeficit(p.F - admitGuard), p.Model.MaxDeficit(p.F + admitGuard), true
+}
+
 // EligibleSites returns the indices of sites the policy admits for job j.
 // If none qualify (impossible with feasible site generation, but the API
 // is total), it returns the single max-SL site and fellBack = true.

@@ -1,9 +1,10 @@
 package heuristics
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"trustgrid/internal/grid"
 	"trustgrid/internal/sched"
@@ -17,10 +18,12 @@ import (
 //
 //   - Min-Min uses one sorted candidate bucket per site (bucketRun):
 //     the global minimum completion time each round is the minimum
-//     over sites of start[s] + headEtc[s], a branch-free scan of two
-//     dense arrays kept current with O(1) amortized head advances. One
-//     round costs O(m) instead of rescanning every (job, site) pair
-//     whose best two contained the assigned site — the "pile-on" storm
+//     over sites of start[s] + headEtc[s], a scan of two dense arrays
+//     whose heads refresh lazily: a head assigned elsewhere leaves a
+//     lower bound behind, and only a site that still reaches the
+//     running minimum pays to find its next candidate. One round
+//     costs O(m) instead of rescanning every (job, site) pair whose
+//     best two contained the assigned site — the "pile-on" storm
 //     that made large-m rounds O(n²·m) whenever jobs agree on the
 //     fastest site, which proportional ETC columns guarantee they do.
 //     (A site heap would make rounds O(log m), but every assignment
@@ -37,42 +40,55 @@ import (
 // Workload[i]/Speed[k], IEEE division) makes every site's column
 // monotone in workload — x ≤ y implies x/s ≤ y/s for s > 0 — so one
 // global sort of the batch by (workload, batch index) orders every
-// bucket at once, and equal-ETC candidates form contiguous runs even
-// where distinct workloads round to the same quotient.
+// bucket at once, and the candidates tied at one completion time form
+// a contiguous run from the head (start + x is monotone in x too), even
+// where distinct workloads round to the same quotient or distinct
+// quotients to the same sum. A bucket is therefore a cursor into that
+// one order, filtered by eligibility; nothing is materialised per site.
 type bucketRun struct {
-	order    []int32 // batch indices sorted by (workload, index)
-	elig     []*kernel.EligSet
-	assigned []bool
-	start    []float64 // per-site max(ready, now), bumped on assignment
-	headEtc  []float64 // ETC of each site's head candidate (+Inf when empty)
-	counts   []int32   // per-site bucket sizes, then per-site fill cursors
-	off      []int32   // m+1 bucket offsets into ent
-	ent      []int32   // concatenated per-site candidate lists
-	head     []int32   // per-site first unassigned entry
-	tied     []int32   // sites tied at the round's minimum CT
+	order []int32   // batch indices sorted by (workload, index)
+	work  []float64 // Workload in that order
+	// member holds one eligibility bitset per position of order (words
+	// words each), zeroed when the job is assigned: site s's bucket is
+	// the positions whose row has bit s, in order.
+	member  []uint64
+	words   int
+	elig    []*kernel.EligSet
+	start   []float64 // per-site max(ready, now), bumped on assignment
+	headEtc []float64 // ETC of each site's head candidate (+Inf when empty)
+	head    []int32   // per-site position of its first candidate (n when empty)
+	tied    []int32   // sites tied at the round's minimum CT
 }
 
-// advance moves site s's head past assigned entries and refreshes the
-// cached head ETC (+Inf when the bucket is exhausted). Each bucket
-// entry is skipped at most once over the whole batch, so the total
-// advance cost is O(Σ|elig|).
-func (b *bucketRun) advance(k *kernel.Snapshot, etcT []float64, s int32) {
-	h, end := b.head[s], b.off[s+1]
-	for h < end && b.assigned[b.ent[h]] {
+// has reports whether the job at position p is a live candidate of
+// site s.
+func (b *bucketRun) has(p int, s int32) bool {
+	return b.member[p*b.words+int(s>>6)]&(1<<(uint(s)&63)) != 0
+}
+
+// advance moves site s's head to its next candidate and refreshes the
+// cached head ETC (+Inf when the bucket is exhausted). ETCs are taken
+// as Workload/Speed, the quotient the kernel contract fixes ETC[i*M+k]
+// to bit for bit, so the round reads two dense columns instead of the
+// n×m matrix. A head only moves forward, so the total advance cost is
+// O(n·m) bit probes.
+func (b *bucketRun) advance(k *kernel.Snapshot, s int32) {
+	h, n := int(b.head[s]), len(b.work)
+	for h < n && !b.has(h, s) {
 		h++
 	}
-	b.head[s] = h
-	if h == end {
+	b.head[s] = int32(h)
+	if h == n {
 		b.headEtc[s] = math.Inf(1)
 		return
 	}
-	b.headEtc[s] = etcT[int(s)*k.N+int(b.ent[h])]
+	b.headEtc[s] = b.work[h] / k.Speed[s]
 }
 
 // minminBatch is the bucket-based Min-Min round loop. Each round: scan
 // start[s]+headEtc[s] for the global minimum completion time ct*,
-// collecting every site tied at ct*; scan the tied sites' equal-ETC
-// head runs for the lowest batch index achieving ct*; and give that
+// collecting every site tied at ct*; scan the tied sites' head runs
+// at ct* for the lowest batch index achieving it; and give that
 // job the lowest tied site whose run contains it — exactly the
 // oracle's "lowest batch index, then lowest site index" resolution.
 func (b *bucketRun) minminBatch(batch []*grid.Job, st *sched.State, policy grid.Policy) []sched.Assignment {
@@ -83,65 +99,41 @@ func (b *bucketRun) minminBatch(batch []*grid.Job, st *sched.State, policy grid.
 	}
 	k := st.Snapshot(batch)
 	m := k.M
-	etcT := k.ETCT()
 
 	b.order = grow(b.order, n)
-	b.assigned = growBool(b.assigned, n)
+	b.work = growF64(b.work, n)
 	b.start = growF64(b.start, m)
 	b.headEtc = growF64(b.headEtc, m)
-	b.counts = grow(b.counts, m)
-	b.off = grow(b.off, m+1)
 	b.head = grow(b.head, m)
 	if b.elig == nil || cap(b.elig) < n {
 		b.elig = make([]*kernel.EligSet, n)
 	}
 	elig := b.elig[:n]
-	for s := 0; s < m; s++ {
-		b.start[s] = k.Ready[s]
-		if k.Now > b.start[s] {
-			b.start[s] = k.Now
-		}
-		b.counts[s] = 0
-	}
-	total := 0
-	for i := 0; i < n; i++ {
-		b.order[i] = int32(i)
-		b.assigned[i] = false
-		e := k.Eligible(policy, i)
-		elig[i] = e
-		total += len(e.Sites)
-		for _, s := range e.Sites {
-			b.counts[s]++
-		}
-	}
 	w := k.Workload
 	ord := b.order[:n]
-	sort.Slice(ord, func(a, c int) bool {
-		x, y := ord[a], ord[c]
-		return w[x] < w[y] || (w[x] == w[y] && x < y)
-	})
-	b.off[0] = 0
-	for s := 0; s < m; s++ {
-		b.off[s+1] = b.off[s] + b.counts[s]
-		b.counts[s] = b.off[s] // reuse as per-site fill cursor
-		b.head[s] = b.off[s]
+	for i := range ord {
+		ord[i] = int32(i)
+		elig[i] = k.Eligible(policy, i)
 	}
-	b.ent = grow(b.ent, total)
-	for _, i := range ord {
-		// Word-packed iteration over the job's eligible sites: one
-		// TrailingZeros per membership instead of one 8-byte Sites read.
-		for wi, word := range elig[i].Bits {
-			base := int32(wi << 6)
-			for word != 0 {
-				s := base + int32(bits.TrailingZeros64(word))
-				word &= word - 1
-				b.ent[b.counts[s]] = i
-				b.counts[s]++
-			}
+	slices.SortFunc(ord, func(x, y int32) int {
+		if c := cmp.Compare(w[x], w[y]); c != 0 {
+			return c
 		}
+		return cmp.Compare(x, y)
+	})
+	b.words = len(elig[0].Bits)
+	if cap(b.member) < n*b.words {
+		b.member = make([]uint64, n*b.words)
+	}
+	b.member = b.member[:n*b.words]
+	for p, i := range ord {
+		b.work[p] = w[i]
+		copy(b.member[p*b.words:], elig[i].Bits)
 	}
 	for s := int32(0); s < int32(m); s++ {
-		b.advance(k, etcT, s)
+		b.start[s] = max(k.Ready[s], k.Now)
+		b.head[s] = 0
+		b.advance(k, s)
 	}
 
 	for len(out) < n {
@@ -154,28 +146,30 @@ func (b *bucketRun) minminBatch(batch []*grid.Job, st *sched.State, policy grid.
 			if ct > ctStar {
 				continue
 			}
+			// A head assigned since its last refresh left a lower bound
+			// behind (buckets ascend in ETC), so only a site that still
+			// reaches the running minimum needs its true head.
+			b.advance(k, int32(s))
+			if ct = b.start[s] + b.headEtc[s]; ct > ctStar {
+				continue
+			}
 			if ct < ctStar {
 				ctStar = ct
 				b.tied = b.tied[:0]
 			}
 			b.tied = append(b.tied, int32(s))
 		}
-		// Lowest batch index among the tied sites' equal-ETC head runs.
-		win := int32(math.MaxInt32)
+		// Lowest batch index among the tied sites' head runs at ct*.
+		// Completion times are monotone in workload, so a run ends at the
+		// first position that misses ct*, candidate or not. The run is
+		// told by its CT, not its ETC: unequal quotients can round to one
+		// sum, and the oracle ties on the sum.
+		win, winPos := int32(math.MaxInt32), 0
 		for _, s := range b.tied {
-			base := int(s) * k.N
-			h, end := b.head[s], b.off[s+1]
-			e0 := etcT[base+int(b.ent[h])]
-			for p := h; p < end; p++ {
-				j := b.ent[p]
-				if b.assigned[j] {
-					continue
-				}
-				if etcT[base+int(j)] != e0 {
-					break
-				}
-				if j < win {
-					win = j
+			speed, start := k.Speed[s], b.start[s]
+			for p := int(b.head[s]); p < n && start+b.work[p]/speed == ctStar; p++ {
+				if j := ord[p]; j < win && b.has(p, s) {
+					win, winPos = j, p
 				}
 			}
 		}
@@ -183,29 +177,16 @@ func (b *bucketRun) minminBatch(batch []*grid.Job, st *sched.State, policy grid.
 		// own best site under the ascending strict-< scan.
 		site := int32(-1)
 		for _, s := range b.tied {
-			if !elig[win].Has(int(s)) {
-				continue
-			}
-			h := b.head[s]
-			if etcT[int(s)*k.N+int(win)] != etcT[int(s)*k.N+int(b.ent[h])] {
-				continue
-			}
-			if site < 0 || s < site {
+			if b.has(winPos, s) && b.start[s]+b.work[winPos]/k.Speed[s] == ctStar {
 				site = s
+				break
 			}
 		}
 		out = append(out, sched.Assignment{Job: batch[win], Site: int(site), FellBack: elig[win].FellBack})
-		b.assigned[win] = true
+		clear(b.member[winPos*b.words : (winPos+1)*b.words])
 		// ct* = start + etc ≥ now, so the dispatched site's new start is
 		// exactly ct*.
 		b.start[site] = ctStar
-		// Only buckets holding the winner at their head go stale; probe
-		// exactly the winner's eligible sites.
-		for _, s := range elig[win].Sites {
-			if h := b.head[s]; h < b.off[s+1] && b.ent[h] == win {
-				b.advance(k, etcT, int32(s))
-			}
-		}
 	}
 	return out
 }
@@ -482,13 +463,6 @@ func growF64(s []float64, n int) []float64 {
 func growU32(s []uint32, n int) []uint32 {
 	if cap(s) < n {
 		return make([]uint32, n)
-	}
-	return s[:n]
-}
-
-func growBool(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
 	}
 	return s[:n]
 }

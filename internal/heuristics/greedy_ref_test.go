@@ -138,6 +138,71 @@ func randomGreedyInstance(r *rng.Stream, m int) ([]*grid.Job, *sched.State) {
 	return jobs, &sched.State{Now: float64(r.Intn(3)) * 150, Sites: sites, Ready: ready, Alive: alive}
 }
 
+// wideGreedyInstance is the m = 1024 family: the shape of the wide live
+// rounds, which randomGreedyInstance's five-value grids never produce.
+// Security levels and demands are continuous, so every job is its own
+// admission class and f-risky verdicts fall anywhere around the cut;
+// ready times and the clock are non-zero and mix a coarse grid (ties
+// across sites) with continuous values; and workloads are distinct but
+// include neighbours one ulp apart, whose quotients collide on the
+// sites whose speed rounds them together and differ on the others — the
+// equal-ETC runs Min-Min now finds by dividing rather than by reading
+// the matrix.
+func wideGreedyInstance(t *testing.T, r *rng.Stream) ([]*grid.Job, *sched.State) {
+	const m = 1024
+	speeds := []float64{3, 7, 10, 30, 64, 100}
+	sites := make([]*grid.Site, m)
+	ready := make([]float64, m)
+	for k := range sites {
+		sites[k] = &grid.Site{ID: k, Speed: speeds[r.Intn(len(speeds))], Nodes: 1,
+			SecurityLevel: r.Uniform(0.4, 1)}
+		ready[k] = float64(r.Intn(4)) * 100
+		if r.Bool(0.5) {
+			ready[k] = r.Float64() * 400
+		}
+	}
+	// collides reports whether w and its neighbour towards to share a
+	// quotient on some speed; on the power-of-two speed they never do.
+	collides := func(w, to float64) bool {
+		for _, sp := range speeds {
+			if w/sp == math.Nextafter(w, to)/sp {
+				return true
+			}
+		}
+		return false
+	}
+	n := 20 + r.Intn(20)
+	jobs := make([]*grid.Job, n)
+	pairs := 0
+	for i := range jobs {
+		// The neighbour goes below as often as above: only then does a run
+		// hold a lower batch index behind a higher one.
+		w, to := 1000+r.Float64()*200000, math.Inf(1-2*r.Intn(2))
+		switch {
+		case i > 0 && collides(jobs[i-1].Workload, to) && r.Bool(0.5):
+			w = math.Nextafter(jobs[i-1].Workload, to)
+			pairs++
+		case r.Bool(0.5):
+			for !collides(w, to) {
+				w = 1000 + r.Float64()*200000
+			}
+		}
+		jobs[i] = &grid.Job{ID: i, Workload: w, Nodes: 1,
+			SecurityDemand: r.Uniform(0.6, 0.9), MustBeSafe: r.Bool(0.1)}
+	}
+	if pairs == 0 {
+		t.Fatal("instance has no distinct workloads whose quotients collide")
+	}
+	var alive []bool
+	if r.Bool(0.3) {
+		alive = make([]bool, m)
+		for k := range alive {
+			alive[k] = r.Bool(0.9)
+		}
+	}
+	return jobs, &sched.State{Now: 50 + r.Float64()*200, Sites: sites, Ready: ready, Alive: alive}
+}
+
 // TestGreedyMatchesReference pins the incremental greedyBatch to the
 // full-recompute oracle, bit for bit, across random instances designed
 // to hit ties, fallbacks and dead sites.
@@ -164,6 +229,10 @@ func TestGreedyMatchesReference(t *testing.T) {
 			m = 1 + r.Intn(1024)
 		}
 		jobs, st := randomGreedyInstance(r, m)
+		// Every twentieth trial is the wide continuous family instead.
+		if trial%20 == 10 {
+			jobs, st = wideGreedyInstance(t, r)
+		}
 		var policy grid.Policy
 		switch r.Intn(3) {
 		case 0:

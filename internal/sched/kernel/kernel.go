@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"math"
 	"math/bits"
 
 	"trustgrid/internal/grid"
@@ -116,10 +117,6 @@ type Snapshot struct {
 	// cached classes reproduce grid.Policy.Admits bit-for-bit.
 	sites []*grid.Site
 	elig  map[eligKey]*EligSet
-	// etcT is the lazily materialized site-major transpose of ETC (see
-	// ETCT); etcTValid marks whether it reflects the current Build.
-	etcT      []float64
-	etcTValid bool
 	// Arenas backing the eligibility cache: admission classes are carved
 	// out of shared arrays instead of allocated individually, and a
 	// Builder resets them between rounds. When an arena fills mid-build
@@ -219,7 +216,6 @@ func (b *Builder) Build(now float64, sites []*grid.Site, ready []float64, alive 
 	s.sets = s.sets[:0]
 	s.bits = s.bits[:0]
 	s.idx = s.idx[:0]
-	s.etcTValid = false
 	s.rankSet = false
 	s.rankValid = false
 	return s
@@ -285,39 +281,6 @@ func (s *Snapshot) Ranks() []float64 {
 	return r
 }
 
-// ETCT returns the site-major (column-major) transpose of ETC:
-// ETCT()[k*N+i] = ETC[i*M+k]. Site-inner loops — per-site candidate
-// buckets, equal-ETC run scans — walk one site's column contiguously
-// instead of striding M·8 bytes per job. The transpose is materialized
-// lazily on first call per Build (engine and GA paths never pay for
-// it) into an arena that persists across rounds, and is filled in
-// 64×64 blocks so both matrices stream through cache at m=1024.
-func (s *Snapshot) ETCT() []float64 {
-	if s.etcTValid {
-		return s.etcT[:s.N*s.M]
-	}
-	n, m := s.N, s.M
-	if cap(s.etcT) < n*m {
-		s.etcT = make([]float64, n*m)
-	}
-	t := s.etcT[:n*m]
-	const blk = 64
-	for i0 := 0; i0 < n; i0 += blk {
-		iMax := min(i0+blk, n)
-		for k0 := 0; k0 < m; k0 += blk {
-			kMax := min(k0+blk, m)
-			for i := i0; i < iMax; i++ {
-				row := s.ETC[i*m : (i+1)*m]
-				for k := k0; k < kMax; k++ {
-					t[k*n+i] = row[k]
-				}
-			}
-		}
-	}
-	s.etcTValid = true
-	return t
-}
-
 // ForBatch reports whether the snapshot was built for exactly this
 // batch slice (schedulers use it to decide between reusing an
 // engine-built snapshot and building their own).
@@ -357,11 +320,12 @@ func (s *Snapshot) Eligible(p grid.Policy, i int) *EligSet {
 	return e
 }
 
-// computeEligible mirrors sched.State.EligibleSites (which itself
-// mirrors grid.Policy.EligibleSites when Alive is nil), probe for probe,
-// so the fallback site choice — first site achieving the strict maximum
-// SL, scanning ascending — is identical. The class's bitset and site
-// list are carved from the snapshot's arenas (see Builder).
+// computeEligible returns sched.State.EligibleSites' answer (which is
+// grid.Policy.EligibleSites' when Alive is nil): Admits' verdict per
+// site, dead sites struck, and the same fallback choice — the first
+// site achieving the strict maximum SL, scanning ascending. The class's
+// bitset and site list are carved from the snapshot's arenas (see
+// Builder).
 func (s *Snapshot) computeEligible(p grid.Policy, j *grid.Job) *EligSet {
 	words := (s.M + wordBits - 1) / wordBits
 	if len(s.bits)+words > cap(s.bits) {
@@ -371,11 +335,8 @@ func (s *Snapshot) computeEligible(p grid.Policy, j *grid.Job) *EligSet {
 		}
 		s.bits = make([]uint64, 0, n)
 	}
-	bits := s.bits[len(s.bits) : len(s.bits)+words : len(s.bits)+words]
+	set := s.bits[len(s.bits) : len(s.bits)+words : len(s.bits)+words]
 	s.bits = s.bits[:len(s.bits)+words]
-	for i := range bits {
-		bits[i] = 0
-	}
 	if len(s.idx)+s.M > cap(s.idx) {
 		n := 4 * (len(s.idx) + s.M)
 		if n < 256 {
@@ -385,35 +346,63 @@ func (s *Snapshot) computeEligible(p grid.Policy, j *grid.Job) *EligSet {
 	}
 	idx := s.idx[len(s.idx):len(s.idx)]
 
-	bestLive, bestLevel := -1, -1.0
-	for k, site := range s.sites {
-		if s.Alive != nil {
-			if !s.Alive[k] {
-				continue
+	// Under f-risky the verdict for all but a sliver of deficits is one
+	// subtraction and two compares against the policy's band, taken as
+	// values so the scan of the dense SecLevel column stays branch-free;
+	// only probes inside the band pay for the exact Admits, so the sets
+	// stay Admits' own. A class without a band gets an empty one (no
+	// compare with NaN holds) and sends every probe there.
+	lo, hi, banded := p.DeficitBand()
+	if !banded || j.MustBeSafe {
+		lo, hi = math.NaN(), math.NaN()
+	}
+	sd := j.SecurityDemand
+	for wi := range set {
+		base := wi * wordBits
+		var w uint64
+		for b, sl := range s.SecLevel[base:min(base+wordBits, s.M)] {
+			d := sd - sl
+			var in, out uint64
+			if d <= lo {
+				in = 1
 			}
-			if site.SecurityLevel > bestLevel {
-				bestLive, bestLevel = k, site.SecurityLevel
+			if d >= hi {
+				out = 1
 			}
+			if in|out == 0 && p.Admits(j, s.sites[base+b]) {
+				in = 1
+			}
+			w |= in << uint(b)
 		}
-		if p.Admits(j, site) {
-			idx = append(idx, k)
+		set[wi] = w
+	}
+	bestLive := -1
+	if s.Alive != nil {
+		bestLevel := -1.0
+		for k, up := range s.Alive {
+			if !up {
+				set[k>>6] &^= 1 << (uint(k) & 63)
+			} else if s.SecLevel[k] > bestLevel {
+				bestLive, bestLevel = k, s.SecLevel[k]
+			}
 		}
 	}
-	fellBack := false
-	if len(idx) == 0 {
-		fellBack = true
-		if s.Alive != nil && bestLive >= 0 {
-			idx = append(idx, bestLive)
-		} else {
-			_, best := grid.MaxSecurityLevel(s.sites)
-			idx = append(idx, best)
+	for wi, w := range set {
+		for ; w != 0; w &= w - 1 {
+			idx = append(idx, wi*wordBits+bits.TrailingZeros64(w))
 		}
+	}
+	fellBack := len(idx) == 0
+	if fellBack {
+		best := bestLive
+		if best < 0 {
+			_, best = grid.MaxSecurityLevel(s.sites)
+		}
+		idx = append(idx, best)
+		set[best>>6] |= 1 << (uint(best) & 63)
 	}
 	s.idx = s.idx[:len(s.idx)+len(idx)]
 	idx = idx[:len(idx):len(idx)]
-	for _, k := range idx {
-		bits[k>>6] |= 1 << (uint(k) & 63)
-	}
 	if len(s.sets) == cap(s.sets) {
 		n := 2 * len(s.sets)
 		if n < 16 {
@@ -423,7 +412,7 @@ func (s *Snapshot) computeEligible(p grid.Policy, j *grid.Job) *EligSet {
 		// array alive through their map references.
 		s.sets = make([]EligSet, 0, n)
 	}
-	s.sets = append(s.sets, EligSet{Sites: idx, Bits: bits, FellBack: fellBack})
+	s.sets = append(s.sets, EligSet{Sites: idx, Bits: set, FellBack: fellBack})
 	return &s.sets[len(s.sets)-1]
 }
 

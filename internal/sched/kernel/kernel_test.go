@@ -5,10 +5,13 @@
 package kernel_test
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"trustgrid/internal/grid"
+	"trustgrid/internal/heuristics"
 	"trustgrid/internal/rng"
 	"trustgrid/internal/sched"
 	"trustgrid/internal/sched/kernel"
@@ -72,48 +75,118 @@ func policies(r *rng.Stream) []grid.Policy {
 	}
 }
 
+// requireEligibleMatchesState compares the kernel's admission set for
+// every (policy, batch job) against State.EligibleSites, which probes
+// the exact grid.Policy.Admits site by site: same site set, same order,
+// same fellBack flag, and a bitset that agrees with the list.
+func requireEligibleMatchesState(t *testing.T, label string, st *sched.State, snap *kernel.Snapshot, ps []grid.Policy, batch []*grid.Job) {
+	t.Helper()
+	for _, p := range ps {
+		for i, j := range batch {
+			wantIdx, wantFB := st.EligibleSites(p, j)
+			e := snap.Eligible(p, i)
+			bits, gotFB := snap.EligibleBitset(p, i)
+			if gotFB != wantFB {
+				t.Fatalf("%s job %d (sd %v) policy %s f=%v: fellBack %v != %v",
+					label, i, j.SecurityDemand, p.Name(), p.F, gotFB, wantFB)
+			}
+			if !slices.Equal(e.Sites, wantIdx) {
+				t.Fatalf("%s job %d (sd %v) policy %s f=%v: site list %v != %v",
+					label, i, j.SecurityDemand, p.Name(), p.F, e.Sites, wantIdx)
+			}
+			for k := range st.Sites {
+				has := bits[k>>6]&(1<<(uint(k)&63)) != 0
+				if in := slices.Contains(wantIdx, k); has != in || e.Has(k) != in {
+					t.Fatalf("%s job %d policy %s: bitset disagrees at site %d",
+						label, i, p.Name(), k)
+				}
+			}
+		}
+	}
+}
+
 // TestEligibleBitsetMatchesState is the property gate of the issue:
 // kernel.EligibleBitset(policy, job) must equal State.EligibleSites for
 // randomized grids including dead sites and the fallback path — same
 // site set, same order, same fellBack flag.
 func TestEligibleBitsetMatchesState(t *testing.T) {
-	r := rng.New(777)
-	for trial := 0; trial < 500; trial++ {
-		sites, batch, ready, alive := randomInstance(r)
-		st := &sched.State{Now: r.Float64() * 1e4, Sites: sites, Ready: ready, Alive: alive}
-		snap := kernel.Build(st.Now, sites, ready, alive, batch)
-		for _, p := range policies(r) {
-			for i, j := range batch {
-				wantIdx, wantFB := st.EligibleSites(p, j)
-				e := snap.Eligible(p, i)
-				bits, gotFB := snap.EligibleBitset(p, i)
-				if gotFB != wantFB {
-					t.Fatalf("trial %d job %d policy %s: fellBack %v != %v",
-						trial, i, p.Name(), gotFB, wantFB)
+	t.Run("random", func(t *testing.T) {
+		r := rng.New(777)
+		for trial := 0; trial < 500; trial++ {
+			sites, batch, ready, alive := randomInstance(r)
+			st := &sched.State{Now: r.Float64() * 1e4, Sites: sites, Ready: ready, Alive: alive}
+			snap := kernel.Build(st.Now, sites, ready, alive, batch)
+			requireEligibleMatchesState(t, fmt.Sprintf("trial %d", trial), st, snap, policies(r), batch)
+		}
+	})
+	t.Run("band", eligibleAtTheBand)
+}
+
+// ulps moves a positive float by n units in the last place.
+func ulps(x float64, n int64) float64 {
+	return math.Float64frombits(uint64(int64(math.Float64bits(x)) + n))
+}
+
+// eligibleAtTheBand aims security demands at the one place
+// the kernel's compare-only admission could part from the exact
+// failure law: for every site level SL, SDs at SL + the analytic cut
+// MaxDeficit(f) and at SL + each edge of Policy.DeficitBand, each moved
+// 0, ±1, ±2 and ±1024 ulps — the demands an f-risky verdict flips
+// between, on both sides of where the kernel hands over to Admits. The
+// thresholds include f = 0 and 1 (no band), the other two modes and
+// must-be-safe jobs (never banded), on static grids, with dead sites,
+// and with demands nothing admits (the max-SL fallback).
+func eligibleAtTheBand(t *testing.T) {
+	r := rng.New(781)
+	ps := []grid.Policy{grid.SecurePolicy(), grid.RiskyPolicy()}
+	for _, f := range []float64{0, 0.1, 0.5, 0.9, 1} {
+		ps = append(ps, grid.FRiskyPolicy(f))
+	}
+	for trial := 0; trial < 20; trial++ {
+		m := 1 + r.Intn(70) // past one bitset word
+		sites := make([]*grid.Site, m)
+		for k := range sites {
+			sites[k] = &grid.Site{ID: k, Speed: 1 + r.Float64()*99, Nodes: 1, SecurityLevel: r.Uniform(0.05, 1)}
+		}
+		var batch []*grid.Job
+		add := func(sd float64) {
+			for _, safe := range []bool{false, true} {
+				batch = append(batch, &grid.Job{ID: len(batch), Workload: 1, Nodes: 1, SecurityDemand: sd, MustBeSafe: safe})
+			}
+		}
+		add(10) // no site admits it under any mode but Risky: fallback
+		for _, p := range ps {
+			lo, hi, ok := p.DeficitBand()
+			if ok != (p.Mode == grid.FRisky && p.F > 0 && p.F < 1) {
+				t.Fatalf("policy %s f=%v: DeficitBand ok = %v", p.Name(), p.F, ok)
+			}
+			targets := []float64{p.Model.MaxDeficit(p.F)}
+			if ok {
+				if !(lo < targets[0] && targets[0] < hi) {
+					t.Fatalf("f=%v: cut %v outside its band [%v, %v]", p.F, targets[0], lo, hi)
 				}
-				if len(e.Sites) != len(wantIdx) {
-					t.Fatalf("trial %d job %d policy %s: %d eligible sites, want %d",
-						trial, i, p.Name(), len(e.Sites), len(wantIdx))
+				targets = append(targets, lo, hi)
+			}
+			site := sites[r.Intn(m)]
+			for _, d := range targets {
+				if math.IsInf(d, 0) {
+					continue
 				}
-				for k := range wantIdx {
-					if e.Sites[k] != wantIdx[k] {
-						t.Fatalf("trial %d job %d policy %s: site list %v != %v",
-							trial, i, p.Name(), e.Sites, wantIdx)
-					}
-				}
-				// Bitset agrees with the list and with Has.
-				inList := make(map[int]bool, len(wantIdx))
-				for _, k := range wantIdx {
-					inList[k] = true
-				}
-				for k := range sites {
-					has := bits[k>>6]&(1<<(uint(k)&63)) != 0
-					if has != inList[k] || e.Has(k) != inList[k] {
-						t.Fatalf("trial %d job %d policy %s: bitset disagrees at site %d",
-							trial, i, p.Name(), k)
-					}
+				for _, n := range []int64{0, 1, -1, 2, -2, 1024, -1024} {
+					add(ulps(site.SecurityLevel+d, n))
 				}
 			}
+		}
+		ready := make([]float64, m)
+		dead := make([]bool, m)
+		some := make([]bool, m)
+		for k := range some {
+			some[k] = r.Bool(0.7)
+		}
+		for name, alive := range map[string][]bool{"static": nil, "churn": some, "outage": dead} {
+			st := &sched.State{Sites: sites, Ready: ready, Alive: alive}
+			snap := kernel.Build(0, sites, ready, alive, batch)
+			requireEligibleMatchesState(t, fmt.Sprintf("trial %d %s", trial, name), st, snap, ps, batch)
 		}
 	}
 }
@@ -131,6 +204,11 @@ func TestSnapshotColumnsMatchState(t *testing.T) {
 		for i := range etc {
 			if snap.ETC[i] != etc[i] {
 				t.Fatalf("trial %d: ETC[%d] %v != %v", trial, i, snap.ETC[i], etc[i])
+			}
+			// Min-Min takes ETCs as this quotient of the two dense columns
+			// instead of reading the cell, so the identity is exact.
+			if q := snap.Workload[i/snap.M] / snap.Speed[i%snap.M]; snap.ETC[i] != q {
+				t.Fatalf("trial %d: ETC[%d] %v != Workload/Speed %v", trial, i, snap.ETC[i], q)
 			}
 		}
 		for i, j := range batch {
@@ -250,68 +328,64 @@ func TestTenantColumn(t *testing.T) {
 	}
 }
 
-// TestETCTTranspose pins the lazy site-major transpose to the row-major
-// matrix, including re-materialization after a rebuild with different
-// dimensions.
-func TestETCTTranspose(t *testing.T) {
-	r := rng.New(99)
-	var b kernel.Builder
-	for trial := 0; trial < 50; trial++ {
-		sites, batch, ready, alive := randomInstance(r)
-		s := b.Build(float64(r.Intn(3))*100, sites, ready, alive, batch)
-		etcT := s.ETCT()
-		if len(etcT) != s.N*s.M {
-			t.Fatalf("trial %d: ETCT length %d, want %d", trial, len(etcT), s.N*s.M)
-		}
-		for i := 0; i < s.N; i++ {
-			for k := 0; k < s.M; k++ {
-				if etcT[k*s.N+i] != s.ETC[i*s.M+k] {
-					t.Fatalf("trial %d: ETCT[%d,%d] = %v, want %v", trial, k, i, etcT[k*s.N+i], s.ETC[i*s.M+k])
-				}
-			}
-		}
-		// A second call must return the same backing array, not refill.
-		again := s.ETCT()
-		if &again[0] != &etcT[0] {
-			t.Fatalf("trial %d: ETCT rematerialized within one build", trial)
-		}
+// wideRound is the scale-axis fixture of the steady-state allocation
+// tests: 512 continuous-SD jobs on 1024 idle sites.
+func wideRound() (sites []*grid.Site, batch []*grid.Job, ready []float64) {
+	r := rng.New(7)
+	sites = make([]*grid.Site, 1024)
+	for k := range sites {
+		sites[k] = &grid.Site{ID: k, Speed: 1 + r.Float64()*99, Nodes: 1, SecurityLevel: r.Float64()}
 	}
+	batch = make([]*grid.Job, 512)
+	for i := range batch {
+		batch[i] = &grid.Job{ID: i, Workload: 1 + r.Float64()*1e5, Nodes: 1, SecurityDemand: r.Float64()}
+	}
+	return sites, batch, make([]float64, len(sites))
 }
 
 // TestBuilderSteadyStateAllocs proves the arena contract at the scale
 // axis: once a builder has seen one round at m=1024, later rounds of
-// the same shape — including the site-major transpose and the
-// eligibility classes — allocate nothing.
+// the same shape — including the eligibility classes — allocate
+// nothing.
 func TestBuilderSteadyStateAllocs(t *testing.T) {
-	r := rng.New(7)
-	const m, n = 1024, 512
-	sites := make([]*grid.Site, m)
-	for k := range sites {
-		sites[k] = &grid.Site{ID: k, Speed: 1 + r.Float64()*99, Nodes: 1, SecurityLevel: r.Float64()}
-	}
-	batch := make([]*grid.Job, n)
-	for i := range batch {
-		batch[i] = &grid.Job{ID: i, Workload: 1 + r.Float64()*1e5, Nodes: 1, SecurityDemand: r.Float64()}
-	}
-	ready := make([]float64, m)
+	sites, batch, ready := wideRound()
 	policy := grid.FRiskyPolicy(0.5)
 	var b kernel.Builder
 	warm := b.Build(0, sites, ready, nil, batch)
 	for i := range batch {
 		warm.Eligible(policy, i)
 	}
-	warm.ETCT()
 	allocs := testing.AllocsPerRun(3, func() {
 		s := b.Build(0, sites, ready, nil, batch)
 		for i := range batch {
 			s.Eligible(policy, i)
 		}
-		s.ETCT()
 	})
 	// The eligibility map is cleared and refilled each round; map buckets
 	// are reused by the runtime, so the whole round should be
 	// allocation-free in steady state.
 	if allocs > 0 {
 		t.Fatalf("steady-state round allocates %v times, want 0", allocs)
+	}
+}
+
+// TestMinMinSteadyStateAllocs extends the arena contract through the
+// scheduler the wide rounds run: at the same scale, a warm Min-Min
+// round on a Builder-rebuilt snapshot allocates the assignment slice
+// it returns and nothing else — no sort swapper, no per-round buckets.
+func TestMinMinSteadyStateAllocs(t *testing.T) {
+	sites, batch, ready := wideRound()
+	mm := heuristics.NewMinMin(grid.FRiskyPolicy(0.5))
+	var b kernel.Builder
+	st := &sched.State{Sites: sites, Ready: ready}
+	round := func() {
+		st.Kern = b.Build(0, sites, ready, nil, batch)
+		if got := len(mm.Schedule(batch, st)); got != len(batch) {
+			t.Fatalf("%d assignments, want %d", got, len(batch))
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(3, round); allocs > 1 {
+		t.Fatalf("steady-state Min-Min round allocates %v times, want 1 (the returned assignments)", allocs)
 	}
 }

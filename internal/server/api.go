@@ -367,6 +367,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tenantID s
 					s.submitted.Add(int64(len(jobs)))
 					s.tenants.addSubmitted(tenantID, len(jobs))
 					counted = true
+					// Until the sends below return, the jobs are in the log
+					// and in no engine: writeSnapshot must wait for them.
+					s.uninjected.Add(int64(len(jobs)))
 				}
 			})
 			if walErr == nil {
@@ -388,6 +391,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tenantID s
 				break
 			}
 			injected++
+		}
+		if s.wal != nil {
+			// A tail the dead loop never took stays counted: the shutdown
+			// snapshot is skipped and the next boot replays it from the log.
+			s.uninjected.Add(-int64(injected))
 		}
 	}
 	if !counted {

@@ -613,11 +613,16 @@ func (s *Server) allWALs() []*walLog {
 
 // writeSnapshot persists the full server state at the current WAL
 // position, rotates the segments and garbage-collects what the retained
-// snapshots cover. A live-mode engine with buffered arrivals skips the
-// attempt (the buffer drains at the next tick and the records are in
-// the WAL either way). Loop goroutine (or post-loop Stop) only.
+// snapshots cover. A live-mode engine with buffered arrivals, or with
+// logged arrivals still in their handler's hands, skips the attempt
+// (both drain by the next tick and the records are in the WAL either
+// way): the engine snapshot would not hold those jobs and recovery
+// skips the records a snapshot covers. Loop goroutine (or post-loop
+// Stop) only.
 func (s *Server) writeSnapshot() error {
-	if s.online.Backlog() != 0 {
+	// uninjected first: a handler moves a job into the backlog before it
+	// takes it off the count, so the job shows in one of the two reads.
+	if s.uninjected.Load() != 0 || s.online.Backlog() != 0 {
 		return nil
 	}
 	if err := s.walCommit(); err != nil {

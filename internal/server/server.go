@@ -234,6 +234,13 @@ type Server struct {
 	// loggedID is the largest logged job ID: nextID as snapshots see it.
 	// Loop goroutine only.
 	loggedID int64
+	// uninjected counts live-mode jobs whose arrival record is logged but
+	// which their handler has not yet handed to the engine. The loop adds
+	// them when it commits the records, the handler takes them off after
+	// SubmitOr, and writeSnapshot waits for zero: a snapshot at WAL
+	// position p holds, in an engine or in the backlog, every job logged
+	// <= p (DESIGN.md §10.2).
+	uninjected atomic.Int64
 
 	submitted   atomic.Int64 // accepted by the HTTP layer
 	arrived     atomic.Int64 // ingested by the engine
