@@ -1,6 +1,7 @@
 // Package api defines the wire format of the trustgridd HTTP API —
-// request/response bodies, the streamed event shape, tenant documents
-// and the arrival-trace record — shared by the server (internal/server),
+// request/response bodies, the streamed event shape with its line codec
+// (Event.AppendJSON, ParseEvent; DESIGN.md §9.7), tenant documents and
+// the arrival-trace record — shared by the server (internal/server),
 // the typed client (internal/client) and the command-line tools. One
 // definition on both sides of the wire is what makes the client the
 // API's contract test: a field the server renames breaks the client's

@@ -1,0 +1,197 @@
+package api
+
+import (
+	"encoding/json"
+	"math"
+	"testing"
+)
+
+// floatBits lists an event's float fields as bit patterns, so that a
+// comparison tells 0 from -0.
+func floatBits(e *Event) [8]uint64 {
+	var out [8]uint64
+	for i, f := range [...]float64{e.Time, e.Start, e.Finish, e.Arrival, e.Workload, e.SD, e.Level, e.Speed} {
+		out[i] = math.Float64bits(f)
+	}
+	return out
+}
+
+func sameEvent(a, b *Event) bool { return *a == *b && floatBits(a) == floatBits(b) }
+
+// checkParse is the decoder half of the codec contract: on any bytes,
+// from any starting value of the target, ParseEvent and json.Unmarshal
+// agree on error-or-not and leave the same struct behind.
+func checkParse(t *testing.T, line []byte) {
+	t.Helper()
+	prior := Event{Seq: 7, Kind: "placed", Tenant: "acme", Risky: true, Start: 1.5, Nodes: 3, Speed: -0.25}
+	for _, start := range []Event{{}, prior} {
+		got, want := start, start
+		gotErr := ParseEvent(line, &got)
+		wantErr := json.Unmarshal(line, &want)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("%q: ParseEvent error %v, json.Unmarshal error %v", line, gotErr, wantErr)
+		}
+		if !sameEvent(&got, &want) {
+			t.Fatalf("%q from %+v:\nParseEvent     %+v\njson.Unmarshal %+v", line, start, got, want)
+		}
+	}
+}
+
+// checkAppend is the encoder half: AppendJSON's bytes are json.Marshal's
+// (nothing at all where Marshal refuses the value), and they parse back
+// to the event that produced them.
+func checkAppend(t *testing.T, ev Event) {
+	t.Helper()
+	want, err := json.Marshal(&ev)
+	got := ev.AppendJSON([]byte("x"))
+	if err != nil {
+		if string(got) != "x" {
+			t.Fatalf("%+v: json.Marshal refuses (%v) but AppendJSON wrote %q", ev, err, got[1:])
+		}
+		return
+	}
+	if string(got[1:]) != string(want) {
+		t.Fatalf("%+v:\nAppendJSON   %s\njson.Marshal %s", ev, got[1:], want)
+	}
+	checkParse(t, want)
+	// The line decodes to what json.Unmarshal makes of it, which is the
+	// event itself but for what omitempty drops (-0) and what invalid
+	// UTF-8 becomes — so compare with the reference decode, not with ev.
+	var back, ref Event
+	if err := ParseEvent(want, &back); err != nil {
+		t.Fatalf("%s: does not parse back: %v", want, err)
+	}
+	if err := json.Unmarshal(want, &ref); err != nil || !sameEvent(&back, &ref) {
+		t.Fatalf("%s: parses back to %+v, json.Unmarshal gives %+v (%v)", want, back, ref, err)
+	}
+}
+
+// codecLines are decoder inputs worth keeping: the canonical forms, and
+// every near-miss the fast path has to leave to json.Unmarshal. The
+// first group broke a prototype of the parser.
+var codecLines = []string{
+	`{"seq":1,"kind":"placed","t":0.E06,"job":1,"site":0}`,
+	`{"seq":01,"kind":"placed","t":1,"job":1,"site":0}`,
+	`{"seq":1,"kind":"placed","t":1.,"job":1,"site":0}`,
+	`{"seq":1,"kind":"placed","t":+1,"job":1,"site":0}`,
+	`{"seq":1,"seq":2,"kind":"placed","t":1,"job":1,"site":0}`,
+	`{"seq":1,"kind":"placed","t":1,"job":1,"site":0,"extra":true}`,
+	`{"seq":1,"kind":null,"t":1,"job":1,"site":0}`,
+	`{"seq":1,"kind": "placed","t":1,"job":1,"site":0}`,
+
+	`{"seq":5,"kind":"arrived","t":300,"job":12,"site":-1,"tenant":"acme","safe_only":true,"arrival":250.5,"workload":120000,"nodes":2,"sd":0.72}`,
+	`{"seq":6,"kind":"placed","t":600,"job":12,"site":3,"tenant":"acme","start":600,"finish":12600.000000000002,"risky":true,"fell_back":true}`,
+	`{"seq":7,"kind":"site_speed","t":1e+21,"job":-1,"site":2,"speed":1e-7}`,
+	`{"seq":8,"kind":"completed","t":-0,"job":1,"site":0,"level":5e-324}`,
+	`{"kind":"placed","seq":9}`,
+	`{}`,
+	`{"seq":1}`,
+	`{"seq":1} `,
+	`{"seq":1}x`,
+	`{"seq":1,}`,
+	`{"seq":1.0}`,
+	`{"seq":1e2}`,
+	`{"seq":-0}`,
+	`{"seq":-}`,
+	`{"seq":9223372036854775807}`,
+	`{"seq":9223372036854775808}`,
+	`{"seq":123456789012345678}`,
+	`{"job":99999999999999999999}`,
+	`{"t":1e999}`,
+	`{"t":0x1p4}`,
+	`{"t":1_0}`,
+	`{"t":Inf}`,
+	`{"t":.5}`,
+	`{"t":1e}`,
+	`{"t":1e+}`,
+	`{"t":-01}`,
+	`{"t":"1"}`,
+	`{"SEQ":3}`,
+	`{"Kind":"x"}`,
+	`{"kind":"a\"b"}`,
+	`{"kind":"a\u0041"}`,
+	"{\"kind\":\"a\tb\"}",
+	"{\"kind\":\"caf\xc3\xa9\"}",
+	"{\"kind\":\"\xff\"}",
+	`{"kind":"<&>"}`,
+	`{"kind":"unterminated}`,
+	`{"risky":tru}`,
+	`{"risky":true,"fell_back":false}`,
+	`{"risky":1}`,
+	`{"risky":null}`,
+	`{"nodes":null}`,
+	`{"nodes":-3}`,
+	`[1]`,
+	`null`,
+	``,
+	`{`,
+	`{"seq"`,
+	`{"seq":`,
+	`{"seq":1`,
+}
+
+var codecEvents = []Event{
+	{},
+	{Seq: 1, Kind: "arrived", Time: 300, Job: 12, Site: -1, Tenant: "acme", SafeOnly: true, Arrival: 250.5, Workload: 120000, Nodes: 2, SD: 0.72},
+	{Seq: 2, Kind: "placed", Time: 600, Job: 12, Site: 3, Tenant: "acme", Start: 600, Finish: 12600.000000000002, Risky: true, FellBack: true},
+	{Seq: math.MaxInt64, Kind: "site_speed", Time: 1e21, Job: math.MinInt64, Site: math.MaxInt64, Speed: 1e-7},
+	{Seq: math.MinInt64, Time: math.Copysign(0, -1), Start: math.Copysign(0, -1), Level: 5e-324, SD: 2.2250738585072014e-308},
+	{Time: 999999999999999868928, Start: 1e-6, Finish: 9.999999999999999e-7, Arrival: -1e21, Workload: 1e100, SD: 1e-100, Nodes: -1},
+	{Kind: `a"b\c`, Tenant: "<&>"},
+	{Kind: "caf\u00e9 \u2028", Tenant: "\x00\x1f\x7f\xff"},
+	{Time: math.NaN()},
+	{Speed: math.Inf(-1)},
+}
+
+func TestEventCodecCases(t *testing.T) {
+	for _, line := range codecLines {
+		checkParse(t, []byte(line))
+	}
+	for _, ev := range codecEvents {
+		checkAppend(t, ev)
+	}
+}
+
+// TestParseEventFastPath keeps the fast path honest about being one: the
+// lines the daemon writes must not fall through to json.Unmarshal. (Of
+// codecEvents, 19-digit integers and escaped strings do, by design.)
+func TestParseEventFastPath(t *testing.T) {
+	for _, ev := range []Event{codecEvents[0], codecEvents[1], codecEvents[2], codecEvents[5]} {
+		var got Event
+		if line := ev.AppendJSON(nil); !parseCanonical(line, &got) {
+			t.Errorf("canonical line left to the fallback: %s", line)
+		}
+	}
+}
+
+// TestAppendJSONAllocs pins the encoder at zero allocations into a warm
+// buffer: the handler and the journal flush encode tens of thousands of
+// events into one buffer.
+func TestAppendJSONAllocs(t *testing.T) {
+	ev := codecEvents[2]
+	buf := make([]byte, 0, 512)
+	if n := testing.AllocsPerRun(100, func() { buf = ev.AppendJSON(buf[:0]) }); n != 0 {
+		t.Fatalf("AppendJSON into a warm buffer allocates %v times per event", n)
+	}
+}
+
+// FuzzEventCodec holds both halves of the contract over arbitrary input:
+// line feeds the decoder, the remaining arguments build an event for the
+// encoder. flags spreads over the three booleans.
+func FuzzEventCodec(f *testing.F) {
+	for i, line := range codecLines {
+		ev := codecEvents[i%len(codecEvents)]
+		f.Add([]byte(line), ev.Seq, ev.Kind, ev.Tenant, ev.Job, ev.Nodes, uint8(i), ev.Time, ev.Start, ev.Level)
+	}
+	for _, ev := range codecEvents {
+		f.Add(ev.AppendJSON(nil), ev.Seq, ev.Kind, ev.Tenant, ev.Job, ev.Nodes, uint8(7), ev.Time, ev.Finish, ev.SD)
+	}
+	f.Fuzz(func(t *testing.T, line []byte, seq int64, kind, tenant string, job, nodes int, flags uint8, a, b, c float64) {
+		checkParse(t, line)
+		checkAppend(t, Event{
+			Seq: seq, Kind: kind, Time: a, Job: job, Site: nodes ^ job, Tenant: tenant,
+			SafeOnly: flags&1 != 0, Start: b, Finish: c, Risky: flags&2 != 0, FellBack: flags&4 != 0,
+			Arrival: c, Workload: a, Nodes: nodes, SD: b, Level: c, Speed: a,
+		})
+	})
+}

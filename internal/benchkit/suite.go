@@ -1,9 +1,15 @@
 package benchkit
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"os"
 	"testing"
 
+	"trustgrid/internal/api"
 	"trustgrid/internal/dag"
 	"trustgrid/internal/ga"
 	"trustgrid/internal/grid"
@@ -11,6 +17,7 @@ import (
 	"trustgrid/internal/rng"
 	"trustgrid/internal/sched"
 	"trustgrid/internal/sched/kernel"
+	"trustgrid/internal/server"
 	"trustgrid/internal/stga"
 )
 
@@ -239,7 +246,73 @@ func fitnessPathCase(n, m, pop int) func(b *testing.B) {
 	}
 }
 
-// Suite returns the kernel-path benchmark cases.
+// placedEvent is the event line the stream, the journal and the client
+// see most of: a placement with its tenant and both times.
+var placedEvent = api.Event{Seq: 48213, Kind: "placed", Time: 615000, Job: 20417, Site: 7,
+	Tenant: "gold", Start: 615000, Finish: 627412.3812, Risky: true}
+
+// post serves one JSON request through the handler in process and fails
+// the benchmark on a non-2xx answer.
+func post(b *testing.B, hd http.Handler, path string, body any) {
+	raw, err := json.Marshal(body)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rw := httptest.NewRecorder()
+	hd.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(raw)))
+	if rw.Code/100 != 2 {
+		b.Fatalf("POST %s: status %d: %s", path, rw.Code, rw.Body)
+	}
+}
+
+// snapshotWriteCase measures one server snapshot of a flat durable
+// daemon whose event ring holds at least events events: an op is a
+// one-job durable submission under SnapshotEvery 1, so the snapshot it
+// triggers — journal flush, payload, the fsyncs, rotate, GC — is all
+// but a few microseconds of it. What the snapshot costs must follow
+// what changed since the last one (one event here), not the ring.
+func snapshotWriteCase(events int) func(b *testing.B) {
+	return func(b *testing.B) {
+		dir, err := os.MkdirTemp("", "benchkit-snapshot-")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer os.RemoveAll(dir)
+		_, sites := benchBatch(0)
+		srv, err := server.New(server.Config{
+			Sites: sites, Algo: "minmin", Manual: true, BatchInterval: 5000,
+			WALDir: dir, SnapshotEvery: 1, EventBuffer: 2 * events,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer srv.Stop(false)
+		hd := srv.Handler()
+		// Every job leaves at least arrived, placed and completed behind.
+		const chunk = 512
+		r := rng.New(5)
+		at := 0.0
+		for n := 0; 3*n < events; n += chunk {
+			specs := make([]api.JobSpec, chunk)
+			for i := range specs {
+				specs[i] = api.JobSpec{Arrival: &at, Workload: 1000 + r.Float64()*200000, Nodes: 1, SD: r.Uniform(0.6, 0.9)}
+			}
+			post(b, hd, "/v1/jobs", api.SubmitRequest{Jobs: specs})
+			at += 5000
+			post(b, hd, "/v2/advance", api.AdvanceRequest{To: at})
+		}
+		at += 1e7 // everything placed has completed
+		post(b, hd, "/v2/advance", api.AdvanceRequest{To: at})
+		one := api.SubmitRequest{Jobs: []api.JobSpec{{Arrival: &at, Workload: 50000, Nodes: 1, SD: 0.7}}}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			post(b, hd, "/v1/jobs", one)
+		}
+	}
+}
+
+// Suite returns the benchmark cases: the kernel path, then the event
+// codec and the snapshot writer of the service around it.
 func Suite() []Case {
 	return []Case{
 		{Name: "KernelBuild/batch=50", Smoke: true, F: func(b *testing.B) {
@@ -347,6 +420,28 @@ func Suite() []Case {
 				}
 			}
 		}},
+		// The event line's codec (DESIGN.md §9): both directions are gated
+		// on allocations — encode at zero into a warm buffer, decode at
+		// the two strings it has to copy.
+		{Name: "EventCodec/encode", Smoke: true, F: func(b *testing.B) {
+			ev := placedEvent
+			buf := make([]byte, 0, 256)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = ev.AppendJSON(buf[:0])
+			}
+		}},
+		{Name: "EventCodec/decode", Smoke: true, F: func(b *testing.B) {
+			line := placedEvent.AppendJSON(nil)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var ev api.Event
+				if err := api.ParseEvent(line, &ev); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{Name: "SnapshotWrite/events=65536", Smoke: false, F: snapshotWriteCase(65536)},
 	}
 }
 

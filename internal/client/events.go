@@ -3,7 +3,6 @@ package client
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -96,7 +95,7 @@ func (s *EventStream) Next() (api.Event, error) {
 				continue
 			}
 			var ev api.Event
-			if err := json.Unmarshal(line, &ev); err != nil {
+			if err := api.ParseEvent(line, &ev); err != nil {
 				// A torn line means the connection died mid-write. The
 				// cursor still points after the last good event, so a
 				// follow stream resumes without loss.

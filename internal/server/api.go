@@ -463,11 +463,23 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
+	// One buffer per request takes the canonical lines (api.Event.AppendJSON)
+	// and goes out in chunks, so a full-window page costs one encode per
+	// event and a bounded amount of memory.
+	const chunk = 32 << 10
+	var buf []byte
 	emit := func(evs []WireEvent) {
-		for _, ev := range evs {
-			_ = enc.Encode(ev)
+		for i := range evs {
+			buf = appendEventLine(buf, &evs[i])
+			if len(buf) >= chunk {
+				_, _ = w.Write(buf)
+				buf = buf[:0]
+			}
+		}
+		if len(buf) > 0 {
+			_, _ = w.Write(buf)
+			buf = buf[:0]
 		}
 	}
 	for {

@@ -74,24 +74,35 @@ func (l *eventLog) ReadSince(since int64, max int, match func(*WireEvent) bool) 
 	return out, next
 }
 
-// snapshotState returns the retained window and the absolute sequence
-// number of its first event, for the server snapshot.
-func (l *eventLog) snapshotState() (base int64, events []WireEvent) {
+// baseSeq returns the sequence number of the oldest retained event (the
+// next one to be appended when none is retained).
+func (l *eventLog) baseSeq() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.base, append([]WireEvent(nil), l.events...)
+	return l.base
 }
 
-// restore reloads a snapshotted window so streaming cursors survive a
-// restart: sequence numbers continue where the snapshot left off, and a
-// reader whose cursor points past the recovered end simply re-reads the
-// events the crash rewound (they are re-executed and re-appended with
-// the same sequence numbers).
+// restore installs a recovered window, taking ownership of events, so
+// streaming cursors survive a restart: sequence numbers continue where
+// the snapshot left off, and a reader whose cursor points past the
+// recovered end simply re-reads the events the crash rewound (they are
+// re-executed and re-appended with the same sequence numbers).
 func (l *eventLog) restore(base int64, events []WireEvent) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.base = base
-	l.events = append(l.events[:0], events...)
+	l.events = events
+}
+
+// appendEventLine appends ev's NDJSON line. An event encoding/json would
+// refuse (a non-finite float) has no line, as it had none when the
+// stream went through json.Encoder.
+func appendEventLine(dst []byte, ev *WireEvent) []byte {
+	n := len(dst)
+	if dst = ev.AppendJSON(dst); len(dst) > n {
+		dst = append(dst, '\n')
+	}
+	return dst
 }
 
 // WaitCh returns a channel that is closed at the next append. Callers

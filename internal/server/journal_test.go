@@ -1,0 +1,418 @@
+package server_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"trustgrid/internal/client"
+	"trustgrid/internal/server"
+)
+
+// The event journal (DESIGN.md §10.2): a snapshot holds only the bounds
+// of the retained event window; the events are in events-*.ndjson files
+// beside it, each event written once, each file durable before the
+// snapshot whose event_next covers it. The tests below pin the disk
+// format, the damaged and half-written states recovery has to read, the
+// pruning horizon, and the two recoveries that must refuse to start.
+
+// journalFile is one events-*.ndjson of a WAL directory.
+type journalFile struct {
+	name        string
+	first, next int64 // the events it holds: [first, next)
+}
+
+// journalFiles lists dir's journal files in sequence order, checking
+// that each is what its name says: whole lines, consecutive sequence
+// numbers from first on.
+func journalFiles(t *testing.T, dir string) []journalFile {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "events-*.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(names)
+	var out []journalFile
+	for _, path := range names {
+		f := journalFile{name: filepath.Base(path)}
+		f.first = int64(numberedFile(t, f.name, "events-", ".ndjson"))
+		f.next = f.first
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) == 0 || data[len(data)-1] != '\n' {
+			t.Fatalf("%s does not end in a newline", f.name)
+		}
+		for _, line := range bytes.Split(data[:len(data)-1], []byte("\n")) {
+			var ev struct {
+				Seq int64 `json:"seq"`
+			}
+			if err := json.Unmarshal(line, &ev); err != nil || ev.Seq != f.next {
+				t.Fatalf("%s: line %q where seq %d belongs (%v)", f.name, line, f.next, err)
+			}
+			f.next++
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+// snapshotBounds reads the event window a snapshot file declares.
+func snapshotBounds(t *testing.T, payload []byte) (base, next int64) {
+	t.Helper()
+	var snap struct {
+		EventBase *int64 `json:"event_base"`
+		EventNext *int64 `json:"event_next"`
+	}
+	if err := json.Unmarshal(payload, &snap); err != nil || snap.EventBase == nil || snap.EventNext == nil {
+		t.Fatalf("snapshot without event bounds (%v): %.200s", err, payload)
+	}
+	return *snap.EventBase, *snap.EventNext
+}
+
+// recoveredStream recovers a daemon from dir, lets check look at the
+// directory as recovery left it, re-drives the scripted protocol and
+// returns the retained stream.
+func recoveredStream(t *testing.T, dir string, jobs []walJob, check func()) string {
+	t.Helper()
+	srv, err := server.New(walTestConfig(dir, "minmin"))
+	if err != nil {
+		t.Fatalf("recovery failed: %v", err)
+	}
+	if check != nil {
+		check()
+	}
+	ts := httptest.NewServer(srv.Handler())
+	driveWAL(t, client.New(ts.URL), jobs)
+	got := fetchEvents(t, ts.URL)
+	ts.Close()
+	if _, err := srv.Stop(false); err != nil {
+		t.Fatalf("stop: %v", err)
+	}
+	return got
+}
+
+// TestSnapshotHoldsNoEvents pins the disk format: a snapshot carries the
+// window's bounds and neither the events nor the retired used_ids
+// registry, the journal files are consecutive NDJSON, and over a run
+// that retains every event each event is on disk exactly once.
+func TestSnapshotHoldsNoEvents(t *testing.T) {
+	jobs := walJobList(20)
+	dir := t.TempDir()
+	wantEvents, _, _ := walBaseline(t, walTestConfig(dir, "minmin"), func(c *client.Client) { driveWAL(t, c, jobs) })
+	_, snaps := harvestWAL(t, dir)
+	var lastNext int64
+	for seq, snap := range snaps {
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal(snap.payload, &keys); err != nil {
+			t.Fatal(err)
+		}
+		for _, gone := range []string{"events", "used_ids"} {
+			if _, ok := keys[gone]; ok {
+				t.Errorf("snapshot %d still has a %q key", seq, gone)
+			}
+		}
+		if string(keys["version"]) != "2" {
+			t.Errorf("snapshot %d has version %s, want 2", seq, keys["version"])
+		}
+		if base, next := snapshotBounds(t, snap.payload); base != 0 {
+			t.Errorf("snapshot %d: event_base %d in a run that evicts nothing", seq, base)
+		} else if next > lastNext {
+			lastNext = next
+		}
+	}
+	var onDisk strings.Builder
+	at := int64(0)
+	for _, f := range journalFiles(t, dir) {
+		if f.first != at {
+			t.Fatalf("%s starts at %d, the file before it ended at %d: an event is missing or on disk twice", f.name, f.first, at)
+		}
+		data, _ := os.ReadFile(filepath.Join(dir, f.name))
+		onDisk.Write(data)
+		at = f.next
+	}
+	if at != lastNext {
+		t.Errorf("journal ends at %d, the newest snapshot's event_next is %d", at, lastNext)
+	}
+	// The journal's bytes are the stream's bytes: one codec for both.
+	if onDisk.String() != wantEvents {
+		d := firstDiff(wantEvents, onDisk.String())
+		t.Errorf("journal differs from the served stream at byte %d\nstream:  %s\njournal: %s",
+			d, excerpt(wantEvents, d), excerpt(onDisk.String(), d))
+	}
+}
+
+// TestJournalCrashStates recovers from the disk states a crash or a
+// damaged file can leave around the journal. Whatever happened, the
+// recovered stream is the uninterrupted run's from some event on —
+// exactly the expected one — and never contains a wrong event. The ring
+// is sized so that the last snapshot's window reaches back into a file
+// an earlier snapshot wrote.
+func TestJournalCrashStates(t *testing.T) {
+	jobs := walJobList(20)
+	drive := func(c *client.Client) { driveWAL(t, c, jobs) }
+	wantEvents, _, _ := walBaseline(t, walTestConfig(t.TempDir(), "minmin"), drive)
+	baseDir := t.TempDir()
+	cfg := walTestConfig(baseDir, "minmin")
+	cfg.EventBuffer = 64
+	walBaseline(t, cfg, drive)
+	lines, snaps := harvestWAL(t, baseDir)
+	files := journalFiles(t, baseDir)
+
+	seqs := make([]uint64, 0, len(snaps))
+	for seq := range snaps {
+		seqs = append(seqs, seq)
+	}
+	sort.Slice(seqs, func(i, k int) bool { return seqs[i] < seqs[k] })
+	if len(seqs) < 3 || len(files) < 3 {
+		t.Fatalf("baseline left %d snapshots and %d journal files, want >= 3 of each", len(seqs), len(files))
+	}
+	// mid is a snapshot with records and events still to come after it;
+	// its window spans the first two journal files. prev is the one
+	// before it, last the final one.
+	prev, mid, last := seqs[len(seqs)-3], seqs[len(seqs)-2], seqs[len(seqs)-1]
+	midBase, midNext := snapshotBounds(t, snaps[mid].payload)
+	_, prevNext := snapshotBounds(t, snaps[prev].payload)
+	lastBase, _ := snapshotBounds(t, snaps[last].payload)
+	if midBase != 0 || files[0].first != 0 || files[1].first != prevNext || files[1].next != midNext || files[2].first != midNext {
+		t.Fatalf("baseline shape changed: snapshots %v, mid window [%d,%d), prev next %d, files %+v", seqs, midBase, midNext, prevNext, files)
+	}
+	if lastBase <= files[1].first || lastBase >= files[1].next {
+		t.Fatalf("last snapshot's event_base %d does not fall inside %+v; resize the ring", lastBase, files[1])
+	}
+
+	tear := func(dir, name string) {
+		path := filepath.Join(dir, name)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data[:len(data)-9], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	remove := func(dir, name string) {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gone := func(dir, name string) func() {
+		return func() {
+			if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+				t.Errorf("recovery left %s in place (stat: %v); it belongs to a snapshot recovery did not use", name, err)
+			}
+		}
+	}
+	snapName := func(seq uint64) string { return fmt.Sprintf("snap-%016d.json", seq) }
+
+	cases := []struct {
+		name     string
+		k        uint64 // crash right after this record (and its snapshot)
+		damage   func(dir string)
+		wantBase int64
+		check    func(dir string) func()
+	}{
+		{name: "intact", k: mid, wantBase: 0},
+		{name: "window starts inside an older file", k: last, wantBase: lastBase},
+		{name: "journal file written, snapshot not", k: mid, wantBase: 0,
+			damage: func(dir string) { remove(dir, snapName(mid)) },
+			check:  func(dir string) func() { return gone(dir, files[1].name) }},
+		{name: "file from a rejected newer snapshot present", k: mid, wantBase: 0,
+			damage: func(dir string) {
+				if err := os.WriteFile(filepath.Join(dir, snapName(mid)), []byte("{\"version\":2,\"seq\":"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			},
+			check: func(dir string) func() { return gone(dir, files[1].name) }},
+		{name: "older journal file missing", k: mid, wantBase: files[1].first,
+			damage: func(dir string) { remove(dir, files[0].name) }},
+		{name: "newest journal file missing", k: mid, wantBase: midNext,
+			damage: func(dir string) { remove(dir, files[1].name) }},
+		{name: "torn last line, older file", k: mid, wantBase: files[1].first,
+			damage: func(dir string) { tear(dir, files[0].name) }},
+		{name: "torn last line, newest file", k: mid, wantBase: midNext,
+			damage: func(dir string) { tear(dir, files[1].name) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := crashDir(t, lines, snaps, int(tc.k), nil)
+			if tc.damage != nil {
+				tc.damage(dir)
+			}
+			var check func()
+			if tc.check != nil {
+				check = tc.check(dir)
+			}
+			got := recoveredStream(t, dir, jobs, check)
+			checkRecoveredStream(t, tc.name, wantEvents, got, tc.wantBase)
+		})
+	}
+}
+
+// TestJournalGC: with WALKeep snapshots retained, journal files wholly
+// below the oldest retained snapshot's event_base are pruned and nothing
+// else is; what is left recovers from the newest snapshot and, when
+// that one is damaged, from the older one — which therefore still has
+// its journal files. Under WALKeep -1 nothing is ever pruned.
+func TestJournalGC(t *testing.T) {
+	jobs := walJobList(20)
+	drive := func(c *client.Client) { driveWAL(t, c, jobs) }
+	wantEvents, _, _ := walBaseline(t, walTestConfig(t.TempDir(), "minmin"), drive)
+
+	run := func(keep int) (string, []journalFile) {
+		dir := t.TempDir()
+		cfg := walTestConfig(dir, "minmin")
+		cfg.EventBuffer, cfg.WALKeep = smallWindow, keep
+		walBaseline(t, cfg, drive)
+		return dir, journalFiles(t, dir)
+	}
+	_, all := run(-1)
+	dir, kept := run(2)
+
+	_, snaps := harvestWAL(t, dir)
+	if len(snaps) != 2 {
+		t.Fatalf("WALKeep 2 left %d snapshots", len(snaps))
+	}
+	var newest, oldest uint64
+	for seq := range snaps {
+		if seq > newest {
+			newest = seq
+		}
+		if oldest == 0 || seq < oldest {
+			oldest = seq
+		}
+	}
+	oldBase, _ := snapshotBounds(t, snaps[oldest].payload)
+	var want []journalFile
+	for i, f := range all {
+		// A file's events end before the next file's first.
+		if i+1 < len(all) && all[i+1].first <= oldBase {
+			continue
+		}
+		want = append(want, f)
+	}
+	if len(want) == len(all) || fmt.Sprint(kept) != fmt.Sprint(want) {
+		t.Fatalf("oldest retained snapshot has event_base %d\nall files:  %+v\nleft:       %+v\nwant left:  %+v", oldBase, all, kept, want)
+	}
+
+	// Recover a copy from the newest snapshot, and a copy from the older
+	// one after the newest is damaged.
+	for _, damaged := range []bool{false, true} {
+		cp := t.TempDir()
+		if err := os.CopyFS(cp, os.DirFS(dir)); err != nil {
+			t.Fatal(err)
+		}
+		wantBase, _ := snapshotBounds(t, snaps[newest].payload)
+		if damaged {
+			if err := os.WriteFile(filepath.Join(cp, fmt.Sprintf("snap-%016d.json", newest)), []byte("garbage"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			wantBase = oldBase
+		}
+		got := recoveredStream(t, cp, jobs, nil)
+		checkRecoveredStream(t, fmt.Sprintf("damaged=%v", damaged), wantEvents, got, wantBase)
+	}
+}
+
+// TestRecoveryRefusesPartialHistory: GC removes the records a snapshot
+// covers, so with that snapshot unusable the log that is left starts
+// mid-history. Recovery used to replay it into an empty daemon; it has
+// to refuse, naming the directory, in both layouts.
+func TestRecoveryRefusesPartialHistory(t *testing.T) {
+	jobs := walJobList(20)
+	layouts := map[string]struct {
+		cfg     func(dir string) server.Config
+		drive   func(*client.Client)
+		snapDir string // where the server snapshots live, relative to the root
+		names   []string
+	}{
+		"flat": {cfg: func(dir string) server.Config { return walTestConfig(dir, "minmin") },
+			drive: func(c *client.Client) { driveWAL(t, c, jobs) }, names: []string{"."}},
+		"sharded": {cfg: func(dir string) server.Config { return walShardedConfig(dir, "minmin") },
+			snapDir: "coord", names: []string{"coord", "shard-0000"}},
+	}
+	for name, lay := range layouts {
+		t.Run(name, func(t *testing.T) {
+			drive := lay.drive
+			if drive == nil {
+				tenants := shardedTenantNames(t, crashShards)
+				sharded := walJobList(20)
+				for i := range sharded {
+					sharded[i].tenant = tenants[i%len(tenants)]
+				}
+				drive = func(c *client.Client) { driveShardedWAL(t, c, sharded, tenants) }
+			}
+			dir := t.TempDir()
+			cfg := lay.cfg(dir)
+			cfg.WALKeep = 1
+			walBaseline(t, cfg, drive)
+			snaps, err := filepath.Glob(filepath.Join(dir, lay.snapDir, "snap-*.json"))
+			if err != nil || len(snaps) != 1 {
+				t.Fatalf("WALKeep 1 left snapshots %v (%v)", snaps, err)
+			}
+			if err := os.WriteFile(snaps[0], []byte("garbage"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			srv, err := server.New(lay.cfg(dir))
+			if err == nil {
+				rep := httptest.NewRecorder()
+				srv.Handler().ServeHTTP(rep, httptest.NewRequest("GET", "/v2/metrics", nil))
+				_, _ = srv.Stop(false)
+				t.Fatalf("recovery started a daemon over a log whose head GC removed: %s", rep.Body)
+			}
+			mentioned := false
+			for _, n := range lay.names {
+				mentioned = mentioned || strings.Contains(err.Error(), filepath.Join(dir, n))
+			}
+			if !strings.Contains(err.Error(), "no usable snapshot covers") || !mentioned {
+				t.Fatalf("refusal does not say what is missing where: %v", err)
+			}
+		})
+	}
+}
+
+// TestRecoveryRefusesOtherSnapshotVersion: a snapshot of another layout
+// version is neither converted nor skipped as damage — skipping it would
+// replay the log from before it — and the refusal says which side is
+// older and what the operator can do.
+func TestRecoveryRefusesOtherSnapshotVersion(t *testing.T) {
+	jobs := walJobList(20)
+	dir := t.TempDir()
+	walBaseline(t, walTestConfig(dir, "minmin"), func(c *client.Client) { driveWAL(t, c, jobs) })
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.json"))
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("no snapshots: %v", err)
+	}
+	sort.Strings(snaps)
+	newest := snaps[len(snaps)-1]
+	payload, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for version, wrote := range map[int]string{1: "an older trustgridd", 3: "a newer trustgridd"} {
+		rewritten := bytes.Replace(payload, []byte(`"version":2`), []byte(fmt.Sprintf(`"version":%d`, version)), 1)
+		if bytes.Equal(rewritten, payload) {
+			t.Fatal("snapshot has no version 2 marker to rewrite")
+		}
+		if err := os.WriteFile(newest, rewritten, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := server.New(walTestConfig(dir, "minmin"))
+		if err == nil {
+			_, _ = srv.Stop(false)
+			t.Fatalf("version %d snapshot was restored or skipped", version)
+		}
+		for _, part := range []string{newest, fmt.Sprintf("version %d", version), wrote, "fresh -wal-dir"} {
+			if !strings.Contains(err.Error(), part) {
+				t.Errorf("version %d refusal lacks %q: %v", version, part, err)
+			}
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -34,10 +35,11 @@ func shardDir(root string, i int) string { return filepath.Join(root, fmt.Sprint
 // contract makes placements a function of config + recorded inputs, so
 // restoring state under different config would fabricate history), the
 // engine snapshot (one per shard when sharded), the tenant registry,
-// the ID allocator and the service counters, plus the retained event
-// window so streaming cursors survive the restart. Recovery = newest
-// readable snapshot + replay of WAL records past it (DESIGN.md §10;
-// §11.4 for the sharded log set).
+// the ID allocator and the service counters, plus the bounds of the
+// retained event window — the events themselves are in the journal
+// files beside the snapshot, each written once — so streaming cursors
+// survive the restart. Recovery = newest readable snapshot + replay of
+// WAL records past it (DESIGN.md §10; §11.4 for the sharded log set).
 type serverSnapshot struct {
 	Version int    `json:"version"`
 	Seq     uint64 `json:"seq"`
@@ -68,18 +70,25 @@ type serverSnapshot struct {
 	ShardSeqs []uint64                `json:"shard_seqs,omitempty"`
 	NextG     uint64                  `json:"next_g,omitempty"`
 
-	NextID  int64 `json:"next_id"`
-	UsedIDs []int `json:"used_ids,omitempty"`
-	// Owners maps tenant → sorted accepted job IDs, the depends_on
-	// validation registry. Absent in pre-DAG snapshots, whose arrivals
-	// replay through the WAL and rebuild the map there.
+	NextID int64 `json:"next_id"`
+	// Owners maps tenant → sorted accepted job IDs: the depends_on
+	// validation registry, and in manual mode the explicit-ID dedupe.
 	Owners map[string][]int `json:"owners,omitempty"`
 
 	Counters counterSnapshot `json:"counters"`
 
-	EventBase int64       `json:"event_base"`
-	Events    []WireEvent `json:"events,omitempty"`
+	// The retained event window is [EventBase, EventNext). Every journal
+	// file holding an event below EventNext was durable before this
+	// snapshot was written (DESIGN.md §10.2).
+	EventBase int64 `json:"event_base"`
+	EventNext int64 `json:"event_next"`
 }
+
+// snapshotVersion is the serverSnapshot layout this binary reads and
+// writes. 2 moved the retained events out of the payload into the event
+// journal and dropped used_ids; version 1 payloads are refused, not
+// converted.
+const snapshotVersion = 2
 
 // counterSnapshot carries the service's atomic counters.
 type counterSnapshot struct {
@@ -145,17 +154,81 @@ func (s *Server) recover(cc sched.CoordinatorConfig) error {
 	return s.recoverSharded(cc)
 }
 
-// restoreFromSnapshot installs the server-side state a snapshot
-// carries: tenant registry, event window, ID allocator, counters.
-func (s *Server) restoreFromSnapshot(snap *serverSnapshot) {
-	s.tenants.restore(snap.Tenants)
-	s.log.restore(snap.EventBase, snap.Events)
-	s.nextID.Store(snap.NextID)
-	if s.usedIDs != nil {
-		for _, id := range snap.UsedIDs {
-			s.usedIDs[id] = struct{}{}
-		}
+// newestSnapshot returns the newest snapshot beside l that recovery can
+// start from, or nil. One that cannot be read or parsed, or that
+// usable refuses — a payload of the wrong shape, or one claiming
+// records the logs lost, is itself damage — falls through to the next;
+// WALKeep > 1 exists for exactly that. A snapshot of another layout
+// version or another configuration is an operator error, not
+// corruption, and ends recovery.
+func (s *Server) newestSnapshot(l *walLog, usable func(*serverSnapshot) bool) (*serverSnapshot, error) {
+	refs, err := l.Snapshots()
+	if err != nil {
+		return nil, err
 	}
+	for _, ref := range refs {
+		payload, err := wal.ReadSnapshot(ref)
+		if err != nil {
+			continue
+		}
+		var cand serverSnapshot
+		if err := json.Unmarshal(payload, &cand); err != nil {
+			continue
+		}
+		// The version says how to read the rest, so it is judged first.
+		if cand.Version != snapshotVersion {
+			age := "an older"
+			if cand.Version > snapshotVersion {
+				age = "a newer"
+			}
+			return nil, fmt.Errorf("snapshot %s has layout version %d, written by %s trustgridd; this one reads version %d only "+
+				"(refusing to restore it: drain and stop the daemon with the binary that wrote it, or start on a fresh -wal-dir)",
+				ref.Path, cand.Version, age, snapshotVersion)
+		}
+		if !usable(&cand) {
+			continue
+		}
+		if err := s.checkFingerprint(&cand); err != nil {
+			return nil, err
+		}
+		return &cand, nil
+	}
+	return nil, nil
+}
+
+// checkLogHead refuses a log that no longer starts where replay has to:
+// GC removes the records a snapshot covers, so when that snapshot is
+// gone or unreadable, replaying what is left would silently start the
+// daemon from a partial history. covered is the last record the chosen
+// snapshot holds, 0 without one.
+func checkLogHead(dir string, l *walLog, covered uint64) error {
+	if first := l.FirstSeq(); first > covered+1 {
+		return fmt.Errorf("wal directory %s: the log starts at record %d, and no usable snapshot covers records %d to %d "+
+			"(a snapshot was lost or damaged after the records it covered were garbage-collected; refusing to start from a partial history)",
+			dir, first, covered+1, first-1)
+	}
+	return nil
+}
+
+// restoreFromSnapshot builds the engines and installs the server-side
+// state a snapshot carries: tenant registry, event window, ID
+// allocator, counters. A nil snap starts every one of them empty.
+func (s *Server) restoreFromSnapshot(cc sched.CoordinatorConfig, snap *serverSnapshot) (err error) {
+	if snap == nil {
+		if s.online, err = sched.NewCoordinator(cc); err != nil {
+			return err
+		}
+		return s.restoreEvents(0, 0)
+	}
+	engines := snap.Engines
+	if snap.Engine != nil {
+		engines = []*sched.EngineSnapshot{snap.Engine}
+	}
+	if s.online, err = sched.RestoreCoordinator(cc, engines); err != nil {
+		return err
+	}
+	s.tenants.restore(snap.Tenants)
+	s.nextID.Store(snap.NextID)
 	for tenant, ids := range snap.Owners {
 		for _, id := range ids {
 			s.owners[id] = tenant
@@ -167,6 +240,86 @@ func (s *Server) restoreFromSnapshot(snap *serverSnapshot) {
 	s.completed.Store(snap.Counters.Completed)
 	s.failures.Store(snap.Counters.Failures)
 	s.interrupted.Store(snap.Counters.Interrupted)
+	s.markSnapshot(snap.Seq, snap.EventBase)
+	return s.restoreEvents(snap.EventBase, snap.EventNext)
+}
+
+// snapMark is what journal pruning needs to know of one retained
+// snapshot: its file (a later snapshot at the same seq — the sharded
+// layout names files by the coordinator log's position, which arrivals
+// do not move — replaces it) and its event_base.
+type snapMark struct {
+	seq  uint64
+	base int64
+}
+
+// markSnapshot records a snapshot written or recovered from, keeping the
+// newest WALKeep as GC does with the files.
+func (s *Server) markSnapshot(seq uint64, base int64) {
+	if n := len(s.snapMarks); n > 0 && s.snapMarks[n-1].seq == seq {
+		s.snapMarks[n-1].base = base
+		return
+	}
+	s.snapMarks = append(s.snapMarks, snapMark{seq, base})
+	if keep := s.cfg.WALKeep; keep > 0 && len(s.snapMarks) > keep {
+		s.snapMarks = s.snapMarks[len(s.snapMarks)-keep:]
+	}
+}
+
+// restoreEvents rebuilds the retained event window [base, next) from
+// the journal files beside the snapshot. Files starting at or past next
+// were written for a snapshot recovery did not use; they go, and replay
+// emits those events again. Of the rest, the window takes the longest
+// run of events that ends at next-1 without a break: a missing file, a
+// torn line or a sequence gap shortens the window — what a reader whose
+// cursor was evicted sees — and never puts a wrong event in it.
+func (s *Server) restoreEvents(base, next int64) error {
+	refs, err := s.wal.Journals()
+	if err != nil {
+		return err
+	}
+	var run []WireEvent // consecutive events; the next one expected is runEnd
+	runEnd := base
+	for i, ref := range refs {
+		if ref.First >= next {
+			if err := s.wal.RemoveJournals(refs[i:]); err != nil {
+				return err
+			}
+			break
+		}
+		if i+1 < len(refs) && refs[i+1].First <= base {
+			continue // wholly below the window: evicted before the snapshot
+		}
+		if ref.First != runEnd {
+			run, runEnd = run[:0], ref.First
+		}
+		data, err := wal.ReadJournal(ref)
+		if err != nil {
+			data = nil
+		}
+		for len(data) > 0 && runEnd < next {
+			nl := bytes.IndexByte(data, '\n')
+			var ev WireEvent
+			if nl < 0 || api.ParseEvent(data[:nl], &ev) != nil || ev.Seq != runEnd {
+				// Whatever followed the tear is lost, so nothing read so far
+				// can reach next-1.
+				run, runEnd = run[:0], -1
+				break
+			}
+			run = append(run, ev)
+			runEnd++
+			data = data[nl+1:]
+		}
+	}
+	if runEnd != next {
+		run = nil
+	}
+	if len(run) > 0 && run[0].Seq < base {
+		run = run[base-run[0].Seq:]
+	}
+	s.log.restore(next-int64(len(run)), run)
+	s.journaled = next
+	return nil
 }
 
 // resumeAdmission points the quota gate and the latency tracker at the
@@ -213,48 +366,21 @@ func (s *Server) recoverSingle(cc sched.CoordinatorConfig) error {
 		churn = s.cfg.Dynamics.Churn
 	}
 
-	// Newest snapshot that is readable, parseable, covered by the log
-	// (a snapshot claiming records the log lost is itself damage) and
-	// written under this configuration. Unreadable or unparseable ones
-	// fall through to the next — WALKeep > 1 exists for exactly that —
-	// but a fingerprint mismatch is an operator error, not corruption.
-	var snap *serverSnapshot
-	refs, err := l.Snapshots()
+	snap, err := s.newestSnapshot(l, func(c *serverSnapshot) bool {
+		return c.Engine != nil && c.Seq <= l.LastSeq()
+	})
 	if err != nil {
 		return err
 	}
-	for _, ref := range refs {
-		payload, err := wal.ReadSnapshot(ref)
-		if err != nil {
-			continue
-		}
-		var cand serverSnapshot
-		if err := json.Unmarshal(payload, &cand); err != nil || cand.Engine == nil {
-			continue
-		}
-		if cand.Seq > l.LastSeq() {
-			continue
-		}
-		if err := s.checkFingerprint(&cand); err != nil {
-			return err
-		}
-		snap = &cand
-		break
-	}
-
 	var snapSeq uint64
 	if snap != nil {
 		snapSeq = snap.Seq
-		s.online, err = sched.RestoreCoordinator(cc, []*sched.EngineSnapshot{snap.Engine})
-		if err != nil {
-			return err
-		}
-		s.restoreFromSnapshot(snap)
-	} else {
-		s.online, err = sched.NewCoordinator(cc)
-		if err != nil {
-			return err
-		}
+	}
+	if err := checkLogHead(s.cfg.WALDir, l, snapSeq); err != nil {
+		return err
+	}
+	if err := s.restoreFromSnapshot(cc, snap); err != nil {
+		return err
 	}
 	s.recsSinceSnap = int(l.LastSeq() - snapSeq)
 
@@ -351,9 +477,6 @@ func (s *Server) replayRecord(rec wal.Record) error {
 			owner = api.DefaultTenant
 		}
 		s.owners[tr.ID] = owner
-		if s.usedIDs != nil {
-			s.usedIDs[tr.ID] = struct{}{}
-		}
 		if int64(tr.ID) > s.nextID.Load() {
 			s.nextID.Store(int64(tr.ID))
 		}
@@ -456,45 +579,34 @@ func (s *Server) recoverSharded(cc sched.CoordinatorConfig) error {
 	// Newest usable snapshot (coordinator log only; shard directories
 	// hold GC markers, not state). Coverage means every log still holds
 	// everything up to its watermark.
-	var snap *serverSnapshot
-	refs, err := coord.Snapshots()
-	if err != nil {
-		return err
-	}
-	for _, ref := range refs {
-		payload, err := wal.ReadSnapshot(ref)
-		if err != nil {
-			continue
+	snap, err := s.newestSnapshot(coord, func(c *serverSnapshot) bool {
+		if len(c.Engines) != c.Shards || len(c.ShardSeqs) != c.Shards || c.Seq > coord.LastSeq() {
+			return false
 		}
-		var cand serverSnapshot
-		if err := json.Unmarshal(payload, &cand); err != nil ||
-			len(cand.Engines) != cand.Shards || len(cand.ShardSeqs) != cand.Shards {
-			continue
-		}
-		if cand.Seq > coord.LastSeq() {
-			continue
-		}
-		if err := s.checkFingerprint(&cand); err != nil {
-			return err
-		}
-		covered := true
-		for i, l := range s.shardWALs {
-			if cand.ShardSeqs[i] > l.LastSeq() {
-				covered = false
-				break
+		for i, seq := range c.ShardSeqs {
+			// A shard count other than n is the fingerprint's to refuse.
+			if i < n && seq > s.shardWALs[i].LastSeq() {
+				return false
 			}
 		}
-		if !covered {
-			continue
-		}
-		snap = &cand
-		break
+		return true
+	})
+	if err != nil {
+		return err
 	}
 	var snapSeq, base uint64
 	shardSeqs := make([]uint64, n)
 	if snap != nil {
 		snapSeq, base = snap.Seq, snap.NextG
 		copy(shardSeqs, snap.ShardSeqs)
+	}
+	if err := checkLogHead(coordDir(root), coord, snapSeq); err != nil {
+		return err
+	}
+	for i, l := range s.shardWALs {
+		if err := checkLogHead(shardDir(root, i), l, shardSeqs[i]); err != nil {
+			return err
+		}
 	}
 
 	// Longest contiguous G-prefix past the snapshot watermark (records
@@ -536,17 +648,8 @@ func (s *Server) recoverSharded(cc sched.CoordinatorConfig) error {
 	}
 	s.nextG = gstar
 
-	if snap != nil {
-		s.online, err = sched.RestoreCoordinator(cc, snap.Engines)
-		if err != nil {
-			return err
-		}
-		s.restoreFromSnapshot(snap)
-	} else {
-		s.online, err = sched.NewCoordinator(cc)
-		if err != nil {
-			return err
-		}
+	if err := s.restoreFromSnapshot(cc, snap); err != nil {
+		return err
 	}
 	s.recsSinceSnap = int(coord.LastSeq() - snapSeq)
 	for i, l := range s.shardWALs {
@@ -611,14 +714,15 @@ func (s *Server) allWALs() []*walLog {
 	return append(out, s.shardWALs...)
 }
 
-// writeSnapshot persists the full server state at the current WAL
-// position, rotates the segments and garbage-collects what the retained
-// snapshots cover. A live-mode engine with buffered arrivals, or with
-// logged arrivals still in their handler's hands, skips the attempt
-// (both drain by the next tick and the records are in the WAL either
-// way): the engine snapshot would not hold those jobs and recovery
-// skips the records a snapshot covers. Loop goroutine (or post-loop
-// Stop) only.
+// writeSnapshot persists the server state at the current WAL position —
+// first the events emitted since the last snapshot, as one journal
+// file, then the snapshot that counts on it — rotates the segments and
+// garbage-collects what the retained snapshots cover. A live-mode
+// engine with buffered arrivals, or with logged arrivals still in their
+// handler's hands, skips the attempt (both drain by the next tick and
+// the records are in the WAL either way): the engine snapshot would not
+// hold those jobs and recovery skips the records a snapshot covers.
+// Loop goroutine (or post-loop Stop) only.
 func (s *Server) writeSnapshot() error {
 	// uninjected first: a handler moves a job into the backlog before it
 	// takes it off the count, so the job shows in one of the two reads.
@@ -633,7 +737,7 @@ func (s *Server) writeSnapshot() error {
 		return err
 	}
 	snap := serverSnapshot{
-		Version:       1,
+		Version:       snapshotVersion,
 		Seq:           s.wal.LastSeq(),
 		Algo:          s.cfg.Algo,
 		Mode:          s.cfg.Mode,
@@ -665,18 +769,24 @@ func (s *Server) writeSnapshot() error {
 		}
 		snap.NextG = s.nextG
 	}
-	snap.EventBase, snap.Events = s.log.snapshotState()
+	// The journal takes the events the disk does not hold yet. Events
+	// evicted before any snapshot saw them leave a gap between two files;
+	// they lie below every later event_base, where no recovery looks.
+	fresh, next := s.log.ReadSince(s.journaled, 0, nil)
+	if len(fresh) > 0 {
+		lines := make([]byte, 0, 192*len(fresh))
+		for i := range fresh {
+			lines = appendEventLine(lines, &fresh[i])
+		}
+		if err := s.wal.WriteJournal(fresh[0].Seq, lines); err != nil {
+			return err
+		}
+		s.journaled = next
+	}
+	snap.EventBase, snap.EventNext = s.log.baseSeq(), next
 	// The registry as the log implies it: IDs claimed by a handler whose
 	// arrival record is not appended yet are left out (see Server.pending).
 	s.idMu.Lock()
-	if s.usedIDs != nil {
-		snap.UsedIDs = make([]int, 0, len(s.usedIDs))
-		for id := range s.usedIDs {
-			if _, claimed := s.pending[id]; !claimed {
-				snap.UsedIDs = append(snap.UsedIDs, id)
-			}
-		}
-	}
 	for id, tenant := range s.owners {
 		if _, claimed := s.pending[id]; !claimed {
 			if snap.Owners == nil {
@@ -686,7 +796,6 @@ func (s *Server) writeSnapshot() error {
 		}
 	}
 	s.idMu.Unlock()
-	sort.Ints(snap.UsedIDs)
 	for _, ids := range snap.Owners {
 		sort.Ints(ids)
 	}
@@ -713,9 +822,20 @@ func (s *Server) writeSnapshot() error {
 			return err
 		}
 	}
-	if s.cfg.WALKeep > 0 {
-		for _, l := range s.allWALs() {
-			if err := l.GC(s.cfg.WALKeep); err != nil {
+	if keep := s.cfg.WALKeep; keep > 0 {
+		// The journal is pruned against the oldest snapshot GC keeps. Until
+		// this process has written or recovered keep of them, older ones it
+		// never read may still be on disk, and nothing is pruned.
+		s.markSnapshot(snap.Seq, snap.EventBase)
+		var horizon int64
+		if len(s.snapMarks) == keep {
+			horizon = s.snapMarks[0].base
+		}
+		if err := s.wal.GC(keep, horizon); err != nil {
+			return err
+		}
+		for _, l := range s.shardWALs {
+			if err := l.GC(keep, 0); err != nil {
 				return err
 			}
 		}

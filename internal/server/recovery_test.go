@@ -167,41 +167,92 @@ func fetchEvents(t *testing.T, base string) string {
 	return string(body)
 }
 
+// diskSnapshot is one snapshot file of a finished run together with the
+// journal files it counts on: every events-*.ndjson that starts below
+// its event_next, which are the files that were on disk when it was
+// written (a journal file is durable before its snapshot).
+type diskSnapshot struct {
+	payload  []byte
+	journals map[string][]byte // file name -> content
+}
+
+// writeTo puts the snapshot, named for the record seq it covers, and its
+// journal files into dir.
+func (d diskSnapshot) writeTo(t *testing.T, dir string, seq uint64) {
+	t.Helper()
+	files := map[string][]byte{fmt.Sprintf("snap-%016d.json", seq): d.payload}
+	for name, data := range d.journals {
+		files[name] = data
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// numberedFile parses the number out of a WAL directory entry such as
+// snap-0000000000000008.json.
+func numberedFile(t *testing.T, name, prefix, suffix string) uint64 {
+	t.Helper()
+	n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix), 10, 64)
+	if err != nil {
+		t.Fatalf("unparseable file name %q", name)
+	}
+	return n
+}
+
 // harvestWAL reads a closed WAL directory back as individual record
 // lines (frames are lines, so prefixes of the line list are exactly the
 // "crashed after record k" disk states) plus every snapshot by covered
-// sequence number.
-func harvestWAL(t *testing.T, dir string) (lines [][]byte, snaps map[uint64][]byte) {
+// sequence number, each with its journal files.
+func harvestWAL(t *testing.T, dir string) (lines [][]byte, snaps map[uint64]diskSnapshot) {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	read := func(name string) []byte {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
 	var segs []string
-	snaps = make(map[uint64][]byte)
+	snaps = make(map[uint64]diskSnapshot)
+	journals := make(map[string][]byte)
 	for _, e := range entries {
 		name := e.Name()
 		switch {
 		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log"):
 			segs = append(segs, name)
 		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".json"):
-			seq, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".json"), 10, 64)
-			if err != nil {
-				t.Fatalf("unparseable snapshot name %q", name)
-			}
-			payload, err := os.ReadFile(filepath.Join(dir, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			snaps[seq] = payload
+			snaps[numberedFile(t, name, "snap-", ".json")] = diskSnapshot{payload: read(name)}
+		case strings.HasPrefix(name, "events-") && strings.HasSuffix(name, ".ndjson"):
+			journals[name] = read(name)
 		}
+	}
+	for seq, snap := range snaps {
+		var bounds struct {
+			EventNext *int64 `json:"event_next"`
+		}
+		// Shard directories hold GC markers under the same name; they
+		// count on no journal.
+		if err := json.Unmarshal(snap.payload, &bounds); err != nil {
+			t.Fatalf("snapshot %d: %v", seq, err)
+		}
+		snap.journals = make(map[string][]byte)
+		for name, data := range journals {
+			if bounds.EventNext != nil && int64(numberedFile(t, name, "events-", ".ndjson")) < *bounds.EventNext {
+				snap.journals[name] = data
+			}
+		}
+		snaps[seq] = snap
 	}
 	sort.Strings(segs) // zero-padded names: lexical = sequence order
 	for _, name := range segs {
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
+		data := read(name)
 		for len(data) > 0 {
 			nl := bytes.IndexByte(data, '\n')
 			if nl < 0 {
@@ -217,8 +268,9 @@ func harvestWAL(t *testing.T, dir string) (lines [][]byte, snaps map[uint64][]by
 // crashDir materializes the disk state of a crash right after record k
 // became durable: the first k record lines (plus an optional torn tail
 // of garbage bytes) and every snapshot that had been written by then (a
-// snapshot covering sequence s exists only once record s does).
-func crashDir(t *testing.T, lines [][]byte, snaps map[uint64][]byte, k int, torn []byte) string {
+// snapshot covering sequence s exists only once record s does), with
+// the journal files those snapshots count on.
+func crashDir(t *testing.T, lines [][]byte, snaps map[uint64]diskSnapshot, k int, torn []byte) string {
 	t.Helper()
 	dir := t.TempDir()
 	var buf bytes.Buffer
@@ -229,11 +281,9 @@ func crashDir(t *testing.T, lines [][]byte, snaps map[uint64][]byte, k int, torn
 	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("wal-%016d.log", 1)), buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for seq, payload := range snaps {
+	for seq, snap := range snaps {
 		if seq <= uint64(k) {
-			if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("snap-%016d.json", seq)), payload, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			snap.writeTo(t, dir, seq)
 		}
 	}
 	return dir
@@ -256,6 +306,90 @@ func tenantFacts(rep *api.MetricsReport) string {
 	return b.String()
 }
 
+// eventsFrom returns the lines of stream — a complete event stream,
+// which therefore starts at seq 0 — from sequence number seq on.
+func eventsFrom(stream string, seq int64) string {
+	for ; seq > 0 && stream != ""; seq-- {
+		stream = stream[strings.IndexByte(stream, '\n')+1:]
+	}
+	return stream
+}
+
+// firstSeq returns the sequence number of a fetched stream's first event.
+func firstSeq(t *testing.T, stream string) int64 {
+	t.Helper()
+	var first struct {
+		Seq int64 `json:"seq"`
+	}
+	line, _, _ := strings.Cut(stream, "\n")
+	if err := json.Unmarshal([]byte(line), &first); err != nil {
+		t.Fatalf("unparseable event line %q: %v", line, err)
+	}
+	return first.Seq
+}
+
+// checkRecoveredStream holds a recovered daemon's complete retained
+// stream against the uninterrupted run's: it starts at wantBase — the
+// event_base of the snapshot recovery used, 0 without one — and is
+// byte-identical from that event on.
+func checkRecoveredStream(t *testing.T, label, want, got string, wantBase int64) {
+	t.Helper()
+	if base := firstSeq(t, got); base != wantBase {
+		t.Fatalf("%s: recovered stream starts at seq %d, want %d", label, base, wantBase)
+	}
+	if tail := eventsFrom(want, wantBase); got != tail {
+		d := firstDiff(tail, got)
+		t.Fatalf("%s: recovered event stream (from seq %d) diverges from uninterrupted run at byte %d\nwant: %s\ngot:  %s",
+			label, wantBase, d, excerpt(tail, d), excerpt(got, d))
+	}
+}
+
+// newestEventBase returns the event_base of the newest of snaps that a
+// crash state includes, 0 when it includes none: where the stream
+// recovered from that state has to start.
+func newestEventBase(t *testing.T, snaps map[uint64]diskSnapshot, included func(seq uint64, payload []byte) bool) int64 {
+	t.Helper()
+	var newest uint64
+	var base int64
+	for seq, snap := range snaps {
+		if seq >= newest && included(seq, snap.payload) {
+			newest = seq
+			base, _ = snapshotBounds(t, snap.payload)
+		}
+	}
+	return base
+}
+
+// smallWindow is an EventBuffer smaller than one snapshot interval's
+// events in the recovery tests' runs: the ring evicts between
+// snapshots, so snapshots carry an event_base above zero and the
+// journal files have gaps between them.
+const smallWindow = 8
+
+// walBaseline drives the scripted protocol against a fresh daemon and
+// returns what the parity assertions compare: the complete event
+// stream, the per-tenant counters and the completion count.
+func walBaseline(t *testing.T, cfg server.Config, drive func(*client.Client)) (events, tenants string, completed int64) {
+	t.Helper()
+	srv, err := server.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	c := client.New(ts.URL)
+	drive(c)
+	events = fetchEvents(t, ts.URL)
+	rep, err := c.Metrics(context.Background(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts.Close()
+	if _, err := srv.Stop(false); err != nil {
+		t.Fatal(err)
+	}
+	return events, tenantFacts(rep), rep.Completed
+}
+
 // TestCrashPointParity is the recovery contract, end to end: record a
 // full daemon run's WAL, then for EVERY prefix k simulate a kill -9
 // right after record k became durable, recover a fresh daemon from that
@@ -263,79 +397,84 @@ func tenantFacts(rep *api.MetricsReport) string {
 // complete event stream — every placement, failure draw, churn effect
 // and reputation update, with times — to be byte-identical to the
 // uninterrupted run's. Runs for a stateless heuristic and for the
-// stateful STGA (whose history table and GA rng ride in the snapshot).
+// stateful STGA (whose history table and GA rng ride in the snapshot),
+// and once more from the disk states of a run whose event ring was
+// smaller than a snapshot interval: there the recovered window starts
+// wherever the snapshot's did, and the stream must be identical from
+// that event on.
 func TestCrashPointParity(t *testing.T) {
 	for _, algo := range []string{"minmin", "stga"} {
-		t.Run(algo, func(t *testing.T) {
-			jobs := walJobList(20)
+		t.Run(algo, func(t *testing.T) { crashPointParity(t, algo, 0) })
+	}
+	t.Run("minmin-small-window", func(t *testing.T) { crashPointParity(t, "minmin", smallWindow) })
+}
 
-			// Uninterrupted baseline.
-			baseDir := t.TempDir()
-			srv, err := server.New(walTestConfig(baseDir, algo))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ts := httptest.NewServer(srv.Handler())
-			c := client.New(ts.URL)
-			driveWAL(t, c, jobs)
-			wantEvents := fetchEvents(t, ts.URL)
-			rep, err := c.Metrics(context.Background(), "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantTenants := tenantFacts(rep)
-			wantCompleted := rep.Completed
-			ts.Close()
-			if _, err := srv.Stop(false); err != nil {
-				t.Fatal(err)
-			}
+func crashPointParity(t *testing.T, algo string, eventBuffer int) {
+	jobs := walJobList(20)
+	drive := func(c *client.Client) { driveWAL(t, c, jobs) }
 
-			lines, snaps := harvestWAL(t, baseDir)
-			if len(lines) != 5+len(jobs) { // 3 churn + 2 tenants + arrivals
-				t.Fatalf("recorded %d WAL records, want %d", len(lines), 5+len(jobs))
-			}
-			if wantCompleted != int64(len(jobs)) {
-				t.Fatalf("baseline completed %d of %d jobs", wantCompleted, len(jobs))
-			}
-			if len(snaps) < 3 {
-				t.Fatalf("baseline wrote %d snapshots, want >= 3 (cadence too lazy for the sweep)", len(snaps))
-			}
+	// Uninterrupted baseline. The run whose disk states are harvested
+	// keeps only eventBuffer events, so the stream to compare against
+	// comes from a second run that keeps them all.
+	baseDir := t.TempDir()
+	cfg := walTestConfig(baseDir, algo)
+	cfg.EventBuffer = eventBuffer
+	wantEvents, wantTenants, wantCompleted := walBaseline(t, cfg, drive)
+	if eventBuffer != 0 {
+		wantEvents, _, _ = walBaseline(t, walTestConfig(t.TempDir(), algo), drive)
+	}
 
-			// Torn garbage is appended at a few cut points: a crash that
-			// tears the record in flight must recover exactly like a crash
-			// right after the last durable record.
-			torn := map[int][]byte{
-				2:  []byte("deadbeef {\"seq\":3,\"kind\":\"arr"),
-				9:  []byte("\x00\xff garbage"),
-				17: []byte("0"),
-			}
-			for k := 0; k <= len(lines); k++ {
-				dir := crashDir(t, lines, snaps, k, torn[k])
-				srv, err := server.New(walTestConfig(dir, algo))
-				if err != nil {
-					t.Fatalf("k=%d: recovery failed: %v", k, err)
-				}
-				ts := httptest.NewServer(srv.Handler())
-				driveWAL(t, client.New(ts.URL), jobs)
-				got := fetchEvents(t, ts.URL)
-				rep, err := client.New(ts.URL).Metrics(context.Background(), "")
-				if err != nil {
-					t.Fatalf("k=%d: %v", k, err)
-				}
-				ts.Close()
-				if _, err := srv.Stop(false); err != nil {
-					t.Fatalf("k=%d: stop: %v", k, err)
-				}
-				if got != wantEvents {
-					d := firstDiff(wantEvents, got)
-					t.Fatalf("k=%d: recovered event stream diverges from uninterrupted run at byte %d\nwant: %s\ngot:  %s",
-						k, d, excerpt(wantEvents, d), excerpt(got, d))
-				}
-				if tf := tenantFacts(rep); tf != wantTenants {
-					t.Fatalf("k=%d: tenant counters diverge:\nwant:\n%sgot:\n%s", k, wantTenants, tf)
-				}
-			}
-		})
+	lines, snaps := harvestWAL(t, baseDir)
+	if len(lines) != 5+len(jobs) { // 3 churn + 2 tenants + arrivals
+		t.Fatalf("recorded %d WAL records, want %d", len(lines), 5+len(jobs))
+	}
+	if wantCompleted != int64(len(jobs)) {
+		t.Fatalf("baseline completed %d of %d jobs", wantCompleted, len(jobs))
+	}
+	if len(snaps) < 3 {
+		t.Fatalf("baseline wrote %d snapshots, want >= 3 (cadence too lazy for the sweep)", len(snaps))
+	}
+
+	// Torn garbage is appended at a few cut points: a crash that
+	// tears the record in flight must recover exactly like a crash
+	// right after the last durable record.
+	torn := map[int][]byte{
+		2:  []byte("deadbeef {\"seq\":3,\"kind\":\"arr"),
+		9:  []byte("\x00\xff garbage"),
+		17: []byte("0"),
+	}
+	shortened := 0
+	for k := 0; k <= len(lines); k++ {
+		// The recovered daemon retains every event, whatever the crashed
+		// one did, so the whole stream from the recovered window on is
+		// there to compare.
+		dir := crashDir(t, lines, snaps, k, torn[k])
+		srv, err := server.New(walTestConfig(dir, algo))
+		if err != nil {
+			t.Fatalf("k=%d: recovery failed: %v", k, err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		driveWAL(t, client.New(ts.URL), jobs)
+		got := fetchEvents(t, ts.URL)
+		rep, err := client.New(ts.URL).Metrics(context.Background(), "")
+		if err != nil {
+			t.Fatalf("k=%d: %v", k, err)
+		}
+		ts.Close()
+		if _, err := srv.Stop(false); err != nil {
+			t.Fatalf("k=%d: stop: %v", k, err)
+		}
+		wantBase := newestEventBase(t, snaps, func(seq uint64, _ []byte) bool { return seq <= uint64(k) })
+		checkRecoveredStream(t, fmt.Sprintf("k=%d", k), wantEvents, got, wantBase)
+		if wantBase > 0 {
+			shortened++
+		}
+		if tf := tenantFacts(rep); tf != wantTenants {
+			t.Fatalf("k=%d: tenant counters diverge:\nwant:\n%sgot:\n%s", k, wantTenants, tf)
+		}
+	}
+	if eventBuffer != 0 && shortened == 0 {
+		t.Error("no crash point recovered a window that starts above seq 0; the ring never evicted")
 	}
 }
 

@@ -206,6 +206,13 @@ type Server struct {
 	nextG         uint64
 	recsSinceSnap int
 	walBroken     error
+	// journaled is the first event sequence number the event journal does
+	// not hold yet; writeSnapshot flushes [journaled, next) as one file.
+	// snapMarks lists the snapshots GC still retains, oldest first, as far
+	// as this process knows them — the journal is pruned against the
+	// oldest one's event_base.
+	journaled int64
+	snapMarks []snapMark
 
 	cmds     chan func()
 	quit     chan struct{}
@@ -214,15 +221,15 @@ type Server struct {
 	stopMu   sync.Mutex
 	stopOnce sync.Once
 
-	nextID  atomic.Int64
-	idMu    sync.Mutex
-	usedIDs map[int]struct{} // manual mode: explicit-ID dedupe (bounded by trace size)
+	nextID atomic.Int64
+	idMu   sync.Mutex
 	// owners maps every accepted job ID to its tenant — the registry
 	// depends_on validation resolves against (a dependency must name an
 	// accepted job of the same tenant, which also keeps a DAG inside one
-	// shard under tenant routing). Guarded by idMu; persisted in
-	// snapshots and rebuilt from WAL arrivals, like usedIDs it grows with
-	// the accepted-job count (a retention window is future work).
+	// shard under tenant routing), and manual mode's explicit-ID dedupe.
+	// Guarded by idMu; persisted in snapshots and rebuilt from WAL
+	// arrivals, it grows with the accepted-job count (a retention window
+	// is future work).
 	owners map[int]string
 	// pending holds the IDs a handler has claimed whose arrival record is
 	// not in the WAL yet (nil without WALDir). Claims happen on handler
@@ -292,9 +299,6 @@ func New(cfg Config) (*Server, error) {
 		loopDone: make(chan struct{}),
 		owners:   make(map[int]string),
 		started:  time.Now(),
-	}
-	if cfg.Manual {
-		s.usedIDs = make(map[int]struct{})
 	}
 	if cfg.WALDir != "" {
 		s.pending = make(map[int]struct{})
@@ -485,7 +489,7 @@ func (s *Server) claimIDs(specs []JobSpec, tenant string) ([]int, error) {
 			continue
 		}
 		id := *spec.ID
-		if _, dup := s.usedIDs[id]; dup {
+		if _, dup := s.owners[id]; dup {
 			return nil, fmt.Errorf("job %d: duplicate job id %d", i, id)
 		}
 		if k, dup := inReq[id]; dup {
@@ -499,7 +503,6 @@ func (s *Server) claimIDs(specs []JobSpec, tenant string) ([]int, error) {
 			continue
 		}
 		id := *spec.ID
-		s.usedIDs[id] = struct{}{}
 		if int64(id) > s.nextID.Load() {
 			s.nextID.Store(int64(id))
 		}
@@ -511,8 +514,7 @@ func (s *Server) claimIDs(specs []JobSpec, tenant string) ([]int, error) {
 		}
 		for {
 			id := int(s.nextID.Add(1))
-			if _, dup := s.usedIDs[id]; !dup {
-				s.usedIDs[id] = struct{}{}
+			if _, dup := s.owners[id]; !dup {
 				ids[i] = id
 				break
 			}

@@ -102,7 +102,7 @@ type shardedHarvest struct {
 	dirs  []string            // relative dir names: coord, shard-0000, ...
 	lines map[string][][]byte // dir -> framed record lines, local seq order
 	gseq  map[string][]uint64 // dir -> G of each line
-	snaps map[string]map[uint64][]byte
+	snaps map[string]map[uint64]diskSnapshot
 	maxG  uint64
 }
 
@@ -111,7 +111,7 @@ func harvestShardedWAL(t *testing.T, root string) *shardedHarvest {
 	h := &shardedHarvest{
 		lines: make(map[string][][]byte),
 		gseq:  make(map[string][]uint64),
-		snaps: make(map[string]map[uint64][]byte),
+		snaps: make(map[string]map[uint64]diskSnapshot),
 	}
 	h.dirs = append(h.dirs, "coord")
 	for i := 0; i < crashShards; i++ {
@@ -157,7 +157,8 @@ func harvestShardedWAL(t *testing.T, root string) *shardedHarvest {
 // crashShardedDir materializes the disk state of a kill -9 right after
 // global record k became durable: every log keeps its records with
 // G <= k; coordinator snapshots written by then (their NextG horizon is
-// <= k) come along with their paired per-shard GC markers. extra maps a
+// <= k) come along with their journal files and their paired per-shard
+// GC markers. extra maps a
 // dir to one additional record index to include — the skewed
 // group-commit case, where a later log's fsync won but an earlier
 // record of the same commit was lost. torn appends garbage to one log.
@@ -170,19 +171,19 @@ func crashShardedDir(t *testing.T, h *shardedHarvest, k uint64, extra map[string
 	for _, d := range h.dirs[1:] {
 		markers[d] = make(map[uint64]bool)
 	}
-	coordSnaps := make(map[uint64][]byte)
-	for seq, payload := range h.snaps["coord"] {
+	coordSnaps := make(map[uint64]diskSnapshot)
+	for seq, onDisk := range h.snaps["coord"] {
 		var snap struct {
 			NextG     uint64   `json:"next_g"`
 			ShardSeqs []uint64 `json:"shard_seqs"`
 		}
-		if err := json.Unmarshal(payload, &snap); err != nil {
+		if err := json.Unmarshal(onDisk.payload, &snap); err != nil {
 			t.Fatal(err)
 		}
 		if snap.NextG > k {
 			continue
 		}
-		coordSnaps[seq] = payload
+		coordSnaps[seq] = onDisk
 		for i, s := range snap.ShardSeqs {
 			markers[h.dirs[1+i]][s] = true
 		}
@@ -205,18 +206,14 @@ func crashShardedDir(t *testing.T, h *shardedHarvest, k uint64, extra map[string
 			t.Fatal(err)
 		}
 		if d == "coord" {
-			for seq, payload := range coordSnaps {
-				if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("snap-%016d.json", seq)), payload, 0o644); err != nil {
-					t.Fatal(err)
-				}
+			for seq, snap := range coordSnaps {
+				snap.writeTo(t, dir, seq)
 			}
 			continue
 		}
-		for seq, payload := range h.snaps[d] {
+		for seq, marker := range h.snaps[d] {
 			if markers[d][seq] && seq <= uint64(n) {
-				if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("snap-%016d.json", seq)), payload, 0o644); err != nil {
-					t.Fatal(err)
-				}
+				marker.writeTo(t, dir, seq)
 			}
 		}
 	}
@@ -230,117 +227,126 @@ func crashShardedDir(t *testing.T, h *shardedHarvest, k uint64, extra map[string
 // log's fsync survived a commit its sibling lost — recover, re-drive
 // the identical protocol, and require the merged /v2/events stream and
 // the per-tenant counters to be byte-identical to the uninterrupted
-// sharded run's.
+// sharded run's. Like TestCrashPointParity it runs once more from the
+// disk states of a run with a small event ring, where the stream must
+// be identical from the recovered window's first event on.
 func TestShardedCrashPointParity(t *testing.T) {
-	tenants := shardedTenantNames(t, crashShards)
 	for _, algo := range []string{"minmin", "stga"} {
-		t.Run(algo, func(t *testing.T) {
-			jobs := walJobList(20)
-			for i := range jobs {
-				jobs[i].tenant = tenants[i%len(tenants)]
-			}
+		t.Run(algo, func(t *testing.T) { shardedCrashPointParity(t, algo, 0) })
+	}
+	t.Run("minmin-small-window", func(t *testing.T) { shardedCrashPointParity(t, "minmin", smallWindow) })
+}
 
-			// Uninterrupted baseline.
-			baseDir := t.TempDir()
-			srv, err := server.New(walShardedConfig(baseDir, algo))
-			if err != nil {
+func shardedCrashPointParity(t *testing.T, algo string, eventBuffer int) {
+	tenants := shardedTenantNames(t, crashShards)
+	jobs := walJobList(20)
+	for i := range jobs {
+		jobs[i].tenant = tenants[i%len(tenants)]
+	}
+	drive := func(c *client.Client) { driveShardedWAL(t, c, jobs, tenants) }
+
+	// Uninterrupted baseline (and, for a small ring, a second run that
+	// retains the whole stream to compare against).
+	baseDir := t.TempDir()
+	cfg := walShardedConfig(baseDir, algo)
+	cfg.EventBuffer = eventBuffer
+	wantEvents, wantTenants, wantCompleted := walBaseline(t, cfg, drive)
+	if eventBuffer != 0 {
+		wantEvents, _, _ = walBaseline(t, walShardedConfig(t.TempDir(), algo), drive)
+	}
+	if wantCompleted != int64(len(jobs)) {
+		t.Fatalf("baseline completed %d of %d jobs", wantCompleted, len(jobs))
+	}
+
+	h := harvestShardedWAL(t, baseDir)
+	// 20 arrivals + 4 tenants + 4 churn + 8 advances + 1 drain.
+	if want := uint64(20 + 4 + 4 + 8 + 1); h.maxG != want {
+		t.Fatalf("recorded %d global records, want %d", h.maxG, want)
+	}
+	if len(h.snaps["coord"]) < 2 {
+		t.Fatalf("baseline wrote %d coordinator snapshots, want >= 2", len(h.snaps["coord"]))
+	}
+
+	// Torn garbage on selected cut points, rotating across logs.
+	torn := map[uint64]map[string][]byte{
+		3:  {"coord": []byte("deadbeef {\"seq\":9,\"kind\":\"barr")},
+		11: {h.dirs[2]: []byte("\x00\xff garbage")},
+		23: {h.dirs[4]: []byte("0")},
+	}
+	shortened := 0
+	recoverAndCompare := func(k uint64, dir, label string) {
+		t.Helper()
+		srv, err := server.New(walShardedConfig(dir, algo))
+		if err != nil {
+			t.Fatalf("%s: recovery failed: %v", label, err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		driveShardedWAL(t, client.New(ts.URL), jobs, tenants)
+		got := fetchEvents(t, ts.URL)
+		rep, err := client.New(ts.URL).Metrics(context.Background(), "")
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		ts.Close()
+		if _, err := srv.Stop(false); err != nil {
+			t.Fatalf("%s: stop: %v", label, err)
+		}
+		// crashShardedDir includes the coordinator snapshots taken at or
+		// before global record k.
+		wantBase := newestEventBase(t, h.snaps["coord"], func(_ uint64, payload []byte) bool {
+			var snap struct {
+				NextG uint64 `json:"next_g"`
+			}
+			if err := json.Unmarshal(payload, &snap); err != nil {
 				t.Fatal(err)
 			}
-			ts := httptest.NewServer(srv.Handler())
-			c := client.New(ts.URL)
-			driveShardedWAL(t, c, jobs, tenants)
-			wantEvents := fetchEvents(t, ts.URL)
-			rep, err := c.Metrics(context.Background(), "")
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantTenants := tenantFacts(rep)
-			wantCompleted := rep.Completed
-			ts.Close()
-			if _, err := srv.Stop(false); err != nil {
-				t.Fatal(err)
-			}
-			if wantCompleted != int64(len(jobs)) {
-				t.Fatalf("baseline completed %d of %d jobs", wantCompleted, len(jobs))
-			}
-
-			h := harvestShardedWAL(t, baseDir)
-			// 20 arrivals + 4 tenants + 4 churn + 8 advances + 1 drain.
-			if want := uint64(20 + 4 + 4 + 8 + 1); h.maxG != want {
-				t.Fatalf("recorded %d global records, want %d", h.maxG, want)
-			}
-			if len(h.snaps["coord"]) < 2 {
-				t.Fatalf("baseline wrote %d coordinator snapshots, want >= 2", len(h.snaps["coord"]))
-			}
-
-			// Torn garbage on selected cut points, rotating across logs.
-			torn := map[uint64]map[string][]byte{
-				3:  {"coord": []byte("deadbeef {\"seq\":9,\"kind\":\"barr")},
-				11: {h.dirs[2]: []byte("\x00\xff garbage")},
-				23: {h.dirs[4]: []byte("0")},
-			}
-			recoverAndCompare := func(k uint64, dir, label string) {
-				t.Helper()
-				srv, err := server.New(walShardedConfig(dir, algo))
-				if err != nil {
-					t.Fatalf("%s: recovery failed: %v", label, err)
-				}
-				ts := httptest.NewServer(srv.Handler())
-				driveShardedWAL(t, client.New(ts.URL), jobs, tenants)
-				got := fetchEvents(t, ts.URL)
-				rep, err := client.New(ts.URL).Metrics(context.Background(), "")
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				ts.Close()
-				if _, err := srv.Stop(false); err != nil {
-					t.Fatalf("%s: stop: %v", label, err)
-				}
-				if got != wantEvents {
-					d := firstDiff(wantEvents, got)
-					t.Fatalf("%s: recovered merged event stream diverges at byte %d\nwant: %s\ngot:  %s",
-						label, d, excerpt(wantEvents, d), excerpt(got, d))
-				}
-				if tf := tenantFacts(rep); tf != wantTenants {
-					t.Fatalf("%s: tenant counters diverge:\nwant:\n%sgot:\n%s", label, wantTenants, tf)
-				}
-			}
-			for k := uint64(0); k <= h.maxG; k++ {
-				recoverAndCompare(k, crashShardedDir(t, h, k, nil, torn[k]), fmt.Sprintf("k=%d", k))
-			}
-
-			// Skewed group commits: at a few crash points, the record after
-			// the lost one lives in a DIFFERENT log and its fsync survived.
-			// Recovery must cut back to the contiguous prefix — identical
-			// outcome to the plain crash at k.
-			skews := 0
-			for _, k := range []uint64{2, 9, 15, 22, 30} {
-				if k+2 > h.maxG {
-					continue
-				}
-				dirOf := func(g uint64) (string, int) {
-					for _, d := range h.dirs {
-						for i, gg := range h.gseq[d] {
-							if gg == g {
-								return d, i + 1
-							}
-						}
-					}
-					t.Fatalf("G=%d not found", g)
-					return "", 0
-				}
-				lostDir, _ := dirOf(k + 1)
-				wonDir, wonIdx := dirOf(k + 2)
-				if lostDir == wonDir {
-					continue // same log: a later record physically can't outlive an earlier one
-				}
-				recoverAndCompare(k, crashShardedDir(t, h, k, map[string]int{wonDir: wonIdx}, nil),
-					fmt.Sprintf("skew k=%d (+G%d in %s)", k, k+2, wonDir))
-				skews++
-			}
-			if skews == 0 {
-				t.Error("no skewed group-commit case materialized; pick different cut points")
-			}
+			return snap.NextG <= k
 		})
+		checkRecoveredStream(t, label, wantEvents, got, wantBase)
+		if wantBase > 0 {
+			shortened++
+		}
+		if tf := tenantFacts(rep); tf != wantTenants {
+			t.Fatalf("%s: tenant counters diverge:\nwant:\n%sgot:\n%s", label, wantTenants, tf)
+		}
+	}
+	for k := uint64(0); k <= h.maxG; k++ {
+		recoverAndCompare(k, crashShardedDir(t, h, k, nil, torn[k]), fmt.Sprintf("k=%d", k))
+	}
+	if eventBuffer != 0 && shortened == 0 {
+		t.Error("no crash point recovered a window that starts above seq 0; the ring never evicted")
+	}
+
+	// Skewed group commits: at a few crash points, the record after
+	// the lost one lives in a DIFFERENT log and its fsync survived.
+	// Recovery must cut back to the contiguous prefix — identical
+	// outcome to the plain crash at k.
+	skews := 0
+	for _, k := range []uint64{2, 9, 15, 22, 30} {
+		if k+2 > h.maxG {
+			continue
+		}
+		dirOf := func(g uint64) (string, int) {
+			for _, d := range h.dirs {
+				for i, gg := range h.gseq[d] {
+					if gg == g {
+						return d, i + 1
+					}
+				}
+			}
+			t.Fatalf("G=%d not found", g)
+			return "", 0
+		}
+		lostDir, _ := dirOf(k + 1)
+		wonDir, wonIdx := dirOf(k + 2)
+		if lostDir == wonDir {
+			continue // same log: a later record physically can't outlive an earlier one
+		}
+		recoverAndCompare(k, crashShardedDir(t, h, k, map[string]int{wonDir: wonIdx}, nil),
+			fmt.Sprintf("skew k=%d (+G%d in %s)", k, k+2, wonDir))
+		skews++
+	}
+	if skews == 0 {
+		t.Error("no skewed group-commit case materialized; pick different cut points")
 	}
 }

@@ -119,7 +119,6 @@ type registryJSON struct {
 	ShardSeqs []uint64         `json:"shard_seqs"`
 	NextG     uint64           `json:"next_g"`
 	NextID    int64            `json:"next_id"`
-	UsedIDs   []int            `json:"used_ids"`
 	Owners    map[string][]int `json:"owners"`
 }
 
@@ -159,25 +158,25 @@ func harvestRegistry(t *testing.T, dir string, sharded bool) []registrySnapshot 
 			}
 		}
 	}
-	var payloads map[uint64][]byte
+	var onDisk map[uint64]diskSnapshot
 	var crashAt func(snap registryJSON) string
 	if sharded {
 		h := harvestShardedWAL(t, dir)
 		for i, d := range h.dirs[1:] {
 			collect(h.lines[d], i)
 		}
-		payloads = h.snaps["coord"]
+		onDisk = h.snaps["coord"]
 		crashAt = func(snap registryJSON) string { return crashShardedDir(t, h, snap.NextG, nil, nil) }
 	} else {
 		lines, snaps := harvestWAL(t, dir)
 		collect(lines, 0)
-		payloads = snaps
+		onDisk = snaps
 		crashAt = func(snap registryJSON) string { return crashDir(t, lines, snaps, int(snap.Seq), nil) }
 	}
 	var out []registrySnapshot
-	for _, payload := range payloads {
+	for _, file := range onDisk {
 		var snap registrySnapshot
-		if err := json.Unmarshal(payload, &snap.registryJSON); err != nil {
+		if err := json.Unmarshal(file.payload, &snap.registryJSON); err != nil {
 			t.Fatal(err)
 		}
 		marks := []uint64{snap.Seq}
@@ -201,8 +200,8 @@ func harvestRegistry(t *testing.T, dir string, sharded bool) []registrySnapshot 
 }
 
 // TestSnapshotRegistryCoveredByLog is the on-disk form of the invariant:
-// every snapshot's used_ids, owners and next_id are exactly those of the
-// arrival records at or below its watermark(s).
+// every snapshot's owners and next_id are exactly those of the arrival
+// records at or below its watermark(s).
 func TestSnapshotRegistryCoveredByLog(t *testing.T) {
 	for name, mk := range registryLayouts(t) {
 		t.Run(name, func(t *testing.T) {
@@ -211,18 +210,16 @@ func TestSnapshotRegistryCoveredByLog(t *testing.T) {
 			for _, snap := range harvestRegistry(t, dir, name == "sharded") {
 				want := registryJSON{Owners: map[string][]int{}}
 				for _, j := range snap.covered {
-					want.UsedIDs = append(want.UsedIDs, j.id)
 					want.Owners[j.tenant] = append(want.Owners[j.tenant], j.id)
 					if int64(j.id) > want.NextID {
 						want.NextID = int64(j.id)
 					}
 				}
-				sort.Ints(want.UsedIDs)
 				for _, ids := range want.Owners {
 					sort.Ints(ids)
 				}
 				render := func(r registryJSON) string {
-					b, _ := json.Marshal(map[string]any{"next_id": r.NextID, "used_ids": r.UsedIDs, "owners": r.Owners})
+					b, _ := json.Marshal(map[string]any{"next_id": r.NextID, "owners": r.Owners})
 					return string(b)
 				}
 				if snap.Owners == nil {

@@ -13,5 +13,8 @@
 // last WAL sequence they cover) are written to a temp file, fsynced and
 // renamed, so a crash mid-snapshot leaves the previous one intact.
 // Recovery is: newest readable snapshot + replay of the WAL records
-// after it.
+// after it. Event-journal files ("events-%016d.ndjson", named by the
+// first event sequence number they hold) are stored beside the
+// snapshots the same way; the log keeps and prunes them and knows
+// nothing of their lines (§10.2).
 package wal

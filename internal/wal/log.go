@@ -20,9 +20,11 @@ type segmentRef struct {
 	path     string
 }
 
-// segments lists the directory's WAL segments sorted by first sequence
-// number (which the zero-padded name makes lexical order).
-func segments(dir string) ([]segmentRef, error) {
+// numbered lists the files of one family — prefix, a decimal number,
+// suffix — in dir, sorted by number (which the zero-padded names make
+// lexical order). Segments, snapshots and journal files are such
+// families.
+func numbered(dir, prefix, suffix string) ([]segmentRef, error) {
 	names, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -30,18 +32,21 @@ func segments(dir string) ([]segmentRef, error) {
 	var out []segmentRef
 	for _, e := range names {
 		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".log") {
+		if e.IsDir() || !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
 			continue
 		}
-		seq, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".log"), 10, 64)
+		n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix), 10, 64)
 		if err != nil {
 			continue // not ours
 		}
-		out = append(out, segmentRef{firstSeq: seq, path: filepath.Join(dir, name)})
+		out = append(out, segmentRef{firstSeq: n, path: filepath.Join(dir, name)})
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].firstSeq < out[k].firstSeq })
 	return out, nil
 }
+
+// segments lists the directory's WAL segments by first sequence number.
+func segments(dir string) ([]segmentRef, error) { return numbered(dir, "wal-", ".log") }
 
 // Log is an append-only, CRC-framed record log over rotating segment
 // files, with group fsync: Append buffers, Commit makes everything
@@ -52,6 +57,7 @@ type Log struct {
 	f        *os.File
 	w        *bufio.Writer
 	buf      []byte // frame scratch
+	firstSeq uint64 // first record still on disk (GC removes leading segments)
 	lastSeq  uint64
 	segFirst uint64 // first seq of the active segment
 	dirty    bool   // appended since last Commit
@@ -82,6 +88,7 @@ func Open(dir string) (*Log, error) {
 		// starts wherever the oldest survivor does.
 		expect = segs[0].firstSeq
 	}
+	l.firstSeq = expect
 	active := "" // surviving segment to append to
 	for i, s := range segs {
 		if s.firstSeq != expect {
@@ -153,6 +160,12 @@ func (l *Log) syncDir() error {
 // LastSeq returns the sequence number of the last appended (or
 // recovered) record; 0 means the log is empty.
 func (l *Log) LastSeq() uint64 { return l.lastSeq }
+
+// FirstSeq returns the sequence number the surviving log starts at: 1
+// until GC has removed a leading segment, LastSeq+1 when GC has removed
+// every record. Replay can only serve records from FirstSeq on, so a
+// recovery that needs earlier ones must find them in a snapshot.
+func (l *Log) FirstSeq() uint64 { return l.firstSeq }
 
 // Append assigns the next sequence number, frames the record and
 // buffers it. The record is NOT durable until Commit returns.

@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 )
 
 func snapshotName(seq uint64) string { return fmt.Sprintf("snap-%016d.json", seq) }
@@ -29,13 +26,19 @@ func (l *Log) WriteSnapshot(seq uint64, payload []byte) error {
 	if seq > l.lastSeq {
 		return fmt.Errorf("wal: snapshot at seq %d beyond last appended %d", seq, l.lastSeq)
 	}
-	final := filepath.Join(l.dir, snapshotName(seq))
+	return l.writeAtomic(snapshotName(seq), payload)
+}
+
+// writeAtomic makes name hold exactly data, durably: temp file, fsync,
+// rename, directory fsync.
+func (l *Log) writeAtomic(name string, data []byte) error {
+	final := filepath.Join(l.dir, name)
 	tmp := final + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(payload); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -63,23 +66,14 @@ func (l *Log) Snapshots() ([]SnapshotRef, error) {
 }
 
 func listSnapshots(dir string) ([]SnapshotRef, error) {
-	entries, err := os.ReadDir(dir)
+	files, err := numbered(dir, "snap-", ".json")
 	if err != nil {
 		return nil, err
 	}
-	var out []SnapshotRef
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, "snap-") || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		seq, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".json"), 10, 64)
-		if err != nil {
-			continue
-		}
-		out = append(out, SnapshotRef{Seq: seq, Path: filepath.Join(dir, name)})
+	out := make([]SnapshotRef, len(files))
+	for i, f := range files {
+		out[len(files)-1-i] = SnapshotRef{Seq: f.firstSeq, Path: f.path}
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i].Seq > out[k].Seq })
 	return out, nil
 }
 
@@ -89,9 +83,12 @@ func ReadSnapshot(ref SnapshotRef) ([]byte, error) { return os.ReadFile(ref.Path
 // GC keeps the newest keep snapshots (at least one) and removes older
 // ones, then removes every non-active segment whose records are all
 // covered by the oldest kept snapshot — those records can never be
-// replayed again. Keeping two snapshots means recovery survives the
-// newest one being unreadable.
-func (l *Log) GC(keep int) error {
+// replayed again — and every journal file whose events all lie below
+// eventHorizon, the caller's statement of the oldest event a kept
+// snapshot still counts on (the log cannot read it out of the payloads).
+// Keeping two snapshots means recovery survives the newest one being
+// unreadable.
+func (l *Log) GC(keep int, eventHorizon int64) error {
 	if keep < 1 {
 		keep = 1
 	}
@@ -123,6 +120,20 @@ func (l *Log) GC(keep int) error {
 			break
 		}
 		if err := os.Remove(s.path); err != nil {
+			return err
+		}
+		l.firstSeq = segs[i+1].firstSeq
+	}
+	journals, err := l.Journals()
+	if err != nil {
+		return err
+	}
+	for i, j := range journals {
+		// A file's events end before the next file's first.
+		if i+1 >= len(journals) || journals[i+1].First > eventHorizon {
+			break
+		}
+		if err := os.Remove(j.Path); err != nil {
 			return err
 		}
 	}

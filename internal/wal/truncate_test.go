@@ -115,7 +115,7 @@ func TestTruncateTailBelowStart(t *testing.T) {
 	if err := l.Rotate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.GC(1); err != nil {
+	if err := l.GC(1, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Cutting to 9 is fine; cutting to 3 would need segment one back.

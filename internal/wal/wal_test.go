@@ -257,7 +257,7 @@ func TestSnapshotWriteListGC(t *testing.T) {
 	if len(snaps) != 3 || snaps[0].Seq != 30 || snaps[2].Seq != 10 {
 		t.Fatalf("snapshot list wrong: %+v", snaps)
 	}
-	if err := l.GC(2); err != nil {
+	if err := l.GC(2, 0); err != nil {
 		t.Fatal(err)
 	}
 	snaps, _ = l.Snapshots()
