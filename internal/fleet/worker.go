@@ -59,8 +59,7 @@ type Worker struct {
 	shard int
 	fp    string
 	eng   *sched.Online
-	log   *wal.Log
-	churn []grid.ChurnEvent // shard-local churn trace (WAL prefix)
+	log   *wal.Set // the shard's one flat log; nil when not durable
 	ring  eventRing
 	seq   uint64
 
@@ -301,7 +300,7 @@ func (w *Worker) attach(wc *wconn, f *frame) (*frame, bool) {
 		return reject("fleet: spec fingerprint: %v", err)
 	}
 	if w.spec == nil {
-		if err := w.configureLocked(f.Spec, f.Shard, offered); err != nil {
+		if err := w.configureLocked(f.Spec, f.Shard, offered, true); err != nil {
 			return reject("%v", err)
 		}
 	} else {
@@ -330,71 +329,74 @@ func (w *Worker) attach(wc *wconn, f *frame) (*frame, bool) {
 	}, true
 }
 
-// configureLocked applies the first attach's spec: build the engine,
-// and — when durable — persist the spec and seed the WAL with the
-// shard's churn prefix, exactly like the server's first durable boot.
-func (w *Worker) configureLocked(spec *Spec, shard int, fp string) error {
+// configureLocked builds the shard spec describes — on the first attach
+// (persist set: the coordinator shipped the spec) or on a restart (the
+// spec came from spec.json). A durable worker recovers its engine from
+// the log either way, through the calls the daemon's recovery makes
+// (wal.Set.Recover, wal.Apply): the first attach is the recovery of an
+// empty log, which records the shard's churn prefix; a restart replays
+// every logged input at its recorded clock, which regenerates the
+// engine's event stream from sequence 1, so the ring and the seq
+// counter come back exactly as a coordinator that stayed attached
+// would have seen them. The spec is made durable before the log gets
+// its first record, so a log with records and no spec.json is not a
+// first attach: its inputs ran under a spec nobody can vouch for, and
+// configuring a fresh engine over it would replay them into a different
+// run on the next restart.
+func (w *Worker) configureLocked(spec *Spec, shard int, fp string, persist bool) (err error) {
 	durable := w.cfg.WALDir != ""
 	cfg, err := spec.ShardConfig(shard, durable)
 	if err != nil {
 		return err
 	}
 	cfg.OnEvent = w.stampEvent
-	var churn []grid.ChurnEvent
-	if d := cfg.Dynamics; d != nil {
-		churn = d.Churn
-	}
-	var log *wal.Log
-	if durable {
-		log, err = wal.Open(w.cfg.WALDir)
-		if err != nil {
-			return err
-		}
-		payload, err := json.Marshal(specFile{Fingerprint: fp, Shard: shard, Spec: spec})
-		if err != nil {
-			log.Close()
-			return err
-		}
-		tmp := w.specPath() + ".tmp"
-		if err := os.WriteFile(tmp, payload, 0o644); err != nil {
-			log.Close()
-			return err
-		}
-		if err := os.Rename(tmp, w.specPath()); err != nil {
-			log.Close()
-			return err
-		}
-	}
 	eng, err := sched.NewOnline(cfg)
 	if err != nil {
-		if log != nil {
-			log.Close()
-		}
 		return err
 	}
-	if log != nil {
-		for i := range churn {
-			if _, err := log.Append(wal.Record{Kind: wal.KindChurn, Churn: &churn[i]}); err != nil {
+	var log *wal.Set
+	if durable {
+		if log, err = wal.OpenSet(w.cfg.WALDir, 1); err != nil {
+			return err
+		}
+		defer func() {
+			if err != nil {
 				log.Close()
+			}
+		}()
+		if persist {
+			if n := log.Control().LastSeq(); n > 0 {
+				return fmt.Errorf("fleet: wal directory %s holds %d log records and no spec.json to replay them under "+
+					"(refusing to configure a fresh engine over another run's log)", w.cfg.WALDir, n)
+			}
+			payload, err := json.Marshal(specFile{Fingerprint: fp, Shard: shard, Spec: spec})
+			if err != nil {
+				return err
+			}
+			if err := wal.WriteFileAtomic(w.specPath(), payload); err != nil {
 				return err
 			}
 		}
-		if err := log.Commit(); err != nil {
-			log.Close()
+		var churn []grid.ChurnEvent
+		if d := cfg.Dynamics; d != nil {
+			churn = d.Churn
+		}
+		tail, err := log.Recover(wal.Marks{}, [][]grid.ChurnEvent{churn})
+		if err != nil {
 			return err
+		}
+		for _, rec := range tail {
+			if err := wal.Apply(eng, rec); err != nil {
+				return err
+			}
 		}
 	}
 	w.spec, w.shard, w.fp = spec, shard, fp
-	w.eng, w.log, w.churn = eng, log, churn
+	w.eng, w.log = eng, log
 	return nil
 }
 
-// recoverLocked rebuilds the shard from its persisted spec and WAL:
-// the same replay discipline as the server's single-shard recovery —
-// verify the churn prefix, then re-apply every record at its recorded
-// clock. Deterministic replay regenerates the engine's event stream
-// from sequence 1, so the ring and the seq counter come back exactly
-// as a coordinator that stayed attached would have seen them.
+// recoverLocked rebuilds the shard from its persisted spec and its log.
 func (w *Worker) recoverLocked() error {
 	payload, err := os.ReadFile(w.specPath())
 	if err != nil {
@@ -411,84 +413,7 @@ func (w *Worker) recoverLocked() error {
 	if fp != sf.Fingerprint {
 		return fmt.Errorf("fleet: spec file fingerprint %.12s does not match its spec (%.12s)", sf.Fingerprint, fp)
 	}
-	cfg, err := sf.Spec.ShardConfig(sf.Shard, true)
-	if err != nil {
-		return err
-	}
-	cfg.OnEvent = w.stampEvent
-	var churn []grid.ChurnEvent
-	if d := cfg.Dynamics; d != nil {
-		churn = d.Churn
-	}
-	eng, err := sched.NewOnline(cfg)
-	if err != nil {
-		return err
-	}
-	log, err := wal.Open(w.cfg.WALDir)
-	if err != nil {
-		return err
-	}
-	w.spec, w.shard, w.fp = sf.Spec, sf.Shard, fp
-	w.eng, w.log, w.churn = eng, log, churn
-	err = log.Replay(0, func(rec wal.Record) error {
-		if rec.Kind == wal.KindChurn {
-			idx := int(rec.Seq) - 1
-			if idx >= len(churn) || *rec.Churn != churn[idx] {
-				return fmt.Errorf("churn record %d does not match the spec's churn trace", rec.Seq)
-			}
-			return nil
-		}
-		if rec.Seq <= uint64(len(churn)) {
-			return fmt.Errorf("record %d is %q where the churn prefix was expected", rec.Seq, rec.Kind)
-		}
-		return w.replayRecord(rec)
-	})
-	if err != nil {
-		log.Close()
-		w.eng, w.log = nil, nil
-		return err
-	}
-	// First boot interrupted mid-prefix: finish recording the trace.
-	if n := log.LastSeq(); n < uint64(len(churn)) {
-		for i := int(n); i < len(churn); i++ {
-			if _, err := log.Append(wal.Record{Kind: wal.KindChurn, Churn: &churn[i]}); err != nil {
-				return err
-			}
-		}
-		if err := log.Commit(); err != nil {
-			return err
-		}
-	}
-	w.refreshStatusLocked()
-	return nil
-}
-
-// replayRecord re-applies one logged input, mirroring the server's
-// replay: advance to the recorded clock first so the input lands in
-// the event queue at its original position.
-func (w *Worker) replayRecord(rec wal.Record) error {
-	if rec.At > w.eng.Now() {
-		if err := w.eng.AdvanceTo(rec.At); err != nil {
-			return fmt.Errorf("advancing to record %d clock %v: %w", rec.Seq, rec.At, err)
-		}
-	}
-	switch rec.Kind {
-	case wal.KindTenant:
-		w.eng.SetTenantWeight(rec.Tenant.ID, rec.Tenant.Weight)
-	case wal.KindBarrier:
-		if rec.Barrier.Drain {
-			if _, err := w.eng.Drain(); err != nil {
-				return fmt.Errorf("barrier record %d (drain): %w", rec.Seq, err)
-			}
-		} else if err := w.eng.AdvanceTo(rec.Barrier.To); err != nil {
-			return fmt.Errorf("barrier record %d (advance to %v): %w", rec.Seq, rec.Barrier.To, err)
-		}
-	case wal.KindArrival:
-		if err := w.eng.SubmitLocal(rec.Arrival.Job()); err != nil {
-			return fmt.Errorf("arrival record %d: %w", rec.Seq, err)
-		}
-	}
-	return nil
+	return w.configureLocked(sf.Spec, sf.Shard, fp, false)
 }
 
 // stampEvent is the engine's event sink: stamp the next sequence
@@ -529,8 +454,7 @@ func (w *Worker) logInput(rec wal.Record) error {
 		return nil
 	}
 	rec.At = w.eng.Now()
-	_, err := w.log.Append(rec)
-	return err
+	return w.log.Append(0, rec)
 }
 
 func (w *Worker) commit() error {

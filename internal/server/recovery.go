@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
@@ -15,19 +13,6 @@ import (
 	"trustgrid/internal/sched"
 	"trustgrid/internal/wal"
 )
-
-// walLog keeps the Server struct readable next to the field named wal.
-type walLog = wal.Log
-
-// On-disk layout. An unsharded daemon keeps one flat log directly in
-// WALDir — the format every daemon before sharding wrote, kept
-// byte-compatible. A sharded daemon nests one directory per log under
-// the same root: coord/ holds tenant registrations, clock barriers and
-// the server snapshots; shard-NNNN/ holds shard N's churn prefix and
-// arrivals. Records across the set are stitched into one total order
-// by Record.G.
-func coordDir(root string) string        { return filepath.Join(root, "coord") }
-func shardDir(root string, i int) string { return filepath.Join(root, fmt.Sprintf("shard-%04d", i)) }
 
 // serverSnapshot is the daemon's complete durable state at one WAL
 // sequence number: a configuration fingerprint (recovery refuses a WAL
@@ -145,24 +130,68 @@ func normalizeRNGVersion(raw int) int {
 	return raw
 }
 
-// recover opens the WAL set and rebuilds the daemon's state before the
-// loop goroutine starts. Runs once, from New.
-func (s *Server) recover(cc sched.CoordinatorConfig) error {
-	if len(cc.Shards) == 1 {
-		return s.recoverSingle(cc)
+// recover opens the durable input set and rebuilds the daemon's state
+// before the loop goroutine starts — the same steps for every shard
+// count: the newest usable snapshot seeds the engines, the registry,
+// the counters and the event window; the set verifies, cuts and orders
+// what the logs hold past it (wal.Set.Recover); and those records are
+// re-applied one by one. On a fresh directory that records the churn
+// trace and starts clean. Runs once, from New.
+func (s *Server) recover(cc sched.CoordinatorConfig) (err error) {
+	if s.wal, err = wal.OpenSet(s.cfg.WALDir, len(cc.Shards)); err != nil {
+		return err
 	}
-	return s.recoverSharded(cc)
+	defer func() {
+		if err != nil {
+			s.closeWAL()
+		}
+	}()
+	snap, err := s.newestSnapshot()
+	if err != nil {
+		return err
+	}
+	var marks wal.Marks
+	if snap != nil {
+		marks = snap.marks()
+	}
+	churn := make([][]grid.ChurnEvent, len(cc.Shards))
+	for i, sc := range cc.Shards {
+		if sc.Dynamics != nil {
+			churn[i] = sc.Dynamics.Churn
+		}
+	}
+	tail, err := s.wal.Recover(marks, churn)
+	if err != nil {
+		return err
+	}
+	if err := s.restoreFromSnapshot(cc, snap); err != nil {
+		return err
+	}
+	// Recorded order means a tenant registered at runtime is back in the
+	// registry before its first replayed arrival needs it.
+	for _, rec := range tail {
+		if err := s.replayRecord(rec); err != nil {
+			return err
+		}
+	}
+	s.resumeAdmission()
+	return nil
 }
 
-// newestSnapshot returns the newest snapshot beside l that recovery can
-// start from, or nil. One that cannot be read or parsed, or that
-// usable refuses — a payload of the wrong shape, or one claiming
-// records the logs lost, is itself damage — falls through to the next;
-// WALKeep > 1 exists for exactly that. A snapshot of another layout
-// version or another configuration is an operator error, not
-// corruption, and ends recovery.
-func (s *Server) newestSnapshot(l *walLog, usable func(*serverSnapshot) bool) (*serverSnapshot, error) {
-	refs, err := l.Snapshots()
+// marks returns the log positions the snapshot covers.
+func (snap *serverSnapshot) marks() wal.Marks {
+	return wal.Marks{Seq: snap.Seq, ShardSeqs: snap.ShardSeqs, NextG: snap.NextG}
+}
+
+// newestSnapshot returns the newest snapshot in the control directory
+// that recovery can start from, or nil. One that cannot be read or
+// parsed, whose payload has the wrong shape, or that claims records the
+// logs lost is itself damage and falls through to the next; WALKeep > 1
+// exists for exactly that. A snapshot of another layout version or
+// another configuration is an operator error, not corruption, and ends
+// recovery.
+func (s *Server) newestSnapshot() (*serverSnapshot, error) {
+	refs, err := s.wal.Control().Snapshots()
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +214,9 @@ func (s *Server) newestSnapshot(l *walLog, usable func(*serverSnapshot) bool) (*
 				"(refusing to restore it: drain and stop the daemon with the binary that wrote it, or start on a fresh -wal-dir)",
 				ref.Path, cand.Version, age, snapshotVersion)
 		}
-		if !usable(&cand) {
+		// One engine per shard and one watermark per shard log (none in
+		// the flat layout, where Shards stays 0).
+		if len(cand.engines()) != max(cand.Shards, 1) || len(cand.ShardSeqs) != cand.Shards || !s.wal.Holds(cand.marks()) {
 			continue
 		}
 		if err := s.checkFingerprint(&cand); err != nil {
@@ -196,18 +227,13 @@ func (s *Server) newestSnapshot(l *walLog, usable func(*serverSnapshot) bool) (*
 	return nil, nil
 }
 
-// checkLogHead refuses a log that no longer starts where replay has to:
-// GC removes the records a snapshot covers, so when that snapshot is
-// gone or unreadable, replaying what is left would silently start the
-// daemon from a partial history. covered is the last record the chosen
-// snapshot holds, 0 without one.
-func checkLogHead(dir string, l *walLog, covered uint64) error {
-	if first := l.FirstSeq(); first > covered+1 {
-		return fmt.Errorf("wal directory %s: the log starts at record %d, and no usable snapshot covers records %d to %d "+
-			"(a snapshot was lost or damaged after the records it covered were garbage-collected; refusing to start from a partial history)",
-			dir, first, covered+1, first-1)
+// engines returns the engine snapshots in shard order, whichever of the
+// two fields the layout stored them in.
+func (snap *serverSnapshot) engines() []*sched.EngineSnapshot {
+	if snap.Engine != nil {
+		return []*sched.EngineSnapshot{snap.Engine}
 	}
-	return nil
+	return snap.Engines
 }
 
 // restoreFromSnapshot builds the engines and installs the server-side
@@ -220,11 +246,7 @@ func (s *Server) restoreFromSnapshot(cc sched.CoordinatorConfig, snap *serverSna
 		}
 		return s.restoreEvents(0, 0)
 	}
-	engines := snap.Engines
-	if snap.Engine != nil {
-		engines = []*sched.EngineSnapshot{snap.Engine}
-	}
-	if s.online, err = sched.RestoreCoordinator(cc, engines); err != nil {
+	if s.online, err = sched.RestoreCoordinator(cc, snap.engines()); err != nil {
 		return err
 	}
 	s.tenants.restore(snap.Tenants)
@@ -274,7 +296,8 @@ func (s *Server) markSnapshot(seq uint64, base int64) {
 // torn line or a sequence gap shortens the window — what a reader whose
 // cursor was evicted sees — and never puts a wrong event in it.
 func (s *Server) restoreEvents(base, next int64) error {
-	refs, err := s.wal.Journals()
+	ctl := s.wal.Control()
+	refs, err := ctl.Journals()
 	if err != nil {
 		return err
 	}
@@ -282,7 +305,7 @@ func (s *Server) restoreEvents(base, next int64) error {
 	runEnd := base
 	for i, ref := range refs {
 		if ref.First >= next {
-			if err := s.wal.RemoveJournals(refs[i:]); err != nil {
+			if err := ctl.RemoveJournals(refs[i:]); err != nil {
 				return err
 			}
 			break
@@ -338,135 +361,22 @@ func (s *Server) resumeAdmission() {
 	s.loggedID = s.nextID.Load() // no handler has run yet: every claim is a logged one
 }
 
-// recoverSingle rebuilds an unsharded daemon from the flat log: the
-// newest readable, fingerprint-compatible snapshot seeds the engine,
-// the registry, the counters and the event log; the WAL tail past it is
-// replayed in sequence order (tenants re-registered, arrivals
-// re-ingested at their recorded times); and the recorded churn prefix
-// is verified against the configured churn trace, which the engine
-// re-derives from config. On a fresh directory it simply records the
-// churn trace and starts clean.
-func (s *Server) recoverSingle(cc sched.CoordinatorConfig) error {
-	// A directory written by a sharded daemon nests its logs; starting an
-	// unsharded daemon over it would silently begin a fresh history.
-	if dirs, _ := filepath.Glob(filepath.Join(s.cfg.WALDir, "shard-*")); len(dirs) > 0 {
-		return fmt.Errorf("wal directory was written under shards=%d, config has 1 (refusing to restore state across a config change)", len(dirs))
-	}
-	if _, err := os.Stat(coordDir(s.cfg.WALDir)); err == nil {
-		return fmt.Errorf("wal directory was written by a sharded daemon, config has shards=1 (refusing to restore state across a config change)")
-	}
-	l, err := wal.Open(s.cfg.WALDir)
-	if err != nil {
-		return err
-	}
-	s.wal = l
-
-	var churn []grid.ChurnEvent
-	if s.cfg.Dynamics != nil {
-		churn = s.cfg.Dynamics.Churn
-	}
-
-	snap, err := s.newestSnapshot(l, func(c *serverSnapshot) bool {
-		return c.Engine != nil && c.Seq <= l.LastSeq()
-	})
-	if err != nil {
-		return err
-	}
-	var snapSeq uint64
-	if snap != nil {
-		snapSeq = snap.Seq
-	}
-	if err := checkLogHead(s.cfg.WALDir, l, snapSeq); err != nil {
-		return err
-	}
-	if err := s.restoreFromSnapshot(cc, snap); err != nil {
-		return err
-	}
-	s.recsSinceSnap = int(l.LastSeq() - snapSeq)
-
-	// One ordered pass over the surviving records: churn records (always
-	// the log's first entries, written at first boot) are verified
-	// against the configured trace, and everything past the snapshot is
-	// replayed. Sequence order means a tenant registered at runtime is
-	// back in the registry before its first replayed arrival needs it.
-	err = l.Replay(0, func(rec wal.Record) error {
-		if rec.Kind == wal.KindChurn {
-			idx := int(rec.Seq) - 1
-			if idx >= len(churn) || *rec.Churn != churn[idx] {
-				return fmt.Errorf("churn record %d does not match the configured churn trace", rec.Seq)
-			}
-			return nil
-		}
-		if rec.Seq <= uint64(len(churn)) {
-			return fmt.Errorf("record %d is %q where the configured churn trace expects churn (config has more churn events than were recorded)",
-				rec.Seq, rec.Kind)
-		}
-		if rec.Seq <= snapSeq {
-			return nil
-		}
-		return s.replayRecord(rec)
-	})
-	if err != nil {
-		return err
-	}
-
-	// First boot (or a crash that interrupted this very step): record
-	// the configured churn trace so the log is a self-contained input
-	// set. Nothing else can be in the log here — any later record would
-	// have tripped the position check above.
-	if n := l.LastSeq(); n < uint64(len(churn)) {
-		for _, ev := range churn[n:] {
-			ev := ev
-			if _, err := l.Append(wal.Record{Kind: wal.KindChurn, Churn: &ev}); err != nil {
-				return err
-			}
-			s.recsSinceSnap++
-		}
-		if err := l.Commit(); err != nil {
-			return err
-		}
-	}
-
-	s.resumeAdmission()
-	return nil
-}
-
-// replayRecord re-applies one post-snapshot record. The engine is first
-// advanced to the clock the record was written under: that re-executes
-// whatever engine events preceded the original append (batch rounds
-// included), so a re-submitted job lands in the event queue in its
-// original position — same arrival clamp, same tie order against a
-// batch round at the same timestamp. Barrier records (sharded manual
-// mode) re-execute the original fan-out advance or drain, reproducing
-// the exact Δ-round window boundaries — and with them the merged event
-// stream's total order.
+// replayRecord re-applies one post-snapshot record to the engines
+// (wal.Apply) and to the server-side state an accepted submission or a
+// registration touched.
 func (s *Server) replayRecord(rec wal.Record) error {
-	if rec.At > s.online.Now() {
-		if err := s.online.AdvanceTo(rec.At); err != nil {
-			return fmt.Errorf("advancing to record %d clock %v: %w", rec.Seq, rec.At, err)
-		}
-	}
-	switch rec.Kind {
-	case wal.KindTenant:
+	if rec.Kind == wal.KindTenant {
 		// A duplicate means the operator promoted a runtime-created
 		// tenant into the boot config (or the snapshot already carried
 		// it); the existing registration wins.
 		_ = s.tenants.register(*rec.Tenant)
 		spec, _ := s.tenants.get(rec.Tenant.ID)
-		s.online.SetTenantWeight(spec.ID, spec.Weight)
-	case wal.KindBarrier:
-		if rec.Barrier.Drain {
-			if _, err := s.online.Drain(); err != nil {
-				return fmt.Errorf("barrier record %d (drain): %w", rec.Seq, err)
-			}
-		} else if err := s.online.AdvanceTo(rec.Barrier.To); err != nil {
-			return fmt.Errorf("barrier record %d (advance to %v): %w", rec.Seq, rec.Barrier.To, err)
-		}
-	case wal.KindArrival:
-		tr := rec.Arrival
-		if err := s.online.SubmitLocal(tr.Job()); err != nil {
-			return fmt.Errorf("arrival record %d: %w", rec.Seq, err)
-		}
+		rec.Tenant = &spec
+	}
+	if err := wal.Apply(s.online, rec); err != nil {
+		return err
+	}
+	if tr := rec.Arrival; rec.Kind == wal.KindArrival {
 		s.submitted.Add(1)
 		s.tenants.addSubmitted(tr.Tenant, 1)
 		// Rebuild the dependency-validation registry. Daemon recordings
@@ -482,236 +392,6 @@ func (s *Server) replayRecord(rec wal.Record) error {
 		}
 	}
 	return nil
-}
-
-// taggedRecord is one surviving record of the sharded log set, tagged
-// with the log it came from (-1 = coordinator).
-type taggedRecord struct {
-	rec   wal.Record
-	shard int
-}
-
-// recoverSharded rebuilds a sharded daemon from the nested log set.
-// Beyond what the flat path does, it must re-establish one total order
-// across N+1 logs: every record carries a global sequence number G, and
-// a crash between the per-log fsyncs of one group commit can persist a
-// later record while losing an earlier one in a sibling log. Recovery
-// therefore cuts the whole set back to the longest contiguous G-prefix
-// past the snapshot watermark — physically, with TruncateTail, so the
-// next boot sees a clean history — and replays the survivors in G
-// order, re-executing barrier records as real fan-out advances.
-func (s *Server) recoverSharded(cc sched.CoordinatorConfig) error {
-	n := len(cc.Shards)
-	root := s.cfg.WALDir
-
-	// Layout guards: a flat single-engine log means shards=1 wrote this
-	// directory; a different shard-directory count means another N did.
-	if flat, _ := filepath.Glob(filepath.Join(root, "wal-*.log")); len(flat) > 0 {
-		return fmt.Errorf("wal directory holds a single-engine log, config has shards=%d (refusing to restore state across a config change)", n)
-	}
-	if flatSnaps, _ := filepath.Glob(filepath.Join(root, "snap-*.json")); len(flatSnaps) > 0 {
-		return fmt.Errorf("wal directory holds a single-engine snapshot, config has shards=%d (refusing to restore state across a config change)", n)
-	}
-	if dirs, _ := filepath.Glob(filepath.Join(root, "shard-*")); len(dirs) > 0 && len(dirs) != n {
-		return fmt.Errorf("wal directory was written under shards=%d, config has %d (refusing to restore state across a config change)", len(dirs), n)
-	}
-
-	coord, err := wal.Open(coordDir(root))
-	if err != nil {
-		return err
-	}
-	s.wal = coord
-	s.shardWALs = make([]*walLog, n)
-	for i := range s.shardWALs {
-		if s.shardWALs[i], err = wal.Open(shardDir(root, i)); err != nil {
-			return err
-		}
-	}
-
-	churnParts := make([][]grid.ChurnEvent, n)
-	for i, sc := range cc.Shards {
-		if sc.Dynamics != nil {
-			churnParts[i] = sc.Dynamics.Churn
-		}
-	}
-
-	// Collect every record that survived the per-log torn-tail cut, and
-	// verify each log's structure as it streams past: churn lives at the
-	// head of its shard's log and must match the configured (partitioned)
-	// trace; the coordinator log never holds churn; every record carries
-	// a G.
-	var all []taggedRecord
-	collect := func(l *walLog, shard int) error {
-		name := "coord"
-		if shard >= 0 {
-			name = fmt.Sprintf("shard-%04d", shard)
-		}
-		return l.Replay(0, func(rec wal.Record) error {
-			if rec.G == 0 {
-				return fmt.Errorf("%s record %d has no global sequence number (refusing to restore state across a config change)", name, rec.Seq)
-			}
-			if rec.Kind == wal.KindChurn {
-				if shard < 0 {
-					return fmt.Errorf("coord record %d is churn (churn belongs to shard logs)", rec.Seq)
-				}
-				churn := churnParts[shard]
-				idx := int(rec.Seq) - 1
-				if idx >= len(churn) || *rec.Churn != churn[idx] {
-					return fmt.Errorf("%s churn record %d does not match the configured churn trace", name, rec.Seq)
-				}
-			} else if shard >= 0 && rec.Seq <= uint64(len(churnParts[shard])) {
-				return fmt.Errorf("%s record %d is %q where the configured churn trace expects churn (config has more churn events than were recorded)",
-					name, rec.Seq, rec.Kind)
-			}
-			all = append(all, taggedRecord{rec, shard})
-			return nil
-		})
-	}
-	if err := collect(coord, -1); err != nil {
-		return err
-	}
-	for i, l := range s.shardWALs {
-		if err := collect(l, i); err != nil {
-			return err
-		}
-	}
-
-	// Newest usable snapshot (coordinator log only; shard directories
-	// hold GC markers, not state). Coverage means every log still holds
-	// everything up to its watermark.
-	snap, err := s.newestSnapshot(coord, func(c *serverSnapshot) bool {
-		if len(c.Engines) != c.Shards || len(c.ShardSeqs) != c.Shards || c.Seq > coord.LastSeq() {
-			return false
-		}
-		for i, seq := range c.ShardSeqs {
-			// A shard count other than n is the fingerprint's to refuse.
-			if i < n && seq > s.shardWALs[i].LastSeq() {
-				return false
-			}
-		}
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	var snapSeq, base uint64
-	shardSeqs := make([]uint64, n)
-	if snap != nil {
-		snapSeq, base = snap.Seq, snap.NextG
-		copy(shardSeqs, snap.ShardSeqs)
-	}
-	if err := checkLogHead(coordDir(root), coord, snapSeq); err != nil {
-		return err
-	}
-	for i, l := range s.shardWALs {
-		if err := checkLogHead(shardDir(root, i), l, shardSeqs[i]); err != nil {
-			return err
-		}
-	}
-
-	// Longest contiguous G-prefix past the snapshot watermark (records
-	// at or below it may be partially garbage-collected, which is fine —
-	// the snapshot already holds their effects). Everything beyond the
-	// first gap was never acknowledged and must go.
-	present := make(map[uint64]bool, len(all))
-	for _, r := range all {
-		if present[r.rec.G] {
-			return fmt.Errorf("global sequence %d appears in two wal records", r.rec.G)
-		}
-		present[r.rec.G] = true
-	}
-	gstar := base
-	for present[gstar+1] {
-		gstar++
-	}
-	keep := make(map[int]uint64, n+1)
-	keep[-1] = snapSeq
-	for i, sq := range shardSeqs {
-		keep[i] = sq
-	}
-	live := all[:0]
-	for _, r := range all {
-		if r.rec.G <= gstar {
-			if r.rec.Seq > keep[r.shard] {
-				keep[r.shard] = r.rec.Seq
-			}
-			live = append(live, r)
-		}
-	}
-	if err := coord.TruncateTail(keep[-1]); err != nil {
-		return err
-	}
-	for i, l := range s.shardWALs {
-		if err := l.TruncateTail(keep[i]); err != nil {
-			return err
-		}
-	}
-	s.nextG = gstar
-
-	if err := s.restoreFromSnapshot(cc, snap); err != nil {
-		return err
-	}
-	s.recsSinceSnap = int(coord.LastSeq() - snapSeq)
-	for i, l := range s.shardWALs {
-		s.recsSinceSnap += int(l.LastSeq() - shardSeqs[i])
-	}
-
-	// Replay the survivors in global order — the exact order the loop
-	// goroutine originally applied them in. Churn is skipped (the engines
-	// re-derive it from config; the records were verified above), as is
-	// everything a log's snapshot watermark covers.
-	sort.Slice(live, func(i, k int) bool { return live[i].rec.G < live[k].rec.G })
-	for _, r := range live {
-		if r.rec.Kind == wal.KindChurn {
-			continue
-		}
-		if r.shard < 0 {
-			if r.rec.Seq <= snapSeq {
-				continue
-			}
-		} else if r.rec.Seq <= shardSeqs[r.shard] {
-			continue
-		}
-		if err := s.replayRecord(r.rec); err != nil {
-			return err
-		}
-	}
-
-	// First boot (or a crash that interrupted this very step): record
-	// each shard's churn partition, shard by shard, so the log set is a
-	// self-contained input set. The loop order makes the G assignment
-	// reproducible across a crash mid-append: the surviving prefix ends
-	// exactly where the re-appends resume.
-	for i, l := range s.shardWALs {
-		part := churnParts[i]
-		if have := l.LastSeq(); have < uint64(len(part)) {
-			for _, ev := range part[have:] {
-				ev := ev
-				s.nextG++
-				if _, err := l.Append(wal.Record{Kind: wal.KindChurn, G: s.nextG, Churn: &ev}); err != nil {
-					return err
-				}
-				s.recsSinceSnap++
-			}
-			if err := l.Commit(); err != nil {
-				return err
-			}
-		}
-	}
-
-	s.resumeAdmission()
-	return nil
-}
-
-// allWALs returns every open log — the flat log, or the coordinator log
-// followed by the shard logs — for commit/rotate/close fan-out.
-func (s *Server) allWALs() []*walLog {
-	if s.wal == nil {
-		return nil
-	}
-	out := make([]*walLog, 0, len(s.shardWALs)+1)
-	out = append(out, s.wal)
-	return append(out, s.shardWALs...)
 }
 
 // writeSnapshot persists the server state at the current WAL position —
@@ -736,9 +416,12 @@ func (s *Server) writeSnapshot() error {
 	if err != nil {
 		return err
 	}
+	marks := s.wal.Marks()
 	snap := serverSnapshot{
 		Version:       snapshotVersion,
-		Seq:           s.wal.LastSeq(),
+		Seq:           marks.Seq,
+		ShardSeqs:     marks.ShardSeqs,
+		NextG:         marks.NextG,
 		Algo:          s.cfg.Algo,
 		Mode:          s.cfg.Mode,
 		Seed:          s.cfg.Seed,
@@ -758,16 +441,12 @@ func (s *Server) writeSnapshot() error {
 			Interrupted: s.interrupted.Load(),
 		},
 	}
-	if s.shardWALs == nil {
+	// The payload's two shapes: one engine says so with `engine` and no
+	// shard count, as every unsharded daemon has written it.
+	if len(engines) == 1 {
 		snap.Engine = engines[0]
 	} else {
-		snap.Shards = len(s.shardWALs)
-		snap.Engines = engines
-		snap.ShardSeqs = make([]uint64, len(s.shardWALs))
-		for i, l := range s.shardWALs {
-			snap.ShardSeqs[i] = l.LastSeq()
-		}
-		snap.NextG = s.nextG
+		snap.Shards, snap.Engines = len(engines), engines
 	}
 	// The journal takes the events the disk does not hold yet. Events
 	// evicted before any snapshot saw them leave a gap between two files;
@@ -778,7 +457,7 @@ func (s *Server) writeSnapshot() error {
 		for i := range fresh {
 			lines = appendEventLine(lines, &fresh[i])
 		}
-		if err := s.wal.WriteJournal(fresh[0].Seq, lines); err != nil {
+		if err := s.wal.Control().WriteJournal(fresh[0].Seq, lines); err != nil {
 			return err
 		}
 		s.journaled = next
@@ -803,24 +482,8 @@ func (s *Server) writeSnapshot() error {
 	if err != nil {
 		return err
 	}
-	if err := s.wal.WriteSnapshot(snap.Seq, payload); err != nil {
+	if err := s.wal.WriteSnapshot(payload); err != nil {
 		return err
-	}
-	// Shard directories get tiny watermark markers — not state, just the
-	// horizon their segment GC prunes against. Recovery ignores them.
-	for i, l := range s.shardWALs {
-		marker, err := json.Marshal(map[string]any{"shard": i, "seq": l.LastSeq()})
-		if err != nil {
-			return err
-		}
-		if err := l.WriteSnapshot(l.LastSeq(), marker); err != nil {
-			return err
-		}
-	}
-	for _, l := range s.allWALs() {
-		if err := l.Rotate(); err != nil {
-			return err
-		}
 	}
 	if keep := s.cfg.WALKeep; keep > 0 {
 		// The journal is pruned against the oldest snapshot GC keeps. Until
@@ -834,13 +497,7 @@ func (s *Server) writeSnapshot() error {
 		if err := s.wal.GC(keep, horizon); err != nil {
 			return err
 		}
-		for _, l := range s.shardWALs {
-			if err := l.GC(keep, 0); err != nil {
-				return err
-			}
-		}
 	}
-	s.recsSinceSnap = 0
 	return nil
 }
 
@@ -859,7 +516,7 @@ func (s *Server) walHousekeeping() error {
 	if err := s.walCommit(); err != nil {
 		return err
 	}
-	if s.recsSinceSnap >= s.cfg.SnapshotEvery {
+	if s.wal.Uncovered() >= s.cfg.SnapshotEvery {
 		if err := s.writeSnapshot(); err != nil {
 			return err
 		}
@@ -867,32 +524,31 @@ func (s *Server) walHousekeeping() error {
 	return nil
 }
 
-// walArrival appends one accepted arrival stamped with the clock it was
-// ingested under (at) — to the flat log, or to the owning tenant's
-// shard log with the next global sequence number. Loop goroutine only;
-// durability waits for walCommit.
+// walAppend buffers one record on the control log (wal.Control) or a
+// shard's log; durability waits for walCommit. An append that fails
+// breaks the log for good. Loop goroutine (or post-loop Stop) only.
+func (s *Server) walAppend(shard int, rec wal.Record) error {
+	if err := s.wal.Append(shard, rec); err != nil {
+		s.walBroken = err
+		return err
+	}
+	return nil
+}
+
+// walArrival logs one accepted arrival, stamped with the clock it was
+// ingested under (at), to the shard that owns its tenant.
 func (s *Server) walArrival(j *grid.Job, at float64) error {
 	if s.wal == nil {
 		return nil
 	}
-	rec := wal.Record{Kind: wal.KindArrival, At: at, Arrival: &api.TraceRecord{
+	err := s.walAppend(s.online.Owner(j.Tenant), wal.Record{Kind: wal.KindArrival, At: at, Arrival: &api.TraceRecord{
 		ID: j.ID, Arrival: j.Arrival, Workload: j.Workload, Nodes: j.Nodes,
 		SD: j.SecurityDemand, Tenant: j.Tenant, SafeOnly: j.SafeOnly,
 		DependsOn: j.DependsOn, Deadline: j.Deadline, Budget: j.Budget,
-	}}
-	l := s.wal
-	if s.shardWALs != nil {
-		l = s.shardWALs[s.online.Owner(j.Tenant)]
-		rec.G = s.nextG + 1
-	}
-	if _, err := l.Append(rec); err != nil {
-		s.walBroken = err
+	}})
+	if err != nil {
 		return err
 	}
-	if s.shardWALs != nil {
-		s.nextG++
-	}
-	s.recsSinceSnap++
 	// Logged: the claim on this ID now belongs to the snapshotted registry.
 	s.idMu.Lock()
 	delete(s.pending, j.ID)
@@ -903,63 +559,38 @@ func (s *Server) walArrival(j *grid.Job, at float64) error {
 	return nil
 }
 
-// walTenant appends one runtime tenant registration to the flat or
-// coordinator log. Loop goroutine only.
+// walTenant logs one runtime tenant registration.
 func (s *Server) walTenant(spec api.TenantSpec) error {
 	if s.wal == nil {
 		return nil
 	}
-	rec := wal.Record{Kind: wal.KindTenant, At: s.online.Now(), Tenant: &spec}
-	if s.shardWALs != nil {
-		rec.G = s.nextG + 1
-	}
-	if _, err := s.wal.Append(rec); err != nil {
-		s.walBroken = err
-		return err
-	}
-	if s.shardWALs != nil {
-		s.nextG++
-	}
-	s.recsSinceSnap++
-	return nil
+	return s.walAppend(wal.Control, wal.Record{Kind: wal.KindTenant, At: s.online.Now(), Tenant: &spec})
 }
 
-// walBarrier appends one manual-mode clock barrier (an advance target,
-// or a drain) to the coordinator log — before the barrier executes, so
-// a crash that lost the barrier also lost every event it would have
-// produced. Single-shard and live-mode daemons keep their logs free of
-// barriers: their event order is recoverable without them. Loop
-// goroutine (or post-loop Stop) only.
+// walBarrier logs one manual-mode clock barrier (an advance target, or
+// a drain) — before the barrier executes, so a crash that lost the
+// barrier also lost every event it would have produced. One engine
+// needs none: its event order is recoverable from the records' clocks
+// alone, and its log stays free of barriers.
 func (s *Server) walBarrier(to float64, drain bool) error {
-	if s.wal == nil || s.shardWALs == nil {
+	if s.wal == nil || s.online.Shards() == 1 {
 		return nil
 	}
-	rec := wal.Record{
-		Kind: wal.KindBarrier, At: s.online.Now(), G: s.nextG + 1,
-		Barrier: &wal.BarrierRecord{To: to, Drain: drain},
-	}
-	if _, err := s.wal.Append(rec); err != nil {
-		s.walBroken = err
-		return err
-	}
-	s.nextG++
-	s.recsSinceSnap++
-	return nil
+	return s.walAppend(wal.Control, wal.Record{
+		Kind: wal.KindBarrier, At: s.online.Now(), Barrier: &wal.BarrierRecord{To: to, Drain: drain},
+	})
 }
 
 // walCommit makes everything appended so far durable across the whole
 // log set — the commit-before-acknowledge point of the submit, tenant
-// and barrier paths. Clean logs skip their fsync, so the fan-out costs
-// one fsync per log actually written this round. Loop goroutine only.
+// and barrier paths. Loop goroutine only.
 func (s *Server) walCommit() error {
 	if s.wal == nil {
 		return nil
 	}
-	for _, l := range s.allWALs() {
-		if err := l.Commit(); err != nil {
-			s.walBroken = err
-			return err
-		}
+	if err := s.wal.Commit(); err != nil {
+		s.walBroken = err
+		return err
 	}
 	return nil
 }

@@ -14,6 +14,7 @@ import (
 	"trustgrid/internal/grid"
 	"trustgrid/internal/rng"
 	"trustgrid/internal/sched"
+	"trustgrid/internal/wal"
 )
 
 // Config describes one trustgridd instance.
@@ -195,17 +196,13 @@ type Server struct {
 
 	// Durable-state machinery (nil/zero without Config.WALDir). All
 	// fields are owned by the loop goroutine while the loop runs; Stop
-	// takes ownership after it exits, exactly like the engine. An
-	// unsharded daemon keeps one flat log in WALDir (wal); a sharded one
-	// keeps the coordinator log (wal, under WALDir/coord — tenants,
-	// barriers, snapshots) plus one arrival/churn log per shard
-	// (shardWALs, under WALDir/shard-NNNN), stitched into one total
-	// order by the global sequence counter nextG.
-	wal           *walLog
-	shardWALs     []*walLog
-	nextG         uint64
-	recsSinceSnap int
-	walBroken     error
+	// takes ownership after it exits, exactly like the engine. wal is the
+	// durable input set under WALDir — one flat log for one engine, a
+	// coordinator log plus one log per shard otherwise; which of the two
+	// is the set's business, nothing here asks. walBroken is the append
+	// or commit error that ended logging.
+	wal       *wal.Set
+	walBroken error
 	// journaled is the first event sequence number the event journal does
 	// not hold yet; writeSnapshot flushes [journaled, next) as one file.
 	// snapMarks lists the snapshots GC still retains, oldest first, as far
@@ -653,12 +650,10 @@ func (s *Server) finalSnapshot() {
 }
 
 func (s *Server) closeWAL() error {
-	var err error
-	for _, l := range s.allWALs() {
-		if cerr := l.Close(); err == nil {
-			err = cerr
-		}
+	if s.wal == nil {
+		return nil
 	}
-	s.wal, s.shardWALs = nil, nil
+	err := s.wal.Close()
+	s.wal = nil
 	return err
 }

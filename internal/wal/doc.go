@@ -13,7 +13,10 @@
 // last WAL sequence they cover) are written to a temp file, fsynced and
 // renamed, so a crash mid-snapshot leaves the previous one intact.
 // Recovery is: newest readable snapshot + replay of the WAL records
-// after it. Event-journal files ("events-%016d.ndjson", named by the
+// after it — over a Set, the one control log and per-shard logs of a
+// daemon or a fleet worker in either on-disk layout: Set.Recover decides
+// what a crash left of the set's total order, Apply re-applies one
+// record to an engine (§10.4). Event-journal files ("events-%016d.ndjson", named by the
 // first event sequence number they hold) are stored beside the
 // snapshots the same way; the log keeps and prunes them and knows
 // nothing of their lines (§10.2).

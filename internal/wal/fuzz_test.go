@@ -23,12 +23,35 @@ func buildLog(t testing.TB, n int) []byte {
 	return buf.Bytes()
 }
 
+// buildNestedLog renders a coordinator-log segment of the nested layout:
+// every record carries its global sequence number, and barriers sit
+// between the registrations.
+func buildNestedLog(t testing.TB) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	for i, rec := range []Record{
+		{G: 1, Kind: KindTenant, Tenant: testRecord(1).Tenant},
+		{G: 4, At: 0, Kind: KindBarrier, Barrier: &BarrierRecord{To: 300}},
+		{G: 5, At: 300, Kind: KindTenant, Tenant: testRecord(1).Tenant},
+		{G: 9, At: 300, Kind: KindBarrier, Barrier: &BarrierRecord{Drain: true}},
+	} {
+		rec.Seq = uint64(i + 1)
+		line, err := EncodeRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(line)
+	}
+	return buf.Bytes()
+}
+
 // FuzzWALReplay feeds arbitrary bytes to the WAL reader as a segment
 // file: decoding must never panic, must accept only a contiguous valid
 // prefix, and Open over the same bytes must repair the directory to
 // exactly that prefix and support appending past it. Seeds cover the
 // interesting shapes: a clean log, a truncated tail, a torn append, a
-// flipped bit, and raw garbage.
+// flipped bit, raw garbage, and a nested-layout segment (G-tagged
+// records and barriers).
 func FuzzWALReplay(f *testing.F) {
 	clean := buildLog(f, 6)
 	f.Add(clean)
@@ -39,6 +62,7 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(flipped)
 	f.Add([]byte("not a log\n\n\x00\x01\x02"))
 	f.Add([]byte{})
+	f.Add(buildNestedLog(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, n := DecodeAll(data, 1)

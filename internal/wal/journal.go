@@ -3,6 +3,7 @@ package wal
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 )
 
 func journalName(first int64) string { return fmt.Sprintf("events-%016d.ndjson", first) }
@@ -20,7 +21,7 @@ type JournalRef struct {
 // whole file or none of it. The daemon writes the file before the
 // snapshot that counts on it.
 func (l *Log) WriteJournal(first int64, lines []byte) error {
-	return l.writeAtomic(journalName(first), lines)
+	return WriteFileAtomic(filepath.Join(l.dir, journalName(first)), lines)
 }
 
 // Journals lists the directory's journal files, oldest first.
@@ -46,5 +47,5 @@ func (l *Log) RemoveJournals(refs []JournalRef) error {
 			return err
 		}
 	}
-	return l.syncDir()
+	return syncDir(l.dir)
 }

@@ -139,7 +139,7 @@ func Open(dir string) (*Log, error) {
 	}
 	l.f = f
 	l.w = bufio.NewWriterSize(f, 1<<16)
-	if err := l.syncDir(); err != nil {
+	if err := syncDir(l.dir); err != nil {
 		l.Close()
 		return nil, err
 	}
@@ -148,8 +148,8 @@ func Open(dir string) (*Log, error) {
 
 // syncDir fsyncs the directory so renames, truncations and removals
 // performed during recovery or snapshotting are themselves durable.
-func (l *Log) syncDir() error {
-	d, err := os.Open(l.dir)
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}
@@ -226,12 +226,12 @@ func (l *Log) Rotate() error {
 	}
 	l.f = f
 	l.w = bufio.NewWriterSize(f, 1<<16)
-	return l.syncDir()
+	return syncDir(l.dir)
 }
 
 // TruncateTail discards every record with sequence number greater than
 // keep, repositioning the writer so the next Append continues at
-// keep+1. Sharded recovery uses it to cut each log of a multi-log set
+// keep+1. Set.Recover uses it to cut each log of a multi-log set
 // back to the longest globally contiguous prefix (Record.G): a crash
 // between the per-log fsyncs of one group commit can leave one log
 // holding a record whose global predecessor — in a sibling log — never
@@ -299,7 +299,7 @@ func (l *Log) TruncateTail(keep uint64) error {
 	l.f = f
 	l.w = bufio.NewWriterSize(f, 1<<16)
 	l.dirty = false
-	return l.syncDir()
+	return syncDir(l.dir)
 }
 
 // Replay streams every record with sequence number strictly greater

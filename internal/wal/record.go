@@ -30,8 +30,9 @@ const (
 	// the merged event stream's total order — that the original run
 	// emitted; per-record At replay alone cannot, because the window
 	// boundaries are not recoverable from arrival timestamps (an
-	// arrival at a window boundary belongs to the NEXT window).
-	// Single-shard logs never contain barriers.
+	// arrival at a window boundary belongs to the NEXT window). A
+	// one-engine daemon's log never contains barriers; a fleet worker's
+	// does, its shard being one of several behind a merge.
 	KindBarrier = "barrier"
 )
 

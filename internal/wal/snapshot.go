@@ -26,14 +26,14 @@ func (l *Log) WriteSnapshot(seq uint64, payload []byte) error {
 	if seq > l.lastSeq {
 		return fmt.Errorf("wal: snapshot at seq %d beyond last appended %d", seq, l.lastSeq)
 	}
-	return l.writeAtomic(snapshotName(seq), payload)
+	return WriteFileAtomic(filepath.Join(l.dir, snapshotName(seq)), payload)
 }
 
-// writeAtomic makes name hold exactly data, durably: temp file, fsync,
-// rename, directory fsync.
-func (l *Log) writeAtomic(name string, data []byte) error {
-	final := filepath.Join(l.dir, name)
-	tmp := final + ".tmp"
+// WriteFileAtomic makes path hold exactly data, durably: temp file,
+// fsync, rename, directory fsync. A crash leaves the old content or the
+// new, never a partial file under the real name.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
@@ -52,11 +52,11 @@ func (l *Log) writeAtomic(name string, data []byte) error {
 		os.Remove(tmp)
 		return err
 	}
-	if err := os.Rename(tmp, final); err != nil {
+	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	return l.syncDir()
+	return syncDir(filepath.Dir(path))
 }
 
 // Snapshots lists the directory's snapshots newest first. Recovery
@@ -137,5 +137,5 @@ func (l *Log) GC(keep int, eventHorizon int64) error {
 			return err
 		}
 	}
-	return l.syncDir()
+	return syncDir(l.dir)
 }
