@@ -137,3 +137,13 @@ func TestSmokeSuiteRuns(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkSuite runs the suite's cases as go-test sub-benchmarks, so
+// one case can be timed alone with a test binary, e.g.
+//
+//	go test -run '^$' -bench 'Suite/SnapshotWrite/jobs' -cpu 1 ./internal/benchkit
+func BenchmarkSuite(b *testing.B) {
+	for _, c := range Suite() {
+		b.Run(c.Name, c.F)
+	}
+}

@@ -311,6 +311,66 @@ func snapshotWriteCase(events int) func(b *testing.B) {
 	}
 }
 
+// registrySnapshotCase measures one server snapshot of a flat durable
+// daemon that has accepted and completed jobs jobs, their IDs dealt to
+// the tenants in turn as the benchmark's replay-psa-durable workload
+// deals them, so every tenant's request but a round's first claims IDs
+// below ones already taken: an
+// op is a one-job durable submission under SnapshotEvery 1, whose
+// snapshot carries the job-ID registry and the DAG done-set of every job
+// (DESIGN.md §10.2). The history is built once per run by a daemon that
+// never snapshots before its shutdown; the measured one recovers from
+// that final snapshot.
+func registrySnapshotCase(jobs, tenants int) func(b *testing.B) {
+	return func(b *testing.B) {
+		dir, err := os.MkdirTemp("", "benchkit-registry-")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer os.RemoveAll(dir)
+		_, sites := benchBatch(0)
+		cfg := server.Config{Sites: sites, Algo: "minmin", Manual: true, BatchInterval: 5000, WALDir: dir, SnapshotEvery: 1 << 30}
+		for t := 0; t < tenants; t++ {
+			cfg.Tenants = append(cfg.Tenants, api.TenantSpec{ID: fmt.Sprint("t", t)})
+		}
+		srv, err := server.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		hd := srv.Handler()
+		const perTenant = 128 // jobs per tenant per round
+		r := rng.New(5)
+		at := 0.0
+		for first := 0; first < jobs; first += perTenant * tenants {
+			for t := 0; t < tenants; t++ {
+				var specs []api.JobSpec
+				for id := first + 1 + t; id <= min(first+perTenant*tenants, jobs); id += tenants {
+					specs = append(specs, api.JobSpec{ID: &id, Arrival: &at, Workload: 1000 + r.Float64()*20000, Nodes: 1, SD: r.Uniform(0.6, 0.9)})
+				}
+				post(b, hd, "/v2/tenants/"+cfg.Tenants[t].ID+"/jobs", api.SubmitRequest{Jobs: specs})
+			}
+			at += 5000
+			post(b, hd, "/v2/advance", api.AdvanceRequest{To: at})
+		}
+		at += 1e7 // everything placed has completed
+		post(b, hd, "/v2/advance", api.AdvanceRequest{To: at})
+		if _, err := srv.Stop(false); err != nil {
+			b.Fatal(err)
+		}
+		cfg.SnapshotEvery = 1
+		if srv, err = server.New(cfg); err != nil {
+			b.Fatal(err)
+		}
+		defer srv.Stop(false)
+		hd = srv.Handler()
+		one := api.SubmitRequest{Jobs: []api.JobSpec{{Arrival: &at, Workload: 50000, Nodes: 1, SD: 0.7}}}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			post(b, hd, "/v2/tenants/t0/jobs", one)
+		}
+	}
+}
+
 // Suite returns the benchmark cases: the kernel path, then the event
 // codec and the snapshot writer of the service around it.
 func Suite() []Case {
@@ -442,6 +502,7 @@ func Suite() []Case {
 			}
 		}},
 		{Name: "SnapshotWrite/events=65536", Smoke: false, F: snapshotWriteCase(65536)},
+		{Name: "SnapshotWrite/jobs=262144/tenants=4", Smoke: false, F: registrySnapshotCase(1<<18, 4)},
 	}
 }
 

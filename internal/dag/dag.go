@@ -3,9 +3,11 @@ package dag
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"trustgrid/internal/grid"
+	"trustgrid/internal/idset"
 )
 
 // Validate checks the dependency structure of a complete job list:
@@ -97,7 +99,7 @@ func Validate(jobs []*grid.Job) error {
 // are fixed by insertion order, never map order, so release sequences
 // are reproducible run to run.
 type Tracker struct {
-	done     map[int]struct{}
+	done     idset.Map[struct{}]
 	blocked  map[int]*grid.Job
 	unmet    map[int]int
 	children map[int][]int // incomplete parent ID -> blocked successor IDs
@@ -113,7 +115,6 @@ type Tracker struct {
 // NewTracker returns an empty ready-set tracker.
 func NewTracker() *Tracker {
 	return &Tracker{
-		done:     make(map[int]struct{}),
 		blocked:  make(map[int]*grid.Job),
 		unmet:    make(map[int]int),
 		children: make(map[int][]int),
@@ -149,7 +150,7 @@ func (t *Tracker) Arrive(j *grid.Job) bool {
 			// after its parent completes, so tolerate the unchecked path.
 			continue
 		}
-		if _, ok := t.done[d]; !ok {
+		if !t.done.Has(d) {
 			unmet++
 			t.children[d] = append(t.children[d], j.ID)
 		}
@@ -168,7 +169,7 @@ func (t *Tracker) Arrive(j *grid.Job) bool {
 // releases, in the order they originally arrived (the order their IDs
 // were appended to the completed job's successor list).
 func (t *Tracker) Complete(id int) []*grid.Job {
-	t.done[id] = struct{}{}
+	t.done.Put(id, struct{}{})
 	succ := t.children[id]
 	if succ == nil {
 		return nil
@@ -203,15 +204,14 @@ func (t *Tracker) Blocked() []*grid.Job {
 }
 
 // DoneIDs returns the completed-job ID set sorted ascending, for
-// snapshots. It grows without bound over a long-running service; a
-// retention window is a named follow-up, not an accident.
+// snapshots: a copy of the set's ascending column, so nothing is walked
+// or sorted beyond the completions that arrived out of order since the
+// last call (DESIGN.md §10.2). It grows without bound over a
+// long-running service; a retention rule needs a snapshot format change
+// (ROADMAP item 3(a)).
 func (t *Tracker) DoneIDs() []int {
-	out := make([]int, 0, len(t.done))
-	for id := range t.done {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
+	ids, _ := t.done.Columns()
+	return slices.Clone(ids)
 }
 
 // RestoreDone reloads a snapshot's completed-ID set. Call before
@@ -221,7 +221,7 @@ func (t *Tracker) DoneIDs() []int {
 // mode on for a restored edge-free run would change its placements.
 func (t *Tracker) RestoreDone(ids []int) {
 	for _, id := range ids {
-		t.done[id] = struct{}{}
+		t.done.Put(id, struct{}{}) // ascending: appends
 	}
 }
 

@@ -3,6 +3,7 @@ package dag
 import (
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -184,6 +185,51 @@ func TestTrackerSnapshotRestore(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, []int{2, 4}) {
 		t.Fatalf("post-restore release %v, want [2 4]", got)
+	}
+}
+
+// TestTrackerDoneIDsAnyCompletionOrder: whatever order jobs complete in —
+// reversed, shuffled, with repeats — DoneIDs is the sorted key set of a
+// map that saw the same completions, and readiness agrees with it.
+func TestTrackerDoneIDsAnyCompletionOrder(t *testing.T) {
+	const n = 5000
+	reversed := make([]int, n)
+	for i := range reversed {
+		reversed[i] = n - i
+	}
+	shuffled := make([]int, 0, n+n/10)
+	r := rng.New(7)
+	for _, i := range r.Perm(n) {
+		shuffled = append(shuffled, 3*i) // gaps: not every ID completes
+		if i%10 == 0 {
+			shuffled = append(shuffled, 3*r.Intn(n)) // a repeat, or a late newcomer
+		}
+	}
+	for name, order := range map[string][]int{"reverse": reversed, "shuffled": shuffled} {
+		t.Run(name, func(t *testing.T) {
+			tr := NewTracker()
+			oracle := make(map[int]bool)
+			for k, id := range order {
+				tr.Complete(id)
+				oracle[id] = true
+				if k%997 == 0 { // a snapshot mid-run folds the late set early
+					tr.DoneIDs()
+				}
+			}
+			want := make([]int, 0, len(oracle))
+			for id := range oracle {
+				want = append(want, id)
+			}
+			sort.Ints(want)
+			if got := tr.DoneIDs(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("DoneIDs has %d IDs, want the %d sorted map keys", len(got), len(want))
+			}
+			for id := -1; id <= 3*n; id++ {
+				if ready := tr.Arrive(job(100000+id, 10, id)); ready != oracle[id] {
+					t.Fatalf("job depending on %d: ready %v, completed %v", id, ready, oracle[id])
+				}
+			}
+		})
 	}
 }
 

@@ -251,7 +251,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tenantID s
 					continue
 				}
 				s.idMu.Lock()
-				owner, known := s.owners[d]
+				owner, known := s.owners.owner(d)
 				s.idMu.Unlock()
 				if !known {
 					httpError(w, http.StatusBadRequest,

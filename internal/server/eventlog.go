@@ -12,8 +12,10 @@ type eventLog struct {
 	mu     sync.Mutex
 	max    int
 	events []WireEvent
-	base   int64         // seq of events[0]
-	notify chan struct{} // closed and replaced on every append
+	base   int64 // seq of events[0]
+	// notify is the channel WaitCh handed out, closed by the next append;
+	// nil while no reader waits, so an append nobody awaits makes none.
+	notify chan struct{}
 }
 
 const defaultEventBuffer = 65536
@@ -22,10 +24,12 @@ func newEventLog(max int) *eventLog {
 	if max <= 0 {
 		max = defaultEventBuffer
 	}
-	return &eventLog{max: max, notify: make(chan struct{})}
+	return &eventLog{max: max}
 }
 
-// Append assigns the next sequence number and stores the event.
+// Append assigns the next sequence number and stores the event. The
+// appending goroutine is the only writer of events and base (see
+// appendLinesSince).
 func (l *eventLog) Append(ev WireEvent) {
 	l.mu.Lock()
 	ev.Seq = l.base + int64(len(l.events))
@@ -38,9 +42,11 @@ func (l *eventLog) Append(ev WireEvent) {
 		l.events = append(l.events[:0], l.events[drop:]...)
 	}
 	ch := l.notify
-	l.notify = make(chan struct{})
+	l.notify = nil
 	l.mu.Unlock()
-	close(ch)
+	if ch != nil {
+		close(ch)
+	}
 }
 
 // ReadSince returns up to max retained events with seq >= since that
@@ -59,6 +65,13 @@ func (l *eventLog) ReadSince(since int64, max int, match func(*WireEvent) bool) 
 		return nil, l.base + int64(len(l.events))
 	}
 	var out []WireEvent
+	if match == nil {
+		n := len(l.events) - i
+		if max > 0 {
+			n = min(n, max)
+		}
+		out = make([]WireEvent, 0, n)
+	}
 	next := since
 	for ; i < len(l.events); i++ {
 		ev := l.events[i]
@@ -105,10 +118,29 @@ func appendEventLine(dst []byte, ev *WireEvent) []byte {
 	return dst
 }
 
+// appendLinesSince appends to dst the NDJSON lines of the retained
+// events with seq >= since and returns it with the seq of the first
+// event read and the cursor past the last (first >= next: none). It
+// encodes straight out of the ring, without a copy and without the lock:
+// call it only on the goroutine that appends, which then cannot change
+// the ring underneath it, and whose reads race with nothing the readers
+// under the lock do.
+func (l *eventLog) appendLinesSince(dst []byte, since int64) (lines []byte, first, next int64) {
+	first = max(since, l.base)
+	next = l.base + int64(len(l.events))
+	for i := first - l.base; i < int64(len(l.events)); i++ {
+		dst = appendEventLine(dst, &l.events[i])
+	}
+	return dst, first, next
+}
+
 // WaitCh returns a channel that is closed at the next append. Callers
 // re-fetch after every wakeup.
 func (l *eventLog) WaitCh() <-chan struct{} {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.notify == nil {
+		l.notify = make(chan struct{})
+	}
 	return l.notify
 }

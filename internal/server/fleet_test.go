@@ -234,8 +234,8 @@ func TestFleetWorkerCrashParity(t *testing.T) {
 func runFleetCrashParity(t *testing.T, algo string, dyn *sched.DynamicsConfig) {
 	const (
 		nShards    = 3
-		victim     = 1   // shard whose worker dies; owns churning sites 1 and 4
-		crashAfter = 2   // window index after whose barrier the worker dies
+		victim     = 1 // shard whose worker dies; owns churning sites 1 and 4
+		crashAfter = 2 // window index after whose barrier the worker dies
 		delta      = 300.0
 	)
 	ctx := context.Background()

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"time"
 
 	"trustgrid/internal/api"
@@ -251,11 +250,7 @@ func (s *Server) restoreFromSnapshot(cc sched.CoordinatorConfig, snap *serverSna
 	}
 	s.tenants.restore(snap.Tenants)
 	s.nextID.Store(snap.NextID)
-	for tenant, ids := range snap.Owners {
-		for _, id := range ids {
-			s.owners[id] = tenant
-		}
-	}
+	s.owners.restore(snap.Owners)
 	s.submitted.Store(snap.Counters.Submitted)
 	s.arrived.Store(snap.Counters.Arrived)
 	s.placed.Store(snap.Counters.Placed)
@@ -386,7 +381,7 @@ func (s *Server) replayRecord(rec wal.Record) error {
 		if owner == "" {
 			owner = api.DefaultTenant
 		}
-		s.owners[tr.ID] = owner
+		s.owners.add(tr.ID, owner)
 		if int64(tr.ID) > s.nextID.Load() {
 			s.nextID.Store(int64(tr.ID))
 		}
@@ -451,13 +446,10 @@ func (s *Server) writeSnapshot() error {
 	// The journal takes the events the disk does not hold yet. Events
 	// evicted before any snapshot saw them leave a gap between two files;
 	// they lie below every later event_base, where no recovery looks.
-	fresh, next := s.log.ReadSince(s.journaled, 0, nil)
-	if len(fresh) > 0 {
-		lines := make([]byte, 0, 192*len(fresh))
-		for i := range fresh {
-			lines = appendEventLine(lines, &fresh[i])
-		}
-		if err := s.wal.Control().WriteJournal(fresh[0].Seq, lines); err != nil {
+	var first, next int64
+	s.journal, first, next = s.log.appendLinesSince(s.journal[:0], s.journaled)
+	if first < next {
+		if err := s.wal.Control().WriteJournal(first, s.journal); err != nil {
 			return err
 		}
 		s.journaled = next
@@ -466,18 +458,8 @@ func (s *Server) writeSnapshot() error {
 	// The registry as the log implies it: IDs claimed by a handler whose
 	// arrival record is not appended yet are left out (see Server.pending).
 	s.idMu.Lock()
-	for id, tenant := range s.owners {
-		if _, claimed := s.pending[id]; !claimed {
-			if snap.Owners == nil {
-				snap.Owners = make(map[string][]int)
-			}
-			snap.Owners[tenant] = append(snap.Owners[tenant], id)
-		}
-	}
+	snap.Owners = s.owners.snapshot(s.pending)
 	s.idMu.Unlock()
-	for _, ids := range snap.Owners {
-		sort.Ints(ids)
-	}
 	payload, err := json.Marshal(&snap)
 	if err != nil {
 		return err

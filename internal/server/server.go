@@ -204,11 +204,13 @@ type Server struct {
 	wal       *wal.Set
 	walBroken error
 	// journaled is the first event sequence number the event journal does
-	// not hold yet; writeSnapshot flushes [journaled, next) as one file.
-	// snapMarks lists the snapshots GC still retains, oldest first, as far
-	// as this process knows them — the journal is pruned against the
-	// oldest one's event_base.
+	// not hold yet; writeSnapshot flushes [journaled, next) as one file,
+	// encoded into journal, a buffer kept across snapshots. snapMarks
+	// lists the snapshots GC still retains, oldest first, as far as this
+	// process knows them — the journal is pruned against the oldest one's
+	// event_base.
 	journaled int64
+	journal   []byte
 	snapMarks []snapMark
 
 	cmds     chan func()
@@ -225,9 +227,10 @@ type Server struct {
 	// accepted job of the same tenant, which also keeps a DAG inside one
 	// shard under tenant routing), and manual mode's explicit-ID dedupe.
 	// Guarded by idMu; persisted in snapshots and rebuilt from WAL
-	// arrivals, it grows with the accepted-job count (a retention window
-	// is future work).
-	owners map[int]string
+	// arrivals. It is an ascending ID column with a tenant index per ID
+	// (jobOwners), so a snapshot reads it in order without sorting; it
+	// still grows with the accepted-job count (ROADMAP item 3(a)).
+	owners jobOwners
 	// pending holds the IDs a handler has claimed whose arrival record is
 	// not in the WAL yet (nil without WALDir). Claims happen on handler
 	// goroutines, possibly while the loop writes a snapshot for an earlier
@@ -294,7 +297,6 @@ func New(cfg Config) (*Server, error) {
 		cmds:     make(chan func()),
 		quit:     make(chan struct{}),
 		loopDone: make(chan struct{}),
-		owners:   make(map[int]string),
 		started:  time.Now(),
 	}
 	if cfg.WALDir != "" {
@@ -486,7 +488,7 @@ func (s *Server) claimIDs(specs []JobSpec, tenant string) ([]int, error) {
 			continue
 		}
 		id := *spec.ID
-		if _, dup := s.owners[id]; dup {
+		if s.owners.has(id) {
 			return nil, fmt.Errorf("job %d: duplicate job id %d", i, id)
 		}
 		if k, dup := inReq[id]; dup {
@@ -511,7 +513,7 @@ func (s *Server) claimIDs(specs []JobSpec, tenant string) ([]int, error) {
 		}
 		for {
 			id := int(s.nextID.Add(1))
-			if _, dup := s.owners[id]; !dup {
+			if !s.owners.has(id) {
 				ids[i] = id
 				break
 			}
@@ -526,7 +528,7 @@ func (s *Server) claimIDs(specs []JobSpec, tenant string) ([]int, error) {
 // the job (see Server.pending). Caller holds idMu.
 func (s *Server) recordClaim(ids []int, tenant string) {
 	for _, id := range ids {
-		s.owners[id] = tenant
+		s.owners.add(id, tenant)
 		if s.pending != nil {
 			s.pending[id] = struct{}{}
 		}
