@@ -19,6 +19,7 @@ import (
 	"trustgrid/internal/sched/kernel"
 	"trustgrid/internal/server"
 	"trustgrid/internal/stga"
+	"trustgrid/internal/trace"
 )
 
 // Case is one benchmark of the suite.
@@ -177,20 +178,66 @@ func greedyCaseOn(gen func() ([]*grid.Job, []*grid.Site), mk func(grid.Policy) s
 }
 
 // stgaScaleCase benchmarks one STGA Schedule call on the m-site
-// scale-axis platform under the given draw contract. A fresh scheduler
-// per iteration keeps the history table empty and the per-op work
+// scale-axis platform under the given draw contract.
+func stgaScaleCase(n, m int, v rng.Version) func(b *testing.B) {
+	return stgaCaseOn(func() ([]*grid.Job, []*grid.Site) { return scaleBatch(n, m) }, v)
+}
+
+// stgaNASCase benchmarks one STGA Schedule call in replay-nas-stga's
+// round shape: the 12-site NAS platform and the first n jobs of the
+// synthetic NAS trace at the Table 1 density, under the v2 draw
+// contract the workload runs.
+func stgaNASCase(n int) func(b *testing.B) {
+	return stgaCaseOn(func() ([]*grid.Job, []*grid.Site) {
+		r := rng.New(1)
+		sites, err := grid.NASPlatform().Generate(r.Derive("sites"))
+		if err != nil {
+			panic(err)
+		}
+		jobs, err := trace.DefaultNASConfig().Generate(r.Derive("nas"))
+		if err != nil {
+			panic(err)
+		}
+		return jobs[:n], sites
+	}, rng.V2)
+}
+
+// stgaCaseOn benchmarks one Table 1 STGA Schedule call per op on the
+// generated batch under the given draw contract. A fresh scheduler per
+// iteration keeps the history table empty and the per-op work
 // independent of b.N: a shared scheduler's table grows with every call,
 // which would make the measured time depend on how long the harness
 // happened to run the case.
-func stgaScaleCase(n, m int, v rng.Version) func(b *testing.B) {
+func stgaCaseOn(gen func() ([]*grid.Job, []*grid.Site), v rng.Version) func(b *testing.B) {
 	return func(b *testing.B) {
-		jobs, sites := scaleBatch(n, m)
+		jobs, sites := gen()
 		cfg := stga.DefaultConfig()
 		cfg.GA.RNG = v
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s := stga.New(cfg, rng.New(2))
 			s.Schedule(jobs, freshState(sites))
+		}
+	}
+}
+
+// gaSelectionCase times one generation's parent sampling, the stage Run
+// runs before crossover, over a population of pop makespans clustered
+// within 5 % as a converging run's are.
+func gaSelectionCase(method ga.SelectionMethod, pop int) func(b *testing.B) {
+	return func(b *testing.B) {
+		cfg := ga.DefaultConfig()
+		cfg.PopulationSize, cfg.Selection = pop, method
+		sel := ga.NewSelection(cfg)
+		r := rng.New(4)
+		fit := make([]float64, pop)
+		for i := range fit {
+			fit[i] = 1e5 * (1 + 0.05*r.Float64())
+		}
+		picks := make([]int, pop)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sel(fit, picks, r)
 		}
 	}
 }
@@ -439,6 +486,11 @@ func Suite() []Case {
 		{Name: "STGASchedule/rng=v2/m=64/batch=200", Smoke: false, F: stgaScaleCase(200, 64, rng.V2)},
 		{Name: "STGASchedule/rng=v2/m=256/batch=200", Smoke: true, F: stgaScaleCase(200, 256, rng.V2)},
 		{Name: "STGASchedule/rng=v2/m=1024/batch=200", Smoke: false, F: stgaScaleCase(200, 1024, rng.V2)},
+		// replay-nas-stga's round (12 sites, 21 jobs), and the GA's
+		// selection stage on its own.
+		{Name: "STGASchedule/nas/batch=21", Smoke: true, F: stgaNASCase(21)},
+		{Name: "GASelection/roulette/pop=200", Smoke: true, F: gaSelectionCase(ga.RouletteSelection, 200)},
+		{Name: "GASelection/rank/pop=200", Smoke: true, F: gaSelectionCase(ga.RankSelection, 200)},
 		{Name: "KernelBuild/m=1024/batch=5000", Smoke: false, F: func(b *testing.B) {
 			jobs, sites := scaleBatch(5000, 1024)
 			ready := make([]float64, len(sites))

@@ -82,6 +82,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("ga: crossover probability %v outside [0,1]", c.CrossoverProb)
 	case c.MutationProb < 0 || c.MutationProb > 1:
 		return fmt.Errorf("ga: mutation probability %v outside [0,1]", c.MutationProb)
+	case c.Selection < RouletteSelection || c.Selection > RankSelection:
+		return fmt.Errorf("ga: unknown selection method %v", c.Selection)
+	case c.Crossover < SinglePointCrossover || c.Crossover > UniformCrossover:
+		return fmt.Errorf("ga: unknown crossover method %v", c.Crossover)
 	}
 	if _, err := rng.ParseVersion(int(c.RNG)); err != nil {
 		return err
@@ -168,12 +172,13 @@ type Result struct {
 // Run executes the GA: evaluate, then per generation select (roulette
 // wheel on 1/fitness with elitism), crossover, mutate. seeds (may be
 // empty) are inserted into the initial population after repair; the
-// remainder is random.
+// remainder is random. An empty seed carries nothing and is skipped.
 //
 // The generation loop is allocation-free: the population is
 // double-buffered against a preallocated twin, selection produces pick
 // indices that are copied in place, and the roulette/rank scratch
-// vectors are reused across generations. None of this changes a single
+// (weights, the cumulative wheel and its guide table) is allocated once
+// and reused across generations. None of this changes a single
 // rng draw, so evolution is bit-identical to the allocating
 // implementation it replaced (and to the serial path at any worker
 // count, as before).
@@ -202,6 +207,9 @@ func Run(p *Problem, cfg Config, seeds []Chromosome, r *rng.Stream) (Result, err
 	for _, s := range seeds {
 		if len(pop) == cfg.PopulationSize {
 			break
+		}
+		if len(s) == 0 {
+			continue
 		}
 		c := s.Clone()
 		if len(c) != p.Length {
@@ -241,11 +249,7 @@ func Run(p *Problem, cfg Config, seeds []Chromosome, r *rng.Stream) (Result, err
 		next[i] = make(Chromosome, p.Length)
 	}
 	picks := make([]int, len(pop))
-	// Scratch for roulette (weights, cum) and rank (order reuses picks'
-	// sizing, weights shared).
-	weights := make([]float64, len(pop))
-	cum := make([]float64, len(pop))
-	order := make([]int, len(pop))
+	selectParents := NewSelection(cfg)
 	// Precomputed Bernoulli comparators: bit-identical to
 	// r.Bool(CrossoverProb)/r.Bool(MutationProb), minus the per-draw
 	// float arithmetic (mutation draws once per gene per individual).
@@ -261,18 +265,7 @@ func Run(p *Problem, cfg Config, seeds []Chromosome, r *rng.Stream) (Result, err
 	}
 
 	for g := 0; g < cfg.Generations; g++ {
-		switch cfg.Selection {
-		case TournamentSelection:
-			k := cfg.TournamentSize
-			if k == 0 {
-				k = 3
-			}
-			selectTournament(fit, picks, k, rSel)
-		case RankSelection:
-			selectRank(fit, picks, order, weights, rSel)
-		default:
-			selectRoulette(fit, picks, weights, cum, rSel)
-		}
+		selectParents(fit, picks, rSel)
 		for i, src := range picks {
 			copy(next[i], pop[src])
 			fitNext[i] = fit[src] // the pick's score is already known
@@ -374,12 +367,19 @@ func argMax(xs []float64) int {
 // 10% of the spread. This is the paper's value-based roulette wheel
 // with standard window scaling — raw 1/f weights degenerate to uniform
 // selection once the population's makespans cluster within a few
-// percent, which stalls the search entirely. weights and cum are
+// percent, which stalls the search entirely. weights, cum and guide are
 // caller-owned scratch (len == len(fit)); the draw sequence is the one
-// the cloning implementation consumed.
-func selectRoulette(fit []float64, picks []int, weights, cum []float64, r *rng.Stream) {
+// the cloning implementation consumed. An infinitely unfit (+Inf)
+// individual gets weight 0 and no say in the window, wherever it sits.
+func selectRoulette(fit []float64, picks []int, weights, cum []float64, guide []int, r *rng.Stream) {
 	n := len(fit)
 	worst, best := fit[0], fit[0]
+	for _, f := range fit {
+		if !math.IsInf(f, 1) {
+			worst = f
+			break
+		}
+	}
 	for _, f := range fit {
 		if f > worst && !math.IsInf(f, 1) {
 			worst = f
@@ -409,24 +409,9 @@ func selectRoulette(fit []float64, picks []int, weights, cum []float64, r *rng.S
 		}
 		total = float64(n)
 	}
-	// Cumulative wheel + binary search keeps selection O(n log n).
-	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		cum[i] = acc
-	}
-	for i := 0; i < n; i++ {
-		x := r.Float64() * total
-		lo, hi := 0, n-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if cum[mid] < x {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		picks[i] = lo
+	wh := spin(weights, cum, guide, total)
+	for i := range picks {
+		picks[i] = wh.atLeast(r.Float64() * total)
 	}
 }
 

@@ -250,7 +250,8 @@ func TestRouletteFavorsFit(t *testing.T) {
 	picks := make([]int, 1000)
 	weights := make([]float64, 1000)
 	cum := make([]float64, 1000)
-	selectRoulette(bigFit, picks, weights, cum, r)
+	guide := make([]int, 1000)
+	selectRoulette(bigFit, picks, weights, cum, guide, r)
 	zeros := 0
 	for _, src := range picks {
 		if big[src][0] == 0 {

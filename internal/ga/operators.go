@@ -61,6 +61,31 @@ func (m CrossoverMethod) String() string {
 	}
 }
 
+// NewSelection returns the parent sampling Run performs once per
+// generation under cfg, the operator cfg.Selection names with its
+// scratch allocated once: each call fills picks with indices into fit, a
+// vector of cfg.PopulationSize scores, drawn from r. Run's own stage;
+// exported for the benchmark harness.
+func NewSelection(cfg Config) func(fit []float64, picks []int, r *rng.Stream) {
+	n := cfg.PopulationSize
+	weights, cum := make([]float64, n), make([]float64, n)
+	order, guide := make([]int, n), make([]int, n)
+	k := cfg.TournamentSize
+	if k == 0 {
+		k = 3
+	}
+	return func(fit []float64, picks []int, r *rng.Stream) {
+		switch cfg.Selection {
+		case TournamentSelection:
+			selectTournament(fit, picks, k, r)
+		case RankSelection:
+			selectRank(fit, picks, order, weights, cum, guide, r)
+		default:
+			selectRoulette(fit, picks, weights, cum, guide, r)
+		}
+	}
+}
+
 // selectTournament fills picks by K-way tournaments.
 func selectTournament(fit []float64, picks []int, k int, r *rng.Stream) {
 	if k < 2 {
@@ -80,9 +105,9 @@ func selectTournament(fit []float64, picks []int, k int, r *rng.Stream) {
 }
 
 // selectRank fills picks with probability proportional to inverse rank:
-// the best individual gets weight n, the worst weight 1. order and
-// weights are caller-owned scratch (len == len(fit)).
-func selectRank(fit []float64, picks []int, order []int, weights []float64, r *rng.Stream) {
+// the best individual gets weight n, the worst weight 1. order, weights,
+// cum and guide are caller-owned scratch (len == len(fit)).
+func selectRank(fit []float64, picks []int, order []int, weights, cum []float64, guide []int, r *rng.Stream) {
 	n := len(fit)
 	// Rank via argsort of fitness ascending (best first).
 	for i := range order {
@@ -98,18 +123,9 @@ func selectRank(fit []float64, picks []int, order []int, weights []float64, r *r
 		weights[idx] = float64(n - rank)
 	}
 	total := float64(n) * float64(n+1) / 2
+	wh := spin(weights, cum, guide, total)
 	for i := range picks {
-		x := r.Float64() * total
-		acc := 0.0
-		chosen := n - 1
-		for idx, w := range weights {
-			acc += w
-			if x < acc {
-				chosen = idx
-				break
-			}
-		}
-		picks[i] = chosen
+		picks[i] = wh.above(r.Float64() * total)
 	}
 }
 

@@ -50,10 +50,10 @@ func TestRankSelectionScaleInvariant(t *testing.T) {
 	fitB := []float64{1, 2000, 300000, 4e9} // same ranks, wild scale
 	picksA := make([]int, 400)
 	picksB := make([]int, 400)
-	order := make([]int, 4)
-	weights := make([]float64, 4)
-	selectRank(fitA, picksA, order, weights, r1)
-	selectRank(fitB, picksB, order, weights, r2)
+	order, guide := make([]int, 4), make([]int, 4)
+	weights, cum := make([]float64, 4), make([]float64, 4)
+	selectRank(fitA, picksA, order, weights, cum, guide, r1)
+	selectRank(fitB, picksB, order, weights, cum, guide, r2)
 	for i := range picksA {
 		if pop[picksA[i]][0] != pop[picksB[i]][0] {
 			t.Fatal("rank selection must depend only on ranks")
@@ -66,9 +66,9 @@ func TestRankSelectionDistribution(t *testing.T) {
 	pop := []Chromosome{{0}, {1}, {2}, {3}}
 	fit := []float64{10, 20, 30, 40}
 	picks := make([]int, 10000)
-	order := make([]int, 4)
-	weights := make([]float64, 4)
-	selectRank(fit, picks, order, weights, r)
+	order, guide := make([]int, 4), make([]int, 4)
+	weights, cum := make([]float64, 4), make([]float64, 4)
+	selectRank(fit, picks, order, weights, cum, guide, r)
 	counts := make([]int, 4)
 	for _, src := range picks {
 		counts[pop[src][0]]++
