@@ -101,6 +101,11 @@ import (
 	"trustgrid/internal/stats"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a client that opens connections and stalls cannot
+// hold them open forever. Bodies are bounded by size in the handlers.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	os.Exit(realMain(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -330,8 +335,9 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	baseCtx, baseCancel := context.WithCancel(context.Background())
 	defer baseCancel()
 	hs := &http.Server{
-		Handler:     srv.Handler(),
-		BaseContext: func(net.Listener) context.Context { return baseCtx },
+		Handler:           srv.Handler(),
+		BaseContext:       func(net.Listener) context.Context { return baseCtx },
+		ReadHeaderTimeout: readHeaderTimeout,
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()

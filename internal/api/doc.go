@@ -1,7 +1,9 @@
 // Package api defines the wire format of the trustgridd HTTP API —
 // request/response bodies, the streamed event shape with its line codec
-// (Event.AppendJSON, ParseEvent; DESIGN.md §9.7), tenant documents and
-// the arrival-trace record — shared by the server (internal/server),
+// (Event.AppendJSON, ParseEvent), the submit body's decoder
+// (DecodeSubmitRequest), tenant documents and the arrival-trace record
+// with its encoder (TraceRecord.AppendJSON, the WAL arrival payload; all
+// three codecs in DESIGN.md §9.7) — shared by the server (internal/server),
 // the typed client (internal/client) and the command-line tools. One
 // definition on both sides of the wire is what makes the client the
 // API's contract test: a field the server renames breaks the client's

@@ -31,7 +31,7 @@ func (e *Event) AppendJSON(dst []byte) []byte {
 	dst = append(dst, `,"kind":`...)
 	dst = appendString(dst, e.Kind)
 	dst = append(dst, `,"t":`...)
-	dst = appendFloat(dst, e.Time)
+	dst = AppendFloat(dst, e.Time)
 	dst = append(dst, `,"job":`...)
 	dst = strconv.AppendInt(dst, int64(e.Job), 10)
 	dst = append(dst, `,"site":`...)
@@ -63,19 +63,61 @@ func (e *Event) AppendJSON(dst []byte) []byte {
 	return append(dst, '}')
 }
 
+// AppendJSON appends the record's JSON object to dst — the arrival
+// payload of a WAL record (DESIGN.md §10.1) — and returns the extended
+// slice. The bytes equal json.Marshal's, under the same rules as
+// Event.AppendJSON: a record json.Marshal refuses (a NaN or infinite
+// float) leaves dst unchanged.
+func (t *TraceRecord) AppendJSON(dst []byte) []byte {
+	for _, f := range [...]float64{t.Arrival, t.Workload, t.SD, t.Deadline, t.Budget} {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return dst
+		}
+	}
+	dst = append(dst, `{"id":`...)
+	dst = strconv.AppendInt(dst, int64(t.ID), 10)
+	dst = append(dst, `,"arrival":`...)
+	dst = AppendFloat(dst, t.Arrival)
+	dst = append(dst, `,"workload":`...)
+	dst = AppendFloat(dst, t.Workload)
+	dst = append(dst, `,"nodes":`...)
+	dst = strconv.AppendInt(dst, int64(t.Nodes), 10)
+	dst = append(dst, `,"sd":`...)
+	dst = AppendFloat(dst, t.SD)
+	if t.Tenant != "" {
+		dst = append(dst, `,"tenant":`...)
+		dst = appendString(dst, t.Tenant)
+	}
+	if t.SafeOnly {
+		dst = append(dst, `,"safe_only":true`...)
+	}
+	if len(t.DependsOn) > 0 {
+		dst = append(dst, `,"depends_on":`...)
+		sep := byte('[')
+		for _, d := range t.DependsOn {
+			dst = strconv.AppendInt(append(dst, sep), int64(d), 10)
+			sep = ','
+		}
+		dst = append(dst, ']')
+	}
+	dst = appendOptFloat(dst, `,"deadline":`, t.Deadline)
+	dst = appendOptFloat(dst, `,"budget":`, t.Budget)
+	return append(dst, '}')
+}
+
 // appendOptFloat is omitempty for a float field: encoding/json omits
 // a float that compares equal to zero, which includes -0.
 func appendOptFloat(dst []byte, key string, f float64) []byte {
 	if f == 0 {
 		return dst
 	}
-	return appendFloat(append(dst, key...), f)
+	return AppendFloat(append(dst, key...), f)
 }
 
-// appendFloat renders a finite float64 the way encoding/json does:
+// AppendFloat renders a finite float64 the way encoding/json does:
 // shortest round-trip digits, exponent form below 1e-6 and from 1e21,
 // and a two-digit exponent's leading zero dropped (e-07 → e-7).
-func appendFloat(dst []byte, f float64) []byte {
+func AppendFloat(dst []byte, f float64) []byte {
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -165,23 +207,12 @@ func parseCanonical(line []byte, ev *Event) bool {
 	var seen uint32
 	i := 1
 	for {
-		// "key":
-		if i >= len(line) || line[i] != '"' {
-			return false
-		}
-		i++
-		k := i
-		for i < len(line) && line[i] != '"' {
-			i++
-		}
-		if i+1 >= len(line) || line[i+1] != ':' {
-			return false
-		}
-		key := line[k:i]
-		i += 2
-
-		var bit uint32
+		var key []byte
 		var ok bool
+		if key, i, ok = scanKey(line, i); !ok {
+			return false
+		}
+		var bit uint32
 		switch string(key) {
 		case "seq":
 			bit = fSeq
@@ -234,6 +265,8 @@ func parseCanonical(line []byte, ev *Event) bool {
 		case "speed":
 			bit = fSpeed
 			ev.Speed, i, ok = scanFloat(line, i)
+		default:
+			return false // an unknown key
 		}
 		if !ok || seen&bit != 0 || i >= len(line) {
 			return false
@@ -248,6 +281,24 @@ func parseCanonical(line []byte, ev *Event) bool {
 			return false
 		}
 	}
+}
+
+// scanKey reads `"key":` at i and returns the key's raw bytes. A known
+// key matches them only when the literal has no escape, which is what
+// the fast paths require.
+func scanKey(b []byte, i int) (key []byte, end int, ok bool) {
+	if i >= len(b) || b[i] != '"' {
+		return nil, i, false
+	}
+	i++
+	k := i
+	for i < len(b) && b[i] != '"' {
+		i++
+	}
+	if i+1 >= len(b) || b[i+1] != ':' {
+		return nil, i, false
+	}
+	return b[k:i], i + 2, true
 }
 
 // scanDigits returns the index past the integer part that starts at i:

@@ -78,6 +78,8 @@ var codecLines = []string{
 	`{"seq":1,"kind":"placed","t":1,"job":1,"site":0,"extra":true}`,
 	`{"seq":1,"kind":null,"t":1,"job":1,"site":0}`,
 	`{"seq":1,"kind": "placed","t":1,"job":1,"site":0}`,
+	`{"seq":1,"kind":"placed","t":1,"job":1,"site":0,"":}`,
+	`{"seq":1,"kind":"placed","t":1,"job":1,"site":0,"":2}`,
 
 	`{"seq":5,"kind":"arrived","t":300,"job":12,"site":-1,"tenant":"acme","safe_only":true,"arrival":250.5,"workload":120000,"nodes":2,"sd":0.72}`,
 	`{"seq":6,"kind":"placed","t":600,"job":12,"site":3,"tenant":"acme","start":600,"finish":12600.000000000002,"risky":true,"fell_back":true}`,

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"trustgrid/internal/api"
@@ -20,6 +21,7 @@ import (
 	"trustgrid/internal/server"
 	"trustgrid/internal/stga"
 	"trustgrid/internal/trace"
+	"trustgrid/internal/wal"
 )
 
 // Case is one benchmark of the suite.
@@ -418,8 +420,74 @@ func registrySnapshotCase(jobs, tenants int) func(b *testing.B) {
 	}
 }
 
+// walAppendCase measures one arrival record appended to a warm flat
+// log, as the daemon appends each accepted job: framing, the
+// hand-rendered payload and the buffered write, no commit. The log is
+// replaced every 1<<16 records, off the clock, so the disk it fills
+// stays a few megabytes whatever b.N is.
+func walAppendCase(b *testing.B) {
+	dir, err := os.MkdirTemp("", "benchkit-wal-")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	rec := wal.Record{Kind: wal.KindArrival, At: 615000, Arrival: &api.TraceRecord{
+		ID: 20417, Arrival: 614950.25, Workload: 183071.5528, Nodes: 1, SD: 0.7243, Tenant: "gold",
+	}}
+	var l *wal.Log
+	defer func() { l.Close() }()
+	logDir := filepath.Join(dir, "log")
+	for i := 0; i < b.N; i++ {
+		if i%(1<<16) == 0 {
+			b.StopTimer()
+			if l != nil {
+				l.Close()
+				if err := os.RemoveAll(logDir); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if l, err = wal.Open(logDir); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := l.Append(rec); err != nil { // warm the frame buffer
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+		if _, err := l.Append(rec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// submitDecodeCase measures api.DecodeSubmitRequest on a body of jobs
+// jobs in the form the typed client sends, with the explicit ID and
+// arrival a manual-clock replay stamps on every job.
+func submitDecodeCase(jobs int) func(b *testing.B) {
+	return func(b *testing.B) {
+		r := rng.New(9)
+		specs := make([]api.JobSpec, jobs)
+		for i := range specs {
+			id, at := 40000+i, 5000*float64(i/10)
+			specs[i] = api.JobSpec{ID: &id, Arrival: &at, Workload: 1000 + r.Float64()*200000, Nodes: 1, SD: r.Uniform(0.6, 0.9)}
+		}
+		body, err := json.Marshal(api.SubmitRequest{Jobs: specs})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var req api.SubmitRequest
+			if err := api.DecodeSubmitRequest(body, &req); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // Suite returns the benchmark cases: the kernel path, then the event
-// codec and the snapshot writer of the service around it.
+// codec, the WAL record and submit body codecs and the snapshot writer
+// of the service around it.
 func Suite() []Case {
 	return []Case{
 		{Name: "KernelBuild/batch=50", Smoke: true, F: func(b *testing.B) {
@@ -553,6 +621,11 @@ func Suite() []Case {
 				}
 			}
 		}},
+		// The durable submit path's other two codecs (DESIGN.md §9.7): the
+		// WAL arrival record, gated at zero allocations into a warm log,
+		// and a 40-job submit body, as the benchmark's replay sends them.
+		{Name: "WALAppend/arrival", Smoke: true, F: walAppendCase},
+		{Name: "SubmitDecode/jobs=40", Smoke: true, F: submitDecodeCase(40)},
 		{Name: "SnapshotWrite/events=65536", Smoke: false, F: snapshotWriteCase(65536)},
 		{Name: "SnapshotWrite/jobs=262144/tenants=4", Smoke: false, F: registrySnapshotCase(1<<18, 4)},
 	}

@@ -3,7 +3,6 @@ package dag
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"trustgrid/internal/grid"
@@ -204,14 +203,15 @@ func (t *Tracker) Blocked() []*grid.Job {
 }
 
 // DoneIDs returns the completed-job ID set sorted ascending, for
-// snapshots: a copy of the set's ascending column, so nothing is walked
-// or sorted beyond the completions that arrived out of order since the
-// last call (DESIGN.md §10.2). It grows without bound over a
-// long-running service; a retention rule needs a snapshot format change
-// (ROADMAP item 3(a)).
+// snapshots: the set's own ascending column, so nothing is copied,
+// walked or sorted beyond the completions that arrived out of order
+// since the last call (DESIGN.md §10.2). The slice belongs to the
+// tracker: read it only, and only until the next Complete. The set grows
+// without bound over a long-running service; a retention rule is
+// ROADMAP item 2(a)'s open half.
 func (t *Tracker) DoneIDs() []int {
 	ids, _ := t.done.Columns()
-	return slices.Clone(ids)
+	return ids
 }
 
 // RestoreDone reloads a snapshot's completed-ID set. Call before

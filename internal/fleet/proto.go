@@ -13,8 +13,9 @@ import (
 
 // ProtoVersion is bumped on any incompatible frame change; a worker
 // refuses an attach from a different version outright (a fleet is
-// deployed as one unit — there is no skew window to support).
-const ProtoVersion = 1
+// deployed as one unit — there is no skew window to support). 2: an
+// engine snapshot's DAG done set is a byte column, not a list of IDs.
+const ProtoVersion = 2
 
 // maxFrame bounds one frame's payload. Large enough for a full engine
 // snapshot of any realistic shard, small enough that a corrupt length

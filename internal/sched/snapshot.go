@@ -6,6 +6,7 @@ import (
 
 	"trustgrid/internal/fuzzy"
 	"trustgrid/internal/grid"
+	"trustgrid/internal/idset"
 	"trustgrid/internal/metrics"
 	"trustgrid/internal/rng"
 	"trustgrid/internal/sim"
@@ -92,11 +93,35 @@ type PendingItem struct {
 // arrived jobs are still waiting on parents (in arrival order — the
 // order restore re-registers them, which reproduces release order),
 // and whether the workload ever used edges (the sticky switch for
-// rank-aware scheduling).
+// rank-aware scheduling). Done is the completed-ID set as an
+// idset byte column (base64 in the JSON payload): every job the engine
+// ever completed, at a byte or two per ID.
 type DAGSnapshot struct {
-	Done     []int      `json:"done,omitempty"`
+	Done     []byte     `json:"done,omitempty"`
 	Blocked  []grid.Job `json:"blocked,omitempty"`
 	SawEdges bool       `json:"saw_edges,omitempty"`
+
+	// doneIDs is Done decoded; decoded says DecodeColumns has run.
+	doneIDs []int
+	decoded bool
+}
+
+// DecodeColumns decodes the snapshot's byte columns, failing on one
+// that does not decode. A restore decodes them itself if this has not
+// run; a caller that judges a snapshot before restoring it — the
+// daemon's recovery counts a bad column as a damaged snapshot — calls
+// it first, and the restore uses what it decoded.
+func (s *EngineSnapshot) DecodeColumns() error {
+	d := s.DAG
+	if d == nil || d.decoded {
+		return nil
+	}
+	done, err := idset.ParseColumn(d.Done)
+	if err != nil {
+		return fmt.Errorf("dag done set: %w", err)
+	}
+	d.doneIDs, d.decoded = done, true
+	return nil
 }
 
 // InterruptCount is one job's churn-interruption count.
@@ -248,7 +273,7 @@ func (o *Online) Snapshot() (*EngineSnapshot, error) {
 		snap.Dynamics = ds
 	}
 	if done := st.deps.DoneIDs(); len(done) > 0 || st.deps.SawEdges() {
-		d := &DAGSnapshot{Done: done, SawEdges: st.deps.SawEdges()}
+		d := &DAGSnapshot{Done: idset.AppendColumn(nil, done), SawEdges: st.deps.SawEdges()}
 		for _, j := range st.deps.Blocked() {
 			d.Blocked = append(d.Blocked, *j)
 		}
@@ -340,8 +365,11 @@ func (o *Online) restore(snap *EngineSnapshot) error {
 	// ready), then the blocked pen in its recorded arrival order so each
 	// parent's successor list, and with it every release order, matches
 	// the interrupted run's.
+	if err := snap.DecodeColumns(); err != nil {
+		return fmt.Errorf("sched: restore: %w", err)
+	}
 	if snap.DAG != nil {
-		st.deps.RestoreDone(snap.DAG.Done)
+		st.deps.RestoreDone(snap.DAG.doneIDs)
 		if snap.DAG.SawEdges {
 			st.deps.MarkEdges()
 		}

@@ -2,7 +2,9 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -177,6 +179,20 @@ func (s *Server) retryAfterSeconds() int {
 	return secs
 }
 
+// maxSubmitBody bounds a submit request's body, which the handler reads
+// whole before decoding: 32 MiB is some 200 000 jobs in the form the
+// typed client sends, hundreds of times the largest request any client
+// in this repository makes.
+const maxSubmitBody = 32 << 20
+
+// readBody reads r's body whole, failing with *http.MaxBytesError past
+// maxSubmitBody bytes. The buffer grows with the bytes that arrive: a
+// client that declares a large Content-Length and then stalls holds
+// what it sent, not what it declared.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	return io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmitBody))
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tenantID string) {
 	if s.stopped() {
 		httpError(w, http.StatusServiceUnavailable, "%v", s.stoppedErr())
@@ -187,8 +203,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tenantID s
 		httpError(w, http.StatusNotFound, "unknown tenant %q", tenantID)
 		return
 	}
+	body, err := readBody(w, r)
+	if mbe := (*http.MaxBytesError)(nil); errors.As(err, &mbe) {
+		httpError(w, http.StatusRequestEntityTooLarge, "request body larger than %d bytes", mbe.Limit)
+		return
+	}
 	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err == nil {
+		err = api.DecodeSubmitRequest(body, &req)
+	}
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}

@@ -16,12 +16,12 @@ import (
 )
 
 // walFixture is one scripted durable run whose on-disk state is
-// committed under testdata/wal-v2/<name>/, with the uninterrupted run's
-// event stream beside it in <name>.events.ndjson. The directories were
-// written by the daemon as of commit 73aedd7, the last one before the
-// flat layout, the nested layout and the fleet worker's log shared one
-// recovery path (testdata/wal-v2/README.md says how): they are the two
-// formats as deployed daemons wrote them, and stay that.
+// committed under testdata/wal-v<N>/<name>/, with the uninterrupted run's
+// event stream beside it in <name>.events.ndjson. wal-v3/ is the
+// current snapshot layout; wal-v2/ was written by the daemon as of
+// commit 73aedd7, before snapshot version 3, and its logs are the record
+// encoding as deployed daemons wrote it, for good (each directory's
+// README.md says how it was made).
 type walFixture struct {
 	name  string
 	cfg   func(walDir string) server.Config
@@ -142,99 +142,161 @@ func checkInputKeys(t *testing.T, path string, parent, now []byte) {
 	}
 }
 
+// fixtureTree reads a committed fixture: its files, the event stream
+// of the uninterrupted run, and the newest server snapshot (path
+// relative to the fixture, and its event_base). It also checks that the
+// fixture pins what it is there to pin.
+func fixtureTree(t *testing.T, fx walFixture, fixture string) (committed map[string][]byte, want string, newest string, newestBase int64) {
+	t.Helper()
+	events, err := os.ReadFile(fixture + ".events.ndjson")
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed = readTree(t, fixture)
+	var segments, snapshots, tagged, barriers int
+	var newestSeq uint64
+	for path, data := range committed {
+		switch base := filepath.Base(path); {
+		case strings.HasPrefix(base, "wal-"):
+			segments++
+			tagged += bytes.Count(data, []byte(`"g":`))
+			barriers += bytes.Count(data, []byte(`"kind":"barrier"`))
+		case isStateSnapshot(path, data):
+			snapshots++
+			if seq := numberedFile(t, base, "snap-", ".json"); seq >= newestSeq {
+				newestSeq, newest = seq, path
+				newestBase, _ = snapshotBounds(t, data)
+			}
+		}
+	}
+	if segments < 3 || snapshots < 3 {
+		t.Fatalf("fixture holds %d segments and %d snapshots; it pins little", segments, snapshots)
+	}
+	if flat := fx.name == "flat"; flat != (tagged == 0) || flat != (barriers == 0) {
+		t.Fatalf("fixture's records carry %d global sequence numbers and %d barriers; both belong to the nested layout, and only to it", tagged, barriers)
+	}
+	return committed, string(events), newest, newestBase
+}
+
+// copyFixture copies a committed fixture into a fresh directory,
+// without any snap-* file (server snapshots and GC markers) when
+// dropSnapshots is set.
+func copyFixture(t *testing.T, fixture string, committed map[string][]byte, dropSnapshots bool) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(fixture)); err != nil {
+		t.Fatal(err)
+	}
+	if dropSnapshots {
+		for path := range committed {
+			if strings.HasPrefix(filepath.Base(path), "snap-") {
+				if err := os.Remove(filepath.Join(dir, path)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	return dir
+}
+
+// checkFreshRun drives the fixture's script against a fresh directory
+// and requires the fixture's stream and files: the same names, and the
+// same bytes in every log segment, journal file and GC marker. A server
+// snapshot is held to its inputKeys when sameLayout, to its name alone
+// otherwise.
+func checkFreshRun(t *testing.T, fx walFixture, want string, committed map[string][]byte, sameLayout bool) {
+	t.Helper()
+	dir := t.TempDir()
+	got, stop := runFixture(t, fx, dir)
+	written := readTree(t, dir)
+	stop()
+	if got != want {
+		d := firstDiff(want, got)
+		t.Fatalf("a fresh run's stream diverges from the fixture's at byte %d\nwant: %s\ngot:  %s",
+			d, excerpt(want, d), excerpt(got, d))
+	}
+	for path, data := range committed {
+		if now, ok := written[path]; !ok {
+			t.Errorf("a fresh run does not write %s", path)
+		} else if isStateSnapshot(path, data) {
+			if sameLayout {
+				checkInputKeys(t, path, data, now)
+			}
+		} else if !bytes.Equal(now, data) {
+			d := firstDiff(string(data), string(now))
+			t.Errorf("%s differs from the committed file at byte %d\ncommitted: %s\nnow:       %s",
+				path, d, excerpt(string(data), d), excerpt(string(now), d))
+		}
+	}
+	for path := range written {
+		if _, ok := committed[path]; !ok {
+			t.Errorf("a fresh run writes %s, which the fixture's daemon did not", path)
+		}
+	}
+}
+
 // TestRecoversParentWrittenDirs holds this tree to the two on-disk
-// formats as the parent commit wrote them, in both directions. Reading:
-// a daemon recovers from a copy of each committed directory — as the
-// crash left it, and again with every snapshot removed, which replays
-// the whole log — and serves the uninterrupted run's stream, byte for
-// byte. Writing: the same script driven against a fresh directory
-// leaves the same files, and the same bytes in every log segment,
-// journal file and GC marker; for the wal-*.log segments that pins the
-// record encoding for good (no "g" and no barrier in a flat log, both
-// in the nested logs). Server snapshots are held to their names and to
-// the keys the inputs alone decide (inputKeys), not byte for byte:
-// a tenant's `queued` gauge is reserved and released on handler
-// goroutines, so its value at a snapshot is not a function of the
-// inputs (recovery recomputes it, DESIGN.md §10.4).
+// layouts as a daemon of the current snapshot version wrote them
+// (testdata/wal-v3/), in both directions. Reading: a daemon recovers
+// from a copy of each committed directory — as the crash left it, and
+// again with every snapshot removed, which replays the whole log — and
+// serves the uninterrupted run's stream, byte for byte. Writing: the
+// same script driven against a fresh directory leaves the same files,
+// and the same bytes in every log segment, journal file and GC marker.
+// Server snapshots are held to their names and to the keys the inputs
+// alone decide (inputKeys), not byte for byte: a tenant's `queued`
+// gauge is reserved and released on handler goroutines, so its value at
+// a snapshot is not a function of the inputs (recovery recomputes it,
+// DESIGN.md §10.4).
 func TestRecoversParentWrittenDirs(t *testing.T) {
 	for _, fx := range walFixtures(t) {
 		t.Run(fx.name, func(t *testing.T) {
-			fixture := filepath.Join("testdata", "wal-v2", fx.name)
-			want, err := os.ReadFile(fixture + ".events.ndjson")
-			if err != nil {
-				t.Fatal(err)
-			}
-			committed := readTree(t, fixture)
-			var segments, snapshots, tagged, barriers int
-			var newest uint64 // the state snapshot recovery starts from, and its event_base
-			var newestBase int64
-			for path, data := range committed {
-				switch base := filepath.Base(path); {
-				case strings.HasPrefix(base, "wal-"):
-					segments++
-					tagged += bytes.Count(data, []byte(`"g":`))
-					barriers += bytes.Count(data, []byte(`"kind":"barrier"`))
-				case isStateSnapshot(path, data):
-					snapshots++
-					if seq := numberedFile(t, base, "snap-", ".json"); seq >= newest {
-						newest = seq
-						newestBase, _ = snapshotBounds(t, data)
-					}
-				}
-			}
-			if segments < 3 || snapshots < 3 {
-				t.Fatalf("fixture holds %d segments and %d snapshots; it pins little", segments, snapshots)
-			}
-			if flat := fx.name == "flat"; flat != (tagged == 0) || flat != (barriers == 0) {
-				t.Fatalf("fixture's records carry %d global sequence numbers and %d barriers; both belong to the nested layout, and only to it", tagged, barriers)
-			}
-
+			fixture := filepath.Join("testdata", "wal-v3", fx.name)
+			committed, want, _, newestBase := fixtureTree(t, fx, fixture)
 			for _, variant := range []string{"as the crash left it", "without snapshots"} {
-				dir := t.TempDir()
-				if err := os.CopyFS(dir, os.DirFS(fixture)); err != nil {
-					t.Fatal(err)
-				}
 				wantBase := newestBase
 				if variant == "without snapshots" {
 					wantBase = 0
-					for path := range committed {
-						if strings.HasPrefix(filepath.Base(path), "snap-") {
-							if err := os.Remove(filepath.Join(dir, path)); err != nil {
-								t.Fatal(err)
-							}
-						}
-					}
 				}
-				got, stop := runFixture(t, fx, dir)
+				got, stop := runFixture(t, fx, copyFixture(t, fixture, committed, wantBase == 0))
 				stop()
-				checkRecoveredStream(t, fx.name+", "+variant, string(want), got, wantBase)
+				checkRecoveredStream(t, fx.name+", "+variant, want, got, wantBase)
+			}
+			checkFreshRun(t, fx, want, committed, true)
+		})
+	}
+}
+
+// TestVersion2DirsRefusedThenReplayed holds this tree to directories a
+// version-2 daemon wrote (testdata/wal-v2/). Their snapshots are
+// refused with §10.4's message, naming the newest one; with every
+// snapshot removed the v2-era logs recover, byte for byte, and the same
+// script driven against a fresh directory writes every wal-*.log
+// segment, journal file and GC marker those logs' daemon wrote — the
+// record encoding did not change with the snapshot layout.
+func TestVersion2DirsRefusedThenReplayed(t *testing.T) {
+	for _, fx := range walFixtures(t) {
+		t.Run(fx.name, func(t *testing.T) {
+			fixture := filepath.Join("testdata", "wal-v2", fx.name)
+			committed, want, newest, _ := fixtureTree(t, fx, fixture)
+
+			dir := copyFixture(t, fixture, committed, false)
+			srv, err := server.New(fx.cfg(dir))
+			if err == nil {
+				_, _ = srv.Stop(false)
+				t.Fatal("a version-2 snapshot was restored or skipped")
+			}
+			refusal := fmt.Sprintf("server: recovery: snapshot %s has layout version 2, written by an older trustgridd; "+
+				"this one reads version 3 only (refusing to restore it: drain and stop the daemon with the binary that wrote it, "+
+				"or start on a fresh -wal-dir)", filepath.Join(dir, newest))
+			if err.Error() != refusal {
+				t.Fatalf("refusal is\n%v\nwant\n%s", err, refusal)
 			}
 
-			dir := t.TempDir()
-			got, stop := runFixture(t, fx, dir)
-			written := readTree(t, dir)
+			got, stop := runFixture(t, fx, copyFixture(t, fixture, committed, true))
 			stop()
-			if got != string(want) {
-				d := firstDiff(string(want), got)
-				t.Fatalf("a fresh run's stream diverges from the fixture's at byte %d\nwant: %s\ngot:  %s",
-					d, excerpt(string(want), d), excerpt(got, d))
-			}
-			for path, data := range committed {
-				if now, ok := written[path]; !ok {
-					t.Errorf("a fresh run does not write %s", path)
-				} else if isStateSnapshot(path, data) {
-					checkInputKeys(t, path, data, now)
-				} else if !bytes.Equal(now, data) {
-					d := firstDiff(string(data), string(now))
-					t.Errorf("%s differs from the parent-written file at byte %d\nparent: %s\nnow:    %s",
-						path, d, excerpt(string(data), d), excerpt(string(now), d))
-				}
-			}
-			for path := range written {
-				if _, ok := committed[path]; !ok {
-					t.Errorf("a fresh run writes %s, which the parent did not", path)
-				}
-			}
+			checkRecoveredStream(t, fx.name+", without snapshots", want, got, 0)
+			checkFreshRun(t, fx, want, committed, false)
 		})
 	}
 }

@@ -7,11 +7,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
 
 	"trustgrid/internal/client"
+	"trustgrid/internal/idset"
 	"trustgrid/internal/server"
 )
 
@@ -119,8 +121,38 @@ func TestSnapshotHoldsNoEvents(t *testing.T) {
 				t.Errorf("snapshot %d still has a %q key", seq, gone)
 			}
 		}
-		if string(keys["version"]) != "2" {
-			t.Errorf("snapshot %d has version %s, want 2", seq, keys["version"])
+		if string(keys["version"]) != "3" {
+			t.Errorf("snapshot %d has version %s, want 3", seq, keys["version"])
+		}
+		// The history-sized sets are byte columns that decode, and every
+		// completed job is an accepted one.
+		var cols struct {
+			Owners *ownerColumns `json:"owners"`
+			Engine struct {
+				DAG *struct {
+					Done []byte `json:"done"`
+				} `json:"dag"`
+			} `json:"engine"`
+		}
+		if err := json.Unmarshal(snap.payload, &cols); err != nil {
+			t.Fatal(err)
+		}
+		accepted := make(map[int]bool)
+		for _, ids := range cols.Owners.byTenant(t) {
+			for _, id := range ids {
+				accepted[id] = true
+			}
+		}
+		if cols.Engine.DAG != nil {
+			done, err := idset.ParseColumn(cols.Engine.DAG.Done)
+			if err != nil {
+				t.Errorf("snapshot %d: dag.done: %v", seq, err)
+			}
+			for _, id := range done {
+				if !accepted[id] {
+					t.Errorf("snapshot %d: job %d is done but not in owners", seq, id)
+				}
+			}
 		}
 		if base, next := snapshotBounds(t, snap.payload); base != 0 {
 			t.Errorf("snapshot %d: event_base %d in a run that evicts nothing", seq, base)
@@ -260,7 +292,8 @@ func TestJournalCrashStates(t *testing.T) {
 // below the oldest retained snapshot's event_base are pruned and nothing
 // else is; what is left recovers from the newest snapshot and, when
 // that one is damaged, from the older one — which therefore still has
-// its journal files. Under WALKeep -1 nothing is ever pruned.
+// its journal files — whether the newest does not parse or parses with
+// columns that do not decode. Under WALKeep -1 nothing is ever pruned.
 func TestJournalGC(t *testing.T) {
 	jobs := walJobList(20)
 	drive := func(c *client.Client) { driveWAL(t, c, jobs) }
@@ -304,20 +337,34 @@ func TestJournalGC(t *testing.T) {
 
 	// Recover a copy from the newest snapshot, and a copy from the older
 	// one after the newest is damaged.
-	for _, damaged := range []bool{false, true} {
+	// A payload that does not parse and columns that do not decode (an ID
+	// column with a zero gap, a truncated done column) are the same damage.
+	newestPayload := snaps[newest].payload
+	for _, damage := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"intact", nil},
+		{"garbage", []byte("garbage")},
+		{"owners column", regexp.MustCompile(`"ids":"[^"]*"`).ReplaceAll(newestPayload, []byte(`"ids":"AgEA"`))},
+		{"done column", regexp.MustCompile(`"done":"[^"]*"`).ReplaceAll(newestPayload, []byte(`"done":"gA=="`))},
+	} {
 		cp := t.TempDir()
 		if err := os.CopyFS(cp, os.DirFS(dir)); err != nil {
 			t.Fatal(err)
 		}
-		wantBase, _ := snapshotBounds(t, snaps[newest].payload)
-		if damaged {
-			if err := os.WriteFile(filepath.Join(cp, fmt.Sprintf("snap-%016d.json", newest)), []byte("garbage"), 0o644); err != nil {
+		wantBase, _ := snapshotBounds(t, newestPayload)
+		if damage.payload != nil {
+			if bytes.Equal(damage.payload, newestPayload) {
+				t.Fatalf("%s: the newest snapshot has no such column to damage", damage.name)
+			}
+			if err := os.WriteFile(filepath.Join(cp, fmt.Sprintf("snap-%016d.json", newest)), damage.payload, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			wantBase = oldBase
 		}
 		got := recoveredStream(t, cp, jobs, nil)
-		checkRecoveredStream(t, fmt.Sprintf("damaged=%v", damaged), wantEvents, got, wantBase)
+		checkRecoveredStream(t, damage.name, wantEvents, got, wantBase)
 	}
 }
 
@@ -396,10 +443,24 @@ func TestRecoveryRefusesOtherSnapshotVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for version, wrote := range map[int]string{1: "an older trustgridd", 3: "a newer trustgridd"} {
-		rewritten := bytes.Replace(payload, []byte(`"version":2`), []byte(fmt.Sprintf(`"version":%d`, version)), 1)
-		if bytes.Equal(rewritten, payload) {
-			t.Fatal("snapshot has no version 2 marker to rewrite")
+	// The last case is a version-2 payload that does not parse as this
+	// layout (a done ID that does not fit a byte column's byte): its
+	// version is still read, and refused, not skipped as damage.
+	v2lists := regexp.MustCompile(`"done":"[^"]*"`).ReplaceAll(payload, []byte(`"done":[1,300]`))
+	for _, tc := range []struct {
+		version int
+		wrote   string
+		payload []byte
+	}{
+		{1, "an older trustgridd", payload},
+		{2, "an older trustgridd", payload},
+		{4, "a newer trustgridd", payload},
+		{2, "an older trustgridd", v2lists},
+	} {
+		version, wrote := tc.version, tc.wrote
+		rewritten := bytes.Replace(tc.payload, []byte(`"version":3`), []byte(fmt.Sprintf(`"version":%d`, version)), 1)
+		if bytes.Equal(rewritten, tc.payload) || bytes.Equal(v2lists, payload) {
+			t.Fatal("snapshot has no version 3 marker or no done column to rewrite")
 		}
 		if err := os.WriteFile(newest, rewritten, 0o644); err != nil {
 			t.Fatal(err)

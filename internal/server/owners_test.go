@@ -26,11 +26,30 @@ func walkThenSort(owners map[int]string, pending map[int]struct{}) map[string][]
 	return out
 }
 
+// byTenant decodes an owners field into the tenant → ascending IDs map
+// walkThenSort builds; nil for a nil field.
+func byTenant(t *testing.T, c *ownerColumns) map[string][]int {
+	t.Helper()
+	if c == nil {
+		return nil
+	}
+	ids, tenants, err := c.decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string][]int)
+	for i, id := range ids {
+		out[c.Names[tenants[i]]] = append(out[c.Names[tenants[i]]], id)
+	}
+	return out
+}
+
 // TestOwnersSnapshotMatchesWalkThenSort drives the registry the way the
 // server does — counter-assigned claims, explicit IDs far below and
 // above the counter, claims that stay pending across snapshots and are
 // then logged — and holds every snapshot, every lookup and a restore of
-// each snapshot to a map oracle.
+// each snapshot to a map oracle; a restored registry writes the same
+// columns again.
 func TestOwnersSnapshotMatchesWalkThenSort(t *testing.T) {
 	tenants := []string{"default", "acme", "umbrella", "initech", "hooli"}
 	for seed := uint64(1); seed <= 20; seed++ {
@@ -66,15 +85,21 @@ func TestOwnersSnapshotMatchesWalkThenSort(t *testing.T) {
 			if step%250 != 0 {
 				continue
 			}
-			got := reg.snapshot(pending)
+			cols := reg.snapshot(pending)
 			want := walkThenSort(oracle, pending)
-			if !reflect.DeepEqual(got, want) {
+			if got := byTenant(t, cols); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d step %d: snapshot differs from walk-then-sort\n got %v\nwant %v", seed, step, got, want)
 			}
 			var back jobOwners
-			back.restore(got)
-			if again := back.snapshot(nil); !reflect.DeepEqual(again, want) {
-				t.Fatalf("seed %d step %d: restored registry snapshots as %v, want %v", seed, step, again, want)
+			if cols != nil {
+				ids, tenants, err := cols.decode()
+				if err != nil {
+					t.Fatal(err)
+				}
+				back.restore(cols.Names, ids, tenants)
+			}
+			if again := back.snapshot(nil); !reflect.DeepEqual(again, cols) {
+				t.Fatalf("seed %d step %d: restored registry snapshots as %+v, want %+v", seed, step, again, cols)
 			}
 		}
 		for id := -25; id <= next+50; id++ {
@@ -101,5 +126,26 @@ func TestOwnersSnapshotEmpty(t *testing.T) {
 	}
 	if got := reg.snapshot(pending); got != nil {
 		t.Fatalf("all-pending registry snapshots as %v", got)
+	}
+}
+
+// TestOwnerColumnsDecodeRefuses: columns that do not describe a
+// registry are an error, not a registry.
+func TestOwnerColumnsDecodeRefuses(t *testing.T) {
+	ok := ownerColumns{IDs: []byte{2, 1, 1}, Tenants: []byte{0, 1, 0}, Names: []string{"a", "b"}}
+	if ids, tenants, err := ok.decode(); err != nil || !reflect.DeepEqual(ids, []int{1, 2, 3}) || !reflect.DeepEqual(tenants, []uint32{0, 1, 0}) {
+		t.Fatalf("well-formed columns decode as %v, %v, %v", ids, tenants, err)
+	}
+	for name, c := range map[string]ownerColumns{
+		"ids not ascending":   {IDs: []byte{2, 0}, Tenants: []byte{0, 0}, Names: []string{"a"}},
+		"index out of table":  {IDs: []byte{2, 1}, Tenants: []byte{0, 2}, Names: []string{"a", "b"}},
+		"truncated index":     {IDs: []byte{2}, Tenants: []byte{0x80}, Names: []string{"a"}},
+		"fewer indices":       {IDs: []byte{2, 1}, Tenants: []byte{0}, Names: []string{"a"}},
+		"more indices":        {IDs: []byte{2}, Tenants: []byte{0, 0}, Names: []string{"a"}},
+		"indices without ids": {Tenants: []byte{0}, Names: []string{"a"}},
+	} {
+		if ids, tenants, err := c.decode(); err == nil {
+			t.Errorf("%s: decoded as %v, %v", name, ids, tenants)
+		}
 	}
 }

@@ -55,9 +55,13 @@ type serverSnapshot struct {
 	NextG     uint64                  `json:"next_g,omitempty"`
 
 	NextID int64 `json:"next_id"`
-	// Owners maps tenant → sorted accepted job IDs: the depends_on
-	// validation registry, and in manual mode the explicit-ID dedupe.
-	Owners map[string][]int `json:"owners,omitempty"`
+	// Owners is every accepted job ID with its tenant, as columns: the
+	// depends_on validation registry, and in manual mode the explicit-ID
+	// dedupe. ownerIDs and ownerTenants are its decoded form, filled by
+	// newestSnapshot.
+	Owners       *ownerColumns `json:"owners,omitempty"`
+	ownerIDs     []int
+	ownerTenants []uint32
 
 	Counters counterSnapshot `json:"counters"`
 
@@ -70,9 +74,10 @@ type serverSnapshot struct {
 
 // snapshotVersion is the serverSnapshot layout this binary reads and
 // writes. 2 moved the retained events out of the payload into the event
-// journal and dropped used_ids; version 1 payloads are refused, not
-// converted.
-const snapshotVersion = 2
+// journal and dropped used_ids; 3 stores owners and each engine's
+// dag.done as byte columns. Payloads of any other version are refused,
+// not converted.
+const snapshotVersion = 3
 
 // counterSnapshot carries the service's atomic counters.
 type counterSnapshot struct {
@@ -200,8 +205,18 @@ func (s *Server) newestSnapshot() (*serverSnapshot, error) {
 			continue
 		}
 		var cand serverSnapshot
-		if err := json.Unmarshal(payload, &cand); err != nil {
-			continue
+		parseErr := json.Unmarshal(payload, &cand)
+		if parseErr != nil {
+			// Another version's payload need not fit this layout's types
+			// (version 2's owners and done are lists), so the version alone
+			// is read again before the payload counts as damage.
+			var head struct {
+				Version int `json:"version"`
+			}
+			if json.Unmarshal(payload, &head) != nil || head.Version == snapshotVersion {
+				continue
+			}
+			cand.Version = head.Version
 		}
 		// The version says how to read the rest, so it is judged first.
 		if cand.Version != snapshotVersion {
@@ -215,7 +230,8 @@ func (s *Server) newestSnapshot() (*serverSnapshot, error) {
 		}
 		// One engine per shard and one watermark per shard log (none in
 		// the flat layout, where Shards stays 0).
-		if len(cand.engines()) != max(cand.Shards, 1) || len(cand.ShardSeqs) != cand.Shards || !s.wal.Holds(cand.marks()) {
+		if len(cand.engines()) != max(cand.Shards, 1) || len(cand.ShardSeqs) != cand.Shards || !s.wal.Holds(cand.marks()) ||
+			cand.decodeColumns() != nil {
 			continue
 		}
 		if err := s.checkFingerprint(&cand); err != nil {
@@ -224,6 +240,26 @@ func (s *Server) newestSnapshot() (*serverSnapshot, error) {
 		return &cand, nil
 	}
 	return nil, nil
+}
+
+// decodeColumns expands the owners columns into ownerIDs and
+// ownerTenants and decodes every engine's columns for its restore, so
+// that a column that does not decode makes the snapshot damage, like a
+// payload that does not parse, instead of failing the restore.
+func (snap *serverSnapshot) decodeColumns() (err error) {
+	if snap.Owners != nil {
+		if snap.ownerIDs, snap.ownerTenants, err = snap.Owners.decode(); err != nil {
+			return err
+		}
+	}
+	for _, e := range snap.engines() {
+		if e != nil {
+			if err := e.DecodeColumns(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // engines returns the engine snapshots in shard order, whichever of the
@@ -250,7 +286,9 @@ func (s *Server) restoreFromSnapshot(cc sched.CoordinatorConfig, snap *serverSna
 	}
 	s.tenants.restore(snap.Tenants)
 	s.nextID.Store(snap.NextID)
-	s.owners.restore(snap.Owners)
+	if snap.Owners != nil {
+		s.owners.restore(snap.Owners.Names, snap.ownerIDs, snap.ownerTenants)
+	}
 	s.submitted.Store(snap.Counters.Submitted)
 	s.arrived.Store(snap.Counters.Arrived)
 	s.placed.Store(snap.Counters.Placed)

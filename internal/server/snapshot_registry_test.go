@@ -3,6 +3,7 @@ package server_test
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 
 	"trustgrid/internal/api"
 	"trustgrid/internal/client"
+	"trustgrid/internal/idset"
 	"trustgrid/internal/server"
 )
 
@@ -115,11 +117,46 @@ func runRegistrySubmitters(t *testing.T, cfg server.Config) []registryJob {
 // registryJSON is the slice of a server snapshot the invariant speaks
 // about, plus the watermarks that say which records it covers.
 type registryJSON struct {
-	Seq       uint64           `json:"seq"`
-	ShardSeqs []uint64         `json:"shard_seqs"`
-	NextG     uint64           `json:"next_g"`
-	NextID    int64            `json:"next_id"`
-	Owners    map[string][]int `json:"owners"`
+	Seq       uint64        `json:"seq"`
+	ShardSeqs []uint64      `json:"shard_seqs"`
+	NextG     uint64        `json:"next_g"`
+	NextID    int64         `json:"next_id"`
+	Owners    *ownerColumns `json:"owners"`
+}
+
+// ownerColumns is a version-3 snapshot's owners field: an idset byte
+// column of IDs, one uvarint tenant index per ID, the tenant names.
+type ownerColumns struct {
+	IDs     []byte   `json:"ids"`
+	Tenants []byte   `json:"tenants"`
+	Names   []string `json:"names"`
+}
+
+// byTenant decodes the columns into tenant → ascending IDs, failing the
+// test on a column that does not decode; a nil field is the empty map.
+func (c *ownerColumns) byTenant(t *testing.T) map[string][]int {
+	t.Helper()
+	out := map[string][]int{}
+	if c == nil {
+		return out
+	}
+	ids, err := idset.ParseColumn(c.IDs)
+	if err != nil {
+		t.Fatalf("owners.ids: %v", err)
+	}
+	b := c.Tenants
+	for _, id := range ids {
+		tenant, w := binary.Uvarint(b)
+		if w <= 0 || tenant >= uint64(len(c.Names)) {
+			t.Fatalf("owners.tenants does not give ID %d a tenant index into %d names", id, len(c.Names))
+		}
+		out[c.Names[tenant]] = append(out[c.Names[tenant]], id)
+		b = b[w:]
+	}
+	if len(b) != 0 {
+		t.Fatalf("owners.tenants has %d bytes past its %d IDs", len(b), len(ids))
+	}
+	return out
 }
 
 // registrySnapshot is one snapshot file of a finished run: what it
@@ -127,6 +164,7 @@ type registryJSON struct {
 // of a crash right after it was written.
 type registrySnapshot struct {
 	registryJSON
+	owners        map[string][]int // registryJSON.Owners, decoded
 	covered, lost []registryJob
 	crashDir      func() string
 }
@@ -179,6 +217,7 @@ func harvestRegistry(t *testing.T, dir string, sharded bool) []registrySnapshot 
 		if err := json.Unmarshal(file.payload, &snap.registryJSON); err != nil {
 			t.Fatal(err)
 		}
+		snap.owners = snap.Owners.byTenant(t)
 		marks := []uint64{snap.Seq}
 		if sharded {
 			marks = snap.ShardSeqs
@@ -208,24 +247,22 @@ func TestSnapshotRegistryCoveredByLog(t *testing.T) {
 			dir := t.TempDir()
 			runRegistrySubmitters(t, mk(dir))
 			for _, snap := range harvestRegistry(t, dir, name == "sharded") {
-				want := registryJSON{Owners: map[string][]int{}}
+				var wantNextID int64
+				wantOwners := map[string][]int{}
 				for _, j := range snap.covered {
-					want.Owners[j.tenant] = append(want.Owners[j.tenant], j.id)
-					if int64(j.id) > want.NextID {
-						want.NextID = int64(j.id)
+					wantOwners[j.tenant] = append(wantOwners[j.tenant], j.id)
+					if int64(j.id) > wantNextID {
+						wantNextID = int64(j.id)
 					}
 				}
-				for _, ids := range want.Owners {
+				for _, ids := range wantOwners {
 					sort.Ints(ids)
 				}
-				render := func(r registryJSON) string {
-					b, _ := json.Marshal(map[string]any{"next_id": r.NextID, "owners": r.Owners})
+				render := func(nextID int64, owners map[string][]int) string {
+					b, _ := json.Marshal(map[string]any{"next_id": nextID, "owners": owners})
 					return string(b)
 				}
-				if snap.Owners == nil {
-					snap.Owners = map[string][]int{}
-				}
-				if got, want := render(snap.registryJSON), render(want); got != want {
+				if got, want := render(snap.NextID, snap.owners), render(wantNextID, wantOwners); got != want {
 					t.Errorf("snapshot at seq %d, shard_seqs %v holds a registry its log prefix does not imply:\n got %s\nwant %s",
 						snap.Seq, snap.ShardSeqs, got, want)
 				}

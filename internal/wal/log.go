@@ -3,7 +3,6 @@ package wal
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -174,11 +173,10 @@ func (l *Log) Append(rec Record) (uint64, error) {
 	if err := rec.Validate(); err != nil {
 		return 0, err
 	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
+	var err error
+	if l.buf, err = appendFrame(l.buf[:0], &rec); err != nil {
 		return 0, err
 	}
-	l.buf = appendFrame(l.buf[:0], payload)
 	if _, err := l.w.Write(l.buf); err != nil {
 		return 0, err
 	}

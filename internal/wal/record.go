@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math"
+	"strconv"
 
 	"trustgrid/internal/api"
 	"trustgrid/internal/grid"
@@ -106,29 +108,86 @@ func (r Record) Validate() error {
 // AND parse AND carry the next contiguous sequence number.
 const frameHeader = 9 // 8 hex chars + space
 
-// appendFrame appends the framed payload to buf.
-func appendFrame(buf, payload []byte) []byte {
+// appendFrame appends rec as one framed line to buf: the header's
+// place is reserved, the payload appended after it, and the checksum
+// written into the header once the payload is known.
+func appendFrame(buf []byte, rec *Record) ([]byte, error) {
+	start := len(buf)
+	buf = append(buf, "00000000 "...)
+	buf, err := appendPayload(buf, rec)
+	if err != nil {
+		return buf[:start], err
+	}
 	var crc [4]byte
-	sum := crc32.ChecksumIEEE(payload)
+	sum := crc32.ChecksumIEEE(buf[start+frameHeader:])
 	crc[0], crc[1], crc[2], crc[3] = byte(sum>>24), byte(sum>>16), byte(sum>>8), byte(sum)
-	var hexbuf [8]byte
-	hex.Encode(hexbuf[:], crc[:])
-	buf = append(buf, hexbuf[:]...)
-	buf = append(buf, ' ')
-	buf = append(buf, payload...)
-	return append(buf, '\n')
+	hex.Encode(buf[start:start+8], crc[:])
+	return append(buf, '\n'), nil
 }
+
+// appendPayload appends rec's JSON payload: json.Marshal's bytes, byte
+// for byte. Arrival and barrier records — all but a handful of any log
+// — are rendered by hand (DESIGN.md §10.1); tenant and churn records,
+// and any record with a non-finite float, which json.Marshal refuses,
+// go through json.Marshal itself.
+func appendPayload(dst []byte, rec *Record) ([]byte, error) {
+	if out, ok := appendCanonical(dst, rec); ok {
+		return out, nil
+	}
+	// A copy goes to encoding/json, so only the copy escapes to the heap,
+	// not the caller's record on the hand-rendered path.
+	payload, err := json.Marshal(*rec)
+	return append(dst, payload...), err
+}
+
+// appendCanonical renders an arrival or a barrier record with no other
+// payload and finite floats, and reports whether it did; otherwise dst
+// comes back unchanged.
+func appendCanonical(dst []byte, rec *Record) ([]byte, bool) {
+	if !finite(rec.At) || rec.Tenant != nil || rec.Churn != nil {
+		return dst, false
+	}
+	var kind string
+	switch {
+	case rec.Kind == KindArrival && rec.Arrival != nil && rec.Barrier == nil:
+		kind = `,"kind":"arrival"`
+	case rec.Kind == KindBarrier && rec.Barrier != nil && rec.Arrival == nil && finite(rec.Barrier.To):
+		kind = `,"kind":"barrier"`
+	default:
+		return dst, false
+	}
+	start := len(dst)
+	dst = append(dst, `{"seq":`...)
+	dst = strconv.AppendUint(dst, rec.Seq, 10)
+	dst = append(dst, kind...)
+	if rec.At != 0 {
+		dst = api.AppendFloat(append(dst, `,"at":`...), rec.At)
+	}
+	if rec.G != 0 {
+		dst = strconv.AppendUint(append(dst, `,"g":`...), rec.G, 10)
+	}
+	if rec.Barrier != nil {
+		dst = api.AppendFloat(append(dst, `,"barrier":{"to":`...), rec.Barrier.To)
+		if rec.Barrier.Drain {
+			dst = append(dst, `,"drain":true`...)
+		}
+		return append(dst, "}}"...), true
+	}
+	n := len(dst)
+	if dst = rec.Arrival.AppendJSON(append(dst, `,"arrival":`...)); len(dst) == n+len(`,"arrival":`) {
+		return dst[:start], false // a non-finite arrival float
+	}
+	return append(dst, '}'), true
+}
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // EncodeRecord renders one record as a framed line.
 func EncodeRecord(rec Record) ([]byte, error) {
 	if err := rec.Validate(); err != nil {
 		return nil, err
 	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, err
-	}
-	return appendFrame(nil, payload), nil
+	return appendFrame(nil, &rec)
 }
 
 // decodeFrame splits one complete line (newline excluded) into its
