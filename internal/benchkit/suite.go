@@ -161,6 +161,20 @@ func greedyScaleCase(n, m int, mk func(grid.Policy) sched.Scheduler) func(b *tes
 	return greedyCaseOn(func() ([]*grid.Job, []*grid.Site) { return scaleBatch(n, m) }, mk)
 }
 
+// retryScaleCase is greedyScaleCase with a share of the batch marked
+// must-be-safe, the strictly-safe retries of failed jobs: on the live
+// wide workload about 30 % of a round's jobs are retries.
+func retryScaleCase(n, m int, safe float64, mk func(grid.Policy) sched.Scheduler) func(b *testing.B) {
+	return greedyCaseOn(func() ([]*grid.Job, []*grid.Site) {
+		jobs, sites := scaleBatch(n, m)
+		r := rng.New(2)
+		for _, j := range jobs {
+			j.MustBeSafe = r.Bool(safe)
+		}
+		return jobs, sites
+	}, mk)
+}
+
 // greedyCaseOn defers workload generation into the benchmark body:
 // Suite() is also called just to enumerate names (Find, the smoke
 // filter), and must not pay for 1024-site platforms there.
@@ -534,13 +548,17 @@ func Suite() []Case {
 		// so is Min-Min at m=1024 — the round the benchmark's
 		// live-wide-minmin workload runs every tick; the other 64/1024
 		// endpoints ride the full runs so the trajectory keeps the
-		// scaling curve without inflating every PR's benchmark job.
+		// scaling curve without inflating every PR's benchmark job. The
+		// safe=30 point adds the must-be-safe retries the live rounds
+		// carry.
 		{Name: "GreedyMinMin/m=64/batch=200", Smoke: false,
 			F: greedyScaleCase(200, 64, func(p grid.Policy) sched.Scheduler { return heuristics.NewMinMin(p) })},
 		{Name: "GreedyMinMin/m=256/batch=200", Smoke: true,
 			F: greedyScaleCase(200, 256, func(p grid.Policy) sched.Scheduler { return heuristics.NewMinMin(p) })},
 		{Name: "GreedyMinMin/m=1024/batch=200", Smoke: true,
 			F: greedyScaleCase(200, 1024, func(p grid.Policy) sched.Scheduler { return heuristics.NewMinMin(p) })},
+		{Name: "GreedyMinMin/m=1024/batch=200/safe=30", Smoke: true,
+			F: retryScaleCase(200, 1024, 0.3, func(p grid.Policy) sched.Scheduler { return heuristics.NewMinMin(p) })},
 		{Name: "GreedySufferage/m=256/batch=200", Smoke: false,
 			F: greedyScaleCase(200, 256, func(p grid.Policy) sched.Scheduler { return heuristics.NewSufferage(p) })},
 		// The DAG axis: Rank-Min-Min pays a sort plus the rank-column

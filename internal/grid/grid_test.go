@@ -53,6 +53,36 @@ func TestSiteExecTime(t *testing.T) {
 	}
 }
 
+// TestSiteValidate: NaN must fail the SL range check and a NaN or
+// infinite speed the speed check, as out-of-range values always did.
+func TestSiteValidate(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		speed, sl float64
+		ok        bool
+	}{
+		{"valid", 8, 0.5, true},
+		{"SL 0", 8, 0, true},
+		{"SL 1", 8, 1, true},
+		{"SL NaN", 8, math.NaN(), false},
+		{"SL below 0", 8, -0.1, false},
+		{"SL above 1", 8, 1.1, false},
+		{"SL +Inf", 8, math.Inf(1), false},
+		{"speed 0", 0, 0.5, false},
+		{"speed negative", -1, 0.5, false},
+		{"speed NaN", math.NaN(), 0.5, false},
+		{"speed +Inf", math.Inf(1), 0.5, false},
+	} {
+		s := &Site{ID: 0, Speed: tc.speed, Nodes: 1, SecurityLevel: tc.sl}
+		if err := s.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+		if err := ValidateSites([]*Site{s}); (err == nil) != tc.ok {
+			t.Errorf("%s: ValidateSites = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+}
+
 func TestValidateSitesPositionalIDs(t *testing.T) {
 	sites := []*Site{
 		{ID: 0, Speed: 1, Nodes: 1, SecurityLevel: 0.5},

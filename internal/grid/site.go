@@ -22,12 +22,14 @@ type Site struct {
 
 // Validate reports whether the site's fields are sensible.
 func (s *Site) Validate() error {
+	// Written so NaN fails the range tests: the schedulers order sites
+	// by SL, and a NaN speed or level would poison every comparison.
 	switch {
-	case s.Speed <= 0:
-		return fmt.Errorf("grid: site %d has non-positive speed %v", s.ID, s.Speed)
+	case !(s.Speed > 0) || math.IsInf(s.Speed, 1):
+		return fmt.Errorf("grid: site %d has speed %v, want positive and finite", s.ID, s.Speed)
 	case s.Nodes <= 0:
 		return fmt.Errorf("grid: site %d has non-positive node count %d", s.ID, s.Nodes)
-	case s.SecurityLevel < 0 || s.SecurityLevel > 1:
+	case !(s.SecurityLevel >= 0 && s.SecurityLevel <= 1):
 		return fmt.Errorf("grid: site %d has SL %v outside [0,1]", s.ID, s.SecurityLevel)
 	}
 	return nil

@@ -36,7 +36,7 @@ import (
 //     and then pays O(log |elig|) instead of an O(m) rescan.
 //
 // The bucket order invariant: within one site, candidate jobs are kept
-// in ascending ETC order. The kernel contract (Snapshot.ETC[i*M+k] =
+// in ascending ETC order. The kernel contract (Snapshot.ETC()[i*M+k] =
 // Workload[i]/Speed[k], IEEE division) makes every site's column
 // monotone in workload — x ≤ y implies x/s ≤ y/s for s > 0 — so one
 // global sort of the batch by (workload, batch index) orders every
@@ -212,6 +212,8 @@ func entLess(a, b jobEnt) bool {
 // and happens only for jobs whose stamped best or second site was
 // assigned since their last refresh.
 type lazyRun struct {
+	etc      []float64 // the snapshot's ETC matrix, m columns
+	m        int
 	ready    []float64
 	start    []float64 // max(ready, now) per site — the ct base
 	elig     []*kernel.EligSet
@@ -232,8 +234,8 @@ type lazyRun struct {
 // when a site takes an assignment, while ct runs on every heap re-key,
 // so hoisting the comparison out pays for itself during the O(Σ|elig|)
 // initial build.
-func (g *lazyRun) ct(k *kernel.Snapshot, i int, site int32) float64 {
-	return g.start[site] + k.ETC[i*k.M+int(site)]
+func (g *lazyRun) ct(i int, site int32) float64 {
+	return g.start[site] + g.etc[i*g.m+int(site)]
 }
 
 // refresh re-derives job i's best and second-best completion times from
@@ -241,14 +243,14 @@ func (g *lazyRun) ct(k *kernel.Snapshot, i int, site int32) float64 {
 // the best, swap-pop it to expose and validate the runner-up, then sift
 // the best back in. Stamps record the site versions the values were
 // computed under.
-func (g *lazyRun) refresh(k *kernel.Snapshot, i int) {
+func (g *lazyRun) refresh(i int) {
 	h := g.ent[g.off[i]:g.off[i+1]]
 	for {
 		e := h[0]
 		if g.siteVer[e.site] == e.ver {
 			break
 		}
-		h[0].ct = g.ct(k, i, e.site)
+		h[0].ct = g.ct(i, e.site)
 		h[0].ver = g.siteVer[e.site]
 		siftDown(h, 0)
 	}
@@ -269,7 +271,7 @@ func (g *lazyRun) refresh(k *kernel.Snapshot, i int) {
 		if g.siteVer[e.site] == e.ver {
 			break
 		}
-		sub[0].ct = g.ct(k, i, e.site)
+		sub[0].ct = g.ct(i, e.site)
 		sub[0].ver = g.siteVer[e.site]
 		siftDown(sub, 0)
 	}
@@ -360,6 +362,7 @@ func (g *lazyRun) lazyBatch(batch []*grid.Job, st *sched.State, policy grid.Poli
 	}
 	k := st.Snapshot(batch)
 	m := k.M
+	g.etc, g.m = k.ETC(), m
 
 	g.ready = growF64(g.ready, m)
 	copy(g.ready, k.Ready)
@@ -391,7 +394,7 @@ func (g *lazyRun) lazyBatch(batch []*grid.Job, st *sched.State, policy grid.Poli
 	for i := 0; i < n; i++ {
 		e := k.Eligible(policy, i)
 		elig[i] = e
-		total += len(e.Sites)
+		total += e.Count()
 		g.off[i+1] = int32(total)
 	}
 	if cap(g.ent) < total {
@@ -406,14 +409,14 @@ func (g *lazyRun) lazyBatch(batch []*grid.Job, st *sched.State, policy grid.Poli
 			for word != 0 {
 				s := base + int32(bits.TrailingZeros64(word))
 				word &= word - 1
-				h[p] = jobEnt{ct: g.ct(k, i, s), site: s, ver: 0}
+				h[p] = jobEnt{ct: g.ct(i, s), site: s, ver: 0}
 				p++
 			}
 		}
 		for j := len(h)/2 - 1; j >= 0; j-- {
 			siftDown(h, j)
 		}
-		g.refresh(k, i)
+		g.refresh(i)
 	}
 
 	if cap(g.remain) < n {
@@ -427,7 +430,7 @@ func (g *lazyRun) lazyBatch(batch []*grid.Job, st *sched.State, policy grid.Poli
 		for _, i := range remaining {
 			if g.siteVer[g.bestSite[i]] != g.bestVer[i] ||
 				(g.secSite[i] >= 0 && g.siteVer[g.secSite[i]] != g.secVer[i]) {
-				g.refresh(k, i)
+				g.refresh(i)
 			}
 		}
 		pos := pick(g.bestCT, g.secondCT, remaining)

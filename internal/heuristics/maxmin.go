@@ -63,16 +63,18 @@ func (k *KPB) Schedule(batch []*grid.Job, st *sched.State) []sched.Assignment {
 	out := make([]sched.Assignment, 0, len(batch))
 	frac := k.percent() / 100
 	subset := make([]int, kern.M)
+	etc := kern.ETC()
 	for i, j := range batch {
 		elig := kern.Eligible(k.Policy, i)
-		row := kern.ETC[i*kern.M : (i+1)*kern.M]
+		sites := elig.Sites()
+		row := etc[i*kern.M : (i+1)*kern.M]
 		// Keep the ⌈k%⌉ fastest eligible sites by raw execution time.
-		keep := int(math.Ceil(frac * float64(len(elig.Sites))))
+		keep := int(math.Ceil(frac * float64(len(sites))))
 		if keep < 1 {
 			keep = 1
 		}
-		subset = subset[:len(elig.Sites)]
-		copy(subset, elig.Sites)
+		subset = subset[:len(sites)]
+		copy(subset, sites)
 		// Selection sort of the first `keep` by ETC: subsets are tiny.
 		for i := 0; i < keep; i++ {
 			best := i

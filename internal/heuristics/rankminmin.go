@@ -63,13 +63,14 @@ func (r *RankMinMin) Schedule(batch []*grid.Job, st *sched.State) []sched.Assign
 		start[s] = v
 	}
 
+	etc := k.ETC()
 	out := make([]sched.Assignment, 0, n)
 	for _, oi := range order {
 		i := int(oi)
 		elig := k.Eligible(r.Policy, i)
-		row := k.ETC[i*k.M : (i+1)*k.M]
+		row := etc[i*k.M : (i+1)*k.M]
 		best, bestCT := -1, math.Inf(1)
-		for _, site := range elig.Sites {
+		for _, site := range elig.Sites() {
 			if ct := start[site] + row[site]; ct < bestCT {
 				best, bestCT = site, ct
 			}

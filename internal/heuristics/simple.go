@@ -26,12 +26,13 @@ func (m *MCT) Name() string { return fmt.Sprintf("MCT %s", m.Policy.Name()) }
 func (m *MCT) Schedule(batch []*grid.Job, st *sched.State) []sched.Assignment {
 	k := st.Snapshot(batch)
 	ready := append([]float64(nil), k.Ready...)
+	etc := k.ETC()
 	out := make([]sched.Assignment, 0, len(batch))
 	for i, j := range batch {
 		elig := k.Eligible(m.Policy, i)
-		row := k.ETC[i*k.M : (i+1)*k.M]
+		row := etc[i*k.M : (i+1)*k.M]
 		best, bestCT := -1, math.Inf(1)
-		for _, site := range elig.Sites {
+		for _, site := range elig.Sites() {
 			start := ready[site]
 			if k.Now > start {
 				start = k.Now
@@ -62,12 +63,13 @@ func (m *MET) Name() string { return fmt.Sprintf("MET %s", m.Policy.Name()) }
 // Schedule implements sched.Scheduler.
 func (m *MET) Schedule(batch []*grid.Job, st *sched.State) []sched.Assignment {
 	k := st.Snapshot(batch)
+	etc := k.ETC()
 	out := make([]sched.Assignment, 0, len(batch))
 	for i, j := range batch {
 		elig := k.Eligible(m.Policy, i)
-		row := k.ETC[i*k.M : (i+1)*k.M]
+		row := etc[i*k.M : (i+1)*k.M]
 		best, bestET := -1, math.Inf(1)
-		for _, site := range elig.Sites {
+		for _, site := range elig.Sites() {
 			if et := row[site]; et < bestET {
 				best, bestET = site, et
 			}
@@ -93,11 +95,12 @@ func (o *OLB) Name() string { return fmt.Sprintf("OLB %s", o.Policy.Name()) }
 func (o *OLB) Schedule(batch []*grid.Job, st *sched.State) []sched.Assignment {
 	k := st.Snapshot(batch)
 	ready := append([]float64(nil), k.Ready...)
+	etc := k.ETC()
 	out := make([]sched.Assignment, 0, len(batch))
 	for i, j := range batch {
 		elig := k.Eligible(o.Policy, i)
 		best, bestReady := -1, math.Inf(1)
-		for _, site := range elig.Sites {
+		for _, site := range elig.Sites() {
 			r := ready[site]
 			if k.Now > r {
 				r = k.Now
@@ -106,7 +109,7 @@ func (o *OLB) Schedule(batch []*grid.Job, st *sched.State) []sched.Assignment {
 				best, bestReady = site, r
 			}
 		}
-		ready[best] = bestReady + k.ETC[i*k.M+best]
+		ready[best] = bestReady + etc[i*k.M+best]
 		out = append(out, sched.Assignment{Job: j, Site: best, FellBack: elig.FellBack})
 	}
 	return out
@@ -131,7 +134,8 @@ func (r *Random) Schedule(batch []*grid.Job, st *sched.State) []sched.Assignment
 	out := make([]sched.Assignment, 0, len(batch))
 	for i, j := range batch {
 		elig := k.Eligible(r.Policy, i)
-		site := elig.Sites[r.Rand.Intn(len(elig.Sites))]
+		sites := elig.Sites()
+		site := sites[r.Rand.Intn(len(sites))]
 		out = append(out, sched.Assignment{Job: j, Site: site, FellBack: elig.FellBack})
 	}
 	return out

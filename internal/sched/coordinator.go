@@ -8,6 +8,7 @@ import (
 
 	"trustgrid/internal/grid"
 	"trustgrid/internal/metrics"
+	"trustgrid/internal/obs"
 )
 
 // ErrShardDown reports that a shard is (temporarily) unreachable — a
@@ -248,6 +249,21 @@ func (c *Coordinator) Shards() int { return len(c.shards) }
 // Shard exposes one shard for per-shard introspection (metrics,
 // snapshots). Loop goroutine only, like the engine itself.
 func (c *Coordinator) Shard(i int) Shard { return c.shards[i] }
+
+// RoundPhases sums the round-phase histograms of the in-process
+// shards. A fleet worker's rounds run in its own process and are not
+// counted here. Safe from any goroutine.
+func (c *Coordinator) RoundPhases() [NumPhases]obs.Counts {
+	var sum [NumPhases]obs.Counts
+	for _, sh := range c.shards {
+		if o, ok := sh.(*Online); ok {
+			for i := range o.st.phases {
+				sum[i].Add(o.st.phases[i].Load())
+			}
+		}
+	}
+	return sum
+}
 
 // Part returns shard i's site partition (global indices, local order).
 // The returned slice is the coordinator's own — read only.

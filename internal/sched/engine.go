@@ -7,6 +7,7 @@ import (
 	"trustgrid/internal/dag"
 	"trustgrid/internal/grid"
 	"trustgrid/internal/metrics"
+	"trustgrid/internal/obs"
 	"trustgrid/internal/rng"
 	"trustgrid/internal/sched/kernel"
 	"trustgrid/internal/sim"
@@ -180,6 +181,10 @@ type engineState struct {
 	batchOpen bool // a batch event is already scheduled
 	// kb rebuilds the columnar snapshot each round into reused storage.
 	kb kernel.Builder
+	// phases holds one wall-clock histogram per round phase. It is
+	// observability only: wall time never reaches an event or a WAL
+	// record, so the determinism contract is untouched.
+	phases [NumPhases]obs.Histogram
 
 	// Durable-mode pending-event ledger (nil/zero otherwise): every event
 	// sitting on the sim queue is accounted for here so Snapshot can
@@ -285,6 +290,7 @@ func (st *engineState) runBatch(e *sim.Engine) {
 		st.ensureBatch(e)
 		return
 	}
+	start := time.Now()
 	batch := st.queue
 	st.queue = nil
 	if st.adm != nil {
@@ -304,7 +310,7 @@ func (st *engineState) runBatch(e *sim.Engine) {
 		st.largest = len(batch)
 	}
 	state := &State{Now: e.Now(), Sites: st.cfg.Sites, Ready: st.ready, Alive: st.aliveVec()}
-	wall := time.Now()
+	formed := time.Now()
 	// Build the columnar snapshot once per round; every scheduler
 	// (including the online daemon path, which drives this same batch
 	// loop) streams over it instead of re-deriving eligibility and
@@ -315,8 +321,13 @@ func (st *engineState) runBatch(e *sim.Engine) {
 	if st.deps.SawEdges() {
 		st.installRanks(state.Kern, batch)
 	}
+	built := time.Now()
 	as := st.cfg.Scheduler.Schedule(batch, state)
-	st.schedTime += time.Since(wall)
+	scheduled := time.Now()
+	st.schedTime += scheduled.Sub(formed)
+	st.phases[PhaseForm].Observe(formed.Sub(start))
+	st.phases[PhaseKernel].Observe(built.Sub(formed))
+	st.phases[PhaseSchedule].Observe(scheduled.Sub(built))
 	if st.cfg.Validate {
 		if err := ValidateAssignments(batch, as, len(st.cfg.Sites)); err != nil {
 			e.Fail(err)
@@ -326,7 +337,22 @@ func (st *engineState) runBatch(e *sim.Engine) {
 	for _, a := range as {
 		st.dispatch(e, a)
 	}
+	st.phases[PhaseDispatch].Observe(time.Since(scheduled))
 }
+
+// The phases of a Δ-round that runBatch times: batch formation (queue
+// hand-off and fair-share rationing), the kernel snapshot with any DAG
+// ranks, the scheduler's Schedule call, and validation plus dispatch.
+const (
+	PhaseForm = iota
+	PhaseKernel
+	PhaseSchedule
+	PhaseDispatch
+	NumPhases
+)
+
+// PhaseNames labels the phases for exposition.
+var PhaseNames = [NumPhases]string{"form", "kernel", "schedule", "dispatch"}
 
 // installRanks fills the snapshot's rank column with the batch's HEFT
 // upward ranks: each job's mean execution time over alive sites plus

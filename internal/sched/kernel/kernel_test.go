@@ -90,9 +90,9 @@ func requireEligibleMatchesState(t *testing.T, label string, st *sched.State, sn
 				t.Fatalf("%s job %d (sd %v) policy %s f=%v: fellBack %v != %v",
 					label, i, j.SecurityDemand, p.Name(), p.F, gotFB, wantFB)
 			}
-			if !slices.Equal(e.Sites, wantIdx) {
+			if !slices.Equal(e.Sites(), wantIdx) {
 				t.Fatalf("%s job %d (sd %v) policy %s f=%v: site list %v != %v",
-					label, i, j.SecurityDemand, p.Name(), p.F, e.Sites, wantIdx)
+					label, i, j.SecurityDemand, p.Name(), p.F, e.Sites(), wantIdx)
 			}
 			for k := range st.Sites {
 				has := bits[k>>6]&(1<<(uint(k)&63)) != 0
@@ -120,6 +120,154 @@ func TestEligibleBitsetMatchesState(t *testing.T) {
 		}
 	})
 	t.Run("band", eligibleAtTheBand)
+	t.Run("ties", eligibleOnFewLevels)
+	t.Run("wide", eligibleWide)
+	t.Run("ulps", eligibleAtTheLevels)
+	t.Run("reuse", eligibleOnReusedBuilder)
+}
+
+// allPolicies is every mode, with f at both unbanded ends and inside.
+func allPolicies(r *rng.Stream) []grid.Policy {
+	return append(policies(r), grid.FRiskyPolicy(0), grid.FRiskyPolicy(1), grid.FRiskyPolicy(0.5))
+}
+
+// liveness returns the liveness vectors every subtest below runs on.
+func liveness(r *rng.Stream, m int) map[string][]bool {
+	some := make([]bool, m)
+	for k := range some {
+		some[k] = r.Bool(0.7)
+	}
+	return map[string][]bool{"static": nil, "churn": some, "outage": make([]bool, m)}
+}
+
+// randomJobs draws n jobs with SDs over the whole range, a third of
+// them must-be-safe.
+func randomJobs(r *rng.Stream, n int) []*grid.Job {
+	batch := make([]*grid.Job, n)
+	for i := range batch {
+		batch[i] = &grid.Job{ID: i, Workload: 1, Nodes: 1, SecurityDemand: r.Float64(), MustBeSafe: r.Bool(0.3)}
+	}
+	return batch
+}
+
+// eligibleOnFewLevels puts many sites on a handful of levels, so the
+// SL order is mostly ties, and aims half the demands at those levels.
+func eligibleOnFewLevels(t *testing.T) {
+	r := rng.New(782)
+	levels := []float64{0.2, 0.5, 0.8, 1}
+	for trial := 0; trial < 30; trial++ {
+		m := 1 + r.Intn(300)
+		sites := make([]*grid.Site, m)
+		for k := range sites {
+			sites[k] = &grid.Site{ID: k, Speed: 1, Nodes: 1, SecurityLevel: levels[r.Intn(len(levels))]}
+		}
+		batch := randomJobs(r, 40)
+		for i := range batch[:20] {
+			batch[i].SecurityDemand = levels[r.Intn(len(levels))]
+		}
+		ps := allPolicies(r)
+		for name, alive := range liveness(r, m) {
+			st := &sched.State{Sites: sites, Ready: make([]float64, m), Alive: alive}
+			snap := kernel.Build(0, sites, st.Ready, alive, batch)
+			requireEligibleMatchesState(t, fmt.Sprintf("trial %d %s", trial, name), st, snap, ps, batch)
+		}
+	}
+}
+
+// eligibleWide runs the live workload's width, m = 1024: sixteen
+// checkpoints.
+func eligibleWide(t *testing.T) {
+	r := rng.New(783)
+	for trial := 0; trial < 4; trial++ {
+		sites := make([]*grid.Site, 1024)
+		for k := range sites {
+			sites[k] = &grid.Site{ID: k, Speed: 1, Nodes: 1, SecurityLevel: r.Float64()}
+		}
+		batch := randomJobs(r, 60)
+		ps := allPolicies(r)
+		for name, alive := range liveness(r, len(sites)) {
+			st := &sched.State{Sites: sites, Ready: make([]float64, len(sites)), Alive: alive}
+			snap := kernel.Build(0, sites, st.Ready, alive, batch)
+			requireEligibleMatchesState(t, fmt.Sprintf("trial %d %s", trial, name), st, snap, ps, batch)
+		}
+	}
+}
+
+// eligibleAtTheLevels aims demands at every site's own level and one
+// ulp either side, where the Secure (SD <= SL) and must-be-safe
+// (SL > SD) verdicts flip, including on tied levels.
+func eligibleAtTheLevels(t *testing.T) {
+	r := rng.New(784)
+	for trial := 0; trial < 20; trial++ {
+		m := 1 + r.Intn(150)
+		sites := make([]*grid.Site, m)
+		for k := range sites {
+			sl := r.Float64()
+			if k > 0 && r.Bool(0.3) {
+				sl = sites[r.Intn(k)].SecurityLevel
+			}
+			sites[k] = &grid.Site{ID: k, Speed: 1, Nodes: 1, SecurityLevel: sl}
+		}
+		var batch []*grid.Job
+		for _, s := range sites[:min(m, 20)] {
+			for _, sd := range []float64{s.SecurityLevel, math.Nextafter(s.SecurityLevel, 2), math.Nextafter(s.SecurityLevel, -1)} {
+				for _, safe := range []bool{false, true} {
+					batch = append(batch, &grid.Job{ID: len(batch), Workload: 1, Nodes: 1, SecurityDemand: sd, MustBeSafe: safe})
+				}
+			}
+		}
+		ps := allPolicies(r)
+		for name, alive := range liveness(r, m) {
+			st := &sched.State{Sites: sites, Ready: make([]float64, m), Alive: alive}
+			snap := kernel.Build(0, sites, st.Ready, alive, batch)
+			requireEligibleMatchesState(t, fmt.Sprintf("trial %d %s", trial, name), st, snap, ps, batch)
+		}
+	}
+}
+
+// eligibleOnReusedBuilder drives one Builder through rounds that change
+// the sites' levels in place, as reputation feedback does — one level,
+// a swap of two (same multiset, different order), all of them, or none
+// — and their liveness, with demands at every level so any stale
+// ordering shows. Every round must match State.
+func eligibleOnReusedBuilder(t *testing.T) {
+	r := rng.New(785)
+	var b kernel.Builder
+	for _, m := range []int{5, 64, 200, 200, 130} {
+		sites := make([]*grid.Site, m)
+		for k := range sites {
+			sites[k] = &grid.Site{ID: k, Speed: 1, Nodes: 1, SecurityLevel: r.Float64()}
+		}
+		for round := 0; round < 12; round++ {
+			switch round % 4 {
+			case 0:
+				sites[r.Intn(m)].SecurityLevel = r.Float64()
+			case 1:
+				x, y := sites[r.Intn(m)], sites[r.Intn(m)]
+				x.SecurityLevel, y.SecurityLevel = y.SecurityLevel, x.SecurityLevel
+			case 2:
+				for _, s := range sites {
+					s.SecurityLevel = r.Float64()
+				}
+			}
+			var alive []bool
+			if round%3 != 0 {
+				alive = make([]bool, m)
+				for k := range alive {
+					alive[k] = r.Bool(0.8)
+				}
+			}
+			batch := randomJobs(r, 10)
+			for _, s := range sites {
+				for _, safe := range []bool{false, true} {
+					batch = append(batch, &grid.Job{ID: len(batch), Workload: 1, Nodes: 1, SecurityDemand: s.SecurityLevel, MustBeSafe: safe})
+				}
+			}
+			st := &sched.State{Sites: sites, Ready: make([]float64, m), Alive: alive}
+			snap := b.Build(0, sites, st.Ready, alive, batch)
+			requireEligibleMatchesState(t, fmt.Sprintf("m=%d round %d", m, round), st, snap, allPolicies(r), batch)
+		}
+	}
 }
 
 // ulps moves a positive float by n units in the last place.
@@ -202,13 +350,13 @@ func TestSnapshotColumnsMatchState(t *testing.T) {
 		snap := kernel.Build(st.Now, sites, ready, alive, batch)
 		etc := grid.ETCMatrix(batch, sites)
 		for i := range etc {
-			if snap.ETC[i] != etc[i] {
-				t.Fatalf("trial %d: ETC[%d] %v != %v", trial, i, snap.ETC[i], etc[i])
+			if snap.ETC()[i] != etc[i] {
+				t.Fatalf("trial %d: ETC[%d] %v != %v", trial, i, snap.ETC()[i], etc[i])
 			}
 			// Min-Min takes ETCs as this quotient of the two dense columns
 			// instead of reading the cell, so the identity is exact.
-			if q := snap.Workload[i/snap.M] / snap.Speed[i%snap.M]; snap.ETC[i] != q {
-				t.Fatalf("trial %d: ETC[%d] %v != Workload/Speed %v", trial, i, snap.ETC[i], q)
+			if q := snap.Workload[i/snap.M] / snap.Speed[i%snap.M]; snap.ETC()[i] != q {
+				t.Fatalf("trial %d: ETC[%d] %v != Workload/Speed %v", trial, i, snap.ETC()[i], q)
 			}
 		}
 		for i, j := range batch {
@@ -249,19 +397,19 @@ func TestBuilderReuseMatchesFreshBuild(t *testing.T) {
 		if reused.N != fresh.N || reused.M != fresh.M || reused.Now != fresh.Now {
 			t.Fatalf("round %d: shape mismatch", round)
 		}
-		for i := range fresh.ETC {
-			if reused.ETC[i] != fresh.ETC[i] {
+		for i := range fresh.ETC() {
+			if reused.ETC()[i] != fresh.ETC()[i] {
 				t.Fatalf("round %d: ETC[%d] differs after reuse", round, i)
 			}
 		}
 		for _, p := range policies(r) {
 			for i := range batch {
 				a, b := reused.Eligible(p, i), fresh.Eligible(p, i)
-				if a.FellBack != b.FellBack || len(a.Sites) != len(b.Sites) {
+				if a.FellBack != b.FellBack || len(a.Sites()) != len(b.Sites()) {
 					t.Fatalf("round %d: eligibility differs after reuse", round)
 				}
-				for k := range a.Sites {
-					if a.Sites[k] != b.Sites[k] {
+				for k := range a.Sites() {
+					if a.Sites()[k] != b.Sites()[k] {
 						t.Fatalf("round %d: eligibility order differs after reuse", round)
 					}
 				}
@@ -367,6 +515,45 @@ func TestBuilderSteadyStateAllocs(t *testing.T) {
 	if allocs > 0 {
 		t.Fatalf("steady-state round allocates %v times, want 0", allocs)
 	}
+}
+
+// TestKernelSteadyStateAllocs: on a warm Builder at m = 1024, Build plus
+// every class of the batch under every mode, must-be-safe retries and
+// churn included, allocates nothing — with the levels unchanged (the
+// index is kept) and with one level changing every round (the index is
+// rebuilt in place).
+func TestKernelSteadyStateAllocs(t *testing.T) {
+	sites, batch, ready := wideRound()
+	r := rng.New(8)
+	for _, j := range batch {
+		j.MustBeSafe = r.Bool(0.3)
+	}
+	alive := make([]bool, len(sites))
+	for k := range alive {
+		alive[k] = r.Bool(0.9)
+	}
+	ps := allPolicies(r)
+	var b kernel.Builder
+	round := func() {
+		s := b.Build(0, sites, ready, alive, batch)
+		for _, p := range ps {
+			for i := range batch {
+				s.Eligible(p, i)
+			}
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(3, round); allocs > 0 {
+		t.Fatalf("steady-state round, levels unchanged: %v allocations, want 0", allocs)
+	}
+	level := sites[0].SecurityLevel
+	if allocs := testing.AllocsPerRun(3, func() {
+		sites[0].SecurityLevel = 1 - sites[0].SecurityLevel
+		round()
+	}); allocs > 0 {
+		t.Fatalf("steady-state round, a level changed: %v allocations, want 0", allocs)
+	}
+	sites[0].SecurityLevel = level
 }
 
 // TestMinMinSteadyStateAllocs extends the arena contract through the

@@ -4,7 +4,11 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
+
+	"trustgrid/internal/obs"
+	"trustgrid/internal/sched"
 )
 
 // handleProm renders the existing counters in Prometheus text
@@ -39,6 +43,22 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 	gauge("trustgrid_uptime_seconds", "Wall-clock uptime.", rep.UptimeS)
 	gauge("trustgrid_sched_latency_p50_milliseconds", "Submit-to-first-placement latency p50.", rep.Latency.P50)
 	gauge("trustgrid_sched_latency_p99_milliseconds", "Submit-to-first-placement latency p99.", rep.Latency.P99)
+
+	// Round phases as one histogram per phase label: cumulative buckets,
+	// then sum and count, as the exposition format defines them.
+	fmt.Fprintf(&b, "# HELP trustgrid_round_phase_seconds Wall time of each scheduling-round phase, over in-process shards.\n"+
+		"# TYPE trustgrid_round_phase_seconds histogram\n")
+	for i, c := range s.online.RoundPhases() {
+		phase := sched.PhaseNames[i]
+		var cum uint64
+		for k, n := range c.Buckets {
+			cum += n
+			le := strconv.FormatFloat(obs.UpperBound(k), 'g', -1, 64)
+			fmt.Fprintf(&b, "trustgrid_round_phase_seconds_bucket{phase=%q,le=%q} %d\n", phase, le, cum)
+		}
+		fmt.Fprintf(&b, "trustgrid_round_phase_seconds_sum{phase=%q} %g\n", phase, c.Sum.Seconds())
+		fmt.Fprintf(&b, "trustgrid_round_phase_seconds_count{phase=%q} %d\n", phase, cum)
+	}
 
 	// Per-tenant counters, deterministically ordered for scrape diffs.
 	ids := make([]string, 0, len(rep.Tenants))

@@ -306,6 +306,43 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
+// TestRoundPhaseExposition: one manual advance over one round puts one
+// observation in each of the four round-phase histograms, rendered as
+// cumulative buckets ending at +Inf plus _sum and _count.
+func TestRoundPhaseExposition(t *testing.T) {
+	_, ts, c := newManualV2Server(t, server.Config{})
+	ctx := context.Background()
+	arr := 0.0
+	if _, err := c.Submit(ctx, "", []api.JobSpec{{Arrival: &arr, Workload: 100, SD: 0.7}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Advance(ctx, api.AdvanceRequest{To: 1000}); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/metrics.prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	text := string(body)
+	if !strings.Contains(text, "# TYPE trustgrid_round_phase_seconds histogram\n") {
+		t.Fatalf("no round-phase histogram:\n%s", text)
+	}
+	for _, phase := range []string{"form", "kernel", "schedule", "dispatch"} {
+		for _, want := range []string{
+			`trustgrid_round_phase_seconds_bucket{phase="` + phase + `",le="1e-06"} `,
+			`trustgrid_round_phase_seconds_bucket{phase="` + phase + `",le="+Inf"} 1` + "\n",
+			`trustgrid_round_phase_seconds_sum{phase="` + phase + `"} `,
+			`trustgrid_round_phase_seconds_count{phase="` + phase + `"} 1` + "\n",
+		} {
+			if !strings.Contains(text, want) {
+				t.Fatalf("exposition missing %q:\n%s", want, text)
+			}
+		}
+	}
+}
+
 // TestV1ShimDefaultTenant pins the shim semantics: /v1/jobs lands on
 // the default tenant, visible in v2 accounting, and v1 job events carry
 // the default tenant label.

@@ -129,9 +129,9 @@ func (s *Scheduler) Table() *HistoryTable { return s.table }
 
 // batchInputs builds the three Eq. 2 parameter vectors for a batch from
 // the columnar snapshot. The ETC matrix and SD vector are the
-// snapshot's own columns (kernel.Build computes them with exactly
-// grid.ETCMatrix's layout and arithmetic); history entries retain them,
-// which is safe because snapshots are immutable once built.
+// snapshot's own columns (Snapshot.ETC fills the matrix with exactly
+// grid.ETCMatrix's layout and arithmetic); history entries keep copies,
+// because a Builder reuses the storage next round.
 func batchInputs(batch []*grid.Job, st *sched.State) (ready, etc, sd []float64) {
 	k := st.Snapshot(batch)
 	ready = make([]float64, len(k.Ready))
@@ -142,7 +142,7 @@ func batchInputs(batch []*grid.Job, st *sched.State) (ready, etc, sd []float64) 
 		}
 		ready[i] = rel
 	}
-	return ready, k.ETC, k.SD
+	return ready, k.ETC(), k.SD
 }
 
 // fitnessBase returns max(Now, Ready) per site — the availability
@@ -313,7 +313,7 @@ func (s *Scheduler) Schedule(batch []*grid.Job, st *sched.State) []sched.Assignm
 		// set, so the GA cannot evolve placements onto it. The snapshot's
 		// eligibility classes are shared with the heuristic seeding below.
 		elig := kern.Eligible(s.cfg.Policy, i)
-		allowed[i], fellBack[i] = elig.Sites, elig.FellBack
+		allowed[i], fellBack[i] = elig.Sites(), elig.FellBack
 	}
 	ready, etc, sd := batchInputs(batch, st)
 
