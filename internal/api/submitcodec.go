@@ -3,6 +3,8 @@ package api
 import (
 	"bytes"
 	"encoding/json"
+
+	"trustgrid/internal/strictjson"
 )
 
 // The submit body. POST /v1/jobs and /v2/tenants/{id}/jobs carry a
@@ -90,7 +92,7 @@ func parseJobSpec(b []byte, i int, js *JobSpec) (end int, ok bool) {
 	var seen uint8
 	for {
 		var key []byte
-		if key, i, ok = scanKey(b, i); !ok {
+		if key, i, ok = strictjson.ScanKey(b, i); !ok {
 			return i, false
 		}
 		var bit uint8
@@ -98,33 +100,33 @@ func parseJobSpec(b []byte, i int, js *JobSpec) (end int, ok bool) {
 		case "id":
 			bit = jID
 			var id int
-			if id, i, ok = scanIntField(b, i); ok {
+			if id, i, ok = strictjson.ScanIntField(b, i); ok {
 				js.ID = &id
 			}
 		case "arrival":
 			bit = jArrival
 			var at float64
-			if at, i, ok = scanFloat(b, i); ok {
+			if at, i, ok = strictjson.ScanFloat(b, i); ok {
 				js.Arrival = &at
 			}
 		case "workload":
 			bit = jWorkload
-			js.Workload, i, ok = scanFloat(b, i)
+			js.Workload, i, ok = strictjson.ScanFloat(b, i)
 		case "nodes":
 			bit = jNodes
-			js.Nodes, i, ok = scanIntField(b, i)
+			js.Nodes, i, ok = strictjson.ScanIntField(b, i)
 		case "sd":
 			bit = jSD
-			js.SD, i, ok = scanFloat(b, i)
+			js.SD, i, ok = strictjson.ScanFloat(b, i)
 		case "depends_on":
 			bit = jDependsOn
 			js.DependsOn, i, ok = scanIntList(b, i)
 		case "deadline":
 			bit = jDeadline
-			js.Deadline, i, ok = scanFloat(b, i)
+			js.Deadline, i, ok = strictjson.ScanFloat(b, i)
 		case "budget":
 			bit = jBudget
-			js.Budget, i, ok = scanFloat(b, i)
+			js.Budget, i, ok = strictjson.ScanFloat(b, i)
 		default:
 			return i, false // an unknown key
 		}
@@ -159,7 +161,7 @@ func scanIntList(b []byte, i int) (v []int, end int, ok bool) {
 			i++
 		}
 		var d int
-		if d, i, ok = scanIntField(b, i); !ok {
+		if d, i, ok = strictjson.ScanIntField(b, i); !ok {
 			return nil, i, false
 		}
 		v = append(v, d)

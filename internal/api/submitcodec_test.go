@@ -211,6 +211,7 @@ func checkTraceAppend(t *testing.T, rec TraceRecord) {
 	if string(got[1:]) != string(want) {
 		t.Fatalf("%+v:\nAppendJSON   %s\njson.Marshal %s", rec, got[1:], want)
 	}
+	checkTraceParse(t, want)
 }
 
 // TestDecodeSubmitRequestAllocs: the fast path allocates the jobs slice

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 
 	"trustgrid/internal/grid"
+	"trustgrid/internal/strictjson"
 )
 
 // TraceRecord is one accepted arrival — the complete deterministic
@@ -52,14 +54,124 @@ func (t TraceRecord) Job() *grid.Job {
 	return j
 }
 
+// AppendJSON appends the record's JSON object to dst — one line of an
+// arrival trace, and the arrival payload of a WAL record (DESIGN.md
+// §10.1) — and returns the extended slice. The bytes equal
+// json.Marshal's, under the same rules as Event.AppendJSON: a record
+// json.Marshal refuses (a NaN or infinite float) leaves dst unchanged.
+func (t *TraceRecord) AppendJSON(dst []byte) []byte {
+	for _, f := range [...]float64{t.Arrival, t.Workload, t.SD, t.Deadline, t.Budget} {
+		if !strictjson.Finite(f) {
+			return dst
+		}
+	}
+	dst = append(dst, `{"id":`...)
+	dst = strconv.AppendInt(dst, int64(t.ID), 10)
+	dst = append(dst, `,"arrival":`...)
+	dst = strictjson.AppendFloat(dst, t.Arrival)
+	dst = append(dst, `,"workload":`...)
+	dst = strictjson.AppendFloat(dst, t.Workload)
+	dst = append(dst, `,"nodes":`...)
+	dst = strconv.AppendInt(dst, int64(t.Nodes), 10)
+	dst = append(dst, `,"sd":`...)
+	dst = strictjson.AppendFloat(dst, t.SD)
+	if t.Tenant != "" {
+		dst = append(dst, `,"tenant":`...)
+		dst = strictjson.AppendString(dst, t.Tenant)
+	}
+	if t.SafeOnly {
+		dst = append(dst, `,"safe_only":true`...)
+	}
+	if len(t.DependsOn) > 0 {
+		dst = append(dst, `,"depends_on":`...)
+		sep := byte('[')
+		for _, d := range t.DependsOn {
+			dst = strconv.AppendInt(append(dst, sep), int64(d), 10)
+			sep = ','
+		}
+		dst = append(dst, ']')
+	}
+	dst = strictjson.AppendOptFloat(dst, `,"deadline":`, t.Deadline)
+	dst = strictjson.AppendOptFloat(dst, `,"budget":`, t.Budget)
+	return append(dst, '}')
+}
+
+// ScanJSON reads, at c, the object AppendJSON renders and stores the
+// fields it names in t — exactly what json.Unmarshal stores for those
+// bytes; fields it omits keep their values. Any other spelling fails c
+// (DESIGN.md §9.7), and a failed read may leave t partly written.
+func (t *TraceRecord) ScanJSON(c *strictjson.Cursor) {
+	c.Lit(`{"id":`)
+	t.ID = c.Int()
+	c.Lit(`,"arrival":`)
+	t.Arrival = c.Float()
+	c.Lit(`,"workload":`)
+	t.Workload = c.Float()
+	c.Lit(`,"nodes":`)
+	t.Nodes = c.Int()
+	c.Lit(`,"sd":`)
+	t.SD = c.Float()
+	// Omitempty fields: present only when not zero.
+	if c.Opt(`,"tenant":`) {
+		t.Tenant = c.Str()
+		c.Want(t.Tenant != "")
+	}
+	if c.Opt(`,"safe_only":true`) {
+		t.SafeOnly = true
+	}
+	if c.Opt(`,"depends_on":[`) {
+		// The list grows with the entries read, never with what the rest
+		// of the line holds.
+		deps := []int{c.Int()}
+		for c.Opt(",") {
+			deps = append(deps, c.Int())
+		}
+		t.DependsOn = deps
+		c.Lit("]")
+	}
+	if c.Opt(`,"deadline":`) {
+		t.Deadline = c.Float()
+		c.Want(t.Deadline != 0)
+	}
+	if c.Opt(`,"budget":`) {
+		t.Budget = c.Float()
+		c.Want(t.Budget != 0)
+	}
+	c.Lit("}")
+}
+
+// ParseTraceRecord decodes one trace line into rec with json.Unmarshal's
+// semantics — fields the line does not name keep their values, and the
+// error, if any, is json.Unmarshal's. A line in AppendJSON's form takes
+// the fast path (ScanJSON); every other line, valid or not, goes to
+// json.Unmarshal.
+func ParseTraceRecord(line []byte, rec *TraceRecord) error {
+	tmp := *rec
+	c := strictjson.NewCursor(line)
+	if tmp.ScanJSON(&c); c.Done() {
+		*rec = tmp
+		return nil
+	}
+	// Decoding into a copy made here, as ParseEvent does, keeps the
+	// caller's record off the heap.
+	slow := *rec
+	err := json.Unmarshal(line, &slow)
+	*rec = slow
+	return err
+}
+
 // WriteTraceRecord appends one JSONL line.
 func WriteTraceRecord(w io.Writer, rec TraceRecord) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
+	b := rec.AppendJSON(make([]byte, 0, 128))
+	if len(b) == 0 {
+		// A record AppendJSON does not render is json.Marshal's to judge,
+		// and it refuses it with the reason.
+		var err error
+		if b, err = json.Marshal(rec); err != nil {
+			return err
+		}
 	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
+	_, err := w.Write(append(b, '\n'))
 	return err
 }
 
@@ -75,7 +187,7 @@ func ReadTrace(r io.Reader) ([]TraceRecord, error) {
 			continue
 		}
 		var rec TraceRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+		if err := ParseTraceRecord(sc.Bytes(), &rec); err != nil {
 			return nil, fmt.Errorf("api: trace line %d: %w", line, err)
 		}
 		// Canonicalize: an explicit empty depends_on list means the same

@@ -474,6 +474,67 @@ func walAppendCase(b *testing.B) {
 	}
 }
 
+// walReplayCase measures wal.DecodeAll over one segment of records
+// records as a shard log of the sharded daemon holds them: a churn
+// prefix, then arrivals, each with its clock and global sequence
+// number — the decode every recovery runs over every log.
+func walReplayCase(records int) func(b *testing.B) {
+	return func(b *testing.B) {
+		events, err := grid.DefaultChurnConfig(1e6).Generate(rng.New(5), 20)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := rng.New(6)
+		tenants := []string{"gold", "silver", "bronze", "iron"}
+		var seg []byte
+		for i := 0; i < records; i++ {
+			rec := wal.Record{Seq: uint64(i + 1), G: uint64(3*i + 1)}
+			if i < len(events) && i < records/64 {
+				rec.Kind, rec.Churn = wal.KindChurn, &events[i]
+			} else {
+				at := 5000 * float64(i/160)
+				rec.Kind, rec.At = wal.KindArrival, at+5000
+				rec.Arrival = &api.TraceRecord{ID: 3*i + 1, Arrival: at + 5000*r.Float64(), Workload: 1000 + r.Float64()*200000,
+					Nodes: 1, SD: r.Uniform(0.6, 0.9), Tenant: tenants[i%len(tenants)]}
+			}
+			line, err := wal.EncodeRecord(rec)
+			if err != nil {
+				b.Fatal(err)
+			}
+			seg = append(seg, line...)
+		}
+		b.SetBytes(int64(len(seg)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if recs, n := wal.DecodeAll(seg, 1); len(recs) != records || n != len(seg) {
+				b.Fatalf("decoded %d of %d records", len(recs), records)
+			}
+		}
+	}
+}
+
+// churnReadCase measures grid.ReadChurnTrace over a generated trace of
+// events events, as a daemon reads its -churn-trace file at boot.
+func churnReadCase(events int) func(b *testing.B) {
+	return func(b *testing.B) {
+		trace, err := grid.DefaultChurnConfig(1e6).Generate(rng.New(7), events/2)
+		if err != nil || len(trace) < events {
+			b.Fatalf("generated %d churn events, want %d (%v)", len(trace), events, err)
+		}
+		var file bytes.Buffer
+		if err := grid.WriteChurnTrace(&file, trace[:events]); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(file.Len()))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if got, err := grid.ReadChurnTrace(bytes.NewReader(file.Bytes())); err != nil || len(got) != events {
+				b.Fatalf("read %d of %d events (%v)", len(got), events, err)
+			}
+		}
+	}
+}
+
 // submitDecodeCase measures api.DecodeSubmitRequest on a body of jobs
 // jobs in the form the typed client sends, with the explicit ID and
 // arrival a manual-clock replay stamps on every job.
@@ -500,8 +561,8 @@ func submitDecodeCase(jobs int) func(b *testing.B) {
 }
 
 // Suite returns the benchmark cases: the kernel path, then the event
-// codec, the WAL record and submit body codecs and the snapshot writer
-// of the service around it.
+// codec, the WAL record and submit body codecs, the WAL and churn trace
+// readers and the snapshot writer of the service around it.
 func Suite() []Case {
 	return []Case{
 		{Name: "KernelBuild/batch=50", Smoke: true, F: func(b *testing.B) {
@@ -644,6 +705,11 @@ func Suite() []Case {
 		// and a 40-job submit body, as the benchmark's replay sends them.
 		{Name: "WALAppend/arrival", Smoke: true, F: walAppendCase},
 		{Name: "SubmitDecode/jobs=40", Smoke: true, F: submitDecodeCase(40)},
+		// The read side of the durable path (DESIGN.md §10.1, §10.4): a
+		// shard log's records through the decoder every recovery runs, and
+		// a churn trace file through the reader every boot with one runs.
+		{Name: "WALReplay/records=4096", Smoke: true, F: walReplayCase(4096)},
+		{Name: "ChurnTrace/read/events=4096", Smoke: true, F: churnReadCase(4096)},
 		{Name: "SnapshotWrite/events=65536", Smoke: false, F: snapshotWriteCase(65536)},
 		{Name: "SnapshotWrite/jobs=262144/tenants=4", Smoke: false, F: registrySnapshotCase(1<<18, 4)},
 	}

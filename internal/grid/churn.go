@@ -7,8 +7,10 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strconv"
 
 	"trustgrid/internal/rng"
+	"trustgrid/internal/strictjson"
 )
 
 // ChurnKind labels one site-churn transition (DESIGN.md §7.2).
@@ -33,7 +35,7 @@ const (
 	ChurnRestore
 )
 
-var churnKindNames = map[ChurnKind]string{
+var churnKindNames = [...]string{
 	ChurnCrash:   "crash",
 	ChurnDrain:   "drain",
 	ChurnJoin:    "join",
@@ -41,9 +43,27 @@ var churnKindNames = map[ChurnKind]string{
 	ChurnRestore: "restore",
 }
 
+// name returns the wire label of a known kind.
+func (k ChurnKind) name() (string, bool) {
+	if k < 0 || int(k) >= len(churnKindNames) {
+		return "", false
+	}
+	return churnKindNames[k], true
+}
+
+// churnKindNamed returns the kind whose wire label is b.
+func churnKindNamed(b []byte) (ChurnKind, bool) {
+	for k, name := range churnKindNames {
+		if name == string(b) {
+			return ChurnKind(k), true
+		}
+	}
+	return 0, false
+}
+
 // String returns the wire label of the kind.
 func (k ChurnKind) String() string {
-	if s, ok := churnKindNames[k]; ok {
+	if s, ok := k.name(); ok {
 		return s
 	}
 	return fmt.Sprintf("ChurnKind(%d)", int(k))
@@ -52,7 +72,7 @@ func (k ChurnKind) String() string {
 // MarshalText encodes the kind as its wire label (churn traces are
 // JSONL, and "crash" reads better than 0).
 func (k ChurnKind) MarshalText() ([]byte, error) {
-	s, ok := churnKindNames[k]
+	s, ok := k.name()
 	if !ok {
 		return nil, fmt.Errorf("grid: unknown churn kind %d", int(k))
 	}
@@ -61,13 +81,12 @@ func (k ChurnKind) MarshalText() ([]byte, error) {
 
 // UnmarshalText decodes a wire label.
 func (k *ChurnKind) UnmarshalText(b []byte) error {
-	for kind, name := range churnKindNames {
-		if name == string(b) {
-			*k = kind
-			return nil
-		}
+	kind, ok := churnKindNamed(b)
+	if !ok {
+		return fmt.Errorf("grid: unknown churn kind %q", string(b))
 	}
-	return fmt.Errorf("grid: unknown churn kind %q", string(b))
+	*k = kind
+	return nil
 }
 
 // ChurnEvent is one timed site transition. A slice of them, sorted by
@@ -96,7 +115,7 @@ func ValidateChurn(events []ChurnEvent, nSites int) error {
 		case ev.Site < 0 || ev.Site >= nSites:
 			return fmt.Errorf("grid: churn event %d targets site %d outside [0,%d)", i, ev.Site, nSites)
 		}
-		if _, ok := churnKindNames[ev.Kind]; !ok {
+		if _, ok := ev.Kind.name(); !ok {
 			return fmt.Errorf("grid: churn event %d has unknown kind %d", i, int(ev.Kind))
 		}
 		if ev.Kind == ChurnDegrade && (ev.Factor <= 0 || ev.Factor > 1 || math.IsNaN(ev.Factor)) {
@@ -212,13 +231,82 @@ func (c ChurnConfig) Generate(r *rng.Stream, nSites int) ([]ChurnEvent, error) {
 	return events, nil
 }
 
+// The churn line. A churn trace is read at every boot of a daemon run
+// with one, and its events are logged at the head of every shard's WAL
+// and read back by every recovery, so the event has a hand-written codec
+// in both directions, with encoding/json as the fallback for input that
+// is not canonical (DESIGN.md §9.7).
+
+// AppendJSON appends the event's JSON object (no trailing newline) to
+// dst and returns the extended slice. The bytes equal json.Marshal's; an
+// event json.Marshal refuses (a NaN or infinite float, an unknown kind)
+// leaves dst unchanged.
+func (e *ChurnEvent) AppendJSON(dst []byte) []byte {
+	name, ok := e.Kind.name()
+	if !ok || !strictjson.Finite(e.Time) || !strictjson.Finite(e.Factor) {
+		return dst
+	}
+	dst = strictjson.AppendFloat(append(dst, `{"t":`...), e.Time)
+	dst = strconv.AppendInt(append(dst, `,"site":`...), int64(e.Site), 10)
+	dst = append(append(append(dst, `,"kind":"`...), name...), '"')
+	dst = strictjson.AppendOptFloat(dst, `,"factor":`, e.Factor)
+	return append(dst, '}')
+}
+
+// ScanJSON reads, at c, the object AppendJSON renders and stores the
+// fields it names in e — exactly what json.Unmarshal stores for those
+// bytes; a factor it omits keeps its value. Any other spelling fails c,
+// and a failed read may leave e partly written.
+func (e *ChurnEvent) ScanJSON(c *strictjson.Cursor) {
+	c.Lit(`{"t":`)
+	e.Time = c.Float()
+	c.Lit(`,"site":`)
+	e.Site = c.Int()
+	c.Lit(`,"kind":`)
+	kind, ok := churnKindNamed(c.Quoted())
+	c.Want(ok)
+	e.Kind = kind
+	if c.Opt(`,"factor":`) {
+		e.Factor = c.Float()
+		c.Want(e.Factor != 0) // omitempty never writes a zero
+	}
+	c.Lit("}")
+}
+
+// ParseChurnEvent decodes one churn line into ev with json.Unmarshal's
+// semantics — fields the line does not name keep their values, and the
+// error, if any, is json.Unmarshal's. A line in AppendJSON's form takes
+// the fast path (ScanJSON); every other line, valid or not, goes to
+// json.Unmarshal.
+func ParseChurnEvent(line []byte, ev *ChurnEvent) error {
+	tmp := *ev
+	c := strictjson.NewCursor(line)
+	if tmp.ScanJSON(&c); c.Done() {
+		*ev = tmp
+		return nil
+	}
+	slow := *ev
+	err := json.Unmarshal(line, &slow)
+	*ev = slow
+	return err
+}
+
 // WriteChurnTrace writes events as JSONL, one event per line — the
-// churn analogue of the arrival-trace format.
+// churn analogue of the arrival-trace format. The bytes are those of a
+// json.Encoder.
 func WriteChurnTrace(w io.Writer, events []ChurnEvent) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	var line []byte
 	for i := range events {
-		if err := enc.Encode(&events[i]); err != nil {
+		if line = events[i].AppendJSON(line[:0]); len(line) == 0 {
+			// An event AppendJSON does not render is json.Marshal's to
+			// judge, and it refuses it with the reason.
+			var err error
+			if line, err = json.Marshal(&events[i]); err != nil {
+				return err
+			}
+		}
+		if _, err := bw.Write(append(line, '\n')); err != nil {
 			return err
 		}
 	}
@@ -239,7 +327,7 @@ func ReadChurnTrace(r io.Reader) ([]ChurnEvent, error) {
 			continue
 		}
 		var ev ChurnEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+		if err := ParseChurnEvent(sc.Bytes(), &ev); err != nil {
 			return nil, fmt.Errorf("grid: churn trace line %d: %w", line, err)
 		}
 		out = append(out, ev)

@@ -126,7 +126,8 @@ func TestChurnTraceRoundTrip(t *testing.T) {
 }
 
 func TestChurnKindTextRoundTrip(t *testing.T) {
-	for kind := range churnKindNames {
+	for k := range churnKindNames {
+		kind := ChurnKind(k)
 		b, err := kind.MarshalText()
 		if err != nil {
 			t.Fatal(err)

@@ -6,7 +6,9 @@
 //
 // The dynamic-grid extension adds the site-churn model (DESIGN.md §7.2):
 // ChurnEvent/ChurnConfig describe and generate deterministic, seeded
-// join/leave/outage/degradation traces, serialized as JSONL, and
+// join/leave/outage/degradation traces, serialized as JSONL by a
+// hand-written line codec (ChurnEvent.AppendJSON and ScanJSON,
+// ParseChurnEvent; DESIGN.md §9.7), and
 // DeceptiveLevels builds ground-truth security vectors for sites that
 // overstate their declarations.
 //

@@ -60,6 +60,15 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "trustgrid_round_phase_seconds_count{phase=%q} %d\n", phase, cum)
 	}
 
+	// Recovery phases of this process's boot (durable daemons only).
+	if s.cfg.WALDir != "" {
+		fmt.Fprintf(&b, "# HELP trustgrid_recovery_seconds Wall time of each recovery phase at the last boot.\n"+
+			"# TYPE trustgrid_recovery_seconds gauge\n")
+		for p, d := range s.recovery {
+			fmt.Fprintf(&b, "trustgrid_recovery_seconds{phase=%q} %g\n", recoveryPhaseNames[p], d.Seconds())
+		}
+	}
+
 	// Per-tenant counters, deterministically ordered for scrape diffs.
 	ids := make([]string, 0, len(rep.Tenants))
 	for id := range rep.Tenants {

@@ -142,6 +142,11 @@ func normalizeRNGVersion(raw int) int {
 // re-applied one by one. On a fresh directory that records the churn
 // trace and starts clean. Runs once, from New.
 func (s *Server) recover(cc sched.CoordinatorConfig) (err error) {
+	lapStart := time.Now()
+	lap := func(p recoveryPhase) {
+		now := time.Now()
+		s.recovery[p], lapStart = now.Sub(lapStart), now
+	}
 	if s.wal, err = wal.OpenSet(s.cfg.WALDir, len(cc.Shards)); err != nil {
 		return err
 	}
@@ -150,10 +155,12 @@ func (s *Server) recover(cc sched.CoordinatorConfig) (err error) {
 			s.closeWAL()
 		}
 	}()
+	lap(recoverOpen)
 	snap, err := s.newestSnapshot()
 	if err != nil {
 		return err
 	}
+	lap(recoverSnapshot)
 	var marks wal.Marks
 	if snap != nil {
 		marks = snap.marks()
@@ -168,9 +175,11 @@ func (s *Server) recover(cc sched.CoordinatorConfig) (err error) {
 	if err != nil {
 		return err
 	}
+	lap(recoverLogs)
 	if err := s.restoreFromSnapshot(cc, snap); err != nil {
 		return err
 	}
+	lap(recoverRestore)
 	// Recorded order means a tenant registered at runtime is back in the
 	// registry before its first replayed arrival needs it.
 	for _, rec := range tail {
@@ -179,8 +188,27 @@ func (s *Server) recover(cc sched.CoordinatorConfig) (err error) {
 		}
 	}
 	s.resumeAdmission()
+	lap(recoverReplay)
 	return nil
 }
+
+// recoveryPhase indexes Server.recovery: the steps of recover, timed
+// in wall time for /metrics.prom. The times stay in the process; no
+// event or WAL record sees them.
+type recoveryPhase int
+
+const (
+	recoverOpen     recoveryPhase = iota // wal.OpenSet: every log cut to its last whole record
+	recoverSnapshot                      // reading and decoding the newest usable snapshot
+	recoverLogs                          // wal.Set.Recover: decode, verify, cut and order the logs
+	recoverRestore                       // the engines, the server state and the event journal
+	recoverReplay                        // re-applying the records past the snapshot
+	numRecoveryPhases
+)
+
+// recoveryPhaseNames are the phase label values of
+// trustgrid_recovery_seconds, in recoveryPhase order.
+var recoveryPhaseNames = [numRecoveryPhases]string{"open", "snapshot", "logs", "restore", "replay"}
 
 // marks returns the log positions the snapshot covers.
 func (snap *serverSnapshot) marks() wal.Marks {

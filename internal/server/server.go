@@ -212,6 +212,9 @@ type Server struct {
 	journaled int64
 	journal   []byte
 	snapMarks []snapMark
+	// recovery is the wall time of each phase of the boot's recovery,
+	// written by New before the loop starts and read-only after.
+	recovery [numRecoveryPhases]time.Duration
 
 	cmds     chan func()
 	quit     chan struct{}

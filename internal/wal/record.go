@@ -6,11 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"strconv"
 
 	"trustgrid/internal/api"
 	"trustgrid/internal/grid"
+	"trustgrid/internal/strictjson"
 )
 
 // Record kinds: the three deterministic input streams of the scheduling
@@ -126,10 +126,10 @@ func appendFrame(buf []byte, rec *Record) ([]byte, error) {
 }
 
 // appendPayload appends rec's JSON payload: json.Marshal's bytes, byte
-// for byte. Arrival and barrier records — all but a handful of any log
-// — are rendered by hand (DESIGN.md §10.1); tenant and churn records,
-// and any record with a non-finite float, which json.Marshal refuses,
-// go through json.Marshal itself.
+// for byte. Arrival, barrier and churn records — all but a handful of
+// any log — are rendered by hand (DESIGN.md §10.1); tenant records, and
+// any record with a non-finite float, which json.Marshal refuses, go
+// through json.Marshal itself.
 func appendPayload(dst []byte, rec *Record) ([]byte, error) {
 	if out, ok := appendCanonical(dst, rec); ok {
 		return out, nil
@@ -140,19 +140,21 @@ func appendPayload(dst []byte, rec *Record) ([]byte, error) {
 	return append(dst, payload...), err
 }
 
-// appendCanonical renders an arrival or a barrier record with no other
-// payload and finite floats, and reports whether it did; otherwise dst
-// comes back unchanged.
+// appendCanonical renders an arrival, a barrier or a churn record whose
+// one payload is the one its kind names and whose floats are finite, and
+// reports whether it did; otherwise dst comes back unchanged.
 func appendCanonical(dst []byte, rec *Record) ([]byte, bool) {
-	if !finite(rec.At) || rec.Tenant != nil || rec.Churn != nil {
+	if !strictjson.Finite(rec.At) || rec.Tenant != nil {
 		return dst, false
 	}
 	var kind string
 	switch {
-	case rec.Kind == KindArrival && rec.Arrival != nil && rec.Barrier == nil:
+	case rec.Kind == KindArrival && rec.Arrival != nil && rec.Barrier == nil && rec.Churn == nil:
 		kind = `,"kind":"arrival"`
-	case rec.Kind == KindBarrier && rec.Barrier != nil && rec.Arrival == nil && finite(rec.Barrier.To):
+	case rec.Kind == KindBarrier && rec.Barrier != nil && rec.Arrival == nil && rec.Churn == nil && strictjson.Finite(rec.Barrier.To):
 		kind = `,"kind":"barrier"`
+	case rec.Kind == KindChurn && rec.Churn != nil && rec.Arrival == nil && rec.Barrier == nil:
+		kind = `,"kind":"churn"`
 	default:
 		return dst, false
 	}
@@ -160,27 +162,90 @@ func appendCanonical(dst []byte, rec *Record) ([]byte, bool) {
 	dst = append(dst, `{"seq":`...)
 	dst = strconv.AppendUint(dst, rec.Seq, 10)
 	dst = append(dst, kind...)
-	if rec.At != 0 {
-		dst = api.AppendFloat(append(dst, `,"at":`...), rec.At)
-	}
+	dst = strictjson.AppendOptFloat(dst, `,"at":`, rec.At)
 	if rec.G != 0 {
 		dst = strconv.AppendUint(append(dst, `,"g":`...), rec.G, 10)
 	}
 	if rec.Barrier != nil {
-		dst = api.AppendFloat(append(dst, `,"barrier":{"to":`...), rec.Barrier.To)
+		dst = strictjson.AppendFloat(append(dst, `,"barrier":{"to":`...), rec.Barrier.To)
 		if rec.Barrier.Drain {
 			dst = append(dst, `,"drain":true`...)
 		}
 		return append(dst, "}}"...), true
 	}
-	n := len(dst)
-	if dst = rec.Arrival.AppendJSON(append(dst, `,"arrival":`...)); len(dst) == n+len(`,"arrival":`) {
-		return dst[:start], false // a non-finite arrival float
+	if rec.Churn != nil {
+		dst = rec.Churn.AppendJSON(append(dst, `,"churn":`...))
+	} else {
+		dst = rec.Arrival.AppendJSON(append(dst, `,"arrival":`...))
+	}
+	if dst[len(dst)-1] != '}' {
+		// The payload appended nothing after its key: json.Marshal
+		// refuses it.
+		return dst[:start], false
 	}
 	return append(dst, '}'), true
 }
 
-func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+// parseCanonical is DecodeAll's fast path: it reports whether payload is
+// exactly appendCanonical's rendering of an arrival, a barrier or a
+// churn record and, if so, has stored that record in rec — what
+// json.Unmarshal stores for those bytes. On false rec holds garbage.
+func parseCanonical(payload []byte, rec *Record) bool {
+	c := strictjson.NewCursor(payload)
+	c.Lit(`{"seq":`)
+	rec.Seq = c.Uint()
+	c.Lit(`,"kind":"`)
+	switch {
+	case c.Opt(`arrival"`):
+		rec.Kind = KindArrival
+	case c.Opt(`barrier"`):
+		rec.Kind = KindBarrier
+	case c.Opt(`churn"`):
+		rec.Kind = KindChurn
+	default:
+		return false
+	}
+	// Omitempty fields: present only when not zero.
+	if c.Opt(`,"at":`) {
+		rec.At = c.Float()
+		c.Want(rec.At != 0)
+	}
+	if c.Opt(`,"g":`) {
+		rec.G = c.Uint()
+		c.Want(rec.G != 0)
+	}
+	switch rec.Kind {
+	case KindArrival:
+		c.Lit(`,"arrival":`)
+		rec.Arrival = new(api.TraceRecord)
+		rec.Arrival.ScanJSON(&c)
+	case KindBarrier:
+		c.Lit(`,"barrier":{"to":`)
+		rec.Barrier = &BarrierRecord{To: c.Float(), Drain: c.Opt(`,"drain":true`)}
+		c.Lit("}")
+	case KindChurn:
+		c.Lit(`,"churn":`)
+		rec.Churn = new(grid.ChurnEvent)
+		rec.Churn.ScanJSON(&c)
+	}
+	c.Lit("}")
+	return c.Done()
+}
+
+// decodePayload decodes one record's JSON payload as json.Unmarshal
+// does, and reports whether it parsed. Arrival, barrier and churn
+// records in appendCanonical's form take the fast path; tenant records
+// and everything else go to json.Unmarshal (DESIGN.md §10.1).
+func decodePayload(payload []byte) (Record, bool) {
+	var rec Record
+	if parseCanonical(payload, &rec) {
+		return rec, true
+	}
+	// Only this second record escapes to json.Unmarshal's heap.
+	var slow Record
+	err := json.Unmarshal(payload, &slow)
+	return slow, err == nil
+}
 
 // EncodeRecord renders one record as a framed line.
 func EncodeRecord(rec Record) ([]byte, error) {
@@ -229,11 +294,8 @@ func DecodeAll(data []byte, first uint64) ([]Record, int) {
 		if !ok {
 			break
 		}
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			break
-		}
-		if rec.Seq != expect || rec.Validate() != nil {
+		rec, ok := decodePayload(payload)
+		if !ok || rec.Seq != expect || rec.Validate() != nil {
 			break
 		}
 		recs = append(recs, rec)
