@@ -237,6 +237,23 @@ func stgaCaseOn(gen func() ([]*grid.Job, []*grid.Site), v rng.Version) func(b *t
 	}
 }
 
+// mutationMaskCase times one generation's v2 mutation hit mask over pop
+// chromosomes of genes genes at Table 1's mutation probability: the
+// FillBernoulli call ga.Run makes per generation, on the path this CPU
+// runs (rng.MaskKernel).
+func mutationMaskCase(pop, genes int) func(b *testing.B) {
+	return func(b *testing.B) {
+		count := pop * genes
+		d := rng.NewDrawsV2(rng.New(5))
+		bn := rng.NewBernoulli(ga.DefaultConfig().MutationProb)
+		mask := make([]uint64, (count+63)/64)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			d.MutBit.FillBernoulli(mask, count, bn)
+		}
+	}
+}
+
 // gaSelectionCase times one generation's parent sampling, the stage Run
 // runs before crossover, over a population of pop makespans clustered
 // within 5 % as a converging run's are.
@@ -636,6 +653,7 @@ func Suite() []Case {
 		// replay-nas-stga's round (12 sites, 21 jobs), and the GA's
 		// selection stage on its own.
 		{Name: "STGASchedule/nas/batch=21", Smoke: true, F: stgaNASCase(21)},
+		{Name: "MutationMask/bits=4200", Smoke: true, F: mutationMaskCase(200, 21)},
 		{Name: "GASelection/roulette/pop=200", Smoke: true, F: gaSelectionCase(ga.RouletteSelection, 200)},
 		{Name: "GASelection/rank/pop=200", Smoke: true, F: gaSelectionCase(ga.RankSelection, 200)},
 		{Name: "KernelBuild/m=1024/batch=5000", Smoke: false, F: func(b *testing.B) {

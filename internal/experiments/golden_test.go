@@ -19,41 +19,57 @@ import (
 //	go test ./internal/experiments -run TestGolden -update
 var updateGolden = flag.Bool("update", false, "rewrite the golden experiment outputs under testdata/golden/")
 
-// goldenRNGVersion selects the draw contract the suite pins. The
-// default (v1) compares against the original goldens under
-// testdata/golden/; -rng-version=2 switches every run to the batched
-// DrawsV2 layout and compares against testdata/golden/v2/, so each
-// contract has its own frozen figures and neither can silently drift
-// into the other. Regenerate the v2 set with:
+// goldenRNGVersion narrows the suite to one draw contract. By default
+// every golden runs under both: v1 against the original goldens under
+// testdata/golden/, v2 (the batched DrawsV2 layout the benchmark runs)
+// against testdata/golden/v2/, so neither contract can silently drift
+// into the other. Regenerate one set with:
 //
 //	go test ./internal/experiments -run TestGolden -update -rng-version=2
-var goldenRNGVersion = flag.Int("rng-version", 1, "draw contract for the golden suite: 1 = original serial sequence, 2 = batched DrawsV2 (goldens under testdata/golden/v2/)")
+var goldenRNGVersion = flag.Int("rng-version", 0, "draw contract for the golden suite: 0 = both (default), 1 = original serial sequence, 2 = batched DrawsV2 (goldens under testdata/golden/v2/)")
 
 // goldenSetup pins the scale and seed of every golden run. Workers is
 // left on auto: the fan-out layer is result-invariant, and the suite
 // doubles as a regression test of that claim.
-func goldenSetup() Setup {
+func goldenSetup(version int) Setup {
 	s := TestSetup()
 	s.Seed = 11
-	s.RNGVersion = *goldenRNGVersion
+	s.RNGVersion = version
 	return s
 }
 
-// goldenPath maps a figure name to its on-disk golden file for the
-// selected draw contract. v1 keeps the historical flat layout.
-func goldenPath(name string) string {
-	if *goldenRNGVersion == 1 {
+// goldenPath maps a figure name to its on-disk golden file for a draw
+// contract. v1 keeps the historical flat layout.
+func goldenPath(version int, name string) string {
+	if version == 1 {
 		return filepath.Join("testdata", "golden", name)
 	}
-	return filepath.Join("testdata", "golden", fmt.Sprintf("v%d", *goldenRNGVersion), name)
+	return filepath.Join("testdata", "golden", fmt.Sprintf("v%d", version), name)
 }
 
-func checkGolden(t *testing.T, name, got string) {
+// runGolden runs one figure as a subtest per selected draw contract
+// (v1, v2) and compares each output with that contract's golden file.
+func runGolden(t *testing.T, name string, run func(Setup) (string, error)) {
+	versions := []int{1, 2}
+	if *goldenRNGVersion != 0 {
+		versions = []int{*goldenRNGVersion}
+	}
+	for _, v := range versions {
+		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
+			got, err := run(goldenSetup(v))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, goldenPath(v, name), got)
+		})
+	}
+}
+
+func checkGolden(t *testing.T, path, got string) {
 	t.Helper()
 	if got == "" {
 		t.Fatal("experiment produced empty output")
 	}
-	path := goldenPath(name)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -70,7 +86,7 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 	if got != string(want) {
 		t.Fatalf("%s drifted from its golden output.\nIf the change is intentional, rerun with -update and review the diff.\n%s",
-			name, firstDiff(string(want), got))
+			path, firstDiff(string(want), got))
 	}
 }
 
@@ -86,41 +102,51 @@ func firstDiff(want, got string) string {
 }
 
 func TestGoldenFig7a(t *testing.T) {
-	r, err := RunFig7a(goldenSetup())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "fig7a.csv", r.CSV())
+	runGolden(t, "fig7a.csv", func(s Setup) (string, error) {
+		r, err := RunFig7a(s)
+		if err != nil {
+			return "", err
+		}
+		return r.CSV(), nil
+	})
 }
 
 func TestGoldenFig10(t *testing.T) {
-	r, err := RunFig10(goldenSetup(), []int{250, 500})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "fig10.csv", r.CSV())
+	runGolden(t, "fig10.csv", func(s Setup) (string, error) {
+		r, err := RunFig10(s, []int{250, 500})
+		if err != nil {
+			return "", err
+		}
+		return r.CSV(), nil
+	})
 }
 
 func TestGoldenChurn(t *testing.T) {
-	r, err := RunChurnStudy(goldenSetup())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "churn.csv", r.CSV())
+	runGolden(t, "churn.csv", func(s Setup) (string, error) {
+		r, err := RunChurnStudy(s)
+		if err != nil {
+			return "", err
+		}
+		return r.CSV(), nil
+	})
 }
 
 func TestGoldenDAGStudy(t *testing.T) {
-	r, err := RunDAGStudy(goldenSetup())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "dagstudy.csv", r.CSV())
+	runGolden(t, "dagstudy.csv", func(s Setup) (string, error) {
+		r, err := RunDAGStudy(s)
+		if err != nil {
+			return "", err
+		}
+		return r.CSV(), nil
+	})
 }
 
 func TestGoldenFig7b(t *testing.T) {
-	r, err := RunFig7b(goldenSetup(), []int{5, 15, 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "fig7b.csv", r.CSV())
+	runGolden(t, "fig7b.csv", func(s Setup) (string, error) {
+		r, err := RunFig7b(s, []int{5, 15, 30})
+		if err != nil {
+			return "", err
+		}
+		return r.CSV(), nil
+	})
 }

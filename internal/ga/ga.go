@@ -167,6 +167,10 @@ type Result struct {
 	Trajectory []float64
 	// Generations actually executed.
 	Generations int
+	// Evaluations counts the fitness decodes the run made: the initial
+	// population plus each generation's individuals that crossover or
+	// mutation changed (carried-forward scores are not counted).
+	Evaluations int
 }
 
 // Run executes the GA: evaluate, then per generation select (roulette
@@ -237,7 +241,7 @@ func Run(p *Problem, cfg Config, seeds []Chromosome, r *rng.Stream) (Result, err
 	for i := range dirty {
 		dirty[i] = true
 	}
-	eval.evaluate(pop, fit, dirty)
+	evals := eval.evaluate(pop, fit, dirty)
 	bestIdx := argMin(fit)
 	best := pop[bestIdx].Clone()
 	bestFit := fit[bestIdx]
@@ -316,7 +320,7 @@ func Run(p *Problem, cfg Config, seeds []Chromosome, r *rng.Stream) (Result, err
 				}
 			}
 		}
-		eval.evaluate(pop, fit, dirty)
+		evals += eval.evaluate(pop, fit, dirty)
 		genBest := argMin(fit)
 		if fit[genBest] < bestFit {
 			copy(best, pop[genBest])
@@ -329,7 +333,7 @@ func Run(p *Problem, cfg Config, seeds []Chromosome, r *rng.Stream) (Result, err
 		}
 		trajectory = append(trajectory, bestFit)
 	}
-	return Result{Best: best, BestFitness: bestFit, Trajectory: trajectory, Generations: cfg.Generations}, nil
+	return Result{Best: best, BestFitness: bestFit, Trajectory: trajectory, Generations: cfg.Generations, Evaluations: evals}, nil
 }
 
 // adaptLength truncates or modularly tiles a chromosome to length n

@@ -85,15 +85,21 @@ func newEvaluator(p *Problem, cfg Config) *evaluator {
 // did not touch still has the score selection carried over for it
 // (fitness carry-forward — as the population converges, crossover
 // between identical parents and value-preserving mutations leave a
-// growing share of each generation clean).
-func (e *evaluator) evaluate(pop []Chromosome, fit []float64, dirty []bool) {
+// growing share of each generation clean). It returns the number of
+// individuals it scored.
+func (e *evaluator) evaluate(pop []Chromosome, fit []float64, dirty []bool) (scored int) {
+	for _, d := range dirty {
+		if d {
+			scored++
+		}
+	}
 	if e.tasks == nil {
 		for i, c := range pop {
 			if dirty[i] {
 				fit[i] = e.fit(c)
 			}
 		}
-		return
+		return scored
 	}
 	// One contiguous chunk per worker; workers pull chunks as they free
 	// up. Which worker scores which chunk is non-deterministic, but
@@ -110,6 +116,7 @@ func (e *evaluator) evaluate(pop []Chromosome, fit []float64, dirty []bool) {
 		e.tasks <- evalTask{pop: pop, fit: fit, dirty: dirty, lo: lo, hi: hi}
 	}
 	e.wg.Wait()
+	return scored
 }
 
 // close shuts the worker pool down; the evaluator must not be used

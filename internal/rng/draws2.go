@@ -86,7 +86,15 @@ func (b *Block) FillBernoulli(dst []uint64, count int, bn Bernoulli) {
 		return
 	}
 	thr := bn.threshold
-	for w := 0; w < words; w++ {
+	w := 0
+	if useMaskKernel && b.next == 0 && count >= 64 {
+		// Every full word, four stripes in the four lanes of one vector
+		// register (mask_amd64.s): the same words, bit for bit, as the
+		// aligned branch below, and the same stripe states afterwards.
+		w = count >> 6
+		fillBernoulliAVX2(&b.lane, dst[:w], thr<<11)
+	}
+	for ; w < words; w++ {
 		var word uint64
 		nbits := count - w<<6
 		if nbits >= 64 && b.next == 0 {
@@ -124,6 +132,20 @@ func (b *Block) FillBernoulli(dst []uint64, count int, bn Bernoulli) {
 		}
 		dst[w] = word
 	}
+}
+
+// useMaskKernel routes FillBernoulli's aligned full words through the
+// vector kernel. It is fixed at start-up from the CPU (hasAVX2); tests
+// clear it to run the portable loop.
+var useMaskKernel = hasAVX2
+
+// MaskKernel names the path FillBernoulli's aligned words take in this
+// process: "avx2" or "portable". Both produce the same bits.
+func MaskKernel() string {
+	if useMaskKernel {
+		return "avx2"
+	}
+	return "portable"
 }
 
 func b2u(b bool) uint64 {

@@ -1,6 +1,9 @@
 package rng
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // cloneBlock deep-copies a Block so a bulk path and the element-wise
 // reference can be compared from identical states.
@@ -38,56 +41,22 @@ func TestBlockFillMatchesNext(t *testing.T) {
 
 // TestBlockFillBernoulliMatchesElementwise pins the bit-vector path to
 // the element-wise threshold draw, including degenerate probabilities
-// (which consume no draws, like Bernoulli.Hit) and partial last words.
+// (which consume no draws, like Bernoulli.Hit) and partial last words,
+// on every FillBernoulli path this CPU runs.
 func TestBlockFillBernoulliMatchesElementwise(t *testing.T) {
-	probs := []float64{0, -1, 1, 2, 0.01, 0.5, 0.8, 1e-9, 1 - 1e-9}
-	for _, p := range probs {
-		bn := NewBernoulli(p)
-		for _, misalign := range []int{0, 3} {
-			for _, n := range []int{0, 1, 63, 64, 65, 130, 1000} {
-				b := NewBlock(New(uint64(1234 + n)))
-				for i := 0; i < misalign; i++ {
-					b.Next()
-				}
-				ref := cloneBlock(b)
-				words := (n + 63) / 64
-				got := make([]uint64, words+1)
-				got[words] = 0xdeadbeef // must not be touched
-				b.FillBernoulli(got[:words], n, bn)
-				for j := 0; j < n; j++ {
-					var want bool
-					switch {
-					case bn.never:
-						want = false
-					case bn.always:
-						want = true
-					default:
-						want = ref.Next()>>11 < bn.threshold
-					}
-					gotBit := got[j>>6]&(1<<uint(j&63)) != 0
-					if gotBit != want {
-						t.Fatalf("p=%v misalign=%d n=%d: bit %d = %v, want %v", p, misalign, n, j, gotBit, want)
-					}
-				}
-				// Tail bits beyond count stay zero so callers can popcount
-				// whole words.
-				if n&63 != 0 && words > 0 {
-					if tail := got[words-1] >> uint(n&63); tail != 0 {
-						t.Fatalf("p=%v n=%d: tail bits set: %#x", p, n, tail)
-					}
-				}
-				if got[words] != 0xdeadbeef {
-					t.Fatalf("p=%v n=%d: wrote past the word count", p, n)
-				}
-				// Draw-count parity: the next draws must line up.
-				if !bn.never && !bn.always && n > 0 {
-					if b.Next() != ref.Next() {
-						t.Fatalf("p=%v misalign=%d n=%d: draw cursor diverged", p, misalign, n)
+	probs := []float64{0, -1, 1, 2, 0.01, 0.5, 0.8, 1e-9, 1 - 1e-9, math.NaN()}
+	forEachMaskPath(t, func(t *testing.T) {
+		for _, p := range probs {
+			bn := NewBernoulli(p)
+			for _, misalign := range []int{0, 3} {
+				for _, n := range []int{0, 1, 63, 64, 65, 130, 1000} {
+					if err := checkFillBernoulli(uint64(1234+n), n, bn, misalign); err != "" {
+						t.Fatalf("p=%v %s", p, err)
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 // TestDrawsV2LanesPairwiseDisjoint checks the per-phase lanes (and the

@@ -228,8 +228,13 @@ type Bernoulli struct {
 // y < p·2^53 in real arithmetic — iff y < ⌈p·2^53⌉ for integer y.
 // Ldexp(p, 53) scales by a power of two, which is also exact for every
 // p in (0, 1), so the threshold below is the exact ceiling and Hit
-// reproduces Bool bit-for-bit.
+// reproduces Bool bit-for-bit. A NaN p draws and never hits under
+// Bool; converting NaN to uint64 is not portable (2⁶³ on amd64, 0 on
+// 386), so it gets the zero threshold explicitly.
 func NewBernoulli(p float64) Bernoulli {
+	if p != p {
+		return Bernoulli{}
+	}
 	if p <= 0 {
 		return Bernoulli{never: true}
 	}

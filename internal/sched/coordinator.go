@@ -265,6 +265,25 @@ func (c *Coordinator) RoundPhases() [NumPhases]obs.Counts {
 	return sum
 }
 
+// GAWork sums the GA work counters of the in-process shards'
+// schedulers, as RoundPhases sums their phases. Safe from any
+// goroutine.
+func (c *Coordinator) GAWork() GAWork {
+	var sum GAWork
+	for _, sh := range c.shards {
+		if o, ok := sh.(*Online); ok {
+			if g, ok := o.cfg.Scheduler.(GAWorker); ok {
+				w := g.GAWork()
+				sum.Generations += w.Generations
+				sum.Evaluations += w.Evaluations
+				sum.HistoryHits += w.HistoryHits
+				sum.HistoryMisses += w.HistoryMisses
+			}
+		}
+	}
+	return sum
+}
+
 // Part returns shard i's site partition (global indices, local order).
 // The returned slice is the coordinator's own — read only.
 func (c *Coordinator) Part(i int) []int { return c.parts[i] }

@@ -126,6 +126,22 @@ type StatefulScheduler interface {
 	RestoreState([]byte) error
 }
 
+// GAWork counts the work a GA scheduler has done since it was built:
+// generations run, fitness decodes actually made (after carry-forward),
+// and history-table lookups that returned a seed (hits) or none
+// (misses). It is counted once per round, never per gene, and is
+// observability only: nothing in it reaches an event or a WAL record.
+type GAWork struct {
+	Generations, Evaluations   uint64
+	HistoryHits, HistoryMisses uint64
+}
+
+// GAWorker is a Scheduler that counts its GA work. GAWork must be safe
+// from any goroutine.
+type GAWorker interface {
+	GAWork() GAWork
+}
+
 // ValidateAssignments checks the scheduling contract: every batch job
 // assigned exactly once, site indices in range. Used by tests and the
 // engine's debug mode.

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"trustgrid/internal/obs"
+	"trustgrid/internal/rng"
 	"trustgrid/internal/sched"
 )
 
@@ -59,6 +60,19 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "trustgrid_round_phase_seconds_sum{phase=%q} %g\n", phase, c.Sum.Seconds())
 		fmt.Fprintf(&b, "trustgrid_round_phase_seconds_count{phase=%q} %d\n", phase, cum)
 	}
+
+	// GA work over in-process shards, and the mutation-mask path this
+	// process runs (rng.MaskKernel), so a profile or a benchmark run can
+	// be tied to it.
+	work := s.online.GAWork()
+	counter("trustgrid_ga_generations_total", "GA generations run, over in-process shards.", float64(work.Generations))
+	counter("trustgrid_ga_evaluations_total", "GA fitness decodes run after carry-forward, over in-process shards.", float64(work.Evaluations))
+	fmt.Fprintf(&b, "# HELP trustgrid_stga_history_lookups_total STGA history-table lookups by result, over in-process shards.\n"+
+		"# TYPE trustgrid_stga_history_lookups_total counter\n"+
+		"trustgrid_stga_history_lookups_total{result=\"hit\"} %d\n"+
+		"trustgrid_stga_history_lookups_total{result=\"miss\"} %d\n", work.HistoryHits, work.HistoryMisses)
+	fmt.Fprintf(&b, "# HELP trustgrid_rng_mask_kernel The path the GA's mutation hit mask runs on in this process.\n"+
+		"# TYPE trustgrid_rng_mask_kernel gauge\ntrustgrid_rng_mask_kernel{kernel=%q} 1\n", rng.MaskKernel())
 
 	// Recovery phases of this process's boot (durable daemons only).
 	if s.cfg.WALDir != "" {

@@ -2,6 +2,7 @@ package stga
 
 import (
 	"sort"
+	"sync/atomic"
 
 	"trustgrid/internal/ga"
 	"trustgrid/internal/grid"
@@ -104,6 +105,20 @@ type Scheduler struct {
 	// AllTrajectories holds one trajectory per batch when
 	// Config.RecordTrajectories is set.
 	AllTrajectories [][]float64
+
+	// Work counters (GAWork), added to once per round. Atomic so a
+	// metrics scrape can read them while a round runs.
+	generations, evaluations, hits, misses atomic.Uint64
+}
+
+// GAWork implements sched.GAWorker.
+func (s *Scheduler) GAWork() sched.GAWork {
+	return sched.GAWork{
+		Generations:   s.generations.Load(),
+		Evaluations:   s.evaluations.Load(),
+		HistoryHits:   s.hits.Load(),
+		HistoryMisses: s.misses.Load(),
+	}
 }
 
 // New creates an STGA scheduler. r must be a dedicated stream.
@@ -329,10 +344,13 @@ func (s *Scheduler) Schedule(batch []*grid.Job, st *sched.State) []sched.Assignm
 		}
 		nSites := len(st.Sites)
 		if matches := s.table.Lookup(ready, etc, sd, s.cfg.SimilarityThreshold, maxSeeds); len(matches) > 0 {
+			s.hits.Add(1)
 			newOrder := rankOrder(etc, sd, nSites, len(batch))
 			for _, m := range matches {
 				seeds = append(seeds, adaptSeedOrdered(m.Entry, newOrder, len(batch)))
 			}
+		} else {
+			s.misses.Add(1)
 		}
 	}
 
@@ -367,6 +385,8 @@ func (s *Scheduler) Schedule(batch []*grid.Job, st *sched.State) []sched.Assignm
 		// programming bug, not an input condition.
 		panic("stga: GA run failed: " + err.Error())
 	}
+	s.generations.Add(uint64(res.Generations))
+	s.evaluations.Add(uint64(res.Evaluations))
 	s.LastTrajectory = res.Trajectory
 	if s.cfg.RecordTrajectories {
 		s.AllTrajectories = append(s.AllTrajectories, res.Trajectory)
