@@ -326,6 +326,45 @@ func fitnessPathCase(n, m, pop int) func(b *testing.B) {
 	}
 }
 
+// fitnessEvalCase times one generation's scoring of pop NAS-shaped
+// chromosomes — the first n jobs of the synthetic NAS trace on the
+// 12-site platform, genes drawn over every site — through the batch
+// scorer ga.Run's evaluator calls, on the path this CPU runs
+// (stga.DecodeKernel).
+func fitnessEvalCase(n, pop int) func(b *testing.B) {
+	return func(b *testing.B) {
+		r := rng.New(1)
+		sites, err := grid.NASPlatform().Generate(r.Derive("sites"))
+		if err != nil {
+			panic(err)
+		}
+		jobs, err := trace.DefaultNASConfig().Generate(r.Derive("nas"))
+		if err != nil {
+			panic(err)
+		}
+		m := len(sites)
+		base := make([]float64, m)
+		for i := range base {
+			base[i] = r.Float64() * 1e4
+		}
+		chroms := make([]ga.Chromosome, pop)
+		idx := make([]int, pop)
+		for i := range chroms {
+			chroms[i] = make(ga.Chromosome, n)
+			for g := range chroms[i] {
+				chroms[i][g] = r.Intn(m)
+			}
+			idx[i] = i
+		}
+		fit := make([]float64, pop)
+		sc := stga.MakespanScorer(m, base, grid.ETCMatrix(jobs[:n], sites))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sc.Score(chroms, idx, fit)
+		}
+	}
+}
+
 // placedEvent is the event line the stream, the journal and the client
 // see most of: a placement with its tenant and both times.
 var placedEvent = api.Event{Seq: 48213, Kind: "placed", Time: 615000, Job: 20417, Site: 7,
@@ -669,6 +708,7 @@ func Suite() []Case {
 				}
 			}
 		}},
+		{Name: "FitnessEval/nas/pop=200", Smoke: true, F: fitnessEvalCase(21, 200)},
 		{Name: "FitnessPath/full-decode/batch=50", Smoke: true, F: fitnessPathCase(50, 20, 200)},
 		{Name: "FitnessPath/full-decode/batch=200", Smoke: false, F: fitnessPathCase(200, 20, 200)},
 		{Name: "OnlineEngine/jobs=1000", Smoke: true, F: func(b *testing.B) {

@@ -23,6 +23,22 @@ func (c Chromosome) Clone() Chromosome {
 // the completion time of the encoded schedule).
 type Fitness func(Chromosome) float64
 
+// Scorer is the evaluator's unit of work: Score sets fit[i] to the
+// fitness of pop[i] for every i in idx, and touches no other element
+// of fit. Batching lets a problem decode several chromosomes per pass;
+// an implementation may keep scratch state, so one Scorer serves one
+// goroutine.
+type Scorer interface {
+	Score(pop []Chromosome, idx []int, fit []float64)
+}
+
+// Score makes a plain Fitness a Scorer: one call per index.
+func (f Fitness) Score(pop []Chromosome, idx []int, fit []float64) {
+	for _, i := range idx {
+		fit[i] = f(pop[i])
+	}
+}
+
 // Config holds the GA hyper-parameters (Table 1 defaults).
 type Config struct {
 	PopulationSize int     // Table 1: 200
@@ -42,12 +58,12 @@ type Config struct {
 	// Workers is the number of goroutines used to evaluate the
 	// population's fitness: 0 means runtime.GOMAXPROCS, 1 (or any
 	// negative value) forces the serial path, n > 1 uses exactly n
-	// workers. Parallel evaluation
-	// requires Problem.NewFitness (per-worker fitness instances); with
-	// only a bare Problem.Fitness the evaluator stays serial, since it
-	// cannot know whether the closure carries scratch state. Selection,
-	// crossover and mutation always consume the single master rng.Stream,
-	// so every worker count produces bit-identical evolution.
+	// workers. Parallel evaluation requires Problem.NewScorer
+	// (per-worker scorers); with only a bare Problem.Fitness the
+	// evaluator stays serial, since it cannot know whether the closure
+	// carries scratch state. Selection, crossover and mutation always
+	// consume the single master rng.Stream, so every worker count
+	// produces bit-identical evolution.
 	Workers int
 	// RNG selects the draw-sequence contract. rng.V1 (the zero value)
 	// is the original serial sequence — one stream threaded through
@@ -99,14 +115,15 @@ type Problem struct {
 	Length  int
 	Allowed [][]int // Allowed[i] lists legal values of gene i; must be non-empty
 	Fitness Fitness
-	// NewFitness, when non-nil, builds a fresh fitness instance per
-	// evaluation worker. It is what enables parallel evaluation
-	// (Config.Workers): fitness closures commonly carry per-call scratch
-	// buffers (the STGA's does), so a single shared closure cannot be
-	// invoked concurrently. Every instance must compute the identical
-	// function — workers differ only in which population slice they
-	// score. When NewFitness is set, Fitness may be nil.
-	NewFitness func() Fitness
+	// NewScorer, when non-nil, builds one batch scorer per evaluation
+	// worker and is used instead of Fitness. It is what enables parallel
+	// evaluation (Config.Workers): scorers commonly carry scratch
+	// buffers (the STGA's scalar decode does), so one instance cannot
+	// be invoked concurrently. Every instance must compute the same
+	// function, bit for bit, as any Fitness the problem also carries —
+	// workers differ only in which indices they score. A Fitness is a
+	// Scorer, so a factory may return one.
+	NewScorer func() Scorer
 }
 
 // Validate checks the problem definition.
@@ -122,7 +139,7 @@ func (p *Problem) Validate() error {
 			return fmt.Errorf("ga: gene %d has empty allowed set", i)
 		}
 	}
-	if p.Fitness == nil && p.NewFitness == nil {
+	if p.Fitness == nil && p.NewScorer == nil {
 		return fmt.Errorf("ga: nil fitness function")
 	}
 	return nil
@@ -238,10 +255,13 @@ func Run(p *Problem, cfg Config, seeds []Chromosome, r *rng.Stream) (Result, err
 	fitNext := make([]float64, len(pop))
 	dirty := make([]bool, len(pop))
 
+	// picks doubles as the evaluator's index scratch: selection rewrites
+	// it before each read, so between selections it is free.
+	picks := make([]int, len(pop))
 	for i := range dirty {
 		dirty[i] = true
 	}
-	evals := eval.evaluate(pop, fit, dirty)
+	evals := eval.evaluate(pop, fit, dirty, picks)
 	bestIdx := argMin(fit)
 	best := pop[bestIdx].Clone()
 	bestFit := fit[bestIdx]
@@ -252,7 +272,6 @@ func Run(p *Problem, cfg Config, seeds []Chromosome, r *rng.Stream) (Result, err
 	for i := range next {
 		next[i] = make(Chromosome, p.Length)
 	}
-	picks := make([]int, len(pop))
 	selectParents := NewSelection(cfg)
 	// Precomputed Bernoulli comparators: bit-identical to
 	// r.Bool(CrossoverProb)/r.Bool(MutationProb), minus the per-draw
@@ -320,7 +339,7 @@ func Run(p *Problem, cfg Config, seeds []Chromosome, r *rng.Stream) (Result, err
 				}
 			}
 		}
-		evals += eval.evaluate(pop, fit, dirty)
+		evals += eval.evaluate(pop, fit, dirty, picks)
 		genBest := argMin(fit)
 		if fit[genBest] < bestFit {
 			copy(best, pop[genBest])

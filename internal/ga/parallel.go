@@ -3,13 +3,14 @@
 // Fitness evaluation is the GA's hot path — Table 1 runs score 200
 // chromosomes per generation for 100 generations per batch — and it is
 // the only stage with no sequential dependency: each chromosome's score
-// is a pure function of the chromosome. The evaluator below partitions
-// the population across a persistent pool of worker goroutines, one
-// fitness instance per worker (Problem.NewFitness), writing into
-// disjoint slices of the shared fitness vector. Because the scores are
-// bit-identical to the serial path and selection/crossover/mutation
-// still consume the single master rng.Stream, the whole run is
-// reproducible at any worker count.
+// is a pure function of the chromosome. The evaluator below collects a
+// generation's dirty indices and hands them to a Scorer in one batch:
+// serially all of them, or split into contiguous shares across a
+// persistent pool of worker goroutines, one scorer per worker
+// (Problem.NewScorer), writing disjoint elements of the shared fitness
+// vector. Because the scores are bit-identical to the serial path and
+// selection/crossover/mutation still consume the single master
+// rng.Stream, the whole run is reproducible at any worker count.
 package ga
 
 import (
@@ -30,53 +31,49 @@ func (c Config) effectiveWorkers() int {
 	return c.Workers
 }
 
-// evalTask is one contiguous population slice to score.
+// evalTask is one worker's share of a generation's dirty indices.
 type evalTask struct {
-	pop   []Chromosome
-	fit   []float64
-	dirty []bool
-	lo    int // first index of the slice within the population
-	hi    int // one past the last index
+	pop []Chromosome
+	idx []int
+	fit []float64
 }
 
 // evaluator scores populations, serially or on a worker pool. It is
 // created once per Run and reused every generation so pool start-up is
 // amortized across the whole evolution.
 type evaluator struct {
-	fit     Fitness       // serial path (nil when the pool is active)
+	score   Scorer        // serial path (nil when the pool is active)
 	tasks   chan evalTask // nil when serial
 	workers int
 	wg      sync.WaitGroup
 }
 
 // newEvaluator picks the execution strategy. The pool requires both
-// Workers > 1 (after GOMAXPROCS resolution) and a NewFitness factory —
+// Workers > 1 (after GOMAXPROCS resolution) and a NewScorer factory —
 // a bare Fitness closure may carry scratch state, so it is never shared
 // across goroutines.
 func newEvaluator(p *Problem, cfg Config) *evaluator {
-	w := cfg.effectiveWorkers()
-	if w > 1 && p.NewFitness != nil {
-		e := &evaluator{tasks: make(chan evalTask), workers: w}
-		for k := 0; k < w; k++ {
-			f := p.NewFitness()
-			go func() {
-				for t := range e.tasks {
-					for i := t.lo; i < t.hi; i++ {
-						if t.dirty[i] {
-							t.fit[i] = f(t.pop[i])
-						}
-					}
-					e.wg.Done()
-				}
-			}()
-		}
+	e := &evaluator{}
+	if p.NewScorer == nil {
+		e.score = p.Fitness
 		return e
 	}
-	f := p.Fitness
-	if f == nil {
-		f = p.NewFitness()
+	w := cfg.effectiveWorkers()
+	if w == 1 {
+		e.score = p.NewScorer()
+		return e
 	}
-	return &evaluator{fit: f}
+	e.tasks, e.workers = make(chan evalTask), w
+	for k := 0; k < w; k++ {
+		sc := p.NewScorer()
+		go func() {
+			for t := range e.tasks {
+				sc.Score(t.pop, t.idx, t.fit)
+				e.wg.Done()
+			}
+		}()
+	}
+	return e
 }
 
 // evaluate fills fit[i] with the score of pop[i] where dirty[i] is set.
@@ -85,38 +82,32 @@ func newEvaluator(p *Problem, cfg Config) *evaluator {
 // did not touch still has the score selection carried over for it
 // (fitness carry-forward — as the population converges, crossover
 // between identical parents and value-preserving mutations leave a
-// growing share of each generation clean). It returns the number of
-// individuals it scored.
-func (e *evaluator) evaluate(pop []Chromosome, fit []float64, dirty []bool) (scored int) {
-	for _, d := range dirty {
+// growing share of each generation clean). scratch (len(pop)) receives
+// the dirty indices, the batch the scorers are handed. It returns the
+// number of individuals it scored.
+func (e *evaluator) evaluate(pop []Chromosome, fit []float64, dirty []bool, scratch []int) (scored int) {
+	idx := scratch[:0]
+	for i, d := range dirty {
 		if d {
-			scored++
+			idx = append(idx, i)
 		}
 	}
 	if e.tasks == nil {
-		for i, c := range pop {
-			if dirty[i] {
-				fit[i] = e.fit(c)
-			}
-		}
-		return scored
+		e.score.Score(pop, idx, fit)
+		return len(idx)
 	}
-	// One contiguous chunk per worker; workers pull chunks as they free
-	// up. Which worker scores which chunk is non-deterministic, but
-	// every fitness instance computes the same function over disjoint
-	// index ranges, so the resulting vector is identical regardless.
-	n := len(pop)
-	chunk := (n + e.workers - 1) / e.workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	// One contiguous share of the dirty indices per worker; workers pull
+	// shares as they free up. Which worker scores which share is
+	// non-deterministic, but every scorer computes the same function
+	// over disjoint indices, so the resulting vector is identical
+	// regardless.
+	chunk := (len(idx) + e.workers - 1) / e.workers
+	for lo := 0; lo < len(idx); lo += chunk {
 		e.wg.Add(1)
-		e.tasks <- evalTask{pop: pop, fit: fit, dirty: dirty, lo: lo, hi: hi}
+		e.tasks <- evalTask{pop: pop, idx: idx[lo:min(lo+chunk, len(idx))], fit: fit}
 	}
 	e.wg.Wait()
-	return scored
+	return len(idx)
 }
 
 // close shuts the worker pool down; the evaluator must not be used

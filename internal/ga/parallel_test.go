@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"trustgrid/internal/rng"
@@ -39,7 +40,8 @@ func statefulProblem(length, sites int) *Problem {
 			return span
 		}
 	}
-	return &Problem{Length: length, Allowed: allowed, Fitness: mk(), NewFitness: mk}
+	return &Problem{Length: length, Allowed: allowed, Fitness: mk(),
+		NewScorer: func() Scorer { return mk() }}
 }
 
 func TestParallelMatchesSerial(t *testing.T) {
@@ -97,9 +99,9 @@ func TestParallelMatchesSerialAcrossSelections(t *testing.T) {
 	}
 }
 
-func TestNewFitnessOnly(t *testing.T) {
+func TestNewScorerOnly(t *testing.T) {
 	p := statefulProblem(10, 4)
-	p.Fitness = nil // NewFitness alone must satisfy validation and the serial path
+	p.Fitness = nil // NewScorer alone must satisfy validation and the serial path
 	cfg := DefaultConfig()
 	cfg.PopulationSize = 8
 	cfg.Generations = 5
@@ -147,5 +149,67 @@ func TestEffectiveWorkers(t *testing.T) {
 	}
 	if w := (Config{Workers: 3}).effectiveWorkers(); w != 3 {
 		t.Fatalf("Workers=3 resolved to %d", w)
+	}
+}
+
+// groupScorer scores its indices four at a time, padding a short last
+// group with its final index as a vectorized scorer does, and counts
+// the distinct chromosomes it was handed.
+type groupScorer struct {
+	f    Fitness
+	seen *atomic.Int64
+}
+
+func (g groupScorer) Score(pop []Chromosome, idx []int, fit []float64) {
+	for lo := 0; lo < len(idx); lo += 4 {
+		grp := idx[lo:min(lo+4, len(idx))]
+		var out [4]float64
+		for l := range out {
+			out[l] = g.f(pop[grp[min(l, len(grp)-1)]])
+		}
+		for l, i := range grp {
+			fit[i] = out[l]
+		}
+		g.seen.Add(int64(len(grp)))
+	}
+}
+
+// TestBatchScorerMatchesFitness: the evaluator gives identical fit
+// vectors and scored counts through a batch scorer at Workers 1, 2 and
+// 3 as through the per-chromosome Fitness, every index scored exactly
+// once and clean indices left alone.
+func TestBatchScorerMatchesFitness(t *testing.T) {
+	p := statefulProblem(21, 12)
+	r := rng.New(8)
+	pop := make([]Chromosome, 37)
+	for i := range pop {
+		pop[i] = p.RandomChromosome(r)
+	}
+	dirty := make([]bool, len(pop))
+	for i := range dirty {
+		dirty[i] = r.Intn(3) != 0
+	}
+	fresh := func() []float64 {
+		fit := make([]float64, len(pop))
+		for i := range fit {
+			fit[i] = -1
+		}
+		return fit
+	}
+	scratch := make([]int, len(pop))
+	serial := newEvaluator(&Problem{Fitness: p.Fitness}, Config{Workers: 1})
+	want := fresh()
+	wantN := serial.evaluate(pop, want, dirty, scratch)
+	for _, w := range []int{1, 2, 3} {
+		var seen atomic.Int64
+		batch := &Problem{NewScorer: func() Scorer { return groupScorer{f: p.NewScorer().(Fitness), seen: &seen} }}
+		e := newEvaluator(batch, Config{Workers: w})
+		got := fresh()
+		n := e.evaluate(pop, got, dirty, scratch)
+		e.close()
+		if n != wantN || seen.Load() != int64(wantN) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: scored %d (scorer saw %d), fit %v; per-chromosome path scored %d, fit %v",
+				w, n, seen.Load(), got, wantN, want)
+		}
 	}
 }

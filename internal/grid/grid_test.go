@@ -18,6 +18,16 @@ func TestJobValidate(t *testing.T) {
 		{ID: 3, Workload: 10, Nodes: 0, SecurityDemand: 0.7},
 		{ID: 4, Workload: 10, Nodes: 1, SecurityDemand: 1.5},
 		{ID: 5, Workload: 10, Nodes: 1, SecurityDemand: 0.7, Arrival: -1},
+		// NaN fails every range test and infinities are not finite.
+		{ID: 6, Workload: math.NaN(), Nodes: 1, SecurityDemand: 0.7},
+		{ID: 7, Workload: math.Inf(1), Nodes: 1, SecurityDemand: 0.7},
+		{ID: 8, Workload: 10, Nodes: 1, SecurityDemand: math.NaN()},
+		{ID: 9, Workload: 10, Nodes: 1, SecurityDemand: 0.7, Arrival: math.NaN()},
+		{ID: 10, Workload: 10, Nodes: 1, SecurityDemand: 0.7, Arrival: math.Inf(1)},
+		{ID: 11, Workload: 10, Nodes: 1, SecurityDemand: 0.7, Deadline: math.NaN()},
+		{ID: 12, Workload: 10, Nodes: 1, SecurityDemand: 0.7, Deadline: math.Inf(1)},
+		{ID: 13, Workload: 10, Nodes: 1, SecurityDemand: 0.7, Budget: math.NaN()},
+		{ID: 14, Workload: 10, Nodes: 1, SecurityDemand: 0.7, Budget: math.Inf(1)},
 	}
 	for _, j := range bad {
 		if err := j.Validate(); err == nil {

@@ -1,6 +1,9 @@
 package grid
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Job is an atomic, non-malleable unit of program execution (paper §1).
 type Job struct {
@@ -57,19 +60,22 @@ type Job struct {
 
 // Validate reports whether the job's static fields are sensible.
 func (j *Job) Validate() error {
+	// Written so NaN fails the range tests and infinities fail too, as
+	// in Site.Validate: a NaN workload or SD poisons every ETC and
+	// failure draw the schedulers make from it.
 	switch {
-	case j.Workload <= 0:
-		return fmt.Errorf("grid: job %d has non-positive workload %v", j.ID, j.Workload)
+	case !(j.Workload > 0) || math.IsInf(j.Workload, 1):
+		return fmt.Errorf("grid: job %d has workload %v, want positive and finite", j.ID, j.Workload)
 	case j.Nodes <= 0:
 		return fmt.Errorf("grid: job %d has non-positive node request %d", j.ID, j.Nodes)
-	case j.Arrival < 0:
-		return fmt.Errorf("grid: job %d has negative arrival %v", j.ID, j.Arrival)
-	case j.SecurityDemand < 0 || j.SecurityDemand > 1:
+	case !(j.Arrival >= 0) || math.IsInf(j.Arrival, 1):
+		return fmt.Errorf("grid: job %d has arrival %v, want non-negative and finite", j.ID, j.Arrival)
+	case !(j.SecurityDemand >= 0 && j.SecurityDemand <= 1):
 		return fmt.Errorf("grid: job %d has SD %v outside [0,1]", j.ID, j.SecurityDemand)
-	case j.Deadline < 0:
-		return fmt.Errorf("grid: job %d has negative deadline %v", j.ID, j.Deadline)
-	case j.Budget < 0:
-		return fmt.Errorf("grid: job %d has negative budget %v", j.ID, j.Budget)
+	case !(j.Deadline >= 0) || math.IsInf(j.Deadline, 1):
+		return fmt.Errorf("grid: job %d has deadline %v, want non-negative and finite", j.ID, j.Deadline)
+	case !(j.Budget >= 0) || math.IsInf(j.Budget, 1):
+		return fmt.Errorf("grid: job %d has budget %v, want non-negative and finite", j.ID, j.Budget)
 	}
 	for _, d := range j.DependsOn {
 		if d == j.ID {

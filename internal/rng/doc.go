@@ -13,11 +13,11 @@
 // perturbing one another. This is the standard substream discipline for
 // discrete-event simulation experiments.
 //
-// The module is stdlib-only, with one exception to pure Go: on amd64,
-// Block.FillBernoulli (the GA's DrawsV2 mutation hit mask) runs its
+// The module is stdlib-only. One path in this package is not pure Go:
+// on amd64, Block.FillBernoulli (the GA's DrawsV2 mutation hit mask) runs its
 // aligned full words through an AVX2 kernel (mask_amd64.s) that steps
 // the Block's four xoshiro256** stripes in the four 64-bit lanes of one
-// register. The kernel is chosen once at start-up from CPUID, emits
+// register. The kernel is chosen once at start-up (cpu.HasAVX2), emits
 // the portable loop's words bit for bit and leaves the stripes where
 // the loop would; other architectures, CPUs without AVX2, a misaligned
 // cursor and the partial last word run the Go loop. MaskKernel names

@@ -1,5 +1,7 @@
 package rng
 
+import "trustgrid/internal/cpu"
+
 // This file is the V2 draw contract. V1 threads one serial stream
 // through every GA phase in loop order, which pins the whole loop to
 // the latency of one xoshiro chain and welds the phases' draw counts
@@ -135,9 +137,9 @@ func (b *Block) FillBernoulli(dst []uint64, count int, bn Bernoulli) {
 }
 
 // useMaskKernel routes FillBernoulli's aligned full words through the
-// vector kernel. It is fixed at start-up from the CPU (hasAVX2); tests
-// clear it to run the portable loop.
-var useMaskKernel = hasAVX2
+// vector kernel. It is fixed at start-up from the CPU (cpu.HasAVX2);
+// tests clear it to run the portable loop.
+var useMaskKernel = cpu.HasAVX2
 
 // MaskKernel names the path FillBernoulli's aligned words take in this
 // process: "avx2" or "portable". Both produce the same bits.

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"trustgrid/internal/cpu"
 )
 
 // maskPaths lists the FillBernoulli paths this CPU can run: the
-// portable loop always, the vector kernel where hasAVX2.
+// portable loop always, the vector kernel where cpu.HasAVX2.
 func maskPaths() []bool {
-	if hasAVX2 {
+	if cpu.HasAVX2 {
 		return []bool{false, true}
 	}
 	return []bool{false}

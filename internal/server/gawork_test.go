@@ -13,6 +13,7 @@ import (
 	"trustgrid/internal/experiments"
 	"trustgrid/internal/rng"
 	"trustgrid/internal/server"
+	"trustgrid/internal/stga"
 )
 
 // promValue reads one unlabelled or fully labelled sample from a
@@ -124,7 +125,12 @@ func TestGAWorkExposition(t *testing.T) {
 	if promValue(t, last, `trustgrid_stga_history_lookups_total{result="hit"}`) == 0 {
 		t.Fatalf("recurring rounds never hit the history table:\n%s", last)
 	}
-	if want := fmt.Sprintf("trustgrid_rng_mask_kernel{kernel=%q} 1\n", rng.MaskKernel()); !strings.Contains(last, want) {
-		t.Fatalf("exposition missing %q", want)
+	for _, want := range []string{
+		fmt.Sprintf("trustgrid_rng_mask_kernel{kernel=%q} 1\n", rng.MaskKernel()),
+		fmt.Sprintf("trustgrid_stga_decode_kernel{kernel=%q} 1\n", stga.DecodeKernel()),
+	} {
+		if !strings.Contains(last, want) {
+			t.Fatalf("exposition missing %q", want)
+		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"trustgrid/internal/obs"
 	"trustgrid/internal/rng"
 	"trustgrid/internal/sched"
+	"trustgrid/internal/stga"
 )
 
 // handleProm renders the existing counters in Prometheus text
@@ -61,9 +62,10 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "trustgrid_round_phase_seconds_count{phase=%q} %d\n", phase, cum)
 	}
 
-	// GA work over in-process shards, and the mutation-mask path this
-	// process runs (rng.MaskKernel), so a profile or a benchmark run can
-	// be tied to it.
+	// GA work over in-process shards, and the mutation-mask and
+	// fitness-decode paths this process runs (rng.MaskKernel,
+	// stga.DecodeKernel), so a profile or a benchmark run can be tied
+	// to them.
 	work := s.online.GAWork()
 	counter("trustgrid_ga_generations_total", "GA generations run, over in-process shards.", float64(work.Generations))
 	counter("trustgrid_ga_evaluations_total", "GA fitness decodes run after carry-forward, over in-process shards.", float64(work.Evaluations))
@@ -73,6 +75,8 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 		"trustgrid_stga_history_lookups_total{result=\"miss\"} %d\n", work.HistoryHits, work.HistoryMisses)
 	fmt.Fprintf(&b, "# HELP trustgrid_rng_mask_kernel The path the GA's mutation hit mask runs on in this process.\n"+
 		"# TYPE trustgrid_rng_mask_kernel gauge\ntrustgrid_rng_mask_kernel{kernel=%q} 1\n", rng.MaskKernel())
+	fmt.Fprintf(&b, "# HELP trustgrid_stga_decode_kernel The path the STGA's fitness decode runs on in this process, for rounds within the kernel's gate.\n"+
+		"# TYPE trustgrid_stga_decode_kernel gauge\ntrustgrid_stga_decode_kernel{kernel=%q} 1\n", stga.DecodeKernel())
 
 	// Recovery phases of this process's boot (durable daemons only).
 	if s.cfg.WALDir != "" {

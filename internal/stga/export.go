@@ -8,3 +8,11 @@ import "trustgrid/internal/ga"
 func MakespanFitness(nSites int, base, etc []float64, loadWeight float64) ga.Fitness {
 	return makespanFitness(nSites, base, etc, loadWeight)
 }
+
+// MakespanScorer exposes the GA's batch scorer for one round's decode
+// inputs, as Schedule builds it: the 4-way kernel when the round passes
+// its gate, else the scalar decode. For the benchmark harness.
+func MakespanScorer(nSites int, base, etc []float64) ga.Scorer {
+	var d decoder
+	return d.scorers(nSites, base, etc, 0)()
+}

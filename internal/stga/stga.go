@@ -97,6 +97,8 @@ type Scheduler struct {
 	// scheduler instead of being rebuilt every batch.
 	minmin    *heuristics.MinMin
 	sufferage *heuristics.Sufferage
+	// dec is the fitness decode's scratch, reused across rounds.
+	dec decoder
 
 	// LastTrajectory is the best-fitness-per-generation curve of the most
 	// recent batch (index 0 = initial population). The convergence
@@ -197,7 +199,9 @@ func fitnessBase(st *sched.State) []float64 {
 // preserves the scan version's semantics for the zero-ETC edge: a site
 // whose assigned jobs all have zero ETC contributes no candidate, and
 // partial sums of an eventually-positive site are dominated by that
-// site's own final value.
+// site's own final value. Rounds that pass decoder.stage's gate score
+// four chromosomes per pass with decode4 instead, to the same bits;
+// this loop stays the reference and the portable path.
 func makespanFitness(nSites int, base, etc []float64, loadWeight float64) ga.Fitness {
 	loads := make([]float64, nSites) // scratch, reused across calls
 	if loadWeight == 0 {
@@ -365,18 +369,14 @@ func (s *Scheduler) Schedule(batch []*grid.Job, st *sched.State) []sched.Assignm
 			}
 		}
 	}
-	// The fitness closure keeps a per-instance scratch buffer, so the
-	// parallel evaluator gets a factory producing one instance per
-	// worker; the bare Fitness covers the serial path.
-	base := fitnessBase(st)
+	// One scorer per evaluation worker: the 4-way decode kernel when
+	// the round passes its gate, else the scalar decode, whose closure
+	// keeps a per-instance scratch buffer.
 	nSites := len(st.Sites)
 	problem := &ga.Problem{
-		Length:  len(batch),
-		Allowed: allowed,
-		Fitness: makespanFitness(nSites, base, fitEtc, s.cfg.LoadWeight),
-		NewFitness: func() ga.Fitness {
-			return makespanFitness(nSites, base, fitEtc, s.cfg.LoadWeight)
-		},
+		Length:    len(batch),
+		Allowed:   allowed,
+		NewScorer: s.dec.scorers(nSites, fitnessBase(st), fitEtc, s.cfg.LoadWeight),
 	}
 	res, err := ga.Run(problem, s.cfg.GA, seeds, runRand)
 	if err != nil {

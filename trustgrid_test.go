@@ -3,6 +3,7 @@ package trustgrid_test
 import (
 	"context"
 	"errors"
+	"math"
 	"net/http/httptest"
 	"testing"
 
@@ -88,6 +89,25 @@ func TestFacadeMCT(t *testing.T) {
 	}
 	if res.Summary.Jobs != 50 {
 		t.Fatalf("MCT completed %d/50", res.Summary.Jobs)
+	}
+}
+
+// TestFacadeSimulateRejectsNaNWorkload: the Go API validates jobs as
+// the HTTP and trace paths do, so a NaN workload is an error, not a
+// schedule computed from NaN ETCs.
+func TestFacadeSimulateRejectsNaNWorkload(t *testing.T) {
+	w, err := trustgrid.PSAWorkload(2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Jobs[3].Workload = math.NaN()
+	_, err = trustgrid.Simulate(trustgrid.SimConfig{
+		Jobs: w.Jobs, Sites: w.Sites,
+		Scheduler:     trustgrid.NewMinMin(trustgrid.FRiskyPolicy(0.5)),
+		BatchInterval: 5000, Rand: trustgrid.NewRand(4),
+	})
+	if err == nil {
+		t.Fatal("Simulate accepted a job with a NaN workload")
 	}
 }
 
