@@ -128,7 +128,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	workers := fs.String("workers", "", "comma-separated trustgrid-worker addresses; each hosts one out-of-process shard (worker i is shard i — keep the order stable across restarts). Mutually exclusive with -wal-dir; byte-identical to -shards N")
 	roundBudget := fs.Int("round-budget", 0, "max jobs admitted per Δ-round; excess backlog is rationed by weighted deficit-round-robin across tenants (0 = unlimited)")
 	scale := fs.String("scale", "small", "GA sizing: small (service defaults) or paper (Table 1)")
-	rngVersion := fs.Int("rng-version", 1, "GA draw contract: 1 = original serial sequence, 2 = batched per-phase lanes (faster; different schedules). Part of the durable-state and fleet fingerprints: every fleet member and every restart must agree")
 	train := fs.Bool("train", true, "warm the STGA history table before serving")
 	traceOut := fs.String("trace-out", "", "record the accepted arrival trace (JSONL) to FILE")
 	maxWall := fs.Duration("max-wall", 0, "exit cleanly after this wall-clock duration (0 = until signalled)")
@@ -188,11 +187,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 	setup.Seed = *seed
 	setup.F = *f
-	if _, err := rng.ParseVersion(*rngVersion); err != nil {
-		fmt.Fprintln(stderr, "trustgridd:", err)
-		return 2
-	}
-	setup.RNGVersion = *rngVersion
 
 	var w *experiments.Workload
 	var err error

@@ -131,11 +131,10 @@ func rankScaleCase(n, m int) func(b *testing.B) {
 
 // stgaDAGScaleCase is stgaScaleCase with the rank column installed, so
 // the GA decodes in rank-keyed (precedence-feasible) order.
-func stgaDAGScaleCase(n, m int, v rng.Version) func(b *testing.B) {
+func stgaDAGScaleCase(n, m int) func(b *testing.B) {
 	return func(b *testing.B) {
 		jobs, sites, ranks := dagScaleBatch(n, m)
 		cfg := stga.DefaultConfig()
-		cfg.GA.RNG = v
 		var kb kernel.Builder
 		ready := make([]float64, len(sites))
 		b.ResetTimer()
@@ -194,15 +193,14 @@ func greedyCaseOn(gen func() ([]*grid.Job, []*grid.Site), mk func(grid.Policy) s
 }
 
 // stgaScaleCase benchmarks one STGA Schedule call on the m-site
-// scale-axis platform under the given draw contract.
-func stgaScaleCase(n, m int, v rng.Version) func(b *testing.B) {
-	return stgaCaseOn(func() ([]*grid.Job, []*grid.Site) { return scaleBatch(n, m) }, v)
+// scale-axis platform.
+func stgaScaleCase(n, m int) func(b *testing.B) {
+	return stgaCaseOn(func() ([]*grid.Job, []*grid.Site) { return scaleBatch(n, m) })
 }
 
 // stgaNASCase benchmarks one STGA Schedule call in replay-nas-stga's
 // round shape: the 12-site NAS platform and the first n jobs of the
-// synthetic NAS trace at the Table 1 density, under the v2 draw
-// contract the workload runs.
+// synthetic NAS trace at the Table 1 density.
 func stgaNASCase(n int) func(b *testing.B) {
 	return stgaCaseOn(func() ([]*grid.Job, []*grid.Site) {
 		r := rng.New(1)
@@ -215,20 +213,19 @@ func stgaNASCase(n int) func(b *testing.B) {
 			panic(err)
 		}
 		return jobs[:n], sites
-	}, rng.V2)
+	})
 }
 
 // stgaCaseOn benchmarks one Table 1 STGA Schedule call per op on the
-// generated batch under the given draw contract. A fresh scheduler per
-// iteration keeps the history table empty and the per-op work
-// independent of b.N: a shared scheduler's table grows with every call,
-// which would make the measured time depend on how long the harness
-// happened to run the case.
-func stgaCaseOn(gen func() ([]*grid.Job, []*grid.Site), v rng.Version) func(b *testing.B) {
+// generated batch. A fresh scheduler per iteration keeps the history
+// table empty and the per-op work independent of b.N: a shared
+// scheduler's table grows with every call, which would make the
+// measured time depend on how long the harness happened to run the
+// case.
+func stgaCaseOn(gen func() ([]*grid.Job, []*grid.Site)) func(b *testing.B) {
 	return func(b *testing.B) {
 		jobs, sites := gen()
 		cfg := stga.DefaultConfig()
-		cfg.GA.RNG = v
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			s := stga.New(cfg, rng.New(2))
@@ -684,11 +681,12 @@ func Suite() []Case {
 		{Name: "GreedyRankMinMin/m=64/batch=200", Smoke: false, F: rankScaleCase(200, 64)},
 		{Name: "GreedyRankMinMin/m=256/batch=200", Smoke: true, F: rankScaleCase(200, 256)},
 		{Name: "GreedyRankMinMin/m=1024/batch=200", Smoke: false, F: rankScaleCase(200, 1024)},
-		{Name: "STGASchedule/dag=on/m=256/batch=200", Smoke: true, F: stgaDAGScaleCase(200, 256, rng.V2)},
-		{Name: "STGASchedule/rng=v1/m=256/batch=200", Smoke: true, F: stgaScaleCase(200, 256, rng.V1)},
-		{Name: "STGASchedule/rng=v2/m=64/batch=200", Smoke: false, F: stgaScaleCase(200, 64, rng.V2)},
-		{Name: "STGASchedule/rng=v2/m=256/batch=200", Smoke: true, F: stgaScaleCase(200, 256, rng.V2)},
-		{Name: "STGASchedule/rng=v2/m=1024/batch=200", Smoke: false, F: stgaScaleCase(200, 1024, rng.V2)},
+		// The rng=v2 names predate v1's removal and stay so that older
+		// BENCH files still pair with them.
+		{Name: "STGASchedule/dag=on/m=256/batch=200", Smoke: true, F: stgaDAGScaleCase(200, 256)},
+		{Name: "STGASchedule/rng=v2/m=64/batch=200", Smoke: false, F: stgaScaleCase(200, 64)},
+		{Name: "STGASchedule/rng=v2/m=256/batch=200", Smoke: true, F: stgaScaleCase(200, 256)},
+		{Name: "STGASchedule/rng=v2/m=1024/batch=200", Smoke: false, F: stgaScaleCase(200, 1024)},
 		// replay-nas-stga's round (12 sites, 21 jobs), and the GA's
 		// selection stage on its own.
 		{Name: "STGASchedule/nas/batch=21", Smoke: true, F: stgaNASCase(21)},

@@ -55,3 +55,18 @@ func (s Setup) SchedulerByName(name string, policy grid.Policy, r *rng.Stream,
 			name, strings.Join(SchedulerNames, ", "))
 	}
 }
+
+// RemovedDraws reports whether durable state that the scheduler named
+// algo wrote under draw contract version (a Setup.RNGVersion as it was
+// recorded) was drawn under the removed v1 contract, and so cannot be
+// continued by this binary. State written before v1's removal names v1
+// as an absent field (0) or as 1; state written since names 2. The
+// heuristics never draw through ga.Run, so their state restores
+// whatever the field says.
+func RemovedDraws(algo string, version int) bool {
+	switch strings.ToLower(algo) {
+	case "stga", "coldga":
+		return version != int(rng.V2)
+	}
+	return false
+}

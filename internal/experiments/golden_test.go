@@ -19,50 +19,23 @@ import (
 //	go test ./internal/experiments -run TestGolden -update
 var updateGolden = flag.Bool("update", false, "rewrite the golden experiment outputs under testdata/golden/")
 
-// goldenRNGVersion narrows the suite to one draw contract. By default
-// every golden runs under both: v1 against the original goldens under
-// testdata/golden/, v2 (the batched DrawsV2 layout the benchmark runs)
-// against testdata/golden/v2/, so neither contract can silently drift
-// into the other. Regenerate one set with:
-//
-//	go test ./internal/experiments -run TestGolden -update -rng-version=2
-var goldenRNGVersion = flag.Int("rng-version", 0, "draw contract for the golden suite: 0 = both (default), 1 = original serial sequence, 2 = batched DrawsV2 (goldens under testdata/golden/v2/)")
-
-// goldenSetup pins the scale and seed of every golden run. Workers is
-// left on auto: the fan-out layer is result-invariant, and the suite
-// doubles as a regression test of that claim.
-func goldenSetup(version int) Setup {
-	s := TestSetup()
-	s.Seed = 11
-	s.RNGVersion = version
-	return s
-}
-
-// goldenPath maps a figure name to its on-disk golden file for a draw
-// contract. v1 keeps the historical flat layout.
-func goldenPath(version int, name string) string {
-	if version == 1 {
-		return filepath.Join("testdata", "golden", name)
-	}
-	return filepath.Join("testdata", "golden", fmt.Sprintf("v%d", version), name)
-}
-
-// runGolden runs one figure as a subtest per selected draw contract
-// (v1, v2) and compares each output with that contract's golden file.
+// runGolden runs one figure at the golden scale and seed and compares
+// its output with testdata/golden/<name>. Workers is left on auto: the
+// fan-out layer is result-invariant, and the suite doubles as a
+// regression test of that claim. The subtest is named after the draw
+// contract the goldens were generated under (rng.V2, the only one), so
+// a later contract change shows up as a new subtest name, not a silent
+// rewrite of this one.
 func runGolden(t *testing.T, name string, run func(Setup) (string, error)) {
-	versions := []int{1, 2}
-	if *goldenRNGVersion != 0 {
-		versions = []int{*goldenRNGVersion}
-	}
-	for _, v := range versions {
-		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
-			got, err := run(goldenSetup(v))
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkGolden(t, goldenPath(v, name), got)
-		})
-	}
+	t.Run("v2", func(t *testing.T) {
+		s := TestSetup()
+		s.Seed = 11
+		got, err := run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkGolden(t, filepath.Join("testdata", "golden", name), got)
+	})
 }
 
 func checkGolden(t *testing.T, path, got string) {

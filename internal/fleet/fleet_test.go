@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -236,6 +235,28 @@ func TestWorkerLoopbackParity(t *testing.T) {
 	}
 }
 
+// TestWorkerRefusesOtherProtoVersion: an attach from a coordinator of
+// another protocol version is refused outright. A version-2 coordinator
+// reads a spec with no Setup.RNGVersion as the removed v1 draws.
+func TestWorkerRefusesOtherProtoVersion(t *testing.T) {
+	_, addr := startWorker(t, WorkerConfig{}, "")
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := writeFrame(conn, &frame{Type: frameAttach, Version: 2, Spec: testSpec("minmin")}); err != nil {
+		t.Fatal(err)
+	}
+	var resp frame
+	if err := readFrame(conn, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("fleet: protocol version 2, worker speaks %d", ProtoVersion); resp.Type != frameAttached || resp.Err != want {
+		t.Fatalf("attach at version 2 got %q %q, want the refusal %q", resp.Type, resp.Err, want)
+	}
+}
+
 // TestWorkerRefusesMismatchedAttach locks a configured worker to its
 // first spec: a different fingerprint or a different shard index is
 // turned away instead of silently corrupting the run.
@@ -255,47 +276,6 @@ func TestWorkerRefusesMismatchedAttach(t *testing.T) {
 	}
 	if _, err := Dial(addr, spec, 1, DialConfig{}); err == nil {
 		t.Fatal("worker accepted an attach under a different shard index")
-	}
-}
-
-// TestWorkerDiagnosesRNGVersionMismatch pins the specific failure mode
-// of a half-upgraded fleet: a coordinator on the v2 draw contract
-// attaching to a worker configured for v1 is told exactly that, not
-// just that two hashes differ — and a spec that differs in MORE than
-// the rng version still gets the generic fingerprint refusal.
-func TestWorkerDiagnosesRNGVersionMismatch(t *testing.T) {
-	spec := testSpec("minmin")
-	_, addr := startWorker(t, WorkerConfig{}, "")
-	rs, err := Dial(addr, spec, 0, DialConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
-
-	v2 := testSpec("minmin")
-	v2.Setup.RNGVersion = 2
-	_, err = Dial(addr, v2, 0, DialConfig{})
-	if err == nil {
-		t.Fatal("worker accepted an attach under a different rng version")
-	}
-	if !strings.Contains(err.Error(), "rng version mismatch") {
-		t.Fatalf("rng-only divergence got the generic refusal: %v", err)
-	}
-	if !strings.Contains(err.Error(), "v2") || !strings.Contains(err.Error(), "v1") {
-		t.Fatalf("diagnosis does not name both versions: %v", err)
-	}
-
-	// Both the version AND the seed differ: not a clean rng-version
-	// mismatch, so the generic fingerprint path must speak.
-	both := testSpec("minmin")
-	both.Setup.RNGVersion = 2
-	both.Seed++
-	_, err = Dial(addr, both, 0, DialConfig{})
-	if err == nil {
-		t.Fatal("worker accepted a doubly diverged spec")
-	}
-	if strings.Contains(err.Error(), "rng version mismatch") {
-		t.Fatalf("doubly diverged spec misdiagnosed as rng-only: %v", err)
 	}
 }
 

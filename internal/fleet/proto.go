@@ -15,7 +15,9 @@ import (
 // refuses an attach from a different version outright (a fleet is
 // deployed as one unit — there is no skew window to support). 2: an
 // engine snapshot's DAG done set is a byte column, not a list of IDs.
-const ProtoVersion = 2
+// 3: v1 draws were removed, so a spec with no Setup.RNGVersion now
+// draws v2 where a version-2 peer would draw v1.
+const ProtoVersion = 3
 
 // maxFrame bounds one frame's payload. Large enough for a full engine
 // snapshot of any realistic shard, small enough that a corrupt length

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -223,5 +224,48 @@ func TestWorkerRefusesLogWithoutSpec(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "spec.json")); err == nil {
 		t.Fatal("the refused attach left a spec.json behind: the next restart would replay the stale log under it")
+	}
+}
+
+// TestWorkerRefusesV1GASpec: a spec.json an STGA worker persisted
+// before v1 draws were removed names no contract (or 1), and its log
+// was drawn under v1. Replaying it under v2 would contradict the events
+// the coordinator already saw, so the worker refuses to start.
+func TestWorkerRefusesV1GASpec(t *testing.T) {
+	spec := testSpec("stga")
+	spec.Setup.RNGVersion = 2
+	dir := t.TempDir()
+	runDurableWorker(t, dir, spec, testJobs(8), 1000, false)
+	w, err := NewWorker(WorkerConfig{WALDir: dir})
+	if err != nil {
+		t.Fatalf("a v2 spec.json did not restore: %v", err)
+	}
+	w.Close()
+
+	path := filepath.Join(dir, "spec.json")
+	want := "fleet: worker recovery: fleet: spec file " + path + " was written under draw contract v1, which this trustgrid-worker " +
+		"no longer runs (refusing to restore it: drain and stop the fleet with the binary that wrote it, or start the worker on a fresh -wal directory)"
+	for _, v := range []int{0, 1} {
+		old := *spec
+		old.Setup.RNGVersion = v
+		fp, err := old.Fingerprint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := json.Marshal(specFile{Fingerprint: fp, Shard: 0, Spec: &old})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, payload, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		w, err := NewWorker(WorkerConfig{WALDir: dir})
+		if err == nil {
+			w.Close()
+			t.Fatalf("spec.json with rng version %d restored", v)
+		}
+		if err.Error() != want {
+			t.Fatalf("rng version %d: got %v\nwant %s", v, err, want)
+		}
 	}
 }

@@ -113,39 +113,6 @@ func (sp *Spec) ShardConfig(i int, durable bool) (sched.RunConfig, error) {
 	}, nil
 }
 
-// rngVersionMismatch reports whether offered and pinned are the same
-// run on different rng draw contracts: their Setup.RNGVersion fields
-// disagree and neutralizing that one field makes the fingerprints
-// match. The empty string means the specs differ some other way (or
-// not at all) and the caller should fall back to the generic
-// fingerprint rejection; a non-empty string is the operator-facing
-// diagnosis. Shallow copies suffice: only the scalar RNGVersion is
-// modified.
-func rngVersionMismatch(offered, pinned *Spec) string {
-	if offered.Setup.RNGVersion == pinned.Setup.RNGVersion {
-		return ""
-	}
-	a, b := *offered, *pinned
-	a.Setup.RNGVersion, b.Setup.RNGVersion = 0, 0
-	fa, errA := a.Fingerprint()
-	fb, errB := b.Fingerprint()
-	if errA != nil || errB != nil || fa != fb {
-		return ""
-	}
-	return fmt.Sprintf(
-		"fleet: rng version mismatch: coordinator draws under v%d, worker is configured for v%d (a mixed-version fleet would diverge shard by shard; restart every member on one version)",
-		displayRNGVersion(offered.Setup.RNGVersion), displayRNGVersion(pinned.Setup.RNGVersion))
-}
-
-// displayRNGVersion folds the raw Setup knob into the version number an
-// operator sets: 0 and 1 are both the v1 contract.
-func displayRNGVersion(raw int) int {
-	if v, err := rng.ParseVersion(raw); err == nil {
-		return v.Num()
-	}
-	return raw
-}
-
 // Fingerprint is a stable content hash of the spec. The worker pins it
 // at configuration time and refuses attaches (and WAL recoveries)
 // under a different one: silently mixing engines built from diverging

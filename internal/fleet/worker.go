@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"trustgrid/internal/api"
+	"trustgrid/internal/experiments"
 	"trustgrid/internal/grid"
 	"trustgrid/internal/sched"
 	"trustgrid/internal/wal"
@@ -305,12 +306,6 @@ func (w *Worker) attach(wc *wconn, f *frame) (*frame, bool) {
 		}
 	} else {
 		if offered != w.fp {
-			// Diagnose the one mismatch with a clean operator action
-			// before the generic refusal: same run, different draw
-			// contract.
-			if msg := rngVersionMismatch(f.Spec, w.spec); msg != "" {
-				return reject("%s", msg)
-			}
 			return reject("fleet: spec fingerprint %.12s does not match configured %.12s (refusing to mix runs)", offered, w.fp)
 		}
 		if f.Shard != w.shard {
@@ -412,6 +407,13 @@ func (w *Worker) recoverLocked() error {
 	}
 	if fp != sf.Fingerprint {
 		return fmt.Errorf("fleet: spec file fingerprint %.12s does not match its spec (%.12s)", sf.Fingerprint, fp)
+	}
+	// A GA's log replayed under v2 would contradict the events the
+	// coordinator already saw under v1.
+	if experiments.RemovedDraws(sf.Spec.Algo, sf.Spec.Setup.RNGVersion) {
+		return fmt.Errorf("fleet: spec file %s was written under draw contract v1, which this trustgrid-worker no longer runs "+
+			"(refusing to restore it: drain and stop the fleet with the binary that wrote it, or start the worker on a fresh -wal directory)",
+			w.specPath())
 	}
 	return w.configureLocked(sf.Spec, sf.Shard, fp, false)
 }

@@ -166,6 +166,8 @@ func TestConfigValidate(t *testing.T) {
 		{PopulationSize: 10, Generations: -1, CrossoverProb: 0.5, MutationProb: 0.5},
 		{PopulationSize: 10, Generations: 1, CrossoverProb: 1.5, MutationProb: 0.5},
 		{PopulationSize: 10, Generations: 1, CrossoverProb: 0.5, MutationProb: -0.1},
+		{PopulationSize: 10, Generations: 1, CrossoverProb: math.NaN(), MutationProb: 0.5},
+		{PopulationSize: 10, Generations: 1, CrossoverProb: 0.5, MutationProb: math.NaN()},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -276,24 +276,22 @@ func TestRouletteIgnoresWhereInfSits(t *testing.T) {
 // TestRunAllocsIndependentOfGenerations pins the allocation-free
 // generation loop: whatever Run allocates, it allocates up front, so one
 // generation and forty cost the same number of allocations, under every
-// selection operator and both draw contracts.
+// selection operator.
 func TestRunAllocsIndependentOfGenerations(t *testing.T) {
 	p := onesProblem(20, 4)
 	for _, sel := range []SelectionMethod{RouletteSelection, TournamentSelection, RankSelection} {
-		for _, v := range []rng.Version{rng.V1, rng.V2} {
-			allocs := func(gens int) float64 {
-				cfg := DefaultConfig()
-				cfg.PopulationSize, cfg.Generations = 50, gens
-				cfg.Selection, cfg.RNG, cfg.Workers = sel, v, 1
-				return testing.AllocsPerRun(5, func() {
-					if _, err := Run(p, cfg, nil, rng.New(1)); err != nil {
-						t.Fatal(err)
-					}
-				})
-			}
-			if one, forty := allocs(1), allocs(40); one != forty {
-				t.Errorf("%v, rng v%d: %v allocations at 1 generation, %v at 40", sel, int(v), one, forty)
-			}
+		allocs := func(gens int) float64 {
+			cfg := DefaultConfig()
+			cfg.PopulationSize, cfg.Generations = 50, gens
+			cfg.Selection, cfg.Workers = sel, 1
+			return testing.AllocsPerRun(5, func() {
+				if _, err := Run(p, cfg, nil, rng.New(1)); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if one, forty := allocs(1), allocs(40); one != forty {
+			t.Errorf("%v: %v allocations at 1 generation, %v at 40", sel, one, forty)
 		}
 	}
 }

@@ -2,15 +2,15 @@ package rng
 
 import "trustgrid/internal/cpu"
 
-// This file is the V2 draw contract. V1 threads one serial stream
-// through every GA phase in loop order, which pins the whole loop to
-// the latency of one xoshiro chain and welds the phases' draw counts
+// This file is the GA's draw contract (V2). One serial stream threaded
+// through every GA phase in loop order would pin the whole loop to the
+// latency of one xoshiro chain and weld the phases' draw counts
 // together. V2 splits the run stream into per-phase lanes (Fork is a
 // pure function of state and index, so the layout is stable) and draws
 // the mutation hit mask as a Bernoulli bit vector from a 4-stripe
 // Block, whose interleaved recurrences break the serial dependency
 // chain: four independent states advance per loop iteration, so the
-// CPU overlaps what V1 had to serialize.
+// CPU overlaps what one chain would serialize.
 
 // blockStripes is the Block interleave width. Part of the V2 contract:
 // changing it changes every V2 draw sequence.

@@ -110,24 +110,3 @@ func drawN(r *Stream, n int) []uint64 {
 	}
 	return out
 }
-
-// TestParseVersion pins the user-facing numbering and the zero-value
-// default.
-func TestParseVersion(t *testing.T) {
-	cases := []struct {
-		in      int
-		want    Version
-		wantErr bool
-	}{
-		{0, V1, false}, {1, V1, false}, {2, V2, false}, {3, 0, true}, {-1, 0, true},
-	}
-	for _, c := range cases {
-		got, err := ParseVersion(c.in)
-		if (err != nil) != c.wantErr || got != c.want {
-			t.Fatalf("ParseVersion(%d) = (%v, %v), want (%v, err=%v)", c.in, got, err, c.want, c.wantErr)
-		}
-	}
-	if V1.Num() != 1 || V2.Num() != 2 || V1.String() != "v1" || V2.String() != "v2" {
-		t.Fatalf("version naming drifted: %v %v", V1, V2)
-	}
-}

@@ -1,54 +1,16 @@
 package rng
 
-import "fmt"
-
-// Version names a draw-sequence contract. Everything that replays,
-// fingerprints or shards a run — GA configs, fleet specs, WAL
-// snapshots — carries a Version, because two processes drawing under
-// different contracts produce different (both individually valid)
-// schedules: mixing them in one fleet or resuming a v1 WAL under v2
-// would silently break determinism, so both are refused at the
-// fingerprint layer.
+// Version names the GA's draw-sequence contract. There is one: V2
+// (DrawsV2). The original serial contract, v1, was removed; its last
+// commit is recorded in DESIGN.md §13.1.
 //
-// The zero value means V1. That is deliberate: v1 runs serialize the
-// field as absent (`omitempty`), so every spec fingerprint and WAL
-// written before versions existed still verifies, and "no version" ≡
-// "version 1" forever.
+// The type survives only because the frozen benchmark harness assigns
+// ga.Config.RNG from it. 0 and V2 both mean the one contract, and
+// ga.Config.Validate refuses every other value. ROADMAP item 6(d), the
+// next benchmark change, deletes the type together with its assignments.
 type Version int
 
-const (
-	// V1 is the original contract: one serial stream threaded through
-	// every GA phase in loop order. It is the default and is pinned by
-	// every golden and parity test predating DrawsV2.
-	V1 Version = 0
-	// V2 is the batched contract (DrawsV2): independent per-phase lanes
-	// forked from the run stream, with mutation hits drawn as
-	// Bernoulli bit vectors from a 4-stripe Block. Faster, and
-	// deliberately not draw-compatible with V1.
-	V2 Version = 2
-)
-
-// ParseVersion maps the user-facing numbering (1 and 2, as in the
-// daemon's -rng-version flag) onto the internal representation, where
-// 0 and 1 both mean V1.
-func ParseVersion(n int) (Version, error) {
-	switch n {
-	case 0, 1:
-		return V1, nil
-	case 2:
-		return V2, nil
-	default:
-		return 0, fmt.Errorf("rng: unknown draw version %d (have 1, 2)", n)
-	}
-}
-
-// Num returns the user-facing version number: 1 for V1, 2 for V2.
-func (v Version) Num() int {
-	if v == V2 {
-		return 2
-	}
-	return 1
-}
-
-// String returns "v1" or "v2".
-func (v Version) String() string { return fmt.Sprintf("v%d", v.Num()) }
+// V2 is the batched contract (DrawsV2): independent per-phase lanes
+// forked from the run stream, with mutation hits drawn as Bernoulli bit
+// vectors from a 4-stripe Block.
+const V2 Version = 2

@@ -477,3 +477,43 @@ func TestRecoveryRefusesOtherSnapshotVersion(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoveryRefusesV1GASnapshot: a snapshot the STGA wrote before v1
+// draws were removed recorded rng_version as absent or 1, and the state
+// it holds was drawn under v1. A default config refuses it with the
+// drain-or-fresh-directory message instead of continuing it under v2.
+// Draw-free algorithms restore whatever the field says
+// (TestRecoversParentWrittenDirs).
+func TestRecoveryRefusesV1GASnapshot(t *testing.T) {
+	dir := t.TempDir()
+	walBaseline(t, walTestConfig(dir, "stga"), func(c *client.Client) { driveWAL(t, c, walJobList(20)) })
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.json"))
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("no snapshots: %v", err)
+	}
+	sort.Strings(snaps)
+	newest := snaps[len(snaps)-1]
+	payload, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const current = `,"rng_version":2`
+	if !bytes.Contains(payload, []byte(current)) {
+		t.Fatalf("snapshot does not name draw contract 2: %.200s", payload)
+	}
+	want := fmt.Sprintf("server: recovery: snapshot %s was written under draw contract v1, which this trustgridd no longer runs "+
+		"(refusing to restore it: drain and stop the daemon with the binary that wrote it, or start on a fresh -wal-dir)", newest)
+	for _, old := range []string{"", `,"rng_version":1`} {
+		if err := os.WriteFile(newest, bytes.Replace(payload, []byte(current), []byte(old), 1), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := server.New(walTestConfig(dir, "stga"))
+		if err == nil {
+			_, _ = srv.Stop(false)
+			t.Fatalf("snapshot with %q restored", old)
+		}
+		if err.Error() != want {
+			t.Fatalf("snapshot with %q: got %v\nwant %s", old, err, want)
+		}
+	}
+}

@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"trustgrid/internal/api"
+	"trustgrid/internal/experiments"
 	"trustgrid/internal/grid"
-	"trustgrid/internal/rng"
 	"trustgrid/internal/sched"
 	"trustgrid/internal/wal"
 )
@@ -39,9 +39,9 @@ type serverSnapshot struct {
 	// restored into M engines. Zero (an unsharded snapshot, including
 	// every pre-sharding one) means 1.
 	Shards int `json:"shards,omitempty"`
-	// RNGVersion is part of the fingerprint: scheduler state evolved
-	// under one draw contract cannot continue under another. Zero (every
-	// snapshot from before the knob, and v1 configs) means version 1.
+	// RNGVersion names the GA draw contract the state evolved under.
+	// This binary writes 2. Absent or 1 is the removed v1, which a GA
+	// algorithm's snapshot cannot continue under (newestSnapshot).
 	RNGVersion int `json:"rng_version,omitempty"`
 
 	Engine  *sched.EngineSnapshot `json:"engine,omitempty"`
@@ -115,23 +115,8 @@ func (s *Server) checkFingerprint(snap *serverSnapshot) error {
 		return mismatch("manual", snap.Manual, s.cfg.Manual)
 	case snapShards != s.cfg.Shards:
 		return mismatch("shards", snapShards, s.cfg.Shards)
-	case normalizeRNGVersion(snap.RNGVersion) != normalizeRNGVersion(s.cfg.Setup.RNGVersion):
-		return mismatch("rng-version",
-			normalizeRNGVersion(snap.RNGVersion), normalizeRNGVersion(s.cfg.Setup.RNGVersion))
 	}
 	return nil
-}
-
-// normalizeRNGVersion folds the raw knob into its contract number so a
-// pre-knob snapshot (0) restores under an explicit v1 config (1) and
-// vice versa. Unknown values pass through raw — they were already
-// rejected at boot, and mapping them onto a real version here would
-// let a corrupt snapshot restore.
-func normalizeRNGVersion(raw int) int {
-	if v, err := rng.ParseVersion(raw); err == nil {
-		return v.Num()
-	}
-	return raw
 }
 
 // recover opens the durable input set and rebuilds the daemon's state
@@ -264,6 +249,14 @@ func (s *Server) newestSnapshot() (*serverSnapshot, error) {
 		}
 		if err := s.checkFingerprint(&cand); err != nil {
 			return nil, err
+		}
+		// A GA's state drawn under the removed v1 cannot continue under
+		// v2; replaying its log instead would contradict the events
+		// clients already saw.
+		if experiments.RemovedDraws(cand.Algo, cand.RNGVersion) {
+			return nil, fmt.Errorf("snapshot %s was written under draw contract v1, which this trustgridd no longer runs "+
+				"(refusing to restore it: drain and stop the daemon with the binary that wrote it, or start on a fresh -wal-dir)",
+				ref.Path)
 		}
 		return &cand, nil
 	}

@@ -721,7 +721,6 @@ func TestRecoveryRejectsConfigChange(t *testing.T) {
 		"sites":          func(c *server.Config) { c.Sites = c.Sites[:2] },
 		"manual":         func(c *server.Config) { c.Manual = false },
 		"shards":         func(c *server.Config) { c.Shards = 2 },
-		"rng-version":    func(c *server.Config) { c.Setup.RNGVersion = 2 },
 	}
 	for field, mutate := range mutations {
 		bad := walTestConfig(dir, "minmin")
@@ -742,14 +741,4 @@ func TestRecoveryRejectsConfigChange(t *testing.T) {
 		t.Fatalf("unchanged config failed to recover: %v", err)
 	}
 	_, _ = good.Stop(false)
-
-	// 0 and 1 are the same draw contract: a pre-knob snapshot (written
-	// with RNGVersion 0) must restore under an explicit v1 config.
-	v1 := walTestConfig(dir, "minmin")
-	v1.Setup.RNGVersion = 1
-	alias, err := server.New(v1)
-	if err != nil {
-		t.Fatalf("explicit rng version 1 refused a version-0 snapshot: %v", err)
-	}
-	_, _ = alias.Stop(false)
 }

@@ -161,6 +161,12 @@ func (c *Config) fillDefaults() {
 	if c.Setup.PSABatch == 0 {
 		c.Setup.PSABatch = d.PSABatch
 	}
+	// The one place the draw contract is decided: every snapshot and
+	// worker spec.json then names 2, so a restore can tell it from state
+	// written under the removed v1, which recorded 0 or 1.
+	if c.Setup.RNGVersion == 0 {
+		c.Setup.RNGVersion = int(rng.V2)
+	}
 	if c.BatchInterval <= 0 {
 		c.BatchInterval = c.Setup.PSABatch
 	}

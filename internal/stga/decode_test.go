@@ -209,7 +209,7 @@ func TestScorerMatchesFitnessInRun(t *testing.T) {
 		allowed[i] = all
 	}
 	cfg := ga.DefaultConfig()
-	cfg.PopulationSize, cfg.Generations, cfg.RNG = 30, 20, rng.V2
+	cfg.PopulationSize, cfg.Generations = 30, 20
 	cfg.Workers = 1
 	want, err := ga.Run(&ga.Problem{Length: 21, Allowed: allowed, Fitness: makespanFitness(m, base, etc, 0)}, cfg, nil, rng.New(3))
 	if err != nil {
@@ -235,8 +235,8 @@ func TestScorerMatchesFitnessInRun(t *testing.T) {
 
 // TestNASRunTakesKernelPath: a golden-scale STGA simulation on the NAS
 // platform (the experiments' TestSetup sizes) runs every round through
-// the 4-way kernel where the CPU has AVX2, at Workers 1 and 2 and under
-// both draw contracts, and replays the portable decode's run record for
+// the 4-way kernel where the CPU has AVX2, at Workers 1 and 2, and
+// replays the portable decode's run record for
 // record. The committed goldens never reach the kernel — their STGA
 // runs are all on the 20-site PSA platform — so this is its
 // golden-scale check, and it runs in the race job.
@@ -255,10 +255,9 @@ func TestNASRunTakesKernelPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int, v rng.Version) (*sched.Result, *Scheduler) {
+	run := func(workers int) (*sched.Result, *Scheduler) {
 		cfg := DefaultConfig()
 		cfg.GA.PopulationSize, cfg.GA.Generations, cfg.GA.Workers = 40, 25, workers
-		cfg.GA.RNG = v
 		sc := New(cfg, rng.New(77))
 		res, err := sched.Run(sched.RunConfig{
 			Jobs: grid.CloneAll(jobs), Sites: sites, Scheduler: sc,
@@ -270,18 +269,16 @@ func TestNASRunTakesKernelPath(t *testing.T) {
 		return res, sc
 	}
 	defer func(v bool) { useDecodeKernel = v }(useDecodeKernel)
-	for _, v := range []rng.Version{rng.V1, rng.V2} {
-		useDecodeKernel = false
-		want, _ := run(1, v)
-		useDecodeKernel = true
-		for _, w := range []int{1, 2} {
-			got, sc := run(w, v)
-			if sc.batch == 0 || sc.dec.kernelRounds != sc.batch {
-				t.Fatalf("%v workers=%d: %d of %d rounds ran the kernel", v, w, sc.dec.kernelRounds, sc.batch)
-			}
-			if !reflect.DeepEqual(got.Records, want.Records) {
-				t.Fatalf("%v workers=%d: kernel run's job records diverged from the portable decode's", v, w)
-			}
+	useDecodeKernel = false
+	want, _ := run(1)
+	useDecodeKernel = true
+	for _, w := range []int{1, 2} {
+		got, sc := run(w)
+		if sc.batch == 0 || sc.dec.kernelRounds != sc.batch {
+			t.Fatalf("workers=%d: %d of %d rounds ran the kernel", w, sc.dec.kernelRounds, sc.batch)
+		}
+		if !reflect.DeepEqual(got.Records, want.Records) {
+			t.Fatalf("workers=%d: kernel run's job records diverged from the portable decode's", w)
 		}
 	}
 }
