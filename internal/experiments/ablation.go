@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"trustgrid/internal/grid"
 	"trustgrid/internal/rng"
 	"trustgrid/internal/sched"
 	"trustgrid/internal/stga"
@@ -48,13 +47,7 @@ func runSTGAConfigured(s Setup, n int, mutate func(*stga.Config)) (*sched.Result
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg := stga.DefaultConfig()
-	cfg.GA.PopulationSize = s.Population
-	cfg.GA.Generations = s.Generations
-	cfg.HistorySize = s.HistorySize
-	cfg.SimilarityThreshold = s.SimThreshold
-	cfg.Policy = s.Policy(grid.FRisky, s.F)
-	cfg.Security = s.Model()
+	cfg := s.stgaConfig()
 	if mutate != nil {
 		mutate(&cfg)
 	}

@@ -64,9 +64,16 @@ func (s Setup) SchedulerByName(name string, policy grid.Policy, r *rng.Stream,
 // heuristics never draw through ga.Run, so their state restores
 // whatever the field says.
 func RemovedDraws(algo string, version int) bool {
+	return RunsGA(algo) && version != int(rng.V2)
+}
+
+// RunsGA reports whether the scheduler named algo evolves its rounds
+// through ga.Run, so that its durable state depends on the GA's draw
+// contract and shape (population, generations, stall).
+func RunsGA(algo string) bool {
 	switch strings.ToLower(algo) {
 	case "stga", "coldga":
-		return version != int(rng.V2)
+		return true
 	}
 	return false
 }

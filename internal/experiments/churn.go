@@ -73,22 +73,6 @@ func (s Setup) churnDynamics(seed uint64, w *Workload, reputation bool) *sched.D
 	return dyn
 }
 
-// runOnceDynamic is runOnce with the dynamic-grid extension attached.
-func (s Setup) runOnceDynamic(w *Workload, a Algorithm, seed uint64, dyn *sched.DynamicsConfig) (*sched.Result, error) {
-	r := rng.New(seed)
-	scheduler := s.buildScheduler(a, r.Derive("scheduler"), w.Training, w.Sites)
-	return sched.Run(sched.RunConfig{
-		Jobs:          w.Jobs,
-		Sites:         w.Sites,
-		Scheduler:     scheduler,
-		BatchInterval: w.Batch,
-		Security:      s.Model(),
-		FailureTiming: s.FailTiming,
-		Rand:          r.Derive("engine"),
-		Dynamics:      dyn,
-	})
-}
-
 // RunChurnStudy runs the static-trust vs reputation-feedback comparison
 // under churn for Min-Min, Sufferage and the STGA. Every (algorithm,
 // mode) pair is an independent fan-out point; within a rep, both modes
@@ -111,7 +95,7 @@ func RunChurnStudy(s Setup) (*ChurnStudyResult, error) {
 				return err
 			}
 			dyn := pt.churnDynamics(seed, w, feedback)
-			r, err := pt.runOnceDynamic(w, cell.Algorithm, seed^0x9e3779b97f4a7c15, dyn)
+			r, _, err := pt.runOnce(w, cell.Algorithm, seed^0x9e3779b97f4a7c15, dyn)
 			if err != nil {
 				return fmt.Errorf("%s (feedback=%v) rep %d: %w", cell.Algorithm, feedback, rep, err)
 			}

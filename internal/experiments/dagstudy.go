@@ -116,7 +116,7 @@ func RunDAGStudy(s Setup) (*DAGStudyResult, error) {
 			if independent {
 				w.Jobs = stripEdges(w.Jobs)
 			}
-			r, err := pt.runOnce(w, cell.Algorithm, seed^0x9e3779b97f4a7c15)
+			r, _, err := pt.runOnce(w, cell.Algorithm, seed^0x9e3779b97f4a7c15, nil)
 			if err != nil {
 				return fmt.Errorf("%s (independent=%v) rep %d: %w", cell.Algorithm, independent, rep, err)
 			}

@@ -52,7 +52,7 @@ func TestRunOnceAllAlgorithms(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, a := range append(append([]Algorithm{}, PaperAlgorithms...), AlgColdGA) {
-		res, err := s.runOnce(w, a, 99)
+		res, _, err := s.runOnce(w, a, 99, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", a, err)
 		}
@@ -72,7 +72,7 @@ func TestSecureModesNeverFail(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, a := range []Algorithm{MinMinSecure, SufferageSecure} {
-		res, err := s.runOnce(w, a, 11)
+		res, _, err := s.runOnce(w, a, 11, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func TestRiskOrderingAcrossModes(t *testing.T) {
 	}
 	var nRisk [3]int
 	for i, a := range []Algorithm{MinMinSecure, MinMinFRisky, MinMinRisky} {
-		res, err := s.runOnce(w, a, 17)
+		res, _, err := s.runOnce(w, a, 17, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,12 +146,21 @@ func TestFig7bSmall(t *testing.T) {
 
 func TestFig5Small(t *testing.T) {
 	s := microSetup()
+	s.Stall = 4 // below the cap, so some rounds would stop early
 	res, err := RunFig5(s)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The curves run to the cap whatever the stall count; generations to
+	// stop are read off them, between the stall count and the cap.
 	if len(res.STGA) != s.Generations+1 || len(res.ColdGA) != s.Generations+1 {
 		t.Fatalf("curve lengths %d/%d, want %d", len(res.STGA), len(res.ColdGA), s.Generations+1)
+	}
+	for _, stop := range []float64{res.STGAStop, res.ColdGAStop} {
+		if res.Stall != s.Stall || stop < float64(s.Stall) || stop > float64(s.Generations) {
+			t.Fatalf("generations to stop at stall %d: STGA %v, cold %v; want within [%d, %d]",
+				res.Stall, res.STGAStop, res.ColdGAStop, s.Stall, s.Generations)
+		}
 	}
 	// Both normalized curves end at 1.0 by construction.
 	last := len(res.STGA) - 1
@@ -324,5 +333,16 @@ func TestClusterExtensionSmall(t *testing.T) {
 	}
 	if !strings.Contains(res.Render(), "A5") {
 		t.Fatal("render missing title")
+	}
+}
+
+// TestStallStop pins the read-off rule: the first generation that ends
+// stall flat ones, else the cap.
+func TestStallStop(t *testing.T) {
+	tr := []float64{5, 5, 5, 4, 4, 4, 4, 3}
+	for stall, want := range map[int]int{0: 7, 1: 1, 2: 2, 3: 6, 4: 7, 10: 7} {
+		if got := stallStop(tr, stall); got != want {
+			t.Errorf("stallStop(stall %d) = %d, want %d", stall, got, want)
+		}
 	}
 }

@@ -23,6 +23,8 @@ type Agg struct {
 	IdleSites stats.Sample
 	// SiteUtil[i] is the mean utilization of site i across reps.
 	SiteUtil []float64
+	// Work sums the GA work of every rep (zero for the heuristics).
+	Work sched.GAWork
 }
 
 func (a *Agg) add(s metrics.Summary) {
@@ -58,11 +60,12 @@ func (s Setup) runAgg(mkWorkload func(seed uint64) (*Workload, error), a Algorit
 		if err != nil {
 			return nil, err
 		}
-		res, err := s.runOnce(w, a, seed^0x9e3779b97f4a7c15)
+		res, work, err := s.runOnce(w, a, seed^0x9e3779b97f4a7c15, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s rep %d: %w", a, rep, err)
 		}
 		agg.add(res.Summary)
+		agg.Work.Add(work)
 	}
 	agg.finish(s.reps())
 	return agg, nil
@@ -134,8 +137,9 @@ var DefaultIterationSweep = []int{5, 10, 25, 40, 50, 75, 100, 150, 200}
 
 // RunFig7b sweeps the STGA generation budget on the PSA workload
 // (N = 1000), reproducing the convergence-by-50-iterations observation.
-// Heuristic seeding is disabled: the figure measures how many
-// generations the evolutionary search itself needs.
+// Heuristic seeding is disabled and the stall rule is off: the figure
+// measures what a fixed generation budget buys the evolutionary search
+// itself.
 func RunFig7b(s Setup, iterations []int) (*Fig7bResult, error) {
 	if len(iterations) == 0 {
 		iterations = DefaultIterationSweep
@@ -148,6 +152,7 @@ func RunFig7b(s Setup, iterations []int) (*Fig7bResult, error) {
 	err := fanOut(s.workers(), len(iterations), func(i int) error {
 		sweep := pt
 		sweep.Generations = iterations[i]
+		sweep.Stall = 0
 		sweep.NoHeuristicSeeds = true
 		agg, err := sweep.runAgg(func(seed uint64) (*Workload, error) {
 			return sweep.PSAWorkload(seed, 1000)
@@ -178,6 +183,12 @@ type Fig5Result struct {
 	ColdGA      []float64
 	// Gen0Gap is ColdGA[0]/STGA[0]: how much worse the cold start begins.
 	Gen0Gap float64
+	// Stall is the setup's stall count, and STGAStop and ColdGAStop the
+	// mean generations per round a run with it would have executed
+	// (stallStop over every round's full trajectory): the "fast" claim
+	// read as generations to stop. Zero when Stall is.
+	Stall                int
+	STGAStop, ColdGAStop float64
 	// HistoryHitRate is the STGA lookup hit rate over the run.
 	HistoryHitRate float64
 }
@@ -186,14 +197,17 @@ type Fig5Result struct {
 // workload (trace.RecurrentPSAConfig): the history table can only
 // shortcut the search when job specifications actually recur, which is
 // the paper's §3 premise for the space-time design. Heuristic seeding is
-// off for both runs so the curves isolate the table's contribution.
+// off for both runs so the curves isolate the table's contribution, and
+// the stall rule is off so every curve runs to the cap; generations to
+// stop are read off those whole curves instead.
 func RunFig5(s Setup) (*Fig5Result, error) {
 	w, err := s.RecurrentPSAWorkload(s.Seed, 1000)
 	if err != nil {
 		return nil, err
 	}
 	pt := s.forPoint(2)
-	collect := func(cold bool) (curve []float64, hit float64, err error) {
+	pt.Stall = 0
+	collect := func(cold bool) (curve []float64, stop, hit float64, err error) {
 		cfg := pt.stgaConfig()
 		cfg.DisableHistory = cold
 		// Isolate the history table's contribution: neither run may
@@ -211,12 +225,13 @@ func RunFig5(s Setup) (*Fig5Result, error) {
 			FailureTiming: s.FailTiming, Rand: r.Derive("engine"),
 		})
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
 		// Average normalized trajectories across batches.
 		curve = make([]float64, s.Generations+1)
 		counts := make([]int, s.Generations+1)
 		for _, tr := range sc.AllTrajectories {
+			stop += float64(stallStop(tr, s.Stall)) / float64(len(sc.AllTrajectories))
 			final := tr[len(tr)-1]
 			if final <= 0 {
 				continue
@@ -233,27 +248,30 @@ func RunFig5(s Setup) (*Fig5Result, error) {
 				curve[g] /= float64(counts[g])
 			}
 		}
-		return curve, sc.Table().HitRate(), nil
+		return curve, stop, sc.Table().HitRate(), nil
 	}
 
 	// The warm and cold runs are independent (the engine clones the
 	// shared workload's jobs), so they fan out as two points.
 	var warm, cold []float64
-	var hit float64
+	var warmStop, coldStop, hit float64
 	err = fanOut(s.workers(), 2, func(i int) error {
 		if i == 0 {
 			var err error
-			warm, hit, err = collect(false)
+			warm, warmStop, hit, err = collect(false)
 			return err
 		}
 		var err error
-		cold, _, err = collect(true)
+		cold, coldStop, _, err = collect(true)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	res := &Fig5Result{HistoryHitRate: hit}
+	if s.Stall > 0 {
+		res.Stall, res.STGAStop, res.ColdGAStop = s.Stall, warmStop, coldStop
+	}
 	for g := 0; g <= s.Generations; g++ {
 		res.Generations = append(res.Generations, g)
 		res.STGA = append(res.STGA, warm[g])
@@ -263,6 +281,23 @@ func RunFig5(s Setup) (*Fig5Result, error) {
 		res.Gen0Gap = cold[0] / warm[0]
 	}
 	return res, nil
+}
+
+// stallStop returns the generations a run with ga.Config.Stall = stall
+// executes, read off the fixed run's trajectory: such a run is a prefix
+// of the fixed one (ga.TestStallIsPrefixOfFixedRun) that ends at the
+// first stall generations without a strict improvement — the first e
+// with tr[e] == tr[e-stall], the best being non-increasing — or at the
+// cap. stall 0 runs to the cap.
+func stallStop(tr []float64, stall int) int {
+	if stall > 0 {
+		for e := stall; e < len(tr); e++ {
+			if tr[e] == tr[e-stall] {
+				return e
+			}
+		}
+	}
+	return len(tr) - 1
 }
 
 // ---------------------------------------------------------------------
@@ -307,9 +342,29 @@ func RunNAS(s Setup) (*NASResult, error) {
 // Table2Row is one row of the paper's Table 2.
 type Table2Row struct {
 	Algorithm Algorithm
-	Alpha     float64 // makespan ratio vs STGA
-	Beta      float64 // response-time ratio vs STGA
-	Rank      int
+	Alpha     float64 // makespan ratio vs STGA, of the rep means
+	Beta      float64 // response-time ratio vs STGA, of the rep means
+	// PairedAlpha and PairedBeta read the same ratios rep by rep:
+	// runAgg hands every algorithm rep r's workload seed, so rep r's α
+	// is this algorithm's makespan over the STGA's on one workload. The
+	// interval is the per-rep ratios' 95 % t-interval (a point at one
+	// rep).
+	PairedAlpha, PairedBeta Interval
+	Rank                    int
+}
+
+// Interval is a mean with the bounds of its confidence interval.
+type Interval struct{ Mean, Lo, Hi float64 }
+
+// pairedRatio returns the mean of num[r]/den[r] with its 95 %
+// t-interval.
+func pairedRatio(num, den []float64) Interval {
+	ratios := make([]float64, len(num))
+	for r := range num {
+		ratios[r] = num[r] / den[r]
+	}
+	m, h := stats.Mean(ratios), stats.TCI95(ratios)
+	return Interval{Mean: m, Lo: m - h, Hi: m + h}
 }
 
 // Table2 derives the α/β ratios and ranking from a NAS run.
@@ -322,9 +377,11 @@ func (r *NASResult) Table2() []Table2Row {
 	rows := make([]Table2Row, 0, len(r.Algorithms))
 	for _, agg := range r.Algorithms {
 		rows = append(rows, Table2Row{
-			Algorithm: agg.Algorithm,
-			Alpha:     agg.Makespan.Mean() / refMk,
-			Beta:      agg.Response.Mean() / refRsp,
+			Algorithm:   agg.Algorithm,
+			Alpha:       agg.Makespan.Mean() / refMk,
+			Beta:        agg.Response.Mean() / refRsp,
+			PairedAlpha: pairedRatio(agg.Makespan.Values, ref.Makespan.Values),
+			PairedBeta:  pairedRatio(agg.Response.Values, ref.Response.Values),
 		})
 	}
 	// Rank holistically by α+β ascending (STGA = 1+1 is minimal when it

@@ -32,7 +32,7 @@ func RunOverhead(s Setup) (*OverheadResult, error) {
 	}
 	out := &OverheadResult{Jobs: len(w.Jobs)}
 	for _, a := range PaperAlgorithms {
-		res, err := s.runOnce(w, a, s.Seed^0xbeefcafe)
+		res, _, err := s.runOnce(w, a, s.Seed^0xbeefcafe, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", a, err)
 		}

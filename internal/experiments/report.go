@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
+
+	"trustgrid/internal/sched"
 )
 
 // table renders rows as an aligned ASCII table.
@@ -105,9 +107,13 @@ func (r *Fig5Result) Render() string {
 		}
 	}
 	t := table([]string{"generation", "STGA rel. fitness", "cold GA rel. fitness"}, rows)
-	return fmt.Sprintf("Fig. 5: warm vs cold GA convergence (1.0 = converged)\n%s\n"+
+	out := fmt.Sprintf("Fig. 5: warm vs cold GA convergence (1.0 = converged)\n%s\n"+
 		"generation-0 gap (cold/warm): %.3f; STGA history hit rate: %.2f\n",
 		t, r.Gen0Gap, r.HistoryHitRate)
+	if r.Stall > 0 {
+		out += fmt.Sprintf("mean generations to stop at stall %d: STGA %.1f, cold GA %.1f\n", r.Stall, r.STGAStop, r.ColdGAStop)
+	}
+	return out
 }
 
 // Render formats the Fig. 8 bar groups.
@@ -164,17 +170,66 @@ func (r *NASResult) RenderFig9() string {
 	return "Fig. 9: per-site utilization on the NAS trace\n" + table(header, rows)
 }
 
-// RenderTable2 formats the paper's Table 2.
+// RenderTable2 formats the paper's Table 2. With more than one rep it
+// adds the paired per-rep ratios with their 95 % t-intervals, and it
+// closes with the STGA's generations per round and its last-improvement
+// histogram (DESIGN.md §2.4).
 func (r *NASResult) RenderTable2() string {
 	rows2 := r.Table2()
+	header := []string{"heuristic", "alpha (makespan)", "beta (response)", "rank"}
+	ref := r.ByAlgorithm(AlgSTGA)
+	paired := ref != nil && len(ref.Makespan.Values) > 1
+	if paired {
+		header = append(header, "paired alpha [95% CI]", "paired beta [95% CI]")
+	}
 	rows := make([][]string, 0, len(rows2))
 	for _, row := range rows2 {
-		rows = append(rows, []string{
-			row.Algorithm.String(), f3(row.Alpha), f3(row.Beta), ordinal(row.Rank),
-		})
+		cells := []string{row.Algorithm.String(), f3(row.Alpha), f3(row.Beta), ordinal(row.Rank)}
+		if paired {
+			cells = append(cells, row.PairedAlpha.String(), row.PairedBeta.String())
+		}
+		rows = append(rows, cells)
 	}
-	return "Table 2: performance ratios vs STGA on NAS trace\n" +
-		table([]string{"heuristic", "alpha (makespan)", "beta (response)", "rank"}, rows)
+	out := "Table 2: performance ratios vs STGA on NAS trace\n" + table(header, rows)
+	if ref != nil {
+		out += renderGAWork(ref.Work)
+	}
+	return out
+}
+
+// String renders the interval as "mean [lo, hi]".
+func (iv Interval) String() string {
+	return fmt.Sprintf("%.3f [%.3f, %.3f]", iv.Mean, iv.Lo, iv.Hi)
+}
+
+// renderGAWork summarises a GA scheduler's rounds: generations run per
+// round, and the share of rounds whose last improving generation falls
+// in each of the histogram's power-of-two buckets up to the first that
+// holds them all. Empty when no round ran.
+func renderGAWork(w sched.GAWork) string {
+	var rounds uint64
+	for _, n := range w.LastImproved.Buckets {
+		rounds += n
+	}
+	if rounds == 0 {
+		return ""
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "STGA rounds: %d, generations per round %.1f; last improving generation <= 1: ",
+		rounds, float64(w.Generations)/float64(rounds))
+	var cum uint64
+	for k, n := range w.LastImproved.Buckets {
+		cum += n
+		if k > 0 {
+			fmt.Fprintf(&b, ", <= %d: ", 1<<k)
+		}
+		fmt.Fprintf(&b, "%.1f%%", 100*float64(cum)/float64(rounds))
+		if cum == rounds {
+			break
+		}
+	}
+	b.WriteString("\n")
+	return b.String()
 }
 
 func ordinal(n int) string {

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"trustgrid/internal/stats"
 )
 
 func TestTableAlignment(t *testing.T) {
@@ -99,6 +102,53 @@ func TestTable2RankTieHandling(t *testing.T) {
 	}
 	if secureRank <= 1 {
 		t.Fatalf("dominated algorithm must rank below: %d", secureRank)
+	}
+}
+
+// TestTable2PairedIntervals: the paired ratios divide rep by rep, so
+// the STGA's own row reads exactly 1 [1, 1] whatever its spread, a
+// heuristic's mean is the mean of its per-rep ratios (not the ratio of
+// means), its interval is their 95 % t-interval, and one rep prints no
+// interval at all.
+func TestTable2PairedIntervals(t *testing.T) {
+	mk := func(a Algorithm, makespans, resps []float64) *Agg {
+		agg := &Agg{Algorithm: a}
+		for r := range makespans {
+			agg.Makespan.Add(makespans[r])
+			agg.Response.Add(resps[r])
+		}
+		return agg
+	}
+	res := &NASResult{Algorithms: []*Agg{
+		mk(MinMinSecure, []float64{300, 330, 240}, []float64{150, 120, 200}),
+		mk(AlgSTGA, []float64{200, 300, 200}, []float64{100, 100, 100}),
+	}}
+	rows := res.Table2()
+	one := Interval{Mean: 1, Lo: 1, Hi: 1}
+	if rows[1].PairedAlpha != one || rows[1].PairedBeta != one {
+		t.Fatalf("STGA row reads α %v, β %v; want exactly 1 [1, 1]", rows[1].PairedAlpha, rows[1].PairedBeta)
+	}
+	// Per-rep α: 1.5, 1.1, 1.2 — mean 4.3/3, where the ratio of means is
+	// 870/700.
+	alphas := []float64{1.5, 1.1, 1.2}
+	wantMean, half := stats.Mean(alphas), stats.TCI95(alphas)
+	if a := rows[0].PairedAlpha; math.Abs(a.Mean-wantMean) > 1e-12 || math.Abs(a.Hi-a.Mean-half) > 1e-12 || math.Abs(a.Mean-a.Lo-half) > 1e-12 {
+		t.Fatalf("Min-Min Secure paired α %+v, want %v ± %v", a, wantMean, half)
+	}
+	if math.Abs(rows[0].Alpha-870.0/700) > 1e-12 {
+		t.Fatalf("α of the means %v, want %v", rows[0].Alpha, 870.0/700)
+	}
+	out := res.RenderTable2()
+	if !strings.Contains(out, "paired alpha [95% CI]") || !strings.Contains(out, "1.000 [1.000, 1.000]") {
+		t.Fatalf("three reps render without intervals:\n%s", out)
+	}
+
+	single := &NASResult{Algorithms: []*Agg{
+		mk(MinMinSecure, []float64{300}, []float64{150}),
+		mk(AlgSTGA, []float64{200}, []float64{100}),
+	}}
+	if out := single.RenderTable2(); strings.Contains(out, "[") || strings.Contains(out, "paired") {
+		t.Fatalf("one rep renders an interval:\n%s", out)
 	}
 }
 

@@ -30,8 +30,15 @@ type Setup struct {
 
 	// GA / STGA (Table 1: population 200, 100 generations, table 150,
 	// threshold 0.8, 500 training jobs).
-	Population     int
-	Generations    int
+	Population  int
+	Generations int
+	// Stall is ga.Config.Stall: a round stops after Stall generations
+	// without a strict improvement, so Generations is a cap (DESIGN.md
+	// §2.4 says how the default was chosen). 0 runs every round for
+	// exactly Generations generations. Absent from JSON when 0, so a
+	// spec written before the rule existed reads as the fixed count it
+	// ran.
+	Stall          int `json:",omitempty"`
 	HistorySize    int
 	SimThreshold   float64
 	TrainingJobs   int
@@ -83,6 +90,10 @@ type Setup struct {
 	RNGVersion int `json:",omitempty"`
 }
 
+// DefaultStall is the stall count DefaultSetup and TestSetup run with
+// (DESIGN.md §2.4).
+const DefaultStall = 20
+
 // DefaultSetup returns the paper's configuration.
 func DefaultSetup() Setup {
 	return Setup{
@@ -95,6 +106,7 @@ func DefaultSetup() Setup {
 		PSABatch:       5000,
 		Population:     200,
 		Generations:    100,
+		Stall:          DefaultStall,
 		HistorySize:    150,
 		SimThreshold:   0.8,
 		TrainingJobs:   500,
@@ -194,6 +206,7 @@ func (s Setup) stgaConfig() stga.Config {
 	cfg := stga.DefaultConfig()
 	cfg.GA.PopulationSize = s.Population
 	cfg.GA.Generations = s.Generations
+	cfg.GA.Stall = s.Stall
 	cfg.GA.Workers = s.GAWorkers
 	cfg.HistorySize = s.HistorySize
 	cfg.SimilarityThreshold = s.SimThreshold
@@ -321,11 +334,13 @@ func (s Setup) RecurrentPSAWorkload(seed uint64, n int) (*Workload, error) {
 	return &Workload{Name: "PSA-recurrent", Jobs: jobs, Sites: sites, Training: training, Batch: s.PSABatch}, nil
 }
 
-// runOnce simulates one (workload, algorithm) pair.
-func (s Setup) runOnce(w *Workload, a Algorithm, seed uint64) (*sched.Result, error) {
+// runOnce simulates one (workload, algorithm) pair, with the
+// dynamic-grid extension attached when dyn is non-nil. It also returns
+// the scheduler's GA work (zero for the heuristics).
+func (s Setup) runOnce(w *Workload, a Algorithm, seed uint64, dyn *sched.DynamicsConfig) (*sched.Result, sched.GAWork, error) {
 	r := rng.New(seed)
 	scheduler := s.buildScheduler(a, r.Derive("scheduler"), w.Training, w.Sites)
-	return sched.Run(sched.RunConfig{
+	res, err := sched.Run(sched.RunConfig{
 		Jobs:          w.Jobs,
 		Sites:         w.Sites,
 		Scheduler:     scheduler,
@@ -333,7 +348,13 @@ func (s Setup) runOnce(w *Workload, a Algorithm, seed uint64) (*sched.Result, er
 		Security:      s.Model(),
 		FailureTiming: s.FailTiming,
 		Rand:          r.Derive("engine"),
+		Dynamics:      dyn,
 	})
+	var work sched.GAWork
+	if g, ok := scheduler.(sched.GAWorker); ok {
+		work = g.GAWork()
+	}
+	return res, work, err
 }
 
 // reps returns the effective replication count.

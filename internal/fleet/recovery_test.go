@@ -269,3 +269,37 @@ func TestWorkerRefusesV1GASpec(t *testing.T) {
 		}
 	}
 }
+
+// TestWorkerRefusesOtherStallSpec: the spec fingerprint hashes Setup,
+// so the GA's stall count is part of it. A worker restarted from a
+// spec.json written at one stall count turns away a daemon configured
+// with another — including 0, the fixed generation count every spec
+// written before the rule records by omission — and takes the daemon
+// whose spec matches.
+func TestWorkerRefusesOtherStallSpec(t *testing.T) {
+	spec := testSpec("stga")
+	spec.Setup.RNGVersion = 2 // what server.New writes
+	if spec.Setup.Stall == 0 {
+		t.Fatal("the default setup runs no stall rule")
+	}
+	dir := t.TempDir()
+	runDurableWorker(t, dir, spec, testJobs(8), 1000, false)
+	_, addr := startWorker(t, WorkerConfig{WALDir: dir}, "")
+	for _, stall := range []int{0, spec.Setup.Stall + 5} {
+		other := *spec
+		other.Setup.Stall = stall
+		rs, err := Dial(addr, &other, 0, DialConfig{})
+		if err == nil {
+			rs.Close()
+			t.Fatalf("worker recovered at stall %d accepted a spec at stall %d", spec.Setup.Stall, stall)
+		}
+		if !strings.Contains(err.Error(), "does not match configured") {
+			t.Fatalf("stall %d: %v", stall, err)
+		}
+	}
+	rs, err := Dial(addr, spec, 0, DialConfig{})
+	if err != nil {
+		t.Fatalf("the spec the worker recovered was refused: %v", err)
+	}
+	rs.Close()
+}

@@ -41,10 +41,18 @@ func (f Fitness) Score(pop []Chromosome, idx []int, fit []float64) {
 
 // Config holds the GA hyper-parameters (Table 1 defaults).
 type Config struct {
-	PopulationSize int     // Table 1: 200
-	Generations    int     // Table 1: 100
-	CrossoverProb  float64 // Table 1: 0.8
-	MutationProb   float64 // Table 1: 0.01
+	PopulationSize int // Table 1: 200
+	// Generations is the generation count (Table 1: 100), a cap when
+	// Stall is set.
+	Generations   int
+	CrossoverProb float64 // Table 1: 0.8
+	MutationProb  float64 // Table 1: 0.01
+	// Stall, when G > 0, ends the run after G consecutive generations
+	// without a strict improvement of the best fitness (checked after
+	// each generation's elitism step; the check draws nothing). 0 runs
+	// exactly Generations generations. A stopped run's draws are a
+	// prefix of the fixed run's, so its trajectory is too.
+	Stall int
 	// Elitism keeps the best individual unchanged each generation.
 	Elitism bool
 	// Selection picks the parent-sampling operator (default: the paper's
@@ -92,6 +100,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("ga: population size %d < 2", c.PopulationSize)
 	case c.Generations < 0:
 		return fmt.Errorf("ga: negative generation count %d", c.Generations)
+	case c.Stall < 0:
+		return fmt.Errorf("ga: negative stall count %d", c.Stall)
 	case !(c.CrossoverProb >= 0 && c.CrossoverProb <= 1):
 		return fmt.Errorf("ga: crossover probability %v outside [0,1]", c.CrossoverProb)
 	case !(c.MutationProb >= 0 && c.MutationProb <= 1):
@@ -179,8 +189,12 @@ type Result struct {
 	// the initial population). Used for the convergence experiments
 	// (paper Figs. 5 and 7(b)).
 	Trajectory []float64
-	// Generations actually executed.
+	// Generations actually executed: Config.Generations, or fewer when
+	// Config.Stall stopped the run.
 	Generations int
+	// LastImproved is the last generation that strictly improved the
+	// best fitness, 0 when none improved on the initial population.
+	LastImproved int
 	// Evaluations counts the fitness decodes the run made: the initial
 	// population plus each generation's individuals that crossover or
 	// mutation changed (carried-forward scores are not counted).
@@ -274,7 +288,10 @@ func Run(p *Problem, cfg Config, seeds []Chromosome, r *rng.Stream) (Result, err
 	// order.
 	mutMask := make([]uint64, (cfg.PopulationSize*p.Length+63)/64)
 
-	for g := 0; g < cfg.Generations; g++ {
+	// ran counts generations executed; the run stops at the cap, or once
+	// Stall generations in a row left bestFit where it was.
+	ran, lastImproved := 0, 0
+	for ran < cfg.Generations && (cfg.Stall == 0 || ran-lastImproved < cfg.Stall) {
 		selectParents(fit, picks, rSel)
 		for i, src := range picks {
 			copy(next[i], pop[src])
@@ -318,10 +335,12 @@ func Run(p *Problem, cfg Config, seeds []Chromosome, r *rng.Stream) (Result, err
 			}
 		}
 		evals += eval.evaluate(pop, fit, dirty, picks)
+		ran++
 		genBest := argMin(fit)
 		if fit[genBest] < bestFit {
 			copy(best, pop[genBest])
 			bestFit = fit[genBest]
+			lastImproved = ran
 		} else if cfg.Elitism {
 			// Re-insert the incumbent over the worst individual.
 			worst := argMax(fit)
@@ -330,7 +349,8 @@ func Run(p *Problem, cfg Config, seeds []Chromosome, r *rng.Stream) (Result, err
 		}
 		trajectory = append(trajectory, bestFit)
 	}
-	return Result{Best: best, BestFitness: bestFit, Trajectory: trajectory, Generations: cfg.Generations, Evaluations: evals}, nil
+	return Result{Best: best, BestFitness: bestFit, Trajectory: trajectory,
+		Generations: ran, LastImproved: lastImproved, Evaluations: evals}, nil
 }
 
 // adaptLength truncates or modularly tiles a chromosome to length n

@@ -55,8 +55,8 @@ func TestTrajectoryMonotoneWithElitism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Trajectory) != 61 {
-		t.Fatalf("trajectory length %d, want generations+1", len(res.Trajectory))
+	if res.Generations != 60 || len(res.Trajectory) != res.Generations+1 {
+		t.Fatalf("trajectory length %d over %d generations, want 60+1", len(res.Trajectory), res.Generations)
 	}
 	for i := 1; i < len(res.Trajectory); i++ {
 		if res.Trajectory[i] > res.Trajectory[i-1] {
@@ -168,6 +168,7 @@ func TestConfigValidate(t *testing.T) {
 		{PopulationSize: 10, Generations: 1, CrossoverProb: 0.5, MutationProb: -0.1},
 		{PopulationSize: 10, Generations: 1, CrossoverProb: math.NaN(), MutationProb: 0.5},
 		{PopulationSize: 10, Generations: 1, CrossoverProb: 0.5, MutationProb: math.NaN()},
+		{PopulationSize: 10, Generations: 1, CrossoverProb: 0.5, MutationProb: 0.5, Stall: -1},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -281,6 +282,103 @@ func TestInfiniteFitnessHandled(t *testing.T) {
 	}
 	if math.IsInf(res.BestFitness, 1) || math.IsNaN(res.BestFitness) {
 		t.Fatalf("GA returned non-finite best fitness %v", res.BestFitness)
+	}
+}
+
+// loadProblem is a small makespan problem: gene i puts job i (random
+// length) on one of m machines, fitness is the largest machine load.
+// Its best fitness improves in steps with flat stretches between them,
+// which is what a stall rule reads.
+func loadProblem(n, m int, seed uint64) *Problem {
+	r := rng.New(seed)
+	size := make([]float64, n)
+	allowed := make([][]int, n)
+	for i := range allowed {
+		size[i] = 1 + 9*r.Float64()
+		for v := 0; v < m; v++ {
+			allowed[i] = append(allowed[i], v)
+		}
+	}
+	return &Problem{Length: n, Allowed: allowed, Fitness: func(c Chromosome) float64 {
+		load := make([]float64, m)
+		for i, site := range c {
+			load[site] += size[i]
+		}
+		worst := 0.0
+		for _, l := range load {
+			worst = max(worst, l)
+		}
+		return worst
+	}}
+}
+
+// TestStallIsPrefixOfFixedRun: a run with Stall G draws exactly what
+// the fixed run draws until it stops, so its trajectory is a prefix of
+// the fixed run's that ends at the first G generations without a strict
+// improvement (or at the cap), and it returns what the fixed run
+// truncated there returns — Best, fitness, evaluations and all.
+func TestStallIsPrefixOfFixedRun(t *testing.T) {
+	const cap = 120
+	early := 0
+	for seed := uint64(1); seed <= 8; seed++ {
+		p := loadProblem(30, 5, seed)
+		cfg := DefaultConfig()
+		cfg.PopulationSize, cfg.Generations = 20, cap
+		fixed, err := Run(p, cfg, nil, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fixed.Generations != cap || len(fixed.Trajectory) != cap+1 {
+			t.Fatalf("seed %d: fixed run ran %d generations", seed, fixed.Generations)
+		}
+		for _, stall := range []int{1, 3, 5, 10} {
+			// The first flat stretch of length stall in the fixed run:
+			// best fitness is non-increasing, so G generations without a
+			// strict improvement end at the first e with traj[e] ==
+			// traj[e-G].
+			stop, last := cap, 0
+			for e := stall; e <= cap; e++ {
+				if fixed.Trajectory[e] == fixed.Trajectory[e-stall] {
+					stop = e
+					break
+				}
+			}
+			for g := 1; g <= stop; g++ {
+				if fixed.Trajectory[g] < fixed.Trajectory[g-1] {
+					last = g
+				}
+			}
+			if stop < cap {
+				early++
+			}
+			sc := cfg
+			sc.Stall = stall
+			got, err := Run(p, sc, nil, rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Generations != stop || len(got.Trajectory) != stop+1 || got.LastImproved != last {
+				t.Fatalf("seed %d stall %d: ran %d generations (trajectory %d, last improvement %d), want %d (last improvement %d)",
+					seed, stall, got.Generations, len(got.Trajectory), got.LastImproved, stop, last)
+			}
+			for g, v := range got.Trajectory {
+				if v != fixed.Trajectory[g] {
+					t.Fatalf("seed %d stall %d: generation %d best %v, fixed run %v", seed, stall, g, v, fixed.Trajectory[g])
+				}
+			}
+			tc := cfg
+			tc.Generations = stop
+			want, err := Run(p, tc, nil, rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameResult(got, want) || got.Evaluations != want.Evaluations {
+				t.Fatalf("seed %d stall %d: stopped run differs from the fixed run cut at %d", seed, stall, stop)
+			}
+		}
+	}
+	if early == 0 {
+		t.Fatal("no run stopped before the cap: the test exercises nothing")
 	}
 }
 

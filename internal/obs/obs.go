@@ -49,6 +49,12 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.sum.Add(int64(d))
 }
 
+// ObserveCount counts a non-negative integer n (a GA generation index,
+// say) on the same buckets read in units of one: bucket k counts n in
+// (2^(k-1), 2^k], bucket 0 counts 0 and 1, and the Counts' Sum holds Σn
+// in microseconds (Sum.Microseconds() is Σn).
+func (h *Histogram) ObserveCount(n int) { h.Observe(time.Duration(n) * time.Microsecond) }
+
 // Counts is a point-in-time copy of a Histogram.
 type Counts struct {
 	// Buckets holds the per-bucket counts (not cumulative).

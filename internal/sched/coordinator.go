@@ -273,11 +273,7 @@ func (c *Coordinator) GAWork() GAWork {
 	for _, sh := range c.shards {
 		if o, ok := sh.(*Online); ok {
 			if g, ok := o.cfg.Scheduler.(GAWorker); ok {
-				w := g.GAWork()
-				sum.Generations += w.Generations
-				sum.Evaluations += w.Evaluations
-				sum.HistoryHits += w.HistoryHits
-				sum.HistoryMisses += w.HistoryMisses
+				sum.Add(g.GAWork())
 			}
 		}
 	}

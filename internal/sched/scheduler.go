@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"trustgrid/internal/grid"
+	"trustgrid/internal/obs"
 	"trustgrid/internal/sched/kernel"
 )
 
@@ -129,11 +130,23 @@ type StatefulScheduler interface {
 // GAWork counts the work a GA scheduler has done since it was built:
 // generations run, fitness decodes actually made (after carry-forward),
 // and history-table lookups that returned a seed (hits) or none
-// (misses). It is counted once per round, never per gene, and is
-// observability only: nothing in it reaches an event or a WAL record.
+// (misses), and each round's last improving generation
+// (ga.Result.LastImproved, observed with obs.Histogram.ObserveCount).
+// It is counted once per round, never per gene, and is observability
+// only: nothing in it reaches an event or a WAL record.
 type GAWork struct {
 	Generations, Evaluations   uint64
 	HistoryHits, HistoryMisses uint64
+	LastImproved               obs.Counts
+}
+
+// Add folds o into w, as when summing shards.
+func (w *GAWork) Add(o GAWork) {
+	w.Generations += o.Generations
+	w.Evaluations += o.Evaluations
+	w.HistoryHits += o.HistoryHits
+	w.HistoryMisses += o.HistoryMisses
+	w.LastImproved.Add(o.LastImproved)
 }
 
 // GAWorker is a Scheduler that counts its GA work. GAWork must be safe

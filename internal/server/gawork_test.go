@@ -35,8 +35,11 @@ func promValue(t *testing.T, text, series string) float64 {
 
 // TestGAWorkExposition drives a manual-mode STGA daemon over k rounds
 // and scrapes the GA work counters between rounds: each round runs
-// Generations generations and at most pop·(generations+1) fitness
-// decodes, and every STGA round makes one history lookup (hit or miss).
+// between min(Stall, Generations) and Generations generations (the
+// stall rule may end it before the cap, never before Stall flat ones)
+// and at most pop·(generations+1) fitness decodes, every STGA round
+// makes one history lookup (hit or miss), and observes one last
+// improving generation, which is no later than the generations it ran.
 // The event stream is byte-identical to a twin daemon's that nobody
 // scraped, and to one scraped from another goroutine while its rounds
 // run (the counters are read concurrently with their writer).
@@ -99,7 +102,11 @@ func TestGAWorkExposition(t *testing.T) {
 
 	setup := experiments.TestSetup() // newManualV2Server's
 	pop, gens := setup.Population, setup.Generations
-	var prevEvals, prevBatches float64
+	minGens := min(setup.Stall, gens)
+	if setup.Stall == 0 {
+		minGens = gens
+	}
+	var prevEvals, prevBatches, prevGens float64
 	for r, text := range scrapes {
 		batches := promValue(t, text, "trustgrid_batches_total")
 		g := promValue(t, text, "trustgrid_ga_generations_total")
@@ -110,8 +117,14 @@ func TestGAWorkExposition(t *testing.T) {
 		if n < 1 {
 			t.Fatalf("round %d: no scheduling round ran", r)
 		}
-		if g != batches*float64(gens) {
-			t.Fatalf("round %d: %v generations over %v rounds, want %d per round", r, g, batches, gens)
+		if dg := g - prevGens; dg < n*float64(minGens) || dg > n*float64(gens) {
+			t.Fatalf("round %d: %v generations over %v rounds, want within [%d, %d] per round", r, dg, n, minGens, gens)
+		}
+		if c := promValue(t, text, "trustgrid_stga_last_improvement_generation_count"); c != batches {
+			t.Fatalf("round %d: %v last-improvement observations over %v rounds", r, c, batches)
+		}
+		if sum := promValue(t, text, "trustgrid_stga_last_improvement_generation_sum"); sum > g {
+			t.Fatalf("round %d: last improvements sum to %v, past the %v generations run", r, sum, g)
 		}
 		if de := e - prevEvals; de < n*float64(pop) || de > n*float64(pop*(gens+1)) {
 			t.Fatalf("round %d: %v evaluations over %v rounds, want within [%d, %d] per round", r, de, n, pop, pop*(gens+1))
@@ -119,7 +132,7 @@ func TestGAWorkExposition(t *testing.T) {
 		if hits+misses != batches {
 			t.Fatalf("round %d: %v hits + %v misses != %v STGA rounds", r, hits, misses, batches)
 		}
-		prevEvals, prevBatches = e, batches
+		prevEvals, prevBatches, prevGens = e, batches, g
 	}
 	last := scrapes[len(scrapes)-1]
 	if promValue(t, last, `trustgrid_stga_history_lookups_total{result="hit"}`) == 0 {

@@ -517,3 +517,68 @@ func TestRecoveryRefusesV1GASnapshot(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoveryRefusesOtherGAShape: a GA daemon's snapshot records the
+// GA's population, generations and stall count, because a round's
+// placements depend on each of them; restoring under another value of
+// any of them is refused like every other fingerprint change. A GA
+// snapshot without the three fields was written before the stall rule,
+// when every round ran a fixed generation count, and is refused with
+// the drain-or-fresh-directory message.
+func TestRecoveryRefusesOtherGAShape(t *testing.T) {
+	dir := t.TempDir()
+	walBaseline(t, walTestConfig(dir, "stga"), func(c *client.Client) { driveWAL(t, c, walJobList(20)) })
+	for field, mutate := range map[string]func(*server.Config){
+		"population":  func(c *server.Config) { c.Setup.Population++ },
+		"generations": func(c *server.Config) { c.Setup.Generations++ },
+		"stall":       func(c *server.Config) { c.Setup.Stall = 3 },
+	} {
+		bad := walTestConfig(dir, "stga")
+		mutate(&bad)
+		srv, err := server.New(bad)
+		if err == nil {
+			_, _ = srv.Stop(false)
+			t.Fatalf("%s change restored", field)
+		}
+		if !strings.Contains(err.Error(), "snapshot written under "+field+"=") || !strings.Contains(err.Error(), "refusing to restore") {
+			t.Fatalf("%s change: %v", field, err)
+		}
+	}
+	good, err := server.New(walTestConfig(dir, "stga"))
+	if err != nil {
+		t.Fatalf("unchanged config failed to recover: %v", err)
+	}
+	if _, err := good.Stop(false); err != nil {
+		t.Fatal(err)
+	}
+
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.json"))
+	if err != nil || len(snaps) == 0 {
+		t.Fatalf("no snapshots: %v", err)
+	}
+	sort.Strings(snaps)
+	newest := snaps[len(snaps)-1]
+	payload, err := os.ReadFile(newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	setup := walTestConfig(dir, "stga").Setup
+	shape := fmt.Sprintf(`,"population":%d,"generations":%d,"stall":%d`, setup.Population, setup.Generations, setup.Stall)
+	if !bytes.Contains(payload, []byte(shape)) {
+		t.Fatalf("snapshot does not record the GA shape %s: %.300s", shape, payload)
+	}
+	if err := os.WriteFile(newest, bytes.Replace(payload, []byte(shape), nil, 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(walTestConfig(dir, "stga"))
+	if err == nil {
+		_, _ = srv.Stop(false)
+		t.Fatal("a GA snapshot without its shape restored")
+	}
+	want := fmt.Sprintf("server: recovery: snapshot %s was written by an older trustgridd, before the GA's population, generations "+
+		"and stall joined the snapshot fingerprint (refusing to restore it: drain and stop the daemon with the binary that wrote it, "+
+		"or start on a fresh -wal-dir)", newest)
+	if err.Error() != want {
+		t.Fatalf("got %v\nwant %s", err, want)
+	}
+}

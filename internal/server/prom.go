@@ -73,6 +73,22 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 		"# TYPE trustgrid_stga_history_lookups_total counter\n"+
 		"trustgrid_stga_history_lookups_total{result=\"hit\"} %d\n"+
 		"trustgrid_stga_history_lookups_total{result=\"miss\"} %d\n", work.HistoryHits, work.HistoryMisses)
+	// The last generation that improved each round's best: where a stall
+	// count (ga.Config.Stall) would have cut the round. Power-of-two
+	// buckets, counted in generations.
+	fmt.Fprintf(&b, "# HELP trustgrid_stga_last_improvement_generation Last generation that strictly improved a GA round's best fitness (0: none did), over in-process shards.\n"+
+		"# TYPE trustgrid_stga_last_improvement_generation histogram\n")
+	var rounds uint64
+	for k, n := range work.LastImproved.Buckets {
+		rounds += n
+		le := "+Inf"
+		if k < obs.Buckets {
+			le = strconv.Itoa(1 << k)
+		}
+		fmt.Fprintf(&b, "trustgrid_stga_last_improvement_generation_bucket{le=%q} %d\n", le, rounds)
+	}
+	fmt.Fprintf(&b, "trustgrid_stga_last_improvement_generation_sum %d\ntrustgrid_stga_last_improvement_generation_count %d\n",
+		work.LastImproved.Sum.Microseconds(), rounds)
 	fmt.Fprintf(&b, "# HELP trustgrid_rng_mask_kernel The path the GA's mutation hit mask runs on in this process.\n"+
 		"# TYPE trustgrid_rng_mask_kernel gauge\ntrustgrid_rng_mask_kernel{kernel=%q} 1\n", rng.MaskKernel())
 	fmt.Fprintf(&b, "# HELP trustgrid_stga_decode_kernel The path the STGA's fitness decode runs on in this process, for rounds within the kernel's gate.\n"+

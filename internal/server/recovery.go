@@ -43,6 +43,14 @@ type serverSnapshot struct {
 	// This binary writes 2. Absent or 1 is the removed v1, which a GA
 	// algorithm's snapshot cannot continue under (newestSnapshot).
 	RNGVersion int `json:"rng_version,omitempty"`
+	// Population, Generations and Stall are the GA's shape, recorded for
+	// the algorithms that run it (stga, coldga) and absent for the rest:
+	// a round's placements depend on all three. A GA snapshot without
+	// them was written before the stall rule existed, when every round
+	// ran a fixed generation count (newestSnapshot refuses it).
+	Population  int `json:"population,omitempty"`
+	Generations int `json:"generations,omitempty"`
+	Stall       int `json:"stall,omitempty"`
 
 	Engine  *sched.EngineSnapshot `json:"engine,omitempty"`
 	Tenants []tenantSnapshot      `json:"tenants"`
@@ -115,6 +123,16 @@ func (s *Server) checkFingerprint(snap *serverSnapshot) error {
 		return mismatch("manual", snap.Manual, s.cfg.Manual)
 	case snapShards != s.cfg.Shards:
 		return mismatch("shards", snapShards, s.cfg.Shards)
+	}
+	if experiments.RunsGA(s.cfg.Algo) && snap.Population != 0 {
+		switch setup := s.cfg.Setup; {
+		case snap.Population != setup.Population:
+			return mismatch("population", snap.Population, setup.Population)
+		case snap.Generations != setup.Generations:
+			return mismatch("generations", snap.Generations, setup.Generations)
+		case snap.Stall != setup.Stall:
+			return mismatch("stall", snap.Stall, setup.Stall)
+		}
 	}
 	return nil
 }
@@ -257,6 +275,13 @@ func (s *Server) newestSnapshot() (*serverSnapshot, error) {
 			return nil, fmt.Errorf("snapshot %s was written under draw contract v1, which this trustgridd no longer runs "+
 				"(refusing to restore it: drain and stop the daemon with the binary that wrote it, or start on a fresh -wal-dir)",
 				ref.Path)
+		}
+		// Nor can one written before the GA's shape was recorded: its
+		// rounds ran a fixed generation count this config may not.
+		if experiments.RunsGA(cand.Algo) && cand.Population == 0 {
+			return nil, fmt.Errorf("snapshot %s was written by an older trustgridd, before the GA's population, generations and stall "+
+				"joined the snapshot fingerprint (refusing to restore it: drain and stop the daemon with the binary that wrote it, "+
+				"or start on a fresh -wal-dir)", ref.Path)
 		}
 		return &cand, nil
 	}
@@ -494,6 +519,9 @@ func (s *Server) writeSnapshot() error {
 			Failures:    s.failures.Load(),
 			Interrupted: s.interrupted.Load(),
 		},
+	}
+	if experiments.RunsGA(s.cfg.Algo) {
+		snap.Population, snap.Generations, snap.Stall = s.cfg.Setup.Population, s.cfg.Setup.Generations, s.cfg.Setup.Stall
 	}
 	// The payload's two shapes: one engine says so with `engine` and no
 	// shard count, as every unsharded daemon has written it.

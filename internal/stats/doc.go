@@ -7,7 +7,7 @@
 //   - Aggregates that are undefined on an empty slice — Mean, Min, Max,
 //     Median, Percentile — return NaN: an absent value must poison
 //     downstream arithmetic loudly rather than masquerade as zero.
-//   - Spread estimators — StdDev, CI95 — return 0 for n < 2: a single
+//   - Spread estimators — StdDev, CI95, TCI95 — return 0 for n < 2: a single
 //     observation is real data with no measured spread, and the ±0
 //     half-width renders sensibly in reports at Reps = 1.
 //   - Index selectors — ArgMin — return -1 for empty input.

@@ -110,6 +110,24 @@ func TestCI95(t *testing.T) {
 	}
 }
 
+func TestTCI95(t *testing.T) {
+	if TCI95([]float64{1}) != 0 || TCI95(nil) != 0 {
+		t.Fatal("TCI95 of fewer than two samples must be 0")
+	}
+	xs := []float64{10, 12, 14, 16}
+	want := 3.182 * StdDev(xs) / 2 // t(0.975, 3), sqrt(4) = 2
+	if got := TCI95(xs); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("TCI95 = %v, want %v", got, want)
+	}
+	// Past the table the expansion meets the table's last entry and
+	// falls toward z = 1.96.
+	for nu, want := range map[int]float64{31: 2.0395, 40: 2.0211, 60: 2.0003, 120: 1.9799, 1000: 1.9623} {
+		if got := t975(nu); math.Abs(got-want) > 2e-4 {
+			t.Fatalf("t975(%d) = %v, want %v", nu, got, want)
+		}
+	}
+}
+
 func TestMinMaxMedian(t *testing.T) {
 	xs := []float64{3, 1, 4, 1, 5}
 	if Min(xs) != 1 || Max(xs) != 5 {

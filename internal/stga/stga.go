@@ -7,6 +7,7 @@ import (
 	"trustgrid/internal/ga"
 	"trustgrid/internal/grid"
 	"trustgrid/internal/heuristics"
+	"trustgrid/internal/obs"
 	"trustgrid/internal/rng"
 	"trustgrid/internal/sched"
 )
@@ -111,6 +112,7 @@ type Scheduler struct {
 	// Work counters (GAWork), added to once per round. Atomic so a
 	// metrics scrape can read them while a round runs.
 	generations, evaluations, hits, misses atomic.Uint64
+	lastImproved                           obs.Histogram
 }
 
 // GAWork implements sched.GAWorker.
@@ -120,6 +122,7 @@ func (s *Scheduler) GAWork() sched.GAWork {
 		Evaluations:   s.evaluations.Load(),
 		HistoryHits:   s.hits.Load(),
 		HistoryMisses: s.misses.Load(),
+		LastImproved:  s.lastImproved.Load(),
 	}
 }
 
@@ -387,6 +390,7 @@ func (s *Scheduler) Schedule(batch []*grid.Job, st *sched.State) []sched.Assignm
 	}
 	s.generations.Add(uint64(res.Generations))
 	s.evaluations.Add(uint64(res.Evaluations))
+	s.lastImproved.ObserveCount(res.LastImproved)
 	s.LastTrajectory = res.Trajectory
 	if s.cfg.RecordTrajectories {
 		s.AllTrajectories = append(s.AllTrajectories, res.Trajectory)

@@ -260,8 +260,50 @@ func TestSTGAContract(t *testing.T) {
 	if err := sched.ValidateAssignments(batch, as, len(sites)); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.LastTrajectory) != 31 {
-		t.Fatalf("trajectory length %d, want generations+1", len(s.LastTrajectory))
+	if gens := s.GAWork().Generations; gens != 30 || len(s.LastTrajectory) != int(gens)+1 {
+		t.Fatalf("trajectory length %d over %d generations, want 30+1", len(s.LastTrajectory), gens)
+	}
+}
+
+// TestStallKeepsRoundsIndependent: each round draws from its own
+// stream, so where the stall rule ended round 1 cannot move a draw of
+// round 2. Two cold, unseeded schedulers (no history, so round 1's
+// result cannot reach round 2 through the table either) run different first rounds
+// that stop at different generations, then the same second round, and
+// must return the same schedule and trajectory for it.
+func TestStallKeepsRoundsIndependent(t *testing.T) {
+	cfg := fastConfig()
+	cfg.GA.Generations = 200
+	cfg.GA.Stall = 4
+	cfg.DisableHistory = true
+	cfg.SeedHeuristics = false // start from random schedules, which improve
+	sites := testSites()
+	second := testBatch(14, 21)
+	var gens []uint64
+	var schedules [][]sched.Assignment
+	var curves [][]float64
+	for _, first := range []int{5, 17} {
+		s := New(cfg, rng.New(3))
+		s.Schedule(testBatch(first, uint64(first)), freshState(sites))
+		gens = append(gens, s.GAWork().Generations)
+		schedules = append(schedules, s.Schedule(second, freshState(sites)))
+		curves = append(curves, s.LastTrajectory)
+	}
+	if gens[0] == gens[1] {
+		t.Fatalf("both first rounds stopped after %d generations: the test exercises nothing", gens[0])
+	}
+	for i := range schedules[0] {
+		if schedules[0][i] != schedules[1][i] {
+			t.Fatalf("round 2 placement %d differs after first rounds of %d and %d generations", i, gens[0], gens[1])
+		}
+	}
+	if len(curves[0]) != len(curves[1]) {
+		t.Fatalf("round 2 ran %d and %d generations", len(curves[0])-1, len(curves[1])-1)
+	}
+	for g := range curves[0] {
+		if curves[0][g] != curves[1][g] {
+			t.Fatalf("round 2 trajectories differ at generation %d", g)
+		}
 	}
 }
 
