@@ -12,6 +12,7 @@ import (
 
 	"trustgrid/internal/api"
 	"trustgrid/internal/dag"
+	"trustgrid/internal/experiments"
 	"trustgrid/internal/ga"
 	"trustgrid/internal/grid"
 	"trustgrid/internal/heuristics"
@@ -230,6 +231,44 @@ func stgaCaseOn(gen func() ([]*grid.Job, []*grid.Site)) func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			s := stga.New(cfg, rng.New(2))
 			s.Schedule(jobs, freshState(sites))
+		}
+	}
+}
+
+// stgaDaemonCase runs the GA a default daemon runs:
+// experiments.DefaultSetup()'s STGA (Table 1's population and
+// generation cap, the stall rule, the span floor), trained on the
+// setup's 500-job NAS prefix, over the jobs that arrive in the first
+// day of the Table 1 NAS trace. One op is that day's consecutive
+// hourly rounds on one scheduler, so the history table and the ready
+// vector evolve as in a replay; building and training the scheduler is
+// not timed.
+func stgaDaemonCase(b *testing.B) {
+	setup := experiments.DefaultSetup()
+	w, err := setup.NASWorkload(setup.Seed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var day []*grid.Job
+	for _, j := range w.Jobs {
+		if j.Arrival < 24*3600 {
+			day = append(day, j)
+		}
+	}
+	policy := setup.Policy(grid.FRisky, setup.F)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sc, err := setup.SchedulerByName("stga", policy, rng.New(2), w.Training, w.Sites)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := sched.Run(sched.RunConfig{
+			Jobs: day, Sites: w.Sites, Scheduler: sc, BatchInterval: w.Batch,
+			Security: setup.Model(), Rand: rng.New(5), DiscardRecords: true,
+		}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
@@ -687,9 +726,11 @@ func Suite() []Case {
 		{Name: "STGASchedule/rng=v2/m=64/batch=200", Smoke: false, F: stgaScaleCase(200, 64)},
 		{Name: "STGASchedule/rng=v2/m=256/batch=200", Smoke: true, F: stgaScaleCase(200, 256)},
 		{Name: "STGASchedule/rng=v2/m=1024/batch=200", Smoke: false, F: stgaScaleCase(200, 1024)},
-		// replay-nas-stga's round (12 sites, 21 jobs), and the GA's
-		// selection stage on its own.
+		// replay-nas-stga's round (12 sites, 21 jobs) under Table 1's
+		// fixed 100 generations, a day of its rounds under the GA shape
+		// the daemon runs, and the GA's selection stage on its own.
 		{Name: "STGASchedule/nas/batch=21", Smoke: true, F: stgaNASCase(21)},
+		{Name: "STGASchedule/nas/daemon/rounds=24", Smoke: true, F: stgaDaemonCase},
 		{Name: "MutationMask/bits=4200", Smoke: true, F: mutationMaskCase(200, 21)},
 		{Name: "GASelection/roulette/pop=200", Smoke: true, F: gaSelectionCase(ga.RouletteSelection, 200)},
 		{Name: "GASelection/rank/pop=200", Smoke: true, F: gaSelectionCase(ga.RankSelection, 200)},

@@ -152,14 +152,15 @@ func TestFig5Small(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The curves run to the cap whatever the stall count; generations to
-	// stop are read off them, between the stall count and the cap.
+	// stop are read off them, no later than the cap (a round whose best
+	// starts on its span floor stops at 0).
 	if len(res.STGA) != s.Generations+1 || len(res.ColdGA) != s.Generations+1 {
 		t.Fatalf("curve lengths %d/%d, want %d", len(res.STGA), len(res.ColdGA), s.Generations+1)
 	}
 	for _, stop := range []float64{res.STGAStop, res.ColdGAStop} {
-		if res.Stall != s.Stall || stop < float64(s.Stall) || stop > float64(s.Generations) {
-			t.Fatalf("generations to stop at stall %d: STGA %v, cold %v; want within [%d, %d]",
-				res.Stall, res.STGAStop, res.ColdGAStop, s.Stall, s.Generations)
+		if res.Stall != s.Stall || stop < 0 || stop > float64(s.Generations) {
+			t.Fatalf("generations to stop at stall %d: STGA %v, cold %v; want within [0, %d]",
+				res.Stall, res.STGAStop, res.ColdGAStop, s.Generations)
 		}
 	}
 	// Both normalized curves end at 1.0 by construction.
@@ -336,13 +337,21 @@ func TestClusterExtensionSmall(t *testing.T) {
 	}
 }
 
-// TestStallStop pins the read-off rule: the first generation that ends
-// stall flat ones, else the cap.
+// TestStallStop pins the read-off rule: the first generation on a
+// non-zero floor or that ends stall flat ones, else the cap; stall 0
+// ignores the floor.
 func TestStallStop(t *testing.T) {
 	tr := []float64{5, 5, 5, 4, 4, 4, 4, 3}
-	for stall, want := range map[int]int{0: 7, 1: 1, 2: 2, 3: 6, 4: 7, 10: 7} {
-		if got := stallStop(tr, stall); got != want {
-			t.Errorf("stallStop(stall %d) = %d, want %d", stall, got, want)
+	for _, c := range []struct {
+		stall int
+		floor float64
+		want  int
+	}{
+		{0, 0, 7}, {1, 0, 1}, {2, 0, 2}, {3, 0, 6}, {4, 0, 7}, {10, 0, 7},
+		{0, 5, 7}, {10, 5, 0}, {10, 4, 3}, {2, 4, 2}, {10, 3, 7}, {10, 2, 7}, {3, 4, 3},
+	} {
+		if got := stallStop(tr, c.stall, c.floor); got != c.want {
+			t.Errorf("stallStop(stall %d, floor %v) = %d, want %d", c.stall, c.floor, got, c.want)
 		}
 	}
 }

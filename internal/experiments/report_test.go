@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"trustgrid/internal/sched"
 	"trustgrid/internal/stats"
 )
 
@@ -149,6 +150,17 @@ func TestTable2PairedIntervals(t *testing.T) {
 	}}
 	if out := single.RenderTable2(); strings.Contains(out, "[") || strings.Contains(out, "paired") {
 		t.Fatalf("one rep renders an interval:\n%s", out)
+	}
+}
+
+// TestRenderGAWorkFloorShare: the Table 2 summary names the share of
+// STGA rounds that stopped at their span floor.
+func TestRenderGAWorkFloorShare(t *testing.T) {
+	w := sched.GAWork{Generations: 50, FloorStops: 1}
+	w.LastImproved.Buckets[0] = 4
+	want := "STGA rounds: 4, generations per round 12.5, stopped at the span floor 25.0%; last improving generation <= 1: 100.0%\n"
+	if got := renderGAWork(w); got != want {
+		t.Fatalf("renderGAWork = %q, want %q", got, want)
 	}
 }
 

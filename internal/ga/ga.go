@@ -49,9 +49,11 @@ type Config struct {
 	MutationProb  float64 // Table 1: 0.01
 	// Stall, when G > 0, ends the run after G consecutive generations
 	// without a strict improvement of the best fitness (checked after
-	// each generation's elitism step; the check draws nothing). 0 runs
-	// exactly Generations generations. A stopped run's draws are a
-	// prefix of the fixed run's, so its trajectory is too.
+	// each generation's elitism step; the check draws nothing), or as
+	// soon as the best reaches Problem.Floor. 0 runs exactly
+	// Generations generations and never consults the floor. A stopped
+	// run's draws are a prefix of the fixed run's, so its trajectory is
+	// too.
 	Stall int
 	// Elitism keeps the best individual unchanged each generation.
 	Elitism bool
@@ -131,6 +133,12 @@ type Problem struct {
 	// workers differ only in which indices they score. A Fitness is a
 	// Scorer, so a factory may return one.
 	NewScorer func() Scorer
+	// Floor, when non-zero, is a lower bound on the fitness of every
+	// legal chromosome. A run with Config.Stall > 0 ends as soon as its
+	// best reaches it: no later generation can strictly improve on a
+	// best at the floor, so the run returns the Best and BestFitness
+	// the full run would. 0 means no floor.
+	Floor float64
 }
 
 // Validate checks the problem definition.
@@ -197,14 +205,20 @@ type Result struct {
 	LastImproved int
 	// Evaluations counts the fitness decodes the run made: the initial
 	// population plus each generation's individuals that crossover or
-	// mutation changed (carried-forward scores are not counted).
+	// mutation changed (carried-forward scores are not counted). A run
+	// whose seeds reach the floor scores only the seeds.
 	Evaluations int
+	// FloorStop reports that the run consulted Problem.Floor and ended
+	// with its best on it.
+	FloorStop bool
 }
 
 // Run executes the GA: evaluate, then per generation select (roulette
 // wheel on 1/fitness with elitism), crossover, mutate. seeds (may be
-// empty) are inserted into the initial population after repair; the
-// remainder is random. An empty seed carries nothing and is skipped.
+// empty) are inserted into the initial population after repair and
+// scored before the random remainder is drawn, so a seed on
+// Problem.Floor ends a Stall > 0 run at once. An empty seed carries
+// nothing and is skipped.
 //
 // The generation loop is allocation-free: the population is
 // double-buffered against a preallocated twin, selection produces pick
@@ -243,29 +257,49 @@ func Run(p *Problem, cfg Config, seeds []Chromosome, r *rng.Stream) (Result, err
 		p.Repair(c, rInit)
 		pop = append(pop, c)
 	}
-	for len(pop) < cfg.PopulationSize {
-		pop = append(pop, p.RandomChromosome(rInit))
-	}
 
 	eval := newEvaluator(p, cfg)
 	defer eval.close()
-	fit := make([]float64, len(pop))
+	fit := make([]float64, cfg.PopulationSize)
 	// Fitness carry-forward: selection copies each pick's known score
 	// into fitNext alongside the chromosome, and only individuals
 	// crossover or mutation actually changed are marked dirty and
 	// re-decoded. Scores are pure functions of the chromosome, so carried
 	// values are bit-identical to a re-evaluation; no rng draw depends on
 	// any of this.
-	fitNext := make([]float64, len(pop))
-	dirty := make([]bool, len(pop))
+	fitNext := make([]float64, cfg.PopulationSize)
+	dirty := make([]bool, cfg.PopulationSize)
 
 	// picks doubles as the evaluator's index scratch: selection rewrites
 	// it before each read, so between selections it is free.
-	picks := make([]int, len(pop))
-	for i := range dirty {
+	picks := make([]int, cfg.PopulationSize)
+
+	// atFloor is the floor test; Stall 0 never consults it. Nothing
+	// legal scores below the floor, so a best on it is final.
+	useFloor := cfg.Stall > 0 && p.Floor != 0
+	atFloor := func(f float64) bool { return useFloor && f <= p.Floor }
+
+	// Score the seeds first. They hold the lowest indices, so a seed on
+	// the floor is also the whole population's first minimum: returning
+	// it here returns what the full run would.
+	seeded := len(pop)
+	for i := range seeded {
 		dirty[i] = true
 	}
 	evals := eval.evaluate(pop, fit, dirty, picks)
+	if seeded > 0 {
+		if i := argMin(fit[:seeded]); atFloor(fit[i]) {
+			return Result{Best: pop[i].Clone(), BestFitness: fit[i], Trajectory: []float64{fit[i]},
+				Evaluations: evals, FloorStop: true}, nil
+		}
+	}
+	for len(pop) < cfg.PopulationSize {
+		pop = append(pop, p.RandomChromosome(rInit))
+	}
+	for i := range dirty {
+		dirty[i] = i >= seeded
+	}
+	evals += eval.evaluate(pop, fit, dirty, picks)
 	bestIdx := argMin(fit)
 	best := pop[bestIdx].Clone()
 	bestFit := fit[bestIdx]
@@ -288,10 +322,11 @@ func Run(p *Problem, cfg Config, seeds []Chromosome, r *rng.Stream) (Result, err
 	// order.
 	mutMask := make([]uint64, (cfg.PopulationSize*p.Length+63)/64)
 
-	// ran counts generations executed; the run stops at the cap, or once
-	// Stall generations in a row left bestFit where it was.
+	// ran counts generations executed; the run stops at the cap, once
+	// Stall generations in a row left bestFit where it was, or once
+	// bestFit is on the floor.
 	ran, lastImproved := 0, 0
-	for ran < cfg.Generations && (cfg.Stall == 0 || ran-lastImproved < cfg.Stall) {
+	for ran < cfg.Generations && (cfg.Stall == 0 || ran-lastImproved < cfg.Stall && !atFloor(bestFit)) {
 		selectParents(fit, picks, rSel)
 		for i, src := range picks {
 			copy(next[i], pop[src])
@@ -350,7 +385,7 @@ func Run(p *Problem, cfg Config, seeds []Chromosome, r *rng.Stream) (Result, err
 		trajectory = append(trajectory, bestFit)
 	}
 	return Result{Best: best, BestFitness: bestFit, Trajectory: trajectory,
-		Generations: ran, LastImproved: lastImproved, Evaluations: evals}, nil
+		Generations: ran, LastImproved: lastImproved, Evaluations: evals, FloorStop: atFloor(bestFit)}, nil
 }
 
 // adaptLength truncates or modularly tiles a chromosome to length n

@@ -2,6 +2,7 @@ package ga
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -290,11 +291,9 @@ func TestInfiniteFitnessHandled(t *testing.T) {
 // Its best fitness improves in steps with flat stretches between them,
 // which is what a stall rule reads.
 func loadProblem(n, m int, seed uint64) *Problem {
-	r := rng.New(seed)
-	size := make([]float64, n)
+	size := loadSizes(n, seed)
 	allowed := make([][]int, n)
 	for i := range allowed {
-		size[i] = 1 + 9*r.Float64()
 		for v := 0; v < m; v++ {
 			allowed[i] = append(allowed[i], v)
 		}
@@ -310,6 +309,100 @@ func loadProblem(n, m int, seed uint64) *Problem {
 		}
 		return worst
 	}}
+}
+
+// loadSizes draws loadProblem's job sizes.
+func loadSizes(n int, seed uint64) []float64 {
+	r := rng.New(seed)
+	size := make([]float64, n)
+	for i := range size {
+		size[i] = 1 + 9*r.Float64()
+	}
+	return size
+}
+
+// TestFloorStopKeepsResult: a Stall run given a floor (loadProblem's
+// largest job, which no site's load can undercut) returns the Best and
+// BestFitness of the same run without it. Its trajectory is a prefix of
+// that run's and ends at the first generation on the floor; a seed on
+// the floor ends it before any random draw. Stall 0 ignores the floor.
+func TestFloorStopKeepsResult(t *testing.T) {
+	var atSeeds, midRun, notReached int
+	for seed := uint64(1); seed <= 24; seed++ {
+		n, m := 8, 4+int(seed%5)
+		p := loadProblem(n, m, seed)
+		floor := 0.0
+		for _, sz := range loadSizes(n, seed) {
+			floor = max(floor, sz)
+		}
+		var seeds []Chromosome
+		if seed%3 == 0 && m >= n {
+			// One job per site: every load is one job's size, so the
+			// second seed scores the floor and the first does not.
+			id := make(Chromosome, n)
+			for i := range id {
+				id[i] = i
+			}
+			seeds = append(seeds, make(Chromosome, n), id)
+		} else if seed%3 == 1 {
+			seeds = append(seeds, make(Chromosome, n)) // all on site 0
+		}
+		cfg := DefaultConfig()
+		cfg.PopulationSize, cfg.Generations, cfg.Stall = 16, 60, 10
+		want, err := Run(p, cfg, seeds, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp := *p
+		fp.Floor = floor
+		got, err := Run(&fp, cfg, seeds, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.FloorStop {
+			t.Fatalf("seed %d: a run without a floor reported a floor stop", seed)
+		}
+		if got.BestFitness != want.BestFitness || !slices.Equal(got.Best, want.Best) {
+			t.Fatalf("seed %d: floored run's best %v (%v), unfloored %v (%v)", seed, got.Best, got.BestFitness, want.Best, want.BestFitness)
+		}
+		if len(got.Trajectory) > len(want.Trajectory) || !slices.Equal(got.Trajectory, want.Trajectory[:len(got.Trajectory)]) {
+			t.Fatalf("seed %d: floored trajectory %v is not a prefix of %v", seed, got.Trajectory, want.Trajectory)
+		}
+		stop := slices.IndexFunc(want.Trajectory, func(f float64) bool { return f <= floor })
+		switch {
+		case stop < 0:
+			notReached++
+			if got.FloorStop || got.Generations != want.Generations || got.Evaluations != want.Evaluations {
+				t.Fatalf("seed %d: the floor was never reached, yet the run changed", seed)
+			}
+		case !got.FloorStop || got.Generations != stop || got.Evaluations > want.Evaluations:
+			t.Fatalf("seed %d: stopped after %d generations (floor stop %v), want a floor stop at %d",
+				seed, got.Generations, got.FloorStop, stop)
+		case got.Evaluations < cfg.PopulationSize:
+			atSeeds++
+			if got.Evaluations != len(seeds) {
+				t.Fatalf("seed %d: a stop at the seeds scored %d, want the %d seeds", seed, got.Evaluations, len(seeds))
+			}
+		case stop > 0:
+			midRun++
+		}
+
+		cfg.Stall = 0
+		fixed, err := Run(p, cfg, seeds, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ignored, err := Run(&fp, cfg, seeds, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameResult(ignored, fixed) || ignored.Evaluations != fixed.Evaluations || ignored.FloorStop {
+			t.Fatalf("seed %d: Stall 0 consulted the floor", seed)
+		}
+	}
+	if atSeeds == 0 || midRun == 0 || notReached == 0 {
+		t.Fatalf("floor stops at the seeds %d, mid-run %d, never reached %d: a case went unexercised", atSeeds, midRun, notReached)
+	}
 }
 
 // TestStallIsPrefixOfFixedRun: a run with Stall G draws exactly what

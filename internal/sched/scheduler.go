@@ -130,14 +130,17 @@ type StatefulScheduler interface {
 // GAWork counts the work a GA scheduler has done since it was built:
 // generations run, fitness decodes actually made (after carry-forward),
 // and history-table lookups that returned a seed (hits) or none
-// (misses), and each round's last improving generation
-// (ga.Result.LastImproved, observed with obs.Histogram.ObserveCount).
+// (misses), each round's last improving generation
+// (ga.Result.LastImproved, observed with obs.Histogram.ObserveCount),
+// and the rounds that ended with their best on the span floor
+// (ga.Result.FloorStop).
 // It is counted once per round, never per gene, and is observability
 // only: nothing in it reaches an event or a WAL record.
 type GAWork struct {
 	Generations, Evaluations   uint64
 	HistoryHits, HistoryMisses uint64
 	LastImproved               obs.Counts
+	FloorStops                 uint64
 }
 
 // Add folds o into w, as when summing shards.
@@ -147,6 +150,7 @@ func (w *GAWork) Add(o GAWork) {
 	w.HistoryHits += o.HistoryHits
 	w.HistoryMisses += o.HistoryMisses
 	w.LastImproved.Add(o.LastImproved)
+	w.FloorStops += o.FloorStops
 }
 
 // GAWorker is a Scheduler that counts its GA work. GAWork must be safe

@@ -34,12 +34,15 @@ func promValue(t *testing.T, text, series string) float64 {
 }
 
 // TestGAWorkExposition drives a manual-mode STGA daemon over k rounds
-// and scrapes the GA work counters between rounds: each round runs
-// between min(Stall, Generations) and Generations generations (the
-// stall rule may end it before the cap, never before Stall flat ones)
-// and at most pop·(generations+1) fitness decodes, every STGA round
-// makes one history lookup (hit or miss), and observes one last
-// improving generation, which is no later than the generations it ran.
+// and scrapes the GA work counters between rounds. Over n rounds of
+// which f stopped at the span floor, no more than n, the generations
+// lie in [(n−f)·min(Stall, Generations), n·Generations]: the stall rule
+// may end a round before the cap, never before Stall flat ones, and
+// only the floor ends one sooner. The fitness decodes lie in
+// [(n−f)·pop + f·seeds, n·pop·(Generations+1)]: a floor-stopped round
+// scores at least its two heuristic seeds. Every STGA round makes one
+// history lookup (hit or miss), and observes one last improving
+// generation, which is no later than the generations it ran.
 // The event stream is byte-identical to a twin daemon's that nobody
 // scraped, and to one scraped from another goroutine while its rounds
 // run (the counters are read concurrently with their writer).
@@ -102,23 +105,29 @@ func TestGAWorkExposition(t *testing.T) {
 
 	setup := experiments.TestSetup() // newManualV2Server's
 	pop, gens := setup.Population, setup.Generations
+	const seeds = 2 // the current batch's Min-Min and Sufferage schedules
 	minGens := min(setup.Stall, gens)
 	if setup.Stall == 0 {
 		minGens = gens
 	}
-	var prevEvals, prevBatches, prevGens float64
+	var prevEvals, prevBatches, prevGens, prevStops float64
 	for r, text := range scrapes {
 		batches := promValue(t, text, "trustgrid_batches_total")
 		g := promValue(t, text, "trustgrid_ga_generations_total")
 		e := promValue(t, text, "trustgrid_ga_evaluations_total")
 		hits := promValue(t, text, `trustgrid_stga_history_lookups_total{result="hit"}`)
 		misses := promValue(t, text, `trustgrid_stga_history_lookups_total{result="miss"}`)
-		n := batches - prevBatches
+		stops := promValue(t, text, "trustgrid_stga_floor_stops_total")
+		n, f := batches-prevBatches, stops-prevStops
 		if n < 1 {
 			t.Fatalf("round %d: no scheduling round ran", r)
 		}
-		if dg := g - prevGens; dg < n*float64(minGens) || dg > n*float64(gens) {
-			t.Fatalf("round %d: %v generations over %v rounds, want within [%d, %d] per round", r, dg, n, minGens, gens)
+		if f < 0 || f > n {
+			t.Fatalf("round %d: %v floor stops over %v rounds", r, f, n)
+		}
+		if dg := g - prevGens; dg < (n-f)*float64(minGens) || dg > n*float64(gens) {
+			t.Fatalf("round %d: %v generations over %v rounds (%v floor stops), want within [%v, %v]",
+				r, dg, n, f, (n-f)*float64(minGens), n*float64(gens))
 		}
 		if c := promValue(t, text, "trustgrid_stga_last_improvement_generation_count"); c != batches {
 			t.Fatalf("round %d: %v last-improvement observations over %v rounds", r, c, batches)
@@ -126,15 +135,19 @@ func TestGAWorkExposition(t *testing.T) {
 		if sum := promValue(t, text, "trustgrid_stga_last_improvement_generation_sum"); sum > g {
 			t.Fatalf("round %d: last improvements sum to %v, past the %v generations run", r, sum, g)
 		}
-		if de := e - prevEvals; de < n*float64(pop) || de > n*float64(pop*(gens+1)) {
-			t.Fatalf("round %d: %v evaluations over %v rounds, want within [%d, %d] per round", r, de, n, pop, pop*(gens+1))
+		if de := e - prevEvals; de < (n-f)*float64(pop)+f*seeds || de > n*float64(pop*(gens+1)) {
+			t.Fatalf("round %d: %v evaluations over %v rounds (%v floor stops), want within [%v, %v]",
+				r, de, n, f, (n-f)*float64(pop)+f*seeds, n*float64(pop*(gens+1)))
 		}
 		if hits+misses != batches {
 			t.Fatalf("round %d: %v hits + %v misses != %v STGA rounds", r, hits, misses, batches)
 		}
-		prevEvals, prevBatches, prevGens = e, batches, g
+		prevEvals, prevBatches, prevGens, prevStops = e, batches, g, stops
 	}
 	last := scrapes[len(scrapes)-1]
+	if promValue(t, last, "trustgrid_stga_floor_stops_total") == 0 {
+		t.Fatalf("no round stopped at its span floor, so the floor bounds went unexercised:\n%s", last)
+	}
 	if promValue(t, last, `trustgrid_stga_history_lookups_total{result="hit"}`) == 0 {
 		t.Fatalf("recurring rounds never hit the history table:\n%s", last)
 	}

@@ -1,6 +1,7 @@
 package stga
 
 import (
+	"math"
 	"sort"
 	"sync/atomic"
 
@@ -106,13 +107,15 @@ type Scheduler struct {
 	// experiments (Figs. 5 and 7(b)) read it.
 	LastTrajectory []float64
 	// AllTrajectories holds one trajectory per batch when
-	// Config.RecordTrajectories is set.
+	// Config.RecordTrajectories is set, and AllFloors each batch's span
+	// floor beside it (ga.Problem.Floor: 0 when the round had none).
 	AllTrajectories [][]float64
+	AllFloors       []float64
 
 	// Work counters (GAWork), added to once per round. Atomic so a
 	// metrics scrape can read them while a round runs.
-	generations, evaluations, hits, misses atomic.Uint64
-	lastImproved                           obs.Histogram
+	generations, evaluations, hits, misses, floorStops atomic.Uint64
+	lastImproved                                       obs.Histogram
 }
 
 // GAWork implements sched.GAWorker.
@@ -123,6 +126,7 @@ func (s *Scheduler) GAWork() sched.GAWork {
 		HistoryHits:   s.hits.Load(),
 		HistoryMisses: s.misses.Load(),
 		LastImproved:  s.lastImproved.Load(),
+		FloorStops:    s.floorStops.Load(),
 	}
 }
 
@@ -177,6 +181,43 @@ func fitnessBase(st *sched.State) []float64 {
 		}
 	}
 	return base
+}
+
+// spanFloor returns the round's span floor: a lower bound on the span
+// fitness of every legal chromosome, the largest over jobs j of j's
+// cheapest base[s]+etc[j·m+s] over its allowed sites s. Both decodes
+// score a chromosome at least base[s]+l for each job j it puts on site
+// s, where l is a load of s that includes etc[j·m+s] (the running load
+// in the scalar decode, the final one in decode4). With every allowed
+// ETC > 0 a load only rises, and rounding is monotone, so l ≥
+// etc[j·m+s] and base[s]+l ≥ base[s]+etc[j·m+s] ≥ j's minimum. The
+// floor is built from the decodes' own additions, so the comparison
+// is exact. ok is false, and the round has no floor, when an allowed
+// ETC is ≤ 0 or not finite, a base or the floor is not finite, or
+// loadWeight ≠ 0 (the load term is not a span).
+func spanFloor(m int, allowed [][]int, base, etc []float64, loadWeight float64) (floor float64, ok bool) {
+	if loadWeight != 0 {
+		return 0, false
+	}
+	for _, b := range base {
+		if math.IsNaN(b) || math.IsInf(b, 0) {
+			return 0, false
+		}
+	}
+	floor = math.Inf(-1)
+	for j, sites := range allowed {
+		row := etc[j*m : (j+1)*m]
+		cheapest := math.Inf(1)
+		for _, site := range sites {
+			e := row[site]
+			if !(e > 0 && e <= math.MaxFloat64) {
+				return 0, false
+			}
+			cheapest = min(cheapest, base[site]+e)
+		}
+		floor = max(floor, cheapest)
+	}
+	return floor, !math.IsInf(floor, 0)
 }
 
 // makespanFitness returns the GA fitness function: the batch makespan of
@@ -374,12 +415,17 @@ func (s *Scheduler) Schedule(batch []*grid.Job, st *sched.State) []sched.Assignm
 	}
 	// One scorer per evaluation worker: the 4-way decode kernel when
 	// the round passes its gate, else the scalar decode, whose closure
-	// keeps a per-instance scratch buffer.
+	// keeps a per-instance scratch buffer. The span floor ends the run
+	// once its best is provably optimal (a Stall > 0 run only).
 	nSites := len(st.Sites)
+	base := fitnessBase(st)
 	problem := &ga.Problem{
 		Length:    len(batch),
 		Allowed:   allowed,
-		NewScorer: s.dec.scorers(nSites, fitnessBase(st), fitEtc, s.cfg.LoadWeight),
+		NewScorer: s.dec.scorers(nSites, base, fitEtc, s.cfg.LoadWeight),
+	}
+	if floor, ok := spanFloor(nSites, allowed, base, fitEtc, s.cfg.LoadWeight); ok {
+		problem.Floor = floor
 	}
 	res, err := ga.Run(problem, s.cfg.GA, seeds, runRand)
 	if err != nil {
@@ -391,9 +437,13 @@ func (s *Scheduler) Schedule(batch []*grid.Job, st *sched.State) []sched.Assignm
 	s.generations.Add(uint64(res.Generations))
 	s.evaluations.Add(uint64(res.Evaluations))
 	s.lastImproved.ObserveCount(res.LastImproved)
+	if res.FloorStop {
+		s.floorStops.Add(1)
+	}
 	s.LastTrajectory = res.Trajectory
 	if s.cfg.RecordTrajectories {
 		s.AllTrajectories = append(s.AllTrajectories, res.Trajectory)
+		s.AllFloors = append(s.AllFloors, problem.Floor)
 	}
 
 	if !s.cfg.DisableHistory {
