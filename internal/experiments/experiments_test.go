@@ -337,21 +337,24 @@ func TestClusterExtensionSmall(t *testing.T) {
 	}
 }
 
-// TestStallStop pins the read-off rule: the first generation on a
-// non-zero floor or that ends stall flat ones, else the cap; stall 0
-// ignores the floor.
+// TestStallStop pins the read-off rule: generation 0 for a proved
+// round, else the first generation on a non-zero floor or that ends
+// stall flat ones, else the cap; stall 0 ignores the floor and the
+// proof.
 func TestStallStop(t *testing.T) {
 	tr := []float64{5, 5, 5, 4, 4, 4, 4, 3}
 	for _, c := range []struct {
-		stall int
-		floor float64
-		want  int
+		stall  int
+		floor  float64
+		proved bool
+		want   int
 	}{
-		{0, 0, 7}, {1, 0, 1}, {2, 0, 2}, {3, 0, 6}, {4, 0, 7}, {10, 0, 7},
-		{0, 5, 7}, {10, 5, 0}, {10, 4, 3}, {2, 4, 2}, {10, 3, 7}, {10, 2, 7}, {3, 4, 3},
+		{0, 0, false, 7}, {1, 0, false, 1}, {2, 0, false, 2}, {3, 0, false, 6}, {4, 0, false, 7}, {10, 0, false, 7},
+		{0, 5, false, 7}, {10, 5, false, 0}, {10, 4, false, 3}, {2, 4, false, 2}, {10, 3, false, 7}, {10, 2, false, 7}, {3, 4, false, 3},
+		{0, 0, true, 7}, {10, 0, true, 0}, {3, 4, true, 0}, {0, 5, true, 7},
 	} {
-		if got := stallStop(tr, c.stall, c.floor); got != c.want {
-			t.Errorf("stallStop(stall %d, floor %v) = %d, want %d", c.stall, c.floor, got, c.want)
+		if got := stallStop(tr, c.stall, c.floor, c.proved); got != c.want {
+			t.Errorf("stallStop(stall %d, floor %v, proved %v) = %d, want %d", c.stall, c.floor, c.proved, got, c.want)
 		}
 	}
 }

@@ -184,11 +184,11 @@ type Fig5Result struct {
 	// Gen0Gap is ColdGA[0]/STGA[0]: how much worse the cold start begins.
 	Gen0Gap float64
 	// Stall is the setup's stall count, and STGAStop and ColdGAStop the
-	// mean generations per round a run with it, and with each round's
-	// span floor, would have executed (stallStop over every round's full
-	// trajectory and recorded floor): the "fast" claim read as
-	// generations to stop, under the rules the daemon runs. Zero when
-	// Stall is.
+	// mean generations per round a run with it, each round's span floor
+	// and its optimality proof would have executed (stallStop over every
+	// round's full trajectory, recorded floor and proof): the "fast"
+	// claim read as generations to stop, under the rules the daemon
+	// runs. Zero when Stall is.
 	Stall                int
 	STGAStop, ColdGAStop float64
 	// HistoryHitRate is the STGA lookup hit rate over the run.
@@ -233,7 +233,7 @@ func RunFig5(s Setup) (*Fig5Result, error) {
 		curve = make([]float64, s.Generations+1)
 		counts := make([]int, s.Generations+1)
 		for i, tr := range sc.AllTrajectories {
-			stop += float64(stallStop(tr, s.Stall, sc.AllFloors[i])) / float64(len(sc.AllTrajectories))
+			stop += float64(stallStop(tr, s.Stall, sc.AllFloors[i], sc.AllProved[i])) / float64(len(sc.AllTrajectories))
 			final := tr[len(tr)-1]
 			if final <= 0 {
 				continue
@@ -288,13 +288,18 @@ func RunFig5(s Setup) (*Fig5Result, error) {
 // stallStop returns the generations a run with ga.Config.Stall = stall
 // and ga.Problem.Floor = floor executes, read off the fixed run's
 // trajectory: such a run is a prefix of the fixed one
-// (ga.TestStallIsPrefixOfFixedRun, ga.TestFloorStopKeepsResult) that
-// ends at the first generation whose best is on a non-zero floor, at
-// the first stall generations without a strict improvement — the first
-// e with tr[e] == tr[e-stall], the best being non-increasing — or at
-// the cap. stall 0 runs to the cap.
-func stallStop(tr []float64, stall int, floor float64) int {
+// (ga.TestStallIsPrefixOfFixedRun, ga.TestFloorStopKeepsResult,
+// ga.TestProveStopKeepsResult) that ends at generation 0 when the
+// round's ga.Problem.Prove certified the initial best (proved), at the
+// first generation whose best is on a non-zero floor, at the first
+// stall generations without a strict improvement — the first e with
+// tr[e] == tr[e-stall], the best being non-increasing — or at the cap.
+// stall 0 runs to the cap.
+func stallStop(tr []float64, stall int, floor float64, proved bool) int {
 	if stall > 0 {
+		if proved {
+			return 0
+		}
 		for e, best := range tr {
 			if floor != 0 && best <= floor || e >= stall && best == tr[e-stall] {
 				return e

@@ -203,10 +203,11 @@ func (iv Interval) String() string {
 }
 
 // renderGAWork summarises a GA scheduler's rounds: generations run per
-// round, the share of rounds that stopped on their span floor, and the
-// share of rounds whose last improving generation falls in each of the
-// histogram's power-of-two buckets up to the first that holds them all.
-// Empty when no round ran.
+// round, the shares of rounds that stopped on their span floor and on a
+// proof that their seeds' or initial population's best was optimal,
+// and the share of rounds whose last improving generation falls in
+// each of the histogram's power-of-two buckets up to the first that
+// holds them all. Empty when no round ran.
 func renderGAWork(w sched.GAWork) string {
 	var rounds uint64
 	for _, n := range w.LastImproved.Buckets {
@@ -216,8 +217,8 @@ func renderGAWork(w sched.GAWork) string {
 		return ""
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "STGA rounds: %d, generations per round %.1f, stopped at the span floor %.1f%%; last improving generation <= 1: ",
-		rounds, float64(w.Generations)/float64(rounds), 100*float64(w.FloorStops)/float64(rounds))
+	fmt.Fprintf(&b, "STGA rounds: %d, generations per round %.1f, stopped at the span floor %.1f%%, on a proof %.1f%%; last improving generation <= 1: ",
+		rounds, float64(w.Generations)/float64(rounds), 100*float64(w.FloorStops)/float64(rounds), 100*float64(w.ProvedStops)/float64(rounds))
 	var cum uint64
 	for k, n := range w.LastImproved.Buckets {
 		cum += n

@@ -153,12 +153,12 @@ func TestTable2PairedIntervals(t *testing.T) {
 	}
 }
 
-// TestRenderGAWorkFloorShare: the Table 2 summary names the share of
-// STGA rounds that stopped at their span floor.
+// TestRenderGAWorkFloorShare: the Table 2 summary names the shares of
+// STGA rounds that stopped at their span floor and on a proof.
 func TestRenderGAWorkFloorShare(t *testing.T) {
-	w := sched.GAWork{Generations: 50, FloorStops: 1}
+	w := sched.GAWork{Generations: 50, FloorStops: 1, ProvedStops: 2}
 	w.LastImproved.Buckets[0] = 4
-	want := "STGA rounds: 4, generations per round 12.5, stopped at the span floor 25.0%; last improving generation <= 1: 100.0%\n"
+	want := "STGA rounds: 4, generations per round 12.5, stopped at the span floor 25.0%, on a proof 50.0%; last improving generation <= 1: 100.0%\n"
 	if got := renderGAWork(w); got != want {
 		t.Fatalf("renderGAWork = %q, want %q", got, want)
 	}

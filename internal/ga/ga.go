@@ -50,10 +50,10 @@ type Config struct {
 	// Stall, when G > 0, ends the run after G consecutive generations
 	// without a strict improvement of the best fitness (checked after
 	// each generation's elitism step; the check draws nothing), or as
-	// soon as the best reaches Problem.Floor. 0 runs exactly
-	// Generations generations and never consults the floor. A stopped
-	// run's draws are a prefix of the fixed run's, so its trajectory is
-	// too.
+	// soon as the best reaches Problem.Floor or Problem.Prove certifies
+	// it. 0 runs exactly Generations generations and consults neither. A
+	// stopped run's draws are a prefix of the fixed run's, so its
+	// trajectory is too.
 	Stall int
 	// Elitism keeps the best individual unchanged each generation.
 	Elitism bool
@@ -139,6 +139,14 @@ type Problem struct {
 	// best at the floor, so the run returns the Best and BestFitness
 	// the full run would. 0 means no floor.
 	Floor float64
+	// Prove, when non-nil, reports true only if no legal chromosome
+	// scores strictly below best; false means "not shown", never "a
+	// better one exists". A run with Config.Stall > 0 consults it at two
+	// checkpoints, on the seeds' best and on the initial population's,
+	// whenever that best is above Floor, and ends on a proof as it ends
+	// on the floor, with the Best and BestFitness the full run would
+	// return. It is never called inside the generation loop.
+	Prove func(best float64) bool
 }
 
 // Validate checks the problem definition.
@@ -211,14 +219,17 @@ type Result struct {
 	// FloorStop reports that the run consulted Problem.Floor and ended
 	// with its best on it.
 	FloorStop bool
+	// ProvedStop reports that Problem.Prove certified the seeds' or the
+	// initial population's best, ending the run there.
+	ProvedStop bool
 }
 
 // Run executes the GA: evaluate, then per generation select (roulette
 // wheel on 1/fitness with elitism), crossover, mutate. seeds (may be
 // empty) are inserted into the initial population after repair and
 // scored before the random remainder is drawn, so a seed on
-// Problem.Floor ends a Stall > 0 run at once. An empty seed carries
-// nothing and is skipped.
+// Problem.Floor, or one Problem.Prove certifies, ends a Stall > 0 run
+// at once. An empty seed carries nothing and is skipped.
 //
 // The generation loop is allocation-free: the population is
 // double-buffered against a preallocated twin, selection produces pick
@@ -274,23 +285,26 @@ func Run(p *Problem, cfg Config, seeds []Chromosome, r *rng.Stream) (Result, err
 	// it before each read, so between selections it is free.
 	picks := make([]int, cfg.PopulationSize)
 
-	// atFloor is the floor test; Stall 0 never consults it. Nothing
-	// legal scores below the floor, so a best on it is final.
+	// atFloor is the floor test and proved the proof test; Stall 0
+	// consults neither. Nothing legal scores below a best on the floor
+	// or a proved best, so either is final.
 	useFloor := cfg.Stall > 0 && p.Floor != 0
 	atFloor := func(f float64) bool { return useFloor && f <= p.Floor }
+	proved := func(f float64) bool { return cfg.Stall > 0 && p.Prove != nil && !atFloor(f) && p.Prove(f) }
 
 	// Score the seeds first. They hold the lowest indices, so a seed on
-	// the floor is also the whole population's first minimum: returning
-	// it here returns what the full run would.
+	// the floor, or a proved one, is also the whole population's first
+	// minimum: returning it here returns what the full run would.
 	seeded := len(pop)
 	for i := range seeded {
 		dirty[i] = true
 	}
 	evals := eval.evaluate(pop, fit, dirty, picks)
 	if seeded > 0 {
-		if i := argMin(fit[:seeded]); atFloor(fit[i]) {
+		i := argMin(fit[:seeded])
+		if floorStop := atFloor(fit[i]); floorStop || proved(fit[i]) {
 			return Result{Best: pop[i].Clone(), BestFitness: fit[i], Trajectory: []float64{fit[i]},
-				Evaluations: evals, FloorStop: true}, nil
+				Evaluations: evals, FloorStop: floorStop, ProvedStop: !floorStop}, nil
 		}
 	}
 	for len(pop) < cfg.PopulationSize {
@@ -305,6 +319,10 @@ func Run(p *Problem, cfg Config, seeds []Chromosome, r *rng.Stream) (Result, err
 	bestFit := fit[bestIdx]
 	trajectory := make([]float64, 0, cfg.Generations+1)
 	trajectory = append(trajectory, bestFit)
+	if proved(bestFit) {
+		return Result{Best: best, BestFitness: bestFit, Trajectory: trajectory,
+			Evaluations: evals, ProvedStop: true}, nil
+	}
 
 	next := make([]Chromosome, len(pop))
 	for i := range next {

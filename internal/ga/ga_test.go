@@ -405,6 +405,110 @@ func TestFloorStopKeepsResult(t *testing.T) {
 	}
 }
 
+// loadOptimum enumerates every chromosome of a loadProblem and returns
+// the best fitness and its first chromosome.
+func loadOptimum(p *Problem, m int) (float64, Chromosome) {
+	c := make(Chromosome, p.Length)
+	best, bestC := math.Inf(1), Chromosome(nil)
+	for {
+		if f := p.Fitness(c); f < best {
+			best, bestC = f, c.Clone()
+		}
+		i := 0
+		for ; i < len(c); i++ {
+			if c[i]++; c[i] < m {
+				break
+			}
+			c[i] = 0
+		}
+		if i == len(c) {
+			return best, bestC
+		}
+	}
+}
+
+// TestProveStopKeepsResult: a Stall run given an exact Prove hook
+// returns the Best and BestFitness of the same run without it, its
+// trajectory a prefix of that run's. The hook is consulted on the
+// seeds' best and on the initial population's, never again; a proof at
+// the seeds scores only the seeds, one at the initial population runs
+// no generation. Stall 0 never calls the hook.
+func TestProveStopKeepsResult(t *testing.T) {
+	var atSeeds, atInit, notProved int
+	for seed := uint64(1); seed <= 30; seed++ {
+		n, m := 6, 2+int(seed%3)
+		p := loadProblem(n, m, seed)
+		opt, optC := loadOptimum(p, m)
+		var seeds []Chromosome
+		refuseFirst := false
+		switch seed % 3 {
+		case 0: // the second seed is optimal: proved at the seeds
+			seeds = []Chromosome{make(Chromosome, n), optC}
+		case 1: // an optimal seed the hook declines once: proved at the initial population
+			seeds, refuseFirst = []Chromosome{optC}, true
+		}
+		var calls int
+		pp := *p
+		pp.Prove = func(best float64) bool {
+			calls++
+			if best < opt {
+				t.Fatalf("seed %d: asked to prove %v, below the optimum %v", seed, best, opt)
+			}
+			return best == opt && !(refuseFirst && calls == 1)
+		}
+		cfg := DefaultConfig()
+		cfg.PopulationSize, cfg.Generations, cfg.Stall = 16, 60, 10
+		want, err := Run(p, cfg, seeds, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Run(&pp, cfg, seeds, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.BestFitness != want.BestFitness || !slices.Equal(got.Best, want.Best) {
+			t.Fatalf("seed %d: proved run's best %v (%v), unproved %v (%v)", seed, got.Best, got.BestFitness, want.Best, want.BestFitness)
+		}
+		if len(got.Trajectory) > len(want.Trajectory) || !slices.Equal(got.Trajectory, want.Trajectory[:len(got.Trajectory)]) {
+			t.Fatalf("seed %d: proved trajectory %v is not a prefix of %v", seed, got.Trajectory, want.Trajectory)
+		}
+		if want.ProvedStop || got.FloorStop || calls > 2 {
+			t.Fatalf("seed %d: unproved run's proved stop %v, floor stop %v, %d hook calls", seed, want.ProvedStop, got.FloorStop, calls)
+		}
+		switch {
+		case !got.ProvedStop:
+			notProved++
+			if want.Trajectory[0] == opt || !sameResult(got, want) || got.Evaluations != want.Evaluations {
+				t.Fatalf("seed %d: no proof, yet the run changed or its initial best %v was the optimum", seed, want.Trajectory[0])
+			}
+		case got.Generations != 0 || len(got.Trajectory) != 1:
+			t.Fatalf("seed %d: a proved run ran %d generations", seed, got.Generations)
+		case got.Evaluations == len(seeds):
+			atSeeds++
+		case got.Evaluations == cfg.PopulationSize:
+			atInit++
+		default:
+			t.Fatalf("seed %d: a proved run scored %d chromosomes", seed, got.Evaluations)
+		}
+
+		cfg.Stall, calls = 0, 0
+		fixed, err := Run(p, cfg, seeds, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ignored, err := Run(&pp, cfg, seeds, rng.New(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != 0 || !sameResult(ignored, fixed) || ignored.Evaluations != fixed.Evaluations || ignored.ProvedStop {
+			t.Fatalf("seed %d: Stall 0 consulted the hook (%d calls)", seed, calls)
+		}
+	}
+	if atSeeds == 0 || atInit == 0 || notProved == 0 {
+		t.Fatalf("proofs at the seeds %d, at the initial population %d, none %d: a case went unexercised", atSeeds, atInit, notProved)
+	}
+}
+
 // TestStallIsPrefixOfFixedRun: a run with Stall G draws exactly what
 // the fixed run draws until it stops, so its trajectory is a prefix of
 // the fixed run's that ends at the first G generations without a strict

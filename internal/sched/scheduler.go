@@ -132,15 +132,16 @@ type StatefulScheduler interface {
 // and history-table lookups that returned a seed (hits) or none
 // (misses), each round's last improving generation
 // (ga.Result.LastImproved, observed with obs.Histogram.ObserveCount),
-// and the rounds that ended with their best on the span floor
-// (ga.Result.FloorStop).
+// the rounds that ended with their best on the span floor
+// (ga.Result.FloorStop), and those that ended on a proof that their
+// seeds' or initial population's best was optimal (ga.Result.ProvedStop).
 // It is counted once per round, never per gene, and is observability
 // only: nothing in it reaches an event or a WAL record.
 type GAWork struct {
 	Generations, Evaluations   uint64
 	HistoryHits, HistoryMisses uint64
 	LastImproved               obs.Counts
-	FloorStops                 uint64
+	FloorStops, ProvedStops    uint64
 }
 
 // Add folds o into w, as when summing shards.
@@ -151,6 +152,7 @@ func (w *GAWork) Add(o GAWork) {
 	w.HistoryMisses += o.HistoryMisses
 	w.LastImproved.Add(o.LastImproved)
 	w.FloorStops += o.FloorStops
+	w.ProvedStops += o.ProvedStops
 }
 
 // GAWorker is a Scheduler that counts its GA work. GAWork must be safe

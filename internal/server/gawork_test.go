@@ -35,12 +35,13 @@ func promValue(t *testing.T, text, series string) float64 {
 
 // TestGAWorkExposition drives a manual-mode STGA daemon over k rounds
 // and scrapes the GA work counters between rounds. Over n rounds of
-// which f stopped at the span floor, no more than n, the generations
-// lie in [(n−f)·min(Stall, Generations), n·Generations]: the stall rule
-// may end a round before the cap, never before Stall flat ones, and
-// only the floor ends one sooner. The fitness decodes lie in
-// [(n−f)·pop + f·seeds, n·pop·(Generations+1)]: a floor-stopped round
-// scores at least its two heuristic seeds. Every STGA round makes one
+// which f stopped at the span floor and p on a proof, f + p ≤ n, the
+// generations lie in [(n−f−p)·min(Stall, Generations), n·Generations]:
+// the stall rule may end a round before the cap, never before Stall
+// flat ones, and only the floor or a proof ends one sooner. The fitness
+// decodes lie in [(n−f−p)·pop + (f+p)·1, n·pop·(Generations+1)]: a
+// stopped round scores at least its Min-Min seed, and exactly that one
+// when the seed is proved optimal. Every STGA round makes one
 // history lookup (hit or miss), and observes one last improving
 // generation, which is no later than the generations it ran.
 // The event stream is byte-identical to a twin daemon's that nobody
@@ -105,12 +106,12 @@ func TestGAWorkExposition(t *testing.T) {
 
 	setup := experiments.TestSetup() // newManualV2Server's
 	pop, gens := setup.Population, setup.Generations
-	const seeds = 2 // the current batch's Min-Min and Sufferage schedules
+	const seeds = 1 // a stopped round's fewest decodes: the current batch's Min-Min schedule
 	minGens := min(setup.Stall, gens)
 	if setup.Stall == 0 {
 		minGens = gens
 	}
-	var prevEvals, prevBatches, prevGens, prevStops float64
+	var prevEvals, prevBatches, prevGens, prevStops, prevProofs float64
 	for r, text := range scrapes {
 		batches := promValue(t, text, "trustgrid_batches_total")
 		g := promValue(t, text, "trustgrid_ga_generations_total")
@@ -118,15 +119,16 @@ func TestGAWorkExposition(t *testing.T) {
 		hits := promValue(t, text, `trustgrid_stga_history_lookups_total{result="hit"}`)
 		misses := promValue(t, text, `trustgrid_stga_history_lookups_total{result="miss"}`)
 		stops := promValue(t, text, "trustgrid_stga_floor_stops_total")
-		n, f := batches-prevBatches, stops-prevStops
+		proofs := promValue(t, text, "trustgrid_stga_proved_stops_total")
+		n, f := batches-prevBatches, (stops-prevStops)+(proofs-prevProofs)
 		if n < 1 {
 			t.Fatalf("round %d: no scheduling round ran", r)
 		}
-		if f < 0 || f > n {
-			t.Fatalf("round %d: %v floor stops over %v rounds", r, f, n)
+		if stops < prevStops || proofs < prevProofs || f > n {
+			t.Fatalf("round %d: %v floor stops and %v proved stops over %v rounds", r, stops-prevStops, proofs-prevProofs, n)
 		}
 		if dg := g - prevGens; dg < (n-f)*float64(minGens) || dg > n*float64(gens) {
-			t.Fatalf("round %d: %v generations over %v rounds (%v floor stops), want within [%v, %v]",
+			t.Fatalf("round %d: %v generations over %v rounds (%v floor or proved stops), want within [%v, %v]",
 				r, dg, n, f, (n-f)*float64(minGens), n*float64(gens))
 		}
 		if c := promValue(t, text, "trustgrid_stga_last_improvement_generation_count"); c != batches {
@@ -136,17 +138,20 @@ func TestGAWorkExposition(t *testing.T) {
 			t.Fatalf("round %d: last improvements sum to %v, past the %v generations run", r, sum, g)
 		}
 		if de := e - prevEvals; de < (n-f)*float64(pop)+f*seeds || de > n*float64(pop*(gens+1)) {
-			t.Fatalf("round %d: %v evaluations over %v rounds (%v floor stops), want within [%v, %v]",
+			t.Fatalf("round %d: %v evaluations over %v rounds (%v floor or proved stops), want within [%v, %v]",
 				r, de, n, f, (n-f)*float64(pop)+f*seeds, n*float64(pop*(gens+1)))
 		}
 		if hits+misses != batches {
 			t.Fatalf("round %d: %v hits + %v misses != %v STGA rounds", r, hits, misses, batches)
 		}
-		prevEvals, prevBatches, prevGens, prevStops = e, batches, g, stops
+		prevEvals, prevBatches, prevGens, prevStops, prevProofs = e, batches, g, stops, proofs
 	}
 	last := scrapes[len(scrapes)-1]
 	if promValue(t, last, "trustgrid_stga_floor_stops_total") == 0 {
 		t.Fatalf("no round stopped at its span floor, so the floor bounds went unexercised:\n%s", last)
+	}
+	if promValue(t, last, "trustgrid_stga_proved_stops_total") == 0 {
+		t.Fatalf("no round stopped on a proof, so the proof bounds went unexercised:\n%s", last)
 	}
 	if promValue(t, last, `trustgrid_stga_history_lookups_total{result="hit"}`) == 0 {
 		t.Fatalf("recurring rounds never hit the history table:\n%s", last)

@@ -90,6 +90,7 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "trustgrid_stga_last_improvement_generation_sum %d\ntrustgrid_stga_last_improvement_generation_count %d\n",
 		work.LastImproved.Sum.Microseconds(), rounds)
 	counter("trustgrid_stga_floor_stops_total", "GA rounds that ended with their best on the round's span floor (provably optimal), over in-process shards.", float64(work.FloorStops))
+	counter("trustgrid_stga_proved_stops_total", "GA rounds that ended on a branch-and-bound proof that their seeds' or initial population's best was optimal, over in-process shards.", float64(work.ProvedStops))
 	fmt.Fprintf(&b, "# HELP trustgrid_rng_mask_kernel The path the GA's mutation hit mask runs on in this process.\n"+
 		"# TYPE trustgrid_rng_mask_kernel gauge\ntrustgrid_rng_mask_kernel{kernel=%q} 1\n", rng.MaskKernel())
 	fmt.Fprintf(&b, "# HELP trustgrid_stga_decode_kernel The path the STGA's fitness decode runs on in this process, for rounds within the kernel's gate.\n"+

@@ -65,11 +65,10 @@ func similarityPremax(a, b []float64, maxA, maxB float64, normalize bool) float6
 	}
 	var sumDiff float64
 	for i := 0; i < k; i++ {
-		d := a[i] - b[i]
-		if d < 0 {
-			d = -d
-		}
-		sumDiff += d
+		// math.Abs clears the sign bit, no compare and branch: a
+		// difference of either sign costs the same. -0 adds as +0 and a
+		// NaN stays NaN, as under the branch it replaced.
+		sumDiff += math.Abs(a[i] - b[i])
 	}
 	maxElem := maxA
 	if maxB > maxElem {

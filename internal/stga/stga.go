@@ -99,23 +99,28 @@ type Scheduler struct {
 	// scheduler instead of being rebuilt every batch.
 	minmin    *heuristics.MinMin
 	sufferage *heuristics.Sufferage
-	// dec is the fitness decode's scratch, reused across rounds.
-	dec decoder
+	// dec is the fitness decode's scratch, reused across rounds, and
+	// prover the optimality proof's.
+	dec    decoder
+	prover prover
 
 	// LastTrajectory is the best-fitness-per-generation curve of the most
 	// recent batch (index 0 = initial population). The convergence
 	// experiments (Figs. 5 and 7(b)) read it.
 	LastTrajectory []float64
 	// AllTrajectories holds one trajectory per batch when
-	// Config.RecordTrajectories is set, and AllFloors each batch's span
-	// floor beside it (ga.Problem.Floor: 0 when the round had none).
+	// Config.RecordTrajectories is set, AllFloors each batch's span
+	// floor beside it (ga.Problem.Floor: 0 when the round had none), and
+	// AllProved whether the prover certified the batch's initial best
+	// (where a Stall > 0 run stops at generation 0).
 	AllTrajectories [][]float64
 	AllFloors       []float64
+	AllProved       []bool
 
 	// Work counters (GAWork), added to once per round. Atomic so a
 	// metrics scrape can read them while a round runs.
-	generations, evaluations, hits, misses, floorStops atomic.Uint64
-	lastImproved                                       obs.Histogram
+	generations, evaluations, hits, misses, floorStops, provedStops atomic.Uint64
+	lastImproved                                                    obs.Histogram
 }
 
 // GAWork implements sched.GAWorker.
@@ -127,6 +132,7 @@ func (s *Scheduler) GAWork() sched.GAWork {
 		HistoryMisses: s.misses.Load(),
 		LastImproved:  s.lastImproved.Load(),
 		FloorStops:    s.floorStops.Load(),
+		ProvedStops:   s.provedStops.Load(),
 	}
 }
 
@@ -379,33 +385,11 @@ func (s *Scheduler) Schedule(batch []*grid.Job, st *sched.State) []sched.Assignm
 		allowed[i], fellBack[i] = elig.Sites(), elig.FellBack
 	}
 	ready, etc, sd := batchInputs(batch, st)
-
-	var seeds []ga.Chromosome
-	if s.cfg.SeedHeuristics {
-		seeds = append(seeds, heuristicChromosome(s.minmin, batch, st))
-		seeds = append(seeds, heuristicChromosome(s.sufferage, batch, st))
-	}
-	if !s.cfg.DisableHistory {
-		maxSeeds := s.cfg.MaxSeeds
-		if maxSeeds == 0 {
-			maxSeeds = s.cfg.GA.PopulationSize / 2
-		}
-		nSites := len(st.Sites)
-		if matches := s.table.Lookup(ready, etc, sd, s.cfg.SimilarityThreshold, maxSeeds); len(matches) > 0 {
-			s.hits.Add(1)
-			newOrder := rankOrder(etc, sd, nSites, len(batch))
-			for _, m := range matches {
-				seeds = append(seeds, adaptSeedOrdered(m.Entry, newOrder, len(batch)))
-			}
-		} else {
-			s.misses.Add(1)
-		}
-	}
+	nSites := len(st.Sites)
 
 	fitEtc := etc
 	if s.cfg.RiskPenalty > 0 {
 		fitEtc = make([]float64, len(etc))
-		nSites := len(st.Sites)
 		for i, j := range batch {
 			for k, site := range st.Sites {
 				p := s.cfg.Security.FailProb(j.SecurityDemand, site.SecurityLevel)
@@ -416,17 +400,54 @@ func (s *Scheduler) Schedule(batch []*grid.Job, st *sched.State) []sched.Assignm
 	// One scorer per evaluation worker: the 4-way decode kernel when
 	// the round passes its gate, else the scalar decode, whose closure
 	// keeps a per-instance scratch buffer. The span floor ends the run
-	// once its best is provably optimal (a Stall > 0 run only).
-	nSites := len(st.Sites)
+	// once its best is trivially optimal, and the prover once it can
+	// show it optimal (a Stall > 0 run only).
 	base := fitnessBase(st)
 	problem := &ga.Problem{
 		Length:    len(batch),
 		Allowed:   allowed,
 		NewScorer: s.dec.scorers(nSites, base, fitEtc, s.cfg.LoadWeight),
 	}
-	if floor, ok := spanFloor(nSites, allowed, base, fitEtc, s.cfg.LoadWeight); ok {
-		problem.Floor = floor
+	pr := &s.prover
+	if floor, ok := pr.reset(nSites, allowed, base, fitEtc, s.cfg.LoadWeight); ok {
+		problem.Floor, problem.Prove = floor, pr.prove
 	}
+
+	var seeds []ga.Chromosome
+	// proved: the Min-Min seed is already optimal, so the run returns it
+	// whatever else the population holds (seeds come first, and Run
+	// returns the first minimum). The Sufferage seed and the history
+	// matches are then not built; the lookup still runs, for the LRU
+	// stamps and hit statistics later rounds depend on.
+	proved := false
+	if s.cfg.SeedHeuristics {
+		seeds = append(seeds, heuristicChromosome(s.minmin, batch, st))
+		if problem.Prove != nil && s.cfg.GA.Stall > 0 {
+			span, legal := pr.score(seeds[0])
+			proved = legal && pr.prove(span)
+		}
+		if !proved {
+			seeds = append(seeds, heuristicChromosome(s.sufferage, batch, st))
+		}
+	}
+	if !s.cfg.DisableHistory {
+		maxSeeds := s.cfg.MaxSeeds
+		if maxSeeds == 0 {
+			maxSeeds = s.cfg.GA.PopulationSize / 2
+		}
+		if matches := s.table.Lookup(ready, etc, sd, s.cfg.SimilarityThreshold, maxSeeds); len(matches) > 0 {
+			s.hits.Add(1)
+			if !proved {
+				newOrder := rankOrder(etc, sd, nSites, len(batch))
+				for _, m := range matches {
+					seeds = append(seeds, adaptSeedOrdered(m.Entry, newOrder, len(batch)))
+				}
+			}
+		} else {
+			s.misses.Add(1)
+		}
+	}
+
 	res, err := ga.Run(problem, s.cfg.GA, seeds, runRand)
 	if err != nil {
 		// The problem construction above is total (allowed sets are never
@@ -440,10 +461,14 @@ func (s *Scheduler) Schedule(batch []*grid.Job, st *sched.State) []sched.Assignm
 	if res.FloorStop {
 		s.floorStops.Add(1)
 	}
+	if res.ProvedStop {
+		s.provedStops.Add(1)
+	}
 	s.LastTrajectory = res.Trajectory
 	if s.cfg.RecordTrajectories {
 		s.AllTrajectories = append(s.AllTrajectories, res.Trajectory)
 		s.AllFloors = append(s.AllFloors, problem.Floor)
+		s.AllProved = append(s.AllProved, pr.prove(res.Trajectory[0]))
 	}
 
 	if !s.cfg.DisableHistory {

@@ -474,10 +474,13 @@ func TestMakespanFitnessMatchesSimulation(t *testing.T) {
 func BenchmarkHistoryLookup(b *testing.B) {
 	tb := NewHistoryTable(150)
 	r := rng.New(1)
-	for i := 0; i < 150; i++ {
-		ready := make([]float64, 20)
-		etc := make([]float64, 50*20)
-		sd := make([]float64, 50)
+	// draw makes one round's inputs. The probe is drawn like the
+	// entries, so its differences take both signs and the pre-bound
+	// passes entries through to the ETC scan, as on a real table.
+	draw := func() (ready, etc, sd []float64) {
+		ready = make([]float64, 20)
+		etc = make([]float64, 50*20)
+		sd = make([]float64, 50)
 		for k := range ready {
 			ready[k] = r.Float64() * 1000
 		}
@@ -487,11 +490,13 @@ func BenchmarkHistoryLookup(b *testing.B) {
 		for k := range sd {
 			sd[k] = r.Uniform(0.6, 0.9)
 		}
+		return ready, etc, sd
+	}
+	for i := 0; i < 150; i++ {
+		ready, etc, sd := draw()
 		tb.Insert(&Entry{Ready: ready, ETC: etc, SD: sd, Best: make(ga.Chromosome, 50)})
 	}
-	probeR := make([]float64, 20)
-	probeE := make([]float64, 50*20)
-	probeS := make([]float64, 50)
+	probeR, probeE, probeS := draw()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tb.Lookup(probeR, probeE, probeS, 0.8, 100)
