@@ -211,7 +211,6 @@ func (s Setup) stgaConfig() stga.Config {
 	cfg.HistorySize = s.HistorySize
 	cfg.SimilarityThreshold = s.SimThreshold
 	cfg.Policy = s.Policy(grid.FRisky, s.F)
-	cfg.Security = s.Model()
 	cfg.SeedHeuristics = !s.NoHeuristicSeeds
 	// Forward raw: ga.Config.Validate rejects any contract but 0 or 2
 	// at Run time, where an error can actually be returned.

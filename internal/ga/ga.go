@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"trustgrid/internal/rng"
 )
@@ -55,13 +56,9 @@ type Config struct {
 	// stopped run's draws are a prefix of the fixed run's, so its
 	// trajectory is too.
 	Stall int
-	// Elitism keeps the best individual unchanged each generation.
-	Elitism bool
 	// Selection picks the parent-sampling operator (default: the paper's
 	// value-based roulette wheel). See the operator ablation.
 	Selection SelectionMethod
-	// TournamentSize is K for TournamentSelection (default 3).
-	TournamentSize int
 	// Crossover picks the recombination operator (default: the paper's
 	// single-point tail swap).
 	Crossover CrossoverMethod
@@ -91,7 +88,6 @@ func DefaultConfig() Config {
 		Generations:    100,
 		CrossoverProb:  0.8,
 		MutationProb:   0.01,
-		Elitism:        true,
 	}
 }
 
@@ -229,16 +225,14 @@ type Result struct {
 // empty) are inserted into the initial population after repair and
 // scored before the random remainder is drawn, so a seed on
 // Problem.Floor, or one Problem.Prove certifies, ends a Stall > 0 run
-// at once. An empty seed carries nothing and is skipped.
+// at once, before anything population-sized is built. An empty seed
+// carries nothing and is skipped.
 //
 // The generation loop is allocation-free: the population is
 // double-buffered against a preallocated twin, selection produces pick
 // indices that are copied in place, and the roulette/rank scratch
 // (weights, the cumulative wheel and its guide table) is allocated once
-// and reused across generations. None of this changes a single
-// rng draw, so evolution is bit-identical to the allocating
-// implementation it replaced (and to the serial path at any worker
-// count, as before).
+// and reused across generations.
 func Run(p *Problem, cfg Config, seeds []Chromosome, r *rng.Stream) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
@@ -248,12 +242,11 @@ func Run(p *Problem, cfg Config, seeds []Chromosome, r *rng.Stream) (Result, err
 	}
 
 	// Per-phase draw streams: each phase draws from its own lane forked
-	// off r, and the mutation hit mask is generated in bulk per
-	// generation (see the mutation section below).
-	d := rng.NewDrawsV2(r)
-	rInit, rSel, rCross, rMutVal := d.Init, d.Select, d.Cross, d.MutVal
+	// off r. The seeds need only the Init lane; Fork never advances r,
+	// so forking the others past the seed checkpoint changes no draw.
+	rInit := rng.InitLaneV2(r)
 
-	pop := make([]Chromosome, 0, cfg.PopulationSize)
+	pop := make([]Chromosome, 0, min(len(seeds), cfg.PopulationSize))
 	for _, s := range seeds {
 		if len(pop) == cfg.PopulationSize {
 			break
@@ -269,22 +262,6 @@ func Run(p *Problem, cfg Config, seeds []Chromosome, r *rng.Stream) (Result, err
 		pop = append(pop, c)
 	}
 
-	eval := newEvaluator(p, cfg)
-	defer eval.close()
-	fit := make([]float64, cfg.PopulationSize)
-	// Fitness carry-forward: selection copies each pick's known score
-	// into fitNext alongside the chromosome, and only individuals
-	// crossover or mutation actually changed are marked dirty and
-	// re-decoded. Scores are pure functions of the chromosome, so carried
-	// values are bit-identical to a re-evaluation; no rng draw depends on
-	// any of this.
-	fitNext := make([]float64, cfg.PopulationSize)
-	dirty := make([]bool, cfg.PopulationSize)
-
-	// picks doubles as the evaluator's index scratch: selection rewrites
-	// it before each read, so between selections it is free.
-	picks := make([]int, cfg.PopulationSize)
-
 	// atFloor is the floor test and proved the proof test; Stall 0
 	// consults neither. Nothing legal scores below a best on the floor
 	// or a proved best, so either is final.
@@ -292,27 +269,51 @@ func Run(p *Problem, cfg Config, seeds []Chromosome, r *rng.Stream) (Result, err
 	atFloor := func(f float64) bool { return useFloor && f <= p.Floor }
 	proved := func(f float64) bool { return cfg.Stall > 0 && p.Prove != nil && !atFloor(f) && p.Prove(f) }
 
-	// Score the seeds first. They hold the lowest indices, so a seed on
-	// the floor, or a proved one, is also the whole population's first
-	// minimum: returning it here returns what the full run would.
+	// The seed checkpoint, scored by one scorer on this goroutine. The
+	// seeds hold the lowest indices, so a seed on the floor, or a proved
+	// one, is also the whole population's first minimum: returning it
+	// here returns what the full run would.
 	seeded := len(pop)
-	for i := range seeded {
-		dirty[i] = true
+	var sc Scorer = p.Fitness
+	if p.NewScorer != nil {
+		sc = p.NewScorer()
 	}
-	evals := eval.evaluate(pop, fit, dirty, picks)
+	fit := make([]float64, seeded)
+	picks := make([]int, seeded)
+	for i := range picks {
+		picks[i] = i
+	}
+	sc.Score(pop, picks, fit)
+	evals := seeded
 	if seeded > 0 {
-		i := argMin(fit[:seeded])
+		i := argMin(fit)
 		if floorStop := atFloor(fit[i]); floorStop || proved(fit[i]) {
 			return Result{Best: pop[i].Clone(), BestFitness: fit[i], Trajectory: []float64{fit[i]},
 				Evaluations: evals, FloorStop: floorStop, ProvedStop: !floorStop}, nil
 		}
 	}
+
+	d := rng.CompleteDrawsV2(r, rInit)
+	rSel, rCross, rMutVal := d.Select, d.Cross, d.MutVal
+	pop = slices.Grow(pop, cfg.PopulationSize-seeded)
 	for len(pop) < cfg.PopulationSize {
 		pop = append(pop, p.RandomChromosome(rInit))
 	}
-	for i := range dirty {
-		dirty[i] = i >= seeded
+	eval := newEvaluator(p, cfg, sc)
+	defer eval.close()
+	fit = slices.Grow(fit, cfg.PopulationSize-seeded)[:cfg.PopulationSize]
+	// Fitness carry-forward: selection copies each pick's known score
+	// into fitNext alongside the chromosome, and only individuals
+	// crossover or mutation actually changed are marked dirty and
+	// re-decoded. Scores are pure functions of the chromosome, so carried
+	// values are bit-identical to a re-evaluation; no rng draw depends on
+	// any of this. picks doubles as the evaluator's index scratch:
+	// selection rewrites it before each read.
+	fitNext, dirty := make([]float64, cfg.PopulationSize), make([]bool, cfg.PopulationSize)
+	for i := seeded; i < len(dirty); i++ {
+		dirty[i] = true
 	}
+	picks = make([]int, cfg.PopulationSize)
 	evals += eval.evaluate(pop, fit, dirty, picks)
 	bestIdx := argMin(fit)
 	best := pop[bestIdx].Clone()
@@ -394,8 +395,8 @@ func Run(p *Problem, cfg Config, seeds []Chromosome, r *rng.Stream) (Result, err
 			copy(best, pop[genBest])
 			bestFit = fit[genBest]
 			lastImproved = ran
-		} else if cfg.Elitism {
-			// Re-insert the incumbent over the worst individual.
+		} else {
+			// The incumbent (elitism) replaces the worst individual.
 			worst := argMax(fit)
 			copy(pop[worst], best)
 			fit[worst] = bestFit

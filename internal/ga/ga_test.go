@@ -2,6 +2,7 @@ package ga
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -48,7 +49,7 @@ func TestRunFindsEasyOptimum(t *testing.T) {
 	}
 }
 
-func TestTrajectoryMonotoneWithElitism(t *testing.T) {
+func TestTrajectoryMonotone(t *testing.T) {
 	p := onesProblem(20, 4)
 	cfg := DefaultConfig()
 	cfg.Generations = 60
@@ -138,7 +139,7 @@ func TestValidityInvariantProperty(t *testing.T) {
 			seed[i] = 1000 // illegal everywhere
 		}
 		cfg := Config{PopulationSize: 20, Generations: 10,
-			CrossoverProb: 0.9, MutationProb: 0.5, Elitism: true}
+			CrossoverProb: 0.9, MutationProb: 0.5}
 		res, err := Run(p, cfg, []Chromosome{seed}, r.Derive("q"))
 		if err != nil {
 			return false
@@ -277,7 +278,7 @@ func TestInfiniteFitnessHandled(t *testing.T) {
 		return orig(c)
 	}
 	res, err := Run(p, Config{PopulationSize: 30, Generations: 20,
-		CrossoverProb: 0.8, MutationProb: 0.2, Elitism: true}, nil, rng.New(10))
+		CrossoverProb: 0.8, MutationProb: 0.2}, nil, rng.New(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,6 +403,51 @@ func TestFloorStopKeepsResult(t *testing.T) {
 	}
 	if atSeeds == 0 || midRun == 0 || notReached == 0 {
 		t.Fatalf("floor stops at the seeds %d, mid-run %d, never reached %d: a case went unexercised", atSeeds, midRun, notReached)
+	}
+}
+
+// TestSeedStopAllocs: a run that ends at its seed checkpoint, on the
+// floor or on a proof, allocates less than one population-sized
+// fitness vector per run (8 B × 200), with the serial scorer and with
+// a 2-worker pool configured: it builds no population-sized scratch,
+// no pool and no lane it does not draw from.
+func TestSeedStopAllocs(t *testing.T) {
+	const n, m, runs = 21, 12, 50
+	p := onesProblem(n, m)
+	ones := p.Fitness
+	p.Fitness = func(c Chromosome) float64 { return 1 + ones(c) }
+	p.NewScorer = func() Scorer { return p.Fitness }
+	seeds := []Chromosome{make(Chromosome, n)} // all zeros: fitness 1
+	cfg := DefaultConfig()
+	cfg.Stall = 10
+	limit := uint64(8 * cfg.PopulationSize)
+	for _, stop := range []string{"floor", "proof"} {
+		q := *p
+		if stop == "floor" {
+			q.Floor = 1
+		} else {
+			q.Prove = func(float64) bool { return true }
+		}
+		for _, workers := range []int{1, 2} {
+			cfg.Workers = workers
+			r := rng.New(1)
+			run := func() {
+				res, err := Run(&q, cfg, seeds, r)
+				if err != nil || res.BestFitness != 1 || res.Evaluations != 1 || !res.FloorStop && !res.ProvedStop {
+					t.Fatalf("%s stop, workers %d: %+v, %v", stop, workers, res, err)
+				}
+			}
+			run()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				run()
+			}
+			runtime.ReadMemStats(&after)
+			if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= limit {
+				t.Errorf("%s stop, workers %d: %d B allocated per run, want < %d", stop, workers, per, limit)
+			}
+		}
 	}
 }
 
@@ -582,7 +628,7 @@ func TestStallIsPrefixOfFixedRun(t *testing.T) {
 func TestZeroGenerations(t *testing.T) {
 	p := onesProblem(5, 2)
 	res, err := Run(p, Config{PopulationSize: 10, Generations: 0,
-		CrossoverProb: 0.8, MutationProb: 0.01, Elitism: true}, nil, rng.New(11))
+		CrossoverProb: 0.8, MutationProb: 0.01}, nil, rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,8 +13,8 @@ const (
 	// RouletteSelection is the paper's value-based roulette wheel (with
 	// window scaling; see selectRoulette).
 	RouletteSelection SelectionMethod = iota
-	// TournamentSelection samples each slot as the best of K uniformly
-	// random individuals (K = TournamentSize).
+	// TournamentSelection samples each slot as the best of
+	// tournamentSize uniformly random individuals.
 	TournamentSelection
 	// RankSelection weights individuals linearly by fitness rank,
 	// independent of the fitness scale.
@@ -70,14 +70,10 @@ func NewSelection(cfg Config) func(fit []float64, picks []int, r *rng.Stream) {
 	n := cfg.PopulationSize
 	weights, cum := make([]float64, n), make([]float64, n)
 	order, guide := make([]int, n), make([]int, n)
-	k := cfg.TournamentSize
-	if k == 0 {
-		k = 3
-	}
 	return func(fit []float64, picks []int, r *rng.Stream) {
 		switch cfg.Selection {
 		case TournamentSelection:
-			selectTournament(fit, picks, k, r)
+			selectTournament(fit, picks, r)
 		case RankSelection:
 			selectRank(fit, picks, order, weights, cum, guide, r)
 		default:
@@ -86,15 +82,16 @@ func NewSelection(cfg Config) func(fit []float64, picks []int, r *rng.Stream) {
 	}
 }
 
-// selectTournament fills picks by K-way tournaments.
-func selectTournament(fit []float64, picks []int, k int, r *rng.Stream) {
-	if k < 2 {
-		k = 2
-	}
+// tournamentSize is the number of entrants in each TournamentSelection
+// draw.
+const tournamentSize = 3
+
+// selectTournament fills picks by tournamentSize-way tournaments.
+func selectTournament(fit []float64, picks []int, r *rng.Stream) {
 	n := len(fit)
 	for i := range picks {
 		best := r.Intn(n)
-		for round := 1; round < k; round++ {
+		for round := 1; round < tournamentSize; round++ {
 			c := r.Intn(n)
 			if fit[c] < fit[best] {
 				best = c

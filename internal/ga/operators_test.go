@@ -29,7 +29,7 @@ func TestTournamentFavorsFit(t *testing.T) {
 		fit[i] = float64(1 + i%2*99) // even indices fit, odd unfit
 	}
 	picks := make([]int, 1000)
-	selectTournament(fit, picks, 3, r)
+	selectTournament(fit, picks, r)
 	fitCount := 0
 	for _, src := range picks {
 		if big[src][0] == 0 {
@@ -136,7 +136,7 @@ func TestRunWithAllOperatorCombos(t *testing.T) {
 			cfg := Config{
 				PopulationSize: 30, Generations: 40,
 				CrossoverProb: 0.8, MutationProb: 0.05,
-				Elitism: true, Selection: sel, Crossover: cx,
+				Selection: sel, Crossover: cx,
 			}
 			res, err := Run(p, cfg, nil, rng.New(9))
 			if err != nil {

@@ -51,21 +51,20 @@ type evaluator struct {
 // newEvaluator picks the execution strategy. The pool requires both
 // Workers > 1 (after GOMAXPROCS resolution) and a NewScorer factory —
 // a bare Fitness closure may carry scratch state, so it is never shared
-// across goroutines.
-func newEvaluator(p *Problem, cfg Config) *evaluator {
-	e := &evaluator{}
-	if p.NewScorer == nil {
-		e.score = p.Fitness
-		return e
-	}
+// across goroutines. first is the scorer Run built for the seeds (a
+// NewScorer instance when the problem has the factory): the serial path
+// uses it, and the pool hands it to its first worker.
+func newEvaluator(p *Problem, cfg Config, first Scorer) *evaluator {
 	w := cfg.effectiveWorkers()
-	if w == 1 {
-		e.score = p.NewScorer()
-		return e
+	if p.NewScorer == nil || w == 1 {
+		return &evaluator{score: first}
 	}
-	e.tasks, e.workers = make(chan evalTask), w
+	e := &evaluator{tasks: make(chan evalTask), workers: w}
 	for k := 0; k < w; k++ {
-		sc := p.NewScorer()
+		sc := first
+		if k > 0 {
+			sc = p.NewScorer()
+		}
 		go func() {
 			for t := range e.tasks {
 				sc.Score(t.pop, t.idx, t.fit)

@@ -197,13 +197,13 @@ func TestBatchScorerMatchesFitness(t *testing.T) {
 		return fit
 	}
 	scratch := make([]int, len(pop))
-	serial := newEvaluator(&Problem{Fitness: p.Fitness}, Config{Workers: 1})
+	serial := newEvaluator(&Problem{Fitness: p.Fitness}, Config{Workers: 1}, p.Fitness)
 	want := fresh()
 	wantN := serial.evaluate(pop, want, dirty, scratch)
 	for _, w := range []int{1, 2, 3} {
 		var seen atomic.Int64
 		batch := &Problem{NewScorer: func() Scorer { return groupScorer{f: p.NewScorer().(Fitness), seen: &seen} }}
-		e := newEvaluator(batch, Config{Workers: w})
+		e := newEvaluator(batch, Config{Workers: w}, batch.NewScorer())
 		got := fresh()
 		n := e.evaluate(pop, got, dirty, scratch)
 		e.close()

@@ -180,9 +180,16 @@ type DrawsV2 struct {
 }
 
 // NewDrawsV2 splits r into the five V2 lanes. It does not advance r.
-func NewDrawsV2(r *Stream) *DrawsV2 {
+func NewDrawsV2(r *Stream) *DrawsV2 { return CompleteDrawsV2(r, InitLaneV2(r)) }
+
+// InitLaneV2 forks NewDrawsV2(r)'s Init lane alone. It does not advance r.
+func InitLaneV2(r *Stream) *Stream { return r.Fork(laneInit) }
+
+// CompleteDrawsV2 forks r's other four V2 lanes beside init, which
+// InitLaneV2(r) returned and may have drawn since. It does not advance r.
+func CompleteDrawsV2(r, init *Stream) *DrawsV2 {
 	return &DrawsV2{
-		Init:   r.Fork(laneInit),
+		Init:   init,
 		Select: r.Fork(laneSelect),
 		Cross:  r.Fork(laneCross),
 		MutVal: r.Fork(laneMutVal),

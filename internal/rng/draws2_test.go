@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -100,6 +101,35 @@ func TestNewDrawsV2DoesNotAdvanceParent(t *testing.T) {
 		if a.Uint64() != b.Uint64() {
 			t.Fatalf("NewDrawsV2 advanced the parent stream (draw %d)", i)
 		}
+	}
+}
+
+// TestCompleteDrawsV2MatchesNewDrawsV2: forking the Init lane first,
+// drawing from it, and forking the other lanes afterwards gives every
+// lane the sequence NewDrawsV2 gives it.
+func TestCompleteDrawsV2MatchesNewDrawsV2(t *testing.T) {
+	r := New(42)
+	want := NewDrawsV2(r)
+	init := InitLaneV2(r)
+	if !slices.Equal(drawN(init, 8), drawN(want.Init, 8)) {
+		t.Fatal("InitLaneV2 differs from NewDrawsV2's Init lane")
+	}
+	got := CompleteDrawsV2(r, init)
+	if got.Init != init {
+		t.Fatal("CompleteDrawsV2 replaced the Init lane it was given")
+	}
+	for name, pair := range map[string][2]*Stream{
+		"select": {got.Select, want.Select}, "cross": {got.Cross, want.Cross}, "mutval": {got.MutVal, want.MutVal},
+	} {
+		if !slices.Equal(drawN(pair[0], 8), drawN(pair[1], 8)) {
+			t.Fatalf("%s lane differs from NewDrawsV2's", name)
+		}
+	}
+	a, b := make([]uint64, 8), make([]uint64, 8)
+	got.MutBit.Fill(a)
+	want.MutBit.Fill(b)
+	if !slices.Equal(a, b) {
+		t.Fatal("mutbit lane differs from NewDrawsV2's")
 	}
 }
 

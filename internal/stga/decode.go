@@ -37,29 +37,29 @@ type decoder struct {
 
 // scorers returns one round's ga.Problem.NewScorer: the 4-way kernel
 // when the round passes stage's gate, else the scalar makespanFitness.
-func (d *decoder) scorers(m int, base, etc []float64, loadWeight float64) func() ga.Scorer {
-	if rows := d.stage(m, base, etc, loadWeight); rows != nil {
+func (d *decoder) scorers(m int, base, etc []float64) func() ga.Scorer {
+	if rows := d.stage(m, base, etc); rows != nil {
 		d.kernelRounds++
 		// The kernel scorer keeps no scratch, so the workers share it.
 		k := &kernelScorer{n: len(etc) / m, rows: rows, base: &d.base}
 		return func() ga.Scorer { return k }
 	}
-	return func() ga.Scorer { return makespanFitness(m, base, etc, loadWeight) }
+	return func() ga.Scorer { return makespanFitness(m, base, etc) }
 }
 
 // stage is the kernel's gate. It returns the round's ETC rows at stride
 // laneSites, with base copied into d.base, or nil when the round must
-// take the scalar decode: no kernel on this CPU, a load term, more than
-// laneSites sites, or an input outside the domain where decode4 equals
-// the scalar decode. That domain is finite base values and finite,
+// take the scalar decode: no kernel on this CPU, more than laneSites
+// sites, or an input outside the domain where decode4 equals the
+// scalar decode. That domain is finite base values and finite,
 // non-negative ETCs. There each site's partial sums only rise, so the
 // scalar's running maximum over partial sums equals decode4's maximum
 // over final sums; a masked +0 changes no sum (loads start at +0, so
 // -0 ETCs fold to +0 on both paths); and the per-site addition order is
 // the scalar's. The check is one pass over the n·m ETCs, folded into the
 // copy when m < laneSites.
-func (d *decoder) stage(m int, base, etc []float64, loadWeight float64) []float64 {
-	if !useDecodeKernel || loadWeight != 0 || m == 0 || m > laneSites {
+func (d *decoder) stage(m int, base, etc []float64) []float64 {
+	if !useDecodeKernel || m == 0 || m > laneSites {
 		return nil
 	}
 	d.base = [laneSites]float64{}

@@ -104,11 +104,11 @@ func checkDecodeBatch(seed uint64, m, n, dirty, mode int) string {
 
 	var d decoder
 	fit := fillUnscored(len(pop))
-	d.scorers(m, base, etc, 0)().Score(pop, idx, fit)
+	d.scorers(m, base, etc)().Score(pop, idx, fit)
 	if want := useDecodeKernel && inGate; (d.kernelRounds == 1) != want {
 		return fmt.Sprintf("kernel ran %d rounds, want the kernel: %v", d.kernelRounds, want)
 	}
-	scalar := makespanFitness(m, base, etc, 0)
+	scalar := makespanFitness(m, base, etc)
 	scored := make([]bool, len(pop))
 	for _, i := range idx {
 		scored[i] = true
@@ -163,14 +163,11 @@ func FuzzDecodeBatch(f *testing.F) {
 	})
 }
 
-// TestDecodeGateRejectsLoadTerm: the load-weighted fitness is not the
-// kernel's function, so it always takes the scalar decode.
-func TestDecodeGateRejectsLoadTerm(t *testing.T) {
+// TestDecodeGateRejectsWidePlatform: decode4 holds laneSites sites, so
+// a wider round takes the scalar decode.
+func TestDecodeGateRejectsWidePlatform(t *testing.T) {
 	var d decoder
-	if d.stage(2, []float64{0, 0}, []float64{1, 2}, 0.5) != nil {
-		t.Fatal("a round with LoadWeight > 0 passed the kernel's gate")
-	}
-	if d.stage(13, make([]float64, 13), make([]float64, 13), 0) != nil {
+	if d.stage(13, make([]float64, 13), make([]float64, 13)) != nil {
 		t.Fatal("a 13-site round passed the kernel's gate")
 	}
 }
@@ -211,7 +208,7 @@ func TestScorerMatchesFitnessInRun(t *testing.T) {
 	cfg := ga.DefaultConfig()
 	cfg.PopulationSize, cfg.Generations = 30, 20
 	cfg.Workers = 1
-	want, err := ga.Run(&ga.Problem{Length: 21, Allowed: allowed, Fitness: makespanFitness(m, base, etc, 0)}, cfg, nil, rng.New(3))
+	want, err := ga.Run(&ga.Problem{Length: 21, Allowed: allowed, Fitness: makespanFitness(m, base, etc)}, cfg, nil, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +216,7 @@ func TestScorerMatchesFitnessInRun(t *testing.T) {
 		for _, w := range []int{1, 2, 3} {
 			var d decoder
 			cfg.Workers = w
-			got, err := ga.Run(&ga.Problem{Length: 21, Allowed: allowed, NewScorer: d.scorers(m, base, etc, 0)}, cfg, nil, rng.New(3))
+			got, err := ga.Run(&ga.Problem{Length: 21, Allowed: allowed, NewScorer: d.scorers(m, base, etc)}, cfg, nil, rng.New(3))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -302,7 +299,7 @@ func BenchmarkDecodeBatch(b *testing.B) {
 	for _, on := range decodePaths() {
 		useDecodeKernel = on
 		var d decoder
-		sc := d.scorers(m, base, etc, 0)()
+		sc := d.scorers(m, base, etc)()
 		b.Run(DecodeKernel(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sc.Score(pop, idx, fit)

@@ -2,11 +2,17 @@ package stga
 
 import "trustgrid/internal/ga"
 
-// MakespanFitness exposes the full-decode makespan fitness for the
-// benchmark harness and tooling; the zero loadWeight form is the
-// paper's fitness and the GA's default evaluation path.
+// MakespanFitness exposes the scalar makespan decode, the paper's
+// fitness, for the benchmark harness and tooling. loadWeight must be 0:
+// the load-weighted fitness it once selected was removed, and the
+// argument remains only because the frozen benchmark harness passes it
+// (ROADMAP item 6(d) drops it). A non-zero value can only come from a
+// programming error, so it panics.
 func MakespanFitness(nSites int, base, etc []float64, loadWeight float64) ga.Fitness {
-	return makespanFitness(nSites, base, etc, loadWeight)
+	if loadWeight != 0 {
+		panic("stga: MakespanFitness has no load term; loadWeight must be 0")
+	}
+	return makespanFitness(nSites, base, etc)
 }
 
 // MakespanScorer exposes the GA's batch scorer for one round's decode
@@ -14,5 +20,5 @@ func MakespanFitness(nSites int, base, etc []float64, loadWeight float64) ga.Fit
 // its gate, else the scalar decode. For the benchmark harness.
 func MakespanScorer(nSites int, base, etc []float64) ga.Scorer {
 	var d decoder
-	return d.scorers(nSites, base, etc, 0)()
+	return d.scorers(nSites, base, etc)()
 }

@@ -56,8 +56,8 @@ func checkFloor(m int, base, etc []float64, floor float64, pop []ga.Chromosome) 
 	}
 	fit := make([]float64, len(pop))
 	var d decoder
-	d.scorers(m, base, etc, 0)().Score(pop, idx, fit)
-	scalar := makespanFitness(m, base, etc, 0)
+	d.scorers(m, base, etc)().Score(pop, idx, fit)
+	scalar := makespanFitness(m, base, etc)
 	lowest = math.Inf(1)
 	for i, c := range pop {
 		for _, f := range []float64{scalar(c), fit[i]} {
@@ -108,19 +108,16 @@ func FuzzSpanFloor(f *testing.F) {
 				j := r.Intn(n)
 				etc[j*m+allowed[j][r.Intn(len(allowed[j]))]] = bad.v
 			}
-			if floor, ok := spanFloor(m, allowed, base, etc, 0); ok {
+			if floor, ok := spanFloor(m, allowed, base, etc); ok {
 				t.Fatalf("seed=%d m=%d n=%d: planted %v (base: %v) yet got floor %v", seed, m, n, bad.v, bad.inBase, floor)
 			}
 			return
 		}
-		floor, ok := spanFloor(m, allowed, base, etc, 0)
+		floor, ok := spanFloor(m, allowed, base, etc)
 		if !ok {
 			// Only an overflowing sum (MaxFloat64 ETCs) leaves an
 			// in-domain round without a finite floor.
 			return
-		}
-		if _, ok := spanFloor(m, allowed, base, etc, 0.5); ok {
-			t.Fatalf("seed=%d: a load-weighted round got a floor", seed)
 		}
 		pop := make([]ga.Chromosome, 9)
 		for i := range pop {
@@ -156,7 +153,7 @@ func TestSpanFloorBruteForce(t *testing.T) {
 		r := rng.New(seed)
 		m, n := 1+r.Intn(4), 1+r.Intn(6)
 		base, etc, allowed := floorRound(r, m, n)
-		floor, ok := spanFloor(m, allowed, base, etc, 0)
+		floor, ok := spanFloor(m, allowed, base, etc)
 		if !ok {
 			continue
 		}

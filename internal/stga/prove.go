@@ -39,13 +39,13 @@ type prover struct {
 // reset readies p for a round and returns the round's span floor. ok
 // is false when spanFloor gives the round no floor; p then proves
 // nothing until the next reset.
-func (p *prover) reset(m int, allowed [][]int, base, etc []float64, loadWeight float64) (floor float64, ok bool) {
+func (p *prover) reset(m int, allowed [][]int, base, etc []float64) (floor float64, ok bool) {
 	p.allowed = nil
 	if p.budget == 0 {
 		p.budget = proveBudget
 	}
 	p.provedTo, p.failedFrom = math.NaN(), math.NaN() // no answer yet: every comparison fails
-	if floor, ok = spanFloor(m, allowed, base, etc, loadWeight); !ok {
+	if floor, ok = spanFloor(m, allowed, base, etc); !ok {
 		return 0, false
 	}
 	p.m, p.allowed, p.base, p.etc = m, allowed, base, etc

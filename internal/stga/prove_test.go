@@ -21,7 +21,7 @@ func scoreAll(m int, base, etc []float64, pop []ga.Chromosome) []float64 {
 	}
 	fit := make([]float64, len(pop))
 	var d decoder
-	d.scorers(m, base, etc, 0)().Score(pop, idx, fit)
+	d.scorers(m, base, etc)().Score(pop, idx, fit)
 	return fit
 }
 
@@ -53,7 +53,7 @@ func allLegal(allowed [][]int) []ga.Chromosome {
 // whether nothing scores below best.
 func proveOnce(m int, allowed [][]int, base, etc []float64, budget int, best float64) bool {
 	p := prover{budget: budget}
-	if _, ok := p.reset(m, allowed, base, etc, 0); !ok {
+	if _, ok := p.reset(m, allowed, base, etc); !ok {
 		return false
 	}
 	return p.prove(best)
@@ -82,7 +82,7 @@ func TestProveBruteForce(t *testing.T) {
 			}
 		}
 		var p prover
-		if _, ok := p.reset(m, allowed, base, etc, 0); !ok {
+		if _, ok := p.reset(m, allowed, base, etc); !ok {
 			continue
 		}
 		pop := allLegal(allowed)
@@ -133,7 +133,7 @@ func TestProveMemo(t *testing.T) {
 		m, n := 1+r.Intn(6), 1+r.Intn(10)
 		base, etc, allowed := floorRound(r, m, n)
 		var p prover
-		if _, ok := p.reset(m, allowed, base, etc, 0); !ok {
+		if _, ok := p.reset(m, allowed, base, etc); !ok {
 			continue
 		}
 		pop := make([]ga.Chromosome, 12)
@@ -193,10 +193,6 @@ func FuzzProve(f *testing.F) {
 				}
 			}
 			return
-		}
-		var p prover
-		if _, ok := p.reset(m, allowed, base, etc, 0.5); ok || p.prove(math.Inf(1)) {
-			t.Fatalf("seed=%d: a load-weighted round got a prover", seed)
 		}
 		var pop []ga.Chromosome
 		size := 1.0

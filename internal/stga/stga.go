@@ -22,10 +22,6 @@ type Config struct {
 	HistorySize int
 	// SimilarityThreshold gates seeding (Table 1: 0.8).
 	SimilarityThreshold float64
-	// MaxSeeds caps how many historical schedules enter the initial
-	// population; the remainder is random to guarantee diversity (§3).
-	// Zero means population/2.
-	MaxSeeds int
 	// UseEq2Literal selects the paper's literal Eq. 2 similarity instead
 	// of the normalized default (DESIGN.md §2.3).
 	UseEq2Literal bool
@@ -54,21 +50,6 @@ type Config struct {
 	// and with elitism it guarantees the STGA never returns a batch
 	// schedule worse than either heuristic.
 	SeedHeuristics bool
-	// RiskPenalty κ makes the fitness security-aware: a placement's cost
-	// is ETC × (1 + κ·P(fail)), charging the expected rework of risky
-	// dispatches. The risk-penalty ablation shows this *hurts*: inflating
-	// the ETCs misleads the load balancing, and a hard admission
-	// threshold (Policy) beats every κ > 0. Default 0 (fitness on true
-	// completion times, as in the paper).
-	RiskPenalty float64
-	// Security is the failure law used by RiskPenalty (Eq. 1).
-	Security grid.SecurityModel
-	// LoadWeight is the coefficient of an optional secondary total-load
-	// fitness term (see makespanFitness). Default 0: with the f-risky
-	// admission threshold in place, the pure completion-time fitness of
-	// the paper wins; the ablations show the load term only helps when
-	// the policy is fully Risky on wide-speed-spread platforms.
-	LoadWeight float64
 }
 
 // DefaultConfig returns the Table 1 configuration.
@@ -79,9 +60,6 @@ func DefaultConfig() Config {
 		SimilarityThreshold: 0.8,
 		Policy:              grid.FRiskyPolicy(0.5),
 		SeedHeuristics:      true,
-		RiskPenalty:         0,
-		Security:            grid.NewSecurityModel(),
-		LoadWeight:          0,
 	}
 }
 
@@ -199,12 +177,8 @@ func fitnessBase(st *sched.State) []float64 {
 // etc[j·m+s] and base[s]+l ≥ base[s]+etc[j·m+s] ≥ j's minimum. The
 // floor is built from the decodes' own additions, so the comparison
 // is exact. ok is false, and the round has no floor, when an allowed
-// ETC is ≤ 0 or not finite, a base or the floor is not finite, or
-// loadWeight ≠ 0 (the load term is not a span).
-func spanFloor(m int, allowed [][]int, base, etc []float64, loadWeight float64) (floor float64, ok bool) {
-	if loadWeight != 0 {
-		return 0, false
-	}
+// ETC is ≤ 0 or not finite, or a base or the floor is not finite.
+func spanFloor(m int, allowed [][]int, base, etc []float64) (floor float64, ok bool) {
 	for _, b := range base {
 		if math.IsNaN(b) || math.IsInf(b, 0) {
 			return 0, false
@@ -228,14 +202,9 @@ func spanFloor(m int, allowed [][]int, base, etc []float64, loadWeight float64) 
 
 // makespanFitness returns the GA fitness function: the batch makespan of
 // the encoded schedule given the current ready vector (§3: "the fitness
-// value ... is the completion time of the schedule"), plus an optional
-// total-load term (loadWeight × mean consumed execution time). The load
-// term exists for Risky-policy configurations on wide-speed-spread
-// platforms, where pure makespan treats every placement below the batch
-// maximum as free; under the default f-risky policy it is disabled
-// (loadWeight = 0), matching the paper's fitness exactly.
+// value ... is the completion time of the schedule").
 //
-// The zero-weight decode — the GA's hottest loop — is fused: the span
+// The decode — the GA's hottest loop — is fused: the span
 // is the running maximum of base[site]+load taken as the loads
 // accumulate. ETCs are non-negative, so each site's partial sums rise
 // to its final load and the running maximum equals the separate
@@ -252,48 +221,25 @@ func spanFloor(m int, allowed [][]int, base, etc []float64, loadWeight float64) 
 // site's own final value. Rounds that pass decoder.stage's gate score
 // four chromosomes per pass with decode4 instead, to the same bits;
 // this loop stays the reference and the portable path.
-func makespanFitness(nSites int, base, etc []float64, loadWeight float64) ga.Fitness {
+func makespanFitness(nSites int, base, etc []float64) ga.Fitness {
 	loads := make([]float64, nSites) // scratch, reused across calls
-	if loadWeight == 0 {
-		return func(c ga.Chromosome) float64 {
-			for i := range loads {
-				loads[i] = 0
-			}
-			span := 0.0
-			off := 0
-			for _, site := range c {
-				l := loads[site] + etc[off+site]
-				loads[site] = l
-				if l > 0 {
-					if f := base[site] + l; f > span {
-						span = f
-					}
-				}
-				off += nSites
-			}
-			return span
-		}
-	}
 	return func(c ga.Chromosome) float64 {
 		for i := range loads {
 			loads[i] = 0
 		}
-		total := 0.0
-		for jobIdx, site := range c {
-			e := etc[jobIdx*nSites+site]
-			loads[site] += e
-			total += e
-		}
 		span := 0.0
-		for i, l := range loads {
-			if l == 0 {
-				continue
+		off := 0
+		for _, site := range c {
+			l := loads[site] + etc[off+site]
+			loads[site] = l
+			if l > 0 {
+				if f := base[site] + l; f > span {
+					span = f
+				}
 			}
-			if f := base[i] + l; f > span {
-				span = f
-			}
+			off += nSites
 		}
-		return span + loadWeight*total/float64(nSites)
+		return span
 	}
 }
 
@@ -387,16 +333,6 @@ func (s *Scheduler) Schedule(batch []*grid.Job, st *sched.State) []sched.Assignm
 	ready, etc, sd := batchInputs(batch, st)
 	nSites := len(st.Sites)
 
-	fitEtc := etc
-	if s.cfg.RiskPenalty > 0 {
-		fitEtc = make([]float64, len(etc))
-		for i, j := range batch {
-			for k, site := range st.Sites {
-				p := s.cfg.Security.FailProb(j.SecurityDemand, site.SecurityLevel)
-				fitEtc[i*nSites+k] = etc[i*nSites+k] * (1 + s.cfg.RiskPenalty*p)
-			}
-		}
-	}
 	// One scorer per evaluation worker: the 4-way decode kernel when
 	// the round passes its gate, else the scalar decode, whose closure
 	// keeps a per-instance scratch buffer. The span floor ends the run
@@ -406,10 +342,10 @@ func (s *Scheduler) Schedule(batch []*grid.Job, st *sched.State) []sched.Assignm
 	problem := &ga.Problem{
 		Length:    len(batch),
 		Allowed:   allowed,
-		NewScorer: s.dec.scorers(nSites, base, fitEtc, s.cfg.LoadWeight),
+		NewScorer: s.dec.scorers(nSites, base, etc),
 	}
 	pr := &s.prover
-	if floor, ok := pr.reset(nSites, allowed, base, fitEtc, s.cfg.LoadWeight); ok {
+	if floor, ok := pr.reset(nSites, allowed, base, etc); ok {
 		problem.Floor, problem.Prove = floor, pr.prove
 	}
 
@@ -431,11 +367,9 @@ func (s *Scheduler) Schedule(batch []*grid.Job, st *sched.State) []sched.Assignm
 		}
 	}
 	if !s.cfg.DisableHistory {
-		maxSeeds := s.cfg.MaxSeeds
-		if maxSeeds == 0 {
-			maxSeeds = s.cfg.GA.PopulationSize / 2
-		}
-		if matches := s.table.Lookup(ready, etc, sd, s.cfg.SimilarityThreshold, maxSeeds); len(matches) > 0 {
+		// At most half the population comes from history; the random
+		// remainder keeps it diverse (§3).
+		if matches := s.table.Lookup(ready, etc, sd, s.cfg.SimilarityThreshold, s.cfg.GA.PopulationSize/2); len(matches) > 0 {
 			s.hits.Add(1)
 			if !proved {
 				newOrder := rankOrder(etc, sd, nSites, len(batch))

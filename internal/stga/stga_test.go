@@ -195,7 +195,7 @@ func TestHistoryLookupMatchesReference(t *testing.T) {
 	}
 }
 
-func TestHistoryMaxSeedsAndOrdering(t *testing.T) {
+func TestHistoryLookupCapAndOrdering(t *testing.T) {
 	tb := NewHistoryTable(10)
 	for _, v := range []float64{10, 1, 5} {
 		tb.Insert(&Entry{Ready: []float64{v}, ETC: []float64{v}, SD: []float64{0.5}, Best: ga.Chromosome{0}})
@@ -447,28 +447,50 @@ func TestTrainNoopWhenDisabled(t *testing.T) {
 	}
 }
 
+// TestMakespanFitnessMatchesSimulation holds the GA's span decode,
+// through MakespanScorer on each decode path (portable and, where the
+// CPU has it, the AVX2 kernel), to the makespan a sequential dispatch
+// of the same schedule reaches.
 func TestMakespanFitnessMatchesSimulation(t *testing.T) {
 	sites := testSites()
 	batch := testBatch(10, 17)
 	st := freshState(sites)
 	st.Ready[0] = 50
 	etc := grid.ETCMatrix(batch, sites)
-	fit := makespanFitness(len(sites), fitnessBase(st), etc, 0.1)
-	c := make(ga.Chromosome, len(batch))
 	r := rng.New(18)
-	for i := range c {
-		c[i] = r.Intn(len(sites))
+	pop := make([]ga.Chromosome, 9) // two full groups of four and a tail
+	idx := make([]int, len(pop))
+	for k := range pop {
+		pop[k] = make(ga.Chromosome, len(batch))
+		for i := range pop[k] {
+			pop[k][i] = r.Intn(len(sites))
+		}
+		idx[k] = k
 	}
-	as := make([]sched.Assignment, len(batch))
-	var totalLoad float64
-	for i, j := range batch {
-		as[i] = sched.Assignment{Job: j, Site: c[i]}
-		totalLoad += sites[c[i]].ExecTime(j)
-	}
-	want := batchMakespan(as, st) + 0.1*totalLoad/float64(len(sites))
-	if got := fit(c); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("fitness %v != makespan + load term %v", got, want)
-	}
+	forEachDecodePath(t, func(t *testing.T) {
+		fit := make([]float64, len(pop))
+		MakespanScorer(len(sites), fitnessBase(st), etc).Score(pop, idx, fit)
+		for k, c := range pop {
+			as := make([]sched.Assignment, len(batch))
+			for i, j := range batch {
+				as[i] = sched.Assignment{Job: j, Site: c[i]}
+			}
+			if want := batchMakespan(as, st); math.Abs(fit[k]-want) > 1e-9*want {
+				t.Fatalf("chromosome %v: fitness %v != simulated makespan %v", c, fit[k], want)
+			}
+		}
+	})
+}
+
+// TestMakespanFitnessRejectsLoadWeight: the exported decode has no load
+// term, so a non-zero weight is a caller's bug and panics.
+func TestMakespanFitnessRejectsLoadWeight(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("MakespanFitness accepted loadWeight 0.1")
+		}
+	}()
+	MakespanFitness(3, make([]float64, 3), make([]float64, 3), 0.1)
 }
 
 func BenchmarkHistoryLookup(b *testing.B) {
