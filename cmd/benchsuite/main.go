@@ -48,7 +48,7 @@ import (
 var knownExps = map[string]bool{
 	"all": true, "fig5": true, "fig7a": true, "fig7b": true, "fig8": true,
 	"fig9": true, "fig10": true, "table2": true, "overhead": true,
-	"clusterext": true, "ablations": true, "churn": true, "dagstudy": true,
+	"ablations": true, "churn": true, "dagstudy": true,
 }
 
 func main() {
@@ -58,7 +58,7 @@ func main() {
 func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchsuite", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	exp := fs.String("exp", "all", "experiment to run (all, fig5, fig7a, fig7b, fig8, fig9, fig10, table2, overhead, clusterext, ablations, churn, dagstudy)")
+	exp := fs.String("exp", "all", "experiment to run (all, fig5, fig7a, fig7b, fig8, fig9, fig10, table2, overhead, ablations, churn, dagstudy)")
 	seed := fs.Uint64("seed", 1, "base random seed")
 	reps := fs.Int("reps", 1, "replications per configuration")
 	out := fs.String("out", "", "directory for CSV output (optional)")
@@ -206,13 +206,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			return "", "", err
 		}
 		return r.Render(), r.CSV(), nil
-	})
-	run("clusterext", func() (string, string, error) {
-		r, err := experiments.RunClusterExtension(setup)
-		if err != nil {
-			return "", "", err
-		}
-		return r.Render(), "", nil
 	})
 	run("ablations", func() (string, string, error) {
 		var b strings.Builder

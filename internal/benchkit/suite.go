@@ -452,7 +452,7 @@ func snapshotWriteCase(events int) func(b *testing.B) {
 			for i := range specs {
 				specs[i] = api.JobSpec{Arrival: &at, Workload: 1000 + r.Float64()*200000, Nodes: 1, SD: r.Uniform(0.6, 0.9)}
 			}
-			post(b, hd, "/v1/jobs", api.SubmitRequest{Jobs: specs})
+			post(b, hd, "/v2/tenants/"+api.DefaultTenant+"/jobs", api.SubmitRequest{Jobs: specs})
 			at += 5000
 			post(b, hd, "/v2/advance", api.AdvanceRequest{To: at})
 		}
@@ -461,7 +461,7 @@ func snapshotWriteCase(events int) func(b *testing.B) {
 		one := api.SubmitRequest{Jobs: []api.JobSpec{{Arrival: &at, Workload: 50000, Nodes: 1, SD: 0.7}}}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			post(b, hd, "/v1/jobs", one)
+			post(b, hd, "/v2/tenants/"+api.DefaultTenant+"/jobs", one)
 		}
 	}
 }

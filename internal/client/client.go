@@ -79,7 +79,7 @@ func (c *Client) doJSON(ctx context.Context, method, path string, in, out any) e
 // Healthz reports whether the daemon is serving (ErrUnavailable once it
 // has stopped).
 func (c *Client) Healthz(ctx context.Context) error {
-	return c.doJSON(ctx, http.MethodGet, "/v1/healthz", nil, nil)
+	return c.doJSON(ctx, http.MethodGet, "/v2/healthz", nil, nil)
 }
 
 // CreateTenant registers a tenant (POST /v2/tenants) and returns the
@@ -100,16 +100,16 @@ func (c *Client) Tenants(ctx context.Context) ([]api.TenantSpec, error) {
 }
 
 // Submit submits jobs for a tenant (POST /v2/tenants/{id}/jobs) and
-// returns the assigned job IDs. An empty tenant targets the default
-// tenant through the /v1 shim — byte-for-byte the pre-v2 wire call.
+// returns the assigned job IDs. An empty tenant targets
+// api.DefaultTenant.
 // Typed failures: ErrBadRequest (validation/policy), ErrNotFound
 // (unknown tenant), ErrOverQuota (queue quota; see RetryAfter),
 // ErrUnavailable (daemon stopping).
 func (c *Client) Submit(ctx context.Context, tenant string, jobs []api.JobSpec) ([]int, error) {
-	path := "/v1/jobs"
-	if tenant != "" {
-		path = "/v2/tenants/" + url.PathEscape(tenant) + "/jobs"
+	if tenant == "" {
+		tenant = api.DefaultTenant
 	}
+	path := "/v2/tenants/" + url.PathEscape(tenant) + "/jobs"
 	var out api.SubmitResponse
 	if err := c.doJSON(ctx, http.MethodPost, path, api.SubmitRequest{Jobs: jobs}, &out); err != nil {
 		return nil, err

@@ -80,7 +80,7 @@ func TestClientContract(t *testing.T) {
 	if len(ids) != 2 {
 		t.Fatalf("ids: %v", ids)
 	}
-	// Default tenant through the v1 shim.
+	// An empty tenant name submits to the default tenant.
 	if _, err := c.Submit(ctx, "", []api.JobSpec{{Arrival: &arr, Workload: 500, SD: 0.6}}); err != nil {
 		t.Fatal(err)
 	}

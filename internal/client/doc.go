@@ -1,5 +1,5 @@
 // Package client is the typed Go client for the trustgridd HTTP API
-// (v2, with the v1 shim reachable as the default tenant). It is the
+// (v2; an empty tenant name submits to the default tenant). It is the
 // only sanctioned way the repo's own tools talk to the daemon —
 // loadgen, the daemon smoke test and the trace-replay parity tests all
 // go through it, which makes the client the API's contract test: a

@@ -315,28 +315,6 @@ func TestOverheadSmall(t *testing.T) {
 	}
 }
 
-func TestClusterExtensionSmall(t *testing.T) {
-	s := microSetup()
-	res, err := RunClusterExtension(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Jobs != s.NASJobs {
-		t.Fatalf("replayed %d jobs, want %d", res.Jobs, s.NASJobs)
-	}
-	// EASY must not lose to FCFS on utilization for this workload family.
-	if res.EASY.Utilization < res.FCFS.Utilization*0.95 {
-		t.Fatalf("EASY utilization %v trails FCFS %v", res.EASY.Utilization, res.FCFS.Utilization)
-	}
-	// The space-shared makespan cannot beat the divisible-load bound.
-	if res.EASY.Makespan < res.AggregateSpan*0.999 {
-		t.Fatalf("EASY makespan %v below the work lower bound %v", res.EASY.Makespan, res.AggregateSpan)
-	}
-	if !strings.Contains(res.Render(), "A5") {
-		t.Fatal("render missing title")
-	}
-}
-
 // TestStallStop pins the read-off rule: generation 0 for a proved
 // round, else the first generation on a non-zero floor or that ends
 // stall flat ones, else the cap; stall 0 ignores the floor and the

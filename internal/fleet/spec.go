@@ -37,7 +37,6 @@ type Spec struct {
 	RoundBudget   int                   `json:"round_budget,omitempty"`
 	Weights       map[string]float64    `json:"weights,omitempty"`
 	Dynamics      *sched.DynamicsConfig `json:"dynamics,omitempty"`
-	SubmitBuffer  int                   `json:"submit_buffer,omitempty"`
 }
 
 // policy resolves the risk-mode string exactly like server.New.
@@ -102,7 +101,6 @@ func (sp *Spec) ShardConfig(i int, durable bool) (sched.RunConfig, error) {
 		Security:      sp.Setup.Model(),
 		FailureTiming: sp.Setup.FailTiming,
 		Rand:          root.Derive(sched.ShardRNGLabel("engine", sp.Shards, i)),
-		SubmitBuffer:  sp.SubmitBuffer,
 		Dynamics:      sched.PartitionDynamics(sp.Dynamics, parts[i]),
 		Admission:     &sched.AdmissionConfig{RoundBudget: sp.RoundBudget, Weights: sp.Weights},
 		// A long-running shard cannot afford per-job records; the

@@ -22,8 +22,8 @@ type Job struct {
 	// for PSA it is the abstract 20-level demand of Table 1.
 	Workload float64
 	// Nodes is the number of processors the job requested in its source
-	// trace. The default aggregate-speed site model folds this into
-	// Workload; the space-shared cluster extension uses it directly.
+	// trace. The aggregate-speed site model folds this into Workload;
+	// the SWF writer divides it back out to recover the runtime.
 	Nodes int
 	// SecurityDemand is SD in the paper: [0.6, 0.9] uniform (Table 1).
 	SecurityDemand float64

@@ -1,7 +1,3 @@
-// Package obs holds the daemon's in-process instruments: fixed-bucket
-// histograms that count wall-clock durations without allocating, for
-// exposition on /metrics.prom. Nothing recorded here reaches an event,
-// a WAL record or any other part of the determinism contract.
 package obs
 
 import (

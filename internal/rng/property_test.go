@@ -96,7 +96,7 @@ func TestJumpPartitionsSequence(t *testing.T) {
 // test below is what lets every caller assume two distinct labels give
 // two unrelated streams.
 var codebaseLabels = []string{
-	"cluster-ext", "engine", "engine/failtime", "engine/failures",
+	"engine", "engine/failtime", "engine/failures",
 	"jobs", "loadgen", "nas/arrivals", "nas/runtimes", "nas/sd",
 	"nas/sizes", "psa/arrivals", "psa/levels", "psa/sd", "random",
 	"recpsa/arrivals", "recpsa/spec", "sched", "scheduler", "sites",

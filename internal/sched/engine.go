@@ -61,9 +61,6 @@ type RunConfig struct {
 	// what an indefinitely running service needs. Result().Records is
 	// empty; per-job data is still observable through OnEvent.
 	DiscardRecords bool
-	// SubmitBuffer sizes the arrival channel of the incremental Online
-	// engine; zero means sim.DefaultArrivalBuffer. Ignored by Run.
-	SubmitBuffer int
 	// Dynamics, when non-nil, enables the dynamic-grid extension: site
 	// churn, ground-truth security divergence and online reputation
 	// feedback (DESIGN.md §7). The engine clones the site list so churn

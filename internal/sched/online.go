@@ -95,7 +95,7 @@ func newOnline(cfg RunConfig, snap *EngineSnapshot) (*Online, error) {
 	if cfg.MaxEvents > 0 {
 		o.eng.MaxEvents = cfg.MaxEvents
 	}
-	o.in = sim.NewOnline(o.eng, cfg.SubmitBuffer)
+	o.in = sim.NewOnline(o.eng)
 
 	if o.cfg.Dynamics != nil {
 		dyn, err := newDynState(o.cfg.Dynamics, o.cfg.Sites)

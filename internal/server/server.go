@@ -87,9 +87,6 @@ type Config struct {
 	// original drain-everything behavior.
 	RoundBudget int
 
-	// SubmitBuffer sizes the arrival channel (0 = sim default); a full
-	// channel blocks submitters, which is the service's backpressure.
-	SubmitBuffer int
 	// EventBuffer bounds the retained event log (0 = 65536 events);
 	// older events are evicted and slow readers restart at the oldest.
 	EventBuffer int
@@ -336,7 +333,7 @@ func New(cfg Config) (*Server, error) {
 		Algo: cfg.Algo, Mode: cfg.Mode,
 		BatchInterval: cfg.BatchInterval, Seed: cfg.Seed, Setup: setup,
 		Shards: n, RoundBudget: cfg.RoundBudget, Weights: weights,
-		Dynamics: cfg.Dynamics, SubmitBuffer: cfg.SubmitBuffer,
+		Dynamics: cfg.Dynamics,
 	}
 	if len(cfg.Workers) > 0 {
 		// Fleet mode: every shard lives in a worker process; the spec

@@ -22,18 +22,15 @@ type Online struct {
 	in  chan Arrival
 }
 
-// DefaultArrivalBuffer is the arrival channel depth used when NewOnline
-// is given a non-positive buffer size. A full channel blocks producers,
-// which is the backpressure a service wants under overload.
+// DefaultArrivalBuffer is the arrival channel depth. A full channel
+// blocks producers, which is the backpressure a service wants under
+// overload.
 const DefaultArrivalBuffer = 8192
 
 // NewOnline wraps eng for incremental execution. The engine must not be
 // driven directly (Run/RunUntil) while the Online wrapper is in use.
-func NewOnline(eng *Engine, buffer int) *Online {
-	if buffer <= 0 {
-		buffer = DefaultArrivalBuffer
-	}
-	return &Online{eng: eng, in: make(chan Arrival, buffer)}
+func NewOnline(eng *Engine) *Online {
+	return &Online{eng: eng, in: make(chan Arrival, DefaultArrivalBuffer)}
 }
 
 // Engine returns the wrapped engine. Consumer goroutine only.

@@ -29,14 +29,15 @@ type Config struct {
 	// baseline (the "GA" curve of the paper's Fig. 5 comparison).
 	DisableHistory bool
 	// Policy is the site admission rule. The default is f-risky at the
-	// paper's operating point f = 0.5: the Fig. 7(a) analysis shows the
-	// optimal admission threshold lies at 0.5–0.6, and the STGA adopting
-	// it is what lets it dominate every heuristic while remaining a heavy
-	// risk-taker (its balanced schedules spread load across moderately
-	// unsafe sites, so its N_risk stays among the highest). A pure Risky
-	// policy admits near-certain-failure placements whose rework
-	// concentrates on the few strictly safe sites and drags the tail.
-	// Must-be-safe rescheduled jobs are always restricted regardless.
+	// paper's operating point f = 0.5, where Fig. 7(a) puts the optimal
+	// admission threshold (0.5–0.6). It keeps the moderately unsafe
+	// sites that Secure idles, so queues do not build on the few safe
+	// ones, and it refuses the near-certain failures Risky admits, whose
+	// rework concentrates on those same safe sites and drags the tail.
+	// It does not make the STGA dominate the heuristics: on NAS it is
+	// level with its own f-risky Min-Min seed and ranks 3rd in Table 2,
+	// well ahead of both Secure rows (DESIGN.md §2.4). Must-be-safe
+	// rescheduled jobs are always restricted regardless.
 	Policy grid.Policy
 	// RecordTrajectories accumulates every batch's best-fitness curve in
 	// Scheduler.AllTrajectories (used by the Fig. 5 convergence
