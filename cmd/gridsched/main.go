@@ -94,16 +94,9 @@ func run(stdout io.Writer, workload string, jobs int, algo, mode string, f float
 		w.Batch = batch
 	}
 
-	var policy grid.Policy
-	switch mode {
-	case "secure":
-		policy = setup.Policy(grid.Secure, 0)
-	case "risky":
-		policy = setup.Policy(grid.Risky, 0)
-	case "frisky":
-		policy = setup.Policy(grid.FRisky, f)
-	default:
-		return fmt.Errorf("unknown mode %q", mode)
+	policy, err := setup.PolicyByMode(mode)
+	if err != nil {
+		return err
 	}
 
 	r := rng.New(seed ^ 0xfeedface)

@@ -3,6 +3,7 @@ package api
 import (
 	"bytes"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -28,7 +29,7 @@ func TestPreDAGTraceCompat(t *testing.T) {
 		t.Fatalf("pre-DAG trace rejected: %v", err)
 	}
 	for i, r := range recs {
-		if r.DependsOn != nil || r.Deadline != 0 || r.Budget != 0 {
+		if r.DependsOn != nil || r.Deadline != 0 {
 			t.Fatalf("record %d grew DAG fields from a pre-DAG line: %+v", i, r)
 		}
 	}
@@ -44,9 +45,9 @@ func TestPreDAGTraceCompat(t *testing.T) {
 }
 
 // TestEdgeFreeJobsSerializeWithoutDAGColumns pins the omitempty
-// contract on the write side: a record without edges, deadline or
-// budget emits none of the new keys, and one with them emits all
-// three.
+// contract on the write side: a record without edges or deadline emits
+// neither key, and one with them emits both. No record emits the
+// removed budget key.
 func TestEdgeFreeJobsSerializeWithoutDAGColumns(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteTraceRecord(&buf, TraceRecord{ID: 1, Arrival: 0, Workload: 10, Nodes: 1, SD: 0.5}); err != nil {
@@ -61,14 +62,37 @@ func TestEdgeFreeJobsSerializeWithoutDAGColumns(t *testing.T) {
 
 	buf.Reset()
 	rec := TraceRecord{ID: 2, Arrival: 1, Workload: 10, Nodes: 1, SD: 0.5,
-		DependsOn: []int{1}, Deadline: 60, Budget: 2.5}
+		DependsOn: []int{1}, Deadline: 60}
 	if err := WriteTraceRecord(&buf, rec); err != nil {
 		t.Fatal(err)
 	}
 	line = buf.String()
-	for _, want := range []string{`"depends_on":[1]`, `"deadline":60`, `"budget":2.5`} {
+	if strings.Contains(line, "budget") {
+		t.Fatalf("record emitted the removed budget key: %s", line)
+	}
+	for _, want := range []string{`"depends_on":[1]`, `"deadline":60`} {
 		if !strings.Contains(line, want) {
 			t.Fatalf("DAG record missing %s: %s", want, line)
 		}
+	}
+}
+
+// TestBudgetKeyIgnored: the budget column was removed. A submit body or
+// trace line that still names it decodes as if it did not, through the
+// slow path's json decoder.
+func TestBudgetKeyIgnored(t *testing.T) {
+	var req SubmitRequest
+	if err := DecodeSubmitRequest([]byte(`{"jobs":[{"workload":10,"sd":0.5,"budget":2.5}]}`), &req); err != nil {
+		t.Fatal(err)
+	}
+	if want := []JobSpec{{Workload: 10, SD: 0.5}}; !reflect.DeepEqual(req.Jobs, want) {
+		t.Fatalf("decoded %+v, want %+v", req.Jobs, want)
+	}
+	var rec TraceRecord
+	if err := ParseTraceRecord([]byte(`{"id":1,"arrival":0,"workload":10,"nodes":1,"sd":0.5,"budget":2.5}`), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if want := (TraceRecord{ID: 1, Workload: 10, Nodes: 1, SD: 0.5}); !reflect.DeepEqual(rec, want) {
+		t.Fatalf("parsed %+v, want %+v", rec, want)
 	}
 }

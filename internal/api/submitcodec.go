@@ -77,7 +77,6 @@ const (
 	jSD
 	jDependsOn
 	jDeadline
-	jBudget
 )
 
 // parseJobSpec reads one canonical JobSpec object at i into js.
@@ -124,9 +123,6 @@ func parseJobSpec(b []byte, i int, js *JobSpec) (end int, ok bool) {
 		case "deadline":
 			bit = jDeadline
 			js.Deadline, i, ok = strictjson.ScanFloat(b, i)
-		case "budget":
-			bit = jBudget
-			js.Budget, i, ok = strictjson.ScanFloat(b, i)
 		default:
 			return i, false // an unknown key
 		}

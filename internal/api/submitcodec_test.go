@@ -26,8 +26,8 @@ func dumpSubmit(req *SubmitRequest) string {
 		if js.Arrival != nil {
 			fmt.Fprintf(&b, "arrival=%s ", bits(*js.Arrival))
 		}
-		fmt.Fprintf(&b, "workload=%s nodes=%d sd=%s deps(nil=%v)=%v deadline=%s budget=%s",
-			bits(js.Workload), js.Nodes, bits(js.SD), js.DependsOn == nil, js.DependsOn, bits(js.Deadline), bits(js.Budget))
+		fmt.Fprintf(&b, "workload=%s nodes=%d sd=%s deps(nil=%v)=%v deadline=%s",
+			bits(js.Workload), js.Nodes, bits(js.SD), js.DependsOn == nil, js.DependsOn, bits(js.Deadline))
 	}
 	return b.String()
 }
@@ -80,7 +80,7 @@ func randomSubmit(r *rand.Rand) SubmitRequest {
 			js.DependsOn = append(js.DependsOn, r.IntN(1<<20)-5)
 		}
 		if r.IntN(4) == 0 {
-			js.Deadline, js.Budget = f(), f()
+			js.Deadline = f()
 		}
 	}
 	return req
@@ -180,7 +180,7 @@ func TestTraceRecordAppendJSONMatchesMarshal(t *testing.T) {
 		if len(req.Jobs) > 0 {
 			js := req.Jobs[0]
 			rec.Workload, rec.SD, rec.Nodes, rec.DependsOn = js.Workload, js.SD, js.Nodes, js.DependsOn
-			rec.Deadline, rec.Budget = js.Deadline, js.Budget
+			rec.Deadline = js.Deadline
 			if js.Arrival != nil {
 				rec.Arrival = *js.Arrival
 			}
@@ -192,7 +192,7 @@ func TestTraceRecordAppendJSONMatchesMarshal(t *testing.T) {
 			rec.ID = []int{math.MinInt64, math.MaxInt64, -999_999_999_999_999_999}[r.IntN(3)]
 		}
 		if r.IntN(50) == 0 {
-			rec.Budget = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[r.IntN(3)]
+			rec.Deadline = []float64{math.NaN(), math.Inf(1), math.Inf(-1)}[r.IntN(3)]
 		}
 		checkTraceAppend(t, rec)
 	}

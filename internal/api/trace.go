@@ -31,13 +31,12 @@ type TraceRecord struct {
 	// SafeOnly records the owning tenant's secure-only policy as it
 	// applied to this job, so a batch replay needs no tenant registry.
 	SafeOnly bool `json:"safe_only,omitempty"`
-	// DependsOn, Deadline and Budget are the DAG columns (DESIGN.md §14).
-	// All omitempty: pre-DAG traces parse unchanged and edge-free jobs
+	// DependsOn and Deadline are the DAG columns (DESIGN.md §14). Both
+	// omitempty: pre-DAG traces parse unchanged and edge-free jobs
 	// serialize without them, so recordings of independent workloads stay
 	// byte-identical to pre-DAG daemons.
 	DependsOn []int   `json:"depends_on,omitempty"`
 	Deadline  float64 `json:"deadline,omitempty"`
-	Budget    float64 `json:"budget,omitempty"`
 }
 
 // Job materializes the record as a simulator job.
@@ -46,7 +45,7 @@ func (t TraceRecord) Job() *grid.Job {
 		ID: t.ID, Arrival: t.Arrival, Workload: t.Workload,
 		Nodes: t.Nodes, SecurityDemand: t.SD,
 		Tenant: t.Tenant, SafeOnly: t.SafeOnly,
-		Deadline: t.Deadline, Budget: t.Budget,
+		Deadline: t.Deadline,
 	}
 	if t.DependsOn != nil {
 		j.DependsOn = append([]int(nil), t.DependsOn...)
@@ -60,7 +59,7 @@ func (t TraceRecord) Job() *grid.Job {
 // json.Marshal's, under the same rules as Event.AppendJSON: a record
 // json.Marshal refuses (a NaN or infinite float) leaves dst unchanged.
 func (t *TraceRecord) AppendJSON(dst []byte) []byte {
-	for _, f := range [...]float64{t.Arrival, t.Workload, t.SD, t.Deadline, t.Budget} {
+	for _, f := range [...]float64{t.Arrival, t.Workload, t.SD, t.Deadline} {
 		if !strictjson.Finite(f) {
 			return dst
 		}
@@ -92,7 +91,6 @@ func (t *TraceRecord) AppendJSON(dst []byte) []byte {
 		dst = append(dst, ']')
 	}
 	dst = strictjson.AppendOptFloat(dst, `,"deadline":`, t.Deadline)
-	dst = strictjson.AppendOptFloat(dst, `,"budget":`, t.Budget)
 	return append(dst, '}')
 }
 
@@ -132,10 +130,6 @@ func (t *TraceRecord) ScanJSON(c *strictjson.Cursor) {
 	if c.Opt(`,"deadline":`) {
 		t.Deadline = c.Float()
 		c.Want(t.Deadline != 0)
-	}
-	if c.Opt(`,"budget":`) {
-		t.Budget = c.Float()
-		c.Want(t.Budget != 0)
 	}
 	c.Lit("}")
 }

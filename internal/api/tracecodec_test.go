@@ -19,7 +19,7 @@ import (
 // byte for byte.
 func checkTraceParse(t *testing.T, line []byte) {
 	t.Helper()
-	prior := TraceRecord{ID: 3, Tenant: "acme", SafeOnly: true, DependsOn: []int{1}, Deadline: 7, Budget: -0.5}
+	prior := TraceRecord{ID: 3, Tenant: "acme", SafeOnly: true, DependsOn: []int{1}, Deadline: 7}
 	for _, start := range []TraceRecord{{}, prior} {
 		got, want := start, start
 		want.DependsOn = append([]int(nil), start.DependsOn...) // json.Unmarshal reuses the array
@@ -45,7 +45,7 @@ func checkTraceParse(t *testing.T, line []byte) {
 // traceLines are decoder inputs worth keeping: canonical lines, and the
 // near misses the fast path must leave to json.Unmarshal.
 var traceLines = []string{
-	`{"id":41,"arrival":250.5,"workload":120000,"nodes":1,"sd":0.72,"tenant":"acme","safe_only":true,"depends_on":[7,-9],"deadline":900,"budget":1e-7}`,
+	`{"id":41,"arrival":250.5,"workload":120000,"nodes":1,"sd":0.72,"tenant":"acme","safe_only":true,"depends_on":[7,-9],"deadline":900}`,
 	`{"id":0,"arrival":0,"workload":0,"nodes":0,"sd":0}`,
 	`{"id":-5,"arrival":-0,"workload":1e+21,"nodes":-1,"sd":5e-324}`,
 	`{"id":-5,"arrival":-0,"workload":1e21,"nodes":-1,"sd":5e-324}`,
@@ -94,7 +94,7 @@ func TestParseTraceRecordCases(t *testing.T) {
 func TestTraceFileCodec(t *testing.T) {
 	for _, rec := range []TraceRecord{
 		{ID: 41, Arrival: 250.5, Workload: 120000, Nodes: 1, SD: 0.72, Tenant: "a<b>", DependsOn: []int{7}},
-		{ID: 1, Budget: math.Inf(1)},
+		{ID: 1, Deadline: math.Inf(1)},
 	} {
 		var buf bytes.Buffer
 		err := WriteTraceRecord(&buf, rec)

@@ -34,10 +34,8 @@ type JobSpec struct {
 	// rejected.
 	DependsOn []int `json:"depends_on,omitempty"`
 	// Deadline is the virtual time this job should complete by; misses
-	// are counted, never enforced. Budget is reserved for the LP-driven
-	// economics work (ROADMAP item 5). Both optional.
+	// are counted, never enforced. Optional.
 	Deadline float64 `json:"deadline,omitempty"`
-	Budget   float64 `json:"budget,omitempty"`
 }
 
 // SubmitRequest is the body of POST /v1/jobs and POST /v2/tenants/{id}/jobs.

@@ -19,29 +19,34 @@ var SchedulerNames = []string{
 	"minmin", "rankminmin", "sufferage", "mct", "met", "olb", "random", "stga", "coldga",
 }
 
-// SchedulerByName builds one scheduler from its CLI/API name. policy is
-// the admission rule for the heuristics (the STGA variants always use
-// the setup's f-risky policy, matching the paper's operating point); r
-// feeds stochastic schedulers and the GA; training warms the STGA
-// history table (nil skips training).
+// heuristicsByName holds each heuristic's constructor and the prefix its
+// Name() puts before the policy's name.
+var heuristicsByName = map[string]struct {
+	label string
+	build func(grid.Policy, *rng.Stream) sched.Scheduler
+}{
+	"minmin":     {"Min-Min", func(p grid.Policy, _ *rng.Stream) sched.Scheduler { return heuristics.NewMinMin(p) }},
+	"rankminmin": {"Rank-Min-Min", func(p grid.Policy, _ *rng.Stream) sched.Scheduler { return heuristics.NewRankMinMin(p) }},
+	"sufferage":  {"Sufferage", func(p grid.Policy, _ *rng.Stream) sched.Scheduler { return heuristics.NewSufferage(p) }},
+	"mct":        {"MCT", func(p grid.Policy, _ *rng.Stream) sched.Scheduler { return heuristics.NewMCT(p) }},
+	"met":        {"MET", func(p grid.Policy, _ *rng.Stream) sched.Scheduler { return heuristics.NewMET(p) }},
+	"olb":        {"OLB", func(p grid.Policy, _ *rng.Stream) sched.Scheduler { return heuristics.NewOLB(p) }},
+	"random":     {"Random", func(p grid.Policy, r *rng.Stream) sched.Scheduler { return heuristics.NewRandom(p, r.Derive("random")) }},
+}
+
+// SchedulerByName builds one scheduler from its CLI/API name, in any
+// case. policy is the admission rule for the heuristics (the STGA
+// variants always use the setup's f-risky policy, matching the paper's
+// operating point); r feeds stochastic schedulers and the GA; training
+// warms the STGA history table (nil skips training).
 func (s Setup) SchedulerByName(name string, policy grid.Policy, r *rng.Stream,
 	training []*grid.Job, sites []*grid.Site) (sched.Scheduler, error) {
 
-	switch strings.ToLower(name) {
-	case "minmin":
-		return heuristics.NewMinMin(policy), nil
-	case "rankminmin":
-		return heuristics.NewRankMinMin(policy), nil
-	case "sufferage":
-		return heuristics.NewSufferage(policy), nil
-	case "mct":
-		return heuristics.NewMCT(policy), nil
-	case "met":
-		return heuristics.NewMET(policy), nil
-	case "olb":
-		return heuristics.NewOLB(policy), nil
-	case "random":
-		return heuristics.NewRandom(policy, r.Derive("random")), nil
+	name = strings.ToLower(name)
+	if h, ok := heuristicsByName[name]; ok {
+		return h.build(policy, r), nil
+	}
+	switch name {
 	case "stga", "coldga":
 		cfg := s.stgaConfig()
 		cfg.DisableHistory = name == "coldga"
@@ -50,10 +55,42 @@ func (s Setup) SchedulerByName(name string, policy grid.Policy, r *rng.Stream,
 			sc.Train(training, sites, s.TrainBatchSize)
 		}
 		return sc, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown scheduler %q (want one of %s)",
-			name, strings.Join(SchedulerNames, ", "))
 	}
+	return nil, unknownScheduler(name)
+}
+
+// SchedulerLabel returns the Name() of the scheduler SchedulerByName
+// builds for name and policy, without building it: the service reports
+// it for shards that may run in another process.
+func SchedulerLabel(name string, policy grid.Policy) (string, error) {
+	switch name = strings.ToLower(name); name {
+	case "stga":
+		return "STGA", nil
+	case "coldga":
+		return "GA (cold start)", nil
+	}
+	if h, ok := heuristicsByName[name]; ok {
+		return h.label + " " + policy.Name(), nil
+	}
+	return "", unknownScheduler(name)
+}
+
+func unknownScheduler(name string) error {
+	return fmt.Errorf("experiments: unknown scheduler %q (want one of %s)", name, strings.Join(SchedulerNames, ", "))
+}
+
+// PolicyByMode maps a risk-mode name to the heuristics' admission
+// policy: secure, risky, or frisky at f = s.F.
+func (s Setup) PolicyByMode(mode string) (grid.Policy, error) {
+	switch mode {
+	case "secure":
+		return s.Policy(grid.Secure, 0), nil
+	case "risky":
+		return s.Policy(grid.Risky, 0), nil
+	case "frisky":
+		return s.Policy(grid.FRisky, s.F), nil
+	}
+	return grid.Policy{}, fmt.Errorf("experiments: unknown mode %q (want secure, risky or frisky)", mode)
 }
 
 // RemovedDraws reports whether durable state that the scheduler named

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"trustgrid/internal/grid"
+	"trustgrid/internal/rng"
 )
 
 // microSetup is even smaller than TestSetup: integration tests must stay
@@ -290,6 +291,37 @@ func TestSetupPolicyUsesLambda(t *testing.T) {
 	p := s.Policy(grid.FRisky, 0.5)
 	if p.Model.Lambda != 10 {
 		t.Fatal("policy must inherit the setup's λ")
+	}
+}
+
+// TestSchedulerLabelMatchesName: the name the service reports without
+// building a scheduler is the built scheduler's Name(), for every
+// scheduler and risk mode, in any case; unknown names and modes are
+// refused.
+func TestSchedulerLabelMatchesName(t *testing.T) {
+	s := TestSetup()
+	s.F = 0.3
+	for _, mode := range []string{"secure", "risky", "frisky"} {
+		policy, err := s.PolicyByMode(mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range append([]string{"COLDGA", "Stga", "MinMin"}, SchedulerNames...) {
+			sc, err := s.SchedulerByName(name, policy, rng.New(1), nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label, err := SchedulerLabel(name, policy)
+			if err != nil || label != sc.Name() {
+				t.Errorf("%s %s: SchedulerLabel = %q (%v), Name() = %q", name, mode, label, err, sc.Name())
+			}
+		}
+	}
+	if _, err := SchedulerLabel("bogus", grid.Policy{}); err == nil {
+		t.Error("SchedulerLabel accepted an unknown scheduler")
+	}
+	if _, err := s.PolicyByMode("paranoid"); err == nil {
+		t.Error("PolicyByMode accepted an unknown mode")
 	}
 }
 

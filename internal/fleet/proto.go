@@ -70,7 +70,6 @@ type shardStatus struct {
 	Acc          metrics.AccumulatorState `json:"acc"`
 	Busy         []float64                `json:"busy"`
 	EventSeq     uint64                   `json:"event_seq"`
-	Sched        string                   `json:"sched"`
 }
 
 // frame is the single wire message shape: Type selects which fields

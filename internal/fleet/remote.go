@@ -498,9 +498,6 @@ func (rs *RemoteShard) Backlog() int      { return rs.cached().Backlog }
 func (rs *RemoteShard) Batches() int      { return rs.cached().Batches }
 func (rs *RemoteShard) LargestBatch() int { return rs.cached().LargestBatch }
 
-// SchedName reports the fleet's configured algorithm (from the spec).
-func (rs *RemoteShard) SchedName() string { return rs.spec.Algo }
-
 func (rs *RemoteShard) SiteStatuses() []sched.SiteStatus {
 	st := rs.cached()
 	return append([]sched.SiteStatus(nil), st.Sites...)

@@ -39,21 +39,7 @@ type Spec struct {
 	Dynamics      *sched.DynamicsConfig `json:"dynamics,omitempty"`
 }
 
-// policy resolves the risk-mode string exactly like server.New.
-func (sp *Spec) policy() (grid.Policy, error) {
-	switch sp.Mode {
-	case "secure":
-		return sp.Setup.Policy(grid.Secure, 0), nil
-	case "risky":
-		return sp.Setup.Policy(grid.Risky, 0), nil
-	case "frisky":
-		return sp.Setup.Policy(grid.FRisky, sp.Setup.F), nil
-	default:
-		return grid.Policy{}, fmt.Errorf("fleet: unknown mode %q (want secure, risky or frisky)", sp.Mode)
-	}
-}
-
-// Validate checks the spec's shard geometry.
+// Validate checks the spec's shard geometry and risk mode.
 func (sp *Spec) Validate() error {
 	if sp.Shards < 1 {
 		return fmt.Errorf("fleet: spec needs at least one shard, has %d", sp.Shards)
@@ -61,10 +47,8 @@ func (sp *Spec) Validate() error {
 	if sp.Shards > len(sp.Sites) {
 		return fmt.Errorf("fleet: %d shards need at least %d sites, have %d", sp.Shards, sp.Shards, len(sp.Sites))
 	}
-	if _, err := sp.policy(); err != nil {
-		return err
-	}
-	return nil
+	_, err := sp.Setup.PolicyByMode(sp.Mode)
+	return err
 }
 
 // Parts returns the spec's partition table (round-robin, the same
@@ -74,7 +58,7 @@ func (sp *Spec) Parts() [][]int { return sched.PartitionSites(len(sp.Sites), sp.
 // ShardConfig derives shard i's engine config: its site partition, its
 // own scheduler instance, its labelled RNG streams, its slice of the
 // churn trace. This is the single construction path for in-process
-// shards (server.New delegates here) and workers alike.
+// shards (server.New's shard loop) and workers alike.
 func (sp *Spec) ShardConfig(i int, durable bool) (sched.RunConfig, error) {
 	if err := sp.Validate(); err != nil {
 		return sched.RunConfig{}, err
@@ -82,10 +66,7 @@ func (sp *Spec) ShardConfig(i int, durable bool) (sched.RunConfig, error) {
 	if i < 0 || i >= sp.Shards {
 		return sched.RunConfig{}, fmt.Errorf("fleet: shard %d outside [0, %d)", i, sp.Shards)
 	}
-	policy, err := sp.policy()
-	if err != nil {
-		return sched.RunConfig{}, err
-	}
+	policy, _ := sp.Setup.PolicyByMode(sp.Mode) // Validate parsed it
 	parts := sp.Parts()
 	sites := sched.ShardSites(sp.Sites, parts[i])
 	root := rng.New(sp.Seed)

@@ -83,9 +83,6 @@ func TestRemoteShardSurface(t *testing.T) {
 	if rs.Addr() != addr {
 		t.Fatalf("Addr() = %q, want %q", rs.Addr(), addr)
 	}
-	if rs.SchedName() == "" {
-		t.Fatal("SchedName() empty")
-	}
 	if rs.Down() {
 		t.Fatal("freshly dialed shard reports down")
 	}

@@ -440,7 +440,6 @@ func (w *Worker) refreshStatusLocked() *shardStatus {
 		Acc:          acc,
 		Busy:         append([]float64(nil), busy...),
 		EventSeq:     w.seq,
-		Sched:        w.spec.Algo,
 	}
 	w.statusMu.Lock()
 	w.lastStatus = st

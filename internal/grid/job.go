@@ -53,9 +53,6 @@ type Job struct {
 	// complete; 0 means none. The engine records misses (it never drops a
 	// late job) so deadline-aware policies have an objective to optimize.
 	Deadline float64 `json:",omitempty"`
-	// Budget is an abstract cost cap carried for the utility-grid
-	// economics follow-up (Garg et al.); recorded, not yet enforced.
-	Budget float64 `json:",omitempty"`
 }
 
 // Validate reports whether the job's static fields are sensible.
@@ -74,8 +71,6 @@ func (j *Job) Validate() error {
 		return fmt.Errorf("grid: job %d has SD %v outside [0,1]", j.ID, j.SecurityDemand)
 	case !(j.Deadline >= 0) || math.IsInf(j.Deadline, 1):
 		return fmt.Errorf("grid: job %d has deadline %v, want non-negative and finite", j.ID, j.Deadline)
-	case !(j.Budget >= 0) || math.IsInf(j.Budget, 1):
-		return fmt.Errorf("grid: job %d has budget %v, want non-negative and finite", j.ID, j.Budget)
 	}
 	for _, d := range j.DependsOn {
 		if d == j.ID {
@@ -88,7 +83,7 @@ func (j *Job) Validate() error {
 // Clone returns a copy of the job with runtime state (MustBeSafe,
 // Failures) reset, for re-running the same workload through another
 // scheduler. Identity and declared policy (Tenant, SafeOnly, DependsOn,
-// Deadline, Budget) are kept; the dependency list is copied so clones
+// Deadline) are kept; the dependency list is copied so clones
 // never alias the original's edges.
 func (j *Job) Clone() *Job {
 	c := *j

@@ -53,25 +53,14 @@ type Shard interface {
 	SetEventSink(fn func(EngineEvent))
 }
 
-// CoordinatorConfig assembles a coordinator over N engine shards. The
-// caller (the server, or a test) prepares one RunConfig per shard whose
-// Sites/Dynamics are already the shard's partition — PartitionSites,
-// ShardSites and PartitionDynamics build those — plus the partition
-// table itself so the coordinator can translate shard-local site
-// indices back to global ones in everything it reports.
+// CoordinatorConfig assembles a coordinator over N in-process engine
+// shards: one RunConfig per shard whose Sites/Dynamics are already the
+// shard's partition (PartitionSites, ShardSites and PartitionDynamics
+// build those), plus the partition table and the merged event observer
+// AttachCoordinator takes.
 type CoordinatorConfig struct {
-	// Shards holds one engine config per shard. Each config's OnEvent
-	// must be unset: the coordinator owns event delivery (it remaps site
-	// indices and establishes the merged total order) and forwards to
-	// OnEvent below.
-	Shards []RunConfig
-	// Parts maps Parts[s][local] = global site index; every global site
-	// must appear exactly once across all shards.
-	Parts [][]int
-	// OnEvent receives the merged, globally ordered event stream:
-	// ascending time, shard index breaking ties, with site indices
-	// translated to global. Called on the goroutine driving AdvanceTo /
-	// Drain, after the Δ-round barrier joins — never concurrently.
+	Shards  []RunConfig
+	Parts   [][]int
 	OnEvent func(EngineEvent)
 }
 
@@ -80,10 +69,10 @@ type CoordinatorConfig struct {
 // AdvanceTo/Drain out to every shard as a shared Δ-round barrier, and
 // merges the shards' event streams into one total order. With one shard
 // it is a transparent wrapper — same RNG labels, pass-through events,
-// bit-identical behavior to the unsharded engine. The shards may live
-// in process (NewCoordinator) or behind a wire (AttachCoordinator over
-// fleet.RemoteShard values); the barrier, merge and routing logic do
-// not know the difference.
+// bit-identical behavior to the unsharded engine. AttachCoordinator
+// wires it to shards that live in process (*Online) or behind a wire
+// (fleet.RemoteShard); the barrier, merge and routing logic do not know
+// the difference.
 //
 // Concurrency contract: same as Online. Submit/SubmitOr/Backlog are
 // safe from any goroutine; everything else belongs to the single loop
@@ -101,50 +90,30 @@ type Coordinator struct {
 	buf [][]EngineEvent
 }
 
-// NewCoordinator builds the shards and the tier above them.
+// NewCoordinator builds one in-process engine per config and attaches
+// a coordinator to them.
 func NewCoordinator(cc CoordinatorConfig) (*Coordinator, error) {
-	c, err := prepCoordinator(cc)
-	if err != nil {
-		return nil, err
-	}
+	shards := make([]Shard, len(cc.Shards))
 	for i := range cc.Shards {
 		o, err := NewOnline(cc.Shards[i])
 		if err != nil {
 			return nil, fmt.Errorf("sched: shard %d: %w", i, err)
 		}
-		c.shards[i] = o
+		shards[i] = o
 	}
-	c.wireSinks()
-	return c, nil
+	return AttachCoordinator(cc.Parts, shards, cc.OnEvent)
 }
 
-// RestoreCoordinator rebuilds a coordinator mid-run from one engine
-// snapshot per shard (snaps[i] pairs with cc.Shards[i]).
-func RestoreCoordinator(cc CoordinatorConfig, snaps []*EngineSnapshot) (*Coordinator, error) {
-	if len(snaps) != len(cc.Shards) {
-		return nil, fmt.Errorf("sched: %d engine snapshots for %d shards", len(snaps), len(cc.Shards))
-	}
-	c, err := prepCoordinator(cc)
-	if err != nil {
-		return nil, err
-	}
-	for i := range cc.Shards {
-		o, err := RestoreOnline(cc.Shards[i], snaps[i])
-		if err != nil {
-			return nil, fmt.Errorf("sched: shard %d: %w", i, err)
-		}
-		c.shards[i] = o
-	}
-	c.wireSinks()
-	return c, nil
-}
-
-// AttachCoordinator builds a coordinator over shards that already exist
-// — fleet.RemoteShard handles to out-of-process workers, or any other
-// Shard implementation. The partition table is validated exactly like
-// the in-process constructors', except the per-shard site count check
-// (a remote shard's platform is not visible here; the worker validates
-// its own partition against the spec it was attached with).
+// AttachCoordinator builds the coordinator over shards that already
+// exist: in-process engines (*Online) or fleet.RemoteShard handles to
+// out-of-process workers. It is the one place a coordinator is wired to
+// its shards. parts[s] is shard s's partition (global site indices in
+// local order): not empty, and one entry per site status the shard
+// reports; together the parts hold each of 0..n-1 once. onEvent
+// receives the merged stream — ascending time, shard index breaking
+// ties, global site indices — on the goroutine driving AdvanceTo/Drain,
+// after the barrier joins, never concurrently. It replaces each shard's
+// event sink, so an OnEvent set on an engine's RunConfig never fires.
 func AttachCoordinator(parts [][]int, shards []Shard, onEvent func(EngineEvent)) (*Coordinator, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("sched: coordinator needs at least one shard")
@@ -152,9 +121,30 @@ func AttachCoordinator(parts [][]int, shards []Shard, onEvent func(EngineEvent))
 	if len(parts) != len(shards) {
 		return nil, fmt.Errorf("sched: %d partitions for %d shards", len(parts), len(shards))
 	}
-	nSites, err := checkParts(parts)
-	if err != nil {
-		return nil, err
+	nSites := 0
+	for _, part := range parts {
+		nSites += len(part)
+	}
+	seen := make(map[int]bool)
+	for s, part := range parts {
+		if len(part) == 0 {
+			return nil, fmt.Errorf("sched: shard %d has no sites (need at least as many sites as shards)", s)
+		}
+		if n := len(shards[s].SiteStatuses()); n != len(part) {
+			return nil, fmt.Errorf("sched: shard %d has %d sites but a partition of %d", s, n, len(part))
+		}
+		for _, g := range part {
+			if g < 0 {
+				return nil, fmt.Errorf("sched: negative global site %d in shard %d's partition", g, s)
+			}
+			if g >= nSites {
+				return nil, fmt.Errorf("sched: global site %d in shard %d's partition is past the table's %d sites", g, s, nSites)
+			}
+			if seen[g] {
+				return nil, fmt.Errorf("sched: global site %d appears twice in the partition table", g)
+			}
+			seen[g] = true
+		}
 	}
 	c := &Coordinator{
 		shards:  shards,
@@ -165,61 +155,6 @@ func AttachCoordinator(parts [][]int, shards []Shard, onEvent func(EngineEvent))
 	}
 	c.wireSinks()
 	return c, nil
-}
-
-// checkParts validates a partition table: no empty shard, no negative
-// site index, every global site at most once.
-func checkParts(parts [][]int) (nSites int, err error) {
-	seen := make(map[int]bool)
-	for s, part := range parts {
-		if len(part) == 0 {
-			return 0, fmt.Errorf("sched: shard %d has no sites (need at least as many sites as shards)", s)
-		}
-		for _, g := range part {
-			if g < 0 {
-				return 0, fmt.Errorf("sched: negative global site %d in shard %d's partition", g, s)
-			}
-			if seen[g] {
-				return 0, fmt.Errorf("sched: global site %d appears twice in the partition table", g)
-			}
-			seen[g] = true
-			nSites++
-		}
-	}
-	return nSites, nil
-}
-
-// prepCoordinator validates the configuration for the in-process
-// constructors, which build their own shards from RunConfigs.
-func prepCoordinator(cc CoordinatorConfig) (*Coordinator, error) {
-	n := len(cc.Shards)
-	if n == 0 {
-		return nil, fmt.Errorf("sched: coordinator needs at least one shard")
-	}
-	if len(cc.Parts) != n {
-		return nil, fmt.Errorf("sched: %d partitions for %d shards", len(cc.Parts), n)
-	}
-	for s, part := range cc.Parts {
-		if len(part) != 0 && len(part) != len(cc.Shards[s].Sites) {
-			return nil, fmt.Errorf("sched: shard %d has %d sites but a partition of %d", s, len(cc.Shards[s].Sites), len(part))
-		}
-	}
-	nSites, err := checkParts(cc.Parts)
-	if err != nil {
-		return nil, err
-	}
-	for i := range cc.Shards {
-		if cc.Shards[i].OnEvent != nil {
-			return nil, fmt.Errorf("sched: shard %d sets OnEvent (the coordinator owns event delivery)", i)
-		}
-	}
-	return &Coordinator{
-		shards:  make([]Shard, n),
-		parts:   cc.Parts,
-		nSites:  nSites,
-		onEvent: cc.OnEvent,
-		buf:     make([][]EngineEvent, n),
-	}, nil
 }
 
 // wireSinks installs the coordinator's event delivery on every shard:
@@ -485,12 +420,6 @@ func (c *Coordinator) LargestBatch() int {
 // reassembled in global site order. Identical to Online.Summary for one
 // shard. Loop goroutine only.
 func (c *Coordinator) Summary() metrics.Summary {
-	if len(c.shards) == 1 {
-		acc, busy := c.shards[0].MetricsState()
-		var a metrics.Accumulator
-		a.SetState(acc)
-		return a.Summarize(busy)
-	}
 	var acc metrics.Accumulator
 	busy := make([]float64, c.nSites)
 	for i, o := range c.shards {
@@ -508,9 +437,6 @@ func (c *Coordinator) Summary() metrics.Summary {
 // SiteStatuses reports every site's live state in global site order.
 // Loop goroutine only.
 func (c *Coordinator) SiteStatuses() []SiteStatus {
-	if len(c.shards) == 1 {
-		return c.shards[0].SiteStatuses()
-	}
 	out := make([]SiteStatus, c.nSites)
 	for i, o := range c.shards {
 		for local, st := range o.SiteStatuses() {
@@ -524,9 +450,6 @@ func (c *Coordinator) SiteStatuses() []SiteStatus {
 // NeverPlaced aggregates the shards' accepted-but-never-placed jobs,
 // sorted by ID like the single-engine form. Loop goroutine only.
 func (c *Coordinator) NeverPlaced() []grid.Job {
-	if len(c.shards) == 1 {
-		return c.shards[0].NeverPlaced()
-	}
 	var out []grid.Job
 	for _, o := range c.shards {
 		out = append(out, o.NeverPlaced()...)

@@ -126,8 +126,9 @@ func TestCoordinatorSingleShardIdentity(t *testing.T) {
 }
 
 // TestCoordinatorAccessorsAndRestore drives two 3-shard coordinators —
-// one continuously, one rebuilt mid-run via Snapshots() +
-// RestoreCoordinator — through the same workload and requires the
+// one continuously, one rebuilt mid-run via Snapshots(), RestoreOnline
+// per shard and AttachCoordinator — through the same workload and
+// requires the
 // restored half to continue byte-identically. Along the way it pins the
 // aggregate accessors (Seen/InFlight/Batches/... are sums or maxima of
 // the per-shard engines, Summary/SiteStatuses reassemble global site
@@ -276,8 +277,14 @@ func TestCoordinatorAccessorsAndRestore(t *testing.T) {
 	if len(snaps) != shards {
 		t.Fatalf("Snapshots() returned %d snapshots, want %d", len(snaps), shards)
 	}
+	restored := make([]sched.Shard, shards)
+	for i, snap := range snaps {
+		if restored[i], err = sched.RestoreOnline(mkShardCfg(i), snap); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var eventsB []sched.EngineEvent
-	coordB, err := sched.RestoreCoordinator(mkCoordCfg(func(ev sched.EngineEvent) { eventsB = append(eventsB, ev) }), snaps)
+	coordB, err := sched.AttachCoordinator(parts, restored, func(ev sched.EngineEvent) { eventsB = append(eventsB, ev) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,9 +323,9 @@ func TestCoordinatorAccessorsAndRestore(t *testing.T) {
 	}
 }
 
-// TestCoordinatorSingleShardAggregates pins the one-shard fast paths of
-// the aggregate views: with a single shard Summary, SiteStatuses and
-// NeverPlaced must be verbatim pass-throughs to the engine.
+// TestCoordinatorSingleShardAggregates pins the aggregate views at one
+// shard, where the partition is the identity: Summary, SiteStatuses and
+// NeverPlaced must equal the engine's own.
 func TestCoordinatorSingleShardAggregates(t *testing.T) {
 	const delta = 500
 	sites := coordTestSites()
@@ -344,64 +351,51 @@ func TestCoordinatorSingleShardAggregates(t *testing.T) {
 	}
 	eng := coord.Shard(0).(*sched.Online)
 	if !reflect.DeepEqual(coord.Summary(), eng.Summary()) {
-		t.Error("1-shard Summary() is not a pass-through")
+		t.Error("1-shard Summary() differs from the engine's")
 	}
 	if !reflect.DeepEqual(coord.SiteStatuses(), eng.SiteStatuses()) {
-		t.Error("1-shard SiteStatuses() is not a pass-through")
+		t.Error("1-shard SiteStatuses() differs from the engine's")
 	}
 	if !reflect.DeepEqual(coord.NeverPlaced(), eng.NeverPlaced()) {
-		t.Error("1-shard NeverPlaced() is not a pass-through")
+		t.Error("1-shard NeverPlaced() differs from the engine's")
 	}
 }
 
 // TestCoordinatorConfigValidation covers every refusal in
-// prepCoordinator plus the constructor wrappers' error paths: a bad
-// partition table must never reach engine construction.
+// AttachCoordinator, and NewCoordinator's engine-construction error: a
+// bad partition table never yields a coordinator.
 func TestCoordinatorConfigValidation(t *testing.T) {
 	sites := coordTestSites()
-	okCfg := func(part []int) sched.RunConfig {
-		return sched.RunConfig{
+	shard := func(part []int) sched.Shard {
+		o, err := sched.NewOnline(sched.RunConfig{
 			Sites:         sched.ShardSites(sites, part),
 			Scheduler:     heuristics.NewMinMin(grid.FRiskyPolicy(0.5)),
 			BatchInterval: 500,
 			Rand:          rng.New(9),
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		return o
 	}
 	parts := sched.PartitionSites(len(sites), 2)
 
 	cases := []struct {
-		name string
-		cc   sched.CoordinatorConfig
+		name   string
+		parts  [][]int
+		shards []sched.Shard
 	}{
-		{"no shards", sched.CoordinatorConfig{}},
-		{"partition count mismatch", sched.CoordinatorConfig{
-			Shards: []sched.RunConfig{okCfg(parts[0])},
-			Parts:  parts,
-		}},
-		{"empty partition", sched.CoordinatorConfig{
-			Shards: []sched.RunConfig{okCfg(parts[0]), okCfg(parts[1])},
-			Parts:  [][]int{parts[0], {}},
-		}},
-		{"partition length vs shard sites", sched.CoordinatorConfig{
-			Shards: []sched.RunConfig{okCfg(parts[0]), okCfg(parts[1])},
-			Parts:  [][]int{parts[0], parts[1][:1]},
-		}},
-		{"duplicate global site", sched.CoordinatorConfig{
-			Shards: []sched.RunConfig{okCfg(parts[0]), okCfg(parts[0])},
-			Parts:  [][]int{parts[0], parts[0]},
-		}},
-		{"negative global site", sched.CoordinatorConfig{
-			Shards: []sched.RunConfig{okCfg(parts[0]), okCfg(parts[1])},
-			Parts:  [][]int{parts[0], append([]int{-1}, parts[1][1:]...)},
-		}},
-		{"shard engine config rejected", sched.CoordinatorConfig{
-			Shards: []sched.RunConfig{{Sites: sites}}, // no scheduler
-			Parts:  sched.PartitionSites(len(sites), 1),
-		}},
+		{"no shards", nil, nil},
+		{"partition count mismatch", parts, []sched.Shard{shard(parts[0])}},
+		{"empty partition", [][]int{parts[0], {}}, []sched.Shard{shard(parts[0]), shard(parts[1])}},
+		{"partition length vs shard sites", [][]int{parts[0], parts[1][:1]}, []sched.Shard{shard(parts[0]), shard(parts[1])}},
+		{"duplicate global site", [][]int{parts[0], parts[0]}, []sched.Shard{shard(parts[0]), shard(parts[0])}},
+		{"negative global site", [][]int{parts[0], append([]int{-1}, parts[1][1:]...)}, []sched.Shard{shard(parts[0]), shard(parts[1])}},
+		{"global site past the table", [][]int{{0}, {len(sites)}}, []sched.Shard{shard([]int{0}), shard([]int{1})}},
 	}
 	for _, tc := range cases {
-		if _, err := sched.NewCoordinator(tc.cc); err == nil {
-			t.Errorf("%s: NewCoordinator accepted a bad config", tc.name)
+		if _, err := sched.AttachCoordinator(tc.parts, tc.shards, nil); err == nil {
+			t.Errorf("%s: AttachCoordinator accepted a bad config", tc.name)
 		}
 	}
 
@@ -418,7 +412,7 @@ func TestCoordinatorConfigValidation(t *testing.T) {
 		default:
 			continue
 		}
-		_, err := sched.NewCoordinator(tc.cc)
+		_, err := sched.AttachCoordinator(tc.parts, tc.shards, nil)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: error = %v, want substring %q", tc.name, err, want)
 		}
@@ -427,15 +421,11 @@ func TestCoordinatorConfigValidation(t *testing.T) {
 		}
 	}
 
-	good := sched.CoordinatorConfig{
-		Shards: []sched.RunConfig{okCfg(parts[0]), okCfg(parts[1])},
-		Parts:  parts,
-	}
-	if _, err := sched.RestoreCoordinator(good, nil); err == nil {
-		t.Error("RestoreCoordinator accepted 0 snapshots for 2 shards")
-	}
-	if _, err := sched.RestoreCoordinator(good, make([]*sched.EngineSnapshot, 2)); err == nil {
-		t.Error("RestoreCoordinator accepted nil snapshots")
+	if _, err := sched.NewCoordinator(sched.CoordinatorConfig{
+		Shards: []sched.RunConfig{{Sites: sites}}, // no scheduler
+		Parts:  sched.PartitionSites(len(sites), 1),
+	}); err == nil {
+		t.Error("NewCoordinator accepted a shard engine config NewOnline rejects")
 	}
 }
 

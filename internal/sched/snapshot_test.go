@@ -211,6 +211,10 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	if _, err := sched.RestoreOnline(snapConfig(&sink), nil); err == nil {
+		t.Fatal("restore from a nil snapshot did not fail")
+	}
+
 	cfg := snapConfig(&sink)
 	cfg.Scheduler = heuristics.NewMinMin(grid.FRiskyPolicy(0.5))
 	if _, err := sched.RestoreOnline(cfg, snap); err == nil {

@@ -243,7 +243,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tenantID s
 			Workload: js.Workload, Nodes: js.Nodes,
 			SecurityDemand: js.SD, Tenant: tenantID,
 			SafeOnly: spec.SecureOnly,
-			Deadline: js.Deadline, Budget: js.Budget,
+			Deadline: js.Deadline,
 		}
 		if j.Nodes == 0 {
 			j.Nodes = 1
@@ -549,7 +549,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // the per-tenant section. Shared by the JSON and Prometheus endpoints.
 func (s *Server) buildReport(r *http.Request, tenant string) (MetricsReport, error) {
 	rep := MetricsReport{
-		Algo:          s.sched.Name(),
+		Algo:          s.algo,
 		Mode:          s.cfg.Mode,
 		Manual:        s.cfg.Manual,
 		BatchInterval: s.cfg.BatchInterval,

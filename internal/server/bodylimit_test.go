@@ -89,7 +89,7 @@ func TestSubmitBodyLimitHeadroom(t *testing.T) {
 	for i := range deps {
 		deps[i] = math.MinInt64 + i
 	}
-	js := api.JobSpec{ID: &id, Arrival: &at, Workload: at, Nodes: math.MinInt64, SD: at, DependsOn: deps, Deadline: at, Budget: at}
+	js := api.JobSpec{ID: &id, Arrival: &at, Workload: at, Nodes: math.MinInt64, SD: at, DependsOn: deps, Deadline: at}
 	req := api.SubmitRequest{Jobs: make([]api.JobSpec, 4096)}
 	for i := range req.Jobs {
 		req.Jobs[i] = js

@@ -175,7 +175,7 @@ func runFleetParity(t *testing.T, algo string, dyn *sched.DynamicsConfig) {
 
 	refCfg := fleetParityConfig(algo, dyn, specs)
 	refCfg.Shards = nShards
-	wantEvents, wantFacts, _ := runFleetDaemon(t, refCfg, jobs, nil)
+	wantEvents, wantFacts, wantRep := runFleetDaemon(t, refCfg, jobs, nil)
 	if wantEvents == "" {
 		t.Fatal("reference daemon produced no events")
 	}
@@ -196,7 +196,13 @@ func runFleetParity(t *testing.T, algo string, dyn *sched.DynamicsConfig) {
 	if len(rep.Shards) != nShards {
 		t.Fatalf("fleet metrics report %d shards, want %d", len(rep.Shards), nShards)
 	}
+	if rep.Algo != wantRep.Algo {
+		t.Errorf("fleet reports algo %q, -shards %d reports %q", rep.Algo, nShards, wantRep.Algo)
+	}
 	for i, sm := range rep.Shards {
+		if sm.Sites != wantRep.Shards[i].Sites {
+			t.Errorf("shard %d reports %d sites, -shards %d reports %d", i, sm.Sites, nShards, wantRep.Shards[i].Sites)
+		}
 		if sm.Addr != workers[i].addr {
 			t.Errorf("shard %d reports addr %q, want %q", i, sm.Addr, workers[i].addr)
 		}

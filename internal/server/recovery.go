@@ -8,6 +8,7 @@ import (
 
 	"trustgrid/internal/api"
 	"trustgrid/internal/experiments"
+	"trustgrid/internal/fleet"
 	"trustgrid/internal/grid"
 	"trustgrid/internal/sched"
 	"trustgrid/internal/wal"
@@ -137,62 +138,38 @@ func (s *Server) checkFingerprint(snap *serverSnapshot) error {
 	return nil
 }
 
-// recover opens the durable input set and rebuilds the daemon's state
-// before the loop goroutine starts — the same steps for every shard
-// count: the newest usable snapshot seeds the engines, the registry,
-// the counters and the event window; the set verifies, cuts and orders
-// what the logs hold past it (wal.Set.Recover); and those records are
-// re-applied one by one. On a fresh directory that records the churn
-// trace and starts clean. Runs once, from New.
-func (s *Server) recover(cc sched.CoordinatorConfig) (err error) {
-	lapStart := time.Now()
-	lap := func(p recoveryPhase) {
-		now := time.Now()
-		s.recovery[p], lapStart = now.Sub(lapStart), now
+// recover opens the durable input set before the loop goroutine starts
+// and finds where to resume — the same steps for every shard count: the
+// newest usable snapshot (nil on a fresh directory, which records the
+// churn trace and starts clean), and the records past it, which the set
+// verifies, cuts and orders (wal.Set.Recover). attach restores the
+// shards and the server state from the one and re-applies the other.
+// Runs once, from New.
+func (s *Server) recover(spec *fleet.Spec, lap func(recoveryPhase)) (snap *serverSnapshot, tail []wal.Record, err error) {
+	if s.wal, err = wal.OpenSet(s.cfg.WALDir, spec.Shards); err != nil {
+		return nil, nil, err
 	}
-	if s.wal, err = wal.OpenSet(s.cfg.WALDir, len(cc.Shards)); err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			s.closeWAL()
-		}
-	}()
 	lap(recoverOpen)
-	snap, err := s.newestSnapshot()
-	if err != nil {
-		return err
+	if snap, err = s.newestSnapshot(); err != nil {
+		return nil, nil, err
 	}
 	lap(recoverSnapshot)
 	var marks wal.Marks
 	if snap != nil {
 		marks = snap.marks()
 	}
-	churn := make([][]grid.ChurnEvent, len(cc.Shards))
-	for i, sc := range cc.Shards {
-		if sc.Dynamics != nil {
-			churn[i] = sc.Dynamics.Churn
+	parts := spec.Parts()
+	churn := make([][]grid.ChurnEvent, len(parts))
+	for i, part := range parts {
+		if dyn := sched.PartitionDynamics(spec.Dynamics, part); dyn != nil {
+			churn[i] = dyn.Churn
 		}
 	}
-	tail, err := s.wal.Recover(marks, churn)
-	if err != nil {
-		return err
+	if tail, err = s.wal.Recover(marks, churn); err != nil {
+		return nil, nil, err
 	}
 	lap(recoverLogs)
-	if err := s.restoreFromSnapshot(cc, snap); err != nil {
-		return err
-	}
-	lap(recoverRestore)
-	// Recorded order means a tenant registered at runtime is back in the
-	// registry before its first replayed arrival needs it.
-	for _, rec := range tail {
-		if err := s.replayRecord(rec); err != nil {
-			return err
-		}
-	}
-	s.resumeAdmission()
-	lap(recoverReplay)
-	return nil
+	return snap, tail, nil
 }
 
 // recoveryPhase indexes Server.recovery: the steps of recover, timed
@@ -317,18 +294,12 @@ func (snap *serverSnapshot) engines() []*sched.EngineSnapshot {
 	return snap.Engines
 }
 
-// restoreFromSnapshot builds the engines and installs the server-side
-// state a snapshot carries: tenant registry, event window, ID
-// allocator, counters. A nil snap starts every one of them empty.
-func (s *Server) restoreFromSnapshot(cc sched.CoordinatorConfig, snap *serverSnapshot) (err error) {
+// restoreFromSnapshot installs the server-side state a snapshot
+// carries: tenant registry, event window, ID allocator, counters. A nil
+// snap starts every one of them empty.
+func (s *Server) restoreFromSnapshot(snap *serverSnapshot) error {
 	if snap == nil {
-		if s.online, err = sched.NewCoordinator(cc); err != nil {
-			return err
-		}
 		return s.restoreEvents(0, 0)
-	}
-	if s.online, err = sched.RestoreCoordinator(cc, snap.engines()); err != nil {
-		return err
 	}
 	s.tenants.restore(snap.Tenants)
 	s.nextID.Store(snap.NextID)
@@ -613,7 +584,7 @@ func (s *Server) walArrival(j *grid.Job, at float64) error {
 	err := s.walAppend(s.online.Owner(j.Tenant), wal.Record{Kind: wal.KindArrival, At: at, Arrival: &api.TraceRecord{
 		ID: j.ID, Arrival: j.Arrival, Workload: j.Workload, Nodes: j.Nodes,
 		SD: j.SecurityDemand, Tenant: j.Tenant, SafeOnly: j.SafeOnly,
-		DependsOn: j.DependsOn, Deadline: j.Deadline, Budget: j.Budget,
+		DependsOn: j.DependsOn, Deadline: j.Deadline,
 	}})
 	if err != nil {
 		return err

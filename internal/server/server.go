@@ -186,7 +186,7 @@ func (c *Config) fillDefaults() {
 type Server struct {
 	cfg     Config
 	online  *sched.Coordinator
-	sched   sched.Scheduler
+	algo    string // the scheduler's display name (/v2/metrics)
 	log     *eventLog
 	lat     *latencyTracker
 	tenants *tenantRegistry
@@ -267,20 +267,6 @@ type Server struct {
 // New builds the service and starts its loop goroutine.
 func New(cfg Config) (*Server, error) {
 	cfg.fillDefaults()
-	setup := cfg.Setup
-
-	var policy grid.Policy
-	switch cfg.Mode {
-	case "secure":
-		policy = setup.Policy(grid.Secure, 0)
-	case "risky":
-		policy = setup.Policy(grid.Risky, 0)
-	case "frisky":
-		policy = setup.Policy(grid.FRisky, setup.F)
-	default:
-		return nil, fmt.Errorf("server: unknown mode %q (want secure, risky or frisky)", cfg.Mode)
-	}
-
 	n := cfg.Shards
 	if len(cfg.Workers) > 0 {
 		if cfg.WALDir != "" {
@@ -290,9 +276,6 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("server: Shards=%d conflicts with %d workers (the shard count follows the worker list)", cfg.Shards, len(cfg.Workers))
 		}
 		n = len(cfg.Workers)
-	}
-	if n > len(cfg.Sites) {
-		return nil, fmt.Errorf("server: %d shards need at least %d sites, have %d", n, n, len(cfg.Sites))
 	}
 
 	s := &Server{
@@ -331,61 +314,94 @@ func New(cfg Config) (*Server, error) {
 	spec := &fleet.Spec{
 		Sites: cfg.Sites, Training: cfg.Training,
 		Algo: cfg.Algo, Mode: cfg.Mode,
-		BatchInterval: cfg.BatchInterval, Seed: cfg.Seed, Setup: setup,
+		BatchInterval: cfg.BatchInterval, Seed: cfg.Seed, Setup: cfg.Setup,
 		Shards: n, RoundBudget: cfg.RoundBudget, Weights: weights,
 		Dynamics: cfg.Dynamics,
 	}
-	if len(cfg.Workers) > 0 {
-		// Fleet mode: every shard lives in a worker process; the spec
-		// travels in the attach frame and each worker builds (or, after a
-		// crash, WAL-replays) its own engine from it. The local scheduler
-		// instance exists only to report the algorithm's display name.
-		namer, err := setup.SchedulerByName(cfg.Algo, policy, rng.New(cfg.Seed).Derive("name"), nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		s.sched = namer
-		shards := make([]sched.Shard, n)
-		for i, addr := range cfg.Workers {
-			rs, err := fleet.Dial(addr, spec, i, fleet.DialConfig{})
-			if err != nil {
-				s.closeRemotes()
-				return nil, fmt.Errorf("server: attaching worker %s as shard %d: %w", addr, i, err)
-			}
-			s.remotes = append(s.remotes, rs)
-			shards[i] = rs
-		}
-		s.online, err = sched.AttachCoordinator(spec.Parts(), shards, s.onEvent)
-		if err != nil {
-			s.closeRemotes()
-			return nil, err
-		}
-		go s.loop()
-		return s, nil
+	if err := spec.Validate(); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
-	shardCfgs := make([]sched.RunConfig, n)
-	for i := range shardCfgs {
-		sc, err := spec.ShardConfig(i, cfg.WALDir != "")
-		if err != nil {
-			return nil, err
-		}
-		if i == 0 {
-			s.sched = sc.Scheduler
-		}
-		shardCfgs[i] = sc
+	policy, _ := cfg.Setup.PolicyByMode(cfg.Mode) // Validate parsed it
+	var err error
+	if s.algo, err = experiments.SchedulerLabel(cfg.Algo, policy); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
-	cc := sched.CoordinatorConfig{Shards: shardCfgs, Parts: spec.Parts(), OnEvent: s.onEvent}
-	if cfg.WALDir == "" {
-		var err error
-		s.online, err = sched.NewCoordinator(cc)
-		if err != nil {
-			return nil, err
-		}
-	} else if err := s.recover(cc); err != nil {
-		return nil, fmt.Errorf("server: recovery: %w", err)
+	if err = s.attach(spec); err != nil {
+		s.closeRemotes()
+		s.closeWAL()
+		return nil, err
 	}
 	go s.loop()
 	return s, nil
+}
+
+// attach builds the shards, wires the coordinator to them and, with a
+// WAL, replays what recovery found past its snapshot.
+func (s *Server) attach(spec *fleet.Spec) (err error) {
+	lapStart := time.Now()
+	lap := func(p recoveryPhase) {
+		now := time.Now()
+		s.recovery[p], lapStart = now.Sub(lapStart), now
+	}
+	var snap *serverSnapshot
+	var tail []wal.Record
+	if s.cfg.WALDir != "" {
+		if snap, tail, err = s.recover(spec, lap); err != nil {
+			return fmt.Errorf("server: recovery: %w", err)
+		}
+	}
+	shards := make([]sched.Shard, spec.Shards)
+	for i := range shards {
+		if shards[i], err = s.newShard(spec, i, snap); err != nil {
+			return err
+		}
+	}
+	if s.online, err = sched.AttachCoordinator(spec.Parts(), shards, s.onEvent); err != nil {
+		return fmt.Errorf("server: %w", err)
+	}
+	if s.cfg.WALDir == "" {
+		return nil
+	}
+	if err := s.restoreFromSnapshot(snap); err != nil {
+		return fmt.Errorf("server: recovery: %w", err)
+	}
+	lap(recoverRestore)
+	// Recorded order means a tenant registered at runtime is back in the
+	// registry before its first replayed arrival needs it.
+	for _, rec := range tail {
+		if err := s.replayRecord(rec); err != nil {
+			return fmt.Errorf("server: recovery: %w", err)
+		}
+	}
+	s.resumeAdmission()
+	lap(recoverReplay)
+	return nil
+}
+
+// newShard builds shard i of spec. Only the transport varies: a fleet
+// worker dialled with the spec, or an in-process engine built from
+// spec.ShardConfig, restored from its engine snapshot when recovery
+// found a snapshot.
+func (s *Server) newShard(spec *fleet.Spec, i int, snap *serverSnapshot) (sched.Shard, error) {
+	if len(s.cfg.Workers) > 0 {
+		rs, err := fleet.Dial(s.cfg.Workers[i], spec, i, fleet.DialConfig{})
+		if err != nil {
+			return nil, fmt.Errorf("server: attaching worker %s as shard %d: %w", s.cfg.Workers[i], i, err)
+		}
+		s.remotes = append(s.remotes, rs)
+		return rs, nil
+	}
+	sc, err := spec.ShardConfig(i, s.cfg.WALDir != "")
+	var o *sched.Online
+	if err == nil && snap == nil {
+		o, err = sched.NewOnline(sc)
+	} else if err == nil {
+		o, err = sched.RestoreOnline(sc, snap.engines()[i])
+	}
+	if err != nil {
+		return nil, fmt.Errorf("server: shard %d: %w", i, err)
+	}
+	return o, nil
 }
 
 // closeRemotes tears down the fleet connections (no-op in-process).
@@ -566,7 +582,6 @@ func (s *Server) onEvent(ev sched.EngineEvent) {
 				SD:     ev.Job.SecurityDemand,
 				Tenant: ev.Job.Tenant, SafeOnly: ev.Job.SafeOnly,
 				DependsOn: ev.Job.DependsOn, Deadline: ev.Job.Deadline,
-				Budget: ev.Job.Budget,
 			})
 		}
 	case sched.EventPlaced:
