@@ -93,8 +93,9 @@ func BenchmarkFig7bFanOut(b *testing.B) {
 }
 
 // BenchmarkServiceSubmit measures the full daemon path — HTTP JSON
-// submission through the arrival channel into a scheduled drain — in
-// manual-clock mode so wall-clock ticks don't gate throughput.
+// submission through the loop goroutine's ingest into a scheduled
+// drain — in manual-clock mode so wall-clock ticks don't gate
+// throughput.
 func BenchmarkServiceSubmit(b *testing.B) {
 	s := benchSetup()
 	w, err := s.PSAWorkload(1, 10)

@@ -212,12 +212,7 @@ func dagMain(jobs, width int, edgeProb, rate float64, levels int, maxWorkload, s
 	edges := 0
 	for _, j := range gjobs {
 		edges += len(j.DependsOn)
-		rec := api.TraceRecord{
-			ID: j.ID, Arrival: j.Arrival, Workload: j.Workload,
-			Nodes: j.Nodes, SD: j.SecurityDemand,
-			DependsOn: j.DependsOn, Deadline: j.Deadline,
-		}
-		if err := api.WriteTraceRecord(w, rec); err != nil {
+		if err := api.WriteTraceRecord(w, api.NewTraceRecord(j)); err != nil {
 			fmt.Fprintln(stderr, "tracegen:", err)
 			return 1
 		}

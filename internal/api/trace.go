@@ -53,6 +53,17 @@ func (t TraceRecord) Job() *grid.Job {
 	return j
 }
 
+// NewTraceRecord is the inverse of Job: the record of j, every column
+// included.
+func NewTraceRecord(j *grid.Job) TraceRecord {
+	return TraceRecord{
+		ID: j.ID, Arrival: j.Arrival, Workload: j.Workload,
+		Nodes: j.Nodes, SD: j.SecurityDemand,
+		Tenant: j.Tenant, SafeOnly: j.SafeOnly,
+		DependsOn: j.DependsOn, Deadline: j.Deadline,
+	}
+}
+
 // AppendJSON appends the record's JSON object to dst — one line of an
 // arrival trace, and the arrival payload of a WAL record (DESIGN.md
 // §10.1) — and returns the extended slice. The bytes equal

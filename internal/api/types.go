@@ -173,7 +173,6 @@ type ShardMetrics struct {
 	VirtualNow   float64 `json:"virtual_now_s"`
 	Seen         int     `json:"seen"`
 	InFlight     int     `json:"in_flight"`
-	Backlog      int     `json:"backlog"`
 	Batches      int     `json:"batches"`
 	LargestBatch int     `json:"largest_batch"`
 	// Latency is the shard's submit-to-first-placement window; jobs are
@@ -202,7 +201,6 @@ type MetricsReport struct {
 	VirtualNow    float64                  `json:"virtual_now_s"`
 	Submitted     int64                    `json:"submitted"`
 	Arrived       int64                    `json:"arrived"`
-	Backlog       int                      `json:"backlog"`
 	InFlight      int                      `json:"in_flight"`
 	Placed        int64                    `json:"placed"`
 	Failures      int64                    `json:"failed_attempts"`

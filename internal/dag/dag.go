@@ -235,7 +235,7 @@ func (t *Tracker) MarkEdges() { t.sawEdges = true }
 // their own mean execution time, so on edge-free batches the rank
 // order degenerates to plain workload order. Results are memoized
 // across the batch; a cycle among blocked jobs (only reachable through
-// unchecked SubmitLocal use) contributes zero rather than recursing
+// unchecked Online.Submit use) contributes zero rather than recursing
 // forever.
 func (t *Tracker) BatchRanks(batch []*grid.Job, meanInv float64, out []float64) {
 	memo := make(map[int]float64, len(batch))

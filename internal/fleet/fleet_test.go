@@ -162,7 +162,7 @@ func driveLocal(t *testing.T, spec *Spec, jobs []*grid.Job, horizon float64) ([]
 	next := 0
 	for tick := spec.BatchInterval; tick <= horizon; tick += spec.BatchInterval {
 		for next < len(jobs) && jobs[next].Arrival < tick {
-			if err := eng.SubmitLocal(cloneJob(jobs[next])); err != nil {
+			if err := eng.Submit(cloneJob(jobs[next])); err != nil {
 				t.Fatal(err)
 			}
 			next++

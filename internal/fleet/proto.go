@@ -56,14 +56,13 @@ type seqEvent struct {
 
 // shardStatus is the worker's introspection snapshot, piggybacked on
 // every response and heartbeat so the coordinator's cached view (Now,
-// backlog, metrics, site states) is at most one frame stale. Site
-// indices are shard-local, like everything on this wire; the
-// coordinator's partition table translates.
+// metrics, site states) is at most one frame stale. Site indices are
+// shard-local, like everything on this wire; the coordinator's
+// partition table translates.
 type shardStatus struct {
 	Now          float64                  `json:"now"`
 	Seen         int                      `json:"seen"`
 	InFlight     int                      `json:"in_flight"`
-	Backlog      int                      `json:"backlog"`
 	Batches      int                      `json:"batches"`
 	LargestBatch int                      `json:"largest_batch"`
 	Sites        []sched.SiteStatus       `json:"sites"`

@@ -138,7 +138,7 @@ func TestWorkerCrashPointParity(t *testing.T) {
 		for _, rec := range recs[:k] {
 			switch rec.Kind {
 			case wal.KindArrival:
-				err = eng.SubmitLocal(rec.Arrival.Job())
+				err = eng.Submit(rec.Arrival.Job())
 			case wal.KindTenant:
 				eng.SetTenantWeight(rec.Tenant.ID, rec.Tenant.Weight)
 			case wal.KindBarrier:
@@ -196,6 +196,79 @@ func TestWorkerCrashPointParity(t *testing.T) {
 		if k < len(lines) {
 			next := lines[k]
 			check(fmt.Sprintf("torn append after record %d", k), k, next[:len(next)/2])
+		}
+	}
+}
+
+// TestWorkerRestartKeepsJobColumns: a durable worker's arrival records
+// carry every column of the submitted job, so a worker restarted over its
+// log runs the jobs it was given — dependencies and deadlines included.
+// The reference is an in-process engine fed the submitted jobs, never the
+// records, which is what TestWorkerCrashPointParity compares against.
+func TestWorkerRestartKeepsJobColumns(t *testing.T) {
+	spec := testSpec("minmin")
+	jobs := []*grid.Job{
+		{ID: 1, Arrival: 50, Workload: 900, Nodes: 1, SecurityDemand: 0.5, Tenant: "t0"},
+		{ID: 2, Arrival: 60, Workload: 300, Nodes: 1, SecurityDemand: 0.6, Tenant: "t0"},
+		{ID: 3, Arrival: 70, Workload: 200, Nodes: 1, SecurityDemand: 0.4, Tenant: "t0", DependsOn: []int{1, 2}},
+		{ID: 4, Arrival: 80, Workload: 500, Nodes: 1, SecurityDemand: 0.7, Tenant: "t0", Deadline: 4000},
+	}
+	dir := t.TempDir()
+	w, addr := startWorker(t, WorkerConfig{WALDir: dir}, "")
+	rs, err := Dial(addr, spec, 0, DialConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs.SetEventSink(func(sched.EngineEvent) {})
+	for _, j := range jobs {
+		if err := rs.Submit(cloneJob(j)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rs.Close()
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	restarted, err := NewWorker(WorkerConfig{WALDir: dir})
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	restarted.mu.Lock()
+	_, err = restarted.eng.Drain()
+	got := restarted.ring.events
+	restarted.mu.Unlock()
+	if err != nil {
+		t.Fatalf("drain after restart: %v", err)
+	}
+	if err := restarted.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg, err := spec.ShardConfig(0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []sched.EngineEvent
+	cfg.OnEvent = func(ev sched.EngineEvent) { want = append(want, ev) }
+	eng, err := sched.NewOnline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range jobs {
+		if err := eng.Submit(cloneJob(j)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := eng.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("restarted worker emitted %d events, the submitted jobs make %d", len(got), len(want))
+	}
+	for i := range want {
+		if !reflect.DeepEqual(got[i].Ev, want[i]) {
+			t.Fatalf("event %d after restart:\n got %+v\nwant %+v", i, got[i].Ev, want[i])
 		}
 	}
 }

@@ -339,14 +339,15 @@ func opErr(resp *frame) error {
 
 // --- sched.Shard: submissions -------------------------------------
 
-func (rs *RemoteShard) submit(j *grid.Job) error {
+// Submit forwards the job to the worker, which applies it with
+// Online.Submit semantics (clamped to the shard clock).
+func (rs *RemoteShard) Submit(j *grid.Job) error {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
 	if rs.down {
-		// No redial here: submissions arrive on request goroutines, and
-		// probing a dead worker from every HTTP handler would stampede.
-		// The next barrier reattaches; until then the server's 503 path
-		// holds the door.
+		// No redial here: a dial per refused submission would stall the
+		// daemon's loop goroutine behind a dead worker. The next barrier
+		// reattaches; until then the server's 503 path holds the door.
 		return rs.downErr(nil)
 	}
 	resp, err := rs.reqLocked(&frame{Type: frameReq, Op: opSubmit, Job: j})
@@ -355,20 +356,6 @@ func (rs *RemoteShard) submit(j *grid.Job) error {
 	}
 	return opErr(resp)
 }
-
-// Submit forwards the job to the worker. The worker applies it with
-// SubmitLocal semantics (clamped to the shard clock) — identical to
-// the in-process manual path, and the live path's clamp-at-Now is the
-// same value the server just read.
-func (rs *RemoteShard) Submit(j *grid.Job) error { return rs.submit(j) }
-
-// SubmitOr matches Submit; the done channel is not consulted — the
-// remote exchange is bounded by the TTL rather than by engine
-// backpressure, which a worker absorbs locally.
-func (rs *RemoteShard) SubmitOr(done <-chan struct{}, j *grid.Job) error { return rs.submit(j) }
-
-// SubmitLocal matches Submit remotely: the worker owns the clock.
-func (rs *RemoteShard) SubmitLocal(j *grid.Job) error { return rs.submit(j) }
 
 // --- sched.Shard: barriers ----------------------------------------
 
@@ -494,7 +481,6 @@ func (rs *RemoteShard) cached() shardStatus {
 func (rs *RemoteShard) Now() float64      { return rs.cached().Now }
 func (rs *RemoteShard) Seen() int         { return rs.cached().Seen }
 func (rs *RemoteShard) InFlight() int     { return rs.cached().InFlight }
-func (rs *RemoteShard) Backlog() int      { return rs.cached().Backlog }
 func (rs *RemoteShard) Batches() int      { return rs.cached().Batches }
 func (rs *RemoteShard) LargestBatch() int { return rs.cached().LargestBatch }
 

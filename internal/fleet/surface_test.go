@@ -89,15 +89,10 @@ func TestRemoteShardSurface(t *testing.T) {
 
 	rs.SetTenantWeight("t0", 5) // live path
 	jobs := testJobs(4)
-	done := make(chan struct{})
-	if err := rs.SubmitOr(done, cloneJob(jobs[0])); err != nil {
-		t.Fatal(err)
-	}
-	if err := rs.SubmitLocal(cloneJob(jobs[1])); err != nil {
-		t.Fatal(err)
-	}
-	if err := rs.Submit(cloneJob(jobs[2])); err != nil {
-		t.Fatal(err)
+	for _, j := range jobs[:3] {
+		if err := rs.Submit(cloneJob(j)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := rs.AdvanceTo(1000); err != nil {
 		t.Fatal(err)
@@ -120,7 +115,7 @@ func TestRemoteShardSurface(t *testing.T) {
 	if got := rs.Seen(); got != 3 {
 		t.Fatalf("Seen() = %d, want 3", got)
 	}
-	_ = rs.InFlight() + rs.Backlog() + rs.Batches() + rs.LargestBatch()
+	_ = rs.InFlight() + rs.Batches() + rs.LargestBatch()
 	if sites := rs.SiteStatuses(); len(sites) != len(spec.Sites) {
 		t.Fatalf("SiteStatuses() has %d sites, want %d", len(sites), len(spec.Sites))
 	}
@@ -150,9 +145,6 @@ func TestRemoteShardSurface(t *testing.T) {
 	}
 	if err := rs.Submit(cloneJob(jobs[3])); !errors.Is(err, sched.ErrShardDown) {
 		t.Fatalf("Submit while down: %v, want ErrShardDown", err)
-	}
-	if err := rs.SubmitOr(done, cloneJob(jobs[3])); !errors.Is(err, sched.ErrShardDown) {
-		t.Fatalf("SubmitOr while down: %v, want ErrShardDown", err)
 	}
 	if np := rs.NeverPlaced(); np != nil {
 		t.Fatalf("NeverPlaced while down = %v, want nil", np)

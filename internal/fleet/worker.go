@@ -433,7 +433,6 @@ func (w *Worker) refreshStatusLocked() *shardStatus {
 		Now:          w.eng.Now(),
 		Seen:         w.eng.Seen(),
 		InFlight:     w.eng.InFlight(),
-		Backlog:      w.eng.Backlog(),
 		Batches:      w.eng.Batches(),
 		LargestBatch: w.eng.LargestBatch(),
 		Sites:        w.eng.SiteStatuses(),
@@ -495,13 +494,11 @@ func (w *Worker) handleReq(wc *wconn, f *frame) *frame {
 		if err := j.Validate(); err != nil {
 			return fail(err)
 		}
-		if err := w.logInput(wal.Record{Kind: wal.KindArrival, Arrival: &api.TraceRecord{
-			ID: j.ID, Arrival: j.Arrival, Workload: j.Workload, Nodes: j.Nodes,
-			SD: j.SecurityDemand, Tenant: j.Tenant, SafeOnly: j.SafeOnly,
-		}}); err != nil {
+		rec := api.NewTraceRecord(j)
+		if err := w.logInput(wal.Record{Kind: wal.KindArrival, Arrival: &rec}); err != nil {
 			return fail(err)
 		}
-		if err := w.eng.SubmitLocal(j); err != nil {
+		if err := w.eng.Submit(j); err != nil {
 			return fail(err)
 		}
 		if err := w.commit(); err != nil {

@@ -25,16 +25,12 @@ var ErrShardDown = errors.New("sched: shard down")
 // Δ-round barrier and aggregate what it reports. *Online implements it
 // in process; fleet.RemoteShard implements it over a framed TCP
 // connection to a trustgrid-worker. The concurrency contract matches
-// Online: Submit/SubmitOr/Backlog are safe from any goroutine, the rest
-// belongs to the goroutine driving the coordinator.
+// Online: every method belongs to the goroutine driving the coordinator.
 type Shard interface {
 	Submit(j *grid.Job) error
-	SubmitOr(done <-chan struct{}, j *grid.Job) error
-	SubmitLocal(j *grid.Job) error
 	AdvanceTo(t float64) error
 	Drain() (*Result, error)
 	Now() float64
-	Backlog() int
 	Seen() int
 	InFlight() int
 	Batches() int
@@ -47,7 +43,7 @@ type Shard interface {
 	// per-site (local index) busy vector for cross-shard aggregation.
 	MetricsState() (metrics.AccumulatorState, []float64)
 	// SetEventSink installs the coordinator's event observer. Events
-	// only fire while the shard executes (AdvanceTo/Drain/SubmitLocal on
+	// only fire while the shard executes (AdvanceTo/Drain on
 	// the driving goroutine), so installing the sink between construction
 	// and the first barrier is race-free.
 	SetEventSink(fn func(EngineEvent))
@@ -74,11 +70,11 @@ type CoordinatorConfig struct {
 // (fleet.RemoteShard); the barrier, merge and routing logic do not know
 // the difference.
 //
-// Concurrency contract: same as Online. Submit/SubmitOr/Backlog are
-// safe from any goroutine; everything else belongs to the single loop
-// goroutine. During a barrier each shard advances on its own goroutine,
-// but that parallelism is internal — events are buffered per shard and
-// merged after the join, so observers see one serialized stream.
+// Concurrency contract: same as Online — every method belongs to the
+// single loop goroutine. During a barrier each shard advances on its
+// own goroutine, but that parallelism is internal — events are buffered
+// per shard and merged after the join, so observers see one serialized
+// stream.
 type Coordinator struct {
 	shards  []Shard
 	parts   [][]int
@@ -284,7 +280,8 @@ func firstErr(errs []error, tolerateDown bool) error {
 
 // AdvanceTo drives every shard to virtual time t — the shared Δ-round
 // barrier — then emits the window's merged events. Shards already past
-// t (a prior Drain ran them ahead) only ingest their arrival backlog.
+// t (a prior Drain ran them ahead) only run the arrivals submitted at
+// their own clock.
 // A shard that reports ErrShardDown is skipped: its window is missing
 // from the merged stream until it reattaches and backfills, but the
 // survivors keep scheduling (the degradation contract a fleet needs —
@@ -330,20 +327,9 @@ func (c *Coordinator) Drain() (*Result, error) {
 	return out, nil
 }
 
-// Submit routes a job to its tenant's shard. Safe from any goroutine.
+// Submit routes a job to its tenant's shard. Loop goroutine only.
 func (c *Coordinator) Submit(j *grid.Job) error {
 	return c.shards[c.Owner(j.Tenant)].Submit(j)
-}
-
-// SubmitOr is Submit with an abort signal, like Online.SubmitOr.
-func (c *Coordinator) SubmitOr(done <-chan struct{}, j *grid.Job) error {
-	return c.shards[c.Owner(j.Tenant)].SubmitOr(done, j)
-}
-
-// SubmitLocal ingests a job directly onto the owning shard's event
-// queue (manual-mode replay path). Loop goroutine only.
-func (c *Coordinator) SubmitLocal(j *grid.Job) error {
-	return c.shards[c.Owner(j.Tenant)].SubmitLocal(j)
 }
 
 // SetTenantWeight installs a fair-share weight on the tenant's owning
@@ -366,15 +352,6 @@ func (c *Coordinator) Now() float64 {
 		}
 	}
 	return now
-}
-
-// Backlog sums the shards' not-yet-ingested arrivals. Any goroutine.
-func (c *Coordinator) Backlog() int {
-	n := 0
-	for _, o := range c.shards {
-		n += o.Backlog()
-	}
-	return n
 }
 
 // Seen sums the shards' ingested-job counts. Loop goroutine only.

@@ -178,27 +178,16 @@ func TestCoordinatorAccessorsAndRestore(t *testing.T) {
 		}
 	}
 
-	// drive submits jobs[from:to) (SubmitOr for every third job to cover
-	// the abort-signal path) and advances through their windows.
-	never := make(chan struct{})
+	// drive submits jobs[from:to) and advances through their windows.
 	drive := func(c *sched.Coordinator, from, to int, start float64) float64 {
 		t.Helper()
 		tick := start
 		for next := from; next < to; tick += delta {
 			for next < to && jobs[next].Arrival < tick {
-				var err error
-				if next%3 == 0 {
-					err = c.SubmitOr(never, cloneJob(jobs[next]))
-				} else {
-					err = c.Submit(cloneJob(jobs[next]))
-				}
-				if err != nil {
+				if err := c.Submit(cloneJob(jobs[next])); err != nil {
 					t.Fatal(err)
 				}
 				next++
-			}
-			if c.Backlog() == 0 && next < to {
-				t.Fatalf("no backlog with %d arrivals submitted", next-from)
 			}
 			if err := c.AdvanceTo(tick); err != nil {
 				t.Fatal(err)
@@ -291,10 +280,10 @@ func TestCoordinatorAccessorsAndRestore(t *testing.T) {
 	mark := len(eventsA)
 
 	// From here both coordinators see identical traffic — including a
-	// tenant-weight change and a direct SubmitLocal ingest.
+	// tenant-weight change and an arrival at the current clock.
 	for _, c := range []*sched.Coordinator{coordA, coordB} {
 		c.SetTenantWeight("tenant-1", 2.5)
-		if err := c.SubmitLocal(&grid.Job{
+		if err := c.Submit(&grid.Job{
 			ID: 9001, Arrival: mid, Workload: 400, Nodes: 1,
 			SecurityDemand: 0.4, Tenant: "tenant-2",
 		}); err != nil {
@@ -632,7 +621,7 @@ func TestCoordinatorBarrierErrorPath(t *testing.T) {
 		}
 	}
 	for id, shard := range map[int]int{1: 0, 2: 0, 3: 1, 4: 2, 5: 2} {
-		if err := coord.SubmitLocal(mkJob(id, shard)); err != nil {
+		if err := coord.Submit(mkJob(id, shard)); err != nil {
 			t.Fatal(err)
 		}
 	}

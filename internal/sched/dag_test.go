@@ -145,7 +145,7 @@ func TestDrainReportsBlockedJobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := o.SubmitLocal(&grid.Job{ID: 5, Workload: 10, Nodes: 1, SecurityDemand: 0.6, DependsOn: []int{4}}); err != nil {
+	if err := o.Submit(&grid.Job{ID: 5, Workload: 10, Nodes: 1, SecurityDemand: 0.6, DependsOn: []int{4}}); err != nil {
 		t.Fatal(err)
 	}
 	_, err = o.Drain()
@@ -297,7 +297,7 @@ func dagDrive(t *testing.T, o *sched.Online, jobs []*grid.Job, next *int, from, 
 	t.Helper()
 	for tick := from + 100; tick <= to+1e-9; tick += 100 {
 		for *next < len(jobs) && jobs[*next].Arrival <= tick {
-			if err := o.SubmitLocal(jobs[*next]); err != nil {
+			if err := o.Submit(jobs[*next]); err != nil {
 				t.Fatal(err)
 			}
 			*next++

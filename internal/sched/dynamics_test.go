@@ -313,7 +313,7 @@ func TestSiteStatusesReflectDynamics(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
-		if err := o.SubmitLocal(dynJob(i, float64(i*10), 300, 0.8)); err != nil {
+		if err := o.Submit(dynJob(i, float64(i*10), 300, 0.8)); err != nil {
 			t.Fatal(err)
 		}
 	}

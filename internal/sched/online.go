@@ -16,15 +16,13 @@ import (
 // service; Run is a thin wrapper over it, which is what makes recorded
 // service traffic byte-replayable through the batch simulator.
 //
-// Concurrency contract: Submit is safe from any goroutine (it feeds the
-// arrival channel); every other method must be called from the single
+// Concurrency contract: every method must be called from the single
 // goroutine that owns the engine — the "loop goroutine" in service
 // terms, or the test body in tests.
 type Online struct {
 	cfg RunConfig
 	st  *engineState
 	eng *sim.Engine
-	in  *sim.Online
 }
 
 // NewOnline builds an incremental engine. cfg.Jobs may be empty; any
@@ -95,7 +93,6 @@ func newOnline(cfg RunConfig, snap *EngineSnapshot) (*Online, error) {
 	if cfg.MaxEvents > 0 {
 		o.eng.MaxEvents = cfg.MaxEvents
 	}
-	o.in = sim.NewOnline(o.eng)
 
 	if o.cfg.Dynamics != nil {
 		dyn, err := newDynState(o.cfg.Dynamics, o.cfg.Sites)
@@ -153,41 +150,11 @@ func (o *Online) admit(e *sim.Engine, j *grid.Job) {
 	o.st.arrive(e, j)
 }
 
-// Submit clones j and injects it into the running simulation. Safe from
-// any goroutine; blocks for backpressure when the arrival buffer is
-// full. The job's Arrival is a lower bound: if the clock has passed it
-// by the time the arrival is ingested, it is clamped to the clock.
+// Submit clones j and puts its arrival on the engine's event queue.
+// The job's Arrival is a lower bound: if the clock has passed it, the
+// arrival is clamped to the clock. Arrivals execute in (timestamp,
+// submission order). Loop goroutine only.
 func (o *Online) Submit(j *grid.Job) error {
-	if err := j.Validate(); err != nil {
-		return err
-	}
-	c := j.Clone()
-	o.in.Inject(c.Arrival, sim.EventFunc(func(e *sim.Engine) { o.admit(e, c) }))
-	return nil
-}
-
-// SubmitOr is Submit with an abort signal: if done closes before the
-// arrival buffer accepts the job, the job is dropped and an error
-// returned. The HTTP layer passes its loop-exit channel so submitters
-// cannot wedge on a stopped engine.
-func (o *Online) SubmitOr(done <-chan struct{}, j *grid.Job) error {
-	if err := j.Validate(); err != nil {
-		return err
-	}
-	c := j.Clone()
-	if !o.in.InjectOr(done, c.Arrival, sim.EventFunc(func(e *sim.Engine) { o.admit(e, c) })) {
-		return fmt.Errorf("sched: engine stopped")
-	}
-	return nil
-}
-
-// SubmitLocal ingests a job directly onto the engine's event queue,
-// bypassing the arrival channel and its capacity. Loop goroutine only —
-// it is what manual-mode replay uses so a trace larger than the channel
-// buffer cannot deadlock a client that drives the clock itself.
-// Ordering matches Submit: arrivals execute in (timestamp, ingestion
-// order).
-func (o *Online) SubmitLocal(j *grid.Job) error {
 	if err := j.Validate(); err != nil {
 		return err
 	}
@@ -203,16 +170,20 @@ func (o *Online) SubmitLocal(j *grid.Job) error {
 	return nil
 }
 
-// AdvanceTo ingests buffered arrivals and executes the simulation up to
-// virtual time t, leaving the clock at t. Loop goroutine only.
-func (o *Online) AdvanceTo(t float64) error { return o.in.AdvanceTo(t) }
+// SubmitLocal forwards to Submit; the benchmark harness's engine probe
+// (bench/probes.go) still calls it by this name.
+func (o *Online) SubmitLocal(j *grid.Job) error { return o.Submit(j) }
 
-// Drain alternates between ingesting arrivals and running the engine
-// until everything submitted so far has completed, then returns the
-// aggregated result. The engine stays usable: more jobs may be submitted
-// and the clock advanced further afterwards. Loop goroutine only.
+// AdvanceTo executes the simulation up to virtual time t, leaving the
+// clock at t. Loop goroutine only.
+func (o *Online) AdvanceTo(t float64) error { return o.eng.RunUntil(t) }
+
+// Drain runs the engine until everything submitted so far has
+// completed, then returns the aggregated result. The engine stays
+// usable: more jobs may be submitted and the clock advanced further
+// afterwards. Loop goroutine only.
 func (o *Online) Drain() (*Result, error) {
-	if err := o.in.RunAll(); err != nil {
+	if err := o.eng.Run(); err != nil {
 		return nil, err
 	}
 	if o.st.remaining != 0 {
@@ -287,10 +258,6 @@ func (o *Online) MetricsState() (metrics.AccumulatorState, []float64) {
 
 // Now returns the current virtual time. Loop goroutine only.
 func (o *Online) Now() float64 { return o.eng.Now() }
-
-// Backlog returns the number of submitted jobs not yet ingested from the
-// arrival channel. Safe from any goroutine.
-func (o *Online) Backlog() int { return o.in.Backlog() }
 
 // Seen returns how many jobs have arrived (been ingested) so far. Loop
 // goroutine only.

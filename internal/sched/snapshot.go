@@ -158,10 +158,9 @@ type DynamicsSnapshot struct {
 // Snapshot captures the engine's complete state at a quiescent point.
 // It requires a Durable engine (the pending-event ledger is what makes
 // the event queue serializable) in DiscardRecords mode (per-job records
-// are unbounded history, not state), with an empty arrival backlog and
-// nothing runnable at or before the clock — in service terms: call it
-// on the loop goroutine right after AdvanceTo returns. Loop goroutine
-// only.
+// are unbounded history, not state). Call it between calls on the loop
+// goroutine — after AdvanceTo, Drain or Submit returns — never from an
+// event handler. Loop goroutine only.
 func (o *Online) Snapshot() (*EngineSnapshot, error) {
 	st := o.st
 	if !o.cfg.Durable {
@@ -169,9 +168,6 @@ func (o *Online) Snapshot() (*EngineSnapshot, error) {
 	}
 	if !o.cfg.DiscardRecords {
 		return nil, fmt.Errorf("sched: Snapshot requires DiscardRecords (per-job records are not snapshotted)")
-	}
-	if n := o.in.Backlog(); n != 0 {
-		return nil, fmt.Errorf("sched: Snapshot with %d arrivals buffered; advance the clock first", n)
 	}
 	// Account for every event on the sim queue. A mismatch means some
 	// event escaped the durable ledger (or a non-quiescent call) and a

@@ -85,7 +85,7 @@ func snapDrive(t *testing.T, o *sched.Online, jobs []*grid.Job, next *int, from,
 	t.Helper()
 	for tick := from + 300; tick <= to+1e-9; tick += 300 {
 		for *next < len(jobs) && jobs[*next].Arrival <= tick {
-			if err := o.SubmitLocal(jobs[*next]); err != nil {
+			if err := o.Submit(jobs[*next]); err != nil {
 				t.Fatal(err)
 			}
 			*next++

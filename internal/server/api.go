@@ -324,107 +324,44 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tenantID s
 	}
 	for i, j := range jobs {
 		j.ID = ids[i]
-		// Pending entries exist before injection so a placement racing
-		// this handler (live mode) always finds its submission — the
-		// latency sample and the quota release both depend on it.
+		// Pending entries exist before ingestion so a placement always
+		// finds its submission — the latency sample and the quota release
+		// both depend on it.
 		s.lat.submitted(j.ID, tenantID, accepted)
 	}
+	// One loop command logs, ingests and commits the batch, so request
+	// order is ingestion order and no snapshot can fall between a job's
+	// record and its ingestion (DESIGN.md §10.2).
 	injected := 0
-	counted := false
 	var subErr error
-	if s.cfg.Manual {
-		// Manual mode has no ticker draining the arrival channel, so a
-		// trace bigger than the channel buffer would deadlock the
-		// replay client. Ingest on the loop goroutine instead, which
-		// also keeps request order = ingestion order.
-		err := s.do(r.Context(), func() {
-			for _, j := range jobs {
-				// Log-then-apply, stamped with the current clock: replay
-				// advances the engine here before re-submitting, so the job
-				// re-enters the event queue in its original position (same
-				// arrival clamp, same tie order at batch boundaries).
-				if subErr = s.walArrival(j, s.online.Now()); subErr != nil {
-					return
-				}
-				if subErr = s.online.SubmitLocal(j); subErr != nil {
-					return
-				}
-				injected++
-			}
-			if subErr == nil {
-				// Commit before acknowledging: an accepted batch must
-				// survive a crash.
-				subErr = s.walCommit()
-			}
-			// Counters advance on the loop goroutine, atomically with the
-			// WAL records w.r.t. housekeeping — a snapshot covering these
-			// records must already reflect them (replay skips covered
-			// records, so an increment left to the handler would be lost).
-			s.submitted.Add(int64(injected))
-			s.tenants.addSubmitted(tenantID, injected)
-			counted = true
-		})
-		if subErr == nil {
-			subErr = err
-		}
-	} else {
-		// Live mode logs and commits the batch (on the loop goroutine,
-		// which owns the WAL) before injecting: a crash between the two
-		// resurrects the jobs from the log rather than losing an
-		// acknowledged batch in the arrival channel. Ingest times are
-		// wall-tick-dependent here, so the records carry no At and
-		// recovery re-ingests at the recovered clock.
-		if s.wal != nil {
-			var walErr error
-			err := s.do(r.Context(), func() {
-				for _, j := range jobs {
-					if walErr = s.walArrival(j, 0); walErr != nil {
-						return
-					}
-				}
-				if walErr = s.walCommit(); walErr == nil {
-					// Logged and committed = durable: these jobs reach the
-					// engine either via the channel below or via replay
-					// after a crash. Count them here, atomically with their
-					// records, for the same snapshot-coverage reason as the
-					// manual path.
-					s.submitted.Add(int64(len(jobs)))
-					s.tenants.addSubmitted(tenantID, len(jobs))
-					counted = true
-					// Until the sends below return, the jobs are in the log
-					// and in no engine: writeSnapshot must wait for them.
-					s.uninjected.Add(int64(len(jobs)))
-				}
-			})
-			if walErr == nil {
-				walErr = err
-			}
-			if walErr != nil {
-				for _, j := range jobs {
-					s.lat.forget(j.ID)
-				}
-				s.tenants.release(tenantID, len(jobs))
-				httpError(w, http.StatusServiceUnavailable, "wal: %v", walErr)
+	err = s.do(r.Context(), func() {
+		for _, j := range jobs {
+			// Log-then-apply, stamped with the current clock: replay
+			// advances the engine here before re-submitting, so the job
+			// re-enters the event queue in its original position (same
+			// arrival clamp, same tie order at batch boundaries).
+			if subErr = s.walArrival(j); subErr != nil {
 				return
 			}
-		}
-		for _, j := range jobs {
-			// Abort on loop exit: a dead loop never drains the channel,
-			// and a blocked send here would wedge the handler forever.
-			if subErr = s.online.SubmitOr(s.loopDone, j); subErr != nil {
-				break
+			if subErr = s.online.Submit(j); subErr != nil {
+				return
 			}
 			injected++
 		}
-		if s.wal != nil {
-			// A tail the dead loop never took stays counted: the shutdown
-			// snapshot is skipped and the next boot replays it from the log.
-			s.uninjected.Add(-int64(injected))
+		if subErr == nil {
+			// Commit before acknowledging: an accepted batch must
+			// survive a crash.
+			subErr = s.walCommit()
 		}
-	}
-	if !counted {
+		// Counters advance on the loop goroutine, atomically with the
+		// WAL records w.r.t. housekeeping — a snapshot covering these
+		// records must already reflect them (replay skips covered
+		// records, so an increment left to the handler would be lost).
 		s.submitted.Add(int64(injected))
 		s.tenants.addSubmitted(tenantID, injected)
+	})
+	if subErr == nil {
+		subErr = err
 	}
 	if subErr != nil {
 		// The tail never reached the engine: unwind its accounting.
@@ -558,7 +495,6 @@ func (s *Server) buildReport(r *http.Request, tenant string) (MetricsReport, err
 		UptimeS:       time.Since(s.started).Seconds(),
 		Submitted:     s.submitted.Load(),
 		Arrived:       s.arrived.Load(),
-		Backlog:       s.online.Backlog(),
 		Placed:        s.placed.Load(),
 		Failures:      s.failures.Load(),
 		Interrupted:   s.interrupted.Load(),
@@ -593,7 +529,6 @@ func (s *Server) buildReport(r *http.Request, tenant string) (MetricsReport, err
 					VirtualNow:   o.Now(),
 					Seen:         o.Seen(),
 					InFlight:     o.InFlight(),
-					Backlog:      o.Backlog(),
 					Batches:      o.Batches(),
 					LargestBatch: o.LargestBatch(),
 					Latency:      s.lat.shardSummary(i),

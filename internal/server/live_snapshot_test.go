@@ -17,14 +17,12 @@ import (
 )
 
 // TestLiveSnapshotHoldsLoggedJobs is the live-mode half of the snapshot
-// invariant (DESIGN.md §10.2): a live handler logs and commits on the
-// loop goroutine and injects into the arrival channel afterwards, and a
-// snapshot written in between would cover records whose jobs no engine
-// holds — recovery skips covered records, so a crash there loses
-// acknowledged jobs. Concurrent submitters run against a daemon that
-// wants a snapshot after every record; the daemon is then crashed at
-// each snapshot it wrote and the recovered drain must complete exactly
-// the jobs logged at or below the crash point.
+// invariant (DESIGN.md §10.2): a snapshot that covered records whose
+// jobs no engine holds would lose acknowledged jobs in a crash, because
+// recovery skips covered records. Concurrent submitters run against a
+// daemon that wants a snapshot after every record; the daemon is then
+// crashed at each snapshot it wrote and the recovered drain must
+// complete exactly the jobs logged at or below the crash point.
 func TestLiveSnapshotHoldsLoggedJobs(t *testing.T) {
 	// Submitters run until the daemon has written wantSnaps snapshots;
 	// maxRequests only bounds a daemon that never writes one.

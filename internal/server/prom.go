@@ -38,7 +38,6 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 	counter("trustgrid_completed_jobs_total", "Jobs completed successfully.", float64(rep.Completed))
 	counter("trustgrid_rejected_jobs_total", "Submissions rejected with 429 (quota).", float64(rep.Rejected))
 	counter("trustgrid_batches_total", "Scheduling rounds that dispatched jobs.", float64(rep.Batches))
-	gauge("trustgrid_backlog_jobs", "Submitted jobs not yet ingested.", float64(rep.Backlog))
 	gauge("trustgrid_in_flight_jobs", "Ingested jobs not yet completed.", float64(rep.InFlight))
 	gauge("trustgrid_sites_alive", "Sites currently in service.", float64(rep.SitesAlive))
 	gauge("trustgrid_virtual_time_seconds", "Engine virtual clock.", rep.VirtualNow)

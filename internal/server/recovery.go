@@ -447,18 +447,9 @@ func (s *Server) replayRecord(rec wal.Record) error {
 // writeSnapshot persists the server state at the current WAL position —
 // first the events emitted since the last snapshot, as one journal
 // file, then the snapshot that counts on it — rotates the segments and
-// garbage-collects what the retained snapshots cover. A live-mode
-// engine with buffered arrivals, or with logged arrivals still in their
-// handler's hands, skips the attempt (both drain by the next tick and
-// the records are in the WAL either way): the engine snapshot would not
-// hold those jobs and recovery skips the records a snapshot covers.
-// Loop goroutine (or post-loop Stop) only.
+// garbage-collects what the retained snapshots cover. Loop goroutine
+// (or post-loop Stop) only.
 func (s *Server) writeSnapshot() error {
-	// uninjected first: a handler moves a job into the backlog before it
-	// takes it off the count, so the job shows in one of the two reads.
-	if s.uninjected.Load() != 0 || s.online.Backlog() != 0 {
-		return nil
-	}
 	if err := s.walCommit(); err != nil {
 		return err
 	}
@@ -575,17 +566,15 @@ func (s *Server) walAppend(shard int, rec wal.Record) error {
 	return nil
 }
 
-// walArrival logs one accepted arrival, stamped with the clock it was
-// ingested under (at), to the shard that owns its tenant.
-func (s *Server) walArrival(j *grid.Job, at float64) error {
+// walArrival logs one accepted arrival, stamped with the current clock
+// — the clock the job is ingested at, in the same loop command — to the
+// shard that owns its tenant.
+func (s *Server) walArrival(j *grid.Job) error {
 	if s.wal == nil {
 		return nil
 	}
-	err := s.walAppend(s.online.Owner(j.Tenant), wal.Record{Kind: wal.KindArrival, At: at, Arrival: &api.TraceRecord{
-		ID: j.ID, Arrival: j.Arrival, Workload: j.Workload, Nodes: j.Nodes,
-		SD: j.SecurityDemand, Tenant: j.Tenant, SafeOnly: j.SafeOnly,
-		DependsOn: j.DependsOn, Deadline: j.Deadline,
-	}})
+	rec := api.NewTraceRecord(j)
+	err := s.walAppend(s.online.Owner(j.Tenant), wal.Record{Kind: wal.KindArrival, At: s.online.Now(), Arrival: &rec})
 	if err != nil {
 		return err
 	}

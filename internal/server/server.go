@@ -247,13 +247,6 @@ type Server struct {
 	// loggedID is the largest logged job ID: nextID as snapshots see it.
 	// Loop goroutine only.
 	loggedID int64
-	// uninjected counts live-mode jobs whose arrival record is logged but
-	// which their handler has not yet handed to the engine. The loop adds
-	// them when it commits the records, the handler takes them off after
-	// SubmitOr, and writeSnapshot waits for zero: a snapshot at WAL
-	// position p holds, in an engine or in the backlog, every job logged
-	// <= p (DESIGN.md §10.2).
-	uninjected atomic.Int64
 
 	submitted   atomic.Int64 // accepted by the HTTP layer
 	arrived     atomic.Int64 // ingested by the engine
@@ -455,8 +448,9 @@ func (s *Server) loop() {
 // command it WILL run, so returning early on a cancelled request would
 // report failure for side effects that still happen (a replay client
 // would retry an already-ingested batch into duplicate-ID rejections).
-// The post-enqueue wait is bounded by one tick in live mode and is
-// immediate in manual mode; loop death still unblocks it.
+// The enqueue waits out the loop iteration in progress (in live mode
+// a Δ-round, which may outlast a tick); after it the wait is fn's own
+// run. Loop death unblocks both.
 func (s *Server) do(ctx context.Context, fn func()) error {
 	done := make(chan struct{})
 	select {
@@ -576,13 +570,7 @@ func (s *Server) onEvent(ev sched.EngineEvent) {
 		if s.cfg.TraceWriter != nil {
 			// Recording errors must not break scheduling; the writer's
 			// owner (cmd/trustgridd) reports them at close time.
-			_ = WriteTraceRecord(s.cfg.TraceWriter, TraceRecord{
-				ID: ev.Job.ID, Arrival: ev.Job.Arrival,
-				Workload: ev.Job.Workload, Nodes: ev.Job.Nodes,
-				SD:     ev.Job.SecurityDemand,
-				Tenant: ev.Job.Tenant, SafeOnly: ev.Job.SafeOnly,
-				DependsOn: ev.Job.DependsOn, Deadline: ev.Job.Deadline,
-			})
+			_ = WriteTraceRecord(s.cfg.TraceWriter, api.NewTraceRecord(&ev.Job))
 		}
 	case sched.EventPlaced:
 		s.placed.Add(1)
@@ -636,8 +624,7 @@ func (s *Server) Stop(drain bool) (*sched.Result, error) {
 	}
 	if !drain {
 		// Clean shutdown still commits the tail and leaves a fresh
-		// snapshot when one is possible (backlogged live-mode arrivals
-		// stay in the WAL and replay on the next boot).
+		// snapshot when one is possible.
 		s.finalSnapshot()
 		return nil, s.closeWAL()
 	}

@@ -8,5 +8,5 @@
 // driven by deterministic handlers and deterministic random streams always
 // produces byte-identical results.
 //
-// DESIGN.md §1.1 inventory row: discrete-event engine: event list ordered by (time, insertion sequence) — fully deterministic, with a clock-driven online mode fed by an arrival channel (§6.3).
+// DESIGN.md §1.1 inventory row: discrete-event engine: event list ordered by (time, insertion sequence) — fully deterministic; run to a deadline (RunUntil) or dry (Run).
 package sim

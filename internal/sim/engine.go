@@ -90,26 +90,14 @@ func (e *Engine) Schedule(t float64, ev Event) {
 	e.queue.Push(&queued{at: t, seq: e.seq, ev: ev})
 }
 
-// After enqueues ev to run delay seconds from now.
-func (e *Engine) After(delay float64, ev Event) {
-	if delay < 0 {
-		panic(fmt.Errorf("%w: delay=%v", ErrNegativeDelay, delay))
-	}
-	e.Schedule(e.now+delay, ev)
-}
-
-// Stop ends the run loop after the current event completes. Remaining
-// events stay in the queue (Pending reports them).
-func (e *Engine) Stop() { e.stopped = true }
-
 // Fail ends the run loop and records err, which Run returns.
 func (e *Engine) Fail(err error) {
 	e.err = err
 	e.stopped = true
 }
 
-// Run executes events in timestamp order until the queue is empty, Stop or
-// Fail is called, or MaxEvents is exceeded.
+// Run executes events in timestamp order until the queue is empty, Fail
+// is called, or MaxEvents is exceeded.
 func (e *Engine) Run() error {
 	e.stopped = false
 	for !e.stopped && e.queue.Len() > 0 {

@@ -52,7 +52,7 @@ func TestEventsCanScheduleEvents(t *testing.T) {
 	step = func(e *Engine) {
 		count++
 		if count < 100 {
-			e.After(1.0, EventFunc(step))
+			e.Schedule(e.Now()+1, EventFunc(step))
 		}
 	}
 	e.Schedule(0, EventFunc(step))
@@ -91,37 +91,6 @@ func TestScheduleNaNPanics(t *testing.T) {
 	NewEngine().Schedule(math.NaN(), EventFunc(func(*Engine) {}))
 }
 
-func TestAfterNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative delay should panic")
-		}
-	}()
-	NewEngine().After(-1, EventFunc(func(*Engine) {}))
-}
-
-func TestStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 0; i < 10; i++ {
-		e.Schedule(float64(i), EventFunc(func(e *Engine) {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		}))
-	}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
-	if e.Pending() != 7 {
-		t.Fatalf("pending = %d, want 7", e.Pending())
-	}
-}
-
 func TestFail(t *testing.T) {
 	e := NewEngine()
 	boom := errors.New("boom")
@@ -136,7 +105,7 @@ func TestMaxEvents(t *testing.T) {
 	e := NewEngine()
 	e.MaxEvents = 50
 	var step func(e *Engine)
-	step = func(e *Engine) { e.After(1, EventFunc(step)) }
+	step = func(e *Engine) { e.Schedule(e.Now()+1, EventFunc(step)) }
 	e.Schedule(0, EventFunc(step))
 	if err := e.Run(); err == nil {
 		t.Fatal("expected MaxEvents error")

@@ -294,7 +294,7 @@ type Engine interface {
 	Now() float64
 	AdvanceTo(t float64) error
 	Drain() (*sched.Result, error)
-	SubmitLocal(j *grid.Job) error
+	Submit(j *grid.Job) error
 	SetTenantWeight(tenant string, weight float64)
 }
 
@@ -324,7 +324,7 @@ func Apply(eng Engine, rec Record) error {
 			return fmt.Errorf("barrier record %d (advance to %v): %w", rec.Seq, rec.Barrier.To, err)
 		}
 	case KindArrival:
-		if err := eng.SubmitLocal(rec.Arrival.Job()); err != nil {
+		if err := eng.Submit(rec.Arrival.Job()); err != nil {
 			return fmt.Errorf("arrival record %d: %w", rec.Seq, err)
 		}
 	}

@@ -88,10 +88,10 @@ type (
 	GAConfig = ga.Config
 	// Online is the incremental simulation engine: the batch loop of
 	// Simulate promoted to an open-world API where jobs stream in
-	// (Submit, safe from any goroutine) while the owner advances the
-	// virtual clock (AdvanceTo/Drain). Simulate is a thin wrapper over
-	// it, so recorded online traffic replays byte-identically through
-	// the batch path (DESIGN.md §6).
+	// (Submit) while the owner advances the virtual clock
+	// (AdvanceTo/Drain), all on one goroutine. Simulate is a thin
+	// wrapper over it, so recorded online traffic replays
+	// byte-identically through the batch path (DESIGN.md §6).
 	Online = sched.Online
 	// EngineEvent is one job lifecycle notification (arrival, placement,
 	// failure, completion) delivered through SimConfig.OnEvent.
@@ -246,7 +246,7 @@ func Simulate(cfg SimConfig) (*SimResult, error) { return sched.Run(cfg) }
 
 // NewOnline builds the incremental engine behind Simulate: cfg.Jobs may
 // be empty, with jobs streamed in later via Submit while the caller
-// drives the virtual clock (AdvanceTo / Drain).
+// drives the virtual clock (AdvanceTo / Drain) from the same goroutine.
 func NewOnline(cfg SimConfig) (*Online, error) { return sched.NewOnline(cfg) }
 
 // NewService builds an embeddable trusted-scheduling HTTP service (the
