@@ -1,20 +1,25 @@
 package api
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"math"
 	"strconv"
 
+	"trustgrid/internal/sched"
 	"trustgrid/internal/strictjson"
 )
 
-// The event line. An Event crosses three boundaries — the NDJSON
-// stream, the on-disk event journal and the client's decoder — and all
-// three use the codec below instead of reflection. AppendJSON renders
-// the canonical line, byte for byte what encoding/json renders for the
-// struct; ParseEvent reads exactly that form and hands every other
-// input to json.Unmarshal, so the pair can never disagree with
-// encoding/json — only be faster on the lines the daemon writes
-// (DESIGN.md §9).
+// The event line. An Event crosses two text boundaries — the NDJSON
+// stream and the client's decoder — and both use the codec below
+// instead of reflection. AppendJSON renders the canonical line, byte
+// for byte what encoding/json renders for the struct; ParseEvent reads
+// exactly that form and hands every other input to json.Unmarshal, so
+// the pair can never disagree with encoding/json — only be faster on
+// the lines the daemon writes (DESIGN.md §9). The on-disk event journal
+// stores the binary record at the end of this file instead, which it
+// neither renders nor parses as text.
 
 // AppendJSON appends the event's JSON object (no trailing newline) to
 // dst and returns the extended slice. The bytes equal json.Marshal's:
@@ -191,4 +196,157 @@ func parseCanonical(line []byte, ev *Event) bool {
 			return false
 		}
 	}
+}
+
+// The event record: the journal's form of an Event (DESIGN.md §9.7).
+// A record is a little-endian uint32 presence mask — bit i for the
+// field with bit value 1<<i among the f* constants above, set exactly
+// when the field is non-zero (a float's bit pattern, so −0 and every
+// NaN count) — followed by the present fields in struct order: integers
+// as 8-byte little-endian two's complement, floats as their 8-byte
+// IEEE-754 bit pattern, strings as a uvarint length and the bytes. The
+// three booleans are their bits alone. Every Event has exactly one
+// record, and it reads back bit for bit.
+
+// errRecord is what ReadEventRecord returns for bytes that are not a
+// whole record.
+var errRecord = errors.New("api: malformed event record")
+
+// recordFields is the mask of the defined field bits.
+const recordFields = fSpeed<<1 - 1
+
+// AppendRecord appends the event's record to dst and returns the
+// extended slice.
+func (e *Event) AppendRecord(dst []byte) []byte {
+	at := len(dst)
+	dst = append(dst, 0, 0, 0, 0)
+	var mask uint32
+	putInt := func(bit uint32, v int64) {
+		if v != 0 {
+			mask |= bit
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
+		}
+	}
+	putFloat := func(bit uint32, f float64) {
+		if v := math.Float64bits(f); v != 0 {
+			mask |= bit
+			dst = binary.LittleEndian.AppendUint64(dst, v)
+		}
+	}
+	putString := func(bit uint32, s string) {
+		if s != "" {
+			mask |= bit
+			dst = binary.AppendUvarint(dst, uint64(len(s)))
+			dst = append(dst, s...)
+		}
+	}
+	putBool := func(bit uint32, b bool) {
+		if b {
+			mask |= bit
+		}
+	}
+	putInt(fSeq, e.Seq)
+	putString(fKind, e.Kind)
+	putFloat(fTime, e.Time)
+	putInt(fJob, int64(e.Job))
+	putInt(fSite, int64(e.Site))
+	putString(fTenant, e.Tenant)
+	putBool(fSafeOnly, e.SafeOnly)
+	putFloat(fStart, e.Start)
+	putFloat(fFinish, e.Finish)
+	putBool(fRisky, e.Risky)
+	putBool(fFellBack, e.FellBack)
+	putFloat(fArrival, e.Arrival)
+	putFloat(fWorkload, e.Workload)
+	putInt(fNodes, int64(e.Nodes))
+	putFloat(fSD, e.SD)
+	putFloat(fLevel, e.Level)
+	putFloat(fSpeed, e.Speed)
+	binary.LittleEndian.PutUint32(dst[at:], mask)
+	return dst
+}
+
+// wireKinds are the kind labels the engine emits. A decoded record
+// shares these strings instead of copying its kind.
+var wireKinds = func() []string {
+	var out []string
+	for k := sched.EventKind(0); k.String() != "unknown"; k++ {
+		out = append(out, k.String())
+	}
+	return out
+}()
+
+// ReadEventRecord decodes the record at the start of b into ev, every
+// field of which it overwrites, and returns the bytes that follow it.
+// Bytes that are not a whole record in AppendRecord's form — truncated,
+// an undefined mask bit, a present field holding zero — are an error,
+// and leave ev unspecified.
+func ReadEventRecord(b []byte, ev *Event) (rest []byte, err error) {
+	if len(b) < 4 {
+		return nil, errRecord
+	}
+	mask := binary.LittleEndian.Uint32(b)
+	if mask&^recordFields != 0 {
+		return nil, errRecord
+	}
+	b = b[4:]
+	bad := false
+	getWord := func(bit uint32) uint64 {
+		if mask&bit == 0 || bad {
+			return 0
+		}
+		if len(b) < 8 {
+			bad = true
+			return 0
+		}
+		v := binary.LittleEndian.Uint64(b)
+		bad = v == 0
+		b = b[8:]
+		return v
+	}
+	getInt := func(bit uint32) int64 { return int64(getWord(bit)) }
+	getFloat := func(bit uint32) float64 { return math.Float64frombits(getWord(bit)) }
+	getString := func(bit uint32) string {
+		if mask&bit == 0 || bad {
+			return ""
+		}
+		n, k := binary.Uvarint(b)
+		if k <= 0 || n == 0 || n > uint64(len(b)-k) || k > 1 && b[k-1] == 0 {
+			bad = true
+			return ""
+		}
+		raw := b[k : k+int(n)]
+		b = b[k+int(n):]
+		if bit == fKind {
+			for _, kind := range wireKinds {
+				if string(raw) == kind {
+					return kind
+				}
+			}
+		}
+		return string(raw)
+	}
+	*ev = Event{
+		Seq:      getInt(fSeq),
+		Kind:     getString(fKind),
+		Time:     getFloat(fTime),
+		Job:      int(getInt(fJob)),
+		Site:     int(getInt(fSite)),
+		Tenant:   getString(fTenant),
+		SafeOnly: mask&fSafeOnly != 0,
+		Start:    getFloat(fStart),
+		Finish:   getFloat(fFinish),
+		Risky:    mask&fRisky != 0,
+		FellBack: mask&fFellBack != 0,
+		Arrival:  getFloat(fArrival),
+		Workload: getFloat(fWorkload),
+		Nodes:    int(getInt(fNodes)),
+		SD:       getFloat(fSD),
+		Level:    getFloat(fLevel),
+		Speed:    getFloat(fSpeed),
+	}
+	if bad {
+		return nil, errRecord
+	}
+	return b, nil
 }

@@ -3,6 +3,7 @@ package api
 import (
 	"encoding/json"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -195,5 +196,118 @@ func FuzzEventCodec(f *testing.F) {
 			SafeOnly: flags&1 != 0, Start: b, Finish: c, Risky: flags&2 != 0, FellBack: flags&4 != 0,
 			Arrival: c, Workload: a, Nodes: nodes, SD: b, Level: c, Speed: a,
 		})
+	})
+}
+
+// sameBits reports whether two events are the same bit for bit: NaN
+// payloads and the sign of zero included.
+func sameBits(a, b *Event) bool {
+	x, y := *a, *b
+	x.Time, x.Start, x.Finish, x.Arrival, x.Workload, x.SD, x.Level, x.Speed = 0, 0, 0, 0, 0, 0, 0, 0
+	y.Time, y.Start, y.Finish, y.Arrival, y.Workload, y.SD, y.Level, y.Speed = 0, 0, 0, 0, 0, 0, 0, 0
+	return x == y && floatBits(a) == floatBits(b)
+}
+
+// checkRecord is the record codec's contract: an event's record reads
+// back bit for bit, stops where the record does, and no proper prefix
+// of it decodes.
+func checkRecord(t *testing.T, ev Event) {
+	t.Helper()
+	rec := ev.AppendRecord([]byte("x"))[1:]
+	back := Event{Seq: 7, Kind: "placed", Tenant: "acme", Risky: true, Start: 1.5}
+	rest, err := ReadEventRecord(append(rec[:len(rec):len(rec)], 'y'), &back)
+	if err != nil || string(rest) != "y" || !sameBits(&back, &ev) {
+		t.Fatalf("%+v: record %x reads back as %+v, rest %q (%v)", ev, rec, back, rest, err)
+	}
+	for n := range rec {
+		if _, err := ReadEventRecord(rec[:n], &back); err == nil {
+			t.Fatalf("%+v: the %d-byte prefix of record %x decodes", ev, n, rec)
+		}
+	}
+}
+
+// recordEvents adds to codecEvents the values only the record carries:
+// NaN payloads of both signs, infinities and the extreme ints.
+var recordEvents = append(append([]Event(nil), codecEvents...),
+	Event{Time: math.Float64frombits(0x7ff0000000000001), Start: math.Float64frombits(0xfff8deadbeef0001), Speed: math.Inf(1), Level: math.Inf(-1)},
+	Event{Seq: math.MaxInt64, Job: math.MinInt64, Site: -1, Nodes: math.MaxInt64, Kind: string(make([]byte, 300)), Tenant: "\x00"},
+)
+
+func TestEventRecordCases(t *testing.T) {
+	for _, ev := range recordEvents {
+		checkRecord(t, ev)
+	}
+	// Bytes AppendRecord never writes: an undefined mask bit, a present
+	// field holding zero (int, float and string), a non-minimal length.
+	for _, bad := range [][]byte{
+		{0, 0, 2, 0},
+		{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		{4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		{2, 0, 0, 0, 0},
+		{2, 0, 0, 0, 0x81, 0, 'a'},
+	} {
+		var ev Event
+		if _, err := ReadEventRecord(bad, &ev); err == nil {
+			t.Errorf("%x decodes to %+v", bad, ev)
+		}
+	}
+	// A kind the engine emits is shared, not copied.
+	rec := codecEvents[2].AppendRecord(nil)
+	var ev Event
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := ReadEventRecord(rec, &ev); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 1 {
+		t.Fatalf("decoding a placed record allocates %v times, want the tenant's 1", n)
+	}
+	buf := make([]byte, 0, 512)
+	if n := testing.AllocsPerRun(100, func() { buf = codecEvents[2].AppendRecord(buf[:0]) }); n != 0 {
+		t.Fatalf("AppendRecord into a warm buffer allocates %v times per event", n)
+	}
+}
+
+// readAllRecords decodes records from data until it ends or one does
+// not decode, as the journal loader does.
+func readAllRecords(data []byte) (n int) {
+	var ev Event
+	for len(data) > 0 {
+		var err error
+		if data, err = ReadEventRecord(data, &ev); err != nil {
+			break
+		}
+		n++
+	}
+	return n
+}
+
+// FuzzEventRecord holds the record codec to its contract over
+// arbitrary input: every field value — NaN payloads, ±0, subnormals,
+// extreme ints, strings of any bytes, passed as raw bits — round-trips
+// bit for bit (checkRecord), and arbitrary bytes never panic the
+// decoder, which allocates at most 2n + 16 KiB for n bytes of input: it
+// copies at most the strings the input holds, and sizes nothing from a
+// length it has not checked against what is left.
+func FuzzEventRecord(f *testing.F) {
+	for i, ev := range recordEvents {
+		f.Add(ev.AppendRecord(nil), ev.Seq, ev.Kind, ev.Tenant, int64(ev.Job), int64(ev.Nodes), uint8(i),
+			math.Float64bits(ev.Time), math.Float64bits(ev.Start), math.Float64bits(ev.Level))
+	}
+	f.Add([]byte{0xff, 0xff, 1, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}, int64(0), "", "", int64(0), int64(0), uint8(0), uint64(1), uint64(1<<63), uint64(0x7ff8000000000000))
+	f.Fuzz(func(t *testing.T, data []byte, seq int64, kind, tenant string, job, nodes int64, flags uint8, a, b, c uint64) {
+		fa, fb, fc := math.Float64frombits(a), math.Float64frombits(b), math.Float64frombits(c)
+		checkRecord(t, Event{
+			Seq: seq, Kind: kind, Time: fa, Job: int(job), Site: int(nodes ^ job), Tenant: tenant,
+			SafeOnly: flags&1 != 0, Start: fb, Finish: fc, Risky: flags&2 != 0, FellBack: flags&4 != 0,
+			Arrival: fc, Workload: fa, Nodes: int(nodes), SD: fb, Level: fc, Speed: fa,
+		})
+		n := uint64(len(data))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		readAllRecords(data)
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, 2*n+16<<10; got > limit {
+			t.Fatalf("decoding %d bytes allocated %d, want <= %d", n, got, limit)
+		}
 	})
 }

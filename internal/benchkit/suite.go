@@ -401,8 +401,8 @@ func fitnessEvalCase(n, pop int) func(b *testing.B) {
 	}
 }
 
-// placedEvent is the event line the stream, the journal and the client
-// see most of: a placement with its tenant and both times.
+// placedEvent is the event the stream, the journal and the client see
+// most of: a placement with its tenant and both times.
 var placedEvent = api.Event{Seq: 48213, Kind: "placed", Time: 615000, Job: 20417, Site: 7,
 	Tenant: "gold", Start: 615000, Finish: 627412.3812, Risky: true}
 
@@ -420,13 +420,15 @@ func post(b *testing.B, hd http.Handler, path string, body any) {
 	}
 }
 
-// snapshotWriteCase measures one server snapshot of a flat durable
-// daemon whose event ring holds at least events events: an op is a
-// one-job durable submission under SnapshotEvery 1, so the snapshot it
-// triggers — journal flush, payload, the fsyncs, rotate, GC — is all
-// but a few microseconds of it. What the snapshot costs must follow
-// what changed since the last one (one event here), not the ring.
-func snapshotWriteCase(events int) func(b *testing.B) {
+// snapshotWriteCase measures one server snapshot of a durable daemon
+// of the given shard count whose event ring holds at least events
+// events: an op is a one-job durable submission under SnapshotEvery 1,
+// so the snapshot it triggers — journal flush, payload, the fsyncs,
+// rotate, GC — is all but a few microseconds of it. What the snapshot
+// costs must follow what changed since the last one (one event here),
+// not the ring. A sharded daemon's jobs go to three tenants that route
+// to its three shards, so every shard log takes arrivals.
+func snapshotWriteCase(events, shards int) func(b *testing.B) {
 	return func(b *testing.B) {
 		dir, err := os.MkdirTemp("", "benchkit-snapshot-")
 		if err != nil {
@@ -434,10 +436,18 @@ func snapshotWriteCase(events int) func(b *testing.B) {
 		}
 		defer os.RemoveAll(dir)
 		_, sites := benchBatch(0)
-		srv, err := server.New(server.Config{
+		cfg := server.Config{
 			Sites: sites, Algo: "minmin", Manual: true, BatchInterval: 5000,
-			WALDir: dir, SnapshotEvery: 1, EventBuffer: 2 * events,
-		})
+			WALDir: dir, SnapshotEvery: 1, EventBuffer: 2 * events, Shards: shards,
+		}
+		tenants := []string{api.DefaultTenant}
+		if shards > 1 {
+			tenants = []string{"gold", "silver", "iron"} // FNV-1a routes them to shards 0-2 of 3
+			for _, id := range tenants {
+				cfg.Tenants = append(cfg.Tenants, api.TenantSpec{ID: id})
+			}
+		}
+		srv, err := server.New(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -452,7 +462,7 @@ func snapshotWriteCase(events int) func(b *testing.B) {
 			for i := range specs {
 				specs[i] = api.JobSpec{Arrival: &at, Workload: 1000 + r.Float64()*200000, Nodes: 1, SD: r.Uniform(0.6, 0.9)}
 			}
-			post(b, hd, "/v2/tenants/"+api.DefaultTenant+"/jobs", api.SubmitRequest{Jobs: specs})
+			post(b, hd, "/v2/tenants/"+tenants[(n/chunk)%len(tenants)]+"/jobs", api.SubmitRequest{Jobs: specs})
 			at += 5000
 			post(b, hd, "/v2/advance", api.AdvanceRequest{To: at})
 		}
@@ -461,7 +471,74 @@ func snapshotWriteCase(events int) func(b *testing.B) {
 		one := api.SubmitRequest{Jobs: []api.JobSpec{{Arrival: &at, Workload: 50000, Nodes: 1, SD: 0.7}}}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			post(b, hd, "/v2/tenants/"+api.DefaultTenant+"/jobs", one)
+			post(b, hd, "/v2/tenants/"+tenants[i%len(tenants)]+"/jobs", one)
+		}
+	}
+}
+
+// journalRestoreCase measures the recovery of a flat durable daemon
+// whose retained event window — at least events events, all journaled
+// before its final snapshot — is the bulk of what recovery reads: an op
+// is one server.New over a fresh copy of the directory (the copy, and
+// the shutdown snapshot of the recovered daemon, off the clock).
+func journalRestoreCase(events int) func(b *testing.B) {
+	return func(b *testing.B) {
+		root, err := os.MkdirTemp("", "benchkit-journal-")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer os.RemoveAll(root)
+		_, sites := benchBatch(0)
+		// The default snapshot cadence and retention: GC leaves the log a
+		// few thousand records, recovery replays none of them, and the
+		// journal files of every snapshot stay, since all share event_base
+		// 0 with a ring that evicts nothing.
+		cfg := server.Config{
+			Sites: sites, Algo: "minmin", Manual: true, BatchInterval: 5000,
+			WALDir: filepath.Join(root, "wal"), EventBuffer: 2 * events,
+		}
+		srv, err := server.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		hd := srv.Handler()
+		const chunk = 512
+		r := rng.New(5)
+		at := 0.0
+		for n := 0; 3*n < events; n += chunk {
+			specs := make([]api.JobSpec, chunk)
+			for i := range specs {
+				specs[i] = api.JobSpec{Arrival: &at, Workload: 1000 + r.Float64()*200000, Nodes: 1, SD: r.Uniform(0.6, 0.9)}
+			}
+			post(b, hd, "/v2/tenants/"+api.DefaultTenant+"/jobs", api.SubmitRequest{Jobs: specs})
+			at += 5000
+			post(b, hd, "/v2/advance", api.AdvanceRequest{To: at})
+		}
+		post(b, hd, "/v2/advance", api.AdvanceRequest{To: at + 1e9}) // everything placed has completed
+		if _, err := srv.Stop(false); err != nil {
+			b.Fatal(err)
+		}
+		pristine := os.DirFS(cfg.WALDir)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			cfg.WALDir = filepath.Join(root, fmt.Sprint("copy-", i))
+			if err := os.CopyFS(cfg.WALDir, pristine); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			srv, err := server.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if _, err := srv.Stop(false); err != nil {
+				b.Fatal(err)
+			}
+			if err := os.RemoveAll(cfg.WALDir); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
 		}
 	}
 }
@@ -807,8 +884,10 @@ func Suite() []Case {
 		// a churn trace file through the reader every boot with one runs.
 		{Name: "WALReplay/records=4096", Smoke: true, F: walReplayCase(4096)},
 		{Name: "ChurnTrace/read/events=4096", Smoke: true, F: churnReadCase(4096)},
-		{Name: "SnapshotWrite/events=65536", Smoke: false, F: snapshotWriteCase(65536)},
+		{Name: "SnapshotWrite/events=65536", Smoke: false, F: snapshotWriteCase(65536, 1)},
+		{Name: "SnapshotWrite/shards=3", Smoke: false, F: snapshotWriteCase(65536, 3)},
 		{Name: "SnapshotWrite/jobs=262144/tenants=4", Smoke: false, F: registrySnapshotCase(1<<18, 4)},
+		{Name: "JournalRestore/events=65536", Smoke: false, F: journalRestoreCase(65536)},
 	}
 }
 

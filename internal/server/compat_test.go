@@ -17,11 +17,13 @@ import (
 
 // walFixture is one scripted durable run whose on-disk state is
 // committed under testdata/wal-v<N>/<name>/, with the uninterrupted run's
-// event stream beside it in <name>.events.ndjson. wal-v3/ is the
-// current snapshot layout; wal-v2/ was written by the daemon as of
-// commit 73aedd7, before snapshot version 3, and its logs are the record
-// encoding as deployed daemons wrote it, for good (each directory's
-// README.md says how it was made).
+// event stream beside it in <name>.events.ndjson. wal-v4/ is the
+// current directory layout (snapshot version 3, binary event journals,
+// no shard markers); wal-v3/ is the same snapshot version as earlier
+// daemons wrote it, with NDJSON journals and shard markers; wal-v2/ was
+// written by the daemon as of commit 73aedd7, before snapshot version 3.
+// Their logs are the record encoding as deployed daemons wrote it, for
+// good (each directory's README.md says how it was made).
 type walFixture struct {
 	name  string
 	cfg   func(walDir string) server.Config
@@ -92,8 +94,8 @@ func readTree(t *testing.T, root string) map[string][]byte {
 	return files
 }
 
-// isStateSnapshot tells a server snapshot from the GC markers the shard
-// directories keep under the same name.
+// isStateSnapshot tells a server snapshot from the GC markers an older
+// daemon's shard directories kept under the same name.
 func isStateSnapshot(path string, data []byte) bool {
 	return strings.HasPrefix(filepath.Base(path), "snap-") && bytes.Contains(data, []byte(`"event_next"`))
 }
@@ -199,12 +201,19 @@ func copyFixture(t *testing.T, fixture string, committed map[string][]byte, drop
 	return dir
 }
 
+// isSegment tells a log segment from the other files of a WAL directory.
+func isSegment(path string) bool {
+	base := filepath.Base(path)
+	return strings.HasPrefix(base, "wal-") && strings.HasSuffix(base, ".log")
+}
+
 // checkFreshRun drives the fixture's script against a fresh directory
-// and requires the fixture's stream and files: the same names, and the
-// same bytes in every log segment, journal file and GC marker. A server
-// snapshot is held to its inputKeys when sameLayout, to its name alone
-// otherwise.
-func checkFreshRun(t *testing.T, fx walFixture, want string, committed map[string][]byte, sameLayout bool) {
+// and requires the fixture's stream and files. With full set that is
+// every file: the same names, and the same bytes in every log segment
+// and journal file, a server snapshot held to its inputKeys. Otherwise
+// — a fixture of an older directory layout — it is the same names and
+// bytes for the wal-*.log segments, and nothing of the other files.
+func checkFreshRun(t *testing.T, fx walFixture, want string, committed map[string][]byte, full bool) {
 	t.Helper()
 	dir := t.TempDir()
 	got, stop := runFixture(t, fx, dir)
@@ -216,12 +225,13 @@ func checkFreshRun(t *testing.T, fx walFixture, want string, committed map[strin
 			d, excerpt(want, d), excerpt(got, d))
 	}
 	for path, data := range committed {
+		if !full && !isSegment(path) {
+			continue
+		}
 		if now, ok := written[path]; !ok {
 			t.Errorf("a fresh run does not write %s", path)
 		} else if isStateSnapshot(path, data) {
-			if sameLayout {
-				checkInputKeys(t, path, data, now)
-			}
+			checkInputKeys(t, path, data, now)
 		} else if !bytes.Equal(now, data) {
 			d := firstDiff(string(data), string(now))
 			t.Errorf("%s differs from the committed file at byte %d\ncommitted: %s\nnow:       %s",
@@ -229,29 +239,23 @@ func checkFreshRun(t *testing.T, fx walFixture, want string, committed map[strin
 		}
 	}
 	for path := range written {
-		if _, ok := committed[path]; !ok {
+		if _, ok := committed[path]; !ok && (full || isSegment(path)) {
 			t.Errorf("a fresh run writes %s, which the fixture's daemon did not", path)
 		}
 	}
 }
 
-// TestRecoversParentWrittenDirs holds this tree to the two on-disk
-// layouts as a daemon of the current snapshot version wrote them
-// (testdata/wal-v3/), in both directions. Reading: a daemon recovers
-// from a copy of each committed directory — as the crash left it, and
-// again with every snapshot removed, which replays the whole log — and
-// serves the uninterrupted run's stream, byte for byte. Writing: the
-// same script driven against a fresh directory leaves the same files,
-// and the same bytes in every log segment, journal file and GC marker.
-// Server snapshots are held to their names and to the keys the inputs
-// alone decide (inputKeys), not byte for byte: a tenant's `queued`
-// gauge is reserved and released on handler goroutines, so its value at
-// a snapshot is not a function of the inputs (recovery recomputes it,
-// DESIGN.md §10.4).
-func TestRecoversParentWrittenDirs(t *testing.T) {
+// recoversWrittenDirs holds this tree to the fixtures under
+// testdata/<set>/, in both directions. Reading: a daemon recovers from
+// a copy of each committed directory — as the crash left it, and again
+// with every snapshot removed, which replays the whole log — and serves
+// the uninterrupted run's stream, byte for byte. Writing: the same
+// script driven against a fresh directory leaves the files
+// checkFreshRun compares, all of them when full is set.
+func recoversWrittenDirs(t *testing.T, set string, full bool) {
 	for _, fx := range walFixtures(t) {
 		t.Run(fx.name, func(t *testing.T) {
-			fixture := filepath.Join("testdata", "wal-v3", fx.name)
+			fixture := filepath.Join("testdata", set, fx.name)
 			committed, want, _, newestBase := fixtureTree(t, fx, fixture)
 			for _, variant := range []string{"as the crash left it", "without snapshots"} {
 				wantBase := newestBase
@@ -262,9 +266,30 @@ func TestRecoversParentWrittenDirs(t *testing.T) {
 				stop()
 				checkRecoveredStream(t, fx.name+", "+variant, want, got, wantBase)
 			}
-			checkFreshRun(t, fx, want, committed, true)
+			checkFreshRun(t, fx, want, committed, full)
 		})
 	}
+}
+
+// TestRecoversCurrentLayoutDirs holds this tree to the directory layout
+// it writes (testdata/wal-v4/): binary event journals, snapshots in the
+// control directory only, named by the set's position. Server
+// snapshots are held to their names and to the keys the inputs alone
+// decide (inputKeys), not byte for byte: a tenant's `queued` gauge is
+// reserved and released on handler goroutines, so its value at a
+// snapshot is not a function of the inputs (recovery recomputes it,
+// DESIGN.md §10.4). Every other file is held byte for byte.
+func TestRecoversCurrentLayoutDirs(t *testing.T) {
+	recoversWrittenDirs(t, "wal-v4", true)
+}
+
+// TestRecoversParentWrittenDirs holds this tree to directories a daemon
+// of the same snapshot version wrote before the journal became binary
+// records and the shard markers went (testdata/wal-v3/): it recovers
+// from them, NDJSON journals included, and re-writes their log segments
+// byte for byte.
+func TestRecoversParentWrittenDirs(t *testing.T) {
+	recoversWrittenDirs(t, "wal-v3", false)
 }
 
 // TestVersion2DirsRefusedThenReplayed holds this tree to directories a
@@ -272,8 +297,8 @@ func TestRecoversParentWrittenDirs(t *testing.T) {
 // refused with §10.4's message, naming the newest one; with every
 // snapshot removed the v2-era logs recover, byte for byte, and the same
 // script driven against a fresh directory writes every wal-*.log
-// segment, journal file and GC marker those logs' daemon wrote — the
-// record encoding did not change with the snapshot layout.
+// segment those logs' daemon wrote — the record encoding did not change
+// with the snapshot layout.
 func TestVersion2DirsRefusedThenReplayed(t *testing.T) {
 	for _, fx := range walFixtures(t) {
 		t.Run(fx.name, func(t *testing.T) {

@@ -29,7 +29,7 @@ func newEventLog(max int) *eventLog {
 
 // Append assigns the next sequence number and stores the event. The
 // appending goroutine is the only writer of events and base (see
-// appendLinesSince).
+// appendRecordsSince).
 func (l *eventLog) Append(ev WireEvent) {
 	l.mu.Lock()
 	ev.Seq = l.base + int64(len(l.events))
@@ -118,18 +118,18 @@ func appendEventLine(dst []byte, ev *WireEvent) []byte {
 	return dst
 }
 
-// appendLinesSince appends to dst the NDJSON lines of the retained
-// events with seq >= since and returns it with the seq of the first
-// event read and the cursor past the last (first >= next: none). It
-// encodes straight out of the ring, without a copy and without the lock:
-// call it only on the goroutine that appends, which then cannot change
-// the ring underneath it, and whose reads race with nothing the readers
-// under the lock do.
-func (l *eventLog) appendLinesSince(dst []byte, since int64) (lines []byte, first, next int64) {
+// appendRecordsSince appends to dst the journal records (api.Event's
+// AppendRecord) of the retained events with seq >= since and returns it
+// with the seq of the first event read and the cursor past the last
+// (first >= next: none). It encodes straight out of the ring, without a
+// copy and without the lock: call it only on the goroutine that
+// appends, which then cannot change the ring underneath it, and whose
+// reads race with nothing the readers under the lock do.
+func (l *eventLog) appendRecordsSince(dst []byte, since int64) (records []byte, first, next int64) {
 	first = max(since, l.base)
 	next = l.base + int64(len(l.events))
 	for i := first - l.base; i < int64(len(l.events)); i++ {
-		dst = appendEventLine(dst, &l.events[i])
+		dst = l.events[i].AppendRecord(dst)
 	}
 	return dst, first, next
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"trustgrid/internal/api"
 )
 
 // TestEventLogAppendAllocs pins the appender's cost: with no follower
@@ -50,9 +52,10 @@ func TestEventLogWaiterWakes(t *testing.T) {
 	}
 }
 
-// TestEventLogLinesSince: the journal flush's encoding straight out of
-// the ring is the same bytes as encoding what ReadSince returns, from an
-// evicted cursor, mid-ring and at the end.
+// TestEventLogLinesSince: the journal flush's records, encoded straight
+// out of the ring, are the same bytes as the records of what ReadSince
+// returns, from an evicted cursor, mid-ring and at the end, and decode
+// back to those events.
 func TestEventLogLinesSince(t *testing.T) {
 	l := newEventLog(16)
 	for i := 0; i < 40; i++ {
@@ -62,11 +65,18 @@ func TestEventLogLinesSince(t *testing.T) {
 		evs, wantNext := l.ReadSince(since, 0, nil)
 		var want []byte
 		for i := range evs {
-			want = appendEventLine(want, &evs[i])
+			want = evs[i].AppendRecord(want)
 		}
-		got, first, next := l.appendLinesSince([]byte("x"), since)
+		got, first, next := l.appendRecordsSince([]byte("x"), since)
 		if !bytes.Equal(got, append([]byte("x"), want...)) || next != wantNext {
 			t.Fatalf("since %d: %q next %d, want %q next %d", since, got, next, want, wantNext)
+		}
+		for rest, i := got[1:], 0; len(rest) > 0; i++ {
+			var ev WireEvent
+			var err error
+			if rest, err = api.ReadEventRecord(rest, &ev); err != nil || ev != evs[i] {
+				t.Fatalf("since %d: record %d reads back as %+v (%v), want %+v", since, i, ev, err, evs[i])
+			}
 		}
 		if len(evs) > 0 && first != evs[0].Seq || len(evs) == 0 && first < next {
 			t.Fatalf("since %d: first %d with %d events, next %d", since, first, len(evs), next)

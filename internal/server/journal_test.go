@@ -12,30 +12,53 @@ import (
 	"strings"
 	"testing"
 
+	"trustgrid/internal/api"
 	"trustgrid/internal/client"
 	"trustgrid/internal/idset"
 	"trustgrid/internal/server"
 )
 
 // The event journal (DESIGN.md §10.2): a snapshot holds only the bounds
-// of the retained event window; the events are in events-*.ndjson files
-// beside it, each event written once, each file durable before the
-// snapshot whose event_next covers it. The tests below pin the disk
-// format, the damaged and half-written states recovery has to read, the
-// pruning horizon, and the two recoveries that must refuse to start.
+// of the retained event window; the events are in events-*.bin files
+// of binary records beside it, each event written once, each file
+// durable before the snapshot whose event_next covers it. The tests
+// below pin the disk format, the damaged and half-written states
+// recovery has to read, the pruning horizon, and the two recoveries
+// that must refuse to start.
 
-// journalFile is one events-*.ndjson of a WAL directory.
+// journalFile is one events-*.bin of a WAL directory.
 type journalFile struct {
 	name        string
 	first, next int64 // the events it holds: [first, next)
 }
 
+// journalEvents decodes a journal file's records, which must be whole.
+func journalEvents(t *testing.T, path string) []api.Event {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) == 0 {
+		t.Fatalf("%s is empty", path)
+	}
+	var out []api.Event
+	for len(data) > 0 {
+		var ev api.Event
+		if data, err = api.ReadEventRecord(data, &ev); err != nil {
+			t.Fatalf("%s: record %d does not decode: %v", path, len(out), err)
+		}
+		out = append(out, ev)
+	}
+	return out
+}
+
 // journalFiles lists dir's journal files in sequence order, checking
-// that each is what its name says: whole lines, consecutive sequence
+// that each is what its name says: whole records, consecutive sequence
 // numbers from first on.
 func journalFiles(t *testing.T, dir string) []journalFile {
 	t.Helper()
-	names, err := filepath.Glob(filepath.Join(dir, "events-*.ndjson"))
+	names, err := filepath.Glob(filepath.Join(dir, "events-*.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,21 +66,11 @@ func journalFiles(t *testing.T, dir string) []journalFile {
 	var out []journalFile
 	for _, path := range names {
 		f := journalFile{name: filepath.Base(path)}
-		f.first = int64(numberedFile(t, f.name, "events-", ".ndjson"))
+		f.first = int64(numberedFile(t, f.name, "events-", ".bin"))
 		f.next = f.first
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(data) == 0 || data[len(data)-1] != '\n' {
-			t.Fatalf("%s does not end in a newline", f.name)
-		}
-		for _, line := range bytes.Split(data[:len(data)-1], []byte("\n")) {
-			var ev struct {
-				Seq int64 `json:"seq"`
-			}
-			if err := json.Unmarshal(line, &ev); err != nil || ev.Seq != f.next {
-				t.Fatalf("%s: line %q where seq %d belongs (%v)", f.name, line, f.next, err)
+		for _, ev := range journalEvents(t, path) {
+			if ev.Seq != f.next {
+				t.Fatalf("%s: event %+v where seq %d belongs", f.name, ev, f.next)
 			}
 			f.next++
 		}
@@ -103,7 +116,7 @@ func recoveredStream(t *testing.T, dir string, jobs []walJob, check func()) stri
 
 // TestSnapshotHoldsNoEvents pins the disk format: a snapshot carries the
 // window's bounds and neither the events nor the retired used_ids
-// registry, the journal files are consecutive NDJSON, and over a run
+// registry, the journal files are consecutive records, and over a run
 // that retains every event each event is on disk exactly once.
 func TestSnapshotHoldsNoEvents(t *testing.T) {
 	jobs := walJobList(20)
@@ -166,14 +179,19 @@ func TestSnapshotHoldsNoEvents(t *testing.T) {
 		if f.first != at {
 			t.Fatalf("%s starts at %d, the file before it ended at %d: an event is missing or on disk twice", f.name, f.first, at)
 		}
-		data, _ := os.ReadFile(filepath.Join(dir, f.name))
-		onDisk.Write(data)
+		for _, ev := range journalEvents(t, filepath.Join(dir, f.name)) {
+			if line := ev.AppendJSON(nil); len(line) > 0 {
+				onDisk.Write(line)
+				onDisk.WriteByte('\n')
+			}
+		}
 		at = f.next
 	}
 	if at != lastNext {
 		t.Errorf("journal ends at %d, the newest snapshot's event_next is %d", at, lastNext)
 	}
-	// The journal's bytes are the stream's bytes: one codec for both.
+	// The journal's events are the stream's: rendered with the stream's
+	// codec, they are its bytes.
 	if onDisk.String() != wantEvents {
 		d := firstDiff(wantEvents, onDisk.String())
 		t.Errorf("journal differs from the served stream at byte %d\nstream:  %s\njournal: %s",
@@ -365,6 +383,59 @@ func TestJournalGC(t *testing.T) {
 		}
 		got := recoveredStream(t, cp, jobs, nil)
 		checkRecoveredStream(t, damage.name, wantEvents, got, wantBase)
+	}
+}
+
+// TestRestartKeepsFallbackSnapshot: a daemon that recovers and stops
+// again with nothing logged writes its shutdown snapshot over the one it
+// recovered from. It knows one snapshot then, fewer than WALKeep, so it
+// prunes nothing: the older snapshot stays on disk with the segments and
+// journal files it counts on, and recovery falls back to it when the
+// newest is damaged.
+func TestRestartKeepsFallbackSnapshot(t *testing.T) {
+	jobs := walJobList(20)
+	drive := func(c *client.Client) { driveWAL(t, c, jobs) }
+	wantEvents, _, _ := walBaseline(t, walTestConfig(t.TempDir(), "minmin"), drive)
+	for _, keep := range []int{2, 3} {
+		t.Run(fmt.Sprintf("keep=%d", keep), func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := walTestConfig(dir, "minmin")
+			cfg.EventBuffer, cfg.WALKeep = smallWindow, keep
+			walBaseline(t, cfg, drive)
+			_, before := harvestWAL(t, dir)
+			if len(before) != keep {
+				t.Fatalf("WALKeep %d left %d snapshots", keep, len(before))
+			}
+			for restart := 0; restart < 2; restart++ {
+				srv, err := server.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := srv.Stop(false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, after := harvestWAL(t, dir)
+			var newest, older uint64
+			for seq := range before {
+				if _, ok := after[seq]; !ok {
+					t.Fatalf("restarts removed snapshot %d: had %d snapshots, have %d", seq, len(before), len(after))
+				}
+				if seq > newest {
+					newest, older = seq, newest
+				} else if seq > older {
+					older = seq
+				}
+			}
+			if len(after) != keep {
+				t.Fatalf("restarts left %d snapshots, want %d", len(after), keep)
+			}
+			olderBase, _ := snapshotBounds(t, after[older].payload)
+			if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("snap-%016d.json", newest)), []byte("garbage"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			checkRecoveredStream(t, "newest damaged", wantEvents, recoveredStream(t, dir, jobs, nil), olderBase)
+		})
 	}
 }
 

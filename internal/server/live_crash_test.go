@@ -149,3 +149,75 @@ func liveCrashKeepsPlacements(t *testing.T, shards int) {
 		}
 	}
 }
+
+// TestLiveShardedKeepsFallbackSnapshot: a live sharded daemon whose
+// tenants are all configured at boot logs nothing to the control log,
+// only arrivals to the shard logs. Its snapshots must still get
+// distinct files — under -wal-keep 2, two of them — so that with the
+// newest damaged, recovery starts from the older one instead of
+// refusing a log that GC has already cut, and loses no acknowledged job.
+func TestLiveShardedKeepsFallbackSnapshot(t *testing.T) {
+	const requests, perRequest = 20, 2
+	tenants := []string{"gold", "silver", "iron"} // one per shard at -shards 3
+	mk := func(dir string, tick time.Duration) server.Config {
+		cfg := walShardedConfig(dir, "minmin")
+		cfg.Manual = false
+		cfg.Tick = tick
+		cfg.Shards = 3
+		cfg.WALKeep = 2
+		for i, id := range tenants {
+			cfg.Tenants = append(cfg.Tenants, api.TenantSpec{ID: id, Weight: float64(1 + i)})
+		}
+		return cfg
+	}
+	dir := t.TempDir()
+	srv, err := server.New(mk(dir, 2*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Stop(false)
+	ctx := context.Background()
+	c := client.New(ts.URL)
+	for k := 0; k < requests; k++ {
+		specs := []api.JobSpec{{Workload: 100, SD: 0.6}, {Workload: 200, SD: 0.7}}
+		if _, err := c.Submit(ctx, tenants[k%len(tenants)], specs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A metrics read is a loop command: the housekeeping after the last
+	// submission has run, so the directory is a kill -9's disk image.
+	rep, err := c.Metrics(ctx, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Submitted != requests*perRequest {
+		t.Fatalf("submitted %d jobs, want %d", rep.Submitted, requests*perRequest)
+	}
+	crash := t.TempDir()
+	if err := os.CopyFS(crash, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := filepath.Glob(filepath.Join(crash, "coord", "snap-*.json"))
+	if err != nil || len(snaps) != 2 {
+		t.Fatalf("the control directory holds snapshots %v (%v), want 2 distinct files", snaps, err)
+	}
+	if err := os.WriteFile(snaps[1], []byte("garbage"), 0o644); err != nil { // the newest: names sort by position
+		t.Fatal(err)
+	}
+	rec, err := server.New(mk(crash, time.Hour))
+	if err != nil {
+		t.Fatalf("recovery with the newest snapshot damaged: %v", err)
+	}
+	defer rec.Stop(false)
+	rts := httptest.NewServer(rec.Handler())
+	defer rts.Close()
+	got, err := client.New(rts.URL).Metrics(ctx, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Submitted != rep.Submitted {
+		t.Fatalf("recovered %d submitted jobs, %d were acknowledged", got.Submitted, rep.Submitted)
+	}
+}

@@ -50,15 +50,7 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "# HELP trustgrid_round_phase_seconds Wall time of each scheduling-round phase, over in-process shards.\n"+
 		"# TYPE trustgrid_round_phase_seconds histogram\n")
 	for i, c := range s.online.RoundPhases() {
-		phase := sched.PhaseNames[i]
-		var cum uint64
-		for k, n := range c.Buckets {
-			cum += n
-			le := strconv.FormatFloat(obs.UpperBound(k), 'g', -1, 64)
-			fmt.Fprintf(&b, "trustgrid_round_phase_seconds_bucket{phase=%q,le=%q} %d\n", phase, le, cum)
-		}
-		fmt.Fprintf(&b, "trustgrid_round_phase_seconds_sum{phase=%q} %g\n", phase, c.Sum.Seconds())
-		fmt.Fprintf(&b, "trustgrid_round_phase_seconds_count{phase=%q} %d\n", phase, cum)
+		phaseHistogram(&b, "trustgrid_round_phase_seconds", sched.PhaseNames[i], c)
 	}
 
 	// GA work over in-process shards, and the mutation-mask and
@@ -95,13 +87,23 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "# HELP trustgrid_stga_decode_kernel The path the STGA's fitness decode runs on in this process, for rounds within the kernel's gate.\n"+
 		"# TYPE trustgrid_stga_decode_kernel gauge\ntrustgrid_stga_decode_kernel{kernel=%q} 1\n", stga.DecodeKernel())
 
-	// Recovery phases of this process's boot (durable daemons only).
+	// Recovery phases of this process's boot, the phases of its
+	// snapshots and its WAL fsyncs (durable daemons only).
 	if s.cfg.WALDir != "" {
 		fmt.Fprintf(&b, "# HELP trustgrid_recovery_seconds Wall time of each recovery phase at the last boot.\n"+
 			"# TYPE trustgrid_recovery_seconds gauge\n")
 		for p, d := range s.recovery {
 			fmt.Fprintf(&b, "trustgrid_recovery_seconds{phase=%q} %g\n", recoveryPhaseNames[p], d.Seconds())
 		}
+		fmt.Fprintf(&b, "# HELP trustgrid_snapshot_seconds Wall time of each phase of a snapshot write.\n"+
+			"# TYPE trustgrid_snapshot_seconds histogram\n")
+		for p := range s.snapPhases {
+			phaseHistogram(&b, "trustgrid_snapshot_seconds", snapshotPhaseNames[p], s.snapPhases[p].Load())
+		}
+		file, dir := s.walSyncs()
+		fmt.Fprintf(&b, "# HELP trustgrid_wal_syncs_total Fsyncs the durable state has issued, of files and of directories.\n"+
+			"# TYPE trustgrid_wal_syncs_total counter\n"+
+			"trustgrid_wal_syncs_total{kind=\"file\"} %d\ntrustgrid_wal_syncs_total{kind=\"dir\"} %d\n", file, dir)
 	}
 
 	// Per-tenant counters, deterministically ordered for scrape diffs.
@@ -160,4 +162,18 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = w.Write([]byte(b.String()))
+}
+
+// phaseHistogram writes the samples of one phase label of a histogram
+// whose HELP and TYPE lines are written: cumulative buckets, then sum and
+// count, as the exposition format defines them.
+func phaseHistogram(b *strings.Builder, name, phase string, c obs.Counts) {
+	var cum uint64
+	for k, n := range c.Buckets {
+		cum += n
+		le := strconv.FormatFloat(obs.UpperBound(k), 'g', -1, 64)
+		fmt.Fprintf(b, "%s_bucket{phase=%q,le=%q} %d\n", name, phase, le, cum)
+	}
+	fmt.Fprintf(b, "%s_sum{phase=%q} %g\n", name, phase, c.Sum.Seconds())
+	fmt.Fprintf(b, "%s_count{phase=%q} %d\n", name, phase, cum)
 }

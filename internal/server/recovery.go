@@ -79,6 +79,10 @@ type serverSnapshot struct {
 	// snapshot was written (DESIGN.md §10.2).
 	EventBase int64 `json:"event_base"`
 	EventNext int64 `json:"event_next"`
+
+	// file is the position the snapshot's file is named by
+	// (wal.SnapshotRef.Seq), filled by newestSnapshot.
+	file uint64
 }
 
 // snapshotVersion is the serverSnapshot layout this binary reads and
@@ -149,6 +153,7 @@ func (s *Server) recover(spec *fleet.Spec, lap func(recoveryPhase)) (snap *serve
 	if s.wal, err = wal.OpenSet(s.cfg.WALDir, spec.Shards); err != nil {
 		return nil, nil, err
 	}
+	s.walSyncs = s.wal.Syncs
 	lap(recoverOpen)
 	if snap, err = s.newestSnapshot(); err != nil {
 		return nil, nil, err
@@ -245,6 +250,7 @@ func (s *Server) newestSnapshot() (*serverSnapshot, error) {
 		if err := s.checkFingerprint(&cand); err != nil {
 			return nil, err
 		}
+		cand.file = ref.Seq
 		// A GA's state drawn under the removed v1 cannot continue under
 		// v2; replaying its log instead would contradict the events
 		// clients already saw.
@@ -312,46 +318,50 @@ func (s *Server) restoreFromSnapshot(snap *serverSnapshot) error {
 	s.completed.Store(snap.Counters.Completed)
 	s.failures.Store(snap.Counters.Failures)
 	s.interrupted.Store(snap.Counters.Interrupted)
-	s.markSnapshot(snap.Seq, snap.EventBase)
+	s.markSnapshot(snapMark{snap.file, snap.marks(), snap.EventBase})
 	return s.restoreEvents(snap.EventBase, snap.EventNext)
 }
 
-// snapMark is what journal pruning needs to know of one retained
-// snapshot: its file (a later snapshot at the same seq — the sharded
-// layout names files by the coordinator log's position, which arrivals
-// do not move — replaces it) and its event_base.
+// snapMark is what GC needs to know of one retained snapshot: the
+// position its file is named by (a later snapshot at the same position
+// — nothing was logged in between — replaces it), the log positions it
+// covers, and its event_base.
 type snapMark struct {
-	seq  uint64
-	base int64
+	file  uint64
+	marks wal.Marks
+	base  int64
 }
 
 // markSnapshot records a snapshot written or recovered from, keeping the
-// newest WALKeep as GC does with the files.
-func (s *Server) markSnapshot(seq uint64, base int64) {
-	if n := len(s.snapMarks); n > 0 && s.snapMarks[n-1].seq == seq {
-		s.snapMarks[n-1].base = base
+// newest WALKeep, as GC does with the files.
+func (s *Server) markSnapshot(m snapMark) {
+	if n := len(s.snapMarks); n > 0 && s.snapMarks[n-1].file == m.file {
+		s.snapMarks[n-1] = m
 		return
 	}
-	s.snapMarks = append(s.snapMarks, snapMark{seq, base})
+	s.snapMarks = append(s.snapMarks, m)
 	if keep := s.cfg.WALKeep; keep > 0 && len(s.snapMarks) > keep {
 		s.snapMarks = s.snapMarks[len(s.snapMarks)-keep:]
 	}
 }
 
 // restoreEvents rebuilds the retained event window [base, next) from
-// the journal files beside the snapshot. Files starting at or past next
-// were written for a snapshot recovery did not use; they go, and replay
-// emits those events again. Of the rest, the window takes the longest
-// run of events that ends at next-1 without a break: a missing file, a
-// torn line or a sequence gap shortens the window — what a reader whose
-// cursor was evicted sees — and never puts a wrong event in it.
+// the journal files beside the snapshot — binary records, or the NDJSON
+// lines of the files earlier daemons wrote. Files starting at or past
+// next were written for a snapshot recovery did not use; they go, and
+// replay emits those events again. Of the rest, the window takes the
+// longest run of events that ends at next-1 without a break: a missing
+// file, a torn record or line or a sequence gap shortens the window —
+// what a reader whose cursor was evicted sees — and never puts a wrong
+// event in it.
 func (s *Server) restoreEvents(base, next int64) error {
 	ctl := s.wal.Control()
 	refs, err := ctl.Journals()
 	if err != nil {
 		return err
 	}
-	var run []WireEvent // consecutive events; the next one expected is runEnd
+	// consecutive events; the next one expected is runEnd
+	run := make([]WireEvent, 0, min(max(next-base, 0), int64(s.log.max)))
 	runEnd := base
 	for i, ref := range refs {
 		if ref.First >= next {
@@ -371,9 +381,8 @@ func (s *Server) restoreEvents(base, next int64) error {
 			data = nil
 		}
 		for len(data) > 0 && runEnd < next {
-			nl := bytes.IndexByte(data, '\n')
 			var ev WireEvent
-			if nl < 0 || api.ParseEvent(data[:nl], &ev) != nil || ev.Seq != runEnd {
+			if data, err = readJournalEvent(data, ref.Lines, &ev); err != nil || ev.Seq != runEnd {
 				// Whatever followed the tear is lost, so nothing read so far
 				// can reach next-1.
 				run, runEnd = run[:0], -1
@@ -381,7 +390,6 @@ func (s *Server) restoreEvents(base, next int64) error {
 			}
 			run = append(run, ev)
 			runEnd++
-			data = data[nl+1:]
 		}
 	}
 	if runEnd != next {
@@ -393,6 +401,20 @@ func (s *Server) restoreEvents(base, next int64) error {
 	s.log.restore(next-int64(len(run)), run)
 	s.journaled = next
 	return nil
+}
+
+// readJournalEvent decodes the first event of a journal file's data, a
+// binary record or, in a file of lines, an NDJSON line, and returns the
+// data after it.
+func readJournalEvent(data []byte, lines bool, ev *WireEvent) ([]byte, error) {
+	if !lines {
+		return api.ReadEventRecord(data, ev)
+	}
+	nl := bytes.IndexByte(data, '\n')
+	if nl < 0 {
+		return nil, fmt.Errorf("journal line without a newline")
+	}
+	return data[nl+1:], api.ParseEvent(data[:nl], ev)
 }
 
 // resumeAdmission points the quota gate and the latency tracker at the
@@ -444,6 +466,25 @@ func (s *Server) replayRecord(rec wal.Record) error {
 	return nil
 }
 
+// snapshotPhase indexes Server.snapPhases: the steps of writeSnapshot,
+// timed in wall time for /metrics.prom. The times stay in the process;
+// no event or WAL record sees them.
+type snapshotPhase int
+
+const (
+	snapJournal  snapshotPhase = iota // the events since the last snapshot, encoded and written
+	snapEngines                       // every engine's snapshot
+	snapRegistry                      // the owners registry's columns
+	snapMarshal                       // the payload's JSON
+	snapWrite                         // the snapshot file and the log rotation
+	snapGC                            // removing what the kept snapshots no longer need
+	numSnapshotPhases
+)
+
+// snapshotPhaseNames are the phase label values of
+// trustgrid_snapshot_seconds, in snapshotPhase order.
+var snapshotPhaseNames = [numSnapshotPhases]string{"journal", "engines", "registry", "marshal", "write", "gc"}
+
 // writeSnapshot persists the server state at the current WAL position —
 // first the events emitted since the last snapshot, as one journal
 // file, then the snapshot that counts on it — rotates the segments and
@@ -453,10 +494,29 @@ func (s *Server) writeSnapshot() error {
 	if err := s.walCommit(); err != nil {
 		return err
 	}
+	t := time.Now()
+	lap := func(p snapshotPhase) {
+		now := time.Now()
+		s.snapPhases[p].Observe(now.Sub(t))
+		t = now
+	}
+	// The journal takes the events the disk does not hold yet. Events
+	// evicted before any snapshot saw them leave a gap between two files;
+	// they lie below every later event_base, where no recovery looks.
+	var first, next int64
+	s.journal, first, next = s.log.appendRecordsSince(s.journal[:0], s.journaled)
+	if first < next {
+		if err := s.wal.Control().WriteJournal(first, s.journal); err != nil {
+			return err
+		}
+		s.journaled = next
+	}
+	lap(snapJournal)
 	engines, err := s.online.Snapshots()
 	if err != nil {
 		return err
 	}
+	lap(snapEngines)
 	marks := s.wal.Marks()
 	snap := serverSnapshot{
 		Version:       snapshotVersion,
@@ -481,6 +541,8 @@ func (s *Server) writeSnapshot() error {
 			Failures:    s.failures.Load(),
 			Interrupted: s.interrupted.Load(),
 		},
+		EventBase: s.log.baseSeq(),
+		EventNext: next,
 	}
 	if experiments.RunsGA(s.cfg.Algo) {
 		snap.Population, snap.Generations, snap.Stall = s.cfg.Setup.Population, s.cfg.Setup.Generations, s.cfg.Setup.Stall
@@ -492,41 +554,33 @@ func (s *Server) writeSnapshot() error {
 	} else {
 		snap.Shards, snap.Engines = len(engines), engines
 	}
-	// The journal takes the events the disk does not hold yet. Events
-	// evicted before any snapshot saw them leave a gap between two files;
-	// they lie below every later event_base, where no recovery looks.
-	var first, next int64
-	s.journal, first, next = s.log.appendLinesSince(s.journal[:0], s.journaled)
-	if first < next {
-		if err := s.wal.Control().WriteJournal(first, s.journal); err != nil {
-			return err
-		}
-		s.journaled = next
-	}
-	snap.EventBase, snap.EventNext = s.log.baseSeq(), next
 	// The registry as the log implies it: IDs claimed by a handler whose
 	// arrival record is not appended yet are left out (see Server.pending).
 	s.idMu.Lock()
 	snap.Owners = s.owners.snapshot(s.pending)
 	s.idMu.Unlock()
+	lap(snapRegistry)
 	payload, err := json.Marshal(&snap)
 	if err != nil {
 		return err
 	}
-	if err := s.wal.WriteSnapshot(payload); err != nil {
+	lap(snapMarshal)
+	file, err := s.wal.WriteSnapshot(payload)
+	if err != nil {
 		return err
 	}
+	lap(snapWrite)
 	if keep := s.cfg.WALKeep; keep > 0 {
-		// The journal is pruned against the oldest snapshot GC keeps. Until
-		// this process has written or recovered keep of them, older ones it
-		// never read may still be on disk, and nothing is pruned.
-		s.markSnapshot(snap.Seq, snap.EventBase)
-		var horizon int64
+		// GC prunes against the oldest of the newest keep snapshots. Until
+		// this process has written or recovered keep distinct ones, older
+		// ones it never read are the fallback, and nothing is pruned.
+		s.markSnapshot(snapMark{file, marks, snap.EventBase})
 		if len(s.snapMarks) == keep {
-			horizon = s.snapMarks[0].base
-		}
-		if err := s.wal.GC(keep, horizon); err != nil {
-			return err
+			oldest := s.snapMarks[0]
+			if err := s.wal.GC(oldest.file, oldest.marks, oldest.base); err != nil {
+				return err
+			}
+			lap(snapGC)
 		}
 	}
 	return nil

@@ -168,16 +168,16 @@ func fetchEvents(t *testing.T, base string) string {
 }
 
 // diskSnapshot is one snapshot file of a finished run together with the
-// journal files it counts on: every events-*.ndjson that starts below
-// its event_next, which are the files that were on disk when it was
-// written (a journal file is durable before its snapshot).
+// journal files it counts on: every events-*.bin that starts below its
+// event_next, which are the files that were on disk when it was written
+// (a journal file is durable before its snapshot).
 type diskSnapshot struct {
 	payload  []byte
 	journals map[string][]byte // file name -> content
 }
 
-// writeTo puts the snapshot, named for the record seq it covers, and its
-// journal files into dir.
+// writeTo puts the snapshot, named for the position seq its file was
+// named by, and its journal files into dir.
 func (d diskSnapshot) writeTo(t *testing.T, dir string, seq uint64) {
 	t.Helper()
 	files := map[string][]byte{fmt.Sprintf("snap-%016d.json", seq): d.payload}
@@ -204,8 +204,9 @@ func numberedFile(t *testing.T, name, prefix, suffix string) uint64 {
 
 // harvestWAL reads a closed WAL directory back as individual record
 // lines (frames are lines, so prefixes of the line list are exactly the
-// "crashed after record k" disk states) plus every snapshot by covered
-// sequence number, each with its journal files.
+// "crashed after record k" disk states) plus every snapshot by the
+// position its file is named by (the sequence number it covers, in the
+// flat layout), each with its journal files.
 func harvestWAL(t *testing.T, dir string) (lines [][]byte, snaps map[uint64]diskSnapshot) {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
@@ -229,7 +230,7 @@ func harvestWAL(t *testing.T, dir string) (lines [][]byte, snaps map[uint64]disk
 			segs = append(segs, name)
 		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".json"):
 			snaps[numberedFile(t, name, "snap-", ".json")] = diskSnapshot{payload: read(name)}
-		case strings.HasPrefix(name, "events-") && strings.HasSuffix(name, ".ndjson"):
+		case strings.HasPrefix(name, "events-") && strings.HasSuffix(name, ".bin"):
 			journals[name] = read(name)
 		}
 	}
@@ -237,14 +238,12 @@ func harvestWAL(t *testing.T, dir string) (lines [][]byte, snaps map[uint64]disk
 		var bounds struct {
 			EventNext *int64 `json:"event_next"`
 		}
-		// Shard directories hold GC markers under the same name; they
-		// count on no journal.
 		if err := json.Unmarshal(snap.payload, &bounds); err != nil {
 			t.Fatalf("snapshot %d: %v", seq, err)
 		}
 		snap.journals = make(map[string][]byte)
 		for name, data := range journals {
-			if bounds.EventNext != nil && int64(numberedFile(t, name, "events-", ".ndjson")) < *bounds.EventNext {
+			if bounds.EventNext != nil && int64(numberedFile(t, name, "events-", ".bin")) < *bounds.EventNext {
 				snap.journals[name] = data
 			}
 		}

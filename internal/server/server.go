@@ -12,6 +12,7 @@ import (
 	"trustgrid/internal/experiments"
 	"trustgrid/internal/fleet"
 	"trustgrid/internal/grid"
+	"trustgrid/internal/obs"
 	"trustgrid/internal/rng"
 	"trustgrid/internal/sched"
 	"trustgrid/internal/wal"
@@ -210,11 +211,17 @@ type Server struct {
 	// not hold yet; writeSnapshot flushes [journaled, next) as one file,
 	// encoded into journal, a buffer kept across snapshots. snapMarks
 	// lists the snapshots GC still retains, oldest first, as far as this
-	// process knows them — the journal is pruned against the oldest one's
-	// event_base.
-	journaled int64
-	journal   []byte
-	snapMarks []snapMark
+	// process knows them — once it knows WALKeep, the logs and the
+	// journal are pruned against the oldest one's marks and event_base.
+	// snapPhases times each
+	// snapshot's steps for /metrics.prom.
+	journaled  int64
+	journal    []byte
+	snapMarks  []snapMark
+	snapPhases [numSnapshotPhases]obs.Histogram
+	// walSyncs reads the set's fsync counts for /metrics.prom; unlike wal
+	// it outlives Stop and is safe from any goroutine.
+	walSyncs func() (file, dir uint64)
 	// recovery is the wall time of each phase of the boot's recovery,
 	// written by New before the loop starts and read-only after.
 	recovery [numRecoveryPhases]time.Duration

@@ -157,64 +157,38 @@ func harvestShardedWAL(t *testing.T, root string) *shardedHarvest {
 // crashShardedDir materializes the disk state of a kill -9 right after
 // global record k became durable: every log keeps its records with
 // G <= k; coordinator snapshots written by then (their NextG horizon is
-// <= k) come along with their journal files and their paired per-shard
-// GC markers. extra maps a
-// dir to one additional record index to include — the skewed
-// group-commit case, where a later log's fsync won but an earlier
-// record of the same commit was lost. torn appends garbage to one log.
+// <= k) come along with their journal files. extra maps a dir to one
+// additional record index to include — the skewed group-commit case,
+// where a later log's fsync won but an earlier record of the same
+// commit was lost. torn appends garbage to one log.
 func crashShardedDir(t *testing.T, h *shardedHarvest, k uint64, extra map[string]int, torn map[string][]byte) string {
 	t.Helper()
 	root := t.TempDir()
-	// Coordinator snapshots included at this crash point, used to pick
-	// the shard markers that were written in the same housekeeping pass.
-	markers := make(map[string]map[uint64]bool)
-	for _, d := range h.dirs[1:] {
-		markers[d] = make(map[uint64]bool)
-	}
-	coordSnaps := make(map[uint64]diskSnapshot)
-	for seq, onDisk := range h.snaps["coord"] {
-		var snap struct {
-			NextG     uint64   `json:"next_g"`
-			ShardSeqs []uint64 `json:"shard_seqs"`
-		}
-		if err := json.Unmarshal(onDisk.payload, &snap); err != nil {
-			t.Fatal(err)
-		}
-		if snap.NextG > k {
-			continue
-		}
-		coordSnaps[seq] = onDisk
-		for i, s := range snap.ShardSeqs {
-			markers[h.dirs[1+i]][s] = true
-		}
-	}
 	for _, d := range h.dirs {
 		dir := filepath.Join(root, d)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
 		var buf []byte
-		n := 0
 		for i, g := range h.gseq[d] {
 			if g <= k || (extra != nil && extra[d] == i+1) {
 				buf = append(buf, h.lines[d][i]...)
-				n = i + 1
 			}
 		}
 		buf = append(buf, torn[d]...)
 		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("wal-%016d.log", 1)), buf, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if d == "coord" {
-			for seq, snap := range coordSnaps {
-				snap.writeTo(t, dir, seq)
-			}
-			continue
+	}
+	for name, onDisk := range h.snaps["coord"] {
+		var snap struct {
+			NextG uint64 `json:"next_g"`
 		}
-		for seq, marker := range h.snaps[d] {
-			if markers[d][seq] && seq <= uint64(n) {
-				marker.writeTo(t, dir, seq)
-			}
+		if err := json.Unmarshal(onDisk.payload, &snap); err != nil {
+			t.Fatal(err)
+		}
+		if snap.NextG <= k {
+			onDisk.writeTo(t, filepath.Join(root, "coord"), name)
 		}
 	}
 	return root

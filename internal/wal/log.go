@@ -9,21 +9,24 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 func segmentName(firstSeq uint64) string { return fmt.Sprintf("wal-%016d.log", firstSeq) }
 
-// segmentRef locates one on-disk segment.
+// segmentRef locates one on-disk segment, or a file of another
+// numbered family; suffix indexes the suffix numbered matched.
 type segmentRef struct {
 	firstSeq uint64
 	path     string
+	suffix   int
 }
 
 // numbered lists the files of one family — prefix, a decimal number,
-// suffix — in dir, sorted by number (which the zero-padded names make
-// lexical order). Segments, snapshots and journal files are such
-// families.
-func numbered(dir, prefix, suffix string) ([]segmentRef, error) {
+// one of the suffixes — in dir, in one directory read, sorted by number
+// (which the zero-padded names make lexical order) and then by suffix.
+// Segments, snapshots and journal files are such families.
+func numbered(dir, prefix string, suffixes ...string) ([]segmentRef, error) {
 	names, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -31,16 +34,23 @@ func numbered(dir, prefix, suffix string) ([]segmentRef, error) {
 	var out []segmentRef
 	for _, e := range names {
 		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
+		if e.IsDir() || !strings.HasPrefix(name, prefix) {
 			continue
 		}
-		n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix), 10, 64)
-		if err != nil {
-			continue // not ours
+		for k, suffix := range suffixes {
+			if !strings.HasSuffix(name, suffix) {
+				continue
+			}
+			n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix), 10, 64)
+			if err == nil { // else not ours
+				out = append(out, segmentRef{firstSeq: n, path: filepath.Join(dir, name), suffix: k})
+			}
+			break
 		}
-		out = append(out, segmentRef{firstSeq: n, path: filepath.Join(dir, name)})
 	}
-	sort.Slice(out, func(i, k int) bool { return out[i].firstSeq < out[k].firstSeq })
+	sort.Slice(out, func(i, k int) bool {
+		return out[i].firstSeq < out[k].firstSeq || out[i].firstSeq == out[k].firstSeq && out[i].suffix < out[k].suffix
+	})
 	return out, nil
 }
 
@@ -60,6 +70,8 @@ type Log struct {
 	lastSeq  uint64
 	segFirst uint64 // first seq of the active segment
 	dirty    bool   // appended since last Commit
+	// syncs counts the log's fsyncs by kind, for Set.Syncs.
+	syncs struct{ file, dir atomic.Uint64 }
 }
 
 // Open recovers the log in dir (creating it if needed): it walks the
@@ -138,11 +150,29 @@ func Open(dir string) (*Log, error) {
 	}
 	l.f = f
 	l.w = bufio.NewWriterSize(f, 1<<16)
-	if err := syncDir(l.dir); err != nil {
+	if err := l.syncDir(); err != nil {
 		l.Close()
 		return nil, err
 	}
 	return l, nil
+}
+
+// syncDir fsyncs the log's directory and counts it.
+func (l *Log) syncDir() error {
+	if err := syncDir(l.dir); err != nil {
+		return err
+	}
+	l.syncs.dir.Add(1)
+	return nil
+}
+
+// syncFile fsyncs f and counts it.
+func (l *Log) syncFile(f *os.File) error {
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	l.syncs.file.Add(1)
+	return nil
 }
 
 // syncDir fsyncs the directory so renames, truncations and removals
@@ -196,18 +226,21 @@ func (l *Log) Commit() error {
 	if err := l.w.Flush(); err != nil {
 		return err
 	}
-	if err := l.f.Sync(); err != nil {
+	if err := l.syncFile(l.f); err != nil {
 		return err
 	}
 	l.dirty = false
 	return nil
 }
 
-// Rotate commits and closes the active segment and starts a fresh one
+// rotate commits and closes the active segment and starts a fresh one
 // at the next sequence number. A rotation with nothing written to the
-// active segment is a no-op. The daemon rotates right after each
-// snapshot, so GC can drop whole segments the snapshot covers.
-func (l *Log) Rotate() error {
+// active segment is a no-op. Set.WriteSnapshot rotates every log right
+// after each snapshot, so GC can drop whole segments the snapshot
+// covers. The new segment's directory entry is durable once the caller
+// syncs the directory, which it must do before anything is appended to
+// the segment.
+func (l *Log) rotate() error {
 	if l.segFirst == l.lastSeq+1 {
 		return nil
 	}
@@ -224,7 +257,7 @@ func (l *Log) Rotate() error {
 	}
 	l.f = f
 	l.w = bufio.NewWriterSize(f, 1<<16)
-	return syncDir(l.dir)
+	return nil
 }
 
 // TruncateTail discards every record with sequence number greater than
@@ -290,14 +323,14 @@ func (l *Log) TruncateTail(keep uint64) error {
 	if err != nil {
 		return err
 	}
-	if err := f.Sync(); err != nil {
+	if err := l.syncFile(f); err != nil {
 		f.Close()
 		return err
 	}
 	l.f = f
 	l.w = bufio.NewWriterSize(f, 1<<16)
 	l.dirty = false
-	return syncDir(l.dir)
+	return l.syncDir()
 }
 
 // Replay streams every record with sequence number strictly greater

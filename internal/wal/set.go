@@ -1,8 +1,8 @@
 package wal
 
 import (
-	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -88,6 +88,16 @@ func OpenSet(root string, shards int) (*Set, error) {
 		s.logs = append(s.logs, l)
 	}
 	return s, nil
+}
+
+// Syncs returns how many file and directory fsyncs the set's logs have
+// issued since it was opened. Safe from any goroutine.
+func (s *Set) Syncs() (file, dir uint64) {
+	for _, l := range s.logs {
+		file += l.syncs.file.Load()
+		dir += l.syncs.dir.Load()
+	}
+	return file, dir
 }
 
 // Control returns the control log, for the snapshot and journal files
@@ -334,39 +344,56 @@ func Apply(eng Engine, rec Record) error {
 // WriteSnapshot persists payload as the snapshot at the set's current
 // position — which the caller has just committed and described in the
 // payload through Marks — and rotates every log so GC can drop whole
-// segments. Shard directories get a watermark marker: not state, only
-// the horizon their segment GC prunes against.
-func (s *Set) WriteSnapshot(payload []byte) error {
-	if err := s.logs[0].WriteSnapshot(s.logs[0].LastSeq(), payload); err != nil {
-		return err
+// segments, and returns the position the snapshot file is named by:
+// the global sequence counter in the nested layout, which every record
+// advances, and the one log's sequence number in the flat layout. It
+// fsyncs the snapshot file, then each directory once, which makes the
+// snapshot's and the new segments' directory entries durable together.
+// Only the control directory holds a snapshot.
+func (s *Set) WriteSnapshot(payload []byte) (uint64, error) {
+	pos := s.logs[0].LastSeq()
+	if !s.flat {
+		pos = s.nextG
 	}
-	for i, l := range s.logs[1:] {
-		marker, err := json.Marshal(map[string]any{"shard": i, "seq": l.LastSeq()})
-		if err != nil {
-			return err
-		}
-		if err := l.WriteSnapshot(l.LastSeq(), marker); err != nil {
-			return err
-		}
+	if err := s.logs[0].writeFile(snapshotName(pos), payload); err != nil {
+		return 0, err
 	}
 	for k, l := range s.logs {
-		if err := l.Rotate(); err != nil {
-			return err
+		if err := l.rotate(); err != nil {
+			return 0, err
 		}
 		s.covered[k] = l.LastSeq()
 	}
-	return nil
+	return pos, s.syncDirs()
 }
 
-// GC keeps the newest keep snapshots and removes the segments they
-// cover from every log, and from the control directory the journal
-// files below eventHorizon (see Log.GC).
-func (s *Set) GC(keep int, eventHorizon int64) error {
-	for k, l := range s.logs {
-		if k > 0 {
-			eventHorizon = 0
+// GC removes what the snapshots from the one named oldest on (as
+// WriteSnapshot names them, or as Snapshots lists a recovered one) no
+// longer need, given m, oldest's marks: older snapshot files, every
+// segment m covers, in every log, and from the control directory the
+// journal files wholly below eventHorizon. Snapshot files in a shard
+// directory are watermark markers an older daemon wrote, which nothing
+// reads any more; they go too. One fsync per directory makes it
+// durable.
+func (s *Set) GC(oldest uint64, m Marks, eventHorizon int64) error {
+	if err := s.logs[0].prune(oldest, m.Seq, eventHorizon); err != nil {
+		return err
+	}
+	for i, l := range s.logs[1:] {
+		if i >= len(m.ShardSeqs) {
+			break
 		}
-		if err := l.GC(keep, eventHorizon); err != nil {
+		if err := l.prune(math.MaxUint64, m.ShardSeqs[i], 0); err != nil {
+			return err
+		}
+	}
+	return s.syncDirs()
+}
+
+// syncDirs fsyncs every log's directory.
+func (s *Set) syncDirs() error {
+	for _, l := range s.logs {
+		if err := l.syncDir(); err != nil {
 			return err
 		}
 	}

@@ -324,7 +324,7 @@ func TestSetRefusesOtherLayout(t *testing.T) {
 		if err := s.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.WriteSnapshot([]byte(`{}`)); err != nil {
+		if _, err := s.WriteSnapshot([]byte(`{}`)); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Close(); err != nil {
@@ -401,8 +401,11 @@ func listTree(t *testing.T, root string) []string {
 }
 
 // TestSetSnapshotFormats pins what WriteSnapshot and Marks leave to
-// each layout: a flat set writes no shard watermarks, no next_g and no
-// markers; a nested set writes one marker per shard directory.
+// each layout: a flat set writes no shard watermarks and no next_g; in
+// both layouts only the control directory gets a snapshot file, named
+// by the set's position (the one log's sequence number when flat, the
+// global sequence counter when nested), and no shard directory gets a
+// marker.
 func TestSetSnapshotFormats(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		root := t.TempDir()
@@ -432,31 +435,94 @@ func TestSetSnapshotFormats(t *testing.T) {
 		if s.Uncovered() != 4 {
 			t.Fatalf("shards=%d: Uncovered() = %d before the snapshot, want 4", shards, s.Uncovered())
 		}
-		if err := s.WriteSnapshot([]byte(`{"state":true}`)); err != nil {
+		pos, err := s.WriteSnapshot([]byte(`{"state":true}`))
+		if err != nil {
 			t.Fatal(err)
 		}
 		if s.Uncovered() != 0 {
 			t.Fatalf("shards=%d: Uncovered() = %d after the snapshot, want 0", shards, s.Uncovered())
 		}
 		refs, err := s.Control().Snapshots()
-		if err != nil || len(refs) != 1 || refs[0].Seq != want.Seq {
-			t.Fatalf("shards=%d: control snapshots %+v, %v", shards, refs, err)
+		if err != nil || len(refs) != 1 || refs[0].Seq != 4 || pos != 4 {
+			t.Fatalf("shards=%d: control snapshots %+v, %v; WriteSnapshot named position %d, want 4", shards, refs, err, pos)
 		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		snaps, _ := filepath.Glob(filepath.Join(root, "*", "snap-*.json"))
-		if shards == 1 && len(snaps) != 0 {
-			t.Fatalf("flat set wrote nested snapshots: %v", snaps)
+		if snaps, _ := filepath.Glob(filepath.Join(root, "shard-*", "snap-*.json")); len(snaps) != 0 {
+			t.Fatalf("shards=%d: shard directories hold snapshot files: %v", shards, snaps)
 		}
-		if shards == 3 {
-			marker, err := os.ReadFile(filepath.Join(root, "shard-0002", snapshotName(2)))
-			if err != nil || string(marker) != `{"seq":2,"shard":2}` {
-				t.Fatalf("shard marker = %q, %v", marker, err)
+	}
+}
+
+// TestSetSnapshotSyncs pins what one snapshot costs in fsyncs, in the
+// order the daemon writes it: the journal file and the control
+// directory, the snapshot file, one sync per directory after the
+// rotation and one after GC — 2N+5 for N shard logs nested, 5 flat —
+// and that GC then leaves what the oldest kept snapshot needs.
+func TestSetSnapshotSyncs(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		root := t.TempDir()
+		s, err := OpenSet(root, shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Recover(Marks{}, make([][]grid.ChurnEvent, shards)); err != nil {
+			t.Fatal(err)
+		}
+		var kept []Marks
+		var names []uint64
+		for round := 0; round < 3; round++ {
+			for i := 0; i < 2*shards; i++ {
+				if err := s.Append(i%shards, testRecord(10*round+i)); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if len(snaps) != 4 {
-				t.Fatalf("nested set wrote %d snapshot files, want the coordinator's and 3 markers", len(snaps))
+			if err := s.Commit(); err != nil {
+				t.Fatal(err)
 			}
+			file0, dir0 := s.Syncs()
+			if err := s.Control().WriteJournal(int64(round), []byte{byte(round)}); err != nil {
+				t.Fatal(err)
+			}
+			kept = append(kept, s.Marks())
+			pos, err := s.WriteSnapshot([]byte(`{}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			names = append(names, pos)
+			if round > 0 {
+				if err := s.GC(names[round-1], kept[round-1], int64(round-1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			file1, dir1 := s.Syncs()
+			if round > 0 {
+				n := uint64(len(s.logs) - 1)
+				if shards == 1 {
+					n = 0
+				}
+				if file1-file0 != 2 || dir1-dir0 != 2*n+3 {
+					t.Fatalf("shards=%d: a snapshot took %d file and %d directory fsyncs, want 2 and %d", shards, file1-file0, dir1-dir0, 2*n+3)
+				}
+			}
+		}
+		refs, _ := s.Control().Snapshots()
+		journals, _ := s.Control().Journals()
+		if len(refs) != 2 || refs[1].Seq != names[1] || len(journals) != 2 || journals[0].First != 1 {
+			t.Fatalf("shards=%d: GC left snapshots %+v and journals %+v", shards, refs, journals)
+		}
+		for k, l := range s.logs {
+			covered := kept[1].Seq
+			if k > 0 {
+				covered = kept[1].ShardSeqs[k-1]
+			}
+			if l.FirstSeq() != covered+1 {
+				t.Fatalf("shards=%d: log %d starts at %d after GC, want %d", shards, k, l.FirstSeq(), covered+1)
+			}
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

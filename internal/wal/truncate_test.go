@@ -22,7 +22,7 @@ func TestTruncateTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 7 || i == 13 {
-			if err := l.Rotate(); err != nil {
+			if err := l.rotate(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -100,7 +100,7 @@ func TestTruncateTailBelowStart(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 5 {
-			if err := l.Rotate(); err != nil {
+			if err := l.rotate(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -112,10 +112,10 @@ func TestTruncateTailBelowStart(t *testing.T) {
 	if err := l.WriteSnapshot(8, []byte(`{"x":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Rotate(); err != nil {
+	if err := l.rotate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.GC(1, 0); err != nil {
+	if err := l.prune(8, 8, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Cutting to 9 is fine; cutting to 3 would need segment one back.

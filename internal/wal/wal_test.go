@@ -52,7 +52,7 @@ func TestAppendCommitReplay(t *testing.T) {
 			t.Fatalf("record %d got seq %d", i, seq)
 		}
 		if i == 7 || i == 13 {
-			if err := l.Rotate(); err != nil {
+			if err := l.rotate(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -198,7 +198,7 @@ func TestSegmentGapDropsSuffix(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%4 == 3 {
-			if err := l.Rotate(); err != nil {
+			if err := l.rotate(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -245,7 +245,7 @@ func TestSnapshotWriteListGC(t *testing.T) {
 			if err := l.WriteSnapshot(l.LastSeq(), []byte(`{"at":`+string(rune('0'+i))+`}`)); err != nil {
 				t.Fatal(err)
 			}
-			if err := l.Rotate(); err != nil {
+			if err := l.rotate(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -257,7 +257,8 @@ func TestSnapshotWriteListGC(t *testing.T) {
 	if len(snaps) != 3 || snaps[0].Seq != 30 || snaps[2].Seq != 10 {
 		t.Fatalf("snapshot list wrong: %+v", snaps)
 	}
-	if err := l.GC(2, 0); err != nil {
+	// Keeping the newest two: the oldest kept is the one at 20.
+	if err := l.prune(20, 20, 0); err != nil {
 		t.Fatal(err)
 	}
 	snaps, _ = l.Snapshots()
@@ -350,7 +351,7 @@ func TestRotateEmptySegmentIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := l.Rotate(); err != nil {
+		if err := l.rotate(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -366,7 +367,7 @@ func TestRotateEmptySegmentIsNoop(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Rotate(); err != nil {
+	if err := l.rotate(); err != nil {
 		t.Fatal(err)
 	}
 	// Rotate committed; the next append opens a fresh segment.
