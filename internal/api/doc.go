@@ -1,7 +1,8 @@
 // Package api defines the wire format of the trustgridd HTTP API —
 // request/response bodies, the streamed event shape with its line codec
-// (Event.AppendJSON, ParseEvent), the submit body's decoder
-// (DecodeSubmitRequest), tenant documents and the arrival-trace record
+// (Event.AppendJSON, ParseEvent) and its binary frame (Event.AppendFrame,
+// ReadEventFrame), the submit body's decoder (DecodeSubmitRequest),
+// tenant documents and the arrival-trace record
 // with its line codec (TraceRecord.AppendJSON and ScanJSON,
 // ParseTraceRecord: the trace file's line and the WAL arrival payload;
 // the codecs and the strictjson scalars they share in DESIGN.md §9.7) —

@@ -1,9 +1,12 @@
 package api
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"strconv"
 
@@ -19,7 +22,21 @@ import (
 // the pair can never disagree with encoding/json — only be faster on
 // the lines the daemon writes (DESIGN.md §9). The on-disk event journal
 // stores the binary record at the end of this file instead, which it
-// neither renders nor parses as text.
+// neither renders nor parses as text, and a client that asks for
+// EventRecordsType reads the same records off the stream, each framed
+// by its length.
+
+// Finite reports whether every float field of e is finite. An event
+// that is not has no line (json.Marshal refuses it) and so no frame
+// either: both forms of the stream carry the same events.
+func (e *Event) Finite() bool {
+	for _, f := range [...]float64{e.Time, e.Start, e.Finish, e.Arrival, e.Workload, e.SD, e.Level, e.Speed} {
+		if !strictjson.Finite(f) {
+			return false
+		}
+	}
+	return true
+}
 
 // AppendJSON appends the event's JSON object (no trailing newline) to
 // dst and returns the extended slice. The bytes equal json.Marshal's:
@@ -27,10 +44,8 @@ import (
 // the same string escaping. An event json.Marshal refuses (a NaN or
 // infinite float) has no line: dst comes back unchanged.
 func (e *Event) AppendJSON(dst []byte) []byte {
-	for _, f := range [...]float64{e.Time, e.Start, e.Finish, e.Arrival, e.Workload, e.SD, e.Level, e.Speed} {
-		if !strictjson.Finite(f) {
-			return dst
-		}
+	if !e.Finite() {
+		return dst
 	}
 	dst = append(dst, `{"seq":`...)
 	dst = strconv.AppendInt(dst, e.Seq, 10)
@@ -208,9 +223,9 @@ func parseCanonical(line []byte, ev *Event) bool {
 // three booleans are their bits alone. Every Event has exactly one
 // record, and it reads back bit for bit.
 
-// errRecord is what ReadEventRecord returns for bytes that are not a
-// whole record.
-var errRecord = errors.New("api: malformed event record")
+// ErrEventRecord is what ReadEventRecord and ReadEventFrame return for
+// bytes that are not a whole record or frame.
+var ErrEventRecord = errors.New("api: malformed event record")
 
 // recordFields is the mask of the defined field bits.
 const recordFields = fSpeed<<1 - 1
@@ -283,11 +298,11 @@ var wireKinds = func() []string {
 // and leave ev unspecified.
 func ReadEventRecord(b []byte, ev *Event) (rest []byte, err error) {
 	if len(b) < 4 {
-		return nil, errRecord
+		return nil, ErrEventRecord
 	}
 	mask := binary.LittleEndian.Uint32(b)
 	if mask&^recordFields != 0 {
-		return nil, errRecord
+		return nil, ErrEventRecord
 	}
 	b = b[4:]
 	bad := false
@@ -346,7 +361,80 @@ func ReadEventRecord(b []byte, ev *Event) (rest []byte, err error) {
 		Speed:    getFloat(fSpeed),
 	}
 	if bad {
-		return nil, errRecord
+		return nil, ErrEventRecord
 	}
 	return b, nil
+}
+
+// The event frame: the record on the wire. GET /v2/events answers a
+// request whose Accept header names EventRecordsType with a stream of
+// frames instead of NDJSON lines — each a uvarint length and then that
+// many bytes holding exactly one record — so neither end formats or
+// parses float text (DESIGN.md §9.7).
+
+// EventRecordsType is the media type of a stream of event frames.
+const EventRecordsType = "application/x-trustgrid-event-records"
+
+// MaxEventFrame bounds the record length ReadEventFrame takes. A record
+// holding every field and a 64-byte tenant is under 200 bytes; a longer
+// length is refused instead of buffered.
+const MaxEventFrame = 4096
+
+// AppendFrame appends the event's frame to dst and returns the extended
+// slice. The frame of a record longer than MaxEventFrame, which no
+// daemon event comes near, is one ReadEventFrame refuses.
+func (e *Event) AppendFrame(dst []byte) []byte {
+	at := len(dst)
+	dst = e.AppendRecord(append(dst, 0))
+	n := len(dst) - at - 1
+	if n < 0x80 { // every record the daemon writes: a one-byte length
+		dst[at] = byte(n)
+		return dst
+	}
+	var hdr [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(hdr[:], uint64(n))
+	dst = append(dst, hdr[1:k]...)
+	copy(dst[at+k:], dst[at+1:at+1+n])
+	copy(dst[at:], hdr[:k])
+	return dst
+}
+
+// ReadEventFrame reads the next frame from r into ev, every field of
+// which it overwrites. It returns io.EOF when r ends before a frame
+// starts, io.ErrUnexpectedEOF when it ends inside one, an error wrapping
+// ErrEventRecord for a frame that is not one record in AppendRecord's
+// form or whose length passes MaxEventFrame, and r's own read errors as
+// they are. r's buffer must hold MaxEventFrame bytes (bufio's default
+// size does): the record is decoded where it lies in it.
+func ReadEventFrame(r *bufio.Reader, ev *Event) error {
+	// MaxEventFrame is below 1<<14, so a length it allows takes at most
+	// two bytes; a third is refused with the length it would extend.
+	c, err := r.ReadByte()
+	if err != nil {
+		return err
+	}
+	n := int(c)
+	if c >= 0x80 {
+		if c, err = r.ReadByte(); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		if n = n&0x7f | int(c)<<7; c >= 0x80 || n > MaxEventFrame {
+			return fmt.Errorf("%w: frame longer than %d bytes", ErrEventRecord, MaxEventFrame)
+		}
+	}
+	b, err := r.Peek(n)
+	if err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return err
+	}
+	if rest, err := ReadEventRecord(b, ev); err != nil || len(rest) != 0 {
+		return ErrEventRecord
+	}
+	_, _ = r.Discard(n)
+	return nil
 }

@@ -1,9 +1,15 @@
 package api
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"io"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -310,4 +316,62 @@ func FuzzEventRecord(f *testing.F) {
 			t.Fatalf("decoding %d bytes allocated %d, want <= %d", n, got, limit)
 		}
 	})
+}
+
+// TestEventFrameCases: every record event framed back to back (one of
+// them past 127 bytes, so with a two-byte length) reads back bit for
+// bit and then io.EOF; every proper prefix of a frame is
+// io.ErrUnexpectedEOF; a length past MaxEventFrame, a three-byte
+// length, an empty frame and a frame holding more than one record are
+// ErrEventRecord.
+func TestEventFrameCases(t *testing.T) {
+	var stream []byte
+	for _, ev := range recordEvents {
+		at := len(stream)
+		stream = ev.AppendFrame(stream)
+		rec := ev.AppendRecord(nil)
+		n, k := binary.Uvarint(stream[at:])
+		if int(n) != len(rec) || !bytes.Equal(stream[at+k:], rec) {
+			t.Fatalf("%+v: frame %x is not its record %x behind its length", ev, stream[at:], rec)
+		}
+		for cut := at + 1; cut < len(stream); cut++ {
+			var back Event
+			br := bufio.NewReader(bytes.NewReader(stream[at:cut]))
+			if err := ReadEventFrame(br, &back); err != io.ErrUnexpectedEOF {
+				t.Fatalf("%+v: the %d-byte prefix of its frame reads as %v", ev, cut-at, err)
+			}
+		}
+	}
+	if stream[len(stream)-len(recordEvents[len(recordEvents)-1].AppendRecord(nil))-2] < 0x80 {
+		t.Fatal("no frame took a two-byte length")
+	}
+	br := bufio.NewReader(bytes.NewReader(stream))
+	for _, want := range recordEvents {
+		var ev Event
+		if err := ReadEventFrame(br, &ev); err != nil || !sameBits(&ev, &want) {
+			t.Fatalf("read %+v (%v), want %+v", ev, err, want)
+		}
+	}
+	if err := ReadEventFrame(br, new(Event)); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want io.EOF", err)
+	}
+
+	rec := codecEvents[2].AppendRecord(nil)
+	huge := Event{Kind: strings.Repeat("k", MaxEventFrame)}
+	for _, bad := range [][]byte{
+		huge.AppendFrame(nil),
+		{0x81, 0x80, 0x01},
+		{0},
+		append(append([]byte{byte(2 * len(rec))}, rec...), rec...),
+		append([]byte{byte(len(rec) + 1)}, append(rec, 0)...),
+	} {
+		var ev Event
+		if err := ReadEventFrame(bufio.NewReader(bytes.NewReader(bad)), &ev); !errors.Is(err, ErrEventRecord) {
+			t.Errorf("%.40x: %v, want ErrEventRecord", bad, err)
+		}
+	}
+	buf := make([]byte, 0, 512)
+	if n := testing.AllocsPerRun(100, func() { buf = codecEvents[2].AppendFrame(buf[:0]) }); n != 0 {
+		t.Fatalf("AppendFrame into a warm buffer allocates %v times per event", n)
+	}
 }

@@ -2,8 +2,10 @@ package benchkit
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -11,6 +13,7 @@ import (
 	"testing"
 
 	"trustgrid/internal/api"
+	"trustgrid/internal/client"
 	"trustgrid/internal/dag"
 	"trustgrid/internal/experiments"
 	"trustgrid/internal/ga"
@@ -729,9 +732,74 @@ func submitDecodeCase(jobs int) func(b *testing.B) {
 	}
 }
 
+// eventStreamCase measures one page of the event stream end to end: a
+// manual daemon's handler behind a loopback httptest server renders a
+// 560-event page — a replay-psa-durable round — and client.EventStream
+// reads it back. The records row is what the typed client gets from the
+// daemon; the NDJSON row takes the Accept header off before the handler
+// sees it, so the same client reads the lines a daemon without frames
+// would serve.
+func eventStreamCase(records bool) func(b *testing.B) {
+	return func(b *testing.B) {
+		const page = 560
+		_, sites := benchBatch(0)
+		tenants := []string{"gold", "silver", "bronze", "iron"}
+		cfg := server.Config{Sites: sites, Algo: "minmin", Manual: true, BatchInterval: 5000}
+		for _, id := range tenants {
+			cfg.Tenants = append(cfg.Tenants, api.TenantSpec{ID: id})
+		}
+		srv, err := server.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer srv.Stop(false)
+		hd := srv.Handler()
+		// Each job leaves arrived, placed and completed behind.
+		r := rng.New(6)
+		at := 0.0
+		for n := 0; 3*n < page; n += 40 {
+			specs := make([]api.JobSpec, 40)
+			for i := range specs {
+				specs[i] = api.JobSpec{Arrival: &at, Workload: 1000 + r.Float64()*200000, Nodes: 1, SD: r.Uniform(0.6, 0.9)}
+			}
+			post(b, hd, "/v2/tenants/"+tenants[n/40%len(tenants)]+"/jobs", api.SubmitRequest{Jobs: specs})
+			at += 5000
+			post(b, hd, "/v2/advance", api.AdvanceRequest{To: at})
+		}
+		post(b, hd, "/v2/advance", api.AdvanceRequest{To: at + 1e7})
+		if !records {
+			daemon := hd
+			hd = http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+				req.Header.Del("Accept")
+				daemon.ServeHTTP(w, req)
+			})
+		}
+		ts := httptest.NewServer(hd)
+		defer ts.Close()
+		c := client.New(ts.URL).WithHTTPClient(ts.Client())
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			es := c.Events(context.Background(), client.EventsOptions{Max: page})
+			n := 0
+			for {
+				if _, err := es.Next(); err == io.EOF {
+					break
+				} else if err != nil {
+					b.Fatal(err)
+				}
+				n++
+			}
+			if n != page {
+				b.Fatalf("read %d events, want a page of %d", n, page)
+			}
+		}
+	}
+}
+
 // Suite returns the benchmark cases: the kernel path, then the event
-// codec, the WAL record and submit body codecs, the WAL and churn trace
-// readers and the snapshot writer of the service around it.
+// codec and the event page on the wire, the WAL record and submit body
+// codecs, the WAL and churn trace readers and the snapshot writer of
+// the service around it.
 func Suite() []Case {
 	return []Case{
 		{Name: "KernelBuild/batch=50", Smoke: true, F: func(b *testing.B) {
@@ -874,6 +942,10 @@ func Suite() []Case {
 				}
 			}
 		}},
+		// The event page on the wire, both formats, through the typed
+		// client (DESIGN.md §9.7).
+		{Name: "EventStream/ndjson", Smoke: true, F: eventStreamCase(false)},
+		{Name: "EventStream/records", Smoke: true, F: eventStreamCase(true)},
 		// The durable submit path's other two codecs (DESIGN.md §9.7): the
 		// WAL arrival record, gated at zero allocations into a warm log,
 		// and a 40-job submit body, as the benchmark's replay sends them.

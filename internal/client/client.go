@@ -194,7 +194,7 @@ func (o *EventsOptions) query(cursor int64) string {
 	return "/v2/events?" + q.Encode()
 }
 
-// Events opens the NDJSON event stream. The returned iterator owns a
+// Events opens the event stream. The returned iterator owns a
 // connection; always Close it. See EventStream for the resume contract.
 func (c *Client) Events(ctx context.Context, opts EventsOptions) *EventStream {
 	return &EventStream{c: c, ctx: ctx, opts: opts, cursor: opts.Since}

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -202,15 +204,18 @@ func TestClientUnavailable(t *testing.T) {
 	}
 }
 
-// fakeEvents serves synthetic NDJSON pages: kill[conn] events into
+// fakeEvents serves synthetic event pages: kill[conn] events into
 // connection number conn, then a hard connection drop; total events
-// overall, then clean closes. It records each connection's since.
+// overall, then clean closes. With records set it serves event frames
+// to a request that asks for them, as the daemon does, and NDJSON
+// otherwise. It records each connection's since.
 type fakeEvents struct {
-	t      *testing.T
-	total  int64
-	kill   map[int]int64 // connection index -> drop after this many events
-	conns  int
-	sinces []int64
+	t       *testing.T
+	total   int64
+	kill    map[int]int64 // connection index -> drop after this many events
+	records bool
+	conns   int
+	sinces  []int64
 }
 
 func (f *fakeEvents) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -220,58 +225,123 @@ func (f *fakeEvents) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	fmt.Sscan(r.URL.Query().Get("since"), &since)
 	f.sinces = append(f.sinces, since)
 	flusher := w.(http.Flusher)
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	frames := f.records && strings.Contains(r.Header.Get("Accept"), api.EventRecordsType)
+	if frames {
+		w.Header().Set("Content-Type", api.EventRecordsType)
+	} else {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+	}
 	sent := int64(0)
 	for seq := since; seq < f.total; seq++ {
+		ev := api.Event{Seq: seq, Kind: "placed", Job: int(seq)}
+		var b []byte
+		if frames {
+			b = ev.AppendFrame(nil)
+		} else {
+			b, _ = json.Marshal(ev)
+			b = append(b, '\n')
+		}
 		if limit, ok := f.kill[conn]; ok && sent == limit {
-			// Abort the connection mid-stream, torn line included.
-			_, _ = io.WriteString(w, `{"seq":`)
+			// Abort the connection mid-stream, torn line or frame
+			// included.
+			_, _ = w.Write(b[:len(b)/2])
 			flusher.Flush()
 			panic(http.ErrAbortHandler)
 		}
-		b, _ := json.Marshal(api.Event{Seq: seq, Kind: "placed", Job: int(seq)})
-		_, _ = w.Write(append(b, '\n'))
+		_, _ = w.Write(b)
 		flusher.Flush()
 		sent++
 	}
 }
 
 // TestEventStreamCursorResume drops the connection mid-stream (torn
-// JSON line and all) and requires the follow iterator to redial from
-// its cursor and deliver every event exactly once.
+// JSON line or frame and all) and requires the follow iterator to
+// redial from its cursor and deliver every event exactly once, in
+// either format. In the second case the resume itself is cut before it
+// delivers an event: a cut is the transport's failure, so the stream
+// redials again instead of giving up as it does on a corrupt event.
 func TestEventStreamCursorResume(t *testing.T) {
-	f := &fakeEvents{t: t, total: 10, kill: map[int]int64{0: 4}}
-	ts := httptest.NewServer(f)
-	defer ts.Close()
+	for _, tc := range []struct {
+		kill   map[int]int64
+		sinces []int64 // each dial's cursor
+	}{
+		{map[int]int64{0: 4}, []int64{0, 4, 10}},
+		{map[int]int64{0: 4, 1: 0}, []int64{0, 4, 4, 10}},
+	} {
+		for _, records := range []bool{false, true} {
+			f := &fakeEvents{t: t, total: 10, kill: tc.kill, records: records}
+			ts := httptest.NewServer(f)
+			defer ts.Close()
 
-	es := client.New(ts.URL).Events(context.Background(), client.EventsOptions{Follow: true})
-	defer es.Close()
-	var seqs []int64
-	for {
-		ev, err := es.Next()
-		if err == io.EOF {
-			break
+			es := client.New(ts.URL).Events(context.Background(), client.EventsOptions{Follow: true})
+			defer es.Close()
+			var seqs []int64
+			for {
+				ev, err := es.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatalf("kill %v records=%v: %v", tc.kill, records, err)
+				}
+				seqs = append(seqs, ev.Seq)
+			}
+			if len(seqs) != 10 {
+				t.Fatalf("kill %v records=%v: got %d events, want 10: %v", tc.kill, records, len(seqs), seqs)
+			}
+			for i, s := range seqs {
+				if s != int64(i) {
+					t.Fatalf("kill %v records=%v: gap or duplicate at %d: %v", tc.kill, records, i, seqs)
+				}
+			}
+			// Resume at 4 (after the 4 delivered events), as often as the
+			// connection is cut, then one final no-progress dial that
+			// turned into io.EOF.
+			if !slices.Equal(f.sinces, tc.sinces) {
+				t.Fatalf("kill %v records=%v: dial cursors %v, want %v", tc.kill, records, f.sinces, tc.sinces)
+			}
+			if es.Cursor() != 10 {
+				t.Fatalf("kill %v records=%v: cursor %d, want 10", tc.kill, records, es.Cursor())
+			}
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqs = append(seqs, ev.Seq)
 	}
-	if len(seqs) != 10 {
-		t.Fatalf("got %d events, want 10: %v", len(seqs), seqs)
-	}
-	for i, s := range seqs {
-		if s != int64(i) {
-			t.Fatalf("gap or duplicate at %d: %v", i, seqs)
-		}
-	}
-	// First dial at 0, resume at 4 (after the 4 delivered events), and
-	// one final no-progress dial that turned into io.EOF.
-	if f.sinces[0] != 0 || f.sinces[1] != 4 {
-		t.Fatalf("resume cursors: %v", f.sinces)
-	}
-	if es.Cursor() != 10 {
-		t.Fatalf("cursor %d, want 10", es.Cursor())
+}
+
+// TestEventStreamCorruptDoesNotSpin serves a follow stream whose first
+// event never decodes — an NDJSON line that is not an event, a frame
+// that is not a record, a line past the scanner's bound — and requires
+// Next to give up with the decode error after one resume instead of
+// redialing at once, forever. The server refuses every dial past the
+// tenth, so a stream that spins fails here instead of hanging.
+func TestEventStreamCorruptDoesNotSpin(t *testing.T) {
+	for _, tc := range []struct {
+		name, typ, body string
+	}{
+		{"ndjson", "application/x-ndjson", `{"seq":"one"}` + "\n"},
+		{"records", api.EventRecordsType, "\x05\x00\x00\x02\x00\x00"},
+		{"long-line", "application/x-ndjson", strings.Repeat("x", 2<<20)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dials := 0
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if dials++; dials > 10 {
+					http.Error(w, `{"error":"too many dials"}`, http.StatusServiceUnavailable)
+					return
+				}
+				w.Header().Set("Content-Type", tc.typ)
+				_, _ = io.WriteString(w, tc.body)
+			}))
+			defer ts.Close()
+			es := client.New(ts.URL).Events(context.Background(), client.EventsOptions{Follow: true})
+			defer es.Close()
+			_, err := es.Next()
+			if err == nil || errors.Is(err, io.EOF) || errors.Is(err, client.ErrUnavailable) {
+				t.Fatalf("Next: %v, want the decode error", err)
+			}
+			if dials != 2 {
+				t.Fatalf("%d dials, want the first and one resume", dials)
+			}
+		})
 	}
 }
 

@@ -16,7 +16,9 @@
 // classes with errors.Is against ErrBadRequest, ErrNotFound,
 // ErrConflict, ErrOverQuota and ErrUnavailable.
 //
-// Events returns a cursor-resuming NDJSON iterator: in follow mode a
+// Events returns a cursor-resuming event iterator, which reads the
+// daemon's binary event frames (or NDJSON, from a daemon that serves
+// only that): in follow mode a
 // dropped connection is re-dialed transparently from the last seen
 // sequence number, so a consumer observes every retained event exactly
 // once even across daemon restarts of the HTTP layer; cancellation of

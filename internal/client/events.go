@@ -2,24 +2,32 @@ package client
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"mime"
 	"net/http"
 
 	"trustgrid/internal/api"
 )
 
-// EventStream iterates the daemon's NDJSON event log.
+// EventStream iterates the daemon's event log. It asks for event
+// frames (api.EventRecordsType) and reads whichever format the response
+// names, so a daemon that serves only NDJSON streams as before.
 //
 // Cursor resume: the stream remembers the last delivered sequence
 // number; in follow mode a dropped or corrupted connection is re-dialed
 // transparently with since=cursor+1, so consumers see every retained
-// event exactly once, in order, across transport failures. A clean
-// server-side close (daemon drained and stopped) ends the stream with
-// io.EOF once a resume attempt yields nothing new. Without follow, the
-// stream is one request: events until the page (or log) is exhausted,
-// then io.EOF.
+// event exactly once, in order, across transport failures. A body cut
+// inside a line or frame is such a failure. A clean server-side close
+// (daemon drained and stopped) ends the stream with io.EOF once a
+// resume attempt yields nothing new, and an event that arrived whole
+// but does not decode, right after a resume that yielded nothing, ends
+// it with the decode error: the next resume would read the same bytes.
+// Without follow, the stream is one request: events until the page (or
+// log) is exhausted, then io.EOF.
 //
 // Cancellation: when the context passed to Client.Events ends, Next
 // returns the context's error (possibly after one final buffered
@@ -32,11 +40,17 @@ type EventStream struct {
 
 	cursor   int64 // next sequence number to ask for
 	body     io.ReadCloser
-	sc       *bufio.Scanner
+	sc       *bufio.Scanner // an NDJSON body
+	br       *bufio.Reader  // a body of event frames
 	started  bool
+	resumed  bool // the open connection is a redial
 	progress bool // events delivered since the last (re)dial
 	err      error
 }
+
+// acceptEvents asks for event frames, and takes NDJSON from a daemon
+// that has no frames.
+const acceptEvents = api.EventRecordsType + ", application/x-ndjson;q=0.5"
 
 func (s *EventStream) dial() error {
 	opts := s.opts
@@ -44,6 +58,7 @@ func (s *EventStream) dial() error {
 	if err != nil {
 		return err
 	}
+	req.Header.Set("Accept", acceptEvents)
 	resp, err := s.c.hc.Do(req)
 	if err != nil {
 		return err
@@ -54,16 +69,68 @@ func (s *EventStream) dial() error {
 		return err
 	}
 	s.body = resp.Body
-	s.sc = bufio.NewScanner(resp.Body)
-	s.sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	s.started, s.progress = true, false
+	if typ, _, _ := mime.ParseMediaType(resp.Header.Get("Content-Type")); typ == api.EventRecordsType {
+		s.br = bufio.NewReaderSize(resp.Body, 64<<10)
+	} else {
+		s.sc = bufio.NewScanner(resp.Body)
+		s.sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+		s.sc.Split(scanLines)
+	}
+	s.started, s.resumed, s.progress = true, s.started, false
 	return nil
 }
 
 func (s *EventStream) closeBody() {
 	if s.body != nil {
 		_ = s.body.Close()
-		s.body, s.sc = nil, nil
+		s.body, s.sc, s.br = nil, nil, nil
+	}
+}
+
+// errCorrupt marks a line or frame that arrived whole and does not
+// decode: what sent it is not the daemon.
+var errCorrupt = errors.New("client: corrupt event")
+
+// scanLines is bufio.ScanLines without its last, unterminated line: a
+// body that ends inside a line was cut, which is the transport's
+// failure, not a corrupt event.
+func scanLines(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, bytes.TrimSuffix(data[:i], []byte{'\r'}), nil
+	}
+	if atEOF && len(data) > 0 {
+		return 0, nil, io.ErrUnexpectedEOF
+	}
+	return 0, nil, nil
+}
+
+// read decodes the next event from the open body. It returns io.EOF at
+// a clean end of the body, an error wrapping errCorrupt for whole bytes
+// that are not an event, and any other error, io.ErrUnexpectedEOF for a
+// body cut inside an event included, as the transport's.
+func (s *EventStream) read(ev *api.Event) error {
+	if s.br != nil {
+		err := api.ReadEventFrame(s.br, ev)
+		if errors.Is(err, api.ErrEventRecord) {
+			return fmt.Errorf("%w: %w", errCorrupt, err)
+		}
+		return err
+	}
+	for s.sc.Scan() {
+		if line := s.sc.Bytes(); len(line) > 0 {
+			if err := api.ParseEvent(line, ev); err != nil {
+				return fmt.Errorf("%w: %w", errCorrupt, err)
+			}
+			return nil
+		}
+	}
+	switch err := s.sc.Err(); err {
+	case nil:
+		return io.EOF
+	case bufio.ErrTooLong:
+		return fmt.Errorf("%w: %w", errCorrupt, err)
+	default:
+		return err
 	}
 }
 
@@ -89,50 +156,41 @@ func (s *EventStream) Next() (api.Event, error) {
 				return zero, err
 			}
 		}
-		if s.sc.Scan() {
-			line := s.sc.Bytes()
-			if len(line) == 0 {
-				continue
-			}
-			var ev api.Event
-			if err := api.ParseEvent(line, &ev); err != nil {
-				// A torn line means the connection died mid-write. The
-				// cursor still points after the last good event, so a
-				// follow stream resumes without loss.
-				s.closeBody()
-				if s.opts.Follow {
-					continue
-				}
-				s.err = fmt.Errorf("client: corrupt event line: %w", err)
-				return zero, s.err
-			}
+		var ev api.Event
+		err := s.read(&ev)
+		if err == nil {
 			s.cursor = ev.Seq + 1
 			s.progress = true
 			return ev, nil
 		}
-		scanErr := s.sc.Err()
-		progressed := s.progress
+		progressed, resumed := s.progress, s.resumed
 		s.closeBody()
 		if err := s.ctx.Err(); err != nil {
 			s.err = err
 			return zero, err
 		}
-		if !s.opts.Follow {
-			if scanErr != nil {
-				s.err = scanErr
-			} else {
-				s.err = io.EOF
+		switch {
+		case errors.Is(err, errCorrupt):
+			// The cursor still points after the last good event, so a
+			// follow stream resumes without loss — unless this very
+			// resume delivered nothing, when the next would read the
+			// same bytes again.
+			if s.opts.Follow && (progressed || !resumed) {
+				continue
 			}
-			return zero, s.err
-		}
-		// Follow mode: a transport error, or a clean close that had
-		// delivered events, is worth a resume from the cursor. A clean
-		// close right after a resume that yielded nothing means the
-		// daemon is gone for good.
-		if scanErr == nil && !progressed {
+			s.err = err
+		case !s.opts.Follow:
+			s.err = err
+		case err == io.EOF && !progressed:
+			// Follow mode: a transport error, or a clean close that had
+			// delivered events, is worth a resume from the cursor. A
+			// clean close right after a resume that yielded nothing means
+			// the daemon is gone for good.
 			s.err = io.EOF
-			return zero, io.EOF
+		default:
+			continue
 		}
+		return zero, s.err
 	}
 }
 

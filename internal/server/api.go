@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"mime"
 	"net/http"
 	"strconv"
 	"strings"
@@ -376,7 +377,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tenantID s
 	writeJSON(w, api.SubmitResponse{IDs: ids, Accepted: len(jobs)})
 }
 
-// handleEvents streams the event log as NDJSON. Query parameters:
+// handleEvents streams the event log as NDJSON, or as event frames
+// (api.EventRecordsType) when the request's Accept header asks for
+// them. Query parameters:
 // since (cursor, default 0), max (page size: without follow the
 // response stops after one page of max events — paginate with the last
 // event's seq+1), follow (keep the connection open and stream new
@@ -423,16 +426,27 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	appendEvent := appendEventLine
+	if acceptsEventRecords(r.Header.Values("Accept")) {
+		w.Header().Set("Content-Type", api.EventRecordsType)
+		appendEvent = (*WireEvent).AppendFrame
+	} else {
+		w.Header().Set("Content-Type", "application/x-ndjson")
+	}
 	flusher, _ := w.(http.Flusher)
-	// One buffer per request takes the canonical lines (api.Event.AppendJSON)
-	// and goes out in chunks, so a full-window page costs one encode per
-	// event and a bounded amount of memory.
+	// One buffer per request takes the events' lines or frames and goes
+	// out in chunks, so a full-window page costs one encode per event
+	// and a bounded amount of memory. It has room for a chunk and one
+	// event past it, so it never grows. An event with a non-finite float
+	// has no line, so neither format carries it.
 	const chunk = 32 << 10
-	var buf []byte
+	buf := make([]byte, 0, chunk+api.MaxEventFrame)
 	emit := func(evs []WireEvent) {
 		for i := range evs {
-			buf = appendEventLine(buf, &evs[i])
+			if !evs[i].Finite() {
+				continue
+			}
+			buf = appendEvent(&evs[i], buf)
 			if len(buf) >= chunk {
 				_, _ = w.Write(buf)
 				buf = buf[:0]
@@ -480,6 +494,44 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+}
+
+// acceptsEventRecords reports whether an Accept header prefers
+// api.EventRecordsType to NDJSON: it names the frames at a quality
+// above zero and at least NDJSON's, which NDJSON takes from the most
+// specific of application/x-ndjson, application/* and */* that the
+// header names. Anything else, a bare */* included, gets NDJSON.
+func acceptsEventRecords(accept []string) bool {
+	records, ndjson, ndjsonRank := 0.0, 0.0, -1
+	for _, list := range accept {
+		for _, rng := range strings.Split(list, ",") {
+			typ, params, err := mime.ParseMediaType(rng)
+			if err != nil {
+				continue
+			}
+			q := 1.0
+			if v, ok := params["q"]; ok {
+				if q, err = strconv.ParseFloat(v, 64); err != nil {
+					continue
+				}
+			}
+			rank := -1
+			switch typ {
+			case api.EventRecordsType:
+				records = max(records, q)
+			case "application/x-ndjson":
+				rank = 2
+			case "application/*":
+				rank = 1
+			case "*/*":
+				rank = 0
+			}
+			if rank >= 0 && (rank > ndjsonRank || rank == ndjsonRank && q > ndjson) {
+				ndjson, ndjsonRank = q, rank
+			}
+		}
+	}
+	return records > 0 && records >= ndjson
 }
 
 // buildReport assembles the metrics report; tenant (optional) narrows

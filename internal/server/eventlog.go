@@ -74,9 +74,9 @@ func (l *eventLog) ReadSince(since int64, max int, match func(*WireEvent) bool) 
 	}
 	next := since
 	for ; i < len(l.events); i++ {
-		ev := l.events[i]
-		if match == nil || match(&ev) {
-			out = append(out, ev)
+		ev := &l.events[i] // not a copy: one that match saw would go to the heap
+		if match == nil || match(ev) {
+			out = append(out, *ev)
 			if max > 0 && len(out) == max {
 				next = ev.Seq + 1
 				return out, next
@@ -107,15 +107,9 @@ func (l *eventLog) restore(base int64, events []WireEvent) {
 	l.events = events
 }
 
-// appendEventLine appends ev's NDJSON line. An event encoding/json would
-// refuse (a non-finite float) has no line, as it had none when the
-// stream went through json.Encoder.
-func appendEventLine(dst []byte, ev *WireEvent) []byte {
-	n := len(dst)
-	if dst = ev.AppendJSON(dst); len(dst) > n {
-		dst = append(dst, '\n')
-	}
-	return dst
+// appendEventLine appends ev's NDJSON line; ev must be Finite.
+func appendEventLine(ev *WireEvent, dst []byte) []byte {
+	return append(ev.AppendJSON(dst), '\n')
 }
 
 // appendRecordsSince appends to dst the journal records (api.Event's
