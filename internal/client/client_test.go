@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -342,6 +343,34 @@ func TestEventStreamCorruptDoesNotSpin(t *testing.T) {
 				t.Fatalf("%d dials, want the first and one resume", dials)
 			}
 		})
+	}
+}
+
+// TestEventStreamCutOnlyBacksOff serves a follow stream from a peer
+// that accepts every connection, sends the headers and cuts the body
+// before any event. Each cut is a transport failure worth a redial,
+// but one that delivered nothing must wait before the next (10 ms,
+// doubling to 1 s) instead of redialing at once: over 300 ms that is
+// a handful of dials, not thousands.
+func TestEventStreamCutOnlyBacksOff(t *testing.T) {
+	var dials atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		dials.Add(1)
+		w.Header().Set("Content-Type", api.EventRecordsType)
+		w.WriteHeader(http.StatusOK)
+		w.(http.Flusher).Flush()
+		panic(http.ErrAbortHandler)
+	}))
+	defer ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	es := client.New(ts.URL).Events(ctx, client.EventsOptions{Follow: true})
+	defer es.Close()
+	if _, err := es.Next(); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Next: %v, want the context's deadline", err)
+	}
+	if n := dials.Load(); n < 2 || n > 10 {
+		t.Fatalf("%d dials in 300 ms, want a few redials spaced by the backoff", n)
 	}
 }
 

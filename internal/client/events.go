@@ -9,6 +9,7 @@ import (
 	"io"
 	"mime"
 	"net/http"
+	"time"
 
 	"trustgrid/internal/api"
 )
@@ -21,11 +22,15 @@ import (
 // number; in follow mode a dropped or corrupted connection is re-dialed
 // transparently with since=cursor+1, so consumers see every retained
 // event exactly once, in order, across transport failures. A body cut
-// inside a line or frame is such a failure. A clean server-side close
-// (daemon drained and stopped) ends the stream with io.EOF once a
-// resume attempt yields nothing new, and an event that arrived whole
-// but does not decode, right after a resume that yielded nothing, ends
-// it with the decode error: the next resume would read the same bytes.
+// inside a line or frame is such a failure. A connection that failed
+// after delivering an event is re-dialed at once; one that delivered
+// nothing waits first, 10 ms doubling to 1 s until an event arrives, so
+// a peer that cuts every connection is not dialed in a tight loop. A
+// clean server-side close (daemon drained and stopped) ends the stream
+// with io.EOF once a resume attempt yields nothing new, and an event
+// that arrived whole but does not decode, right after a resume that
+// yielded nothing, ends it with the decode error: the next resume would
+// read the same bytes.
 // Without follow, the stream is one request: events until the page (or
 // log) is exhausted, then io.EOF.
 //
@@ -43,8 +48,9 @@ type EventStream struct {
 	sc       *bufio.Scanner // an NDJSON body
 	br       *bufio.Reader  // a body of event frames
 	started  bool
-	resumed  bool // the open connection is a redial
-	progress bool // events delivered since the last (re)dial
+	resumed  bool          // the open connection is a redial
+	progress bool          // events delivered since the last (re)dial
+	wait     time.Duration // the last redial backoff; 0 after an event
 	err      error
 }
 
@@ -160,7 +166,7 @@ func (s *EventStream) Next() (api.Event, error) {
 		err := s.read(&ev)
 		if err == nil {
 			s.cursor = ev.Seq + 1
-			s.progress = true
+			s.progress, s.wait = true, 0
 			return ev, nil
 		}
 		progressed, resumed := s.progress, s.resumed
@@ -188,6 +194,17 @@ func (s *EventStream) Next() (api.Event, error) {
 			// the daemon is gone for good.
 			s.err = io.EOF
 		default:
+			if !progressed {
+				// Back off before redialing a connection that delivered
+				// nothing; the context ending cuts the wait short.
+				s.wait = min(max(2*s.wait, 10*time.Millisecond), time.Second)
+				t := time.NewTimer(s.wait)
+				select {
+				case <-t.C:
+				case <-s.ctx.Done():
+					t.Stop()
+				}
+			}
 			continue
 		}
 		return zero, s.err

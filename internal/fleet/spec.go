@@ -58,8 +58,10 @@ func (sp *Spec) Parts() [][]int { return sched.PartitionSites(len(sp.Sites), sp.
 // ShardConfig derives shard i's engine config: its site partition, its
 // own scheduler instance, its labelled RNG streams, its slice of the
 // churn trace. This is the single construction path for in-process
-// shards (server.New's shard loop) and workers alike.
-func (sp *Spec) ShardConfig(i int, durable bool) (sched.RunConfig, error) {
+// shards (server.New's shard loop) and workers alike. Every engine can
+// snapshot, so the second argument is unused; it stays because the
+// benchmark harness (bench/probes.go) still passes it.
+func (sp *Spec) ShardConfig(i int, _ bool) (sched.RunConfig, error) {
 	if err := sp.Validate(); err != nil {
 		return sched.RunConfig{}, err
 	}
@@ -88,7 +90,6 @@ func (sp *Spec) ShardConfig(i int, durable bool) (sched.RunConfig, error) {
 		// incremental accumulator carries the metrics (same choice the
 		// daemon makes).
 		DiscardRecords: true,
-		Durable:        durable,
 	}, nil
 }
 

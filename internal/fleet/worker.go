@@ -340,7 +340,7 @@ func (w *Worker) attach(wc *wconn, f *frame) (*frame, bool) {
 // run on the next restart.
 func (w *Worker) configureLocked(spec *Spec, shard int, fp string, persist bool) (err error) {
 	durable := w.cfg.WALDir != ""
-	cfg, err := spec.ShardConfig(shard, durable)
+	cfg, err := spec.ShardConfig(shard, false)
 	if err != nil {
 		return err
 	}

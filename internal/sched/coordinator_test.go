@@ -148,7 +148,6 @@ func TestCoordinatorAccessorsAndRestore(t *testing.T) {
 			Scheduler:      heuristics.NewMinMin(grid.FRiskyPolicy(0.5)),
 			BatchInterval:  delta,
 			Rand:           rng.New(9).Derive(sched.ShardRNGLabel("engine", shards, i)),
-			Durable:        true,
 			DiscardRecords: true,
 		}
 	}

@@ -18,11 +18,10 @@ func dagRun(t *testing.T, jobs []*grid.Job, events *[]sched.EngineEvent) *sched.
 	res, err := sched.Run(sched.RunConfig{
 		Jobs:          jobs,
 		Sites:         []*grid.Site{{ID: 0, Speed: 10, Nodes: 4, SecurityLevel: 1.0}},
-		Scheduler:     heuristics.NewRankMinMin(grid.SecurePolicy()),
+		Scheduler:     sched.Checked(t, heuristics.NewRankMinMin(grid.SecurePolicy())),
 		BatchInterval: 10,
 		Security:      grid.NewSecurityModel(),
 		Rand:          rng.New(1),
-		Validate:      true,
 		OnEvent: func(ev sched.EngineEvent) {
 			if events != nil {
 				*events = append(*events, ev)
@@ -214,7 +213,6 @@ func dagParityConfig(events *[]string) sched.RunConfig {
 		BatchInterval:  100,
 		Rand:           rng.New(21),
 		Security:       grid.NewSecurityModel(),
-		Durable:        true,
 		DiscardRecords: true,
 		OnEvent:        func(ev sched.EngineEvent) { *events = append(*events, snapLine(ev)) },
 	}

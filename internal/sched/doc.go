@@ -5,8 +5,9 @@
 // model) are re-queued for strictly safe re-dispatch.
 //
 // The package defines the Scheduler contract that the heuristics and the
-// STGA implement, and the discrete-event Engine that drives a full
-// simulation and collects metrics.
+// STGA implement, and the discrete-event engine that drives a full
+// simulation and collects metrics: one queue of plain-data events
+// ordered by (time, scheduling sequence), which a snapshot serializes.
 //
 // With RunConfig.Dynamics the fixed platform becomes a dynamic grid
 // (DESIGN.md §7): a churn trace drives sites crashing (interrupting and
@@ -16,5 +17,5 @@
 // feedback re-derives the scheduler-visible trust vector from observed
 // outcomes between batches.
 //
-// DESIGN.md §1.1 inventory row: the Fig. 1 online model: periodic batch scheduling, dispatch, Eq. 1 failure sampling, safe re-dispatch; defines the Scheduler contract, the incremental Online engine (§6.3) and the dynamic-grid extension (§7).
+// DESIGN.md §1.1 inventory row: the Fig. 1 online model: periodic batch scheduling, dispatch, Eq. 1 failure sampling, safe re-dispatch; defines the Scheduler contract, the discrete-event queue (§6.1), the incremental Online engine (§6.3) and the dynamic-grid extension (§7).
 package sched

@@ -5,7 +5,6 @@ import (
 
 	"trustgrid/internal/fuzzy"
 	"trustgrid/internal/grid"
-	"trustgrid/internal/sim"
 )
 
 // DynamicsConfig turns the fixed-platform simulator into a dynamic grid
@@ -56,26 +55,20 @@ func (d *DynamicsConfig) check(sites []*grid.Site) error {
 	return nil
 }
 
-// attempt is one execution in flight on a site. It is also its own
-// outcome event: dispatch precomputes whether the attempt fails (the
-// Eq. 1 draw) and when the outcome manifests (at), then schedules the
-// attempt itself, so the whole pending outcome is plain data a snapshot
-// can serialize and a restore can re-schedule. On dynamic grids a crash
-// interrupts it by setting cancelled; the event then no-ops.
+// attempt is one execution in flight on a site. Dispatch precomputes
+// whether the attempt fails (the Eq. 1 draw) and when the outcome
+// manifests (start + busy), then queues an evAttempt event at that time,
+// so the whole pending outcome is plain data a snapshot can serialize
+// and a restore can re-queue. On dynamic grids a crash interrupts it by
+// setting cancelled; its event then no-ops.
 type attempt struct {
-	st        *engineState
 	job       *grid.Job
 	site      int
 	start     float64 // when the site begins executing it
 	busy      float64 // site occupancy charged at dispatch time
-	at        float64 // when the outcome event fires (start + busy)
 	fails     bool    // outcome: Eq. 1 security failure vs completion
-	seq       uint64  // event-queue sequence of the outcome (durable mode)
 	cancelled bool
 }
-
-// Execute implements sim.Event: the attempt's outcome fires at att.at.
-func (att *attempt) Execute(e *sim.Engine) { att.st.finishAttempt(e, att) }
 
 // dynState is the engine's dynamic-grid state. Nil on static runs — the
 // paper's original closed-world model pays nothing for the extension.
@@ -140,27 +133,19 @@ func (d *dynState) anyAlive() bool {
 	return false
 }
 
-// launch schedules an attempt's outcome event and registers the attempt
-// with every tracker that needs it: the per-site in-flight lists on
-// dynamic grids (so a crash can cancel it) and the durable registry (so
-// a snapshot can re-create it).
-func (st *engineState) launch(e *sim.Engine, att *attempt) {
-	e.Schedule(att.at, att)
-	if st.cfg.Durable {
-		att.seq = e.LastSeq()
-		st.attempts[att] = struct{}{}
-	}
+// launch queues an attempt's outcome event at at and, on dynamic grids,
+// registers the attempt in its site's in-flight list so a crash can
+// cancel it.
+func (st *engineState) launch(att *attempt, at float64) {
+	st.schedule(event{at: at, kind: evAttempt, att: att})
 	if st.dyn != nil {
 		st.dyn.inflight[att.site] = append(st.dyn.inflight[att.site], att)
 	}
 }
 
 // untrack removes an attempt that ran to its scheduled completion or
-// failure.
+// failure from its site's in-flight list.
 func (st *engineState) untrack(att *attempt) {
-	if st.cfg.Durable {
-		delete(st.attempts, att)
-	}
 	if st.dyn == nil {
 		return
 	}
@@ -206,7 +191,7 @@ func (st *engineState) observeOutcome(site int, sd float64, success bool) float6
 }
 
 // applyChurn executes one churn event at its scheduled time.
-func (st *engineState) applyChurn(e *sim.Engine, ev grid.ChurnEvent) {
+func (st *engineState) applyChurn(ev grid.ChurnEvent) {
 	d := st.dyn
 	i := ev.Site
 	site := st.cfg.Sites[i]
@@ -219,43 +204,38 @@ func (st *engineState) applyChurn(e *sim.Engine, ev grid.ChurnEvent) {
 		// interrupted either way.
 		d.crashed[i] = true
 		if wasAlive {
-			st.emit(EngineEvent{Kind: EventSiteDown, Time: e.Now(), Job: grid.Job{ID: -1}, Site: i,
+			st.emit(EngineEvent{Kind: EventSiteDown, Time: st.now, Job: grid.Job{ID: -1}, Site: i,
 				Level: site.SecurityLevel})
 		}
 		requeued := 0
 		for _, att := range d.inflight[i] {
+			// The outcome event stays on the queue and no-ops; a
+			// snapshot skips it.
 			att.cancelled = true
-			if st.cfg.Durable {
-				// The attempt's outcome event stays on the queue but will
-				// no-op; count it so snapshot accounting stays exact and
-				// restore knows not to re-create it.
-				delete(st.attempts, att)
-				st.deadEvents++
-			}
 			// Reverse the dispatch-time occupancy charge and charge only
 			// the time the site actually spent before crashing.
 			st.busy[i] -= att.busy
-			if occ := e.Now() - att.start; occ > 0 {
+			if occ := st.now - att.start; occ > 0 {
 				st.busy[i] += occ
 			}
 			j := att.job
 			st.interrupted[j.ID]++
-			if st.interrupted[j.ID] > st.cfg.MaxRetries {
-				e.Fail(fmt.Errorf("sched: job %d interrupted more than %d times (site churn too hostile)",
-					j.ID, st.cfg.MaxRetries))
+			if st.interrupted[j.ID] > maxRetries {
+				st.fail(fmt.Errorf("sched: job %d interrupted more than %d times (site churn too hostile)",
+					j.ID, maxRetries))
 				return
 			}
 			// Infrastructure loss, not a security incident: the job
 			// re-queues through the ordinary failure path but keeps its
 			// risk eligibility and feeds no reputation evidence.
-			st.emit(EngineEvent{Kind: EventInterrupted, Time: e.Now(), Job: *j, Site: i})
+			st.emit(EngineEvent{Kind: EventInterrupted, Time: st.now, Job: *j, Site: i})
 			st.queue = append(st.queue, j)
 			requeued++
 		}
 		d.inflight[i] = nil
-		st.ready[i] = e.Now()
+		st.ready[i] = st.now
 		if requeued > 0 {
-			st.ensureBatch(e)
+			st.ensureBatch()
 		}
 	case grid.ChurnDrain:
 		if !d.alive[i] {
@@ -263,7 +243,7 @@ func (st *engineState) applyChurn(e *sim.Engine, ev grid.ChurnEvent) {
 		}
 		d.alive[i] = false
 		d.crashed[i] = false
-		st.emit(EngineEvent{Kind: EventSiteDown, Time: e.Now(), Job: grid.Job{ID: -1}, Site: i,
+		st.emit(EngineEvent{Kind: EventSiteDown, Time: st.now, Job: grid.Job{ID: -1}, Site: i,
 			Level: site.SecurityLevel})
 	case grid.ChurnJoin:
 		d.revives--
@@ -279,21 +259,21 @@ func (st *engineState) applyChurn(e *sim.Engine, ev grid.ChurnEvent) {
 				site.SecurityLevel = d.reps[i].Level()
 			}
 		}
-		if st.ready[i] < e.Now() {
-			st.ready[i] = e.Now()
+		if st.ready[i] < st.now {
+			st.ready[i] = st.now
 		}
-		st.emit(EngineEvent{Kind: EventSiteUp, Time: e.Now(), Job: grid.Job{ID: -1}, Site: i,
+		st.emit(EngineEvent{Kind: EventSiteUp, Time: st.now, Job: grid.Job{ID: -1}, Site: i,
 			Level: site.SecurityLevel})
 		if len(st.queue) > 0 {
-			st.ensureBatch(e)
+			st.ensureBatch()
 		}
 	case grid.ChurnDegrade:
 		site.Speed = d.baseSpeed[i] * ev.Factor
-		st.emit(EngineEvent{Kind: EventSiteSpeed, Time: e.Now(), Job: grid.Job{ID: -1}, Site: i,
+		st.emit(EngineEvent{Kind: EventSiteSpeed, Time: st.now, Job: grid.Job{ID: -1}, Site: i,
 			Speed: site.Speed})
 	case grid.ChurnRestore:
 		site.Speed = d.baseSpeed[i]
-		st.emit(EngineEvent{Kind: EventSiteSpeed, Time: e.Now(), Job: grid.Job{ID: -1}, Site: i,
+		st.emit(EngineEvent{Kind: EventSiteSpeed, Time: st.now, Job: grid.Job{ID: -1}, Site: i,
 			Speed: site.Speed})
 	}
 }

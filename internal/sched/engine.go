@@ -10,7 +10,6 @@ import (
 	"trustgrid/internal/obs"
 	"trustgrid/internal/rng"
 	"trustgrid/internal/sched/kernel"
-	"trustgrid/internal/sim"
 )
 
 // FailureTiming selects when a sampled failure manifests during an
@@ -41,15 +40,6 @@ type RunConfig struct {
 	FailureTiming FailureTiming
 	// Rand drives failure sampling; derive a dedicated stream.
 	Rand *rng.Stream
-	// MaxRetries bounds per-job failures before the run aborts (a job
-	// that keeps failing indicates an infeasible platform). Zero means
-	// the default of 50.
-	MaxRetries int
-	// MaxEvents bounds total simulation events (runaway guard). Zero
-	// means 200 × |jobs seen so far| + 10000, growing as jobs arrive.
-	MaxEvents uint64
-	// Validate enables per-batch assignment contract checking (tests).
-	Validate bool
 	// OnEvent, when non-nil, receives every job lifecycle transition
 	// (arrival, placement, failure, completion) synchronously on the
 	// goroutine driving the simulation. Handlers must not call back into
@@ -74,17 +64,12 @@ type RunConfig struct {
 	// drain-everything behavior, bit-identical to before multi-tenancy
 	// existed. The engine copies the config.
 	Admission *AdmissionConfig
-	// Durable enables snapshot support (DESIGN.md §10): the engine
-	// tracks every pending event — future arrivals, in-flight execution
-	// attempts, the armed Δ-round — together with its event-queue
-	// sequence number, so Online.Snapshot can serialize the full engine
-	// state and RestoreOnline can re-schedule it in the original
-	// execution order. Off by default: the bookkeeping costs a map
-	// insert/delete per job and per attempt, and a run that will never
-	// snapshot should not pay it. Durable runs never change placements —
-	// the tracking observes the event queue, it does not alter it.
-	Durable bool
 }
+
+// maxRetries bounds a job's security failures, and separately its churn
+// interruptions, before the run aborts: a job that keeps failing means
+// the platform is infeasible.
+const maxRetries = 50
 
 // check validates everything except the job list, which Run requires
 // non-empty but the incremental Online engine accepts empty (jobs stream
@@ -142,9 +127,21 @@ type Result struct {
 	LargestBatch int
 }
 
-// engineState carries the mutable simulation state across events.
+// engineState carries the mutable simulation state across events,
+// the event queue itself included.
 type engineState struct {
-	cfg     *RunConfig
+	cfg *RunConfig
+	// events is the discrete-event queue, ordered by (at, seq); now is
+	// the clock, seq the last sequence number handed out and executed
+	// the count of events run so far. maxEvents is the runaway guard
+	// (setGuard) and err the failure that stopped the loop for good.
+	events    eventQueue
+	now       float64
+	seq       uint64
+	executed  uint64
+	maxEvents uint64
+	err       error
+
 	queue   []*grid.Job // jobs awaiting dispatch
 	ready   []float64   // per-site earliest free time
 	busy    []float64   // per-site accumulated occupied time
@@ -182,26 +179,6 @@ type engineState struct {
 	// observability only: wall time never reaches an event or a WAL
 	// record, so the determinism contract is untouched.
 	phases [NumPhases]obs.Histogram
-
-	// Durable-mode pending-event ledger (nil/zero otherwise): every event
-	// sitting on the sim queue is accounted for here so Snapshot can
-	// serialize it and RestoreOnline can re-schedule it in the original
-	// (time, seq) order. attempts holds live in-flight outcomes; pendArr
-	// holds scheduled, not-yet-admitted arrivals; batchSeq/batchAt locate
-	// the armed Δ-round when batchOpen; deadEvents counts cancelled
-	// attempts whose no-op outcome event has not fired yet.
-	attempts   map[*attempt]struct{}
-	pendArr    map[*grid.Job]pendingArrival
-	batchSeq   uint64
-	batchAt    float64
-	deadEvents int
-}
-
-// pendingArrival records a scheduled, not-yet-admitted arrival event:
-// when it fires and where it sits in the event order.
-type pendingArrival struct {
-	at  float64
-	seq uint64
 }
 
 // Run executes the full simulation and aggregates metrics. It is the
@@ -220,15 +197,14 @@ func Run(cfg RunConfig) (*Result, error) {
 	return o.Drain()
 }
 
-// arrive enqueues a newly submitted job and opens the next scheduling
-// round. A stale arrival stamp (before the current clock) is clamped to
-// now — the job arrives "now" as far as the simulation is concerned.
-func (st *engineState) arrive(e *sim.Engine, j *grid.Job) {
-	if st.cfg.Durable {
-		delete(st.pendArr, j)
-	}
-	if j.Arrival < e.Now() {
-		j.Arrival = e.Now()
+// arrive runs at a job's arrival timestamp: it grows the runaway guard
+// to cover the job, enqueues it and opens the next scheduling round. A
+// stale arrival stamp (before the current clock) is clamped to now —
+// the job arrives "now" as far as the simulation is concerned.
+func (st *engineState) arrive(j *grid.Job) {
+	st.setGuard()
+	if j.Arrival < st.now {
+		j.Arrival = st.now
 	}
 	// A tenant-declared secure-only policy becomes the same per-job
 	// constraint a prior failure imposes; downstream of this point the
@@ -242,37 +218,32 @@ func (st *engineState) arrive(e *sim.Engine, j *grid.Job) {
 	st.seen++
 	st.remaining++
 	ready := st.deps.Arrive(j)
-	st.emit(EngineEvent{Kind: EventArrived, Time: e.Now(), Job: *j, Site: -1})
+	st.emit(EngineEvent{Kind: EventArrived, Time: st.now, Job: *j, Site: -1})
 	if !ready {
 		// The tracker holds the job until its parents complete; it enters
 		// the queue (and DRR's view of the backlog) at release.
 		return
 	}
 	st.queue = append(st.queue, j)
-	st.ensureBatch(e)
+	st.ensureBatch()
 }
 
 // ensureBatch schedules the next periodic scheduling round if none is
 // pending. Rounds fire on the Δ grid (⌈now/Δ⌉·Δ), matching the paper's
 // periodic model: jobs accumulate and are scheduled in batches.
-func (st *engineState) ensureBatch(e *sim.Engine) {
+func (st *engineState) ensureBatch() {
 	if st.batchOpen {
 		return
 	}
 	st.batchOpen = true
 	delta := st.cfg.BatchInterval
-	k := int(e.Now()/delta) + 1
-	next := float64(k) * delta
-	e.Schedule(next, sim.EventFunc(st.runBatch))
-	if st.cfg.Durable {
-		st.batchSeq = e.LastSeq()
-		st.batchAt = next
-	}
+	k := int(st.now/delta) + 1
+	st.schedule(event{at: float64(k) * delta, kind: evBatch})
 }
 
 // runBatch drains the queue through the scheduler and dispatches the
 // assignments.
-func (st *engineState) runBatch(e *sim.Engine) {
+func (st *engineState) runBatch() {
 	st.batchOpen = false
 	if len(st.queue) == 0 {
 		return
@@ -281,10 +252,10 @@ func (st *engineState) runBatch(e *sim.Engine) {
 		// A total outage: hold the queue. If churn will revive a site the
 		// round re-arms until it does; otherwise the jobs can never run.
 		if st.dyn.revives == 0 {
-			e.Fail(fmt.Errorf("sched: every site departed with %d jobs queued and no rejoin pending", len(st.queue)))
+			st.fail(fmt.Errorf("sched: every site departed with %d jobs queued and no rejoin pending", len(st.queue)))
 			return
 		}
-		st.ensureBatch(e)
+		st.ensureBatch()
 		return
 	}
 	start := time.Now()
@@ -298,7 +269,7 @@ func (st *engineState) runBatch(e *sim.Engine) {
 			// Δ-round is armed now, so a saturated backlog keeps draining
 			// at budget jobs per round even with no further arrivals.
 			st.queue = leftover
-			st.ensureBatch(e)
+			st.ensureBatch()
 		}
 	}
 	st.batches++
@@ -306,7 +277,7 @@ func (st *engineState) runBatch(e *sim.Engine) {
 	if len(batch) > st.largest {
 		st.largest = len(batch)
 	}
-	state := &State{Now: e.Now(), Sites: st.cfg.Sites, Ready: st.ready, Alive: st.aliveVec()}
+	state := &State{Now: st.now, Sites: st.cfg.Sites, Ready: st.ready, Alive: st.aliveVec()}
 	formed := time.Now()
 	// Build the columnar snapshot once per round; every scheduler
 	// (including the online daemon path, which drives this same batch
@@ -325,21 +296,15 @@ func (st *engineState) runBatch(e *sim.Engine) {
 	st.phases[PhaseForm].Observe(formed.Sub(start))
 	st.phases[PhaseKernel].Observe(built.Sub(formed))
 	st.phases[PhaseSchedule].Observe(scheduled.Sub(built))
-	if st.cfg.Validate {
-		if err := ValidateAssignments(batch, as, len(st.cfg.Sites)); err != nil {
-			e.Fail(err)
-			return
-		}
-	}
 	for _, a := range as {
-		st.dispatch(e, a)
+		st.dispatch(a)
 	}
 	st.phases[PhaseDispatch].Observe(time.Since(scheduled))
 }
 
 // The phases of a Δ-round that runBatch times: batch formation (queue
 // hand-off and fair-share rationing), the kernel snapshot with any DAG
-// ranks, the scheduler's Schedule call, and validation plus dispatch.
+// ranks, the scheduler's Schedule call, and dispatch.
 const (
 	PhaseForm = iota
 	PhaseKernel
@@ -381,15 +346,15 @@ func (st *engineState) installRanks(k *kernel.Snapshot, batch []*grid.Job) {
 // On dynamic grids the failure law samples from the site's ground-truth
 // security level, the attempt is tracked so a crash can interrupt it,
 // and the outcome feeds the site's reputation.
-func (st *engineState) dispatch(e *sim.Engine, a Assignment) {
+func (st *engineState) dispatch(a Assignment) {
 	job, site := a.Job, st.cfg.Sites[a.Site]
 	if st.dyn != nil && !st.dyn.alive[a.Site] {
-		e.Fail(fmt.Errorf("sched: scheduler dispatched job %d to departed site %d", job.ID, a.Site))
+		st.fail(fmt.Errorf("sched: scheduler dispatched job %d to departed site %d", job.ID, a.Site))
 		return
 	}
 	start := st.ready[a.Site]
-	if now := e.Now(); now > start {
-		start = now
+	if st.now > start {
+		start = st.now
 	}
 	exec := site.ExecTime(job)
 
@@ -402,7 +367,7 @@ func (st *engineState) dispatch(e *sim.Engine, a Assignment) {
 		st.riskTaken[job.ID] = true
 	}
 	st.emit(EngineEvent{
-		Kind: EventPlaced, Time: e.Now(), Job: *job, Site: a.Site,
+		Kind: EventPlaced, Time: st.now, Job: *job, Site: a.Site,
 		Start: start, Finish: start + exec, Risky: risky, FellBack: a.FellBack,
 	})
 	fails := risky && st.failRand.Bool(st.cfg.Security.FailProb(job.SecurityDemand, effSL))
@@ -420,21 +385,14 @@ func (st *engineState) dispatch(e *sim.Engine, a Assignment) {
 	at := start + busy
 	st.ready[a.Site] = at
 	st.busy[a.Site] += busy
-	st.launch(e, &attempt{
-		st: st, job: job, site: a.Site,
-		start: start, busy: busy, at: at, fails: fails,
-	})
+	st.launch(&attempt{job: job, site: a.Site, start: start, busy: busy, fails: fails}, at)
 }
 
-// finishAttempt executes an attempt's outcome at att.at: the Eq. 1
-// security failure when att.fails, the completion otherwise.
-func (st *engineState) finishAttempt(e *sim.Engine, att *attempt) {
+// finishAttempt executes an attempt's outcome when its event fires: the
+// Eq. 1 security failure when att.fails, the completion otherwise.
+func (st *engineState) finishAttempt(att *attempt) {
 	if att.cancelled {
-		// The site crashed first; the job already re-queued. The event was
-		// counted dead at cancellation time.
-		if st.cfg.Durable {
-			st.deadEvents--
-		}
+		// The site crashed first; the job already re-queued.
 		return
 	}
 	st.untrack(att)
@@ -443,21 +401,21 @@ func (st *engineState) finishAttempt(e *sim.Engine, att *attempt) {
 	if att.fails {
 		st.failed[job.ID] = true
 		job.Failures++
-		if job.Failures > st.cfg.MaxRetries {
-			e.Fail(fmt.Errorf("sched: job %d exceeded %d retries (site %d); platform likely infeasible",
-				job.ID, st.cfg.MaxRetries, att.site))
+		if job.Failures > maxRetries {
+			st.fail(fmt.Errorf("sched: job %d exceeded %d retries (site %d); platform likely infeasible",
+				job.ID, maxRetries, att.site))
 			return
 		}
 		// Fail-stop: restart from the beginning on a strictly safe
 		// site at the next scheduling round (§2).
 		job.MustBeSafe = true
-		ev := EngineEvent{Kind: EventFailed, Time: e.Now(), Job: *job, Site: att.site}
+		ev := EngineEvent{Kind: EventFailed, Time: st.now, Job: *job, Site: att.site}
 		if level := st.observeOutcome(att.site, job.SecurityDemand, false); st.dyn != nil && st.dyn.reps != nil {
 			ev.Level = level
 		}
 		st.emit(ev)
 		st.queue = append(st.queue, job)
-		st.ensureBatch(e)
+		st.ensureBatch()
 		return
 	}
 
@@ -466,14 +424,14 @@ func (st *engineState) finishAttempt(e *sim.Engine, att *attempt) {
 		Tenant:         job.Tenant,
 		Arrival:        job.Arrival,
 		Start:          att.start,
-		Completion:     att.at,
+		Completion:     st.now,
 		Site:           att.site,
 		TookRisk:       st.riskTaken[job.ID],
 		Failed:         st.failed[job.ID],
 		FellBack:       st.fellBack[job.ID],
 		Interrupted:    st.interrupted[job.ID] > 0,
 		Deadline:       job.Deadline,
-		MissedDeadline: job.Deadline > 0 && att.at > job.Deadline,
+		MissedDeadline: job.Deadline > 0 && st.now > job.Deadline,
 	}
 	if !st.cfg.DiscardRecords {
 		st.records = append(st.records, rec)
@@ -487,8 +445,8 @@ func (st *engineState) finishAttempt(e *sim.Engine, att *attempt) {
 	delete(st.interrupted, job.ID)
 	st.remaining--
 	ev := EngineEvent{
-		Kind: EventCompleted, Time: e.Now(), Job: *job, Site: att.site,
-		Start: att.start, Finish: att.at,
+		Kind: EventCompleted, Time: st.now, Job: *job, Site: att.site,
+		Start: att.start, Finish: st.now,
 	}
 	if level := st.observeOutcome(att.site, job.SecurityDemand, true); st.dyn != nil && st.dyn.reps != nil {
 		ev.Level = level
@@ -501,10 +459,10 @@ func (st *engineState) finishAttempt(e *sim.Engine, att *attempt) {
 	// never contain both ends of an edge.
 	released := st.deps.Complete(job.ID)
 	for _, rj := range released {
-		st.emit(EngineEvent{Kind: EventReady, Time: e.Now(), Job: *rj, Site: -1})
+		st.emit(EngineEvent{Kind: EventReady, Time: st.now, Job: *rj, Site: -1})
 		st.queue = append(st.queue, rj)
 	}
 	if len(released) > 0 {
-		st.ensureBatch(e)
+		st.ensureBatch()
 	}
 }

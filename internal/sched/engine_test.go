@@ -36,6 +36,25 @@ func (s *eligibleScheduler) Schedule(batch []*grid.Job, st *State) []Assignment 
 	return out
 }
 
+// Checked wraps s so that every batch's assignments are checked
+// against the Scheduler contract (ValidateAssignments); a violation
+// fails the test. The engine runs on the test's goroutine, so the
+// check may stop it.
+func Checked(t testing.TB, s Scheduler) Scheduler { return checked{s, t} }
+
+type checked struct {
+	Scheduler
+	t testing.TB
+}
+
+func (c checked) Schedule(batch []*grid.Job, st *State) []Assignment {
+	as := c.Scheduler.Schedule(batch, st)
+	if err := ValidateAssignments(batch, as, len(st.Sites)); err != nil {
+		c.t.Fatal(err)
+	}
+	return as
+}
+
 func safeSites(speeds ...float64) []*grid.Site {
 	sites := make([]*grid.Site, len(speeds))
 	for i, sp := range speeds {
@@ -62,11 +81,10 @@ func TestRunSerialQueueTiming(t *testing.T) {
 	cfg := RunConfig{
 		Jobs:          simpleJobs(2, 1, 1), // arrivals 0 and 1
 		Sites:         safeSites(1),
-		Scheduler:     &fifoScheduler{},
+		Scheduler:     Checked(t, &fifoScheduler{}),
 		BatchInterval: 10,
 		Security:      grid.NewSecurityModel(),
 		Rand:          rng.New(1),
-		Validate:      true,
 	}
 	res, err := Run(cfg)
 	if err != nil {
@@ -126,9 +144,8 @@ func TestSecureRunNeverFails(t *testing.T) {
 	}
 	cfg := RunConfig{
 		Jobs: jobs, Sites: sites,
-		Scheduler:     &eligibleScheduler{policy: grid.SecurePolicy()},
+		Scheduler:     Checked(t, &eligibleScheduler{policy: grid.SecurePolicy()}),
 		BatchInterval: 20, Security: grid.NewSecurityModel(), Rand: rng.New(2),
-		Validate: true,
 	}
 	res, err := Run(cfg)
 	if err != nil {
@@ -156,9 +173,8 @@ func TestRiskyRunFailsAndRecovers(t *testing.T) {
 	}
 	cfg := RunConfig{
 		Jobs: jobs, Sites: sites,
-		Scheduler:     &eligibleScheduler{policy: grid.RiskyPolicy()},
+		Scheduler:     Checked(t, &eligibleScheduler{policy: grid.RiskyPolicy()}),
 		BatchInterval: 10, Security: grid.NewSecurityModel(), Rand: rng.New(3),
-		Validate: true,
 	}
 	res, err := Run(cfg)
 	if err != nil {

@@ -11,7 +11,8 @@ import (
 // TestRetryExhaustionFailsRun injects a platform where the only site is
 // catastrophically unsafe (P(fail) ≈ 1) so even the must-be-safe
 // fallback keeps failing: the engine must abort with a retry error
-// rather than loop forever.
+// rather than loop forever. At P(fail) ≈ 1 the 50 retries maxRetries
+// allows take microseconds.
 func TestRetryExhaustionFailsRun(t *testing.T) {
 	sites := []*grid.Site{{ID: 0, Speed: 1, Nodes: 1, SecurityLevel: 0.4}}
 	jobs := []*grid.Job{{ID: 0, Workload: 10, Nodes: 1, SecurityDemand: 0.9}}
@@ -21,7 +22,6 @@ func TestRetryExhaustionFailsRun(t *testing.T) {
 		BatchInterval: 5,
 		Security:      grid.SecurityModel{Lambda: 50}, // P(fail) ≈ 1
 		Rand:          rng.New(1),
-		MaxRetries:    3,
 	})
 	if err == nil {
 		t.Fatal("expected retry-exhaustion error")
@@ -91,16 +91,22 @@ func TestBatchesFireOnGrid(t *testing.T) {
 }
 
 // TestMaxEventsGuard verifies the runaway protection surfaces as an
-// error instead of hanging.
+// error instead of hanging. The only site drains at t=0 and rejoins at
+// t=1e9, so with Δ=1 the round re-arms every second with nothing it can
+// dispatch; the guard derived from one job and two churn events stops
+// the run after about ten thousand of those rounds.
 func TestMaxEventsGuard(t *testing.T) {
-	sites := safeSites(1)
-	jobs := simpleJobs(100, 1, 1)
 	_, err := Run(RunConfig{
-		Jobs: jobs, Sites: sites, Scheduler: &fifoScheduler{},
-		BatchInterval: 1, Rand: rng.New(4), MaxEvents: 10,
+		Jobs:  simpleJobs(1, 1, 1),
+		Sites: safeSites(1), Scheduler: &fifoScheduler{},
+		BatchInterval: 1, Rand: rng.New(4),
+		Dynamics: &DynamicsConfig{Churn: []grid.ChurnEvent{
+			{Time: 0, Site: 0, Kind: grid.ChurnDrain},
+			{Time: 1e9, Site: 0, Kind: grid.ChurnJoin},
+		}},
 	})
-	if err == nil {
-		t.Fatal("expected MaxEvents error")
+	if err == nil || !strings.Contains(err.Error(), "exceeded 10204 events") {
+		t.Fatalf("Run = %v, want the runaway guard's error", err)
 	}
 }
 

@@ -2,12 +2,12 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"trustgrid/internal/dag"
 	"trustgrid/internal/grid"
 	"trustgrid/internal/metrics"
-	"trustgrid/internal/sim"
 )
 
 // Online is the incremental form of the simulation engine: the same
@@ -22,7 +22,6 @@ import (
 type Online struct {
 	cfg RunConfig
 	st  *engineState
-	eng *sim.Engine
 }
 
 // NewOnline builds an incremental engine. cfg.Jobs may be empty; any
@@ -33,13 +32,10 @@ func NewOnline(cfg RunConfig) (*Online, error) { return newOnline(cfg, nil) }
 // newOnline is the shared construction path of NewOnline and
 // RestoreOnline: with snap == nil it starts a fresh run; with a snapshot
 // it rebuilds the engine mid-run (clock repositioned, state restored,
-// pending events re-scheduled in their original order).
+// pending events re-queued in their original order).
 func newOnline(cfg RunConfig, snap *EngineSnapshot) (*Online, error) {
 	if err := cfg.check(); err != nil {
 		return nil, err
-	}
-	if cfg.MaxRetries == 0 {
-		cfg.MaxRetries = 50
 	}
 	if cfg.Security.Lambda == 0 {
 		cfg.Security = grid.NewSecurityModel()
@@ -73,25 +69,19 @@ func newOnline(cfg RunConfig, snap *EngineSnapshot) (*Online, error) {
 		deps:        dag.NewTracker(),
 		failRand:    cfg.Rand.Derive("engine/failures"),
 		timeRand:    cfg.Rand.Derive("engine/failtime"),
-	}
-	if o.cfg.Durable {
-		o.st.attempts = make(map[*attempt]struct{})
-		o.st.pendArr = make(map[*grid.Job]pendingArrival)
+		events:      make(eventQueue, 0, 1024),
 	}
 	if o.cfg.Admission != nil {
 		o.st.adm = newAdmState(o.cfg.Admission)
 	}
-	o.eng = sim.NewEngine()
 	if snap != nil {
-		// Reposition the (still empty) engine at the snapshot's clock so
-		// everything re-scheduled below lands exactly where the saved run
+		// Position the (still empty) queue at the snapshot's clock so
+		// everything re-queued below lands exactly where the saved run
 		// stood.
-		if err := o.eng.RestoreClock(snap.Now, snap.Executed); err != nil {
-			return nil, err
+		if math.IsNaN(snap.Now) || snap.Now < 0 {
+			return nil, fmt.Errorf("sched: restore: snapshot clock at t=%v", snap.Now)
 		}
-	}
-	if cfg.MaxEvents > 0 {
-		o.eng.MaxEvents = cfg.MaxEvents
+		o.st.now, o.st.executed = snap.Now, snap.Executed
 	}
 
 	if o.cfg.Dynamics != nil {
@@ -108,12 +98,11 @@ func newOnline(cfg RunConfig, snap *EngineSnapshot) (*Online, error) {
 		// scheduled before anything else ever is, its sequence numbers
 		// are below every runtime event's and scheduling it first here
 		// reproduces the original tie-break order.
-		for _, ev := range o.cfg.Dynamics.Churn {
+		for i, ev := range o.cfg.Dynamics.Churn {
 			if snap != nil && ev.Time <= snap.Now {
 				continue
 			}
-			ev := ev
-			o.eng.Schedule(ev.Time, sim.EventFunc(func(e *sim.Engine) { o.st.applyChurn(e, ev) }))
+			o.st.schedule(event{at: ev.Time, kind: evChurn, churn: int32(i)})
 		}
 	}
 
@@ -121,33 +110,15 @@ func newOnline(cfg RunConfig, snap *EngineSnapshot) (*Online, error) {
 		if err := o.restore(snap); err != nil {
 			return nil, err
 		}
-		return o, nil
-	}
-	jobs := grid.CloneAll(cfg.Jobs)
-	sort.SliceStable(jobs, func(i, k int) bool { return jobs[i].Arrival < jobs[k].Arrival })
-	for _, j := range jobs {
-		j := j
-		o.eng.Schedule(j.Arrival, sim.EventFunc(func(e *sim.Engine) { o.admit(e, j) }))
-		if o.cfg.Durable {
-			o.st.pendArr[j] = pendingArrival{at: j.Arrival, seq: o.eng.LastSeq()}
+	} else {
+		jobs := grid.CloneAll(cfg.Jobs)
+		sort.SliceStable(jobs, func(i, k int) bool { return jobs[i].Arrival < jobs[k].Arrival })
+		for _, j := range jobs {
+			o.st.schedule(event{at: j.Arrival, kind: evArrival, job: j})
 		}
 	}
+	o.st.setGuard()
 	return o, nil
-}
-
-// admit runs at a job's arrival timestamp: grow the runaway guard to
-// cover the job, then hand it to the batch loop.
-func (o *Online) admit(e *sim.Engine, j *grid.Job) {
-	if o.cfg.MaxEvents == 0 {
-		guard := 200*uint64(o.st.seen+1) + 10000
-		if o.cfg.Dynamics != nil {
-			// Churn events and the empty rounds an outage re-arms also
-			// draw from the budget.
-			guard += 2 * uint64(len(o.cfg.Dynamics.Churn))
-		}
-		o.eng.MaxEvents = guard
-	}
-	o.st.arrive(e, j)
 }
 
 // Submit clones j and puts its arrival on the engine's event queue.
@@ -158,15 +129,11 @@ func (o *Online) Submit(j *grid.Job) error {
 	if err := j.Validate(); err != nil {
 		return err
 	}
-	c := j.Clone()
 	at := j.Arrival
-	if at < o.eng.Now() {
-		at = o.eng.Now()
+	if at < o.st.now {
+		at = o.st.now
 	}
-	o.eng.Schedule(at, sim.EventFunc(func(e *sim.Engine) { o.admit(e, c) }))
-	if o.cfg.Durable {
-		o.st.pendArr[c] = pendingArrival{at: at, seq: o.eng.LastSeq()}
-	}
+	o.st.schedule(event{at: at, kind: evArrival, job: j.Clone()})
 	return nil
 }
 
@@ -176,14 +143,14 @@ func (o *Online) SubmitLocal(j *grid.Job) error { return o.Submit(j) }
 
 // AdvanceTo executes the simulation up to virtual time t, leaving the
 // clock at t. Loop goroutine only.
-func (o *Online) AdvanceTo(t float64) error { return o.eng.RunUntil(t) }
+func (o *Online) AdvanceTo(t float64) error { return o.st.run(t) }
 
 // Drain runs the engine until everything submitted so far has
 // completed, then returns the aggregated result. The engine stays
 // usable: more jobs may be submitted and the clock advanced further
 // afterwards. Loop goroutine only.
 func (o *Online) Drain() (*Result, error) {
-	if err := o.eng.Run(); err != nil {
+	if err := o.st.run(math.Inf(1)); err != nil {
 		return nil, err
 	}
 	if o.st.remaining != 0 {
@@ -220,7 +187,7 @@ func (o *Online) Result() (*Result, error) {
 		Summary:       summary,
 		Records:       o.st.records,
 		Batches:       o.st.batches,
-		Events:        o.eng.Executed(),
+		Events:        o.st.executed,
 		SchedulerTime: o.st.schedTime,
 		LargestBatch:  o.st.largest,
 	}, nil
@@ -257,7 +224,7 @@ func (o *Online) MetricsState() (metrics.AccumulatorState, []float64) {
 }
 
 // Now returns the current virtual time. Loop goroutine only.
-func (o *Online) Now() float64 { return o.eng.Now() }
+func (o *Online) Now() float64 { return o.st.now }
 
 // Seen returns how many jobs have arrived (been ingested) so far. Loop
 // goroutine only.

@@ -9,10 +9,9 @@ import (
 	"trustgrid/internal/idset"
 	"trustgrid/internal/metrics"
 	"trustgrid/internal/rng"
-	"trustgrid/internal/sim"
 )
 
-// EngineSnapshot is the complete serializable state of a durable Online
+// EngineSnapshot is the complete serializable state of an Online
 // engine at a quiescent point: everything needed to rebuild an engine
 // whose future placements are byte-identical to the uninterrupted run's
 // (DESIGN.md §10). "Quiescent" means no event at or before the clock is
@@ -43,8 +42,8 @@ type EngineSnapshot struct {
 
 	// Queue is the scheduling backlog in exact queue order.
 	Queue []grid.Job `json:"queue,omitempty"`
-	// Pending is every event still on the sim queue, in no particular
-	// order; restore sorts by Seq.
+	// Pending is every live event still on the queue, ascending by Seq;
+	// restore sorts by Seq.
 	Pending []PendingItem `json:"pending,omitempty"`
 
 	// Per-job flags for jobs still in the system (completed jobs shed
@@ -70,7 +69,7 @@ type EngineSnapshot struct {
 	SchedState []byte `json:"sched_state,omitempty"`
 }
 
-// PendingItem is one event still on the sim queue.
+// PendingItem is one event still on the engine's queue.
 type PendingItem struct {
 	// Kind is "arrival" (a scheduled, not-yet-admitted job), "attempt"
 	// (an in-flight execution outcome) or "batch" (the armed Δ-round).
@@ -156,41 +155,19 @@ type DynamicsSnapshot struct {
 }
 
 // Snapshot captures the engine's complete state at a quiescent point.
-// It requires a Durable engine (the pending-event ledger is what makes
-// the event queue serializable) in DiscardRecords mode (per-job records
-// are unbounded history, not state). Call it between calls on the loop
-// goroutine — after AdvanceTo, Drain or Submit returns — never from an
-// event handler. Loop goroutine only.
+// It requires DiscardRecords mode (per-job records are unbounded
+// history, not state). Call it between calls on the loop goroutine —
+// after AdvanceTo, Drain or Submit returns — never from an event
+// handler. Loop goroutine only.
 func (o *Online) Snapshot() (*EngineSnapshot, error) {
 	st := o.st
-	if !o.cfg.Durable {
-		return nil, fmt.Errorf("sched: Snapshot on a non-durable engine (set RunConfig.Durable)")
-	}
 	if !o.cfg.DiscardRecords {
 		return nil, fmt.Errorf("sched: Snapshot requires DiscardRecords (per-job records are not snapshotted)")
 	}
-	// Account for every event on the sim queue. A mismatch means some
-	// event escaped the durable ledger (or a non-quiescent call) and a
-	// snapshot taken now could not be restored faithfully.
-	expect := len(st.pendArr) + len(st.attempts) + st.deadEvents
-	if st.batchOpen {
-		expect++
-	}
-	if st.dyn != nil {
-		for _, ev := range o.cfg.Dynamics.Churn {
-			if ev.Time > o.eng.Now() {
-				expect++
-			}
-		}
-	}
-	if got := o.eng.Pending(); got != expect {
-		return nil, fmt.Errorf("sched: Snapshot accounting mismatch: %d events queued, %d accounted for", got, expect)
-	}
-
 	snap := &EngineSnapshot{
 		Scheduler: o.cfg.Scheduler.Name(),
-		Now:       o.eng.Now(),
-		Executed:  o.eng.Executed(),
+		Now:       st.now,
+		Executed:  st.executed,
 		Seen:      st.seen,
 		Remaining: st.remaining,
 		Batches:   st.batches,
@@ -204,25 +181,31 @@ func (o *Online) Snapshot() (*EngineSnapshot, error) {
 	for _, j := range st.queue {
 		snap.Queue = append(snap.Queue, *j)
 	}
-	// Plain value copies, not Clone: Clone resets the runtime state
-	// (Failures, MustBeSafe) that a snapshot exists to preserve.
-	for j, p := range st.pendArr {
-		c := *j
-		snap.Pending = append(snap.Pending, PendingItem{
-			Kind: "arrival", Seq: p.seq, At: p.at, Job: &c,
-		})
-	}
-	for att := range st.attempts {
-		c := *att.job
-		snap.Pending = append(snap.Pending, PendingItem{
-			Kind: "attempt", Seq: att.seq, At: att.at, Job: &c,
-			Site: att.site, Start: att.start, Busy: att.busy, Fails: att.fails,
-		})
-	}
-	if st.batchOpen {
-		snap.Pending = append(snap.Pending, PendingItem{
-			Kind: "batch", Seq: st.batchSeq, At: st.batchAt,
-		})
+	// Walk the queue. Churn is not state (the config re-queues what is
+	// still ahead of the clock), and a cancelled attempt's event would
+	// only no-op. Job copies are plain values, not Clone: Clone resets
+	// the runtime state (Failures, MustBeSafe) that a snapshot exists to
+	// preserve.
+	for _, ev := range st.events {
+		switch ev.kind {
+		case evArrival:
+			c := *ev.job
+			snap.Pending = append(snap.Pending, PendingItem{
+				Kind: "arrival", Seq: ev.seq, At: ev.at, Job: &c,
+			})
+		case evAttempt:
+			if att := ev.att; !att.cancelled {
+				c := *att.job
+				snap.Pending = append(snap.Pending, PendingItem{
+					Kind: "attempt", Seq: ev.seq, At: ev.at, Job: &c,
+					Site: att.site, Start: att.start, Busy: att.busy, Fails: att.fails,
+				})
+			}
+		case evBatch:
+			snap.Pending = append(snap.Pending, PendingItem{
+				Kind: "batch", Seq: ev.seq, At: ev.at,
+			})
+		}
 	}
 	sort.Slice(snap.Pending, func(i, k int) bool { return snap.Pending[i].Seq < snap.Pending[k].Seq })
 
@@ -300,17 +283,13 @@ func sortedKeys(m map[int]bool) []int {
 // RestoreOnline rebuilds an engine from a snapshot. cfg must be the
 // same configuration that produced it — same platform, scheduler
 // construction (algorithm, seeds, training), batch interval, security
-// model, dynamics and admission — with Durable set and no preloaded
-// jobs (the snapshot carries the live ones). The restored engine's
+// model, dynamics and admission — with no preloaded jobs (the snapshot carries the live ones). The restored engine's
 // future placements are byte-identical to what the snapshotted engine
 // would have produced: same sites, same start/finish times, same
 // failure draws, in the same event order.
 func RestoreOnline(cfg RunConfig, snap *EngineSnapshot) (*Online, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("sched: RestoreOnline with nil snapshot")
-	}
-	if !cfg.Durable {
-		return nil, fmt.Errorf("sched: RestoreOnline requires RunConfig.Durable")
 	}
 	if len(cfg.Jobs) != 0 {
 		return nil, fmt.Errorf("sched: RestoreOnline with %d preloaded jobs; the snapshot carries the workload", len(cfg.Jobs))
@@ -320,7 +299,8 @@ func RestoreOnline(cfg RunConfig, snap *EngineSnapshot) (*Online, error) {
 
 // restore loads snapshot state into a freshly constructed engine whose
 // clock is already repositioned and whose still-pending churn is already
-// queued.
+// queued. newOnline derives the runaway guard from the restored count of
+// jobs seen afterwards, as the next arrival would.
 func (o *Online) restore(snap *EngineSnapshot) error {
 	st := o.st
 	if name := o.cfg.Scheduler.Name(); name != snap.Scheduler {
@@ -441,7 +421,7 @@ func (o *Online) restore(snap *EngineSnapshot) error {
 		return fmt.Errorf("sched: restore: snapshot carries scheduler state but %q cannot restore it", snap.Scheduler)
 	}
 
-	// Re-schedule the pending events in their original sequence order.
+	// Re-queue the pending events in their original sequence order.
 	// Still-pending churn is already queued (its original sequence
 	// numbers precede every runtime event's), so ascending Seq here
 	// reproduces the exact equal-timestamp tie-break order of the saved
@@ -449,14 +429,16 @@ func (o *Online) restore(snap *EngineSnapshot) error {
 	items := append([]PendingItem(nil), snap.Pending...)
 	sort.Slice(items, func(i, k int) bool { return items[i].Seq < items[k].Seq })
 	for _, it := range items {
+		if !(it.At >= st.now) {
+			return fmt.Errorf("sched: restore: pending %s at t=%v, before the snapshot clock %v", it.Kind, it.At, st.now)
+		}
 		switch it.Kind {
 		case "arrival":
 			if it.Job == nil {
 				return fmt.Errorf("sched: restore: pending arrival without a job")
 			}
 			c := *it.Job
-			o.eng.Schedule(it.At, arrivalEvent{o: o, job: &c})
-			st.pendArr[&c] = pendingArrival{at: it.At, seq: o.eng.LastSeq()}
+			st.schedule(event{at: it.At, kind: evArrival, job: &c})
 		case "attempt":
 			if it.Job == nil {
 				return fmt.Errorf("sched: restore: pending attempt without a job")
@@ -465,50 +447,20 @@ func (o *Online) restore(snap *EngineSnapshot) error {
 				return fmt.Errorf("sched: restore: pending attempt on invalid site %d", it.Site)
 			}
 			c := *it.Job
-			st.launch(o.eng, &attempt{
-				st: st, job: &c, site: it.Site,
-				start: it.Start, busy: it.Busy, at: it.At, fails: it.Fails,
-			})
+			st.launch(&attempt{job: &c, site: it.Site, start: it.Start, busy: it.Busy, fails: it.Fails}, it.At)
 		case "batch":
 			if st.batchOpen {
 				return fmt.Errorf("sched: restore: duplicate pending batch event")
 			}
-			st.ensureBatchAt(o.eng, it.At)
+			// The round was armed before the clock moved to the cut, so
+			// its time comes from the snapshot, not from ensureBatch.
+			st.batchOpen = true
+			st.schedule(event{at: it.At, kind: evBatch})
 		default:
 			return fmt.Errorf("sched: restore: unknown pending event kind %q", it.Kind)
 		}
 	}
-
-	// Recompute the runaway guard the next admit would have set; without
-	// it a restored engine that receives no further arrivals would run
-	// against the default (zero) budget with Executed already advanced.
-	if o.cfg.MaxEvents == 0 {
-		guard := 200*uint64(st.seen+1) + 10000
-		if o.cfg.Dynamics != nil {
-			guard += 2 * uint64(len(o.cfg.Dynamics.Churn))
-		}
-		o.eng.MaxEvents = guard
-	}
 	return nil
-}
-
-// arrivalEvent is the named form of the admit closure so restore can
-// re-create pending arrivals.
-type arrivalEvent struct {
-	o   *Online
-	job *grid.Job
-}
-
-func (ev arrivalEvent) Execute(e *sim.Engine) { ev.o.admit(e, ev.job) }
-
-// ensureBatchAt re-arms the Δ-round event at a recorded time during
-// restore (ensureBatch computes the time from the clock, which is
-// already past the original arming point).
-func (st *engineState) ensureBatchAt(e *sim.Engine, at float64) {
-	st.batchOpen = true
-	e.Schedule(at, sim.EventFunc(st.runBatch))
-	st.batchSeq = e.LastSeq()
-	st.batchAt = at
 }
 
 // NeverPlaced returns clones of every job accepted (or scheduled to
@@ -531,8 +483,10 @@ func (o *Online) NeverPlaced() []grid.Job {
 	for _, j := range st.deps.Blocked() {
 		out = append(out, *j)
 	}
-	for j := range st.pendArr {
-		out = append(out, *j)
+	for _, ev := range st.events {
+		if ev.kind == evArrival {
+			out = append(out, *ev.job)
+		}
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
 	return out

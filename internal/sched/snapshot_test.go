@@ -1,8 +1,11 @@
 package sched_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"testing"
 
 	"trustgrid/internal/fuzzy"
@@ -57,7 +60,6 @@ func snapConfig(events *[]string) sched.RunConfig {
 		Scheduler:      heuristics.NewRandom(grid.FRiskyPolicy(0.5), rng.New(77).Derive("random")),
 		BatchInterval:  300,
 		Rand:           rng.New(9),
-		Durable:        true,
 		DiscardRecords: true,
 		Dynamics: &sched.DynamicsConfig{
 			Churn: []grid.ChurnEvent{
@@ -170,23 +172,13 @@ func TestSnapshotRestoreParity(t *testing.T) {
 	}
 }
 
-// TestSnapshotPreconditions: snapshots are only meaningful on durable,
+// TestSnapshotPreconditions: snapshots are only meaningful on
 // record-discarding engines.
 func TestSnapshotPreconditions(t *testing.T) {
 	var sink []string
 	cfg := snapConfig(&sink)
-	cfg.Durable = false
-	o, err := sched.NewOnline(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := o.Snapshot(); err == nil {
-		t.Fatal("Snapshot on a non-durable engine did not fail")
-	}
-
-	cfg = snapConfig(&sink)
 	cfg.DiscardRecords = false
-	o, err = sched.NewOnline(cfg)
+	o, err := sched.NewOnline(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,12 +214,6 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 	}
 
 	cfg = snapConfig(&sink)
-	cfg.Durable = false
-	if _, err := sched.RestoreOnline(cfg, snap); err == nil {
-		t.Fatal("restore without Durable did not fail")
-	}
-
-	cfg = snapConfig(&sink)
 	cfg.Jobs = jobs
 	if _, err := sched.RestoreOnline(cfg, snap); err == nil {
 		t.Fatal("restore with preloaded jobs did not fail")
@@ -237,5 +223,68 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 	cfg.Dynamics = nil
 	if _, err := sched.RestoreOnline(cfg, snap); err == nil {
 		t.Fatal("restore without dynamics for a dynamic snapshot did not fail")
+	}
+
+	// A damaged snapshot whose pending event lies before its clock is
+	// refused with an error, not a panic in the queue.
+	if len(snap.Pending) == 0 {
+		t.Fatal("snapshot at t=600 has no pending events")
+	}
+	for _, at := range []float64{snap.Now - 1, math.NaN()} {
+		bad := *snap
+		bad.Pending = append([]sched.PendingItem(nil), snap.Pending...)
+		bad.Pending[0].At = at
+		if _, err := sched.RestoreOnline(snapConfig(&sink), &bad); err == nil {
+			t.Fatalf("restore with a pending event at t=%v, clock %v, did not fail", at, snap.Now)
+		}
+	}
+}
+
+// snapshotBytesSHA256 is the digest TestSnapshotBytesPinned folds over
+// its snapshots.
+const snapshotBytesSHA256 = "3105f93d89700675929728a4490da420314d62cb40a504380b61a10c80997532"
+
+// TestSnapshotBytesPinned pins the serialized snapshot, byte for byte:
+// at every cut of TestSnapshotRestoreParity's run it hashes
+// json.Marshal of the snapshot, restores from it, drives the restored
+// engine a further 600 s and hashes that engine's snapshot too, which
+// covers the sequence numbers a restore hands out. The digest over all
+// of them is a constant, so a change to the queue, the snapshot's
+// fields or their order shows here before a daemon's recovery meets it.
+func TestSnapshotBytesPinned(t *testing.T) {
+	jobs := snapWorkload(80)
+	const horizon = 3000.0
+	digest := sha256.New()
+	add := func(o *sched.Online) *sched.EngineSnapshot {
+		t.Helper()
+		snap, err := o.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(blob)
+		digest.Write(sum[:])
+		return snap
+	}
+	for cut := 300.0; cut < horizon; cut += 300 {
+		var sink []string
+		o, err := sched.NewOnline(snapConfig(&sink))
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := 0
+		snapDrive(t, o, jobs, &next, 0, cut)
+		r, err := sched.RestoreOnline(snapConfig(&sink), add(o))
+		if err != nil {
+			t.Fatal(err)
+		}
+		snapDrive(t, r, jobs, &next, cut, cut+600)
+		add(r)
+	}
+	if got := hex.EncodeToString(digest.Sum(nil)); got != snapshotBytesSHA256 {
+		t.Fatalf("snapshot bytes digest %s, want %s", got, snapshotBytesSHA256)
 	}
 }

@@ -391,7 +391,7 @@ func (s *Server) newShard(spec *fleet.Spec, i int, snap *serverSnapshot) (sched.
 		s.remotes = append(s.remotes, rs)
 		return rs, nil
 	}
-	sc, err := spec.ShardConfig(i, s.cfg.WALDir != "")
+	sc, err := spec.ShardConfig(i, false)
 	var o *sched.Online
 	if err == nil && snap == nil {
 		o, err = sched.NewOnline(sc)

@@ -91,7 +91,9 @@ type (
 	// (Submit) while the owner advances the virtual clock
 	// (AdvanceTo/Drain), all on one goroutine. Simulate is a thin
 	// wrapper over it, so recorded online traffic replays
-	// byte-identically through the batch path (DESIGN.md §6).
+	// byte-identically through the batch path (DESIGN.md §6). Its
+	// event queue is plain data, so any engine built with
+	// DiscardRecords can Snapshot and be restored (DESIGN.md §10).
 	Online = sched.Online
 	// EngineEvent is one job lifecycle notification (arrival, placement,
 	// failure, completion) delivered through SimConfig.OnEvent.
