@@ -191,30 +191,37 @@ type ShardMetrics struct {
 // MetricsReport is the /v1/metrics and /v2/metrics response. The
 // Tenants map is the v2 addition; ?tenant=ID narrows it to one entry.
 type MetricsReport struct {
-	Algo          string                   `json:"algo"`
-	Mode          string                   `json:"mode"`
-	Manual        bool                     `json:"manual"`
-	BatchInterval float64                  `json:"batch_interval_s"`
-	TickMS        float64                  `json:"tick_ms"`
-	RoundBudget   int                      `json:"round_budget,omitempty"`
-	UptimeS       float64                  `json:"uptime_s"`
-	VirtualNow    float64                  `json:"virtual_now_s"`
-	Submitted     int64                    `json:"submitted"`
-	Arrived       int64                    `json:"arrived"`
-	InFlight      int                      `json:"in_flight"`
-	Placed        int64                    `json:"placed"`
-	Failures      int64                    `json:"failed_attempts"`
-	Interrupted   int64                    `json:"interrupted_attempts"`
-	Completed     int64                    `json:"completed"`
-	Rejected      int64                    `json:"rejected_429,omitempty"`
-	SitesAlive    int                      `json:"sites_alive"`
-	Batches       int                      `json:"batches"`
-	LargestBatch  int                      `json:"largest_batch"`
-	SubmitRate    float64                  `json:"submit_rate_per_s"`
-	Latency       LatencySummary           `json:"sched_latency"`
-	Tenants       map[string]TenantMetrics `json:"tenants,omitempty"`
-	Shards        []ShardMetrics           `json:"shards,omitempty"`
-	Summary       *metrics.Summary         `json:"summary,omitempty"`
+	Algo          string  `json:"algo"`
+	Mode          string  `json:"mode"`
+	Manual        bool    `json:"manual"`
+	BatchInterval float64 `json:"batch_interval_s"`
+	TickMS        float64 `json:"tick_ms"`
+	RoundBudget   int     `json:"round_budget,omitempty"`
+	UptimeS       float64 `json:"uptime_s"`
+	VirtualNow    float64 `json:"virtual_now_s"`
+	Submitted     int64   `json:"submitted"`
+	Arrived       int64   `json:"arrived"`
+	InFlight      int     `json:"in_flight"`
+	Placed        int64   `json:"placed"`
+	Failures      int64   `json:"failed_attempts"`
+	Interrupted   int64   `json:"interrupted_attempts"`
+	Completed     int64   `json:"completed"`
+	Rejected      int64   `json:"rejected_429,omitempty"`
+	SitesAlive    int     `json:"sites_alive"`
+	Batches       int     `json:"batches"`
+	LargestBatch  int     `json:"largest_batch"`
+	// RetentionHorizon is the largest job ID such that every accepted ID
+	// at or below it has completed, absent until a job has been retired;
+	// RegistryIDs is how many accepted IDs above it the job-ID registry
+	// holds. Both say whether the daemon's durable state follows the
+	// jobs in flight (DESIGN.md §14.3).
+	RetentionHorizon *int                     `json:"retention_horizon,omitempty"`
+	RegistryIDs      int                      `json:"registry_ids"`
+	SubmitRate       float64                  `json:"submit_rate_per_s"`
+	Latency          LatencySummary           `json:"sched_latency"`
+	Tenants          map[string]TenantMetrics `json:"tenants,omitempty"`
+	Shards           []ShardMetrics           `json:"shards,omitempty"`
+	Summary          *metrics.Summary         `json:"summary,omitempty"`
 }
 
 // SitesReport is the /v1/sites and /v2/sites response.

@@ -91,14 +91,29 @@ func Validate(jobs []*grid.Job) error {
 // Tracker is the engine's deterministic ready-set: it decides at
 // arrival time whether a job can enter the scheduling queue and, at
 // completion time, which blocked successors that completion releases.
-// A dependency on a job the tracker has never seen simply blocks until
-// that ID completes — manual-mode replays may deliver parents after
-// children — and a reference that never completes blocks forever,
-// surfacing as an incomplete-jobs error at drain. All iteration orders
-// are fixed by insertion order, never map order, so release sequences
-// are reproducible run to run.
+// A dependency on a job the engine holds but has not seen arrive yet —
+// manual-mode replays may deliver parents after children — blocks until
+// that ID completes. All iteration orders are fixed by insertion order,
+// never map order, so release sequences are reproducible run to run.
+//
+// The tracker keeps only what a future dependency can still ask about
+// (DESIGN.md §14.3). Every job the engine is handed (Hand) is counted
+// until it completes; each time the smallest such ID completes, the
+// horizon rises to just below the smallest one still counted (to the
+// largest ID handed, when none is), so every ID handed so far and at or
+// below it has completed, and it only rises.
+// Completed IDs at or below the horizon are dropped from the done set:
+// a dependency on such an ID counts as satisfied unless the ID was
+// handed after the horizon passed it and has not completed yet (the
+// late set). The horizon is derived from the engine's own inputs, so a
+// restored or replayed engine derives the same one. The contract this
+// rests on: a dependency names a job handed to the engine before the
+// dependent (the service validates that; a closed-world workload hands
+// every job up front). A dependency on an ID at or below the horizon
+// that was never handed counts as satisfied; one above it that is never
+// handed blocks forever, surfacing as an incomplete-jobs error at drain.
 type Tracker struct {
-	done     idset.Map[struct{}]
+	done     idset.Map[struct{}] // completed IDs above the horizon
 	blocked  map[int]*grid.Job
 	unmet    map[int]int
 	children map[int][]int // incomplete parent ID -> blocked successor IDs
@@ -108,16 +123,38 @@ type Tracker struct {
 	order   map[int]uint64
 	nextOrd uint64
 
+	// horizon is noHorizon until the first handed ID completes. The
+	// handed IDs above the horizon that were not known to be done when
+	// last looked at are live, ascending in hand order — IDs are handed
+	// ascending but for explicit ones out of order — and liveHeap, a
+	// min-heap of those handed below live's last; both are popped only at
+	// their minimum. late counts the handed, incomplete IDs at or below
+	// the horizon; maxHanded is the largest ID ever handed.
+	horizon   int
+	live      []int
+	liveHeap  []int
+	late      map[int]int
+	maxHanded int
+	// dropAt is the done set's size at which advance next drops what
+	// lies at or below the horizon.
+	dropAt int
+
 	sawEdges bool
 }
+
+// noHorizon is the horizon before any handed job completes: below every ID.
+const noHorizon = math.MinInt
 
 // NewTracker returns an empty ready-set tracker.
 func NewTracker() *Tracker {
 	return &Tracker{
-		blocked:  make(map[int]*grid.Job),
-		unmet:    make(map[int]int),
-		children: make(map[int][]int),
-		order:    make(map[int]uint64),
+		blocked:   make(map[int]*grid.Job),
+		unmet:     make(map[int]int),
+		children:  make(map[int][]int),
+		order:     make(map[int]uint64),
+		horizon:   noHorizon,
+		late:      make(map[int]int),
+		maxHanded: noHorizon,
 	}
 }
 
@@ -126,6 +163,33 @@ func NewTracker() *Tracker {
 // for the rest of the run. Edge-free runs keep it false, which is the
 // switch that preserves their bit-identical placement sequences.
 func (t *Tracker) SawEdges() bool { return t.sawEdges }
+
+// Hand counts a job the engine has taken on, at submission — before its
+// arrival, which may be later — until Complete sees its ID.
+func (t *Tracker) Hand(id int) {
+	if id <= t.horizon {
+		t.late[id]++
+		return
+	}
+	if n := len(t.live); n == 0 || id >= t.live[n-1] {
+		t.live = append(t.live, id)
+	} else {
+		t.pushHeap(id)
+	}
+	t.maxHanded = max(t.maxHanded, id)
+}
+
+// Horizon returns the tracker's horizon and whether it has one yet.
+func (t *Tracker) Horizon() (int, bool) { return t.horizon, t.horizon != noHorizon }
+
+// isDone reports whether the job with ID id has completed, as far as a
+// dependency on it can tell (see Tracker).
+func (t *Tracker) isDone(id int) bool {
+	if id <= t.horizon {
+		return t.late[id] == 0
+	}
+	return t.done.Has(id)
+}
 
 // Arrive registers an arriving job and reports whether it is ready to
 // be scheduled. A false return means the tracker holds the job in its
@@ -149,7 +213,7 @@ func (t *Tracker) Arrive(j *grid.Job) bool {
 			// after its parent completes, so tolerate the unchecked path.
 			continue
 		}
-		if !t.done.Has(d) {
+		if !t.isDone(d) {
 			unmet++
 			t.children[d] = append(t.children[d], j.ID)
 		}
@@ -168,7 +232,19 @@ func (t *Tracker) Arrive(j *grid.Job) bool {
 // releases, in the order they originally arrived (the order their IDs
 // were appended to the completed job's successor list).
 func (t *Tracker) Complete(id int) []*grid.Job {
-	t.done.Put(id, struct{}{})
+	if id <= t.horizon {
+		if n := t.late[id]; n > 1 {
+			t.late[id] = n - 1
+		} else {
+			delete(t.late, id)
+		}
+	} else {
+		t.done.Put(id, struct{}{})
+		if m, ok := t.minLive(); ok && m == id {
+			// Only the smallest live ID holds the horizon back.
+			t.advance()
+		}
+	}
 	succ := t.children[id]
 	if succ == nil {
 		return nil
@@ -184,6 +260,88 @@ func (t *Tracker) Complete(id int) []*grid.Job {
 		}
 	}
 	return released
+}
+
+// advance raises the horizon to just below the smallest live ID — to the
+// largest handed ID when none is live — and drops the done IDs it
+// passes. Each handed ID is popped once; handed in ascending order, as
+// the service and the batch preload hand them, a pop is O(1).
+func (t *Tracker) advance() {
+	for {
+		m, ok := t.minLive()
+		if !ok || !t.done.Has(m) {
+			break
+		}
+		if len(t.live) > 0 && t.live[0] == m {
+			t.live = t.live[1:]
+		} else {
+			t.popHeap()
+		}
+	}
+	h := t.maxHanded
+	if m, ok := t.minLive(); ok {
+		h = m - 1
+	}
+	if h > t.horizon {
+		t.horizon = h
+		// The done IDs at or below the horizon are never read again; they
+		// go once they are as many as the set held after the last drop.
+		if t.done.Len() >= t.dropAt {
+			t.done.DropThrough(h)
+			t.dropAt = 2*t.done.Len() + minDrop
+		}
+	}
+}
+
+// minDrop is the least number of done IDs a drop waits for.
+const minDrop = 64
+
+// minLive returns the smallest live ID.
+func (t *Tracker) minLive() (int, bool) {
+	switch {
+	case len(t.live) == 0 && len(t.liveHeap) == 0:
+		return 0, false
+	case len(t.liveHeap) == 0:
+		return t.live[0], true
+	case len(t.live) == 0:
+		return t.liveHeap[0], true
+	}
+	return min(t.live[0], t.liveHeap[0]), true
+}
+
+// pushHeap and popHeap keep t.liveHeap a binary min-heap.
+func (t *Tracker) pushHeap(id int) {
+	t.liveHeap = append(t.liveHeap, id)
+	for i := len(t.liveHeap) - 1; i > 0; {
+		p := (i - 1) / 2
+		if t.liveHeap[p] <= t.liveHeap[i] {
+			break
+		}
+		t.liveHeap[p], t.liveHeap[i] = t.liveHeap[i], t.liveHeap[p]
+		i = p
+	}
+}
+
+func (t *Tracker) popHeap() {
+	h := t.liveHeap
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1] < h[c] {
+			c++
+		}
+		if h[i] <= h[c] {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	t.liveHeap = h
 }
 
 // BlockedCount reports how many arrived jobs are waiting on parents.
@@ -202,27 +360,40 @@ func (t *Tracker) Blocked() []*grid.Job {
 	return out
 }
 
-// DoneIDs returns the completed-job ID set sorted ascending, for
+// DoneIDs returns the completed IDs above the horizon, ascending, for
 // snapshots: the set's own ascending column, so nothing is copied,
 // walked or sorted beyond the completions that arrived out of order
 // since the last call (DESIGN.md §10.2). The slice belongs to the
-// tracker: read it only, and only until the next Complete. The set grows
-// without bound over a long-running service; a retention rule is
-// ROADMAP item 2(a)'s open half.
+// tracker: read it only, and only until the next Complete. Its length
+// follows the jobs in flight, not the jobs ever completed.
 func (t *Tracker) DoneIDs() []int {
+	if t.horizon != noHorizon {
+		t.done.DropThrough(t.horizon)
+	}
 	ids, _ := t.done.Columns()
 	return ids
 }
 
-// RestoreDone reloads a snapshot's completed-ID set. Call before
-// re-Arriving the queue and blocked pen so readiness decisions match
-// the crashed run's. It deliberately does not touch SawEdges — every
-// completion lands in the done set, edges or not, and turning rank
-// mode on for a restored edge-free run would change its placements.
+// RestoreDone reloads a snapshot's completed-ID set, and RestoreHorizon
+// its horizon. Call both before handing the snapshot's in-flight jobs
+// back (Hand) and re-Arriving the queue and blocked pen, so readiness
+// decisions match the interrupted run's. RestoreDone deliberately does
+// not touch SawEdges — every completion lands in the done set, edges or
+// not, and turning rank mode on for a restored edge-free run would
+// change its placements. A snapshot written before the horizon existed
+// carries every completed ID and no horizon; the first completion after
+// the restore derives one.
 func (t *Tracker) RestoreDone(ids []int) {
 	for _, id := range ids {
 		t.done.Put(id, struct{}{}) // ascending: appends
+		t.maxHanded = max(t.maxHanded, id)
 	}
+}
+
+// RestoreHorizon reloads a snapshot's horizon; see RestoreDone.
+func (t *Tracker) RestoreHorizon(h int) {
+	t.horizon = h
+	t.maxHanded = max(t.maxHanded, h)
 }
 
 // MarkEdges restores the sticky edges-seen flag from a snapshot.

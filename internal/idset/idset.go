@@ -28,6 +28,7 @@ type Map[V any] struct {
 	// sorts a slice instead of walking the map.
 	late     map[int]V
 	lateKeys []int
+	minLate  int // the smallest key in lateKeys, when it is not empty
 	moves    int // elements written by folds, for the complexity test
 }
 
@@ -51,6 +52,9 @@ func (m *Map[V]) Put(k int, v V) {
 	}
 	had := len(m.late)
 	if m.late[k] = v; len(m.late) > had {
+		if len(m.lateKeys) == 0 || k < m.minLate {
+			m.minLate = k
+		}
 		m.lateKeys = append(m.lateKeys, k)
 	}
 	if len(m.lateKeys) >= max(minLate, n/lateFraction) {
@@ -89,6 +93,35 @@ func (m *Map[V]) Columns() ([]int, []V) {
 		m.fold()
 	}
 	return m.keys, m.vals
+}
+
+// DropThrough removes every key ≤ k. The columns lose their prefix by a
+// reslice after one binary search, so the cost is O(log n) plus, only
+// when the late set holds a key ≤ k, one pass over the late set (at most
+// max(minLate, n/lateFraction) keys). The dropped prefix's storage is
+// reused by the next growth of the columns, so memory follows the keys
+// kept, not the keys ever written.
+func (m *Map[V]) DropThrough(k int) {
+	i, found := slices.BinarySearch(m.keys, k)
+	if found {
+		i++
+	}
+	m.keys, m.vals = m.keys[i:], m.vals[i:]
+	if len(m.lateKeys) == 0 || m.minLate > k {
+		return
+	}
+	kept := m.lateKeys[:0]
+	for _, lk := range m.lateKeys {
+		if lk <= k {
+			delete(m.late, lk)
+			continue
+		}
+		if len(kept) == 0 || lk < m.minLate {
+			m.minLate = lk
+		}
+		kept = append(kept, lk)
+	}
+	m.lateKeys = kept
 }
 
 // fold merges the late set into the columns: sort only the late keys,

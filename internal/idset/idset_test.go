@@ -122,3 +122,60 @@ func TestMapDescendingIsLinear(t *testing.T) {
 	}
 	t.Logf("%d descending inserts: %d moves (%.2f per key)", n, m.moves, float64(m.moves)/n)
 }
+
+// TestMapDropMatchesOracle interleaves DropThrough with ascending, late
+// and overwritten inserts, and holds the Map to a Go map: the keys at or
+// below each cut are gone, late ones included, and every other key keeps
+// its value.
+func TestMapDropMatchesOracle(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewPCG(seed, 7))
+		var m Map[uint32]
+		oracle := make(map[int]uint32)
+		floor, top := 0, 0 // no key at or below floor is ever written again
+		for step := 0; step < 3000; step++ {
+			switch op := r.IntN(10); {
+			case op < 5: // ascending
+				top += 1 + r.IntN(3)
+				v := uint32(r.IntN(4))
+				m.Put(top, v)
+				oracle[top] = v
+			case op < 8: // late, above the floor
+				k := floor + 1 + r.IntN(top-floor+1)
+				v := uint32(r.IntN(4))
+				m.Put(k, v)
+				oracle[k] = v
+				top = max(top, k)
+			default: // drop through a cut at or above the floor
+				cut := floor + r.IntN(top-floor+2)
+				m.DropThrough(cut)
+				for k := range oracle {
+					if k <= cut {
+						delete(oracle, k)
+					}
+				}
+				floor = max(floor, cut)
+				top = max(top, floor)
+			}
+			if step%7 == 0 {
+				check(t, step, &m, oracle, floor-2, top)
+			}
+		}
+	}
+}
+
+// TestMapDropReusesStorage: a column that keeps a bounded window of keys
+// — append at the top, drop at the bottom — holds storage for the window,
+// not for every key ever written.
+func TestMapDropReusesStorage(t *testing.T) {
+	var m Map[struct{}]
+	for k := 0; k < 1_000_000; k++ {
+		m.Put(k, struct{}{})
+		if k >= 500 {
+			m.DropThrough(k - 500)
+		}
+	}
+	if m.Len() != 500 || cap(m.keys) > 4096 {
+		t.Fatalf("Len %d, column capacity %d; want 500 keys in a few thousand slots", m.Len(), cap(m.keys))
+	}
+}

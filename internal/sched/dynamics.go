@@ -81,7 +81,6 @@ type dynState struct {
 	trueSL    []float64
 	reps      []*fuzzy.Reputation // nil without reputation feedback
 	inflight  [][]*attempt
-	revives   int // ChurnJoin events not yet executed
 }
 
 // newDynState builds the dynamic state for a validated config over the
@@ -114,11 +113,6 @@ func newDynState(cfg *DynamicsConfig, sites []*grid.Site) (*dynState, error) {
 				return nil, err
 			}
 			d.reps[i] = rep
-		}
-	}
-	for _, ev := range cfg.Churn {
-		if ev.Kind == grid.ChurnJoin {
-			d.revives++
 		}
 	}
 	return d, nil
@@ -246,7 +240,6 @@ func (st *engineState) applyChurn(ev grid.ChurnEvent) {
 		st.emit(EngineEvent{Kind: EventSiteDown, Time: st.now, Job: grid.Job{ID: -1}, Site: i,
 			Level: site.SecurityLevel})
 	case grid.ChurnJoin:
-		d.revives--
 		if d.alive[i] {
 			return
 		}

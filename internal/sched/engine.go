@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"trustgrid/internal/dag"
@@ -241,6 +242,33 @@ func (st *engineState) ensureBatch() {
 	st.schedule(event{at: float64(k) * delta, kind: evBatch})
 }
 
+// holdUntilRejoin arms the round a total outage holds at the first
+// Δ-grid point at or after the next pending rejoin, and fails the run
+// when none is pending. That is the first
+// round that finds a site alive, as re-arming every Δ would: churn is
+// queued before any round, so a rejoin at a round's instant runs first.
+// One event per outage, however long, where a round every Δ spent one
+// per Δ against the runaway guard.
+func (st *engineState) holdUntilRejoin() {
+	next := math.Inf(1)
+	for _, ev := range st.events {
+		if ev.kind == evChurn && ev.at < next && st.dyn.cfg.Churn[ev.churn].Kind == grid.ChurnJoin {
+			next = ev.at
+		}
+	}
+	if math.IsInf(next, 1) {
+		st.fail(fmt.Errorf("sched: every site departed with %d jobs queued and no rejoin pending", len(st.queue)))
+		return
+	}
+	delta := st.cfg.BatchInterval
+	k := max(int(st.now/delta)+1, int(next/delta))
+	for float64(k)*delta < next {
+		k++
+	}
+	st.batchOpen = true
+	st.schedule(event{at: float64(k) * delta, kind: evBatch})
+}
+
 // runBatch drains the queue through the scheduler and dispatches the
 // assignments.
 func (st *engineState) runBatch() {
@@ -249,13 +277,9 @@ func (st *engineState) runBatch() {
 		return
 	}
 	if st.dyn != nil && !st.dyn.anyAlive() {
-		// A total outage: hold the queue. If churn will revive a site the
-		// round re-arms until it does; otherwise the jobs can never run.
-		if st.dyn.revives == 0 {
-			st.fail(fmt.Errorf("sched: every site departed with %d jobs queued and no rejoin pending", len(st.queue)))
-			return
-		}
-		st.ensureBatch()
+		// A total outage: hold the queue until churn revives a site; with
+		// no rejoin pending the jobs can never run.
+		st.holdUntilRejoin()
 		return
 	}
 	start := time.Now()

@@ -91,22 +91,90 @@ func TestBatchesFireOnGrid(t *testing.T) {
 }
 
 // TestMaxEventsGuard verifies the runaway protection surfaces as an
-// error instead of hanging. The only site drains at t=0 and rejoins at
-// t=1e9, so with Δ=1 the round re-arms every second with nothing it can
-// dispatch; the guard derived from one job and two churn events stops
-// the run after about ten thousand of those rounds.
+// error instead of hanging. A scheduler that assigns each job of its
+// batch 20 000 times is a real runaway: every copy is an attempt event
+// that moves no job forward, and the guard derived from one job (200
+// per job plus 10 000) stops the run long before the copies run out.
 func TestMaxEventsGuard(t *testing.T) {
 	_, err := Run(RunConfig{
 		Jobs:  simpleJobs(1, 1, 1),
-		Sites: safeSites(1), Scheduler: &fifoScheduler{},
+		Sites: safeSites(1), Scheduler: &repeatScheduler{n: 20000},
+		BatchInterval: 1, Rand: rng.New(4),
+	})
+	if err == nil || !strings.Contains(err.Error(), "exceeded 10200 events") {
+		t.Fatalf("Run = %v, want the runaway guard's error", err)
+	}
+}
+
+// repeatScheduler assigns every job of the batch to site 0, n times over.
+type repeatScheduler struct{ n int }
+
+func (r *repeatScheduler) Name() string { return "Repeat" }
+func (r *repeatScheduler) Schedule(batch []*grid.Job, st *State) []Assignment {
+	var out []Assignment
+	for _, j := range batch {
+		for k := 0; k < r.n; k++ {
+			out = append(out, Assignment{Job: j, Site: 0})
+		}
+	}
+	return out
+}
+
+// TestLongOutageWaitsForRejoin: the only site drains at t=0 and rejoins
+// at t=1e9 with Δ=1, an outage of a billion rounds, far past the runaway
+// guard of one job and two churn events (10 204 events). The held round
+// waits for the rejoin in one event, and the job runs at the first round
+// after it.
+func TestLongOutageWaitsForRejoin(t *testing.T) {
+	res, err := Run(RunConfig{
+		Jobs:  simpleJobs(1, 1, 1),
+		Sites: safeSites(1), Scheduler: Checked(t, &fifoScheduler{}),
 		BatchInterval: 1, Rand: rng.New(4),
 		Dynamics: &DynamicsConfig{Churn: []grid.ChurnEvent{
 			{Time: 0, Site: 0, Kind: grid.ChurnDrain},
 			{Time: 1e9, Site: 0, Kind: grid.ChurnJoin},
 		}},
 	})
-	if err == nil || !strings.Contains(err.Error(), "exceeded 10204 events") {
-		t.Fatalf("Run = %v, want the runaway guard's error", err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Records) != 1 || res.Records[0].Start != 1e9 {
+		t.Fatalf("records %+v, want the one job started at the rejoin round t=1e9", res.Records)
+	}
+	if res.Events > 10 {
+		t.Fatalf("%d events for one job and two churn events; the outage should hold in one", res.Events)
+	}
+}
+
+// TestOutageHoldMatchesEveryDeltaRounds: a held round lands where
+// re-arming every Δ would first find a site alive, for rejoins on and
+// off the Δ grid and Δs that are not exact in binary.
+func TestOutageHoldMatchesEveryDeltaRounds(t *testing.T) {
+	for _, delta := range []float64{1, 0.1, 7, 2.5} {
+		for _, join := range []float64{3 * delta, 3*delta + delta/3, 0.5 * delta, 40.7} {
+			res, err := Run(RunConfig{
+				Jobs:  simpleJobs(1, 1, 1),
+				Sites: safeSites(1), Scheduler: Checked(t, &fifoScheduler{}),
+				BatchInterval: delta, Rand: rng.New(4),
+				Dynamics: &DynamicsConfig{Churn: []grid.ChurnEvent{
+					{Time: 0, Site: 0, Kind: grid.ChurnDrain},
+					{Time: join, Site: 0, Kind: grid.ChurnJoin},
+				}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The rounds a re-arm every Δ fires are the grid points kΔ,
+			// k ≥ 1: the first at or past the rejoin.
+			k := 1
+			for float64(k)*delta < join {
+				k++
+			}
+			r := float64(k) * delta
+			if got := res.Records[0].Start; got != r {
+				t.Fatalf("Δ=%v, rejoin at %v: job started at %v, want the round at %v", delta, join, got, r)
+			}
+		}
 	}
 }
 

@@ -114,6 +114,7 @@ func newOnline(cfg RunConfig, snap *EngineSnapshot) (*Online, error) {
 		jobs := grid.CloneAll(cfg.Jobs)
 		sort.SliceStable(jobs, func(i, k int) bool { return jobs[i].Arrival < jobs[k].Arrival })
 		for _, j := range jobs {
+			o.st.deps.Hand(j.ID)
 			o.st.schedule(event{at: j.Arrival, kind: evArrival, job: j})
 		}
 	}
@@ -133,6 +134,7 @@ func (o *Online) Submit(j *grid.Job) error {
 	if at < o.st.now {
 		at = o.st.now
 	}
+	o.st.deps.Hand(j.ID)
 	o.st.schedule(event{at: at, kind: evArrival, job: j.Clone()})
 	return nil
 }

@@ -113,7 +113,7 @@ func (st *engineState) fail(err error) {
 
 // setGuard derives the runaway bound from the jobs seen so far, counting
 // the next one: 200 events per job plus 10 000, and two per churn event
-// for the churn itself and the empty rounds an outage re-arms.
+// for the churn itself and the round an outage holds until a rejoin.
 func (st *engineState) setGuard() {
 	st.maxEvents = 200*uint64(st.seen+1) + 10000
 	if st.dyn != nil {

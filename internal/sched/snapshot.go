@@ -87,16 +87,22 @@ type PendingItem struct {
 	Fails bool    `json:"fails,omitempty"`
 }
 
-// DAGSnapshot is the dependency ready-set's state: which jobs have
-// completed (a future arrival may depend on any of them), which
-// arrived jobs are still waiting on parents (in arrival order — the
-// order restore re-registers them, which reproduces release order),
+// DAGSnapshot is the dependency ready-set's state: its horizon (every
+// job handed to the engine with an ID at or below it has completed,
+// unless it is still in flight in this snapshot), which jobs above the
+// horizon have completed (a future arrival may depend on any of them),
+// which arrived jobs are still waiting on parents (in arrival order —
+// the order restore re-registers them, which reproduces release order),
 // and whether the workload ever used edges (the sticky switch for
-// rank-aware scheduling). Done is the completed-ID set as an
-// idset byte column (base64 in the JSON payload): every job the engine
-// ever completed, at a byte or two per ID.
+// rank-aware scheduling). Done is that completed-ID set as an idset byte
+// column (base64 in the JSON payload), at a byte or two per ID; it
+// holds the jobs completed above the lowest one still in flight, not
+// every job ever completed (DESIGN.md §14.3). Horizon is absent until
+// the first job completes, and in snapshots written before it existed,
+// whose Done holds every completed ID.
 type DAGSnapshot struct {
 	Done     []byte     `json:"done,omitempty"`
+	Horizon  *int       `json:"horizon,omitempty"`
 	Blocked  []grid.Job `json:"blocked,omitempty"`
 	SawEdges bool       `json:"saw_edges,omitempty"`
 
@@ -123,6 +129,24 @@ func (s *EngineSnapshot) DecodeColumns() error {
 	return nil
 }
 
+// InFlight calls fn with the ID of every job the snapshot holds in
+// flight: queued, blocked on parents, arriving or executing.
+func (s *EngineSnapshot) InFlight(fn func(id int)) {
+	for i := range s.Queue {
+		fn(s.Queue[i].ID)
+	}
+	for _, it := range s.Pending {
+		if it.Job != nil {
+			fn(it.Job.ID)
+		}
+	}
+	if s.DAG != nil {
+		for i := range s.DAG.Blocked {
+			fn(s.DAG.Blocked[i].ID)
+		}
+	}
+}
+
 // InterruptCount is one job's churn-interruption count.
 type InterruptCount struct {
 	ID int `json:"id"`
@@ -143,11 +167,8 @@ type AdmissionSnapshot struct {
 // scheduler-visible speed and trust vectors (churn and reputation mutate
 // the cloned sites), and the per-site reputation evidence.
 type DynamicsSnapshot struct {
-	Alive   []bool `json:"alive"`
-	Crashed []bool `json:"crashed"`
-	// Revives counts ChurnJoin events not yet executed; the engine uses
-	// it to tell a survivable total outage from a dead platform.
-	Revives int       `json:"revives"`
+	Alive   []bool    `json:"alive"`
+	Crashed []bool    `json:"crashed"`
 	Speed   []float64 `json:"speed"`
 	Level   []float64 `json:"level"`
 	// Reps is the per-site reputation evidence; nil without feedback.
@@ -235,7 +256,6 @@ func (o *Online) Snapshot() (*EngineSnapshot, error) {
 		ds := &DynamicsSnapshot{
 			Alive:   append([]bool(nil), d.alive...),
 			Crashed: append([]bool(nil), d.crashed...),
-			Revives: d.revives,
 			Speed:   make([]float64, len(o.cfg.Sites)),
 			Level:   make([]float64, len(o.cfg.Sites)),
 		}
@@ -251,8 +271,12 @@ func (o *Online) Snapshot() (*EngineSnapshot, error) {
 		}
 		snap.Dynamics = ds
 	}
-	if done := st.deps.DoneIDs(); len(done) > 0 || st.deps.SawEdges() {
+	h, hasHorizon := st.deps.Horizon()
+	if done := st.deps.DoneIDs(); len(done) > 0 || hasHorizon || st.deps.SawEdges() {
 		d := &DAGSnapshot{Done: idset.AppendColumn(nil, done), SawEdges: st.deps.SawEdges()}
+		if hasHorizon {
+			d.Horizon = &h
+		}
 		for _, j := range st.deps.Blocked() {
 			d.Blocked = append(d.Blocked, *j)
 		}
@@ -336,20 +360,25 @@ func (o *Online) restore(snap *EngineSnapshot) error {
 		st.queue = append(st.queue, &j)
 	}
 
-	// Rebuild the dependency ready-set: done IDs first (readiness checks
-	// consult them), then the queue (already released — must come out
-	// ready), then the blocked pen in its recorded arrival order so each
-	// parent's successor list, and with it every release order, matches
-	// the interrupted run's.
+	// Rebuild the dependency ready-set: the horizon and done IDs first,
+	// then every job still in flight handed back (readiness checks
+	// consult all three), then the queue (already released — must come
+	// out ready), then the blocked pen in its recorded arrival order so
+	// each parent's successor list, and with it every release order,
+	// matches the interrupted run's.
 	if err := snap.DecodeColumns(); err != nil {
 		return fmt.Errorf("sched: restore: %w", err)
 	}
 	if snap.DAG != nil {
 		st.deps.RestoreDone(snap.DAG.doneIDs)
+		if snap.DAG.Horizon != nil {
+			st.deps.RestoreHorizon(*snap.DAG.Horizon)
+		}
 		if snap.DAG.SawEdges {
 			st.deps.MarkEdges()
 		}
 	}
+	snap.InFlight(st.deps.Hand)
 	for _, j := range st.queue {
 		if !st.deps.Arrive(j) {
 			return fmt.Errorf("sched: restore: queued job %d has incomplete dependencies", j.ID)
@@ -393,7 +422,6 @@ func (o *Online) restore(snap *EngineSnapshot) error {
 		}
 		copy(d.alive, ds.Alive)
 		copy(d.crashed, ds.Crashed)
-		d.revives = ds.Revives
 		for i, s := range o.cfg.Sites {
 			s.Speed = ds.Speed[i]
 			s.SecurityLevel = ds.Level[i]

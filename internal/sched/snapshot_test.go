@@ -242,7 +242,7 @@ func TestRestoreRejectsMismatchedConfig(t *testing.T) {
 
 // snapshotBytesSHA256 is the digest TestSnapshotBytesPinned folds over
 // its snapshots.
-const snapshotBytesSHA256 = "3105f93d89700675929728a4490da420314d62cb40a504380b61a10c80997532"
+const snapshotBytesSHA256 = "5e0114f65a076d6e5f635d07704514aa792cb3ae0429466ecdecef9fe5249012"
 
 // TestSnapshotBytesPinned pins the serialized snapshot, byte for byte:
 // at every cut of TestSnapshotRestoreParity's run it hashes

@@ -226,14 +226,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tenantID s
 	// is burned forever in manual mode, so claiming before validation
 	// would make a replayed trace unretryable after one malformed job
 	// (the request fails, the IDs stay used, the retry hits duplicate-ID
-	// rejections). Nothing below this loop can 400.
+	// rejections). What needs the registry — dependencies and explicit
+	// IDs — is judged in the loop command below, before anything is
+	// claimed; every other reason to 400 is ruled out here.
 	jobs := make([]*grid.Job, 0, len(req.Jobs))
-	// priorIDs accumulates the explicit IDs of earlier specs in THIS
-	// request, so a manual-mode batch can submit a whole DAG at once:
-	// a dependency may name any earlier in-request job — never a later
-	// one (the trace is an arrival order; forward refs would make it
-	// unreplayable) — or a previously accepted job of the same tenant.
-	priorIDs := make(map[int]bool)
 	for i, js := range req.Jobs {
 		if !s.cfg.Manual && (js.ID != nil || js.Arrival != nil) {
 			httpError(w, http.StatusBadRequest,
@@ -272,34 +268,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tenantID s
 					return
 				}
 				depSeen[d] = true
-				if priorIDs[d] {
-					continue
-				}
-				s.idMu.Lock()
-				owner, known := s.owners.owner(d)
-				s.idMu.Unlock()
-				if !known {
-					httpError(w, http.StatusBadRequest,
-						"job %d: depends on unknown job %d (dependencies must name an accepted job or an earlier explicit id in this request)", i, d)
-					return
-				}
-				if owner != tenantID {
-					// Deliberately the same wording as the unknown case:
-					// tenants must not be able to probe other tenants' job
-					// IDs through dependency errors.
-					httpError(w, http.StatusBadRequest,
-						"job %d: depends on unknown job %d (dependencies must name an accepted job or an earlier explicit id in this request)", i, d)
-					return
-				}
 			}
 			j.DependsOn = append([]int(nil), js.DependsOn...)
 		}
 		if err := j.Validate(); err != nil {
 			httpError(w, http.StatusBadRequest, "job %d: %v", i, err)
 			return
-		}
-		if js.ID != nil {
-			priorIDs[*js.ID] = true
 		}
 		jobs = append(jobs, j)
 	}
@@ -315,27 +289,27 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tenantID s
 		httpError(w, http.StatusNotFound, "unknown tenant %q", tenantID)
 		return
 	}
-	// IDs are claimed only now, atomically for the whole request, after
-	// every other reason to reject has been ruled out.
-	ids, err := s.claimIDs(req.Jobs, tenantID)
-	if err != nil {
-		s.tenants.release(tenantID, len(jobs))
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	for i, j := range jobs {
-		j.ID = ids[i]
-		// Pending entries exist before ingestion so a placement always
-		// finds its submission — the latency sample and the quota release
-		// both depend on it.
-		s.lat.submitted(j.ID, tenantID, accepted)
-	}
-	// One loop command logs, ingests and commits the batch, so request
-	// order is ingestion order and no snapshot can fall between a job's
-	// record and its ingestion (DESIGN.md §10.2).
+	// One loop command resolves dependencies, claims IDs, logs, ingests
+	// and commits the batch, so request order is ingestion order, the
+	// registry is exactly what the log implies, and no snapshot can fall
+	// between a job's record and its ingestion (DESIGN.md §10.2).
+	var ids []int
 	injected := 0
-	var subErr error
+	var refused, subErr error
 	err = s.do(r.Context(), func() {
+		if refused = s.resolveDeps(req.Jobs, jobs, tenantID); refused != nil {
+			return
+		}
+		if ids, refused = s.claimIDs(req.Jobs, tenantID); refused != nil {
+			return
+		}
+		for i, j := range jobs {
+			j.ID = ids[i]
+			// Pending entries exist before ingestion so a placement always
+			// finds its submission — the latency sample and the quota
+			// release both depend on it.
+			s.lat.submitted(j.ID, tenantID, accepted)
+		}
 		for _, j := range jobs {
 			// Log-then-apply, stamped with the current clock: replay
 			// advances the engine here before re-submitting, so the job
@@ -360,7 +334,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tenantID s
 		// records, so an increment left to the handler would be lost).
 		s.submitted.Add(int64(injected))
 		s.tenants.addSubmitted(tenantID, injected)
+		// The horizon moves here, at a committed submission, and nowhere
+		// else: its state is the last record's, which replay reproduces,
+		// so no answer rests on a horizon that recovery would lower.
+		if subErr == nil {
+			s.owners.retire()
+		}
 	})
+	if refused != nil {
+		s.tenants.release(tenantID, len(jobs))
+		httpError(w, http.StatusBadRequest, "%v", refused)
+		return
+	}
 	if subErr == nil {
 		subErr = err
 	}
@@ -563,6 +548,11 @@ func (s *Server) buildReport(r *http.Request, tenant string) (MetricsReport, err
 		rep.InFlight = s.online.InFlight()
 		rep.Batches = s.online.Batches()
 		rep.LargestBatch = s.online.LargestBatch()
+		if s.owners.retired {
+			h := s.owners.horizon
+			rep.RetentionHorizon = &h
+		}
+		rep.RegistryIDs = s.owners.ids.Len()
 		for _, st := range s.online.SiteStatuses() {
 			if st.Alive {
 				rep.SitesAlive++

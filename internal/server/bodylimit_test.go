@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -49,12 +50,14 @@ func TestSubmitBodyLimit(t *testing.T) {
 		json.Unmarshal(rw.Body.Bytes(), &e) != nil || !strings.Contains(e.Error, "larger than 33554432 bytes") {
 		t.Fatalf("oversized body: status %d, %q, want 413 with a JSON error naming the limit", rw.Code, rw.Body)
 	}
-	srv.idMu.Lock()
-	claimed := srv.nextID.Load() != 0 || srv.owners.ids.Len() != 0 || len(srv.pending) != 0
-	srv.idMu.Unlock()
-	if claimed || pendingCount(srv) != 0 || queuedFor(srv, "acme") != 0 {
-		t.Fatalf("the refused request claimed something: next id %d, %d owners, %d pending, %d latency entries, %d queued",
-			srv.nextID.Load(), srv.owners.ids.Len(), len(srv.pending), pendingCount(srv), queuedFor(srv, "acme"))
+	var nextID int64
+	var owners int
+	if err := srv.do(context.Background(), func() { nextID, owners = srv.nextID, srv.owners.ids.Len() }); err != nil {
+		t.Fatal(err)
+	}
+	if nextID != 0 || owners != 0 || pendingCount(srv) != 0 || queuedFor(srv, "acme") != 0 {
+		t.Fatalf("the refused request claimed something: next id %d, %d owners, %d latency entries, %d queued",
+			nextID, owners, pendingCount(srv), queuedFor(srv, "acme"))
 	}
 
 	rw = post(body[:maxSubmitBody])

@@ -17,10 +17,12 @@ import (
 
 // walFixture is one scripted durable run whose on-disk state is
 // committed under testdata/wal-v<N>/<name>/, with the uninterrupted run's
-// event stream beside it in <name>.events.ndjson. wal-v4/ is the
-// current directory layout (snapshot version 3, binary event journals,
-// no shard markers); wal-v3/ is the same snapshot version as earlier
-// daemons wrote it, with NDJSON journals and shard markers; wal-v2/ was
+// event stream beside it in <name>.events.ndjson. wal-v5/ is the
+// current directory layout (snapshot version 4: registry and done sets
+// above the retention horizon, binary event journals, no shard
+// markers); wal-v4/ is the same directories under snapshot version 3;
+// wal-v3/ is version 3 as earlier daemons wrote it, with NDJSON
+// journals and shard markers; wal-v2/ was
 // written by the daemon as of commit 73aedd7, before snapshot version 3.
 // Their logs are the record encoding as deployed daemons wrote it, for
 // good (each directory's README.md says how it was made).
@@ -251,43 +253,52 @@ func checkFreshRun(t *testing.T, fx walFixture, want string, committed map[strin
 // with every snapshot removed, which replays the whole log — and serves
 // the uninterrupted run's stream, byte for byte. Writing: the same
 // script driven against a fresh directory leaves the files
-// checkFreshRun compares, all of them when full is set.
-func recoversWrittenDirs(t *testing.T, set string, full bool) {
+// checkFreshRun compares, all of them when full is set. Each set in
+// older is held to the same reading, and its log segments to the same
+// writing, inside the same subtests.
+func recoversWrittenDirs(t *testing.T, set string, full bool, older ...string) {
 	for _, fx := range walFixtures(t) {
 		t.Run(fx.name, func(t *testing.T) {
-			fixture := filepath.Join("testdata", set, fx.name)
-			committed, want, _, newestBase := fixtureTree(t, fx, fixture)
-			for _, variant := range []string{"as the crash left it", "without snapshots"} {
-				wantBase := newestBase
-				if variant == "without snapshots" {
-					wantBase = 0
+			for i, s := range append([]string{set}, older...) {
+				fixture := filepath.Join("testdata", s, fx.name)
+				committed, want, _, newestBase := fixtureTree(t, fx, fixture)
+				for _, variant := range []string{"as the crash left it", "without snapshots"} {
+					wantBase := newestBase
+					if variant == "without snapshots" {
+						wantBase = 0
+					}
+					got, stop := runFixture(t, fx, copyFixture(t, fixture, committed, wantBase == 0))
+					stop()
+					checkRecoveredStream(t, s+"/"+fx.name+", "+variant, want, got, wantBase)
 				}
-				got, stop := runFixture(t, fx, copyFixture(t, fixture, committed, wantBase == 0))
-				stop()
-				checkRecoveredStream(t, fx.name+", "+variant, want, got, wantBase)
+				checkFreshRun(t, fx, want, committed, full && i == 0)
 			}
-			checkFreshRun(t, fx, want, committed, full)
 		})
 	}
 }
 
 // TestRecoversCurrentLayoutDirs holds this tree to the directory layout
-// it writes (testdata/wal-v4/): binary event journals, snapshots in the
-// control directory only, named by the set's position. Server
-// snapshots are held to their names and to the keys the inputs alone
-// decide (inputKeys), not byte for byte: a tenant's `queued` gauge is
-// reserved and released on handler goroutines, so its value at a
-// snapshot is not a function of the inputs (recovery recomputes it,
-// DESIGN.md §10.4). Every other file is held byte for byte.
+// it writes (testdata/wal-v5/): snapshot version 4, whose registry and
+// done sets hold only what lies above the retention horizon, binary
+// event journals, snapshots in the control directory only, named by the
+// set's position. Server snapshots are held to their names and to the
+// keys the inputs alone decide (inputKeys), not byte for byte: a
+// tenant's `queued` gauge is reserved and released on handler
+// goroutines, so its value at a snapshot is not a function of the inputs
+// (recovery recomputes it, DESIGN.md §10.4). Every other file is held
+// byte for byte. It also recovers from the same runs as snapshot
+// version 3 wrote them (testdata/wal-v4/), which hold every ID ever
+// accepted and no horizon, and re-writes their log segments byte for
+// byte.
 func TestRecoversCurrentLayoutDirs(t *testing.T) {
-	recoversWrittenDirs(t, "wal-v4", true)
+	recoversWrittenDirs(t, "wal-v5", true, "wal-v4")
 }
 
 // TestRecoversParentWrittenDirs holds this tree to directories a daemon
-// of the same snapshot version wrote before the journal became binary
-// records and the shard markers went (testdata/wal-v3/): it recovers
-// from them, NDJSON journals included, and re-writes their log segments
-// byte for byte.
+// of snapshot version 3 wrote before the journal became binary records
+// and the shard markers went (testdata/wal-v3/): it recovers from them,
+// NDJSON journals included, and re-writes their log segments byte for
+// byte.
 func TestRecoversParentWrittenDirs(t *testing.T) {
 	recoversWrittenDirs(t, "wal-v3", false)
 }
@@ -312,7 +323,7 @@ func TestVersion2DirsRefusedThenReplayed(t *testing.T) {
 				t.Fatal("a version-2 snapshot was restored or skipped")
 			}
 			refusal := fmt.Sprintf("server: recovery: snapshot %s has layout version 2, written by an older trustgridd; "+
-				"this one reads version 3 only (refusing to restore it: drain and stop the daemon with the binary that wrote it, "+
+				"this one reads versions 3 to 4 only (refusing to restore it: drain and stop the daemon with the binary that wrote it, "+
 				"or start on a fresh -wal-dir)", filepath.Join(dir, newest))
 			if err.Error() != refusal {
 				t.Fatalf("refusal is\n%v\nwant\n%s", err, refusal)

@@ -134,8 +134,8 @@ func TestSnapshotHoldsNoEvents(t *testing.T) {
 				t.Errorf("snapshot %d still has a %q key", seq, gone)
 			}
 		}
-		if string(keys["version"]) != "3" {
-			t.Errorf("snapshot %d has version %s, want 3", seq, keys["version"])
+		if string(keys["version"]) != "4" {
+			t.Errorf("snapshot %d has version %s, want 4", seq, keys["version"])
 		}
 		// The history-sized sets are byte columns that decode, and every
 		// completed job is an accepted one.
@@ -365,7 +365,11 @@ func TestJournalGC(t *testing.T) {
 		{"intact", nil},
 		{"garbage", []byte("garbage")},
 		{"owners column", regexp.MustCompile(`"ids":"[^"]*"`).ReplaceAll(newestPayload, []byte(`"ids":"AgEA"`))},
-		{"done column", regexp.MustCompile(`"done":"[^"]*"`).ReplaceAll(newestPayload, []byte(`"done":"gA=="`))},
+		// The done column holds only jobs completed above the engine's
+		// horizon, so a drained engine's has none: a truncated one goes in
+		// ahead of the horizon key, in place of any there is.
+		{"done column", bytes.Replace(regexp.MustCompile(`"done":"[^"]*",`).ReplaceAll(newestPayload, nil),
+			[]byte(`"dag":{`), []byte(`"dag":{"done":"gA==",`), 1)},
 	} {
 		cp := t.TempDir()
 		if err := os.CopyFS(cp, os.DirFS(dir)); err != nil {
@@ -515,9 +519,9 @@ func TestRecoveryRefusesOtherSnapshotVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The last case is a version-2 payload that does not parse as this
-	// layout (a done ID that does not fit a byte column's byte): its
-	// version is still read, and refused, not skipped as damage.
-	v2lists := regexp.MustCompile(`"done":"[^"]*"`).ReplaceAll(payload, []byte(`"done":[1,300]`))
+	// layout (an owner ID list where a byte column belongs): its version
+	// is still read, and refused, not skipped as damage.
+	v2lists := regexp.MustCompile(`"ids":"[^"]*"`).ReplaceAll(payload, []byte(`"ids":[1,300]`))
 	for _, tc := range []struct {
 		version int
 		wrote   string
@@ -525,13 +529,13 @@ func TestRecoveryRefusesOtherSnapshotVersion(t *testing.T) {
 	}{
 		{1, "an older trustgridd", payload},
 		{2, "an older trustgridd", payload},
-		{4, "a newer trustgridd", payload},
+		{5, "a newer trustgridd", payload},
 		{2, "an older trustgridd", v2lists},
 	} {
 		version, wrote := tc.version, tc.wrote
-		rewritten := bytes.Replace(tc.payload, []byte(`"version":3`), []byte(fmt.Sprintf(`"version":%d`, version)), 1)
+		rewritten := bytes.Replace(tc.payload, []byte(`"version":4`), []byte(fmt.Sprintf(`"version":%d`, version)), 1)
 		if bytes.Equal(rewritten, tc.payload) || bytes.Equal(v2lists, payload) {
-			t.Fatal("snapshot has no version 3 marker or no done column to rewrite")
+			t.Fatal("snapshot has no version 4 marker or no owners column to rewrite")
 		}
 		if err := os.WriteFile(newest, rewritten, 0o644); err != nil {
 			t.Fatal(err)

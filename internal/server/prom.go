@@ -40,6 +40,11 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 	counter("trustgrid_batches_total", "Scheduling rounds that dispatched jobs.", float64(rep.Batches))
 	gauge("trustgrid_in_flight_jobs", "Ingested jobs not yet completed.", float64(rep.InFlight))
 	gauge("trustgrid_sites_alive", "Sites currently in service.", float64(rep.SitesAlive))
+	gauge("trustgrid_registry_ids", "Accepted job IDs the registry holds, those above the retention horizon.", float64(rep.RegistryIDs))
+	if rep.RetentionHorizon != nil {
+		gauge("trustgrid_retention_horizon", "Largest job ID such that every accepted ID at or below it has completed.",
+			float64(*rep.RetentionHorizon))
+	}
 	gauge("trustgrid_virtual_time_seconds", "Engine virtual clock.", rep.VirtualNow)
 	gauge("trustgrid_uptime_seconds", "Wall-clock uptime.", rep.UptimeS)
 	gauge("trustgrid_sched_latency_p50_milliseconds", "Submit-to-first-placement latency p50.", rep.Latency.P50)

@@ -64,13 +64,16 @@ type serverSnapshot struct {
 	NextG     uint64                  `json:"next_g,omitempty"`
 
 	NextID int64 `json:"next_id"`
-	// Owners is every accepted job ID with its tenant, as columns: the
-	// depends_on validation registry, and in manual mode the explicit-ID
-	// dedupe. ownerIDs and ownerTenants are its decoded form, filled by
-	// newestSnapshot.
-	Owners       *ownerColumns `json:"owners,omitempty"`
-	ownerIDs     []int
-	ownerTenants []uint32
+	// Owners is every accepted job ID above the retention horizon with
+	// its tenant, as columns: the depends_on validation registry, and in
+	// manual mode the explicit-ID dedupe. RetentionHorizon is the horizon
+	// W, absent until a job has been retired (and in version 3, whose
+	// Owners holds every accepted ID). ownerIDs and ownerTenants are the
+	// decoded columns, filled by newestSnapshot.
+	Owners           *ownerColumns `json:"owners,omitempty"`
+	RetentionHorizon *int          `json:"retention_horizon,omitempty"`
+	ownerIDs         []int
+	ownerTenants     []uint32
 
 	Counters counterSnapshot `json:"counters"`
 
@@ -85,12 +88,17 @@ type serverSnapshot struct {
 	file uint64
 }
 
-// snapshotVersion is the serverSnapshot layout this binary reads and
-// writes. 2 moved the retained events out of the payload into the event
-// journal and dropped used_ids; 3 stores owners and each engine's
-// dag.done as byte columns. Payloads of any other version are refused,
-// not converted.
-const snapshotVersion = 3
+// snapshotVersion is the serverSnapshot layout this binary writes. 2
+// moved the retained events out of the payload into the event journal
+// and dropped used_ids; 3 stores owners and each engine's dag.done as
+// byte columns; 4 keeps in both only what lies above a retention
+// horizon (DESIGN.md §14.3), which a version-3 reader would take for
+// IDs never used. This binary reads 3 and 4 (a 3 has no horizon yet);
+// payloads of any other version are refused, not converted.
+const (
+	snapshotVersion       = 4
+	oldestSnapshotVersion = 3
+)
 
 // counterSnapshot carries the service's atomic counters.
 type counterSnapshot struct {
@@ -226,20 +234,20 @@ func (s *Server) newestSnapshot() (*serverSnapshot, error) {
 			var head struct {
 				Version int `json:"version"`
 			}
-			if json.Unmarshal(payload, &head) != nil || head.Version == snapshotVersion {
+			if json.Unmarshal(payload, &head) != nil || readsVersion(head.Version) {
 				continue
 			}
 			cand.Version = head.Version
 		}
 		// The version says how to read the rest, so it is judged first.
-		if cand.Version != snapshotVersion {
+		if !readsVersion(cand.Version) {
 			age := "an older"
 			if cand.Version > snapshotVersion {
 				age = "a newer"
 			}
-			return nil, fmt.Errorf("snapshot %s has layout version %d, written by %s trustgridd; this one reads version %d only "+
+			return nil, fmt.Errorf("snapshot %s has layout version %d, written by %s trustgridd; this one reads versions %d to %d only "+
 				"(refusing to restore it: drain and stop the daemon with the binary that wrote it, or start on a fresh -wal-dir)",
-				ref.Path, cand.Version, age, snapshotVersion)
+				ref.Path, cand.Version, age, oldestSnapshotVersion, snapshotVersion)
 		}
 		// One engine per shard and one watermark per shard log (none in
 		// the flat layout, where Shards stays 0).
@@ -270,6 +278,9 @@ func (s *Server) newestSnapshot() (*serverSnapshot, error) {
 	}
 	return nil, nil
 }
+
+// readsVersion reports whether this binary restores snapshot layout v.
+func readsVersion(v int) bool { return v >= oldestSnapshotVersion && v <= snapshotVersion }
 
 // decodeColumns expands the owners columns into ownerIDs and
 // ownerTenants and decodes every engine's columns for its restore, so
@@ -308,9 +319,17 @@ func (s *Server) restoreFromSnapshot(snap *serverSnapshot) error {
 		return s.restoreEvents(0, 0)
 	}
 	s.tenants.restore(snap.Tenants)
-	s.nextID.Store(snap.NextID)
+	s.nextID = snap.NextID
 	if snap.Owners != nil {
-		s.owners.restore(snap.Owners.Names, snap.ownerIDs, snap.ownerTenants)
+		// An accepted ID has completed unless its engine holds it in flight.
+		inFlight := make(map[int]struct{})
+		for _, e := range snap.engines() {
+			e.InFlight(func(id int) { inFlight[id] = struct{}{} })
+		}
+		s.owners.restore(snap.Owners.Names, snap.ownerIDs, snap.ownerTenants, inFlight)
+	}
+	if h := snap.RetentionHorizon; h != nil {
+		s.owners.horizon, s.owners.retired = *h, true
 	}
 	s.submitted.Store(snap.Counters.Submitted)
 	s.arrived.Store(snap.Counters.Arrived)
@@ -430,7 +449,6 @@ func (s *Server) resumeAdmission() {
 		s.lat.submitted(j.ID, j.Tenant, now)
 	}
 	s.tenants.setQueued(queued)
-	s.loggedID = s.nextID.Load() // no handler has run yet: every claim is a logged one
 }
 
 // replayRecord re-applies one post-snapshot record to the engines
@@ -459,9 +477,7 @@ func (s *Server) replayRecord(rec wal.Record) error {
 			owner = api.DefaultTenant
 		}
 		s.owners.add(tr.ID, owner)
-		if int64(tr.ID) > s.nextID.Load() {
-			s.nextID.Store(int64(tr.ID))
-		}
+		s.nextID = max(s.nextID, int64(tr.ID))
 	}
 	return nil
 }
@@ -532,7 +548,7 @@ func (s *Server) writeSnapshot() error {
 		Manual:        s.cfg.Manual,
 		RNGVersion:    s.cfg.Setup.RNGVersion,
 		Tenants:       s.tenants.snapshot(),
-		NextID:        s.loggedID,
+		NextID:        s.nextID,
 		Counters: counterSnapshot{
 			Submitted:   s.submitted.Load(),
 			Arrived:     s.arrived.Load(),
@@ -554,11 +570,10 @@ func (s *Server) writeSnapshot() error {
 	} else {
 		snap.Shards, snap.Engines = len(engines), engines
 	}
-	// The registry as the log implies it: IDs claimed by a handler whose
-	// arrival record is not appended yet are left out (see Server.pending).
-	s.idMu.Lock()
-	snap.Owners = s.owners.snapshot(s.pending)
-	s.idMu.Unlock()
+	snap.Owners = s.owners.snapshot()
+	if s.owners.retired {
+		snap.RetentionHorizon = &s.owners.horizon
+	}
 	lap(snapRegistry)
 	payload, err := json.Marshal(&snap)
 	if err != nil {
@@ -628,18 +643,7 @@ func (s *Server) walArrival(j *grid.Job) error {
 		return nil
 	}
 	rec := api.NewTraceRecord(j)
-	err := s.walAppend(s.online.Owner(j.Tenant), wal.Record{Kind: wal.KindArrival, At: s.online.Now(), Arrival: &rec})
-	if err != nil {
-		return err
-	}
-	// Logged: the claim on this ID now belongs to the snapshotted registry.
-	s.idMu.Lock()
-	delete(s.pending, j.ID)
-	s.idMu.Unlock()
-	if int64(j.ID) > s.loggedID {
-		s.loggedID = int64(j.ID)
-	}
-	return nil
+	return s.walAppend(s.online.Owner(j.Tenant), wal.Record{Kind: wal.KindArrival, At: s.online.Now(), Arrival: &rec})
 }
 
 // walTenant logs one runtime tenant registration.

@@ -103,7 +103,8 @@ func walJobList(n int) []walJob {
 
 // driveWAL replays the scripted protocol against a daemon, idempotently:
 // tenants that already exist (recovered from the WAL) 409 and are
-// skipped, jobs already recovered bounce off the duplicate-ID check,
+// skipped, jobs already recovered bounce off the duplicate-ID check, or
+// the retention horizon once they and every job before them completed,
 // and advances the recovered clock has passed are not re-issued. Run
 // against a fresh daemon it produces the baseline; run against a
 // recovered one it completes whatever the crash cut short.
@@ -132,7 +133,7 @@ func driveWAL(t *testing.T, c *client.Client, jobs []walJob) {
 				{ID: &id, Arrival: &arr, Workload: j.workload, SD: j.sd},
 			})
 			if err != nil && !(errors.Is(err, client.ErrBadRequest) &&
-				strings.Contains(err.Error(), "duplicate job id")) {
+				(strings.Contains(err.Error(), "duplicate job id") || strings.Contains(err.Error(), "at or below the retention horizon"))) {
 				t.Fatalf("submit job %d: %v", j.id, err)
 			}
 			next++

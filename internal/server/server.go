@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -233,27 +234,17 @@ type Server struct {
 	stopMu   sync.Mutex
 	stopOnce sync.Once
 
-	nextID atomic.Int64
-	idMu   sync.Mutex
-	// owners maps every accepted job ID to its tenant — the registry
-	// depends_on validation resolves against (a dependency must name an
-	// accepted job of the same tenant, which also keeps a DAG inside one
-	// shard under tenant routing), and manual mode's explicit-ID dedupe.
-	// Guarded by idMu; persisted in snapshots and rebuilt from WAL
-	// arrivals. It is an ascending ID column with a tenant index per ID
-	// (jobOwners), so a snapshot reads it in order without sorting; it
-	// still grows with the accepted-job count (ROADMAP item 3(a)).
+	// nextID is the largest job ID accepted so far, and owners the
+	// job-ID registry above the retention horizon (jobOwners): the
+	// registry depends_on validation resolves against (a dependency must
+	// name an accepted job of the same tenant, which also keeps a DAG
+	// inside one shard under tenant routing), and manual mode's
+	// explicit-ID dedupe. IDs are claimed in the loop command that logs
+	// and ingests their jobs, so both are exactly what the log implies;
+	// snapshots persist them and recovery rebuilds them from WAL
+	// arrivals. Loop goroutine only.
+	nextID int64
 	owners jobOwners
-	// pending holds the IDs a handler has claimed whose arrival record is
-	// not in the WAL yet (nil without WALDir). Claims happen on handler
-	// goroutines, possibly while the loop writes a snapshot for an earlier
-	// command, so writeSnapshot leaves pending IDs out: a snapshot at WAL
-	// position p holds exactly the registry records <= p imply (DESIGN.md
-	// §10.2). Guarded by idMu; walArrival retires an ID once logged.
-	pending map[int]struct{}
-	// loggedID is the largest logged job ID: nextID as snapshots see it.
-	// Loop goroutine only.
-	loggedID int64
 
 	submitted   atomic.Int64 // accepted by the HTTP layer
 	arrived     atomic.Int64 // ingested by the engine
@@ -287,9 +278,6 @@ func New(cfg Config) (*Server, error) {
 		quit:     make(chan struct{}),
 		loopDone: make(chan struct{}),
 		started:  time.Now(),
-	}
-	if cfg.WALDir != "" {
-		s.pending = make(map[int]struct{})
 	}
 	// Pre-registered tenants seed both the registry and the engines'
 	// fair-share weight vector (the default tenant is implicit). One
@@ -373,6 +361,11 @@ func (s *Server) attach(spec *fleet.Spec) (err error) {
 			return fmt.Errorf("server: recovery: %w", err)
 		}
 	}
+	// The horizon moves once, over the recovered state, never between
+	// replayed records: a record of a submission may carry an ID below
+	// what the completions replayed before it would allow, since the
+	// submission was judged against the horizon of the one before.
+	s.owners.retire()
 	s.resumeAdmission()
 	lap(recoverReplay)
 	return nil
@@ -490,19 +483,19 @@ func (s *Server) Done() <-chan struct{} { return s.loopDone }
 // claimIDs allocates IDs for one whole submission and records tenant as
 // their owner, atomically: either every spec gets its ID or none is
 // burned. Live mode always server-assigns; manual mode honors explicit
-// IDs but rejects duplicates — against earlier requests AND within this
-// one — before recording anything, so a rejected request leaves no
-// claimed IDs behind (a replayed trace must round-trip even after a
-// failed retry). Auto-assigned IDs stay clear of explicit ones.
+// IDs but refuses one at or below the retention horizon, and duplicates
+// — against earlier requests AND within this one — before recording
+// anything, so a refused request leaves no claimed IDs behind (a
+// replayed trace must round-trip even after a failed retry).
+// Auto-assigned IDs stay clear of explicit ones. Loop goroutine only.
 func (s *Server) claimIDs(specs []JobSpec, tenant string) ([]int, error) {
 	ids := make([]int, len(specs))
-	s.idMu.Lock()
-	defer s.idMu.Unlock()
 	if !s.cfg.Manual {
 		for i := range specs {
-			ids[i] = int(s.nextID.Add(1))
+			s.nextID++
+			ids[i] = int(s.nextID)
+			s.owners.add(ids[i], tenant)
 		}
-		s.recordClaim(ids, tenant)
 		return ids, nil
 	}
 	inReq := make(map[int]int, len(specs)) // id -> spec index, for dup reporting
@@ -511,6 +504,9 @@ func (s *Server) claimIDs(specs []JobSpec, tenant string) ([]int, error) {
 			continue
 		}
 		id := *spec.ID
+		if s.owners.belowHorizon(id) {
+			return nil, fmt.Errorf("job %d: id %d is at or below the retention horizon %d", i, id, s.owners.horizon)
+		}
 		if s.owners.has(id) {
 			return nil, fmt.Errorf("job %d: duplicate job id %d", i, id)
 		}
@@ -524,38 +520,67 @@ func (s *Server) claimIDs(specs []JobSpec, tenant string) ([]int, error) {
 		if spec.ID == nil {
 			continue
 		}
-		id := *spec.ID
-		if int64(id) > s.nextID.Load() {
-			s.nextID.Store(int64(id))
-		}
-		ids[i] = id
+		ids[i] = *spec.ID
+		s.nextID = max(s.nextID, int64(ids[i]))
 	}
 	for i, spec := range specs {
 		if spec.ID != nil {
 			continue
 		}
 		for {
-			id := int(s.nextID.Add(1))
-			if !s.owners.has(id) {
+			s.nextID++
+			if id := int(s.nextID); !s.owners.has(id) {
 				ids[i] = id
 				break
 			}
 		}
 	}
-	s.recordClaim(ids, tenant)
+	for _, id := range ids {
+		s.owners.add(id, tenant)
+	}
 	return ids, nil
 }
 
-// recordClaim registers freshly claimed IDs under their owner; in
-// durable mode each stays a pending reservation until walArrival logs
-// the job (see Server.pending). Caller holds idMu.
-func (s *Server) recordClaim(ids []int, tenant string) {
-	for _, id := range ids {
-		s.owners.add(id, tenant)
-		if s.pending != nil {
-			s.pending[id] = struct{}{}
+// resolveDeps checks jobs' dependencies against the registry, before any
+// ID is claimed: each must name an earlier explicit ID of the same
+// request (never a later one — the trace is an arrival order, and
+// forward refs would make it unreplayable) or an accepted job of the
+// same tenant. One at or below the retention horizon has completed, so
+// it is satisfied and dropped from the job, which is logged without it.
+// Loop goroutine only.
+func (s *Server) resolveDeps(specs []JobSpec, jobs []*grid.Job, tenant string) error {
+	if !slices.ContainsFunc(jobs, func(j *grid.Job) bool { return len(j.DependsOn) > 0 }) {
+		return nil
+	}
+	var prior map[int]bool // explicit IDs of earlier specs
+	for i, js := range specs {
+		if deps := jobs[i].DependsOn; len(deps) > 0 {
+			kept := deps[:0]
+			for _, d := range deps {
+				switch owner, known := s.owners.owner(d); {
+				case prior[d] || known && owner == tenant:
+					kept = append(kept, d)
+				case s.owners.belowHorizon(d):
+				default:
+					// Deliberately the same wording for another tenant's job as
+					// for an unknown one: tenants must not be able to probe other
+					// tenants' job IDs through dependency errors.
+					return fmt.Errorf("job %d: depends on unknown job %d (dependencies must name an accepted job or an earlier explicit id in this request)", i, d)
+				}
+			}
+			if len(kept) == 0 {
+				kept = nil
+			}
+			jobs[i].DependsOn = kept
+		}
+		if js.ID != nil {
+			if prior == nil {
+				prior = make(map[int]bool)
+			}
+			prior[*js.ID] = true
 		}
 	}
+	return nil
 }
 
 func (s *Server) stopped() bool {
@@ -588,6 +613,7 @@ func (s *Server) onEvent(ev sched.EngineEvent) {
 		s.tenants.event(ev.Job.Tenant, "failed", false)
 	case sched.EventCompleted:
 		s.completed.Add(1)
+		s.owners.complete(ev.Job.ID)
 		s.tenants.event(ev.Job.Tenant, "completed", false)
 	case sched.EventInterrupted:
 		s.interrupted.Add(1)
