@@ -297,6 +297,38 @@ var wireKinds = func() []string {
 // an undefined mask bit, a present field holding zero — are an error,
 // and leave ev unspecified.
 func ReadEventRecord(b []byte, ev *Event) (rest []byte, err error) {
+	return readEventRecord(b, ev, nil)
+}
+
+// EventDecoder is ReadEventFrame with a memory: a tenant equal to one
+// of the last few distinct tenants it decoded is shared, not copied, as
+// the kind labels are. A daemon's tenant set is small, so a stream read
+// through one decoder copies each tenant about once. The zero value is
+// ready to use; a decoder belongs to one goroutine.
+type EventDecoder struct {
+	tenants [8]string
+	next    int
+}
+
+// ReadFrame is ReadEventFrame through the decoder.
+func (d *EventDecoder) ReadFrame(r *bufio.Reader, ev *Event) error {
+	return readEventFrame(r, ev, d)
+}
+
+// tenant returns raw as a string, shared with an earlier one if it can.
+func (d *EventDecoder) tenant(raw []byte) string {
+	for _, t := range d.tenants {
+		if t == string(raw) {
+			return t
+		}
+	}
+	t := string(raw)
+	d.tenants[d.next] = t
+	d.next = (d.next + 1) % len(d.tenants)
+	return t
+}
+
+func readEventRecord(b []byte, ev *Event, d *EventDecoder) (rest []byte, err error) {
 	if len(b) < 4 {
 		return nil, ErrEventRecord
 	}
@@ -338,6 +370,9 @@ func ReadEventRecord(b []byte, ev *Event) (rest []byte, err error) {
 					return kind
 				}
 			}
+		}
+		if bit == fTenant && d != nil {
+			return d.tenant(raw)
 		}
 		return string(raw)
 	}
@@ -407,6 +442,10 @@ func (e *Event) AppendFrame(dst []byte) []byte {
 // they are. r's buffer must hold MaxEventFrame bytes (bufio's default
 // size does): the record is decoded where it lies in it.
 func ReadEventFrame(r *bufio.Reader, ev *Event) error {
+	return readEventFrame(r, ev, nil)
+}
+
+func readEventFrame(r *bufio.Reader, ev *Event, d *EventDecoder) error {
 	// MaxEventFrame is below 1<<14, so a length it allows takes at most
 	// two bytes; a third is refused with the length it would extend.
 	c, err := r.ReadByte()
@@ -432,7 +471,7 @@ func ReadEventFrame(r *bufio.Reader, ev *Event) error {
 		}
 		return err
 	}
-	if rest, err := ReadEventRecord(b, ev); err != nil || len(rest) != 0 {
+	if rest, err := readEventRecord(b, ev, d); err != nil || len(rest) != 0 {
 		return ErrEventRecord
 	}
 	_, _ = r.Discard(n)

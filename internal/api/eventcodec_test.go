@@ -375,3 +375,41 @@ func TestEventFrameCases(t *testing.T) {
 		t.Fatalf("AppendFrame into a warm buffer allocates %v times per event", n)
 	}
 }
+
+// TestEventDecoderSharesTenants: a decoder reads the same events as
+// ReadEventFrame, and once it has met each of a few interleaved tenants
+// it decodes their frames without allocating.
+func TestEventDecoderSharesTenants(t *testing.T) {
+	tenants := []string{"gold", "silver", "bronze", "iron"}
+	var stream []byte
+	for i := 0; i < 64; i++ {
+		ev := Event{Seq: int64(i + 1), Kind: "placed", Time: float64(i), Job: i + 1, Site: 2, Tenant: tenants[i*7%len(tenants)], Start: 1, Finish: 2}
+		stream = ev.AppendFrame(stream)
+	}
+	var dec EventDecoder
+	plain := bufio.NewReader(bytes.NewReader(stream))
+	shared := bufio.NewReader(bytes.NewReader(stream))
+	for {
+		var want, got Event
+		werr := ReadEventFrame(plain, &want)
+		gerr := dec.ReadFrame(shared, &got)
+		if werr != gerr || want != got {
+			t.Fatalf("decoder read %+v (%v), ReadEventFrame %+v (%v)", got, gerr, want, werr)
+		}
+		if werr == io.EOF {
+			break
+		}
+	}
+	rd := bytes.NewReader(stream)
+	br := bufio.NewReader(rd)
+	var ev Event
+	allocs := testing.AllocsPerRun(10, func() {
+		rd.Reset(stream)
+		br.Reset(rd)
+		for dec.ReadFrame(br, &ev) == nil {
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a warm decoder allocates %v times per 64-frame stream, want 0", allocs)
+	}
+}

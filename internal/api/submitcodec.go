@@ -48,9 +48,14 @@ func parseSubmit(b []byte) ([]JobSpec, bool) {
 		return nil, false
 	}
 	i++
-	// "[]" decodes to an empty slice, not nil. The slice grows with the
-	// jobs parsed, never with what the unparsed rest of the body holds.
-	jobs := []JobSpec{}
+	// "[]" decodes to an empty slice, not nil. The slice and the slabs
+	// behind the jobs' explicit ids and arrivals start at the body's
+	// count of job separators, which is exact for the canonical form and
+	// capped, so a body cannot make them larger than maxJobsHint before
+	// its jobs parse; past the hint they grow with the jobs parsed.
+	hint := min(bytes.Count(b[i:], []byte("},{"))+1, maxJobsHint)
+	jobs := make([]JobSpec, 0, hint)
+	ptrs := specSlabs{ids: slab[int]{size: hint}, arrivals: slab[float64]{size: hint}}
 	for i < len(b) && b[i] != ']' {
 		if len(jobs) > 0 {
 			if b[i] != ',' {
@@ -60,7 +65,7 @@ func parseSubmit(b []byte) ([]JobSpec, bool) {
 		}
 		var js JobSpec
 		var ok bool
-		if i, ok = parseJobSpec(b, i, &js); !ok {
+		if i, ok = parseJobSpec(b, i, &js, &ptrs); !ok {
 			return nil, false
 		}
 		jobs = append(jobs, js)
@@ -79,8 +84,38 @@ const (
 	jDeadline
 )
 
-// parseJobSpec reads one canonical JobSpec object at i into js.
-func parseJobSpec(b []byte, i int, js *JobSpec) (end int, ok bool) {
+// specSlabs holds the values a body's JobSpec.ID and .Arrival point
+// at, so they cost an allocation per slab chunk, not one per job.
+type specSlabs struct {
+	ids      slab[int]
+	arrivals slab[float64]
+}
+
+// maxJobsHint caps the job count parseSubmit sizes for up front.
+const maxJobsHint = 1024
+
+// slab hands out pointers into chunks that never move. The first chunk
+// holds size values (at least 16) and each next one twice the last, so
+// n values cost O(log n) allocations, and one when size covers them.
+type slab[T any] struct {
+	free []T
+	size int
+}
+
+func (s *slab[T]) ptr(v T) *T {
+	if len(s.free) == 0 {
+		n := max(s.size, 16)
+		s.free, s.size = make([]T, n), 2*n
+	}
+	p := &s.free[0]
+	*p = v
+	s.free = s.free[1:]
+	return p
+}
+
+// parseJobSpec reads one canonical JobSpec object at i into js, its id
+// and arrival stored in ptrs.
+func parseJobSpec(b []byte, i int, js *JobSpec, ptrs *specSlabs) (end int, ok bool) {
 	if i >= len(b) || b[i] != '{' {
 		return i, false
 	}
@@ -100,13 +135,13 @@ func parseJobSpec(b []byte, i int, js *JobSpec) (end int, ok bool) {
 			bit = jID
 			var id int
 			if id, i, ok = strictjson.ScanIntField(b, i); ok {
-				js.ID = &id
+				js.ID = ptrs.ids.ptr(id)
 			}
 		case "arrival":
 			bit = jArrival
 			var at float64
 			if at, i, ok = strictjson.ScanFloat(b, i); ok {
-				js.Arrival = &at
+				js.Arrival = ptrs.arrivals.ptr(at)
 			}
 		case "workload":
 			bit = jWorkload

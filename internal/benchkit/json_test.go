@@ -1,10 +1,13 @@
 package benchkit
 
 import (
+	"flag"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"trustgrid/internal/grid"
 )
 
 func sampleFile(smoke bool, records ...Record) File {
@@ -110,14 +113,21 @@ func TestFind(t *testing.T) {
 	}
 }
 
-// TestSmokeSuiteRuns executes every smoke case once under
-// testing.Benchmark — the same harness benchsuite -bench-json uses —
-// so a case that panics or hangs fails here rather than in CI's
-// benchmark job.
+// TestSmokeSuiteRuns executes every smoke case under testing.Benchmark
+// — the same harness benchsuite -bench-json uses — so a case that
+// panics or hangs fails here rather than in CI's benchmark job. Each
+// case runs a fixed two iterations: timing them is the CI benchmark
+// step's job and benchsuite's, and a full timing pass here would load
+// the host under every other package's tests.
 func TestSmokeSuiteRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark smoke pass skipped in -short mode")
 	}
+	prev := flag.Lookup("test.benchtime").Value.String()
+	if err := flag.Set("test.benchtime", "2x"); err != nil {
+		t.Fatal(err)
+	}
+	defer flag.Set("test.benchtime", prev)
 	f := Run(true, time.Date(2026, 7, 29, 0, 0, 0, 0, time.UTC))
 	if f.Date != "2026-07-29" || !f.Smoke {
 		t.Fatalf("bad file header: %+v", f)
@@ -146,4 +156,59 @@ func BenchmarkSuite(b *testing.B) {
 	for _, c := range Suite() {
 		b.Run(c.Name, c.F)
 	}
+}
+
+// TestEngineSteadyStateAllocs pins the engine loop's allocations on
+// OnlineEngine/jobs=1000's workload at no more than one per job for a
+// whole op — construction, 1 000 submissions and the drain. Submit
+// takes its jobs without a copy, dispatch reuses the attempts whose
+// events have fired, and a round's queue buffer is reused, so what is
+// left grows with rounds and with the engine's high-water marks, not
+// with jobs.
+func TestEngineSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	jobs, sites := onlineEngineJobs()
+	slab := make([]grid.Job, len(jobs))
+	var err error
+	allocs := testing.AllocsPerRun(3, func() {
+		if e := runOnlineEngine(jobs, slab, sites, 1); e != nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > float64(len(jobs)) {
+		t.Fatalf("an OnlineEngine op allocates %v times, want at most one per job (%d)", allocs, len(jobs))
+	}
+	t.Logf("%v allocations per op of %d jobs", allocs, len(jobs))
+}
+
+// TestEventStreamPageAllocs pins EventStream/records: a 560-event page
+// through the typed client, daemon and client in one process, allocates
+// per request, not per event. The client shares each event's tenant
+// string with the event before it and takes its frame reader from a
+// pool; the daemon encodes the page out of its ring into a pooled
+// buffer.
+func TestEventStreamPageAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	c, stop := eventStreamDaemon(t, true)
+	defer stop()
+	var err error
+	allocs := testing.AllocsPerRun(20, func() {
+		if e := readEventPage(c); e != nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > 110 {
+		t.Fatalf("a %d-event page allocates %v times, want at most 110", eventPage, allocs)
+	}
+	t.Logf("%v allocations per %d-event page", allocs, eventPage)
 }

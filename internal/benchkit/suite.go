@@ -87,6 +87,71 @@ func freshState(sites []*grid.Site) *sched.State {
 	return &sched.State{Sites: sites, Ready: make([]float64, len(sites))}
 }
 
+// onlineEngineJobs is OnlineEngine/jobs=1000's workload: benchBatch's
+// jobs and platform, one arrival every 300 s.
+func onlineEngineJobs() ([]*grid.Job, []*grid.Site) {
+	jobs, sites := benchBatch(1000)
+	for i := range jobs {
+		jobs[i].Arrival = float64(i) * 300
+	}
+	return jobs, sites
+}
+
+// onlineEngineDAGJobs is the DAG row's workload on the same platform: a
+// layered graph of 1000 jobs, 50 a layer, arriving one per 300 s on
+// average, with workloads on benchBatch's scale.
+func onlineEngineDAGJobs() ([]*grid.Job, []*grid.Site) {
+	_, sites := benchBatch(1)
+	jobs, err := dag.Generate(rng.New(3), dag.GenConfig{
+		Jobs: 1000, Width: 50, EdgeProb: 0.1, Rate: 1.0 / 300,
+		WorkloadStep: 10000, Levels: 20,
+	})
+	if err != nil {
+		panic(err)
+	}
+	return jobs, sites
+}
+
+// onlineEngineCase times one engine from construction to drain over
+// the workload's jobs, submitted in order, under MCT, whose rounds are
+// cheap enough that the loop itself is what is timed.
+func onlineEngineCase(workload func() ([]*grid.Job, []*grid.Site)) func(b *testing.B) {
+	return func(b *testing.B) {
+		jobs, sites := workload()
+		slab := make([]grid.Job, len(jobs))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := runOnlineEngine(jobs, slab, sites, uint64(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// runOnlineEngine is one op of the OnlineEngine cases. Submit takes
+// ownership of the jobs it is handed, so each op copies the workload
+// into slab first: the previous op's engine, and its hold on the slab,
+// are gone by then, and the op's allocations are the engine's own.
+func runOnlineEngine(jobs []*grid.Job, slab []grid.Job, sites []*grid.Site, seed uint64) error {
+	o, err := sched.NewOnline(sched.RunConfig{
+		Sites:         sites,
+		Scheduler:     heuristics.NewMCT(grid.FRiskyPolicy(0.5)),
+		BatchInterval: 5000,
+		Rand:          rng.New(seed),
+	})
+	if err != nil {
+		return err
+	}
+	for k, j := range jobs {
+		slab[k] = *j
+		if err := o.Submit(&slab[k]); err != nil {
+			return err
+		}
+	}
+	_, err = o.Drain()
+	return err
+}
+
 // dagScaleBatch generates the DAG-mode scale-axis workload: the m-site
 // scaleBatch platform, a layered dependent batch of n jobs, and the
 // upward-rank column exactly as the engine computes it (every
@@ -411,7 +476,7 @@ var placedEvent = api.Event{Seq: 48213, Kind: "placed", Time: 615000, Job: 20417
 
 // post serves one JSON request through the handler in process and fails
 // the benchmark on a non-2xx answer.
-func post(b *testing.B, hd http.Handler, path string, body any) {
+func post(b testing.TB, hd http.Handler, path string, body any) {
 	raw, err := json.Marshal(body)
 	if err != nil {
 		b.Fatal(err)
@@ -741,59 +806,79 @@ func submitDecodeCase(jobs int) func(b *testing.B) {
 // would serve.
 func eventStreamCase(records bool) func(b *testing.B) {
 	return func(b *testing.B) {
-		const page = 560
-		_, sites := benchBatch(0)
-		tenants := []string{"gold", "silver", "bronze", "iron"}
-		cfg := server.Config{Sites: sites, Algo: "minmin", Manual: true, BatchInterval: 5000}
-		for _, id := range tenants {
-			cfg.Tenants = append(cfg.Tenants, api.TenantSpec{ID: id})
-		}
-		srv, err := server.New(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer srv.Stop(false)
-		hd := srv.Handler()
-		// Each job leaves arrived, placed and completed behind.
-		r := rng.New(6)
-		at := 0.0
-		for n := 0; 3*n < page; n += 40 {
-			specs := make([]api.JobSpec, 40)
-			for i := range specs {
-				specs[i] = api.JobSpec{Arrival: &at, Workload: 1000 + r.Float64()*200000, Nodes: 1, SD: r.Uniform(0.6, 0.9)}
-			}
-			post(b, hd, "/v2/tenants/"+tenants[n/40%len(tenants)]+"/jobs", api.SubmitRequest{Jobs: specs})
-			at += 5000
-			post(b, hd, "/v2/advance", api.AdvanceRequest{To: at})
-		}
-		post(b, hd, "/v2/advance", api.AdvanceRequest{To: at + 1e7})
-		if !records {
-			daemon := hd
-			hd = http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-				req.Header.Del("Accept")
-				daemon.ServeHTTP(w, req)
-			})
-		}
-		ts := httptest.NewServer(hd)
-		defer ts.Close()
-		c := client.New(ts.URL).WithHTTPClient(ts.Client())
+		c, stop := eventStreamDaemon(b, records)
+		defer stop()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			es := c.Events(context.Background(), client.EventsOptions{Max: page})
-			n := 0
-			for {
-				if _, err := es.Next(); err == io.EOF {
-					break
-				} else if err != nil {
-					b.Fatal(err)
-				}
-				n++
-			}
-			if n != page {
-				b.Fatalf("read %d events, want a page of %d", n, page)
+			if err := readEventPage(c); err != nil {
+				b.Fatal(err)
 			}
 		}
 	}
+}
+
+// eventPage is the EventStream cases' page size.
+const eventPage = 560
+
+// eventStreamDaemon serves the EventStream cases' daemon on a loopback
+// listener, its log holding at least a page of events from four
+// tenants, and returns a client for it. Without records, the daemon
+// ignores the client's Accept header and answers NDJSON.
+func eventStreamDaemon(tb testing.TB, records bool) (*client.Client, func()) {
+	_, sites := benchBatch(0)
+	tenants := []string{"gold", "silver", "bronze", "iron"}
+	cfg := server.Config{Sites: sites, Algo: "minmin", Manual: true, BatchInterval: 5000}
+	for _, id := range tenants {
+		cfg.Tenants = append(cfg.Tenants, api.TenantSpec{ID: id})
+	}
+	srv, err := server.New(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	hd := srv.Handler()
+	// Each job leaves arrived, placed and completed behind.
+	r := rng.New(6)
+	at := 0.0
+	for n := 0; 3*n < eventPage; n += 40 {
+		specs := make([]api.JobSpec, 40)
+		for i := range specs {
+			specs[i] = api.JobSpec{Arrival: &at, Workload: 1000 + r.Float64()*200000, Nodes: 1, SD: r.Uniform(0.6, 0.9)}
+		}
+		post(tb, hd, "/v2/tenants/"+tenants[n/40%len(tenants)]+"/jobs", api.SubmitRequest{Jobs: specs})
+		at += 5000
+		post(tb, hd, "/v2/advance", api.AdvanceRequest{To: at})
+	}
+	post(tb, hd, "/v2/advance", api.AdvanceRequest{To: at + 1e7})
+	if !records {
+		daemon := hd
+		hd = http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+			req.Header.Del("Accept")
+			daemon.ServeHTTP(w, req)
+		})
+	}
+	ts := httptest.NewServer(hd)
+	return client.New(ts.URL).WithHTTPClient(ts.Client()), func() {
+		ts.Close()
+		srv.Stop(false)
+	}
+}
+
+// readEventPage reads one page of eventPage events through c.
+func readEventPage(c *client.Client) error {
+	es := c.Events(context.Background(), client.EventsOptions{Max: eventPage})
+	n := 0
+	for {
+		if _, err := es.Next(); err == io.EOF {
+			break
+		} else if err != nil {
+			return err
+		}
+		n++
+	}
+	if n != eventPage {
+		return fmt.Errorf("read %d events, want a page of %d", n, eventPage)
+	}
+	return nil
 }
 
 // Suite returns the benchmark cases: the kernel path, then the event
@@ -895,32 +980,10 @@ func Suite() []Case {
 		{Name: "FitnessEval/nas/pop=200", Smoke: true, F: fitnessEvalCase(21, 200)},
 		{Name: "FitnessPath/full-decode/batch=50", Smoke: true, F: fitnessPathCase(50, 20, 200)},
 		{Name: "FitnessPath/full-decode/batch=200", Smoke: false, F: fitnessPathCase(200, 20, 200)},
-		{Name: "OnlineEngine/jobs=1000", Smoke: true, F: func(b *testing.B) {
-			jobs, sites := benchBatch(1000)
-			for i := range jobs {
-				jobs[i].Arrival = float64(i) * 300
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				o, err := sched.NewOnline(sched.RunConfig{
-					Sites:         sites,
-					Scheduler:     heuristics.NewMCT(grid.FRiskyPolicy(0.5)),
-					BatchInterval: 5000,
-					Rand:          rng.New(uint64(i)),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, j := range jobs {
-					if err := o.Submit(j); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if _, err := o.Drain(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
+		{Name: "OnlineEngine/jobs=1000", Smoke: true, F: onlineEngineCase(onlineEngineJobs)},
+		// The same engine loop on a layered DAG: the dependency tracker's
+		// edge path (hold, release, upward ranks) on every round.
+		{Name: "OnlineEngine/dag/jobs=1000", Smoke: true, F: onlineEngineCase(onlineEngineDAGJobs)},
 		// The event line's codec (DESIGN.md §9): both directions are gated
 		// on allocations — encode at zero into a warm buffer, decode at
 		// the two strings it has to copy.

@@ -9,6 +9,7 @@ import (
 	"io"
 	"mime"
 	"net/http"
+	"sync"
 	"time"
 
 	"trustgrid/internal/api"
@@ -46,7 +47,8 @@ type EventStream struct {
 	cursor   int64 // next sequence number to ask for
 	body     io.ReadCloser
 	sc       *bufio.Scanner // an NDJSON body
-	br       *bufio.Reader  // a body of event frames
+	br       *bufio.Reader  // a body of event frames, from frameReaders
+	dec      api.EventDecoder
 	started  bool
 	resumed  bool          // the open connection is a redial
 	progress bool          // events delivered since the last (re)dial
@@ -76,7 +78,8 @@ func (s *EventStream) dial() error {
 	}
 	s.body = resp.Body
 	if typ, _, _ := mime.ParseMediaType(resp.Header.Get("Content-Type")); typ == api.EventRecordsType {
-		s.br = bufio.NewReaderSize(resp.Body, 64<<10)
+		s.br = frameReaders.Get().(*bufio.Reader)
+		s.br.Reset(resp.Body)
 	} else {
 		s.sc = bufio.NewScanner(resp.Body)
 		s.sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -89,9 +92,17 @@ func (s *EventStream) dial() error {
 func (s *EventStream) closeBody() {
 	if s.body != nil {
 		_ = s.body.Close()
+		if s.br != nil {
+			s.br.Reset(nil)
+			frameReaders.Put(s.br)
+		}
 		s.body, s.sc, s.br = nil, nil, nil
 	}
 }
+
+// frameReaders holds the 64 KiB readers of event-frame bodies across
+// dials and streams: a replay round dials once per page.
+var frameReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
 
 // errCorrupt marks a line or frame that arrived whole and does not
 // decode: what sent it is not the daemon.
@@ -116,7 +127,7 @@ func scanLines(data []byte, atEOF bool) (int, []byte, error) {
 // body cut inside an event included, as the transport's.
 func (s *EventStream) read(ev *api.Event) error {
 	if s.br != nil {
-		err := api.ReadEventFrame(s.br, ev)
+		err := s.dec.ReadFrame(s.br, ev)
 		if errors.Is(err, api.ErrEventRecord) {
 			return fmt.Errorf("%w: %w", errCorrupt, err)
 		}

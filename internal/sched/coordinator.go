@@ -79,11 +79,16 @@ type Coordinator struct {
 	shards  []Shard
 	parts   [][]int
 	nSites  int
-	onEvent func(EngineEvent)
+	onEvent func(*EngineEvent)
 	// buf[s] collects shard s's events during a barrier. Only shard s's
 	// goroutine appends to buf[s] while the fan-out runs; the merge on
-	// the driving goroutine happens strictly after the join.
-	buf [][]EngineEvent
+	// the driving goroutine happens strictly after the join, and heads
+	// is its cursor per buffer.
+	buf   [][]EngineEvent
+	heads []int
+	// one holds a single shard's event while onEvent reads it, so the
+	// pass-through hands out a pointer without the event escaping.
+	one EngineEvent
 }
 
 // NewCoordinator builds one in-process engine per config and attaches
@@ -97,7 +102,11 @@ func NewCoordinator(cc CoordinatorConfig) (*Coordinator, error) {
 		}
 		shards[i] = o
 	}
-	return AttachCoordinator(cc.Parts, shards, cc.OnEvent)
+	var onEvent func(*EngineEvent)
+	if cc.OnEvent != nil {
+		onEvent = func(ev *EngineEvent) { cc.OnEvent(*ev) }
+	}
+	return AttachCoordinator(cc.Parts, shards, onEvent)
 }
 
 // AttachCoordinator builds the coordinator over shards that already
@@ -108,9 +117,11 @@ func NewCoordinator(cc CoordinatorConfig) (*Coordinator, error) {
 // reports; together the parts hold each of 0..n-1 once. onEvent
 // receives the merged stream — ascending time, shard index breaking
 // ties, global site indices — on the goroutine driving AdvanceTo/Drain,
-// after the barrier joins, never concurrently. It replaces each shard's
-// event sink, so an OnEvent set on an engine's RunConfig never fires.
-func AttachCoordinator(parts [][]int, shards []Shard, onEvent func(EngineEvent)) (*Coordinator, error) {
+// after the barrier joins, never concurrently. The event it is handed
+// is the coordinator's until onEvent returns: it reads it in place and
+// must not keep the pointer. It replaces each shard's event sink, so an
+// OnEvent set on an engine's RunConfig never fires.
+func AttachCoordinator(parts [][]int, shards []Shard, onEvent func(*EngineEvent)) (*Coordinator, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("sched: coordinator needs at least one shard")
 	}
@@ -148,6 +159,7 @@ func AttachCoordinator(parts [][]int, shards []Shard, onEvent func(EngineEvent))
 		nSites:  nSites,
 		onEvent: onEvent,
 		buf:     make([][]EngineEvent, len(shards)),
+		heads:   make([]int, len(shards)),
 	}
 	c.wireSinks()
 	return c, nil
@@ -160,7 +172,14 @@ func AttachCoordinator(parts [][]int, shards []Shard, onEvent func(EngineEvent))
 // fire), per-shard remap-and-buffer closures otherwise.
 func (c *Coordinator) wireSinks() {
 	if len(c.shards) == 1 {
-		c.shards[0].SetEventSink(c.onEvent)
+		if c.onEvent == nil {
+			c.shards[0].SetEventSink(nil)
+			return
+		}
+		c.shards[0].SetEventSink(func(ev EngineEvent) {
+			c.one = ev
+			c.onEvent(&c.one)
+		})
 		return
 	}
 	for i, o := range c.shards {
@@ -220,22 +239,19 @@ func (c *Coordinator) Owner(tenantID string) int {
 	return RouteTenant(tenantID, len(c.shards))
 }
 
-// flush merges the per-shard barrier buffers into the total order and
-// delivers them. Driving goroutine only, after the barrier join. A
-// single-shard coordinator never buffers, so this is a no-op there.
+// flush delivers the per-shard barrier buffers in the total order,
+// straight out of the buffers, and empties them. Driving goroutine
+// only, after the barrier join. A single-shard coordinator never
+// buffers, so this is a no-op there.
 func (c *Coordinator) flush() {
 	if len(c.shards) == 1 {
 		return
 	}
-	merged := MergeShardEvents(c.buf)
+	if c.onEvent != nil {
+		mergeShardEvents(c.buf, c.heads, c.onEvent)
+	}
 	for i := range c.buf {
 		c.buf[i] = c.buf[i][:0]
-	}
-	if c.onEvent == nil {
-		return
-	}
-	for _, ev := range merged {
-		c.onEvent(ev)
 	}
 }
 

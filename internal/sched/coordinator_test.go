@@ -272,7 +272,7 @@ func TestCoordinatorAccessorsAndRestore(t *testing.T) {
 		}
 	}
 	var eventsB []sched.EngineEvent
-	coordB, err := sched.AttachCoordinator(parts, restored, func(ev sched.EngineEvent) { eventsB = append(eventsB, ev) })
+	coordB, err := sched.AttachCoordinator(parts, restored, func(ev *sched.EngineEvent) { eventsB = append(eventsB, *ev) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,8 @@ func (d *DynamicsConfig) check(sites []*grid.Site) error {
 // manifests (start + busy), then queues an evAttempt event at that time,
 // so the whole pending outcome is plain data a snapshot can serialize
 // and a restore can re-queue. On dynamic grids a crash interrupts it by
-// setting cancelled; its event then no-ops.
+// setting cancelled; its event then no-ops. An attempt is also what an
+// engine slot holds for a pending arrival: its job alone.
 type attempt struct {
 	job       *grid.Job
 	site      int
@@ -80,7 +81,7 @@ type dynState struct {
 	declared  []float64
 	trueSL    []float64
 	reps      []*fuzzy.Reputation // nil without reputation feedback
-	inflight  [][]*attempt
+	inflight  [][]int32           // per site, the slots of its attempts in flight
 }
 
 // newDynState builds the dynamic state for a validated config over the
@@ -93,7 +94,7 @@ func newDynState(cfg *DynamicsConfig, sites []*grid.Site) (*dynState, error) {
 		baseSpeed: make([]float64, len(sites)),
 		declared:  make([]float64, len(sites)),
 		trueSL:    make([]float64, len(sites)),
-		inflight:  make([][]*attempt, len(sites)),
+		inflight:  make([][]int32, len(sites)),
 	}
 	for i, s := range sites {
 		d.alive[i] = true
@@ -127,26 +128,28 @@ func (d *dynState) anyAlive() bool {
 	return false
 }
 
-// launch queues an attempt's outcome event at at and, on dynamic grids,
-// registers the attempt in its site's in-flight list so a crash can
-// cancel it.
-func (st *engineState) launch(att *attempt, at float64) {
-	st.schedule(event{at: at, kind: evAttempt, att: att})
+// launch queues the outcome event of the attempt in slot ref at at and,
+// on dynamic grids, registers the attempt in its site's in-flight list
+// so a crash can cancel it.
+func (st *engineState) launch(ref int32, at float64) {
+	st.schedule(event{at: at, kind: evAttempt, ref: ref})
 	if st.dyn != nil {
-		st.dyn.inflight[att.site] = append(st.dyn.inflight[att.site], att)
+		site := st.slots[ref].site
+		st.dyn.inflight[site] = append(st.dyn.inflight[site], ref)
 	}
 }
 
-// untrack removes an attempt that ran to its scheduled completion or
-// failure from its site's in-flight list.
-func (st *engineState) untrack(att *attempt) {
+// untrack removes the attempt in slot ref, which ran to its scheduled
+// completion or failure, from its site's in-flight list.
+func (st *engineState) untrack(ref int32) {
 	if st.dyn == nil {
 		return
 	}
-	list := st.dyn.inflight[att.site]
+	site := st.slots[ref].site
+	list := st.dyn.inflight[site]
 	for i, x := range list {
-		if x == att {
-			st.dyn.inflight[att.site] = append(list[:i], list[i+1:]...)
+		if x == ref {
+			st.dyn.inflight[site] = append(list[:i], list[i+1:]...)
 			return
 		}
 	}
@@ -202,9 +205,11 @@ func (st *engineState) applyChurn(ev grid.ChurnEvent) {
 				Level: site.SecurityLevel})
 		}
 		requeued := 0
-		for _, att := range d.inflight[i] {
+		for _, ref := range d.inflight[i] {
 			// The outcome event stays on the queue and no-ops; a
-			// snapshot skips it.
+			// snapshot skips it. Nothing below takes a slot, so att
+			// stays valid.
+			att := &st.slots[ref]
 			att.cancelled = true
 			// Reverse the dispatch-time occupancy charge and charge only
 			// the time the site actually spent before crashing.
@@ -213,8 +218,10 @@ func (st *engineState) applyChurn(ev grid.ChurnEvent) {
 				st.busy[i] += occ
 			}
 			j := att.job
-			st.interrupted[j.ID]++
-			if st.interrupted[j.ID] > maxRetries {
+			f := st.flags[j.ID]
+			f.interrupted++
+			st.flags[j.ID] = f
+			if f.interrupted > maxRetries {
 				st.fail(fmt.Errorf("sched: job %d interrupted more than %d times (site churn too hostile)",
 					j.ID, maxRetries))
 				return

@@ -67,6 +67,15 @@ type RunConfig struct {
 	Admission *AdmissionConfig
 }
 
+// jobFlags is what the engine remembers of a job across its attempts:
+// whether a placement took a risk (SL < SD) or used the no-eligible-site
+// fallback, whether an attempt failed, and how often a crash interrupted
+// one.
+type jobFlags struct {
+	riskTaken, failed, fellBack bool
+	interrupted                 int
+}
+
 // maxRetries bounds a job's security failures, and separately its churn
 // interruptions, before the run aborts: a job that keeps failing means
 // the platform is infeasible.
@@ -143,16 +152,19 @@ type engineState struct {
 	maxEvents uint64
 	err       error
 
-	queue   []*grid.Job // jobs awaiting dispatch
-	ready   []float64   // per-site earliest free time
-	busy    []float64   // per-site accumulated occupied time
+	queue []*grid.Job // jobs awaiting dispatch
+	// spare is the queue's second buffer: runBatch hands the queue to
+	// the round and takes spare as the new queue, and the round's
+	// batch comes back as spare, so a steady-state round allocates no
+	// queue.
+	spare   []*grid.Job
+	ready   []float64 // per-site earliest free time
+	busy    []float64 // per-site accumulated occupied time
 	records []metrics.JobRecord
-	// riskTaken / failedOnce / fellBack / interrupted track per-job
-	// flags and counts across attempts, keyed by job ID.
-	riskTaken   map[int]bool
-	failed      map[int]bool
-	fellBack    map[int]bool
-	interrupted map[int]int
+	// flags holds what the engine remembers of a job across its
+	// attempts, by job ID, from the first thing worth remembering until
+	// the job completes.
+	flags map[int]jobFlags
 	// dyn is the dynamic-grid state (nil on static runs).
 	dyn *dynState
 	// adm is the fair-share batch former (nil without RunConfig.Admission).
@@ -174,8 +186,15 @@ type engineState struct {
 	failRand  *rng.Stream
 	timeRand  *rng.Stream
 	batchOpen bool // a batch event is already scheduled
-	// kb rebuilds the columnar snapshot each round into reused storage.
-	kb kernel.Builder
+	// slots holds the payload of every pending arrival and attempt
+	// event, which the event names by its index (event.ref); free lists
+	// the slots whose events have fired, for hold to reuse.
+	slots []attempt
+	free  []int32
+	// kb rebuilds the columnar snapshot each round into reused storage,
+	// and round is the State each round hands its scheduler.
+	kb    kernel.Builder
+	round State
 	// phases holds one wall-clock histogram per round phase. It is
 	// observability only: wall time never reaches an event or a WAL
 	// record, so the determinism contract is untouched.
@@ -230,16 +249,29 @@ func (st *engineState) arrive(j *grid.Job) {
 }
 
 // ensureBatch schedules the next periodic scheduling round if none is
-// pending. Rounds fire on the Δ grid (⌈now/Δ⌉·Δ), matching the paper's
-// periodic model: jobs accumulate and are scheduled in batches.
+// pending. Rounds fire on the Δ grid, matching the paper's periodic
+// model: jobs accumulate and are scheduled in batches.
 func (st *engineState) ensureBatch() {
 	if st.batchOpen {
 		return
 	}
 	st.batchOpen = true
+	st.schedule(event{at: st.nextRound(st.now), kind: evBatch})
+}
+
+// nextRound returns the first Δ-grid instant float64(k)·Δ that lies
+// strictly after the clock and at or after notBefore. It starts from
+// k = ⌊now/Δ⌋+1 and steps k up, so the grid is the float grid: when Δ
+// is not exact in binary, now/Δ at a rounded instant kΔ lands just
+// below k, and without the step the "next" round would be armed at the
+// current instant. At an integer Δ the step never runs.
+func (st *engineState) nextRound(notBefore float64) float64 {
 	delta := st.cfg.BatchInterval
-	k := int(st.now/delta) + 1
-	st.schedule(event{at: float64(k) * delta, kind: evBatch})
+	k := max(int(st.now/delta)+1, int(notBefore/delta))
+	for t := float64(k) * delta; t <= st.now || t < notBefore; t = float64(k) * delta {
+		k++
+	}
+	return float64(k) * delta
 }
 
 // holdUntilRejoin arms the round a total outage holds at the first
@@ -252,7 +284,7 @@ func (st *engineState) ensureBatch() {
 func (st *engineState) holdUntilRejoin() {
 	next := math.Inf(1)
 	for _, ev := range st.events {
-		if ev.kind == evChurn && ev.at < next && st.dyn.cfg.Churn[ev.churn].Kind == grid.ChurnJoin {
+		if ev.kind == evChurn && ev.at < next && st.dyn.cfg.Churn[ev.ref].Kind == grid.ChurnJoin {
 			next = ev.at
 		}
 	}
@@ -260,13 +292,8 @@ func (st *engineState) holdUntilRejoin() {
 		st.fail(fmt.Errorf("sched: every site departed with %d jobs queued and no rejoin pending", len(st.queue)))
 		return
 	}
-	delta := st.cfg.BatchInterval
-	k := max(int(st.now/delta)+1, int(next/delta))
-	for float64(k)*delta < next {
-		k++
-	}
 	st.batchOpen = true
-	st.schedule(event{at: float64(k) * delta, kind: evBatch})
+	st.schedule(event{at: st.nextRound(next), kind: evBatch})
 }
 
 // runBatch drains the queue through the scheduler and dispatches the
@@ -283,16 +310,17 @@ func (st *engineState) runBatch() {
 		return
 	}
 	start := time.Now()
-	batch := st.queue
-	st.queue = nil
+	queued := st.queue
+	st.queue, st.spare = st.spare[:0], nil
+	batch := queued
 	if st.adm != nil {
 		var leftover []*grid.Job
-		batch, leftover = st.adm.form(batch)
+		batch, leftover = st.adm.form(queued)
 		if len(leftover) > 0 {
 			// Rationed round: the remainder stays queued and the next
 			// Δ-round is armed now, so a saturated backlog keeps draining
 			// at budget jobs per round even with no further arrivals.
-			st.queue = leftover
+			st.queue = append(st.queue, leftover...)
 			st.ensureBatch()
 		}
 	}
@@ -301,7 +329,8 @@ func (st *engineState) runBatch() {
 	if len(batch) > st.largest {
 		st.largest = len(batch)
 	}
-	state := &State{Now: st.now, Sites: st.cfg.Sites, Ready: st.ready, Alive: st.aliveVec()}
+	st.round = State{Now: st.now, Sites: st.cfg.Sites, Ready: st.ready, Alive: st.aliveVec()}
+	state := &st.round
 	formed := time.Now()
 	// Build the columnar snapshot once per round; every scheduler
 	// (including the online daemon path, which drives this same batch
@@ -323,6 +352,10 @@ func (st *engineState) runBatch() {
 	for _, a := range as {
 		st.dispatch(a)
 	}
+	// The round is over and no scheduler retains its batch: the queue's
+	// old buffer becomes the next round's spare.
+	clear(queued)
+	st.spare = queued[:0]
 	st.phases[PhaseDispatch].Observe(time.Since(scheduled))
 }
 
@@ -382,13 +415,13 @@ func (st *engineState) dispatch(a Assignment) {
 	}
 	exec := site.ExecTime(job)
 
-	if a.FellBack {
-		st.fellBack[job.ID] = true
-	}
 	effSL := st.effectiveSL(a.Site)
 	risky := st.cfg.Security.Risky(job.SecurityDemand, effSL)
-	if risky {
-		st.riskTaken[job.ID] = true
+	if a.FellBack || risky {
+		f := st.flags[job.ID]
+		f.fellBack = f.fellBack || a.FellBack
+		f.riskTaken = f.riskTaken || risky
+		st.flags[job.ID] = f
 	}
 	st.emit(EngineEvent{
 		Kind: EventPlaced, Time: st.now, Job: *job, Site: a.Site,
@@ -409,21 +442,27 @@ func (st *engineState) dispatch(a Assignment) {
 	at := start + busy
 	st.ready[a.Site] = at
 	st.busy[a.Site] += busy
-	st.launch(&attempt{job: job, site: a.Site, start: start, busy: busy, fails: fails}, at)
+	st.launch(st.hold(attempt{job: job, site: a.Site, start: start, busy: busy, fails: fails}), at)
 }
 
-// finishAttempt executes an attempt's outcome when its event fires: the
-// Eq. 1 security failure when att.fails, the completion otherwise.
-func (st *engineState) finishAttempt(att *attempt) {
+// finishAttempt executes the outcome of the attempt in slot ref when its
+// event fires: the Eq. 1 security failure when it fails, the completion
+// otherwise.
+func (st *engineState) finishAttempt(ref int32) {
+	if !st.slots[ref].cancelled {
+		st.untrack(ref)
+	}
+	att := st.release(ref)
 	if att.cancelled {
 		// The site crashed first; the job already re-queued.
 		return
 	}
-	st.untrack(att)
 	job := att.job
 
 	if att.fails {
-		st.failed[job.ID] = true
+		f := st.flags[job.ID]
+		f.failed = true
+		st.flags[job.ID] = f
 		job.Failures++
 		if job.Failures > maxRetries {
 			st.fail(fmt.Errorf("sched: job %d exceeded %d retries (site %d); platform likely infeasible",
@@ -443,6 +482,12 @@ func (st *engineState) finishAttempt(att *attempt) {
 		return
 	}
 
+	// The job is done, and so is its entry: kept, it would grow the map
+	// without bound in a long-running online engine.
+	f, flagged := st.flags[job.ID]
+	if flagged {
+		delete(st.flags, job.ID)
+	}
 	rec := metrics.JobRecord{
 		ID:             job.ID,
 		Tenant:         job.Tenant,
@@ -450,10 +495,10 @@ func (st *engineState) finishAttempt(att *attempt) {
 		Start:          att.start,
 		Completion:     st.now,
 		Site:           att.site,
-		TookRisk:       st.riskTaken[job.ID],
-		Failed:         st.failed[job.ID],
-		FellBack:       st.fellBack[job.ID],
-		Interrupted:    st.interrupted[job.ID] > 0,
+		TookRisk:       f.riskTaken,
+		Failed:         f.failed,
+		FellBack:       f.fellBack,
+		Interrupted:    f.interrupted > 0,
 		Deadline:       job.Deadline,
 		MissedDeadline: job.Deadline > 0 && st.now > job.Deadline,
 	}
@@ -461,12 +506,6 @@ func (st *engineState) finishAttempt(att *attempt) {
 		st.records = append(st.records, rec)
 	}
 	st.acc.Add(rec)
-	// The job is done; its flag entries would otherwise grow without
-	// bound in a long-running online engine.
-	delete(st.riskTaken, job.ID)
-	delete(st.failed, job.ID)
-	delete(st.fellBack, job.ID)
-	delete(st.interrupted, job.ID)
 	st.remaining--
 	ev := EngineEvent{
 		Kind: EventCompleted, Time: st.now, Job: *job, Site: att.site,

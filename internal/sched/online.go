@@ -58,18 +58,15 @@ func newOnline(cfg RunConfig, snap *EngineSnapshot) (*Online, error) {
 		o.cfg.Sites = sites
 	}
 	o.st = &engineState{
-		cfg:         &o.cfg,
-		ready:       make([]float64, len(cfg.Sites)),
-		busy:        make([]float64, len(cfg.Sites)),
-		records:     make([]metrics.JobRecord, 0, len(cfg.Jobs)),
-		riskTaken:   make(map[int]bool, len(cfg.Jobs)),
-		failed:      make(map[int]bool, len(cfg.Jobs)),
-		fellBack:    make(map[int]bool, len(cfg.Jobs)),
-		interrupted: make(map[int]int),
-		deps:        dag.NewTracker(),
-		failRand:    cfg.Rand.Derive("engine/failures"),
-		timeRand:    cfg.Rand.Derive("engine/failtime"),
-		events:      make(eventQueue, 0, 1024),
+		cfg:      &o.cfg,
+		ready:    make([]float64, len(cfg.Sites)),
+		busy:     make([]float64, len(cfg.Sites)),
+		records:  make([]metrics.JobRecord, 0, len(cfg.Jobs)),
+		flags:    make(map[int]jobFlags, len(cfg.Jobs)),
+		deps:     dag.NewTracker(),
+		failRand: cfg.Rand.Derive("engine/failures"),
+		timeRand: cfg.Rand.Derive("engine/failtime"),
+		events:   make(eventQueue, 0, 1024),
 	}
 	if o.cfg.Admission != nil {
 		o.st.adm = newAdmState(o.cfg.Admission)
@@ -102,7 +99,7 @@ func newOnline(cfg RunConfig, snap *EngineSnapshot) (*Online, error) {
 			if snap != nil && ev.Time <= snap.Now {
 				continue
 			}
-			o.st.schedule(event{at: ev.Time, kind: evChurn, churn: int32(i)})
+			o.st.schedule(event{at: ev.Time, kind: evChurn, ref: int32(i)})
 		}
 	}
 
@@ -115,17 +112,21 @@ func newOnline(cfg RunConfig, snap *EngineSnapshot) (*Online, error) {
 		sort.SliceStable(jobs, func(i, k int) bool { return jobs[i].Arrival < jobs[k].Arrival })
 		for _, j := range jobs {
 			o.st.deps.Hand(j.ID)
-			o.st.schedule(event{at: j.Arrival, kind: evArrival, job: j})
+			o.st.schedule(event{at: j.Arrival, kind: evArrival, ref: o.st.hold(attempt{job: j})})
 		}
 	}
 	o.st.setGuard()
 	return o, nil
 }
 
-// Submit clones j and puts its arrival on the engine's event queue.
-// The job's Arrival is a lower bound: if the clock has passed it, the
-// arrival is clamped to the clock. Arrivals execute in (timestamp,
-// submission order). Loop goroutine only.
+// Submit puts j's arrival on the engine's event queue and takes
+// ownership of j: from this call on the engine mutates it as the job
+// runs (the arrival clamp, MustBeSafe, Failures) and reads it until the
+// job completes, so the caller must not touch j again. A caller that
+// hands the same job to more than one engine, or reuses it, submits a
+// Clone. The job's Arrival is a lower bound: if the clock has passed
+// it, the arrival is clamped to the clock. Arrivals execute in
+// (timestamp, submission order). Loop goroutine only.
 func (o *Online) Submit(j *grid.Job) error {
 	if err := j.Validate(); err != nil {
 		return err
@@ -135,7 +136,7 @@ func (o *Online) Submit(j *grid.Job) error {
 		at = o.st.now
 	}
 	o.st.deps.Hand(j.ID)
-	o.st.schedule(event{at: at, kind: evArrival, job: j.Clone()})
+	o.st.schedule(event{at: at, kind: evArrival, ref: o.st.hold(attempt{job: j})})
 	return nil
 }
 

@@ -127,8 +127,10 @@ func TestOnlineClampsStaleArrivals(t *testing.T) {
 	if res.Records[0].Arrival != 1000 {
 		t.Fatalf("record arrival %v, want 1000", res.Records[0].Arrival)
 	}
-	if stale.Arrival != 50 {
-		t.Fatalf("caller's job mutated: arrival %v", stale.Arrival)
+	// Submit took ownership: the job the engine clamped is the one handed
+	// in, not a copy of it.
+	if stale.Arrival != 1000 {
+		t.Fatalf("submitted job's arrival %v, want the engine's clamp 1000", stale.Arrival)
 	}
 }
 
@@ -169,5 +171,48 @@ func TestOnlineDiscardRecords(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Summary, want.Summary) {
 		t.Fatalf("incremental summary differs:\n got %+v\nwant %+v", got.Summary, want.Summary)
+	}
+}
+
+// TestRoundInstantsOnFloatGrid: a rationed backlog drains one job per
+// Δ-round, and each round is armed at the first float64(k)·Δ strictly
+// after the clock, so no two rounds share an instant even when Δ is not
+// exact in binary and kΔ/Δ rounds to just below k.
+func TestRoundInstantsOnFloatGrid(t *testing.T) {
+	for _, delta := range []float64{0.1, 0.3, 0.7} {
+		var placed []float64
+		o, err := sched.NewOnline(sched.RunConfig{
+			Sites:         []*grid.Site{{ID: 0, Speed: 1e6, Nodes: 8, SecurityLevel: 0.95}},
+			Scheduler:     heuristics.NewMinMin(grid.SecurePolicy()),
+			BatchInterval: delta,
+			Rand:          rng.New(1),
+			Admission:     &sched.AdmissionConfig{RoundBudget: 1},
+			OnEvent: func(ev sched.EngineEvent) {
+				if ev.Kind == sched.EventPlaced {
+					placed = append(placed, ev.Time)
+				}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 400
+		for i := 0; i < n; i++ {
+			if err := o.Submit(&grid.Job{ID: i, Workload: 1, Nodes: 1, SecurityDemand: 0.6}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := o.Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if len(placed) != n || o.Batches() != n {
+			t.Fatalf("Δ=%v: %d placements in %d rounds, want %d of each", delta, len(placed), o.Batches(), n)
+		}
+		for i, at := range placed {
+			if want := float64(i+1) * delta; at != want {
+				t.Fatalf("Δ=%v: round %d ran at t=%v, want the grid instant %v (previous round at %v)",
+					delta, i, at, want, placed[max(i-1, 0)])
+			}
+		}
 	}
 }

@@ -3,37 +3,34 @@ package sched
 import (
 	"fmt"
 	"math"
-
-	"trustgrid/internal/grid"
 )
 
 // evKind says what a queued event does when it fires.
 type evKind uint8
 
 const (
-	evArrival evKind = iota // admit event.job
+	evArrival evKind = iota // admit the job in slot event.ref
 	evBatch                 // run the armed Δ-round
-	evAttempt               // the outcome of event.att
-	evChurn                 // apply cfg.Dynamics.Churn[event.churn]
+	evAttempt               // the outcome of the attempt in slot event.ref
+	evChurn                 // apply cfg.Dynamics.Churn[event.ref]
 )
 
 // event is one entry of the engine's queue: plain data, so a snapshot
-// reads the queue itself. Each kind uses one reference: the job of an
-// arrival, the attempt of an outcome, the churn trace index of a churn
-// event; a batch needs none.
+// reads the queue itself. Each kind uses one reference: the slot
+// (engineState.slots) of an arrival's job or of an attempt, the churn
+// trace index of a churn event; a batch needs none. An event holds no
+// pointer, so the heap's moves are copies the garbage collector never
+// has to see.
 type event struct {
-	at    float64 // absolute simulation time
-	seq   uint64  // tie-breaker: scheduling order
-	job   *grid.Job
-	att   *attempt
-	churn int32
-	kind  evKind
+	at   float64 // absolute simulation time
+	seq  uint64  // tie-breaker: scheduling order
+	ref  int32
+	kind evKind
 }
 
-// eventQueue is a 4-ary min-heap of events ordered by (at, seq). An
-// event holds pointers, so each move is a write the garbage collector
-// may have to see: the sifts move a hole rather than swap, and four
-// children a node halve the levels a pop moves through.
+// eventQueue is a 4-ary min-heap of events ordered by (at, seq): the
+// sifts move a hole rather than swap, and four children a node halve
+// the levels a pop moves through.
 type eventQueue []event
 
 func (a *event) before(b *event) bool {
@@ -64,7 +61,6 @@ func (q *eventQueue) pop() event {
 	h := *q
 	top, n := h[0], len(h)-1
 	last := h[n]
-	h[n] = event{} // release the references for GC
 	h = h[:n]
 	*q = h
 	if n == 0 {
@@ -104,6 +100,28 @@ func (st *engineState) schedule(ev event) {
 	st.events.push(ev)
 }
 
+// hold stores the payload of a pending arrival or attempt event in a
+// free slot and returns the slot, for the event's ref.
+func (st *engineState) hold(a attempt) int32 {
+	if n := len(st.free); n > 0 {
+		ref := st.free[n-1]
+		st.free = st.free[:n-1]
+		st.slots[ref] = a
+		return ref
+	}
+	st.slots = append(st.slots, a)
+	return int32(len(st.slots) - 1)
+}
+
+// release empties a slot whose event has fired, for hold to reuse, and
+// returns what it held.
+func (st *engineState) release(ref int32) attempt {
+	a := st.slots[ref]
+	st.slots[ref] = attempt{}
+	st.free = append(st.free, ref)
+	return a
+}
+
 // fail stops the run loop for good; every later run returns err.
 func (st *engineState) fail(err error) {
 	if st.err == nil {
@@ -137,13 +155,13 @@ func (st *engineState) run(deadline float64) error {
 		}
 		switch ev.kind {
 		case evArrival:
-			st.arrive(ev.job)
+			st.arrive(st.release(ev.ref).job)
 		case evBatch:
 			st.runBatch()
 		case evAttempt:
-			st.finishAttempt(ev.att)
+			st.finishAttempt(ev.ref)
 		case evChurn:
-			st.applyChurn(st.dyn.cfg.Churn[ev.churn])
+			st.applyChurn(st.dyn.cfg.Churn[ev.ref])
 		}
 	}
 	if st.now < deadline && !math.IsInf(deadline, 1) {

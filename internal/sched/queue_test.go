@@ -88,7 +88,7 @@ func TestQueueHandlerSchedulesAtNow(t *testing.T) {
 	o := queueEngine(t, &got, func(o *Online, ev EngineEvent) {
 		if ev.Job.ID == 0 {
 			o.st.schedule(event{at: o.st.now, kind: evArrival,
-				job: &grid.Job{ID: 1, Workload: 1, Nodes: 1, SecurityDemand: 0.6}})
+				ref: o.st.hold(attempt{job: &grid.Job{ID: 1, Workload: 1, Nodes: 1, SecurityDemand: 0.6}})})
 		}
 	})
 	submitAt(t, o, 0, 5)

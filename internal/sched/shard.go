@@ -109,7 +109,8 @@ func ShardRNGLabel(base string, shards, shard int) string {
 // the merge never reorders within a shard, never drops and never
 // duplicates, whatever the input (FuzzEventMerge pins that). When every
 // buffer is time-sorted (as engine emission order guarantees), the
-// output is globally time-sorted.
+// output is globally time-sorted. The coordinator runs the same merge
+// without the output slice (mergeShardEvents).
 func MergeShardEvents(bufs [][]EngineEvent) []EngineEvent {
 	total := 0
 	for _, b := range bufs {
@@ -119,8 +120,16 @@ func MergeShardEvents(bufs [][]EngineEvent) []EngineEvent {
 		return nil
 	}
 	out := make([]EngineEvent, 0, total)
-	heads := make([]int, len(bufs))
-	for len(out) < total {
+	mergeShardEvents(bufs, make([]int, len(bufs)), func(ev *EngineEvent) { out = append(out, *ev) })
+	return out
+}
+
+// mergeShardEvents hands every event of bufs to fn, in place and in
+// MergeShardEvents' order. heads is the caller's scratch, one cursor per
+// buffer; it is reset here.
+func mergeShardEvents(bufs [][]EngineEvent, heads []int, fn func(*EngineEvent)) {
+	clear(heads)
+	for {
 		best := -1
 		for s, b := range bufs {
 			if heads[s] >= len(b) {
@@ -133,8 +142,10 @@ func MergeShardEvents(bufs [][]EngineEvent) []EngineEvent {
 				best = s
 			}
 		}
-		out = append(out, bufs[best][heads[best]])
+		if best < 0 {
+			return
+		}
+		fn(&bufs[best][heads[best]])
 		heads[best]++
 	}
-	return out
 }

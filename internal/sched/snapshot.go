@@ -210,12 +210,12 @@ func (o *Online) Snapshot() (*EngineSnapshot, error) {
 	for _, ev := range st.events {
 		switch ev.kind {
 		case evArrival:
-			c := *ev.job
+			c := *st.slots[ev.ref].job
 			snap.Pending = append(snap.Pending, PendingItem{
 				Kind: "arrival", Seq: ev.seq, At: ev.at, Job: &c,
 			})
 		case evAttempt:
-			if att := ev.att; !att.cancelled {
+			if att := &st.slots[ev.ref]; !att.cancelled {
 				c := *att.job
 				snap.Pending = append(snap.Pending, PendingItem{
 					Kind: "attempt", Seq: ev.seq, At: ev.at, Job: &c,
@@ -230,12 +230,23 @@ func (o *Online) Snapshot() (*EngineSnapshot, error) {
 	}
 	sort.Slice(snap.Pending, func(i, k int) bool { return snap.Pending[i].Seq < snap.Pending[k].Seq })
 
-	snap.RiskTaken = sortedKeys(st.riskTaken)
-	snap.Failed = sortedKeys(st.failed)
-	snap.FellBack = sortedKeys(st.fellBack)
-	for id, n := range st.interrupted {
-		snap.Interrupted = append(snap.Interrupted, InterruptCount{ID: id, N: n})
+	for id, f := range st.flags {
+		if f.riskTaken {
+			snap.RiskTaken = append(snap.RiskTaken, id)
+		}
+		if f.failed {
+			snap.Failed = append(snap.Failed, id)
+		}
+		if f.fellBack {
+			snap.FellBack = append(snap.FellBack, id)
+		}
+		if f.interrupted > 0 {
+			snap.Interrupted = append(snap.Interrupted, InterruptCount{ID: id, N: f.interrupted})
+		}
 	}
+	sort.Ints(snap.RiskTaken)
+	sort.Ints(snap.Failed)
+	sort.Ints(snap.FellBack)
 	sort.Slice(snap.Interrupted, func(i, k int) bool { return snap.Interrupted[i].ID < snap.Interrupted[k].ID })
 
 	if st.adm != nil {
@@ -292,18 +303,6 @@ func (o *Online) Snapshot() (*EngineSnapshot, error) {
 	return snap, nil
 }
 
-func sortedKeys(m map[int]bool) []int {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // RestoreOnline rebuilds an engine from a snapshot. cfg must be the
 // same configuration that produced it — same platform, scheduler
 // construction (algorithm, seeds, training), batch interval, security
@@ -343,17 +342,22 @@ func (o *Online) restore(snap *EngineSnapshot) error {
 	st.acc.SetState(snap.Acc)
 	st.failRand.SetState(snap.FailRand)
 	st.timeRand.SetState(snap.TimeRand)
+	flag := func(id int, set func(*jobFlags)) {
+		f := st.flags[id]
+		set(&f)
+		st.flags[id] = f
+	}
 	for _, id := range snap.RiskTaken {
-		st.riskTaken[id] = true
+		flag(id, func(f *jobFlags) { f.riskTaken = true })
 	}
 	for _, id := range snap.Failed {
-		st.failed[id] = true
+		flag(id, func(f *jobFlags) { f.failed = true })
 	}
 	for _, id := range snap.FellBack {
-		st.fellBack[id] = true
+		flag(id, func(f *jobFlags) { f.fellBack = true })
 	}
 	for _, ic := range snap.Interrupted {
-		st.interrupted[ic.ID] = ic.N
+		flag(ic.ID, func(f *jobFlags) { f.interrupted = ic.N })
 	}
 	for i := range snap.Queue {
 		j := snap.Queue[i]
@@ -466,7 +470,7 @@ func (o *Online) restore(snap *EngineSnapshot) error {
 				return fmt.Errorf("sched: restore: pending arrival without a job")
 			}
 			c := *it.Job
-			st.schedule(event{at: it.At, kind: evArrival, job: &c})
+			st.schedule(event{at: it.At, kind: evArrival, ref: st.hold(attempt{job: &c})})
 		case "attempt":
 			if it.Job == nil {
 				return fmt.Errorf("sched: restore: pending attempt without a job")
@@ -475,7 +479,7 @@ func (o *Online) restore(snap *EngineSnapshot) error {
 				return fmt.Errorf("sched: restore: pending attempt on invalid site %d", it.Site)
 			}
 			c := *it.Job
-			st.launch(&attempt{job: &c, site: it.Site, start: it.Start, busy: it.Busy, fails: it.Fails}, it.At)
+			st.launch(st.hold(attempt{job: &c, site: it.Site, start: it.Start, busy: it.Busy, fails: it.Fails}), it.At)
 		case "batch":
 			if st.batchOpen {
 				return fmt.Errorf("sched: restore: duplicate pending batch event")
@@ -502,7 +506,7 @@ func (o *Online) NeverPlaced() []grid.Job {
 	st := o.st
 	var out []grid.Job
 	for _, j := range st.queue {
-		if j.Failures == 0 && st.interrupted[j.ID] == 0 {
+		if j.Failures == 0 && st.flags[j.ID].interrupted == 0 {
 			out = append(out, *j)
 		}
 	}
@@ -513,7 +517,7 @@ func (o *Online) NeverPlaced() []grid.Job {
 	}
 	for _, ev := range st.events {
 		if ev.kind == evArrival {
-			out = append(out, *ev.job)
+			out = append(out, *st.slots[ev.ref].job)
 		}
 	}
 	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })

@@ -87,7 +87,10 @@ func snapDrive(t *testing.T, o *sched.Online, jobs []*grid.Job, next *int, from,
 	t.Helper()
 	for tick := from + 300; tick <= to+1e-9; tick += 300 {
 		for *next < len(jobs) && jobs[*next].Arrival <= tick {
-			if err := o.Submit(jobs[*next]); err != nil {
+			// Every cut's run submits the same workload again, and Submit
+			// takes ownership of what it is handed: each engine gets its own
+			// copy.
+			if err := o.Submit(jobs[*next].Clone()); err != nil {
 				t.Fatal(err)
 			}
 			*next++

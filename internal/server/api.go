@@ -1,14 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"mime"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"trustgrid/internal/api"
@@ -32,8 +33,8 @@ type (
 
 type submitRequest = api.SubmitRequest
 
-func wireFromEngine(ev sched.EngineEvent) WireEvent {
-	w := WireEvent{Kind: ev.Kind.String(), Time: ev.Time, Job: ev.Job.ID, Site: ev.Site}
+func wireFromEngine(ev *sched.EngineEvent, w *WireEvent) {
+	*w = WireEvent{Kind: ev.Kind.String(), Time: ev.Time, Job: ev.Job.ID, Site: ev.Site}
 	switch ev.Kind {
 	case sched.EventArrived, sched.EventPlaced, sched.EventFailed,
 		sched.EventCompleted, sched.EventInterrupted, sched.EventReady:
@@ -59,7 +60,6 @@ func wireFromEngine(ev sched.EngineEvent) WireEvent {
 	case sched.EventSiteSpeed:
 		w.Speed = ev.Speed
 	}
-	return w
 }
 
 // Handler returns the service's HTTP API. /v2 is the multi-tenant
@@ -186,13 +186,22 @@ func (s *Server) retryAfterSeconds() int {
 // in this repository makes.
 const maxSubmitBody = 32 << 20
 
-// readBody reads r's body whole, failing with *http.MaxBytesError past
-// maxSubmitBody bytes. The buffer grows with the bytes that arrive: a
-// client that declares a large Content-Length and then stalls holds
-// what it sent, not what it declared.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, maxSubmitBody))
+// readBody reads r's body whole into buf, failing with
+// *http.MaxBytesError past maxSubmitBody bytes. The buffer grows with
+// the bytes that arrive: a client that declares a large Content-Length
+// and then stalls holds what it sent, not what it declared.
+func readBody(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer) error {
+	buf.Reset()
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxSubmitBody))
+	return err
 }
+
+// bodyBufs holds submit bodies' read buffers across requests. A buffer
+// that grew past maxPooledBody is left to the collector rather than
+// pinned for the next small request.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 1 << 20
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tenantID string) {
 	if s.stopped() {
@@ -204,14 +213,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tenantID s
 		httpError(w, http.StatusNotFound, "unknown tenant %q", tenantID)
 		return
 	}
-	body, err := readBody(w, r)
+	body := bodyBufs.Get().(*bytes.Buffer)
+	err := readBody(w, r, body)
+	var req submitRequest
+	if err == nil {
+		// The decoded request shares no bytes with the body.
+		err = api.DecodeSubmitRequest(body.Bytes(), &req)
+	}
+	if body.Cap() <= maxPooledBody {
+		bodyBufs.Put(body)
+	}
 	if mbe := (*http.MaxBytesError)(nil); errors.As(err, &mbe) {
 		httpError(w, http.StatusRequestEntityTooLarge, "request body larger than %d bytes", mbe.Limit)
 		return
-	}
-	var req submitRequest
-	if err == nil {
-		err = api.DecodeSubmitRequest(body, &req)
 	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
@@ -229,6 +243,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tenantID s
 	// rejections). What needs the registry — dependencies and explicit
 	// IDs — is judged in the loop command below, before anything is
 	// claimed; every other reason to 400 is ruled out here.
+	//
+	// The request's jobs live in one slab, handed to the engine job by
+	// job (Submit takes ownership), so a submission allocates per
+	// request, not per job.
+	slab := make([]grid.Job, len(req.Jobs))
 	jobs := make([]*grid.Job, 0, len(req.Jobs))
 	for i, js := range req.Jobs {
 		if !s.cfg.Manual && (js.ID != nil || js.Arrival != nil) {
@@ -236,7 +255,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tenantID s
 				"job %d: id/arrival are server-assigned in live mode (manual mode honors them)", i)
 			return
 		}
-		j := &grid.Job{
+		j := &slab[i]
+		*j = grid.Job{
 			Workload: js.Workload, Nodes: js.Nodes,
 			SecurityDemand: js.SD, Tenant: tenantID,
 			SafeOnly: spec.SecureOnly,
@@ -419,38 +439,38 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 	}
 	flusher, _ := w.(http.Flusher)
-	// One buffer per request takes the events' lines or frames and goes
-	// out in chunks, so a full-window page costs one encode per event
-	// and a bounded amount of memory. It has room for a chunk and one
-	// event past it, so it never grows. An event with a non-finite float
-	// has no line, so neither format carries it.
-	const chunk = 32 << 10
-	buf := make([]byte, 0, chunk+api.MaxEventFrame)
-	emit := func(evs []WireEvent) {
-		for i := range evs {
-			if !evs[i].Finite() {
-				continue
+	// The events' lines or frames are encoded out of the log's ring into
+	// a pooled buffer one chunk at a time, under the log's lock, and
+	// written outside it: a page costs one encode per event, a bounded
+	// amount of memory and no copy of the events, whatever its length.
+	bp := pageBufs.Get().(*[]byte)
+	defer pageBufs.Put(bp)
+	// page writes one page of up to max matching events (max <= 0: all
+	// retained) and reports whether the cursor moved.
+	page := func(max int) bool {
+		start, matched := cursor, 0
+		for {
+			var n int
+			var full bool
+			*bp, cursor, n, full = s.log.appendPage((*bp)[:0], cursor, max-matched, pageChunk, match, appendEvent)
+			matched += n
+			if len(*bp) > 0 {
+				_, _ = w.Write(*bp)
 			}
-			buf = appendEvent(&evs[i], buf)
-			if len(buf) >= chunk {
-				_, _ = w.Write(buf)
-				buf = buf[:0]
+			if !full || max > 0 && matched == max {
+				return cursor != start
 			}
-		}
-		if len(buf) > 0 {
-			_, _ = w.Write(buf)
-			buf = buf[:0]
 		}
 	}
 	for {
 		// Grab the wait channel before reading so an append between the
-		// read and the wait cannot be missed.
-		ch := s.log.WaitCh()
-		evs, next := s.log.ReadSince(cursor, max, match)
-		advanced := next != cursor
-		cursor = next
-		emit(evs)
-		if advanced {
+		// read and the wait cannot be missed. A request that does not
+		// follow never waits, and makes none.
+		var ch <-chan struct{}
+		if follow {
+			ch = s.log.WaitCh()
+		}
+		if page(max) {
 			if !follow && max > 0 {
 				// One page per request when a page size is set. A short
 				// page means the log was exhausted at read time; events
@@ -474,12 +494,22 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		case <-s.loopDone:
 			// Final read so a drained shutdown's tail is not lost.
-			evs, _ := s.log.ReadSince(cursor, 0, match)
-			emit(evs)
+			page(0)
 			return
 		}
 	}
 }
+
+// pageChunk is how many bytes of an event page handleEvents encodes
+// under the log's lock before it writes them. A page buffer has room
+// for a chunk and one event past it, so it never grows.
+const pageChunk = 32 << 10
+
+// pageBufs holds handleEvents' page buffers across requests.
+var pageBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, pageChunk+api.MaxEventFrame)
+	return &b
+}}
 
 // acceptsEventRecords reports whether an Accept header prefers
 // api.EventRecordsType to NDJSON: it names the frames at a quality

@@ -117,7 +117,7 @@ func TestEventFormatsParity(t *testing.T) {
 	var nanSeq int64
 	if err := srv.do(context.Background(), func() {
 		nanSeq = srv.log.base + int64(len(srv.log.events))
-		srv.log.Append(WireEvent{Kind: "placed", Time: math.NaN(), Job: 1, Site: 2, Tenant: "acme"})
+		srv.log.Append(&WireEvent{Kind: "placed", Time: math.NaN(), Job: 1, Site: 2, Tenant: "acme"})
 	}); err != nil {
 		t.Fatal(err)
 	}

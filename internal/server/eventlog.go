@@ -27,13 +27,13 @@ func newEventLog(max int) *eventLog {
 	return &eventLog{max: max}
 }
 
-// Append assigns the next sequence number and stores the event. The
-// appending goroutine is the only writer of events and base (see
-// appendRecordsSince).
-func (l *eventLog) Append(ev WireEvent) {
+// Append assigns the next sequence number and stores a copy of the
+// event; ev itself is left as it was. The appending goroutine is the
+// only writer of events and base (see appendRecordsSince).
+func (l *eventLog) Append(ev *WireEvent) {
 	l.mu.Lock()
-	ev.Seq = l.base + int64(len(l.events))
-	l.events = append(l.events, ev)
+	l.events = append(l.events, *ev)
+	l.events[len(l.events)-1].Seq = l.base + int64(len(l.events)-1)
 	if len(l.events) > l.max {
 		// Evict the oldest half in one copy so eviction is amortized
 		// rather than per-append.
@@ -49,42 +49,36 @@ func (l *eventLog) Append(ev WireEvent) {
 	}
 }
 
-// ReadSince returns up to max retained events with seq >= since that
-// satisfy match (nil matches all), and the cursor to pass next time.
-// max <= 0 means no limit. The limit counts *matching* events and the
-// cursor always advances past every scanned event, so a filtered read
-// can never return an empty page while matching events remain.
-func (l *eventLog) ReadSince(since int64, max int, match func(*WireEvent) bool) ([]WireEvent, int64) {
+// appendPage appends to dst the encodings (enc) of the retained events
+// with seq >= since that satisfy match (nil matches all), under the
+// lock and straight out of the ring. It stops after most matches (most
+// <= 0: no limit) or once dst holds limit bytes, and returns dst, the
+// cursor past the last event scanned, how many matched and whether it
+// stopped at limit with events left to scan. The cursor advances past
+// every scanned event, so a filtered read never ends a page empty while
+// matching events remain. An event with a non-finite float matches and
+// counts but is not encoded: no format carries it.
+func (l *eventLog) appendPage(dst []byte, since int64, most, limit int, match func(*WireEvent) bool, enc func(*WireEvent, []byte) []byte) (out []byte, next int64, matched int, full bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if since < l.base {
-		since = l.base
-	}
-	i := int(since - l.base)
-	if i >= len(l.events) {
-		return nil, l.base + int64(len(l.events))
-	}
-	var out []WireEvent
-	if match == nil {
-		n := len(l.events) - i
-		if max > 0 {
-			n = min(n, max)
+	since = max(since, l.base)
+	for i := since - l.base; i < int64(len(l.events)); i++ {
+		if len(dst) >= limit {
+			return dst, since, matched, true
 		}
-		out = make([]WireEvent, 0, n)
-	}
-	next := since
-	for ; i < len(l.events); i++ {
-		ev := &l.events[i] // not a copy: one that match saw would go to the heap
-		if match == nil || match(ev) {
-			out = append(out, *ev)
-			if max > 0 && len(out) == max {
-				next = ev.Seq + 1
-				return out, next
-			}
+		ev := &l.events[i]
+		since = ev.Seq + 1
+		if match != nil && !match(ev) {
+			continue
 		}
-		next = ev.Seq + 1
+		if ev.Finite() {
+			dst = enc(ev, dst)
+		}
+		if matched++; matched == most {
+			break
+		}
 	}
-	return out, next
+	return dst, since, matched, false
 }
 
 // baseSeq returns the sequence number of the oldest retained event (the

@@ -96,7 +96,7 @@ func FuzzRetentionHorizon(f *testing.F) {
 		m := horizonModel{owner: map[int]string{}, done: map[int]bool{}}
 		var cursor int64
 		readCompletions := func() {
-			evs, next := srv.log.ReadSince(cursor, 0, nil)
+			evs, next := readSince(srv.log, cursor)
 			cursor = next
 			for _, ev := range evs {
 				if ev.Kind == "completed" {

@@ -1,0 +1,7 @@
+//go:build race
+
+package server
+
+// raceEnabled reports a -race build, whose detector allocates on its
+// own: the allocation pins skip there.
+const raceEnabled = true

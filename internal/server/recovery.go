@@ -642,8 +642,8 @@ func (s *Server) walArrival(j *grid.Job) error {
 	if s.wal == nil {
 		return nil
 	}
-	rec := api.NewTraceRecord(j)
-	return s.walAppend(s.online.Owner(j.Tenant), wal.Record{Kind: wal.KindArrival, At: s.online.Now(), Arrival: &rec})
+	s.arrival = api.NewTraceRecord(j)
+	return s.walAppend(s.online.Owner(j.Tenant), wal.Record{Kind: wal.KindArrival, At: s.online.Now(), Arrival: &s.arrival})
 }
 
 // walTenant logs one runtime tenant registration.

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -205,9 +206,12 @@ type Server struct {
 	// durable input set under WALDir — one flat log for one engine, a
 	// coordinator log plus one log per shard otherwise; which of the two
 	// is the set's business, nothing here asks. walBroken is the append
-	// or commit error that ended logging.
+	// or commit error that ended logging, and arrival the payload of the
+	// arrival record being appended, kept here so that it is not a heap
+	// object per job.
 	wal       *wal.Set
 	walBroken error
+	arrival   api.TraceRecord
 	// journaled is the first event sequence number the event journal does
 	// not hold yet; writeSnapshot flushes [journaled, next) as one file,
 	// encoded into journal, a buffer kept across snapshots. snapMarks
@@ -245,6 +249,9 @@ type Server struct {
 	// arrivals. Loop goroutine only.
 	nextID int64
 	owners jobOwners
+	// explicit is claimIDs' scratch: a request's explicit IDs with their
+	// spec indexes, sorted to find the duplicates within it.
+	explicit [][2]int
 
 	submitted   atomic.Int64 // accepted by the HTTP layer
 	arrived     atomic.Int64 // ingested by the engine
@@ -498,7 +505,26 @@ func (s *Server) claimIDs(specs []JobSpec, tenant string) ([]int, error) {
 		}
 		return ids, nil
 	}
-	inReq := make(map[int]int, len(specs)) // id -> spec index, for dup reporting
+	// Until the commit below, ids[i] holds the first earlier spec that
+	// names spec i's explicit ID, or -1: the (id, index) pairs sorted,
+	// each group's first index is the one its other members repeat.
+	pairs := s.explicit[:0]
+	for i, spec := range specs {
+		ids[i] = -1
+		if spec.ID != nil {
+			pairs = append(pairs, [2]int{*spec.ID, i})
+		}
+	}
+	slices.SortFunc(pairs, func(a, b [2]int) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+	first := -1
+	for k, p := range pairs {
+		if k == 0 || p[0] != pairs[k-1][0] {
+			first = p[1]
+		} else {
+			ids[p[1]] = first
+		}
+	}
+	s.explicit = pairs[:0]
 	for i, spec := range specs {
 		if spec.ID == nil {
 			continue
@@ -510,10 +536,9 @@ func (s *Server) claimIDs(specs []JobSpec, tenant string) ([]int, error) {
 		if s.owners.has(id) {
 			return nil, fmt.Errorf("job %d: duplicate job id %d", i, id)
 		}
-		if k, dup := inReq[id]; dup {
+		if k := ids[i]; k >= 0 {
 			return nil, fmt.Errorf("job %d: duplicate job id %d (also job %d in this request)", i, id, k)
 		}
-		inReq[id] = i
 	}
 	// All clear: commit. Nothing past this point can fail.
 	for i, spec := range specs {
@@ -595,7 +620,7 @@ func (s *Server) stopped() bool {
 // onEvent runs on the loop goroutine for every engine transition: it
 // maintains the counters, feeds the latency tracker and the arrival
 // trace, and appends to the streamable event log.
-func (s *Server) onEvent(ev sched.EngineEvent) {
+func (s *Server) onEvent(ev *sched.EngineEvent) {
 	switch ev.Kind {
 	case sched.EventArrived:
 		s.arrived.Add(1)
@@ -618,7 +643,9 @@ func (s *Server) onEvent(ev sched.EngineEvent) {
 	case sched.EventInterrupted:
 		s.interrupted.Add(1)
 	}
-	s.log.Append(wireFromEngine(ev))
+	var w WireEvent
+	wireFromEngine(ev, &w)
+	s.log.Append(&w)
 }
 
 // sweepUnplaced reconciles the latency tracker and the tenant quota

@@ -256,7 +256,7 @@ func (l *Log) rotate() error {
 		return err
 	}
 	l.f = f
-	l.w = bufio.NewWriterSize(f, 1<<16)
+	l.w.Reset(f) // flushed by the commit above; its buffer carries over
 	return nil
 }
 
