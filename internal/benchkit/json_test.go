@@ -159,12 +159,13 @@ func BenchmarkSuite(b *testing.B) {
 }
 
 // TestEngineSteadyStateAllocs pins the engine loop's allocations on
-// OnlineEngine/jobs=1000's workload at no more than one per job for a
-// whole op — construction, 1 000 submissions and the drain. Submit
-// takes its jobs without a copy, dispatch reuses the attempts whose
-// events have fired, and a round's queue buffer is reused, so what is
+// OnlineEngine/jobs=1000's workload for a whole op — construction,
+// 1 000 submissions and the drain. Submit takes its jobs without a
+// copy, dispatch reuses the attempts whose events have fired, and a
+// round's queue buffer and MCT's ready times are reused, so what is
 // left grows with rounds and with the engine's high-water marks, not
-// with jobs.
+// with jobs. The op reads 182 allocations on Go 1.24; the pin is that
+// plus a quarter, so a per-round or per-job allocation fails it.
 func TestEngineSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates")
@@ -180,8 +181,9 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if allocs > float64(len(jobs)) {
-		t.Fatalf("an OnlineEngine op allocates %v times, want at most one per job (%d)", allocs, len(jobs))
+	const pin = 182 * 5 / 4
+	if allocs > pin {
+		t.Fatalf("an OnlineEngine op allocates %v times, want at most %d", allocs, pin)
 	}
 	t.Logf("%v allocations per op of %d jobs", allocs, len(jobs))
 }

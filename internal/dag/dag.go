@@ -97,23 +97,25 @@ func Validate(jobs []*grid.Job) error {
 // never map order, so release sequences are reproducible run to run.
 //
 // The tracker keeps only what a future dependency can still ask about
-// (DESIGN.md §14.3). Every job the engine is handed (Hand) is counted
-// until it completes; each time the smallest such ID completes, the
-// horizon rises to just below the smallest one still counted (to the
-// largest ID handed, when none is), so every ID handed so far and at or
-// below it has completed, and it only rises.
-// Completed IDs at or below the horizon are dropped from the done set:
-// a dependency on such an ID counts as satisfied unless the ID was
-// handed after the horizon passed it and has not completed yet (the
-// late set). The horizon is derived from the engine's own inputs, so a
-// restored or replayed engine derives the same one. The contract this
-// rests on: a dependency names a job handed to the engine before the
-// dependent (the service validates that; a closed-world workload hands
-// every job up front). A dependency on an ID at or below the horizon
-// that was never handed counts as satisfied; one above it that is never
-// handed blocks forever, surfacing as an incomplete-jobs error at drain.
+// (DESIGN.md §14.3), the way the service's ID registry does: one
+// ascending ID column holding every ID above the horizon that was
+// handed (Hand) or completed, flagged once it completes. When the
+// smallest unflagged (pending) ID completes, the horizon rises to just
+// below the next pending one (to the largest ID handed, when none is)
+// and the column drops what the horizon passed, so every ID handed so
+// far and at or below the horizon has completed, and it only rises.
+// A dependency on an ID at or below the horizon counts as satisfied
+// unless the ID was handed after the horizon passed it and has not
+// completed yet (the late set). The horizon is derived from the
+// engine's own inputs, so a restored or replayed engine derives the
+// same one. The contract this rests on: a dependency names a job handed
+// to the engine before the dependent (the service validates that; a
+// closed-world workload hands every job up front). A dependency on an
+// ID at or below the horizon that was never handed counts as satisfied;
+// one above it that is never handed blocks forever, surfacing as an
+// incomplete-jobs error at drain.
 type Tracker struct {
-	done     idset.Map[struct{}] // completed IDs above the horizon
+	ids      idset.Map[bool] // handed or completed IDs above the horizon -> completed
 	blocked  map[int]*grid.Job
 	unmet    map[int]int
 	children map[int][]int // incomplete parent ID -> blocked successor IDs
@@ -123,21 +125,12 @@ type Tracker struct {
 	order   map[int]uint64
 	nextOrd uint64
 
-	// horizon is noHorizon until the first handed ID completes. The
-	// handed IDs above the horizon that were not known to be done when
-	// last looked at are live, ascending in hand order — IDs are handed
-	// ascending but for explicit ones out of order — and liveHeap, a
-	// min-heap of those handed below live's last; both are popped only at
-	// their minimum. late counts the handed, incomplete IDs at or below
-	// the horizon; maxHanded is the largest ID ever handed.
+	// horizon is noHorizon until the first handed ID completes. late
+	// counts the handed, incomplete IDs at or below it; maxHanded is the
+	// largest ID ever handed.
 	horizon   int
-	live      []int
-	liveHeap  []int
 	late      map[int]int
 	maxHanded int
-	// dropAt is the done set's size at which advance next drops what
-	// lies at or below the horizon.
-	dropAt int
 
 	sawEdges bool
 }
@@ -171,10 +164,8 @@ func (t *Tracker) Hand(id int) {
 		t.late[id]++
 		return
 	}
-	if n := len(t.live); n == 0 || id >= t.live[n-1] {
-		t.live = append(t.live, id)
-	} else {
-		t.pushHeap(id)
+	if !t.ids.Has(id) {
+		t.ids.Put(id, false)
 	}
 	t.maxHanded = max(t.maxHanded, id)
 }
@@ -188,7 +179,8 @@ func (t *Tracker) isDone(id int) bool {
 	if id <= t.horizon {
 		return t.late[id] == 0
 	}
-	return t.done.Has(id)
+	done, _ := t.ids.Get(id)
+	return done
 }
 
 // Arrive registers an arriving job and reports whether it is ready to
@@ -239,10 +231,10 @@ func (t *Tracker) Complete(id int) []*grid.Job {
 			delete(t.late, id)
 		}
 	} else {
-		t.done.Put(id, struct{}{})
-		if m, ok := t.minLive(); ok && m == id {
-			// Only the smallest live ID holds the horizon back.
-			t.advance()
+		done, handed := t.ids.Get(id)
+		t.ids.Put(id, true)
+		if handed && !done {
+			t.advance(id)
 		}
 	}
 	succ := t.children[id]
@@ -262,86 +254,29 @@ func (t *Tracker) Complete(id int) []*grid.Job {
 	return released
 }
 
-// advance raises the horizon to just below the smallest live ID — to the
-// largest handed ID when none is live — and drops the done IDs it
-// passes. Each handed ID is popped once; handed in ascending order, as
-// the service and the batch preload hand them, a pop is O(1).
-func (t *Tracker) advance() {
-	for {
-		m, ok := t.minLive()
-		if !ok || !t.done.Has(m) {
-			break
-		}
-		if len(t.live) > 0 && t.live[0] == m {
-			t.live = t.live[1:]
-		} else {
-			t.popHeap()
-		}
+// advance runs after the pending ID id completes. If no smaller ID is
+// pending, the horizon rises to just below the next pending ID — to the
+// largest handed ID when none is — and the column drops what it passed.
+// From the first rise on, the column starts at a pending ID, so the
+// scan stops at once unless id was that one; then it walks the
+// completed IDs up to the next pending one, which the drop removes.
+// Columns first folds in the IDs handed out of order since the last
+// scan.
+func (t *Tracker) advance(id int) {
+	ids, done := t.ids.Columns()
+	i := 0
+	for i < len(ids) && done[i] {
+		i++
 	}
 	h := t.maxHanded
-	if m, ok := t.minLive(); ok {
-		h = m - 1
-	}
-	if h > t.horizon {
-		t.horizon = h
-		// The done IDs at or below the horizon are never read again; they
-		// go once they are as many as the set held after the last drop.
-		if t.done.Len() >= t.dropAt {
-			t.done.DropThrough(h)
-			t.dropAt = 2*t.done.Len() + minDrop
+	if i < len(ids) {
+		if ids[i] < id {
+			return
 		}
+		h = ids[i] - 1
 	}
-}
-
-// minDrop is the least number of done IDs a drop waits for.
-const minDrop = 64
-
-// minLive returns the smallest live ID.
-func (t *Tracker) minLive() (int, bool) {
-	switch {
-	case len(t.live) == 0 && len(t.liveHeap) == 0:
-		return 0, false
-	case len(t.liveHeap) == 0:
-		return t.live[0], true
-	case len(t.live) == 0:
-		return t.liveHeap[0], true
-	}
-	return min(t.live[0], t.liveHeap[0]), true
-}
-
-// pushHeap and popHeap keep t.liveHeap a binary min-heap.
-func (t *Tracker) pushHeap(id int) {
-	t.liveHeap = append(t.liveHeap, id)
-	for i := len(t.liveHeap) - 1; i > 0; {
-		p := (i - 1) / 2
-		if t.liveHeap[p] <= t.liveHeap[i] {
-			break
-		}
-		t.liveHeap[p], t.liveHeap[i] = t.liveHeap[i], t.liveHeap[p]
-		i = p
-	}
-}
-
-func (t *Tracker) popHeap() {
-	h := t.liveHeap
-	n := len(h) - 1
-	h[0] = h[n]
-	h = h[:n]
-	for i := 0; ; {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
-		if c+1 < n && h[c+1] < h[c] {
-			c++
-		}
-		if h[i] <= h[c] {
-			break
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
-	t.liveHeap = h
+	t.horizon = h
+	t.ids.DropThrough(h)
 }
 
 // BlockedCount reports how many arrived jobs are waiting on parents.
@@ -361,31 +296,32 @@ func (t *Tracker) Blocked() []*grid.Job {
 }
 
 // DoneIDs returns the completed IDs above the horizon, ascending, for
-// snapshots: the set's own ascending column, so nothing is copied,
-// walked or sorted beyond the completions that arrived out of order
-// since the last call (DESIGN.md §10.2). The slice belongs to the
-// tracker: read it only, and only until the next Complete. Its length
-// follows the jobs in flight, not the jobs ever completed.
+// snapshots: the flagged entries of the tracker's column, whose length
+// follows the jobs in flight, not the jobs ever completed
+// (DESIGN.md §10.2).
 func (t *Tracker) DoneIDs() []int {
-	if t.horizon != noHorizon {
-		t.done.DropThrough(t.horizon)
+	ids, done := t.ids.Columns()
+	var out []int
+	for i, id := range ids {
+		if done[i] {
+			out = append(out, id)
+		}
 	}
-	ids, _ := t.done.Columns()
-	return ids
+	return out
 }
 
 // RestoreDone reloads a snapshot's completed-ID set, and RestoreHorizon
 // its horizon. Call both before handing the snapshot's in-flight jobs
 // back (Hand) and re-Arriving the queue and blocked pen, so readiness
 // decisions match the interrupted run's. RestoreDone deliberately does
-// not touch SawEdges — every completion lands in the done set, edges or
-// not, and turning rank mode on for a restored edge-free run would
-// change its placements. A snapshot written before the horizon existed
+// not touch SawEdges — every completion is flagged, edges or not, and
+// turning rank mode on for a restored edge-free run would change its
+// placements. A snapshot written before the horizon existed
 // carries every completed ID and no horizon; the first completion after
 // the restore derives one.
 func (t *Tracker) RestoreDone(ids []int) {
 	for _, id := range ids {
-		t.done.Put(id, struct{}{}) // ascending: appends
+		t.ids.Put(id, true) // ascending: appends
 		t.maxHanded = max(t.maxHanded, id)
 	}
 }

@@ -11,9 +11,12 @@ import (
 
 // MCT (Minimum Completion Time) assigns jobs in arrival order, each to
 // the eligible site with the earliest completion time. It is the
-// immediate-mode baseline of Maheswaran et al. / Braun et al.
+// immediate-mode baseline of Maheswaran et al. / Braun et al. An MCT
+// value reuses its ready buffer across Schedule calls and is not safe
+// for concurrent use.
 type MCT struct {
 	Policy grid.Policy
+	ready  []float64 // the round's site ready times, reused across calls
 }
 
 // NewMCT builds an MCT scheduler under the given risk policy.
@@ -25,7 +28,8 @@ func (m *MCT) Name() string { return fmt.Sprintf("MCT %s", m.Policy.Name()) }
 // Schedule implements sched.Scheduler.
 func (m *MCT) Schedule(batch []*grid.Job, st *sched.State) []sched.Assignment {
 	k := st.Snapshot(batch)
-	ready := append([]float64(nil), k.Ready...)
+	m.ready = append(m.ready[:0], k.Ready...)
+	ready := m.ready
 	etc := k.ETC()
 	out := make([]sched.Assignment, 0, len(batch))
 	for i, j := range batch {

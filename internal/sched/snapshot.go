@@ -94,12 +94,13 @@ type PendingItem struct {
 // which arrived jobs are still waiting on parents (in arrival order —
 // the order restore re-registers them, which reproduces release order),
 // and whether the workload ever used edges (the sticky switch for
-// rank-aware scheduling). Done is that completed-ID set as an idset byte
-// column (base64 in the JSON payload), at a byte or two per ID; it
-// holds the jobs completed above the lowest one still in flight, not
-// every job ever completed (DESIGN.md §14.3). Horizon is absent until
-// the first job completes, and in snapshots written before it existed,
-// whose Done holds every completed ID.
+// rank-aware scheduling). Done is that completed-ID set — the flagged
+// IDs of the tracker's column — as an idset byte column (base64 in the
+// JSON payload), at a byte or two per ID; it holds the jobs completed
+// above the horizon, not every job ever completed (DESIGN.md §14.3).
+// Horizon is absent until the first handed job completes, and in
+// snapshots written before it existed, whose Done holds every completed
+// ID.
 type DAGSnapshot struct {
 	Done     []byte     `json:"done,omitempty"`
 	Horizon  *int       `json:"horizon,omitempty"`
